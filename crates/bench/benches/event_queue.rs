@@ -1,11 +1,11 @@
-//! Micro-benchmark of the calendar/ladder [`EventQueue`] in isolation: steady-state
+//! Micro-benchmark of the timing-wheel [`EventQueue`] in isolation: steady-state
 //! hold cycles (pop the minimum, push a replacement) and burst push-then-drain, at
 //! 1k / 100k / 1M pending events.
 //!
-//! The hold span scales with the population (mean spacing ~2.5 µs, matching the
-//! engine's per-hop latency quantum), so the small size lives entirely in the bucket
-//! wheel while the large sizes keep most events in the far-future overflow tier —
-//! both tiers are on the measured path. `crates/bench/tests/smoke.rs` runs a scaled-
+//! The hold span scales with the population (mean spacing ~2.5 µs), so at the default
+//! 448 ns bucket the small size lives in the two wheel levels (470 ms horizon) while
+//! the 1M size keeps most events in the far-future heap — every tier is on the
+//! measured path. `crates/bench/tests/smoke.rs` runs a scaled-
 //! down mirror of the same loops as a correctness smoke test.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -45,8 +45,8 @@ fn bench_event_queue(c: &mut Criterion) {
     let mut group = c.benchmark_group("event_queue");
     group.sample_size(10);
     for &pending in &[1_000usize, 100_000, 1_000_000] {
-        // Mean spacing ~2.5 µs: one wheel bucket holds roughly a hop's worth of
-        // events, and the tail of the population sits in the overflow tier.
+        // Mean spacing ~2.5 µs: a fine bucket holds an event or none, and past 188k
+        // pending the tail of the population sits in the far-future heap.
         let span_ns = pending as u64 * 2_500;
         let cycles = 10_000usize;
 

@@ -95,10 +95,22 @@ pub struct Ctx<'a> {
 impl<'a> Ctx<'a> {
     /// Create a context (used by the engine and by protocol unit tests).
     pub fn new(now: SimTime, flows: &'a dyn FlowLookup) -> Self {
+        Ctx::with_buffer(now, flows, Vec::new())
+    }
+
+    /// A context that collects into `actions` (empty, but with whatever capacity
+    /// earlier callbacks grew it to): the engine hands every callback the same buffer
+    /// and gets it back through [`Ctx::take_actions`].
+    pub(crate) fn with_buffer(
+        now: SimTime,
+        flows: &'a dyn FlowLookup,
+        actions: Vec<Action>,
+    ) -> Self {
+        debug_assert!(actions.is_empty());
         Ctx {
             now,
             flows,
-            actions: Vec::new(),
+            actions,
         }
     }
 

@@ -313,6 +313,10 @@ pub(crate) struct EngineCore {
     ///
     /// [`LossStream::PerLink`]: crate::network::LossStream::PerLink
     pub(crate) link_loss_rngs: Vec<Option<SmallRng>>,
+    /// The one action buffer every agent callback's [`Ctx`] fills: taken for the
+    /// callback, drained by `apply_actions` (which never calls an agent, so there is
+    /// no re-entrancy) and put back.
+    actions: Vec<Action>,
 }
 
 impl EngineCore {
@@ -320,16 +324,15 @@ impl EngineCore {
         let rng = SmallRng::seed_from_u64(config.seed);
         let n_nodes = network.node_count();
         let n_links = network.link_count();
-        // Calendar-queue bucket width: the minimum per-hop latency of this topology
-        // (propagation + processing) — the same quantum the shard lookahead uses, so
-        // one bucket holds roughly one hop's worth of events.
+        // Event-queue bucket width: the smallest serialization time in this topology
+        // (a control packet on the fastest link), the spacing of the engine's own
+        // TransmitDone events.
         let bucket = network
             .links
             .iter()
-            .map(|l| l.prop_delay)
+            .map(|l| l.transmission_time(CONTROL_PACKET_BYTES as u64))
             .min()
-            .unwrap_or(crate::network::DEFAULT_PROP_DELAY)
-            .saturating_add(config.processing_delay);
+            .unwrap_or(EventQueue::DEFAULT_BUCKET_WIDTH);
         EngineCore {
             config,
             network,
@@ -353,6 +356,7 @@ impl EngineCore {
             outbox: Vec::new(),
             msg_seq: 0,
             link_loss_rngs: (0..n_links).map(|_| None).collect(),
+            actions: Vec::new(),
         }
     }
 
@@ -468,7 +472,7 @@ impl EngineCore {
         if self.stopped {
             return;
         }
-        // Batched drain: `pop_window` streams straight off the calendar queue's
+        // Batched drain: `pop_window` streams straight off the event queue's
         // sorted current run — one call per event instead of a peek-compare-pop
         // round-trip, with no re-peeking between events.
         loop {
@@ -629,7 +633,12 @@ impl EngineCore {
         }
         self.unfinished_flows += 1;
         let actions = {
-            let Self { agents, flows, .. } = self;
+            let Self {
+                agents,
+                flows,
+                actions,
+                ..
+            } = self;
             let agent = agents[src.index()]
                 .as_mut()
                 .unwrap_or_else(|| panic!("no agent installed on {src:?}"));
@@ -637,7 +646,7 @@ impl EngineCore {
                 .info
                 .as_ref()
                 .expect("checked above");
-            let mut ctx = Ctx::new(self.now, flows);
+            let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
             agent.on_flow_arrival(info, &mut ctx);
             ctx.take_actions()
         };
@@ -700,11 +709,16 @@ impl EngineCore {
             }
         }
         let actions = {
-            let Self { agents, flows, .. } = self;
+            let Self {
+                agents,
+                flows,
+                actions,
+                ..
+            } = self;
             let Some(agent) = agents[node.index()].as_mut() else {
                 return;
             };
-            let mut ctx = Ctx::new(self.now, flows);
+            let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
             agent.on_packet(packet, &mut ctx);
             ctx.take_actions()
         };
@@ -714,43 +728,34 @@ impl EngineCore {
     /// Push a packet onto its next link from `node`, running the link controller and
     /// applying loss / tail-drop.
     ///
-    /// This is the hottest function in the simulator; it performs no heap allocation
-    /// and no hash lookup (the flow is resolved through the slot stamped into the
-    /// packet, and the path through a shared `Arc`).
+    /// This is the hottest function in the simulator; it performs no heap allocation,
+    /// no hash lookup and no reference-count traffic (the flow is resolved through the
+    /// slot stamped into the packet, and its path is read in place).
     fn forward_packet(&mut self, node: NodeId, mut packet: Packet) {
         let flow_slot = packet.flow_slot;
-        let Some(info) = self.flows.get(flow_slot).and_then(|s| s.info.as_ref()) else {
-            return;
-        };
-        // Cheap handle clone (refcount bump) so the path outlives the mutable borrows
-        // of the network below; the node/link vectors are never copied.
-        let path = Arc::clone(&info.path);
-        let nlinks = path.links.len();
         let hop = packet.hop;
-        let (next_link, controller_link) = if !packet.reverse {
+        // The two link ids this hop needs, copied out of the flow's shared path so no
+        // borrow of the flow table outlives this block.
+        let (next_link, controller_link) = {
+            let Some(info) = self.flows.get(flow_slot).and_then(|s| s.info.as_ref()) else {
+                return;
+            };
+            let links = &info.path.links;
+            let nlinks = links.len();
             if hop >= nlinks {
                 // Mis-routed packet; drop defensively.
                 return;
             }
-            let link = path.links[hop];
-            debug_assert_eq!(self.network.link(link).src, node, "forward hop mismatch");
-            (link, Some(link))
-        } else {
-            if hop >= nlinks {
-                return;
-            }
-            let forward = path.links[nlinks - 1 - hop];
-            let link = self.network.reverse(forward);
-            debug_assert_eq!(self.network.link(link).src, node, "reverse hop mismatch");
-            // The switch owning forward link `path.links[nlinks - hop]` is `node`
-            // (for hop >= 1); hop == 0 means we are at the destination host.
-            let ctl = if hop >= 1 {
-                Some(path.links[nlinks - hop])
+            if !packet.reverse {
+                (links[hop], Some(links[hop]))
             } else {
-                None
-            };
-            (link, ctl)
+                // The switch owning forward link `links[nlinks - hop]` is `node` (for
+                // hop >= 1); hop == 0 means we are at the destination host.
+                let ctl = (hop >= 1).then(|| links[nlinks - hop]);
+                (self.network.reverse(links[nlinks - 1 - hop]), ctl)
+            }
         };
+        debug_assert_eq!(self.network.link(next_link).src, node, "hop mismatch");
 
         // Run the link controller (switch scheduling logic).
         if let Some(cl) = controller_link {
@@ -810,12 +815,13 @@ impl EngineCore {
         link.stats.max_queue_bytes = link.stats.max_queue_bytes.max(link.queue_bytes);
         if !link.busy {
             link.busy = true;
-            // The queue was empty before this push, so the front is the packet we
-            // just enqueued.
-            let tx =
-                link.transmission_time(link.queue.front().expect("just pushed").wire_size as u64);
-            self.events
-                .schedule(now + tx, EventKind::TransmitDone { link: next_link });
+            // The queue was empty before this push, so the packet we just enqueued is
+            // the one that starts serializing.
+            link.tx_time = link.transmission_time(wire);
+            self.events.schedule(
+                now + link.tx_time,
+                EventKind::TransmitDone { link: next_link },
+            );
         }
     }
 
@@ -833,13 +839,13 @@ impl EngineCore {
                 return;
             };
             link.queue_bytes -= packet.wire_size as u64;
-            let tx_time = link.transmission_time(packet.wire_size as u64);
             link.stats.bytes_transmitted += packet.wire_size as u64;
             link.stats.packets_transmitted += 1;
-            link.stats.busy_time += tx_time;
+            link.stats.busy_time += link.tx_time;
             packet.hop += 1;
             let next_tx = if let Some(front) = link.queue.front() {
-                Some(link.transmission_time(front.wire_size as u64))
+                link.tx_time = link.transmission_time(front.wire_size as u64);
+                Some(link.tx_time)
             } else {
                 link.busy = false;
                 None
@@ -892,11 +898,16 @@ impl EngineCore {
             None => return,
         }
         let actions = {
-            let Self { agents, flows, .. } = self;
+            let Self {
+                agents,
+                flows,
+                actions,
+                ..
+            } = self;
             let Some(agent) = agents[node.index()].as_mut() else {
                 return;
             };
-            let mut ctx = Ctx::new(self.now, flows);
+            let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
             agent.on_timer(flow, kind, token, &mut ctx);
             ctx.take_actions()
         };
@@ -994,7 +1005,7 @@ impl EngineCore {
             }
         }
         // Pending-event depth of this core's queue (per shard in a partitioned run) —
-        // the calendar scheduler's working-set size over time.
+        // the scheduler's working-set size over time.
         self.traces.event_queue_depth.push(Sample {
             at: self.now,
             value: self.events.len() as f64,
@@ -1008,8 +1019,8 @@ impl EngineCore {
 
     // ------------------------------------------------------------------ actions
 
-    pub(crate) fn apply_actions(&mut self, actions: Vec<Action>) {
-        for a in actions {
+    pub(crate) fn apply_actions(&mut self, mut actions: Vec<Action>) {
+        for a in actions.drain(..) {
             match a {
                 Action::Send(mut packet) => {
                     // The packet leaves the host that generated it: the flow source for
@@ -1095,6 +1106,7 @@ impl EngineCore {
                 }
             }
         }
+        self.actions = actions;
     }
 
     /// Record a flow completion/termination (first action wins) and settle the

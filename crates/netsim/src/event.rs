@@ -1,4 +1,4 @@
-//! The discrete-event queue: a deterministic two-tier calendar/ladder scheduler.
+//! The discrete-event queue: a deterministic two-level timing wheel.
 //!
 //! Events are ordered by firing time, then by a **content-derived tie-break** that is
 //! independent of insertion order: creation time first (an event scheduled earlier in
@@ -13,46 +13,56 @@
 //! delivers it, not when its sender transmitted it, so insertion order differs between
 //! shard counts — but the content key does not.
 //!
-//! # Structure: bucket wheel + far-future overflow
+//! # Structure: fine wheel, coarse wheel, far-future heap
 //!
 //! The queue is the hottest data structure in the simulator: every packet hop pushes
-//! and pops one [`Event`]. A binary heap pays an `O(log n)` sift on a ~64-byte key
-//! comparison for *every* push and pop; at 10⁵–10⁶ pending events those sifts dominate
-//! the run. The queue is therefore a calendar/ladder scheduler with two tiers:
+//! and pops two [`Event`]s. Time is cut into fixed-width **fine buckets**; the engine
+//! sets the width to the smallest serialization time in the topology (a control
+//! packet on the fastest link — 448 ns at 1 Gbit/s), because that is the spacing of
+//! the events it generates itself. Three tiers hold the pending events:
 //!
-//! * **Near future — the bucket wheel.** Time is cut into fixed-width buckets
-//!   (`bucket width` defaults to the per-hop latency quantum and is derived from the
-//!   topology's minimum link latency by the engine — the same quantum the shard
-//!   lookahead uses, so one bucket ≈ one hop's worth of events). The wheel covers the
-//!   next [`WHEEL_SLOTS`] buckets; pushing into it is `O(1)` (append to the bucket's
-//!   unsorted `Vec`).
-//! * **Far future — the overflow heap.** Events beyond the wheel horizon (long RTO
-//!   timers, the hard-stop event, pre-injected arrival backlogs) sit in a min-heap and
-//!   spill into the wheel bucket-by-bucket as time advances.
+//! * **Level 0 — the fine wheel.** [`WHEEL_SLOTS`] fine buckets covering exactly the
+//!   level-1 slot the clock is in. A push appends to the bucket's unsorted `Vec`.
+//! * **Level 1 — the coarse wheel.** [`WHEEL_SLOTS`] slots, each one level-0
+//!   revolution wide (459 µs slots and a 470 ms horizon at 448 ns), holding the
+//!   events of the next slots unsorted and un-bucketed.
+//! * **The heap.** Events beyond the level-1 horizon (the hard-stop event, backed-off
+//!   RTOs, pre-injected arrival backlogs) wait in a min-heap.
 //!
-//! A bucket is sorted **lazily**, by the full deterministic key, only when it becomes
-//! the *current* bucket; popped events then stream out of a sorted run with no
-//! per-event comparisons. Same-bucket events scheduled while the bucket is draining
+//! **Cascade rule.** When level 0 runs dry the queue opens the earliest pending
+//! level-1 slot: the slot's events, plus every heap event that falls inside it, are
+//! spread over level 0 before any of them can pop. An event therefore moves at most
+//! twice (heap → level 0, or level 1 → level 0) and a heap event migrates exactly once.
+//!
+//! A fine bucket is sorted **lazily**, by the full deterministic key, only when it
+//! becomes the *current* bucket; popped events then stream out of a sorted run with no
+//! per-event comparisons. Events scheduled into the current bucket while it drains
 //! (same-instant timers, forwarding chains) are placed by binary search into the
-//! not-yet-popped tail of the run. Amortized push/pop is `O(1)` for wheel events and
-//! `O(log n)` only for the far-future tier.
+//! not-yet-popped tail of the run. Every [`Event`] carries its hashed content subkey,
+//! computed once when it is scheduled, so sorting and searching compare plain integers.
+//!
+//! **Storage.** A drained bucket's buffer goes to one LIFO spare list that empty fine
+//! buckets refill from, and an opened level-1 slot gives its buffer back to the
+//! allocator, so the queue holds about as many buffers as there are simultaneously
+//! non-empty buckets — not one high-water buffer per wheel slot.
 //!
 //! # Why the total order survives the restructure
 //!
-//! Popping always returns the globally minimal key, exactly as the heap did:
+//! Popping always returns the globally minimal key, exactly as a heap would:
 //!
-//! * buckets partition time, and the current bucket's range is `<=` every other
-//!   pending event's, so the global minimum lives in the current run;
+//! * buckets partition time, level-1 slots are unions of buckets and the heap only
+//!   holds events of slots not yet opened, so every pending event outside the current
+//!   run fires no earlier than the current bucket's end;
 //! * the current run is sorted by the full key `(at, created, class, content, seq)`
 //!   and in-run insertions maintain that order (an event scheduled *behind* the
 //!   current bucket — e.g. a cross-shard timer clamped to `now` — binary-searches to
 //!   the front of the remaining tail, exactly where the heap would have popped it);
-//! * overflow events migrate into a bucket before that bucket is sorted, so they
-//!   participate in the same in-bucket order.
+//! * a level-1 slot and the heap events belonging to it reach level 0 before any
+//!   bucket of that slot is sorted, so they participate in the same in-bucket order.
 //!
-//! Sequence numbers are assigned at push time in the same order as before, so the
-//! popped sequence is **bit-identical** to the binary-heap implementation — every
-//! figure table, cached record and shard-count-invariance fingerprint is preserved.
+//! Sequence numbers are assigned at push time, so the popped sequence is
+//! **bit-identical** to a binary heap over the same key — every figure table, cached
+//! record and shard-count-invariance fingerprint is independent of the layout.
 //! `tests/event_queue_prop.rs` pins this differentially against a reference heap.
 //!
 //! # Why events are small
@@ -60,8 +70,8 @@
 //! [`EventKind`] never carries a large payload inline — a flow arrival boxes its
 //! `FlowSpec` (one allocation per *flow*) and an in-flight packet is parked in the
 //! engine's recycled packet pool and referenced by a [`PacketSlot`] (no allocation per
-//! *hop* in steady state). This keeps `size_of::<Event>()` at a few machine words, so
-//! bucket sorts and in-run insertions move little memory.
+//! *hop* in steady state). This keeps `size_of::<Event>()` at 64 bytes, so bucket
+//! sorts and in-run insertions move little memory.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -171,26 +181,27 @@ impl EventKind {
         }
     }
 
-    /// Content-derived `(primary, subkey)` ordering events of the same class at the
-    /// same instant. The primary key is the owning flow's id (or link's id), so flows
-    /// tie-break in id order and the order is preserved under monotone flow-id
-    /// relabelings; the subkey separates same-flow events and is built only from
-    /// id-invariant packet/timer content. Neither component ever depends on
-    /// engine-internal state such as pool slots or insertion counters — the property
-    /// the partitioned engine's determinism rests on.
-    fn content_key(&self) -> (u64, u64) {
+    /// Content-derived primary key ordering events of the same class at the same
+    /// instant: the owning flow's id (or link's id), so flows tie-break in id order
+    /// and the order is preserved under monotone flow-id relabelings.
+    fn owner(&self) -> u64 {
         match self {
-            EventKind::FlowArrival(spec) => (spec.id.value(), 0),
-            EventKind::PacketAtNode {
-                node, flow, tie, ..
-            } => (flow.value(), mix(*tie, node.0 as u64)),
-            EventKind::TransmitDone { link } => (link.0 as u64, 0),
+            EventKind::FlowArrival(spec) => spec.id.value(),
+            EventKind::PacketAtNode { flow, .. } | EventKind::Timer { flow, .. } => flow.value(),
+            EventKind::TransmitDone { link } | EventKind::ControllerTick { link } => link.0 as u64,
+            EventKind::TraceSample | EventKind::Stop => 0,
+        }
+    }
+
+    /// Content-derived subkey separating same-owner events, built only from
+    /// id-invariant packet/timer content. Like [`EventKind::owner`] it never depends
+    /// on engine-internal state such as pool slots or insertion counters — the
+    /// property the partitioned engine's determinism rests on.
+    fn subkey(&self) -> u64 {
+        match self {
+            EventKind::PacketAtNode { node, tie, .. } => mix(*tie, node.0 as u64),
             EventKind::Timer {
-                node,
-                flow,
-                kind,
-                token,
-                ..
+                node, kind, token, ..
             } => {
                 let kind_rank = match kind {
                     TimerKind::Rto => 0u64,
@@ -199,13 +210,9 @@ impl EventKind {
                     TimerKind::Rebalance => 3,
                     TimerKind::Custom(c) => 4 + *c as u64,
                 };
-                (
-                    flow.value(),
-                    mix(*token, ((node.0 as u64) << 8) | kind_rank),
-                )
+                mix(*token, ((node.0 as u64) << 8) | kind_rank)
             }
-            EventKind::ControllerTick { link } => (link.0 as u64, 0),
-            EventKind::TraceSample | EventKind::Stop => (0, 0),
+            _ => 0,
         }
     }
 }
@@ -223,29 +230,29 @@ pub struct Event {
     /// `(at, created, class, content)` are all equal, i.e. for genuinely identical
     /// events within one engine.
     pub seq: u64,
+    /// `kind`'s hashed content subkey, computed once so comparisons never hash.
+    subkey: u64,
     /// What to do.
     pub kind: EventKind,
 }
 
-/// The full deterministic ordering key of an [`Event`].
-type EventKey = (SimTime, SimTime, u8, (u64, u64), u64);
-
 impl Event {
-    /// The full deterministic ordering key (ascending = fires first).
-    fn key(&self) -> EventKey {
-        (
-            self.at,
-            self.created,
-            self.kind.class_rank(),
-            self.kind.content_key(),
-            self.seq,
-        )
+    /// An event with its content subkey filled in (the queue builds its events this
+    /// way; a reference model in a test does too).
+    pub fn new(at: SimTime, created: SimTime, seq: u64, kind: EventKind) -> Self {
+        Event {
+            at,
+            created,
+            seq,
+            subkey: kind.subkey(),
+            kind,
+        }
     }
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for Event {}
@@ -255,19 +262,25 @@ impl PartialOrd for Event {
     }
 }
 impl Ord for Event {
-    /// Natural ascending key order: the minimum fires first. (Min-heap users must
-    /// wrap events in [`std::cmp::Reverse`]; the queue's overflow tier does.)
+    /// The full deterministic key `(at, created, class, owner, subkey, seq)`,
+    /// ascending: the minimum fires first. (Min-heap users must wrap events in
+    /// [`std::cmp::Reverse`]; the queue's far-future tier does.)
     fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
+        (self.at, self.created)
+            .cmp(&(other.at, other.created))
+            .then_with(|| {
+                (self.kind.class_rank(), self.kind.owner())
+                    .cmp(&(other.kind.class_rank(), other.kind.owner()))
+            })
+            .then_with(|| (self.subkey, self.seq).cmp(&(other.subkey, other.seq)))
     }
 }
 
 /// Cheap telemetry counters maintained by [`EventQueue`]; see [`EventQueue::stats`].
 ///
 /// The counters cost one integer op per queue operation, so they are always on —
-/// scheduler regressions (e.g. events thrashing between the overflow tier and the
-/// wheel, or buckets re-sorting pathologically often) are visible from a run's
-/// summary without a profiler.
+/// scheduler regressions (e.g. a workload living in the far-future heap, or buckets
+/// too fine to batch anything) are visible from a run's summary without a profiler.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Events scheduled.
@@ -276,43 +289,99 @@ pub struct QueueStats {
     pub pops: u64,
     /// Maximum number of simultaneously pending events.
     pub peak_pending: u64,
-    /// Events that spilled from the far-future overflow tier into the bucket wheel.
+    /// Events that left the far-future heap for the wheel (each does so exactly once,
+    /// when its level-1 slot opens). Level-1 → level-0 cascades are not counted.
     pub overflow_migrations: u64,
-    /// Buckets lazily sorted on becoming current (≈ one per non-empty bucket drained).
+    /// Fine buckets opened, i.e. sorted on becoming current (one per non-empty bucket
+    /// drained).
     pub buckets_sorted: u64,
 }
 
-/// Number of buckets in the near-future wheel. Power of two; with the engine's
-/// per-hop bucket width (~25 µs at the paper's defaults) the wheel spans ~26 ms of
-/// simulated future — comfortably past every in-flight packet and pacing timer.
-const WHEEL_SLOTS: usize = 1024;
+/// Slots per wheel level. Power of two, so a fine bucket index splits into a level-1
+/// slot (`>> WHEEL_BITS`) and a position inside it (`& WHEEL_MASK`).
+const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
+const WHEEL_BITS: u32 = 10;
+const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
+
+/// One wheel level: [`WHEEL_SLOTS`] unsorted event buffers and a bitmap of the
+/// non-empty ones.
+#[derive(Debug)]
+struct Wheel {
+    slots: Vec<Vec<Event>>,
+    occupied: [u64; WHEEL_WORDS],
+}
+
+impl Wheel {
+    fn new() -> Self {
+        Wheel {
+            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            occupied: [0; WHEEL_WORDS],
+        }
+    }
+
+    /// The buffer of slot `i`, marked occupied: the caller pushes into it.
+    fn slot_mut(&mut self, i: usize) -> &mut Vec<Event> {
+        self.occupied[i / 64] |= 1u64 << (i % 64);
+        &mut self.slots[i]
+    }
+
+    /// Empty slot `i`, returning its buffer and leaving an unallocated one behind.
+    fn take(&mut self, i: usize) -> Vec<Event> {
+        self.occupied[i / 64] &= !(1u64 << (i % 64));
+        std::mem::take(&mut self.slots[i])
+    }
+
+    /// The first occupied slot at or after position `from`.
+    fn first_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = *self.occupied.get(w)? & (!0u64 << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.occupied.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
+    }
+
+    /// Used as a ring over the absolute indices in `(cur, cur + WHEEL_SLOTS)`: the
+    /// first occupied absolute index after `cur`. Position `cur & WHEEL_MASK` itself
+    /// is never occupied, so a wrapped hit lies strictly before it.
+    fn next_after(&self, cur: u64) -> Option<u64> {
+        let pos = (cur & WHEEL_MASK) as usize;
+        if let Some(i) = self.first_from(pos + 1) {
+            return Some(cur + (i - pos) as u64);
+        }
+        self.first_from(0)
+            .map(|i| cur + (WHEEL_SLOTS - pos + i) as u64)
+    }
+}
 
 /// A min-priority queue of events ordered by
 /// `(time, creation time, class rank, content key)` — an insertion-order-independent
 /// total order shared by the sequential and the partitioned engine.
 ///
-/// Implemented as a two-tier calendar/ladder scheduler (see the module docs): a
-/// near-future bucket wheel with lazily sorted buckets plus a far-future overflow
-/// heap. The popped sequence is bit-identical to a binary heap over the same key.
+/// Implemented as a two-level timing wheel with lazily sorted fine buckets plus a
+/// far-future heap (see the module docs). The popped sequence is bit-identical to a
+/// binary heap over the same key.
 #[derive(Debug)]
 pub struct EventQueue {
     /// The current bucket's not-yet-popped events, sorted **descending** by key so
     /// the next event to fire is `current.last()` and popping is `Vec::pop`.
     current: Vec<Event>,
-    /// Absolute index (`at / bucket_ns`) of the bucket `current` is draining.
+    /// Absolute index (`at / bucket_ns`) of the fine bucket `current` is draining.
     cursor: u64,
-    /// Future buckets, by absolute index modulo [`WHEEL_SLOTS`]; unsorted. Only
-    /// absolute indices in `(cursor, cursor + WHEEL_SLOTS)` live here, so a ring slot
-    /// holds events of exactly one absolute bucket.
-    wheel: Vec<Vec<Event>>,
-    /// Bitmap of non-empty ring slots (fast next-bucket scans).
-    occupied: [u64; WHEEL_WORDS],
-    /// Total events parked in `wheel`.
-    wheel_len: usize,
-    /// Far-future tier: events at or beyond the wheel horizon, min-first.
+    /// Level 0: the fine buckets after the cursor inside the cursor's level-1 slot,
+    /// at position `bucket & WHEEL_MASK`.
+    fine: Wheel,
+    /// Level 1: a ring over the level-1 slots in
+    /// `(cursor's slot, cursor's slot + WHEEL_SLOTS)`, at position `slot & WHEEL_MASK`.
+    coarse: Wheel,
+    /// Events that lay at or beyond the level-1 horizon when they were scheduled,
+    /// min-first; they stay here until their slot opens.
     overflow: BinaryHeap<Reverse<Event>>,
-    /// Bucket width in nanoseconds (≥ 1).
+    /// Emptied bucket buffers, reused last-in first-out by fine buckets that fill.
+    spare: Vec<Vec<Event>>,
+    /// Fine bucket width in nanoseconds (≥ 1).
     bucket_ns: u64,
     len: usize,
     next_seq: u64,
@@ -327,31 +396,30 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// Default bucket width: one hop's latency at the paper's link defaults
-    /// (propagation + per-hop processing). The engine overrides this with the actual
-    /// topology's minimum link latency — the same quantum the shard lookahead uses.
-    pub const DEFAULT_BUCKET_WIDTH: SimTime =
-        SimTime(crate::network::DEFAULT_PROP_DELAY.0 + crate::network::DEFAULT_PROCESSING_DELAY.0);
+    /// Default fine bucket width: a control packet's serialization time at the
+    /// default link rate. The engine overrides it with the smallest serialization
+    /// time in the actual topology.
+    pub const DEFAULT_BUCKET_WIDTH: SimTime = SimTime(448);
 
     /// Create an empty queue with the default bucket width.
     pub fn new() -> Self {
         EventQueue::with_bucket_width(Self::DEFAULT_BUCKET_WIDTH)
     }
 
-    /// Create an empty queue whose wheel buckets are `width` wide (clamped to ≥ 1 ns).
+    /// Create an empty queue whose fine buckets are `width` wide (clamped to ≥ 1 ns).
     ///
-    /// The width trades sort batch size against wheel span: it should be on the order
-    /// of the smallest inter-event latency the workload produces (for the packet
-    /// engine: the topology's minimum link propagation + processing delay), so one
-    /// bucket holds roughly one hop's worth of events.
+    /// The width should be on the order of the smallest gap between the events the
+    /// workload generates (for the packet engine: the shortest serialization time),
+    /// so a bucket sorts a handful of events; level 1 then reaches
+    /// [`WHEEL_SLOTS`]² widths ahead before the heap is involved.
     pub fn with_bucket_width(width: SimTime) -> Self {
         EventQueue {
             current: Vec::new(),
             cursor: 0,
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; WHEEL_WORDS],
-            wheel_len: 0,
+            fine: Wheel::new(),
+            coarse: Wheel::new(),
             overflow: BinaryHeap::new(),
+            spare: Vec::new(),
             bucket_ns: width.as_nanos().max(1),
             len: 0,
             next_seq: 0,
@@ -360,32 +428,9 @@ impl EventQueue {
         }
     }
 
-    /// The wheel's bucket width.
+    /// The fine bucket width.
     pub fn bucket_width(&self) -> SimTime {
         SimTime::from_nanos(self.bucket_ns)
-    }
-
-    /// Change the bucket width, redistributing any pending events. Sequence numbers
-    /// (and therefore the deterministic total order) are preserved.
-    pub fn set_bucket_width(&mut self, width: SimTime) {
-        let width = width.as_nanos().max(1);
-        if width == self.bucket_ns {
-            return;
-        }
-        let mut all: Vec<Event> = Vec::with_capacity(self.len);
-        all.append(&mut self.current);
-        for slot in self.wheel.iter_mut() {
-            all.append(slot);
-        }
-        all.extend(self.overflow.drain().map(|Reverse(e)| e));
-        self.occupied = [0; WHEEL_WORDS];
-        self.wheel_len = 0;
-        self.bucket_ns = width;
-        self.cursor = self.now.as_nanos() / width;
-        self.len = 0;
-        for ev in all {
-            self.insert(ev);
-        }
     }
 
     /// Advance the queue's notion of the current simulated time; subsequent
@@ -408,117 +453,114 @@ impl EventQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.pushes += 1;
-        self.insert(Event {
-            at,
-            created,
-            seq,
-            kind,
-        });
+        self.insert(Event::new(at, created, seq, kind));
+        self.len += 1;
         self.stats.peak_pending = self.stats.peak_pending.max(self.len as u64);
+    }
+
+    /// Absolute fine bucket index of an event.
+    fn bucket_of(&self, ev: &Event) -> u64 {
+        ev.at.as_nanos() / self.bucket_ns
     }
 
     /// Place an event in the tier its firing time selects.
     fn insert(&mut self, ev: Event) {
-        let b = ev.at.as_nanos() / self.bucket_ns;
+        let b = self.bucket_of(&ev);
         if b <= self.cursor {
             // Lands in (or before) the bucket currently being drained: binary-search
             // into the sorted remaining run. `current` is descending, so the prefix
             // holds the strictly larger keys. An event behind the current bucket
             // (e.g. a cross-shard timer clamped to `now`) lands at the very end —
             // popped next, exactly as a heap would order it.
-            let key = ev.key();
-            let idx = self.current.partition_point(|e| e.key() > key);
+            let idx = self.current.partition_point(|e| *e > ev);
             self.current.insert(idx, ev);
-        } else if b < self.cursor + WHEEL_SLOTS as u64 {
-            let slot = (b % WHEEL_SLOTS as u64) as usize;
-            self.wheel[slot].push(ev);
-            self.occupied[slot / 64] |= 1u64 << (slot % 64);
-            self.wheel_len += 1;
+            return;
+        }
+        let slot = b >> WHEEL_BITS;
+        let slots_ahead = slot - (self.cursor >> WHEEL_BITS);
+        if slots_ahead == 0 {
+            self.push_fine(b, ev);
+        } else if slots_ahead < WHEEL_SLOTS as u64 {
+            self.coarse.slot_mut((slot & WHEEL_MASK) as usize).push(ev);
         } else {
             self.overflow.push(Reverse(ev));
         }
-        self.len += 1;
     }
 
-    /// Absolute index of the next non-empty wheel bucket strictly after the cursor.
-    ///
-    /// Ring slots only ever hold absolute indices in `(cursor, cursor + WHEEL_SLOTS)`,
-    /// so the first set bit at ring distance `d` is exactly bucket `cursor + d`.
-    fn next_occupied_abs(&self) -> Option<u64> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let n = WHEEL_SLOTS as u64;
-        let mut d = 1u64;
-        while d < n {
-            let slot = ((self.cursor + d) % n) as usize;
-            let word = self.occupied[slot / 64];
-            if word == 0 {
-                // Skip to the next bitmap word boundary.
-                d += 64 - (slot % 64) as u64;
-                continue;
+    /// Append to fine bucket `b` (inside the cursor's level-1 slot), giving the
+    /// bucket a spare buffer if it has none.
+    fn push_fine(&mut self, b: u64, ev: Event) {
+        let bucket = self.fine.slot_mut((b & WHEEL_MASK) as usize);
+        if bucket.capacity() == 0 {
+            if let Some(buf) = self.spare.pop() {
+                *bucket = buf;
             }
-            if word & (1u64 << (slot % 64)) != 0 {
-                return Some(self.cursor + d);
-            }
-            d += 1;
         }
-        None
+        bucket.push(ev);
     }
 
-    /// Make the earliest non-empty bucket current: take its wheel slot, spill every
-    /// overflow event that belongs to it, and sort the union by the full key. Returns
-    /// false if no events are pending anywhere.
+    /// Make the earliest non-empty fine bucket current and sort it by the full key,
+    /// first opening the next level-1 slot if level 0 is empty. Returns false if no
+    /// events are pending anywhere.
     fn advance(&mut self) -> bool {
         debug_assert!(self.current.is_empty());
-        let wheel_next = self.next_occupied_abs();
-        let over_next = self
-            .overflow
-            .peek()
-            .map(|Reverse(e)| e.at.as_nanos() / self.bucket_ns);
-        let b = match (wheel_next, over_next) {
-            (Some(w), Some(o)) => w.min(o),
-            (Some(w), None) => w,
-            (None, Some(o)) => o,
-            (None, None) => return false,
-        };
-        self.cursor = b;
-        let slot = (b % WHEEL_SLOTS as u64) as usize;
-        if self.occupied[slot / 64] & (1u64 << (slot % 64)) != 0 {
-            // By the ring invariant this slot holds exactly bucket `b`'s events.
-            std::mem::swap(&mut self.current, &mut self.wheel[slot]);
-            self.occupied[slot / 64] &= !(1u64 << (slot % 64));
-            self.wheel_len -= self.current.len();
-        }
-        let bucket_end = (b + 1).saturating_mul(self.bucket_ns);
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if e.at.as_nanos() >= bucket_end {
-                break;
+        let mut from = (self.cursor & WHEEL_MASK) as usize + 1;
+        let idx = loop {
+            if let Some(idx) = self.fine.first_from(from) {
+                break idx;
             }
-            let Reverse(e) = self.overflow.pop().expect("peeked overflow event");
-            self.current.push(e);
-            self.stats.overflow_migrations += 1;
+            if !self.open_next_slot() {
+                return false;
+            }
+            from = 0;
+        };
+        self.cursor = (self.cursor & !WHEEL_MASK) | idx as u64;
+        let drained = std::mem::replace(&mut self.current, self.fine.take(idx));
+        if drained.capacity() > 0 {
+            self.spare.push(drained);
         }
         // Lazy in-bucket sort: descending, so pops come off the tail. Keys are
-        // unique (seq fallback), so stability is irrelevant; caching the 41-byte
-        // keys beats recomputing the content key O(k log k) times.
-        self.current.sort_by_cached_key(|e| Reverse(e.key()));
+        // unique (seq fallback), so stability is irrelevant.
+        self.current.sort_unstable_by(|a, b| b.cmp(a));
         self.stats.buckets_sorted += 1;
+        true
+    }
+
+    /// With level 0 empty, move the cursor to the start of the earliest level-1 slot
+    /// holding events — in the coarse wheel, the heap or both — and spread those
+    /// events over level 0. Returns false if both are empty.
+    fn open_next_slot(&mut self) -> bool {
+        let heap_next = self
+            .overflow
+            .peek()
+            .map(|Reverse(e)| self.bucket_of(e) >> WHEEL_BITS);
+        let wheel_next = self.coarse.next_after(self.cursor >> WHEEL_BITS);
+        let Some(slot) = heap_next.into_iter().chain(wheel_next).min() else {
+            return false;
+        };
+        self.cursor = slot << WHEEL_BITS;
+        if wheel_next == Some(slot) {
+            // By the ring invariant the position holds exactly this slot's events.
+            // Taking the buffer releases the slot's storage once it is spread out.
+            for ev in self.coarse.take((slot & WHEEL_MASK) as usize) {
+                self.push_fine(self.bucket_of(&ev), ev);
+            }
+        }
+        while let Some(Reverse(e)) = self.overflow.peek() {
+            let b = self.bucket_of(e);
+            if b >> WHEEL_BITS != slot {
+                break;
+            }
+            let Reverse(ev) = self.overflow.pop().expect("peeked heap event");
+            self.push_fine(b, ev);
+            self.stats.overflow_migrations += 1;
+        }
         true
     }
 
     /// Remove and return the earliest event.
     pub fn pop(&mut self) -> Option<Event> {
-        loop {
-            if let Some(ev) = self.current.pop() {
-                self.len -= 1;
-                self.stats.pops += 1;
-                return Some(ev);
-            }
-            if !self.advance() {
-                return None;
-            }
-        }
+        self.pop_if(|_| true)
     }
 
     /// Remove and return the earliest event **if it fires strictly before `until`**;
@@ -529,20 +571,21 @@ impl EventQueue {
     /// consecutive calls inside one window stream straight off the current bucket's
     /// sorted run (a `Vec::pop` and one time comparison — no re-peeking, no sifting).
     pub fn pop_window(&mut self, until: SimTime) -> Option<Event> {
-        loop {
-            if let Some(ev) = self.current.last() {
-                if ev.at >= until {
-                    return None;
-                }
-                let ev = self.current.pop().expect("checked non-empty");
-                self.len -= 1;
-                self.stats.pops += 1;
-                return Some(ev);
-            }
-            if !self.advance() {
-                return None;
-            }
+        self.pop_if(|ev| ev.at < until)
+    }
+
+    /// Pop the earliest event if `wanted` accepts it.
+    #[inline]
+    fn pop_if(&mut self, wanted: impl FnOnce(&Event) -> bool) -> Option<Event> {
+        if self.current.is_empty() && !self.advance() {
+            return None;
         }
+        if !wanted(self.current.last()?) {
+            return None;
+        }
+        self.len -= 1;
+        self.stats.pops += 1;
+        self.current.pop()
     }
 
     /// Time of the earliest pending event.
@@ -550,25 +593,23 @@ impl EventQueue {
         if let Some(ev) = self.current.last() {
             return Some(ev.at);
         }
-        // The current run is drained: the earliest event is the earliest firing time
-        // in the next non-empty bucket (its wheel slot is still unsorted) or the
-        // overflow minimum, whichever is smaller. Later buckets start later than
-        // either, so this scan is exact.
-        let wheel_min = self.next_occupied_abs().map(|b| {
-            let slot = (b % WHEEL_SLOTS as u64) as usize;
-            self.wheel[slot]
-                .iter()
-                .map(|e| e.at)
-                .min()
-                .expect("occupied slot is non-empty")
-        });
-        let over_min = self.overflow.peek().map(|Reverse(e)| e.at);
-        match (wheel_min, over_min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
+        // The current run is drained: the earliest event is in the next non-empty
+        // fine bucket (still unsorted) or, with level 0 empty, in the next non-empty
+        // level-1 slot or on top of the heap, whichever is earlier. Later buckets and
+        // slots start later than either, so this scan is exact.
+        let earliest = |bucket: &Vec<Event>| bucket.iter().map(|e| e.at).min();
+        if let Some(i) = self
+            .fine
+            .first_from((self.cursor & WHEEL_MASK) as usize + 1)
+        {
+            return earliest(&self.fine.slots[i]);
         }
+        let wheel_min = self
+            .coarse
+            .next_after(self.cursor >> WHEEL_BITS)
+            .and_then(|slot| earliest(&self.coarse.slots[(slot & WHEEL_MASK) as usize]));
+        let heap_min = self.overflow.peek().map(|Reverse(e)| e.at);
+        wheel_min.into_iter().chain(heap_min).min()
     }
 
     /// Number of pending events.
@@ -690,29 +731,160 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
     }
 
+    /// Pop everything, checking `peek_time` against each popped event on the way.
+    fn drain_times(q: &mut EventQueue) -> Vec<u64> {
+        std::iter::from_fn(|| {
+            let peeked = q.peek_time();
+            let ev = q.pop()?;
+            assert_eq!(peeked, Some(ev.at), "peek_time disagrees with pop");
+            q.set_now(ev.at);
+            Some(ev.at.as_nanos())
+        })
+        .collect()
+    }
+
+    const SLOT_NS: u64 = WHEEL_SLOTS as u64; // one level-1 slot at a 1 ns bucket width
+    const HORIZON_NS: u64 = SLOT_NS * SLOT_NS;
+
     #[test]
     fn far_future_events_cross_the_overflow_tier() {
-        // A tiny bucket width forces everything beyond ~WHEEL_SLOTS ns into the
-        // overflow heap; pops must still come out in exact key order, and the
-        // telemetry must show the migrations.
+        // At a 1 ns width the two wheels reach 1024² ns ahead: events inside that
+        // horizon never touch the heap, later ones wait there and migrate exactly
+        // once. Pops must come out in exact key order either way.
         let mut q = EventQueue::with_bucket_width(SimTime::from_nanos(1));
-        let times: Vec<u64> = vec![5, 2_000, 1_000_000, 3, 70_000, 2_000_000, 1];
+        let times: Vec<u64> = vec![5, 2_000, 1_000_000, 3, 70_000, 2_000_000, 1, 5_000_000];
         for &t in &times {
             q.schedule(SimTime::from_nanos(t), timer(t));
         }
+        let beyond = times.iter().filter(|&&t| t >= HORIZON_NS).count();
+        assert_eq!(beyond, 2);
+        assert_eq!(q.overflow.len(), beyond);
         let mut sorted = times.clone();
         sorted.sort_unstable();
-        let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.at.as_nanos())
-            .collect();
-        assert_eq!(popped, sorted);
+        assert_eq!(drain_times(&mut q), sorted);
         let stats = q.stats();
         assert_eq!(stats.pushes, times.len() as u64);
         assert_eq!(stats.pops, times.len() as u64);
         assert_eq!(stats.peak_pending, times.len() as u64);
+        assert_eq!(stats.overflow_migrations, beyond as u64);
+        assert_eq!(stats.buckets_sorted, times.len() as u64);
+    }
+
+    #[test]
+    fn events_on_level_one_slot_edges_pop_in_order() {
+        // The last bucket of a slot, the first bucket of the next ones, and both
+        // sides of the level-1 horizon (the later one starts in the heap).
+        let mut q = EventQueue::with_bucket_width(SimTime::from_nanos(1));
+        let times = [
+            HORIZON_NS,
+            2 * SLOT_NS,
+            SLOT_NS - 1,
+            HORIZON_NS - 1,
+            SLOT_NS,
+            0,
+            2 * SLOT_NS - 1,
+        ];
+        for &t in &times {
+            q.schedule(SimTime::from_nanos(t), timer(t));
+        }
+        assert_eq!(q.overflow.len(), 1);
+        let mut sorted = times.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(drain_times(&mut q), sorted);
+        assert_eq!(q.stats().overflow_migrations, 1);
+    }
+
+    #[test]
+    fn heap_event_alone_opens_its_level_one_slot() {
+        let mut q = EventQueue::with_bucket_width(SimTime::from_nanos(1));
+        let (near, far, later) = (1_000_000, 2_000_000, 2_040_000);
+        q.schedule(SimTime::from_nanos(far), timer(1)); // beyond the horizon: heap
+        q.schedule(SimTime::from_nanos(near), timer(2));
+        assert_eq!(q.pop().map(|e| e.at.as_nanos()), Some(near));
+        // The horizon has moved with the cursor: `later` now fits the coarse wheel
+        // while the earlier `far` still waits in the heap, in a slot the wheel has
+        // nothing for.
+        q.schedule(SimTime::from_nanos(later), timer(3));
+        assert_eq!((q.overflow.len(), q.len()), (1, 2));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(far)));
+        assert_eq!(drain_times(&mut q), vec![far, later]);
+        assert_eq!(q.stats().overflow_migrations, 1);
+    }
+
+    #[test]
+    fn insert_behind_the_cursor_after_an_empty_window_pops_first() {
+        // A window that ends before the next event still opens that event's bucket
+        // (here: in a later level-1 slot). Events ingested afterwards for earlier
+        // times — a cross-shard arrival clamped to `now` — must still pop first.
+        let us = SimTime::from_micros;
+        let mut q = EventQueue::with_bucket_width(us(1));
+        q.schedule(us(5_000), timer(1));
+        assert!(q.pop_window(us(10)).is_none());
+        assert_eq!(q.peek_time(), Some(us(5_000)));
+        q.schedule(us(20), timer(2)); // behind the cursor
+        q.schedule(us(7_000), timer(3)); // a later slot
+        q.schedule(us(5_001), timer(4)); // the cursor's slot
+        q.schedule(us(5), timer(5)); // behind the cursor and inside the window
+        assert_eq!(q.pop_window(us(10)).map(|e| e.at), Some(us(5)));
+        assert!(q.pop_window(us(10)).is_none());
+        let expect: Vec<u64> = [20, 5_000, 5_001, 7_000]
+            .iter()
+            .map(|t| t * 1_000)
+            .collect();
+        assert_eq!(drain_times(&mut q), expect);
+    }
+
+    #[test]
+    fn peek_time_sees_events_held_only_by_level_one_or_the_heap() {
+        let at = SimTime::from_nanos;
+        let mut q = EventQueue::with_bucket_width(at(1));
+        q.schedule(at(3 * HORIZON_NS), timer(1));
+        assert_eq!(q.peek_time(), Some(at(3 * HORIZON_NS)));
+        // Unsorted level-1 slot: the minimum, not the first pushed.
+        q.schedule(at(5 * SLOT_NS + 9), timer(2));
+        q.schedule(at(5 * SLOT_NS + 2), timer(3));
+        assert!(q.current.is_empty() && q.fine.first_from(0).is_none());
+        assert_eq!(q.peek_time(), Some(at(5 * SLOT_NS + 2)));
+    }
+
+    #[test]
+    fn drained_bucket_buffers_are_recycled() {
+        // Hold model: `LIVE` non-empty buckets of `PER_BUCKET` events at any time,
+        // marching through 5 000 buckets (several level-1 slots). The queue must end
+        // up holding a handful of buffers, not one per bucket it ever used.
+        const LIVE: u64 = 4;
+        const PER_BUCKET: u64 = 8;
+        let bucket = |b: u64| SimTime::from_micros(b);
+        let mut q = EventQueue::with_bucket_width(bucket(1));
+        for b in 1..=LIVE {
+            for i in 0..PER_BUCKET {
+                q.schedule(bucket(b), timer(i));
+            }
+        }
+        for b in 1..=5_000 {
+            for i in 0..PER_BUCKET {
+                let ev = q.pop().expect("hold model never drains");
+                assert_eq!(ev.at, bucket(b));
+                q.set_now(ev.at);
+                q.schedule(bucket(b + LIVE), timer(i));
+            }
+        }
+        let allocated = |w: &Wheel| w.slots.iter().filter(|s| s.capacity() > 0).count();
+        let held = allocated(&q.fine) + allocated(&q.coarse) + q.spare.len() + 1;
         assert!(
-            stats.overflow_migrations >= 4,
-            "expected far-future events to migrate, got {stats:?}"
+            held as u64 <= 2 * LIVE + 2,
+            "{held} buffers held for {LIVE} live buckets"
+        );
+    }
+
+    #[test]
+    fn default_width_is_a_control_packet_at_the_default_rate() {
+        assert_eq!(
+            EventQueue::DEFAULT_BUCKET_WIDTH,
+            SimTime::transmission_time(
+                crate::packet::CONTROL_PACKET_BYTES as u64,
+                crate::network::DEFAULT_LINK_RATE_BPS
+            )
         );
     }
 
@@ -773,24 +945,5 @@ mod tests {
             }
         }
         assert_eq!(drained, reference);
-    }
-
-    #[test]
-    fn set_bucket_width_preserves_order_and_pending_events() {
-        let mut q = EventQueue::with_bucket_width(SimTime::from_micros(1));
-        for i in 0..50u64 {
-            q.schedule(SimTime::from_nanos((i * 31) % 40 * 1_000), timer(i));
-        }
-        let first = q.pop().unwrap();
-        q.set_now(first.at);
-        q.set_bucket_width(SimTime::from_millis(1));
-        assert_eq!(q.bucket_width(), SimTime::from_millis(1));
-        assert_eq!(q.len(), 49);
-        let mut rest: Vec<Event> = std::iter::from_fn(|| q.pop()).collect();
-        rest.insert(0, first);
-        for pair in rest.windows(2) {
-            assert!(pair[0] < pair[1], "order broken across re-bucketing");
-        }
-        assert_eq!(rest.len(), 50);
     }
 }

@@ -107,6 +107,9 @@ pub struct Link {
     pub queue_bytes: u64,
     /// True while a packet is being serialized onto the wire.
     pub busy: bool,
+    /// Serialization time of the packet on the wire (meaningful while `busy`): set
+    /// when it starts transmitting, charged to `stats.busy_time` when it is done.
+    pub tx_time: SimTime,
     /// Counters.
     pub stats: LinkStats,
 }
@@ -224,6 +227,7 @@ impl Network {
             queue: VecDeque::new(),
             queue_bytes: 0,
             busy: false,
+            tx_time: SimTime::ZERO,
             stats: LinkStats::default(),
         });
         self.links.push(Link {
@@ -239,6 +243,7 @@ impl Network {
             queue: VecDeque::new(),
             queue_bytes: 0,
             busy: false,
+            tx_time: SimTime::ZERO,
             stats: LinkStats::default(),
         });
         self.adjacency[a.index()].push(ab);
@@ -348,6 +353,7 @@ impl Network {
             l.queue.clear();
             l.queue_bytes = 0;
             l.busy = false;
+            l.tx_time = SimTime::ZERO;
             l.stats = LinkStats::default();
         }
     }

@@ -1,9 +1,9 @@
-//! Differential property test: the calendar/ladder [`EventQueue`] must pop the exact
+//! Differential property test: the timing-wheel [`EventQueue`] must pop the exact
 //! sequence a reference binary heap over the same deterministic key would pop.
 //!
 //! This is the property the partitioned engine's shard-count invariance rests on:
-//! the scheduler may restructure *how* events are stored (bucket wheel, lazy sorts,
-//! overflow spills), but the popped order — including same-instant ties broken by
+//! the scheduler may restructure *how* events are stored (two wheel levels, lazy
+//! sorts, cascades, heap spills), but the popped order — including same-instant ties broken by
 //! `(created, class, content, seq)` and events ingested with explicit
 //! `schedule_created` stamps — must stay bit-identical to a total-order heap.
 
@@ -44,12 +44,7 @@ impl RefQueue {
     fn schedule_created(&mut self, at: SimTime, created: SimTime, kind: EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Event {
-            at,
-            created,
-            seq,
-            kind,
-        }));
+        self.heap.push(Reverse(Event::new(at, created, seq, kind)));
     }
 
     fn pop(&mut self) -> Option<Event> {
@@ -111,21 +106,26 @@ fn ident(e: &Event) -> (u64, u64, u64, String) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Random interleavings of pushes (relative and absolute coarse-grained times —
-    /// lots of exact ties), explicit `schedule_created` stamps, single pops and
-    /// batched window drains, across random bucket widths (1 ns to well past the
-    /// whole schedule, so everything from per-event buckets to one-bucket-fits-all
-    /// degenerate layouts is exercised). Both queues must agree op by op.
+    /// lots of exact ties — one in eight of them up to 64 ms further out), explicit
+    /// `schedule_created` stamps, single pops and batched window drains, across
+    /// log-uniform bucket widths from 1 ns to 2 ms: at the narrow end a schedule
+    /// crosses many level-1 slots and its far pushes start in the heap, at the wide
+    /// end one bucket holds everything. Both queues must agree op by op.
     #[test]
     fn calendar_queue_matches_reference_heap(
-        ops in prop::collection::vec((0u8..10, 0u64..600, 0u64..12, 0u64..5), 1..300),
-        width in 1u64..2_000_000,
+        ops in prop::collection::vec((0u8..10, 0u64..4_800, 0u64..12, 0u64..5), 1..300),
+        width_log2 in 0u32..21,
+        width_frac in 0u64..(1 << 20),
     ) {
+        let width = (1u64 << width_log2) + width_frac % (1u64 << width_log2);
         let mut cal = EventQueue::with_bucket_width(SimTime::from_nanos(width));
         let mut reference = RefQueue::new();
         for &(op, a, sel, c) in &ops {
+            let far = if a / 600 == 0 { (a % 9) * 8_000_000 } else { 0 };
+            let a = a % 600;
             match op {
                 // Pushes outnumber pops ~2:1 so the queues actually fill up.
                 0..=6 => {
@@ -136,10 +136,10 @@ proptest! {
                     let at = if op % 2 == 0 {
                         cal.peek_time(); // exercise peek on the cold path too
                         SimTime::from_nanos(
-                            reference.now.as_nanos() + (a % 40) * 2_500,
+                            reference.now.as_nanos() + (a % 40) * 2_500 + far,
                         )
                     } else {
-                        SimTime::from_nanos((a % 120) * 3_000)
+                        SimTime::from_nanos((a % 120) * 3_000 + far)
                     };
                     let kind = kind_for(sel, a);
                     if c == 0 {
