@@ -4,7 +4,7 @@
 //! evaluation (§5–§7). Each `figNN` function returns a [`common::Table`] with the same
 //! rows/series the paper reports; the `pdq-experiments` binary prints them as markdown
 //! or CSV. Every experiment accepts a [`fig3::Scale`]: `Quick` for second-scale runs
-//! (used by the test suite and the Criterion benches) and `Paper` for the full
+//! (used by the test suite and the CI determinism job) and `Paper` for the full
 //! parameter sweeps recorded in EXPERIMENTS.md.
 //!
 //! Every run — packet-level *and* flow-level — is a declarative

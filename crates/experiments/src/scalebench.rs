@@ -5,10 +5,10 @@
 //! experiments never reach. At [`Scale::Large`] it runs ≥10k flows, the regime needed
 //! for configuration sweeps over large topologies; [`Scale::Huge`] runs ≥1M flows on a
 //! ≥1024-host fat-tree, the tier the partitioned engine exists for; `Quick` runs a few
-//! hundred flows so the scenario stays cheap enough for the test suite and the
-//! Criterion smoke bench. The scenario honours the `--engine-threads` override
-//! ([`crate::common::set_engine_threads`]), so the same table measures the sequential
-//! and the sharded engine. Reported wall-clock times feed `BENCH_engine.json`.
+//! hundred flows so the scenario stays cheap enough for the test suite. The
+//! scenario honours the `--engine-threads` override
+//! ([`crate::common::set_engine_threads`]), so the same table measures the engine at
+//! any shard count. Reported wall-clock times feed `BENCH_engine.json`.
 
 use std::time::Instant;
 

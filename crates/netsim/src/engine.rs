@@ -13,10 +13,11 @@
 //! * host agents receive delivered packets and timer callbacks and respond with
 //!   actions (send, set timer, complete/terminate flow, spawn subflow).
 //!
-//! A [`Simulator::run`] executes on one thread and is fully deterministic for a fixed
-//! seed. [`Simulator::run_sharded`](crate::shard) partitions the same state across N
-//! cooperating [`EngineCore`]s synchronized by conservative lookahead — see the
-//! `shard` module for the synchronization and determinism model.
+//! There is one driver, [`Simulator::run_sharded`] (see the `shard` module for the
+//! window loop and the determinism model): it partitions the state across N
+//! cooperating [`EngineCore`]s synchronized by conservative lookahead, and
+//! [`Simulator::run`] is its N = 1 case — one core, one window, the caller's thread.
+//! Either way a run is fully deterministic for a fixed seed.
 //!
 //! # Hot-path layout (id slabs, shared paths, pooled packets)
 //!
@@ -47,7 +48,7 @@
 //! their own node: the engine deliberately does *not* cancel timers when a flow
 //! finishes, because a finish detected at the receiver must not acausally suppress a
 //! timer pending at the sender — under sharding that knowledge travels a lookahead
-//! window later, and the sequential engine must behave identically. Agents instead
+//! window later, and a lone core must behave identically. Agents instead
 //! ignore late timers through status guards and token freshness.
 
 use std::collections::HashMap;
@@ -64,7 +65,7 @@ use crate::ids::{FlowId, LinkId, NodeId};
 use crate::metrics::{Sample, SimResults, TraceConfig, Traces};
 use crate::network::{LossStream, Network, NodeKind, DEFAULT_PROCESSING_DELAY};
 use crate::packet::{Packet, PacketKind, CONTROL_PACKET_BYTES, MTU_BYTES};
-use crate::shard::{MsgBody, ShardMsg};
+use crate::shard::{MsgBody, ShardAssignment, ShardMsg};
 use crate::time::SimTime;
 
 /// Chooses the forward path of each flow. Implemented by the topology crate
@@ -99,8 +100,7 @@ impl Router for ShortestPathRouter {
 /// run seed and the flow id alone. Routing is therefore a pure function of the
 /// flow — independent of arrival interleaving and of which shard performs it —
 /// so runtime-spawned flows (e.g. M-PDQ subflows) take the same path at every
-/// `engine_threads`. Both the sequential arrival path and the sharded
-/// pre-routing pass must use this derivation.
+/// `engine_threads`.
 pub(crate) fn route_rng(seed: u64, flow: FlowId) -> SmallRng {
     SmallRng::seed_from_u64(crate::event::mix(seed, flow.value()))
 }
@@ -124,8 +124,8 @@ pub(crate) fn link_loss_rng(seed: u64, link: LinkId) -> SmallRng {
 /// packet's simulation-visible identity (kind, byte offsets, direction) — never from
 /// the engine-local pool slot. The owning flow id is carried separately in the event
 /// as the primary key. Every engine computes the same key for the same packet
-/// regardless of which shard forwarded it, which is what keeps the partitioned event
-/// order identical to the sequential one.
+/// regardless of which shard forwarded it, which is what keeps the event order
+/// identical at every shard count.
 pub(crate) fn packet_tie(p: &Packet) -> u64 {
     let kind_rank = match p.kind {
         PacketKind::Syn => 0u64,
@@ -187,11 +187,27 @@ pub(crate) struct FlowState {
     pub(crate) bytes_at_last_sample: u64,
     /// Timer generation: pending timers of older generations are dropped unfired.
     pub(crate) timer_gen: u32,
-    /// True on the shard that owns the flow's source host (always true in a
-    /// single-shard run). Only the home replica counts towards `unfinished_flows`;
+    /// True on the shard that owns the flow's source host (always true on a
+    /// lone core). Only the home replica counts towards `unfinished_flows`;
     /// other shards hold replicas for forwarding/delivery and report their local
     /// accounting through the deterministic result merge.
     pub(crate) home: bool,
+}
+
+impl FlowState {
+    /// Fresh state for `spec`, routed along `info` — or, without one, unroutable:
+    /// recorded as failed, never to touch an agent or a link.
+    pub(crate) fn new(spec: FlowSpec, info: Option<FlowInfo>, home: bool) -> Self {
+        let mut record = FlowRecord::new(spec);
+        record.failed = info.is_none();
+        FlowState {
+            info,
+            record,
+            bytes_at_last_sample: 0,
+            timer_gen: 0,
+            home,
+        }
+    }
 }
 
 /// Dense slab of per-flow state plus the sparse `FlowId -> slot` index.
@@ -269,9 +285,11 @@ impl PacketPool {
 /// All per-run mutable simulation state: the slabs (agents, controllers, flows), the
 /// event queue, the RNG stream, the metrics accumulators and the live network queues.
 ///
-/// A single-shard [`Simulator::run`] drives exactly one core; a sharded run gives each
-/// shard its own core (with the agents/controllers/flows it owns) plus an `outbox` of
-/// boundary messages exchanged at conservative-lookahead barriers.
+/// A one-shard run drives the core the [`Simulator`] was built on; an N-shard run
+/// deals its agents, controllers and pending arrivals out to one core per shard, each
+/// with an `outbox` of boundary messages exchanged at conservative-lookahead barriers.
+/// Every core routes a flow when it arrives and registers it with the other shards on
+/// its path.
 pub(crate) struct EngineCore {
     pub(crate) config: SimConfig,
     pub(crate) network: Network,
@@ -293,14 +311,11 @@ pub(crate) struct EngineCore {
     /// Time of the previous trace sample (guards rate computations against a
     /// zero-length sampling window).
     pub(crate) last_sample_at: SimTime,
-    /// This core's shard id (0 in a single-shard run).
+    /// This core's shard id (0 on a lone core).
     pub(crate) shard: u32,
-    /// Node → shard map shared by all cores; empty in a single-shard run, which
+    /// Node → shard map shared by all cores; empty on a lone core, which
     /// short-circuits every ownership check to "local".
     pub(crate) shard_of: Arc<[u32]>,
-    /// True when flows were routed up front by the sharded driver: arrival events
-    /// then start pre-registered flows instead of routing on the fly.
-    pub(crate) prerouted: bool,
     /// Set when this core consumed its Stop event or passed `max_sim_time`.
     pub(crate) stopped: bool,
     /// Outgoing boundary messages, one batch per destination shard.
@@ -351,33 +366,12 @@ impl EngineCore {
             last_sample_at: SimTime::ZERO,
             shard: 0,
             shard_of: Arc::from([] as [u32; 0]),
-            prerouted: false,
             stopped: false,
             outbox: Vec::new(),
             msg_seq: 0,
             link_loss_rngs: (0..n_links).map(|_| None).collect(),
             actions: Vec::new(),
         }
-    }
-
-    /// A shard-owned core: per-shard RNG stream (`seed ⊕ shard`), shared node→shard
-    /// map, pre-routed flow registration, and one outbox batch per peer shard.
-    pub(crate) fn for_shard(
-        shard: u32,
-        shards: usize,
-        shard_of: Arc<[u32]>,
-        network: Network,
-        config: SimConfig,
-        router: Box<dyn Router + Send>,
-    ) -> Self {
-        let mut core = EngineCore::new(network, config);
-        core.rng = SmallRng::seed_from_u64(core.config.seed ^ shard as u64);
-        core.router = router;
-        core.shard = shard;
-        core.shard_of = shard_of;
-        core.prerouted = true;
-        core.outbox = (0..shards).map(|_| Vec::new()).collect();
-        core
     }
 
     /// True if `node` is simulated by this core.
@@ -437,50 +431,18 @@ impl EngineCore {
             .schedule(self.config.max_sim_time, EventKind::Stop);
     }
 
-    /// The single-shard event loop: run to completion (Stop event, time cap, queue
-    /// exhaustion, or every flow finished).
-    pub(crate) fn run_loop(&mut self) {
-        while let Some(ev) = self.events.pop() {
-            if ev.at > self.config.max_sim_time {
-                break;
-            }
-            self.now = ev.at;
-            self.events.set_now(ev.at);
-            match ev.kind {
-                EventKind::Stop => break,
-                kind => self.dispatch(kind),
-            }
-            if self.config.stop_when_flows_done
-                && self.unfinished_flows == 0
-                && self.pending_arrivals == 0
-            {
-                break;
-            }
-        }
-    }
-
-    /// Process every pending event strictly before `window_end` (`None`: unbounded).
-    ///
-    /// This is the sharded counterpart of [`EngineCore::run_loop`]: the conservative
-    /// lookahead guarantees no other shard can inject an event before `window_end`,
-    /// so everything inside the window is safe to execute. The global
-    /// all-flows-finished condition is checked by the driver between windows (a core
-    /// cannot see other shards' counters mid-window), so a sharded run may process a
-    /// bounded tail of events after the last flow finished; those events cannot
-    /// change any flow's outcome.
-    pub(crate) fn process_window(&mut self, window_end: Option<SimTime>) {
+    /// Process every pending event strictly before `window_end`: the conservative
+    /// lookahead guarantees no other shard can inject an event earlier. A lone core
+    /// also stops at the event that settles its last flow; shards learn that global
+    /// condition from the driver at the next barrier (see the `shard` module docs).
+    pub(crate) fn process_window(&mut self, window_end: SimTime) {
         if self.stopped {
             return;
         }
         // Batched drain: `pop_window` streams straight off the event queue's
         // sorted current run — one call per event instead of a peek-compare-pop
         // round-trip, with no re-peeking between events.
-        loop {
-            let ev = match window_end {
-                Some(end) => self.events.pop_window(end),
-                None => self.events.pop(),
-            };
-            let Some(ev) = ev else { break };
+        while let Some(ev) = self.events.pop_window(window_end) {
             if ev.at > self.config.max_sim_time {
                 self.stopped = true;
                 break;
@@ -493,6 +455,13 @@ impl EngineCore {
                     break;
                 }
                 kind => self.dispatch(kind),
+            }
+            if self.shard_of.is_empty()
+                && self.config.stop_when_flows_done
+                && self.unfinished_flows == 0
+                && self.pending_arrivals == 0
+            {
+                break;
             }
         }
     }
@@ -528,72 +497,32 @@ impl EngineCore {
         }
     }
 
-    /// Tear the core down into its [`SimResults`] (single-shard runs; sharded runs
-    /// merge core state field by field instead).
-    pub(crate) fn into_results(self) -> SimResults {
-        let link_stats = self
-            .network
-            .links
-            .iter()
-            .map(|l| (l.id, l.stats.clone()))
-            .collect();
-        let flows = self
-            .flows
-            .slots
-            .into_iter()
-            .map(|s| (s.record.spec.id, s.record))
-            .collect();
-        SimResults {
-            flows,
-            link_stats,
-            traces: self.traces,
-            queue: self.events.stats(),
-            end_time: self.now,
-        }
-    }
-
     // ------------------------------------------------------------------ events
 
+    /// Route an arriving flow, make it visible to every shard its path touches, and
+    /// hand it to its source agent.
     fn handle_flow_arrival(&mut self, spec: FlowSpec) {
         self.pending_arrivals -= 1;
-        if let Some(slot) = self.flows.slot_of(spec.id) {
-            // Pre-registered by the sharded driver: the path (or routing failure)
-            // was computed up front; just hand the flow to its agent.
-            assert!(
-                self.prerouted,
-                "duplicate flow id {:?} arrived twice",
-                spec.id
-            );
-            self.start_flow(slot, spec.src);
-            return;
-        }
+        assert!(
+            !self.flows.contains(spec.id),
+            "duplicate flow id {:?} arrived twice",
+            spec.id
+        );
         let path = {
             let Self {
                 router, network, ..
             } = self;
             // Route on a per-flow RNG derived from (seed, flow id), not the engine
-            // stream: the draw is then a pure function of the flow, so a subflow
-            // spawned at run time picks the same ECMP path no matter which shard
-            // routes it or how arrivals interleave. The sharded pre-routing pass
-            // derives the identical RNG.
+            // stream: the draw is then a pure function of the flow, so it picks the
+            // same ECMP path no matter which shard routes it or how arrivals
+            // interleave.
             let mut route_rng = route_rng(self.config.seed, spec.id);
             router.route(network, &spec, &mut route_rng)
         };
         let Some(path) = path else {
             // Disconnected src/dst pair: record the flow as failed instead of
             // aborting the whole run. It never reaches an agent.
-            let mut record = FlowRecord::new(spec.clone());
-            record.failed = true;
-            self.flows.insert(
-                spec.id,
-                FlowState {
-                    info: None,
-                    record,
-                    bytes_at_last_sample: 0,
-                    timer_gen: 0,
-                    home: true,
-                },
-            );
+            self.flows.insert(spec.id, FlowState::new(spec, None, true));
             return;
         };
         assert_eq!(
@@ -607,30 +536,14 @@ impl EngineCore {
             "router returned a path with wrong destination"
         );
 
+        let (id, src) = (spec.id, spec.src);
         let info = make_flow_info(&self.network, &self.config, spec.clone(), path);
-        let slot = self.flows.insert(
-            spec.id,
-            FlowState {
-                info: Some(info),
-                record: FlowRecord::new(spec.clone()),
-                bytes_at_last_sample: 0,
-                timer_gen: 0,
-                home: true,
-            },
-        );
-        // A flow routed at arrival inside a sharded run (an agent-spawned subflow)
-        // must be made visible to every shard its path touches before any of its
-        // packets cross a boundary; registrations sort ahead of packets at ingest.
-        self.broadcast_registration(slot);
-        self.start_flow(slot, spec.src);
-    }
-
-    /// Count a routed flow as live and deliver it to its source agent.
-    fn start_flow(&mut self, slot: u32, src: NodeId) {
-        if self.flows.slots[slot as usize].info.is_none() {
-            // Unroutable: already recorded as failed.
-            return;
-        }
+        // Every shard the path touches must know the flow before any of its packets
+        // cross a boundary; registrations sort ahead of packets at ingest.
+        self.broadcast_registration(&info);
+        let slot = self
+            .flows
+            .insert(id, FlowState::new(spec, Some(info), true));
         self.unfinished_flows += 1;
         let actions = {
             let Self {
@@ -645,7 +558,7 @@ impl EngineCore {
             let info = flows.slots[slot as usize]
                 .info
                 .as_ref()
-                .expect("checked above");
+                .expect("routed above");
             let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
             agent.on_flow_arrival(info, &mut ctx);
             ctx.take_actions()
@@ -653,14 +566,11 @@ impl EngineCore {
         self.apply_actions(actions);
     }
 
-    /// Send a registration for the flow in `slot` to every other shard on its path.
-    fn broadcast_registration(&mut self, slot: u32) {
+    /// Send a registration for the flow to every other shard on its path.
+    fn broadcast_registration(&mut self, info: &FlowInfo) {
         if self.shard_of.is_empty() {
             return;
         }
-        let Some(info) = self.flows.slots[slot as usize].info.clone() else {
-            return;
-        };
         let mut shards: Vec<u32> = info
             .path
             .nodes
@@ -1146,8 +1056,8 @@ impl EngineCore {
 
 /// Build the [`FlowInfo`] the engine derives from a routed path: the path bottleneck
 /// and NIC rates plus the no-load RTT estimate (one MTU forward, one control packet
-/// back, per hop). Shared by arrival-time routing and the sharded pre-routing pass.
-pub(crate) fn make_flow_info(
+/// back, per hop).
+fn make_flow_info(
     network: &Network,
     config: &SimConfig,
     spec: FlowSpec,
@@ -1180,8 +1090,8 @@ pub(crate) fn make_flow_info(
 
 /// The discrete-event simulator: construction facade over an [`EngineCore`].
 ///
-/// Install agents, controllers and flows, then either [`Simulator::run`] (one core,
-/// one thread) or [`Simulator::run_sharded`](Simulator::run_sharded) (N cores under
+/// Install agents, controllers and flows, then [`Simulator::run`] (this core, the
+/// caller's thread) or [`Simulator::run_sharded`] (the same loop over N cores under
 /// conservative-lookahead synchronization; see the `shard` module).
 pub struct Simulator {
     pub(crate) core: EngineCore,
@@ -1281,12 +1191,11 @@ impl Simulator {
         &self.core.network
     }
 
-    /// Run the simulation to completion on a single core and return the results.
+    /// Run the simulation to completion on this one core, on the caller's thread,
+    /// and return the results: [`Simulator::run_sharded`] with one shard.
     pub fn run(self) -> SimResults {
-        let mut core = self.core;
-        core.setup();
-        core.run_loop();
-        core.into_results()
+        let lone = ShardAssignment::single(self.core.network.node_count());
+        self.run_sharded(&lone, |_| unreachable!("a lone core keeps its own router"))
     }
 }
 

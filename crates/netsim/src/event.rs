@@ -8,8 +8,8 @@
 //! final fallback for fully identical keys, so same-engine runs stay FIFO-stable.
 //!
 //! Deriving the order from content rather than from insertion history is what makes
-//! the partitioned engine (see the `shard` module) reproduce the sequential engine's
-//! event order exactly: a shard inserts a cross-boundary packet when the barrier
+//! the partitioned engine (see the `shard` module) reproduce the one-core event
+//! order exactly: a shard inserts a cross-boundary packet when the barrier
 //! delivers it, not when its sender transmitted it, so insertion order differs between
 //! shard counts — but the content key does not.
 //!

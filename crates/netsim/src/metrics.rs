@@ -72,7 +72,10 @@ pub struct SimResults {
     /// Event-scheduler telemetry (summed across shards in a partitioned run; the
     /// peak is the sum of per-shard peaks, an upper bound on the global peak).
     pub queue: QueueStats,
-    /// Simulated time at which the run stopped.
+    /// Simulated time at which the run stopped: the last flow's finish (or an
+    /// unroutable flow's arrival, if that settled the run) when it stopped because
+    /// every flow was done — `ZERO` for a run without flows, at every shard count —
+    /// and the engine clock (at most `max_sim_time`) otherwise.
     pub end_time: SimTime,
 }
 

@@ -1,5 +1,5 @@
-//! Partitioned simulation: N cooperating [`EngineCore`]s under conservative-lookahead
-//! synchronization.
+//! The engine's one driver: N cooperating [`EngineCore`]s under conservative-lookahead
+//! synchronization, N = 1 included.
 //!
 //! # Model
 //!
@@ -17,13 +17,18 @@
 //! 3. boundary messages (packets, flow registrations, completion notices) are
 //!    exchanged, ingested in a deterministic order, and the next window begins.
 //!
+//! One shard is the same loop with nothing to wait for: it runs on the caller's thread
+//! (only two or more shards get a thread each), a one-party barrier never blocks, no
+//! link crosses a boundary so `L` is unbounded and the whole run is one window, and
+//! there are no peers to exchange with. [`Simulator::run`] is exactly that.
+//!
 //! # Determinism
 //!
 //! * Every flow — injected before the run or spawned by an agent at run time — is
-//!   routed on a private RNG derived from `(seed, flow id)` (see
-//!   `engine::route_rng`), so its path is a pure function of the flow and identical
-//!   at every shard count. Pre-registered flows are routed up front in arrival
-//!   order; runtime-spawned ones at arrival, on whichever shard hosts the source.
+//!   routed when it arrives, by the shard owning its source, on a private RNG derived
+//!   from `(seed, flow id)` (see `engine::route_rng`): its path is a pure function of
+//!   the flow and identical at every shard count. The routing shard then registers
+//!   the flow with every other shard on the path (`MsgBody::Register`).
 //! * Random loss on [`LossStream::Engine`] links (the default) draws from each
 //!   core's own stream (`seed ⊕ shard id`): N-shard runs are self-deterministic,
 //!   but lossy runs are shard-count-*invariant* only when every lossy link is
@@ -38,22 +43,25 @@
 //!   sequence)`, and results are merged in shard order, so an N-shard run is
 //!   bit-reproducible for a fixed seed and shard count.
 //!
-//! A single-shard run never enters this module's driver and is byte-identical to the
-//! sequential engine. When stopping because every flow finished, shards may process a
-//! bounded tail of in-flight events from the window containing the final finish (the
-//! global condition is only observable at the next barrier); this can nudge link byte
-//! counters and trace samples by up to one lookahead window but never changes a flow
-//! record or the end time. See the repository README ("Partitioned engine &
-//! determinism model") for when N-shard results are fingerprint-identical to 1-shard.
+//! When stopping because every flow finished, a lone core halts at the settling event
+//! itself, while shards may process a bounded tail of in-flight events from the window
+//! containing the final finish (the global condition is only observable at the next
+//! barrier); this can nudge link byte counters and trace samples by up to one
+//! lookahead window but never changes a flow record or the end time. See the
+//! repository README ("Partitioned engine & determinism model") for when N-shard
+//! results are fingerprint-identical to 1-shard.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
 use crate::agent::FlowInfo;
-use crate::engine::{make_flow_info, EngineCore, FlowState, Router, Simulator};
+use crate::engine::{EngineCore, FlowState, Router, Simulator};
 use crate::event::EventKind;
-use crate::flow::{FlowRecord, FlowSpec};
+use crate::flow::FlowRecord;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::metrics::SimResults;
 use crate::packet::Packet;
@@ -144,7 +152,7 @@ pub(crate) struct ShardMsg {
 
 /// What a [`ShardMsg`] carries.
 pub(crate) enum MsgBody {
-    /// Make a flow (routed at run time on another shard) visible to this shard before
+    /// Make a flow (routed at arrival by its home shard) visible to this shard before
     /// any of its packets arrive.
     Register(Box<FlowInfo>),
     /// A replica of the flow finished on another shard; the home shard settles the
@@ -219,20 +227,15 @@ impl EngineCore {
         for msg in msgs {
             match msg.body {
                 MsgBody::Register(info) => {
-                    if self.flows.contains(info.spec.id) {
-                        continue;
-                    }
-                    let record = FlowRecord::new(info.spec.clone());
-                    self.flows.insert(
-                        info.spec.id,
-                        FlowState {
-                            info: Some(*info),
-                            record,
-                            bytes_at_last_sample: 0,
-                            timer_gen: 0,
-                            home: false,
-                        },
+                    // A flow is registered once, by its one home shard.
+                    assert!(
+                        !self.flows.contains(info.spec.id),
+                        "duplicate flow id {:?} homed on two shards",
+                        info.spec.id
                     );
+                    let spec = info.spec.clone();
+                    self.flows
+                        .insert(spec.id, FlowState::new(spec, Some(*info), false));
                 }
                 MsgBody::Finished { flow, completed } => {
                     let Some(slot) = self.flows.slot_of(flow) else {
@@ -300,27 +303,63 @@ impl EngineCore {
     }
 }
 
+impl EngineCore {
+    /// Deal this not-yet-started core out to one core per shard: every agent to the
+    /// shard owning its host, every controller to the shard owning its link's source,
+    /// every pending flow arrival (in queue order) to the shard owning its source.
+    fn deal<F>(mut self, assignment: &ShardAssignment, mut make_router: F) -> Vec<EngineCore>
+    where
+        F: FnMut(u32) -> Box<dyn Router + Send>,
+    {
+        let shard_of = &assignment.shard_of;
+        let mut cores: Vec<EngineCore> = (0..assignment.shards)
+            .map(|s| {
+                // Its own loss stream (`seed ⊕ shard`) and router, one outbox per shard.
+                let mut core = EngineCore::new(self.network.clone(), self.config.clone());
+                core.rng = SmallRng::seed_from_u64(core.config.seed ^ s as u64);
+                core.router = make_router(s);
+                core.shard = s;
+                core.shard_of = shard_of.clone();
+                core.outbox = (0..assignment.shards).map(|_| Vec::new()).collect();
+                core
+            })
+            .collect();
+        for (idx, agent) in self.agents.into_iter().enumerate() {
+            cores[shard_of[idx] as usize].agents[idx] = agent;
+        }
+        for (idx, ctl) in self.controllers.into_iter().enumerate() {
+            let src = self.network.link(LinkId(idx as u32)).src;
+            cores[shard_of[src.index()] as usize].controllers[idx] = ctl;
+        }
+        while let Some(ev) = self.events.pop() {
+            match ev.kind {
+                EventKind::FlowArrival(spec) => {
+                    cores[shard_of[spec.src.index()] as usize].add_flow(*spec)
+                }
+                other => panic!("run_sharded: unexpected pre-run event {other:?}"),
+            }
+        }
+        cores
+    }
+}
+
 impl Simulator {
-    /// Run the simulation partitioned across `assignment.shards()` cores, one OS
-    /// thread per shard, synchronized by conservative lookahead.
+    /// Run the simulation partitioned across `assignment.shards()` cores synchronized
+    /// by conservative lookahead: one OS thread per shard, or — one shard — inline on
+    /// the caller's thread.
     ///
-    /// `make_router` builds each shard's router (only consulted for flows spawned by
-    /// agents at run time; flows injected before the run are pre-routed on the
-    /// sequential RNG stream so their paths match a 1-shard run exactly).
-    ///
-    /// With a single-shard assignment this is exactly [`Simulator::run`].
+    /// With two or more shards `make_router` builds each shard's router, which routes
+    /// every flow whose source the shard owns. A one-shard assignment never calls it:
+    /// the lone core is the one this simulator was built on and keeps the router
+    /// installed with [`Simulator::set_router`].
     ///
     /// # Panics
     /// If the assignment does not cover the network's nodes, or the effective
     /// lookahead (cross-shard propagation + processing delay) is zero.
-    pub fn run_sharded<F>(mut self, assignment: &ShardAssignment, mut make_router: F) -> SimResults
+    pub fn run_sharded<F>(self, assignment: &ShardAssignment, make_router: F) -> SimResults
     where
         F: FnMut(u32) -> Box<dyn Router + Send>,
     {
-        let shards = assignment.shards() as usize;
-        if shards <= 1 {
-            return self.run();
-        }
         assert_eq!(
             assignment.node_count(),
             self.core.network.node_count(),
@@ -333,230 +372,159 @@ impl Simulator {
             lookahead > SimTime::ZERO,
             "conservative lookahead must be positive (zero-latency shard boundary)"
         );
-
-        // Drain the pre-scheduled flow arrivals in (time, insertion) order — the exact
-        // order the sequential engine would route them in.
-        let mut specs: Vec<FlowSpec> = Vec::new();
-        while let Some(ev) = self.core.events.pop() {
-            match ev.kind {
-                EventKind::FlowArrival(spec) => specs.push(*spec),
-                other => panic!("run_sharded: unexpected pre-run event {other:?}"),
-            }
-        }
-
-        // Pre-route every injected flow on its own (seed, flow id)-derived RNG — the
-        // same derivation the sequential engine uses at arrival time — so paths are a
-        // pure function of the flow and byte-identical to a 1-shard run.
-        let mut router = self.core.router;
-        let network = self.core.network;
-        let config = self.core.config;
-        let routed: Vec<(FlowSpec, Option<FlowInfo>)> = specs
-            .into_iter()
-            .map(|spec| {
-                let mut route_rng = crate::engine::route_rng(config.seed, spec.id);
-                let info = router.route(&network, &spec, &mut route_rng).map(|path| {
-                    assert_eq!(
-                        path.src(),
-                        spec.src,
-                        "router returned a path with wrong source"
-                    );
-                    assert_eq!(
-                        path.dst(),
-                        spec.dst,
-                        "router returned a path with wrong destination"
-                    );
-                    make_flow_info(&network, &config, spec.clone(), path)
-                });
-                (spec, info)
-            })
-            .collect();
-
-        let shard_of = assignment.shard_of.clone();
-        let mut cores: Vec<EngineCore> = (0..shards)
-            .map(|s| {
-                EngineCore::for_shard(
-                    s as u32,
-                    shards,
-                    shard_of.clone(),
-                    network.clone(),
-                    config.clone(),
-                    make_router(s as u32),
-                )
-            })
-            .collect();
-
-        // Hand every agent and controller to the shard owning its node / link source.
-        for (idx, slot) in self.core.agents.into_iter().enumerate() {
-            if let Some(agent) = slot {
-                cores[shard_of[idx] as usize].agents[idx] = Some(agent);
-            }
-        }
-        for (idx, slot) in self.core.controllers.into_iter().enumerate() {
-            if let Some(ctl) = slot {
-                let src = network.link(LinkId(idx as u32)).src;
-                cores[shard_of[src.index()] as usize].controllers[idx] = Some(ctl);
-            }
-        }
-
-        // Register every pre-routed flow on each shard its path touches (the source
-        // shard is its home and schedules the arrival event), in global arrival order
-        // so per-core slot numbering is deterministic.
-        for (spec, info) in routed {
-            let home = shard_of[spec.src.index()] as usize;
-            match info {
-                None => {
-                    let mut record = FlowRecord::new(spec.clone());
-                    record.failed = true;
-                    cores[home].flows.insert(
-                        spec.id,
-                        FlowState {
-                            info: None,
-                            record,
-                            bytes_at_last_sample: 0,
-                            timer_gen: 0,
-                            home: true,
-                        },
-                    );
-                }
-                Some(info) => {
-                    let mut touched: Vec<u32> = info
-                        .path
-                        .nodes
-                        .iter()
-                        .map(|n| shard_of[n.index()])
-                        .collect();
-                    touched.sort_unstable();
-                    touched.dedup();
-                    for s in touched {
-                        cores[s as usize].flows.insert(
-                            spec.id,
-                            FlowState {
-                                info: Some(info.clone()),
-                                record: FlowRecord::new(spec.clone()),
-                                bytes_at_last_sample: 0,
-                                timer_gen: 0,
-                                home: s as usize == home,
-                            },
-                        );
-                    }
-                }
-            }
-            let hc = &mut cores[home];
-            hc.pending_arrivals += 1;
-            hc.events
-                .schedule(spec.arrival, EventKind::FlowArrival(Box::new(spec)));
-        }
-
+        let mut cores = if assignment.shards() == 1 {
+            vec![self.core]
+        } else {
+            self.core.deal(assignment, make_router)
+        };
         for core in &mut cores {
             core.setup();
         }
-        let flows_done = run_barrier_loop(&mut cores, lookahead);
-        merge_results(cores, flows_done)
+        run_barrier_loop(&mut cores, lookahead);
+        merge_results(cores)
     }
 }
 
-/// Drive the cores to completion: lock-step conservative-lookahead windows with two
-/// barriers per round (publish/decide, then exchange/ingest). Every worker computes
-/// the same break decision from the same published snapshot, so all threads leave the
-/// loop together. Returns true if the run ended because every flow finished.
-fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) -> bool {
-    let n = cores.len();
-    let next_times: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-    let unfinished: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let pending: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-    let mailboxes: Vec<Mutex<Vec<ShardMsg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let barrier = Barrier::new(n);
-    let flows_done = AtomicBool::new(false);
-    let look_ns = lookahead.as_nanos();
-
-    std::thread::scope(|scope| {
-        for (i, core) in cores.iter_mut().enumerate() {
-            let next_times = &next_times;
-            let unfinished = &unfinished;
-            let pending = &pending;
-            let mailboxes = &mailboxes;
-            let barrier = &barrier;
-            let flows_done = &flows_done;
-            scope.spawn(move || {
-                loop {
-                    // Publish this core's horizon and liveness counters.
-                    next_times[i].store(core.next_event_nanos(), Ordering::SeqCst);
-                    unfinished[i].store(core.unfinished_flows as u64, Ordering::SeqCst);
-                    pending[i].store(core.pending_arrivals as u64, Ordering::SeqCst);
-                    barrier.wait();
-
-                    // Identical decision on every worker from the published snapshot.
-                    let t_min = next_times
-                        .iter()
-                        .map(|a| a.load(Ordering::SeqCst))
-                        .min()
-                        .expect("at least one shard");
-                    let all_done = core.config.stop_when_flows_done
-                        && unfinished
-                            .iter()
-                            .map(|a| a.load(Ordering::SeqCst))
-                            .sum::<u64>()
-                            == 0
-                        && pending
-                            .iter()
-                            .map(|a| a.load(Ordering::SeqCst))
-                            .sum::<u64>()
-                            == 0;
-                    if all_done {
-                        if i == 0 {
-                            flows_done.store(true, Ordering::SeqCst);
-                        }
-                        break;
-                    }
-                    if t_min == u64::MAX {
-                        break;
-                    }
-
-                    // Safe window: no shard can inject an event below t_min + L.
-                    let window_end = SimTime::from_nanos(t_min.saturating_add(look_ns));
-                    core.process_window(Some(window_end));
-
-                    // Exchange boundary messages.
-                    for (to, mailbox) in mailboxes.iter().enumerate() {
-                        let batch = std::mem::take(&mut core.outbox[to]);
-                        if !batch.is_empty() {
-                            mailbox.lock().expect("mailbox poisoned").extend(batch);
-                        }
-                    }
-                    barrier.wait();
-                    let msgs = std::mem::take(&mut *mailboxes[i].lock().expect("mailbox poisoned"));
-                    core.ingest(msgs);
-                }
-            });
-        }
-    });
-    flows_done.load(Ordering::SeqCst)
+/// What the workers of one run share: the snapshot each publishes before a window, the
+/// mailboxes they exchange through, and the barrier separating the two.
+struct Rendezvous {
+    next_times: Vec<AtomicU64>,
+    /// Per core: flows still unfinished plus arrivals still pending.
+    live: Vec<AtomicU64>,
+    mailboxes: Vec<Mutex<Vec<ShardMsg>>>,
+    barrier: Barrier,
+    /// Raised by a worker that is unwinding; see [`Bail`].
+    failed: AtomicBool,
+    look_ns: u64,
 }
 
-/// Fold N cores' state into one [`SimResults`], deterministically.
+/// Unwinding out of a worker (an engine assert, a panicking agent) would leave its
+/// peers waiting at the next barrier forever. Dropped mid-panic, this keeps the
+/// worker's appointments — the exchange barrier if its window was open, then the
+/// publish barrier with `failed` raised — so every peer leaves the loop and
+/// `thread::scope` can re-raise the panic.
+struct Bail<'a> {
+    sync: &'a Rendezvous,
+    in_window: bool,
+}
+
+impl Drop for Bail<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if self.in_window {
+                self.sync.barrier.wait();
+            }
+            self.sync.failed.store(true, Ordering::SeqCst);
+            self.sync.barrier.wait();
+        }
+    }
+}
+
+impl Rendezvous {
+    /// Worker `i`'s loop over `core`: lock-step conservative-lookahead windows with
+    /// two barriers per round (publish/decide, then exchange/ingest). Every worker
+    /// computes the same decision from the same published snapshot, so all leave the
+    /// loop together.
+    fn drive(&self, i: usize, core: &mut EngineCore) {
+        let mut bail = Bail {
+            sync: self,
+            in_window: false,
+        };
+        loop {
+            // Publish this core's horizon and liveness.
+            self.next_times[i].store(core.next_event_nanos(), Ordering::SeqCst);
+            let live = core.unfinished_flows + core.pending_arrivals;
+            self.live[i].store(live as u64, Ordering::SeqCst);
+            self.barrier.wait();
+
+            // Identical decision on every worker from the published snapshot.
+            if self.failed.load(Ordering::SeqCst) {
+                return;
+            }
+            let live: u64 = self.live.iter().map(|a| a.load(Ordering::SeqCst)).sum();
+            if core.config.stop_when_flows_done && live == 0 {
+                return;
+            }
+            let t_min = self
+                .next_times
+                .iter()
+                .map(|a| a.load(Ordering::SeqCst))
+                .min()
+                .expect("at least one shard");
+            if t_min == u64::MAX {
+                return;
+            }
+
+            // Safe window: no shard can inject an event below t_min + L.
+            bail.in_window = true;
+            core.process_window(SimTime::from_nanos(t_min.saturating_add(self.look_ns)));
+
+            // Exchange boundary messages (a lone core has no outbox and sends none).
+            for (batch, mailbox) in core.outbox.iter_mut().zip(&self.mailboxes) {
+                if !batch.is_empty() {
+                    mailbox.lock().expect("mailbox poisoned").append(batch);
+                }
+            }
+            self.barrier.wait();
+            bail.in_window = false;
+            let msgs = std::mem::take(&mut *self.mailboxes[i].lock().expect("mailbox poisoned"));
+            core.ingest(msgs);
+        }
+    }
+}
+
+/// Drive the cores to completion — a lone core on the caller's thread, two or more on
+/// a scoped thread each.
+fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
+    let n = cores.len();
+    let sync = Rendezvous {
+        next_times: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        live: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
+        barrier: Barrier::new(n),
+        failed: AtomicBool::new(false),
+        look_ns: lookahead.as_nanos(),
+    };
+    match cores {
+        [lone] => sync.drive(0, lone),
+        _ => std::thread::scope(|scope| {
+            for (i, core) in cores.iter_mut().enumerate() {
+                let sync = &sync;
+                scope.spawn(move || sync.drive(i, core));
+            }
+        }),
+    }
+}
+
+/// Fold the cores' state into one [`SimResults`], deterministically, moving records
+/// and traces out of them.
 ///
 /// * link counters come from the shard owning each link's source (its only writer);
 /// * flow records are merged home-record-then-replicas with earliest-finish-wins,
 ///   summed drops and max delivered bytes (delivery happens on one shard only);
-/// * traces are a disjoint union (each series is sampled by exactly one shard);
-/// * the end time mirrors the sequential engine: the instant the last flow settled
-///   when the run stopped because all flows finished, the latest core clock otherwise.
-fn merge_results(cores: Vec<EngineCore>, flows_done: bool) -> SimResults {
-    let shard_of = cores[0].shard_of.clone();
-
+/// * traces are a disjoint union (each series is sampled by exactly one shard), except
+///   the per-core queue depth, which is interleaved by time;
+/// * the end time is the instant the last flow settled when the run stopped because
+///   all flows finished, the latest core clock otherwise.
+fn merge_results(cores: Vec<EngineCore>) -> SimResults {
+    // What the workers' last decision saw: nothing live means the run stopped because
+    // every flow was done (the cores have not moved since).
+    let flows_done = cores[0].config.stop_when_flows_done
+        && cores
+            .iter()
+            .all(|c| c.unfinished_flows + c.pending_arrivals == 0);
     let link_stats: Vec<_> = cores[0]
         .network
         .links
         .iter()
         .map(|l| {
-            let owner = shard_of[l.src.index()] as usize;
-            (l.id, cores[owner].network.link(l.id).stats.clone())
+            // A lone core has no node → shard map and owns every link.
+            let owner = cores[0].shard_of.get(l.src.index()).map_or(0, |&s| s);
+            (l.id, cores[owner as usize].network.link(l.id).stats.clone())
         })
         .collect();
 
-    let mut flows: HashMap<FlowId, FlowRecord> = HashMap::new();
     let mut max_now = SimTime::ZERO;
-    let mut traces = crate::metrics::Traces::default();
     let mut queue = crate::event::QueueStats::default();
     for core in &cores {
         max_now = max_now.max(core.now);
@@ -567,13 +535,31 @@ fn merge_results(cores: Vec<EngineCore>, flows_done: bool) -> SimResults {
         queue.peak_pending += s.peak_pending;
         queue.overflow_migrations += s.overflow_migrations;
         queue.buckets_sorted += s.buckets_sorted;
-        for state in &core.flows.slots {
-            let rec = &state.record;
-            match flows.get_mut(&rec.spec.id) {
-                None => {
-                    flows.insert(rec.spec.id, rec.clone());
+    }
+
+    // Keep only what is moved into the results: agents, controllers, event queues and
+    // network copies are freed here, before the merged flow map is allocated.
+    let cores: Vec<_> = cores
+        .into_iter()
+        .map(|c| (c.flows.slots, c.traces))
+        .collect();
+    // Every flow has exactly one home record, on the shard that saw it arrive.
+    let homes = cores
+        .iter()
+        .flat_map(|(slots, _)| slots)
+        .filter(|s| s.home)
+        .count();
+    let mut flows: HashMap<FlowId, FlowRecord> = HashMap::with_capacity(homes);
+    let mut traces = crate::metrics::Traces::default();
+    for (slots, core_traces) in cores {
+        for state in slots {
+            let rec = state.record;
+            match flows.entry(rec.spec.id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(rec);
                 }
-                Some(merged) => {
+                Entry::Occupied(mut slot) => {
+                    let merged = slot.get_mut();
                     merged.drops += rec.drops;
                     merged.raw_bytes_delivered =
                         merged.raw_bytes_delivered.max(rec.raw_bytes_delivered);
@@ -586,64 +572,34 @@ fn merge_results(cores: Vec<EngineCore>, flows_done: bool) -> SimResults {
                 }
             }
         }
-        for (k, v) in &core.traces.link_utilization {
-            traces
-                .link_utilization
-                .entry(*k)
-                .or_default()
-                .extend(v.iter().copied());
-        }
-        for (k, v) in &core.traces.link_queue_bytes {
-            traces
-                .link_queue_bytes
-                .entry(*k)
-                .or_default()
-                .extend(v.iter().copied());
-        }
-        for (k, v) in &core.traces.flow_goodput {
-            traces
-                .flow_goodput
-                .entry(*k)
-                .or_default()
-                .extend(v.iter().copied());
-        }
+        traces.link_utilization.extend(core_traces.link_utilization);
+        traces.link_queue_bytes.extend(core_traces.link_queue_bytes);
+        traces.flow_goodput.extend(core_traces.flow_goodput);
         traces
             .event_queue_depth
-            .extend(core.traces.event_queue_depth.iter().copied());
+            .extend(core_traces.event_queue_depth);
     }
-    for series in traces
-        .link_utilization
-        .values_mut()
-        .chain(traces.link_queue_bytes.values_mut())
-        .chain(traces.flow_goodput.values_mut())
-        .chain(std::iter::once(&mut traces.event_queue_depth))
-    {
-        // Stable sort: same-instant samples keep shard order (cores are iterated in
-        // shard order above), so the merged series is deterministic.
-        series.sort_by_key(|s| s.at);
-    }
+    assert_eq!(flows.len(), homes, "duplicate flow id homed on two shards");
+    // Stable sort: same-instant samples keep shard order (cores are iterated in shard
+    // order above), so the merged series is deterministic.
+    traces.event_queue_depth.sort_by_key(|s| s.at);
 
-    // Sequential runs that stop because every flow finished end at the instant of the
-    // final settling event: the last finish, or the arrival of an unroutable flow if
-    // that zeroed the pending count afterwards.
+    // A run that stops because every flow finished ends at the instant of the final
+    // settling event: the last finish, or the arrival of an unroutable flow if that
+    // zeroed the pending count afterwards (`ZERO` for a run without flows).
     let end_time = if flows_done {
-        let mut end = SimTime::ZERO;
-        for r in flows.values() {
-            if let Some(t) = r.completed_at {
-                end = end.max(t);
-            }
-            if let Some(t) = r.terminated_at {
-                end = end.max(t);
-            }
-            if r.failed {
-                end = end.max(r.spec.arrival);
-            }
-        }
-        if end == SimTime::ZERO {
-            max_now
-        } else {
-            end
-        }
+        flows
+            .values()
+            .flat_map(|r| {
+                [
+                    r.completed_at,
+                    r.terminated_at,
+                    r.failed.then_some(r.spec.arrival),
+                ]
+            })
+            .flatten()
+            .max()
+            .unwrap_or(SimTime::ZERO)
     } else {
         max_now
     };
@@ -662,6 +618,7 @@ mod tests {
     use super::*;
     use crate::engine::tests::{blast_sim, dumbbell, BlastAgent};
     use crate::engine::SimConfig;
+    use crate::flow::{FlowPath, FlowSpec};
     use crate::network::{LinkParams, Network};
     use crate::packet::{PacketKind, MTU_BYTES};
 
@@ -710,14 +667,67 @@ mod tests {
         assert_eq!(seq.end_time, par.end_time);
     }
 
+    /// Shortest-path routing that finds no path for flow 9.
+    fn refuse_nine(net: &Network, spec: &FlowSpec, _: &mut SmallRng) -> Option<FlowPath> {
+        (spec.id != FlowId(9)).then(|| net.shortest_path(spec.src, spec.dst))?
+    }
+
+    /// `end_time` comes from `merge_results` on one core as on many: the last settling
+    /// event when the run stopped because its flows were done, the clock otherwise.
+    #[test]
+    fn end_time_is_the_last_settling_event_on_one_core_and_on_two() {
+        let hosts = dumbbell().hosts();
+        let late = SimTime::from_millis(5);
+        let cap = SimTime::from_micros(100);
+        let big = FlowSpec::new(1, hosts[0], hosts[2], 200_000);
+        let small = FlowSpec::new(2, hosts[1], hosts[2], 150_000);
+        let unroutable = FlowSpec::new(9, hosts[1], hosts[2], 1000).with_arrival(late);
+        // (flows, hard stop, expected end time; `None`: the last completion)
+        let cases = [
+            ("all flows finish", vec![big.clone(), small], None, None),
+            (
+                "an unroutable arrival settles last",
+                vec![big.clone(), unroutable],
+                None,
+                Some(late),
+            ),
+            (
+                "hard stop, a flow still live",
+                vec![big],
+                Some(cap),
+                Some(cap),
+            ),
+            ("no flows at all", vec![], None, Some(SimTime::ZERO)),
+        ];
+        for (name, flows, hard_stop, want) in cases {
+            let build = || {
+                let mut sim = blast_sim(dumbbell());
+                sim.set_router(refuse_nine);
+                if let Some(t) = hard_stop {
+                    sim.core.config.max_sim_time = t;
+                }
+                sim.add_flows(flows.iter().cloned());
+                sim
+            };
+            let lone = build().run();
+            let last_completion = lone.flows.values().filter_map(|r| r.completed_at).max();
+            assert_eq!(Some(lone.end_time), want.or(last_completion), "{name}");
+            // A hard stop is the documented exception to shard-count invariance.
+            if hard_stop.is_none() {
+                let split = build().run_sharded(&dumbbell_assignment(), |_| Box::new(refuse_nine));
+                assert_eq!(split.end_time, lone.end_time, "{name}, 2-shard split");
+            }
+        }
+    }
+
     #[test]
     fn sharded_link_stats_match_up_to_the_stop_tail() {
         let seq = run_seq(two_flow_sim());
         let par = run_split(two_flow_sim());
-        // The sequential engine halts at the exact event that settles the last flow;
-        // a shard only learns that at the next barrier, so it may serialize a few
-        // more in-flight packets from the window containing the finish (bounded by
-        // one lookahead window). Counters are therefore >= sequential, and close.
+        // A lone core halts at the exact event that settles the last flow; a shard
+        // only learns that at the next barrier, so it may serialize a few more
+        // in-flight packets from the window containing the finish (bounded by one
+        // lookahead window). Counters are therefore >= the lone core's, and close.
         for ((id_s, s), (id_p, p)) in seq.link_stats.iter().zip(par.link_stats.iter()) {
             assert_eq!(id_s, id_p);
             assert!(
@@ -731,19 +741,6 @@ mod tests {
                 s.bytes_transmitted
             );
             assert_eq!(s.tail_drops, p.tail_drops);
-        }
-    }
-
-    #[test]
-    fn single_shard_assignment_is_the_sequential_path() {
-        let seq = run_seq(two_flow_sim());
-        let mut sim = two_flow_sim();
-        sim.core.config.seed = 7;
-        let one = ShardAssignment::single(5);
-        let par = sim.run_sharded(&one, |_| Box::new(crate::engine::ShortestPathRouter));
-        assert_eq!(seq.end_time, par.end_time);
-        for (id, s) in &seq.flows {
-            assert_eq!(s.completed_at, par.flow(*id).unwrap().completed_at);
         }
     }
 
@@ -816,6 +813,31 @@ mod tests {
         let sim = blast_sim(dumbbell());
         let bad = ShardAssignment::new(vec![0, 1], 2, SimTime::MAX);
         let _ = sim.run_sharded(&bad, |_| Box::new(crate::engine::ShortestPathRouter));
+    }
+
+    /// 2-shard twin of `engine::tests::duplicate_flow_ids_rejected`: flow id 1 injected
+    /// twice, between the given `(src, dst)` host pairs.
+    fn run_split_with_id_one_twice(pairs: [(usize, usize); 2]) {
+        let net = dumbbell();
+        let hosts = net.hosts();
+        let mut sim = blast_sim(net);
+        sim.add_flows(pairs.map(|(src, dst)| FlowSpec::new(1, hosts[src], hosts[dst], 1000)));
+        let _ = run_split(sim);
+    }
+
+    /// Both sources on shard 1: the second arrival trips the flow-table guard on one
+    /// worker, whose peer must leave the barrier loop rather than wait for it forever.
+    #[test]
+    #[should_panic]
+    fn duplicate_flow_ids_on_one_shard_rejected() {
+        run_split_with_id_one_twice([(2, 0), (2, 1)]);
+    }
+
+    /// Sources on different shards: each home registers the id with the other.
+    #[test]
+    #[should_panic]
+    fn duplicate_flow_ids_across_shards_rejected() {
+        run_split_with_id_one_twice([(0, 2), (2, 1)]);
     }
 
     #[test]

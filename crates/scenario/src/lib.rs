@@ -67,8 +67,7 @@ pub use protocol::{
     InstallerFactory, InstallerHandle, ProtocolInstaller, ProtocolRegistry, RegistryError,
 };
 pub use scenario::{
-    execute, execute_sharded, lower_to_fluid, run_packet_level, Scenario, ScenarioError,
-    DEFAULT_STOP_AT,
+    execute, lower_to_fluid, run_packet_level, Scenario, ScenarioError, DEFAULT_STOP_AT,
 };
 pub use spec::{TopologySpec, WorkloadSpec};
 pub use stats::{t_critical_975, ReplicatedSummary, SummaryStats};

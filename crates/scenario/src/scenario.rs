@@ -148,8 +148,8 @@ pub struct Scenario {
     pub stop_at: SimTime,
     /// Time-series sampling configuration (packet backend only).
     pub trace: TraceConfig,
-    /// Shard count for the packet engine: 1 (default) runs the sequential engine,
-    /// N ≥ 2 runs [`pdq_netsim::Simulator::run_sharded`] over a
+    /// Shard count for the packet engine's [`pdq_netsim::Simulator::run_sharded`]:
+    /// 1 (default) is one core on the caller's thread, N ≥ 2 a
     /// [`Partition::of_topology`] cut, 0 auto-detects the core count at run time.
     pub engine_threads: u32,
     /// RFC 9002-style sender pacing (spec key `pacing = on|off`, default off).
@@ -281,7 +281,7 @@ impl Scenario {
         let flows = self.workload.generate(&topo, self.seed);
         let mut summary = match self.backend {
             SimBackend::Packet => {
-                let results = execute_sharded(
+                let results = execute(
                     &topo,
                     &flows,
                     &*installer,
@@ -545,41 +545,16 @@ pub fn lower_to_fluid(flows: &[FlowSpec]) -> Vec<(u64, FluidFlow)> {
 }
 
 /// Run one packet-level simulation with the harness' canonical setup: ECMP routing,
-/// the given installer, `stop_at` simulated-time cap.
+/// the given installer, `stop_at` simulated-time cap, `engine_threads` engine shards.
 ///
 /// This is the single execution path shared by [`Scenario::run`] and the lower-level
 /// `run_packet_level` helper, so scenario runs and direct flow-list runs are
-/// bit-for-bit identical.
+/// bit-for-bit identical. `engine_threads` of 0 resolves to the available core
+/// count; [`Partition::of_topology`] cuts the topology into at most that many shards
+/// (see `pdq_netsim::shard` for the determinism model), and one shard — asked for,
+/// or all a single-rack topology allows — is the same engine loop on one core, on
+/// the caller's thread.
 pub fn execute(
-    topo: &Topology,
-    flows: &[FlowSpec],
-    installer: &dyn ProtocolInstaller,
-    seed: u64,
-    trace: TraceConfig,
-    stop_at: SimTime,
-) -> SimResults {
-    let config = SimConfig {
-        seed,
-        trace,
-        max_sim_time: stop_at,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.net.clone(), config);
-    sim.set_router(EcmpRouter::new());
-    installer.install(&mut sim);
-    sim.add_flows(flows.iter().cloned());
-    sim.run()
-}
-
-/// [`execute`], generalized over the packet engine's shard count.
-///
-/// `engine_threads` of 1 is exactly the sequential [`execute`] path (bit-for-bit);
-/// 0 resolves to the available core count; N ≥ 2 partitions the topology with
-/// [`Partition::of_topology`] and runs the conservative-lookahead sharded engine
-/// (see `pdq_netsim::shard` for the determinism model). A partition that collapses
-/// to one effective shard (e.g. a single-rack topology) falls back to the
-/// sequential path, so results stay byte-identical to `execute` in that case too.
-pub fn execute_sharded(
     topo: &Topology,
     flows: &[FlowSpec],
     installer: &dyn ProtocolInstaller,
@@ -593,13 +568,7 @@ pub fn execute_sharded(
     } else {
         engine_threads
     };
-    if threads <= 1 {
-        return execute(topo, flows, installer, seed, trace, stop_at);
-    }
-    let partition = Partition::of_topology(topo, threads);
-    if partition.shards() <= 1 {
-        return execute(topo, flows, installer, seed, trace, stop_at);
-    }
+    let assignment = Partition::of_topology(topo, threads).to_assignment(&topo.net);
     let config = SimConfig {
         seed,
         trace,
@@ -610,7 +579,6 @@ pub fn execute_sharded(
     sim.set_router(EcmpRouter::new());
     installer.install(&mut sim);
     sim.add_flows(flows.iter().cloned());
-    let assignment = partition.to_assignment(&topo.net);
     sim.run_sharded(&assignment, |_| Box::new(EcmpRouter::new()))
 }
 
@@ -623,7 +591,7 @@ pub fn run_packet_level(
     seed: u64,
     trace: TraceConfig,
 ) -> SimResults {
-    execute(topo, flows, installer, seed, trace, DEFAULT_STOP_AT)
+    execute(topo, flows, installer, seed, trace, DEFAULT_STOP_AT, 1)
 }
 
 #[cfg(test)]

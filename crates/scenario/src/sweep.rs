@@ -423,14 +423,6 @@ impl Sweep {
         })
     }
 
-    /// [`Sweep::run`] with one worker per available CPU core.
-    pub fn run_parallel(
-        &self,
-        registry: &ProtocolRegistry,
-    ) -> Result<Vec<RunSummary>, ScenarioError> {
-        self.run(registry, default_threads())
-    }
-
     /// Run every scenario `replicates` times under consecutive seeds and return one
     /// [`ReplicatedSummary`] per cell, in scenario order, with mean/stddev/95%-CI
     /// statistics across the seeds. The replicate runs are flattened into one
