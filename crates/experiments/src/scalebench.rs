@@ -84,8 +84,8 @@ pub fn engine_scale(scale: Scale) -> Table {
         let q = &r.queue;
         eprintln!(
             "engine_scale: event queue pushes={} pops={} peak_pending={} \
-             overflow_migrations={} buckets_sorted={}",
-            q.pushes, q.pops, q.peak_pending, q.overflow_migrations, q.buckets_sorted
+             overflow_migrations={} buckets_sorted={}; engine {}",
+            q.pushes, q.pops, q.peak_pending, q.overflow_migrations, q.buckets_sorted, r.engine
         );
     }
     table.push_row(vec![

@@ -84,13 +84,15 @@ pub fn wan(scale: Scale) -> Table {
                 let q = &r.queue;
                 eprintln!(
                     "wan[{protocol} pacing={}]: wall={wall:.3}s event queue pushes={} \
-                     pops={} peak_pending={} overflow_migrations={} buckets_sorted={}",
+                     pops={} peak_pending={} overflow_migrations={} buckets_sorted={}; \
+                     engine {}",
                     if pacing { "on" } else { "off" },
                     q.pushes,
                     q.pops,
                     q.peak_pending,
                     q.overflow_migrations,
-                    q.buckets_sorted
+                    q.buckets_sorted,
+                    r.engine
                 );
             }
             table.push_row(vec![

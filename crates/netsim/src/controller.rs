@@ -6,6 +6,11 @@
 //! on the link, every reverse-direction (ACK) packet when it passes back through the
 //! switch that owns the link, and optionally receives periodic ticks (for rate
 //! controllers that update once or twice per RTT).
+//!
+//! Every callback is handed the controller's own link, **settled**: the engine has
+//! retired each packet whose serialization completes before the event being
+//! dispatched, so [`Link::queue_bytes`] and the link's counters are current. The
+//! occupancy counts the packet on the wire until its last bit has left.
 
 use crate::network::Link;
 use crate::packet::Packet;
@@ -30,6 +35,11 @@ pub trait LinkController {
     fn on_reverse(&mut self, packet: &mut Packet, now: SimTime, link: &Link);
 
     /// Periodic tick. Return the absolute time of the next tick, or `None` to stop.
+    ///
+    /// [`Link::queue_bytes`] here is what the rate controllers of PDQ, RCP and D3
+    /// drain: the bytes waiting *plus* the packet being serialized. A packet whose
+    /// last bit leaves at the very instant of the tick is already gone (transmit
+    /// completions order before ticks).
     fn on_tick(&mut self, _now: SimTime, _link: &Link) -> Option<SimTime> {
         None
     }

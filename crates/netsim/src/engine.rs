@@ -19,7 +19,7 @@
 //! [`Simulator::run`] is its N = 1 case — one core, one window, the caller's thread.
 //! Either way a run is fully deterministic for a fixed seed.
 //!
-//! # Hot-path layout (id slabs, shared paths, pooled packets)
+//! # Hot-path layout (id slabs, shared paths, pooled packets, ledger links)
 //!
 //! All engine state is held in dense, id-indexed slabs rather than hash maps:
 //!
@@ -33,12 +33,20 @@
 //!   sparse (M-PDQ subflow ids, workload-chosen ids), which is exactly what the index
 //!   absorbs.
 //!
-//! The *per-hop* path never hashes and never allocates: when a packet enters the
-//! network the engine stamps the flow's slab slot into the packet, each hop resolves
-//! the flow by direct `Vec` index, the forward path is shared through
-//! `Arc<FlowPath>` (cloning a handle, never the node/link vectors), and packets in
-//! flight between nodes are parked in a recycled pool so the event queue carries a
-//! `u32` slot instead of a ~200-byte payload.
+//! The *per-hop* path never hashes, never allocates and never copies the packet: when
+//! a packet enters the network the engine stamps the flow's slab slot into it and
+//! writes it into a recycled pool slot, where it stays until it is delivered, dropped
+//! or boxed for another shard. Each hop resolves the flow by direct `Vec` index, reads
+//! the shared `Arc<FlowPath>` in place, lets the link controller rewrite the pooled
+//! packet in place, and re-schedules the same `u32` slot.
+//!
+//! A hop is **one event**. A link is a departure ledger (see the `network` module):
+//! accepting a packet fixes when its last bit leaves, so its arrival at the next node
+//! is scheduled at once, stamped as created at the departure — the same
+//! `(at, created, class, flow, subkey)` key it would have got from a transmit-done
+//! event popping at that instant, hence the same place in the event order. Before the
+//! engine reads a link (tail-drop check, controller callback, trace sample, final
+//! results) it settles it against the key of the event being dispatched.
 //!
 //! # Timer cancellation
 //!
@@ -59,7 +67,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::agent::{Action, Ctx, FlowInfo, FlowLookup, HostAgent};
 use crate::controller::LinkController;
-use crate::event::{EventKind, EventQueue, PacketSlot, TimerKind};
+use crate::event::{EventKey, EventKind, EventQueue, PacketSlot, TimerKind};
 use crate::flow::{FlowPath, FlowRecord, FlowSpec};
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::metrics::{Sample, SimResults, TraceConfig, Traces};
@@ -253,9 +261,10 @@ impl FlowLookup for FlowTable {
     }
 }
 
-/// Recycled storage for packets in flight between nodes (popped from a link's queue,
-/// waiting out propagation + processing). Slots are reused in LIFO order, so in steady
-/// state parking and retrieving a packet performs no heap allocation.
+/// Recycled storage for every packet inside the network: written once when the
+/// packet is sent (or ingested from another shard), read and rewritten in place at
+/// each hop, vacated when it is delivered, dropped or handed to another shard. Slots
+/// are reused in LIFO order, so in steady state a packet's life allocates nothing.
 #[derive(Default)]
 pub(crate) struct PacketPool {
     slots: Vec<Option<Packet>>,
@@ -273,12 +282,69 @@ impl PacketPool {
         }
     }
 
+    fn get_mut(&mut self, slot: PacketSlot) -> Option<&mut Packet> {
+        self.slots.get_mut(slot.0 as usize)?.as_mut()
+    }
+
+    /// Vacate `slot`, returning the packet it held.
     fn take(&mut self, slot: PacketSlot) -> Option<Packet> {
         let p = self.slots.get_mut(slot.0 as usize)?.take();
         if p.is_some() {
             self.free.push(slot.0);
         }
         p
+    }
+
+    /// Slots ever allocated: the most packets that were inside the network at once.
+    pub(crate) fn high_water(&self) -> u64 {
+        self.slots.len() as u64
+    }
+
+    /// Packets currently held.
+    #[cfg(test)]
+    pub(crate) fn live(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
+/// Always-on work counters of the engine proper, next to the event queue's
+/// [`QueueStats`](crate::event::QueueStats): what the popped events were. Summed
+/// across shards; never part of a fingerprint or a cache record.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Flow arrivals dispatched.
+    pub arrivals: u64,
+    /// Packet arrivals at a node (one per link traversal, plus one per cross-shard
+    /// injection), forwarded or delivered.
+    pub packets: u64,
+    /// Timers delivered to an agent.
+    pub timers_fired: u64,
+    /// Timers popped only to be dropped: cancelled by a newer timer generation.
+    pub timers_dead: u64,
+    /// Link-controller ticks.
+    pub ticks: u64,
+    /// Trace samples.
+    pub samples: u64,
+    /// Most packets inside the network at once (per shard; the sum is an upper bound
+    /// on the global peak).
+    pub pool_high_water: u64,
+}
+
+impl std::fmt::Display for EngineStats {
+    /// `key=value` pairs, the form the experiments' stderr telemetry lines use.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "arrivals={} packets={} timers_fired={} timers_dead={} ticks={} samples={} \
+             pool_high_water={}",
+            self.arrivals,
+            self.packets,
+            self.timers_fired,
+            self.timers_dead,
+            self.ticks,
+            self.samples,
+            self.pool_high_water
+        )
     }
 }
 
@@ -290,6 +356,14 @@ impl PacketPool {
 /// with an `outbox` of boundary messages exchanged at conservative-lookahead barriers.
 /// Every core routes a flow when it arrives and registers it with the other shards on
 /// its path.
+///
+/// The cores of a run sit side by side in one `Vec`, each driven by its own thread.
+/// The alignment keeps one core's per-event fields (`key`, `stats`, `msg_seq`, the
+/// event queue's counters) off the cache line — and the adjacent prefetched one —
+/// that its neighbour's `config` and `network` headers are read from on every event;
+/// without it, whether two cores share a line depends on the struct's size and on
+/// where the allocator happens to put the `Vec`.
+#[repr(align(128))]
 pub(crate) struct EngineCore {
     pub(crate) config: SimConfig,
     pub(crate) network: Network,
@@ -300,6 +374,11 @@ pub(crate) struct EngineCore {
     pub(crate) controllers: Vec<Option<Box<dyn LinkController + Send>>>,
     pub(crate) events: EventQueue,
     pub(crate) now: SimTime,
+    /// Key of the event being dispatched: what links are settled against. Between
+    /// windows and after the run, how far this core has got — the key of the event
+    /// `process_window` broke at, or the start of `window_end` if it drained.
+    pub(crate) key: EventKey,
+    pub(crate) stats: EngineStats,
     pub(crate) rng: SmallRng,
     pub(crate) flows: FlowTable,
     pub(crate) pool: PacketPool,
@@ -340,8 +419,8 @@ impl EngineCore {
         let n_nodes = network.node_count();
         let n_links = network.link_count();
         // Event-queue bucket width: the smallest serialization time in this topology
-        // (a control packet on the fastest link), the spacing of the engine's own
-        // TransmitDone events.
+        // (a control packet on the fastest link), the spacing at which a busy link
+        // releases packets.
         let bucket = network
             .links
             .iter()
@@ -356,6 +435,8 @@ impl EngineCore {
             controllers: (0..n_links).map(|_| None).collect(),
             events: EventQueue::with_bucket_width(bucket),
             now: SimTime::ZERO,
+            key: EventKey::start_of(SimTime::ZERO),
+            stats: EngineStats::default(),
             rng,
             flows: FlowTable::default(),
             pool: PacketPool::default(),
@@ -380,12 +461,13 @@ impl EngineCore {
         self.shard_of.is_empty() || self.shard_of[node.index()] == self.shard
     }
 
-    fn push_msg(&mut self, to_shard: u32, at: SimTime, body: MsgBody) {
+    /// Queue `body` for `to_shard`, taking effect at `at`, created at `sent`.
+    fn push_msg(&mut self, to_shard: u32, at: SimTime, sent: SimTime, body: MsgBody) {
         let seq = self.msg_seq;
         self.msg_seq += 1;
         self.outbox[to_shard as usize].push(ShardMsg {
             at,
-            sent: self.now,
+            sent,
             src_shard: self.shard,
             seq,
             body,
@@ -442,7 +524,12 @@ impl EngineCore {
         // Batched drain: `pop_window` streams straight off the event queue's
         // sorted current run — one call per event instead of a peek-compare-pop
         // round-trip, with no re-peeking between events.
-        while let Some(ev) = self.events.pop_window(window_end) {
+        loop {
+            let Some(ev) = self.events.pop_window(window_end) else {
+                self.key = EventKey::start_of(window_end);
+                break;
+            };
+            self.key = ev.key();
             if ev.at > self.config.max_sim_time {
                 self.stopped = true;
                 break;
@@ -480,11 +567,20 @@ impl EngineCore {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Stop => unreachable!("Stop is handled by the event loop"),
-            EventKind::FlowArrival(spec) => self.handle_flow_arrival(*spec),
+            EventKind::FlowArrival(spec) => {
+                self.stats.arrivals += 1;
+                self.handle_flow_arrival(*spec)
+            }
             EventKind::PacketAtNode { node, packet, .. } => {
+                self.stats.packets += 1;
                 self.handle_packet_at_node(node, packet)
             }
-            EventKind::TransmitDone { link } => self.handle_transmit_done(link),
+            // Links are ledgers: nothing in the engine schedules this. One that got
+            // into the queue anyway must degrade, not corrupt a link: flag it in
+            // debug builds, ignore it otherwise.
+            EventKind::TransmitDone { link } => {
+                debug_assert!(false, "TransmitDone dispatched for {link:?}")
+            }
             EventKind::Timer {
                 node,
                 flow,
@@ -492,8 +588,14 @@ impl EngineCore {
                 token,
                 gen,
             } => self.handle_timer(node, flow, kind, token, gen),
-            EventKind::ControllerTick { link } => self.handle_controller_tick(link),
-            EventKind::TraceSample => self.handle_trace_sample(),
+            EventKind::ControllerTick { link } => {
+                self.stats.ticks += 1;
+                self.handle_controller_tick(link)
+            }
+            EventKind::TraceSample => {
+                self.stats.samples += 1;
+                self.handle_trace_sample()
+            }
         }
     }
 
@@ -582,32 +684,30 @@ impl EngineCore {
         shards.dedup();
         let now = self.now;
         for s in shards {
-            self.push_msg(s, now, MsgBody::Register(Box::new(info.clone())));
+            self.push_msg(s, now, now, MsgBody::Register(Box::new(info.clone())));
         }
     }
 
     fn handle_packet_at_node(&mut self, node: NodeId, slot: PacketSlot) {
-        let Some(packet) = self.pool.take(slot) else {
-            // Pool slot already consumed (should not happen); silently discard.
+        let Some(packet) = self.pool.get_mut(slot) else {
+            // Pool slot already vacated (should not happen); silently discard.
             return;
         };
-        let Some(info) = self
+        let delivered = match self
             .flows
             .get(packet.flow_slot)
             .and_then(|s| s.info.as_ref())
-        else {
-            // Flow record was dropped (should not happen); silently discard.
-            return;
-        };
-        let delivered = if packet.reverse {
-            node == info.spec.src
-        } else {
-            node == info.spec.dst
+        {
+            Some(info) if packet.reverse => node == info.spec.src,
+            Some(info) => node == info.spec.dst,
+            // Flow record was dropped (should not happen); `forward_packet` discards.
+            None => false,
         };
         if delivered {
+            let packet = self.pool.take(slot).expect("peeked above");
             self.deliver_packet(node, packet);
         } else {
-            self.forward_packet(node, packet);
+            self.forward_packet(node, slot);
         }
     }
 
@@ -635,51 +735,52 @@ impl EngineCore {
         self.apply_actions(actions);
     }
 
-    /// Push a packet onto its next link from `node`, running the link controller and
-    /// applying loss / tail-drop.
+    /// Put the pooled packet `slot` on its next link from `node`: run the link
+    /// controller, apply random loss and tail drop, and — the link being a departure
+    /// ledger — schedule its arrival at the far end straight away, created at the
+    /// instant its last bit leaves the link. The packet stays in its pool slot; every
+    /// path that does not re-schedule it (discard, drop, hand-off to another shard)
+    /// vacates the slot.
     ///
     /// This is the hottest function in the simulator; it performs no heap allocation,
-    /// no hash lookup and no reference-count traffic (the flow is resolved through the
-    /// slot stamped into the packet, and its path is read in place).
-    fn forward_packet(&mut self, node: NodeId, mut packet: Packet) {
+    /// no hash lookup, no reference-count traffic and no packet copy (the flow is
+    /// resolved through the slot stamped into the packet, its path is read in place,
+    /// and the controller rewrites the pooled packet).
+    fn forward_packet(&mut self, node: NodeId, slot: PacketSlot) {
+        let key = self.key;
+        let Some(packet) = self.pool.get_mut(slot) else {
+            return;
+        };
         let flow_slot = packet.flow_slot;
         let hop = packet.hop;
         // The two link ids this hop needs, copied out of the flow's shared path so no
-        // borrow of the flow table outlives this block.
-        let (next_link, controller_link) = {
-            let Some(info) = self.flows.get(flow_slot).and_then(|s| s.info.as_ref()) else {
-                return;
-            };
-            let links = &info.path.links;
-            let nlinks = links.len();
-            if hop >= nlinks {
-                // Mis-routed packet; drop defensively.
-                return;
-            }
-            if !packet.reverse {
-                (links[hop], Some(links[hop]))
-            } else {
-                // The switch owning forward link `links[nlinks - hop]` is `node` (for
-                // hop >= 1); hop == 0 means we are at the destination host.
-                let ctl = (hop >= 1).then(|| links[nlinks - hop]);
-                (self.network.reverse(links[nlinks - 1 - hop]), ctl)
-            }
+        // borrow of the flow table outlives them. An unknown flow or a hop beyond the
+        // path (a mis-routed packet) is discarded defensively.
+        let path = self.flows.get(flow_slot).and_then(|s| s.info.as_ref());
+        let Some(links) = path.map(|info| &info.path.links).filter(|l| hop < l.len()) else {
+            self.pool.take(slot);
+            return;
+        };
+        let nlinks = links.len();
+        let (next_link, controller_link) = if !packet.reverse {
+            (links[hop], Some(links[hop]))
+        } else {
+            // The switch owning forward link `links[nlinks - hop]` is `node` (for
+            // hop >= 1); hop == 0 means we are at the destination host.
+            let ctl = (hop >= 1).then(|| links[nlinks - hop]);
+            (self.network.reverse(links[nlinks - 1 - hop]), ctl)
         };
         debug_assert_eq!(self.network.link(next_link).src, node, "hop mismatch");
 
-        // Run the link controller (switch scheduling logic).
+        // Run the link controller (switch scheduling logic) on the settled link.
         if let Some(cl) = controller_link {
-            let Self {
-                controllers,
-                network,
-                ..
-            } = self;
-            if let Some(ctl) = controllers[cl.index()].as_mut() {
-                let link_ref = network.link(cl);
+            if let Some(ctl) = self.controllers[cl.index()].as_mut() {
+                let link = self.network.link_mut(cl);
+                link.settle(key);
                 if packet.reverse {
-                    ctl.on_reverse(&mut packet, self.now, link_ref);
+                    ctl.on_reverse(packet, self.now, link);
                 } else {
-                    ctl.on_forward(&mut packet, self.now, link_ref);
+                    ctl.on_forward(packet, self.now, link);
                 }
             }
         }
@@ -687,126 +788,70 @@ impl EngineCore {
         // Random loss injection. `Engine` links share this core's stream;
         // `PerLink` links (WAN long-hauls) each consume their own `(seed, link)`
         // stream so the draw sequence is invariant under the shard count.
-        let loss = self.network.link(next_link).loss_rate;
-        if loss > 0.0 {
-            let drop = match self.network.link(next_link).loss_stream {
-                LossStream::Engine => self.rng.gen::<f64>() < loss,
+        let link = self.network.link_mut(next_link);
+        let mut lost = false;
+        if link.loss_rate > 0.0 {
+            let draw = match link.loss_stream {
+                LossStream::Engine => self.rng.gen::<f64>(),
                 LossStream::PerLink => {
                     let seed = self.config.seed;
                     self.link_loss_rngs[next_link.index()]
                         .get_or_insert_with(|| link_loss_rng(seed, next_link))
                         .gen::<f64>()
-                        < loss
                 }
             };
-            if drop {
-                let l = self.network.link_mut(next_link);
-                l.stats.random_drops += 1;
-                if let Some(state) = self.flows.get_mut(flow_slot) {
-                    state.record.drops += 1;
-                }
-                return;
+            if draw < link.loss_rate {
+                link.stats.random_drops += 1;
+                lost = true;
             }
         }
 
-        // Tail-drop FIFO enqueue.
-        let now = self.now;
-        let wire = packet.wire_size as u64;
-        let link = self.network.link_mut(next_link);
-        if link.queue_bytes + wire > link.queue_capacity_bytes {
-            link.stats.tail_drops += 1;
+        // Tail-drop FIFO enqueue: an accepted packet's departure is known at once.
+        let depart = if lost {
+            None
+        } else {
+            link.enqueue(key, packet.wire_size)
+        };
+        let Some(depart) = depart else {
             if let Some(state) = self.flows.get_mut(flow_slot) {
                 state.record.drops += 1;
             }
+            self.pool.take(slot);
             return;
-        }
-        link.queue.push_back(packet);
-        link.queue_bytes += wire;
-        link.stats.max_queue_bytes = link.stats.max_queue_bytes.max(link.queue_bytes);
-        if !link.busy {
-            link.busy = true;
-            // The queue was empty before this push, so the packet we just enqueued is
-            // the one that starts serializing.
-            link.tx_time = link.transmission_time(wire);
-            self.events.schedule(
-                now + link.tx_time,
-                EventKind::TransmitDone { link: next_link },
-            );
-        }
-    }
-
-    fn handle_transmit_done(&mut self, link_id: LinkId) {
-        let now = self.now;
-        let (packet, next_tx) = {
-            let link = self.network.link_mut(link_id);
-            // Invariant: a TransmitDone is scheduled exactly when a packet starts
-            // serializing, so the queue must be non-empty here. A mis-sequenced
-            // controller action (or a future engine bug) must degrade, not crash:
-            // flag it in debug builds, recover by idling the link otherwise.
-            let Some(mut packet) = link.queue.pop_front() else {
-                debug_assert!(false, "TransmitDone on {link_id:?} with an empty queue");
-                link.busy = false;
-                return;
-            };
-            link.queue_bytes -= packet.wire_size as u64;
-            link.stats.bytes_transmitted += packet.wire_size as u64;
-            link.stats.packets_transmitted += 1;
-            link.stats.busy_time += link.tx_time;
-            packet.hop += 1;
-            let next_tx = if let Some(front) = link.queue.front() {
-                link.tx_time = link.transmission_time(front.wire_size as u64);
-                Some(link.tx_time)
-            } else {
-                link.busy = false;
-                None
-            };
-            (packet, next_tx)
         };
-        if let Some(tx) = next_tx {
-            self.events
-                .schedule(now + tx, EventKind::TransmitDone { link: link_id });
-        }
-        let link = self.network.link(link_id);
-        let arrive_at = now + link.prop_delay + self.config.processing_delay;
+        let arrive_at = depart + link.prop_delay + self.config.processing_delay;
         let dst = link.dst;
+        packet.hop += 1;
+        let (flow, tie) = (packet.flow, packet_tie(packet));
         if self.is_local(dst) {
-            let flow = packet.flow;
-            let tie = packet_tie(&packet);
-            let slot = self.pool.park(packet);
-            self.events.schedule(
-                arrive_at,
-                EventKind::PacketAtNode {
-                    node: dst,
-                    packet: slot,
-                    flow,
-                    tie,
-                },
-            );
+            // What a transmit-done event popping at `depart` would have scheduled.
+            let kind = EventKind::PacketAtNode {
+                node: dst,
+                packet: slot,
+                flow,
+                tie,
+            };
+            self.events.schedule_created(arrive_at, depart, kind);
         } else {
             // Boundary crossing: the conservative lookahead window is sized so that
             // `arrive_at` is at or past the receiver's next barrier.
             let to = self.shard_of[dst.index()];
-            self.push_msg(
-                to,
-                arrive_at,
-                MsgBody::Packet {
-                    node: dst,
-                    packet: Box::new(packet),
-                },
-            );
+            let packet = Box::new(self.pool.take(slot).expect("peeked above"));
+            self.push_msg(to, arrive_at, depart, MsgBody::Packet { node: dst, packet });
         }
     }
 
     fn handle_timer(&mut self, node: NodeId, flow: FlowId, kind: TimerKind, token: u64, gen: u32) {
         // Lazy cancellation: a timer from an older generation is dropped unfired.
-        match self.flows.slot_of(flow) {
-            Some(slot) => {
-                if self.flows.slots[slot as usize].timer_gen != gen {
-                    return;
-                }
-            }
-            None => return,
+        let live = self
+            .flows
+            .slot_of(flow)
+            .is_some_and(|slot| self.flows.slots[slot as usize].timer_gen == gen);
+        if !live {
+            self.stats.timers_dead += 1;
+            return;
         }
+        self.stats.timers_fired += 1;
         let actions = {
             let Self {
                 agents,
@@ -834,7 +879,9 @@ impl EngineCore {
             let Some(ctl) = controllers[link_id.index()].as_mut() else {
                 return;
             };
-            ctl.on_tick(self.now, network.link(link_id))
+            let link = network.link_mut(link_id);
+            link.settle(self.key);
+            ctl.on_tick(self.now, link)
         };
         if let Some(t) = next {
             assert!(t > self.now, "controller tick must advance time");
@@ -856,7 +903,8 @@ impl EngineCore {
             if !self.is_local(self.network.link(l).src) {
                 continue;
             }
-            let link = self.network.link(l);
+            let link = self.network.link_mut(l);
+            link.settle(self.key);
             let prev = self.link_bytes_at_last_sample[l.index()];
             let delta = link.stats.bytes_transmitted - prev;
             self.link_bytes_at_last_sample[l.index()] = link.stats.bytes_transmitted;
@@ -951,7 +999,8 @@ impl EngineCore {
                         info.spec.src
                     };
                     if self.is_local(origin) {
-                        self.forward_packet(origin, packet);
+                        let slot = self.pool.park(packet);
+                        self.forward_packet(origin, slot);
                     } else {
                         // An agent on this shard emitted a packet that enters the
                         // network on a host owned by another shard; hand it over
@@ -960,6 +1009,7 @@ impl EngineCore {
                         let at = self.now;
                         self.push_msg(
                             to,
+                            at,
                             at,
                             MsgBody::Packet {
                                 node: origin,
@@ -998,7 +1048,7 @@ impl EngineCore {
                         );
                     } else {
                         let to = self.shard_of[node.index()];
-                        self.push_msg(to, at, MsgBody::SetTimer { flow, kind, token });
+                        self.push_msg(to, at, self.now, MsgBody::SetTimer { flow, kind, token });
                     }
                 }
                 Action::FlowCompleted(flow) => self.finish_flow(flow, true),
@@ -1049,7 +1099,7 @@ impl EngineCore {
         } else {
             let to = self.shard_of[src.index()];
             let at = self.now;
-            self.push_msg(to, at, MsgBody::Finished { flow, completed });
+            self.push_msg(to, at, at, MsgBody::Finished { flow, completed });
         }
     }
 }

@@ -16,10 +16,12 @@
 //! # Structure: fine wheel, coarse wheel, far-future heap
 //!
 //! The queue is the hottest data structure in the simulator: every packet hop pushes
-//! and pops two [`Event`]s. Time is cut into fixed-width **fine buckets**; the engine
-//! sets the width to the smallest serialization time in the topology (a control
-//! packet on the fastest link — 448 ns at 1 Gbit/s), because that is the spacing of
-//! the events it generates itself. Three tiers hold the pending events:
+//! and pops one [`Event`], the packet's arrival at the next node (a link's FIFO
+//! server needs no event of its own — see the departure ledger in the `network`
+//! module). Time is cut into fixed-width **fine buckets**; the engine sets the width
+//! to the smallest serialization time in the topology (a control packet on the
+//! fastest link — 448 ns at 1 Gbit/s), because that is the spacing at which a busy
+//! link releases packets. Three tiers hold the pending events:
 //!
 //! * **Level 0 — the fine wheel.** [`WHEEL_SLOTS`] fine buckets covering exactly the
 //!   level-1 slot the clock is in. A push appends to the bucket's unsorted `Vec`.
@@ -68,10 +70,12 @@
 //! # Why events are small
 //!
 //! [`EventKind`] never carries a large payload inline — a flow arrival boxes its
-//! `FlowSpec` (one allocation per *flow*) and an in-flight packet is parked in the
-//! engine's recycled packet pool and referenced by a [`PacketSlot`] (no allocation per
-//! *hop* in steady state). This keeps `size_of::<Event>()` at 64 bytes, so bucket
-//! sorts and in-run insertions move little memory.
+//! `FlowSpec` (one allocation per *flow*) and a packet lives in the engine's recycled
+//! packet pool from the moment it is sent until it is delivered or dropped, referenced
+//! by a [`PacketSlot`] (no allocation and no copy per *hop*). This keeps
+//! `size_of::<Event>()` at 64 bytes, so bucket sorts and in-run insertions move little
+//! memory — and a packet waiting in a link's queue costs one such event, not a queue
+//! entry holding the packet.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -96,10 +100,10 @@ pub enum TimerKind {
     Custom(u8),
 }
 
-/// A handle to an in-flight packet parked in the engine's packet pool while it waits
-/// for its propagation/processing delay to elapse. Pool slots are recycled, so packet
-/// hops allocate nothing in steady state; the slot is only meaningful to the engine
-/// that issued it.
+/// A handle to a packet in the engine's packet pool, where it stays from the moment
+/// it is sent until it is delivered, dropped or handed to another shard. Pool slots
+/// are recycled, so packet hops allocate nothing in steady state; the slot is only
+/// meaningful to the engine that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketSlot(pub u32);
 
@@ -124,7 +128,11 @@ pub enum EventKind {
         /// before it is parked.
         tie: u64,
     },
-    /// The packet currently being serialized on `link` has been fully transmitted.
+    /// The packet being serialized on `link` has been fully transmitted. The engine
+    /// never schedules this: a link keeps its departures in a ledger and retires them
+    /// against the key of the event being dispatched, exactly where this event would
+    /// have popped. The variant remains as that virtual event's place in the order
+    /// (class rank 2, owner = link id) and for queue models built outside the engine.
     TransmitDone {
         /// The transmitting link.
         link: LinkId,
@@ -173,7 +181,7 @@ impl EventKind {
         match self {
             EventKind::FlowArrival(_) => 0,
             EventKind::PacketAtNode { .. } => 1,
-            EventKind::TransmitDone { .. } => 2,
+            EventKind::TransmitDone { .. } => EventKey::TRANSMIT_DONE_RANK,
             EventKind::Timer { .. } => 3,
             EventKind::ControllerTick { .. } => 4,
             EventKind::TraceSample => 5,
@@ -246,6 +254,63 @@ impl Event {
             seq,
             subkey: kind.subkey(),
             kind,
+        }
+    }
+}
+
+/// The content part of an event's order — everything but the queue-assigned `seq`:
+/// `(at, created, class rank, owner, subkey)`, compared in that order.
+///
+/// The engine hands the key of the event it is dispatching to each link it touches,
+/// which retires every departure whose *virtual* [`EventKind::TransmitDone`] — the
+/// event a link server would have scheduled — orders before it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct EventKey {
+    pub(crate) at: SimTime,
+    pub(crate) created: SimTime,
+    pub(crate) class: u8,
+    pub(crate) owner: u64,
+    pub(crate) subkey: u64,
+}
+
+impl EventKey {
+    /// Class rank of [`EventKind::TransmitDone`].
+    pub(crate) const TRANSMIT_DONE_RANK: u8 = 2;
+
+    /// The key below every event firing at or after `t`: what a drain of all events
+    /// strictly before `t` has passed.
+    pub(crate) fn start_of(t: SimTime) -> Self {
+        EventKey {
+            at: t,
+            created: SimTime::ZERO,
+            class: 0,
+            owner: 0,
+            subkey: 0,
+        }
+    }
+
+    /// The key `link`'s transmit completion at `depart`, scheduled at `created`,
+    /// would have had.
+    pub(crate) fn transmit_done(depart: SimTime, created: SimTime, link: LinkId) -> Self {
+        EventKey {
+            at: depart,
+            created,
+            class: Self::TRANSMIT_DONE_RANK,
+            owner: link.0 as u64,
+            subkey: 0,
+        }
+    }
+}
+
+impl Event {
+    /// This event's content key.
+    pub(crate) fn key(&self) -> EventKey {
+        EventKey {
+            at: self.at,
+            created: self.created,
+            class: self.kind.class_rank(),
+            owner: self.kind.owner(),
+            subkey: self.subkey,
         }
     }
 }
@@ -708,6 +773,17 @@ mod tests {
             .map(|e| e.kind.class_rank())
             .collect();
         assert_eq!(ranks, vec![2, 3, 6]);
+    }
+
+    #[test]
+    fn a_links_virtual_departure_key_is_its_transmit_done_events_key() {
+        // The ledger retires departures against this key; it must stay the key a
+        // scheduled TransmitDone would have carried (class rank 2, owner = link id).
+        let (at, created) = (SimTime::from_micros(9), SimTime::from_micros(4));
+        let ev = Event::new(at, created, 0, EventKind::TransmitDone { link: LinkId(7) });
+        assert_eq!(ev.key(), EventKey::transmit_done(at, created, LinkId(7)));
+        assert!(EventKey::start_of(at) < ev.key());
+        assert!(ev.key() < EventKey::start_of(at + SimTime::from_nanos(1)));
     }
 
     #[test]

@@ -85,9 +85,12 @@ pub mod packet;
 pub mod shard;
 pub mod time;
 
+#[cfg(test)]
+mod ledger_diff;
+
 pub use agent::{Action, Ctx, FlowInfo, HostAgent};
 pub use controller::{LinkController, NullController};
-pub use engine::{Router, ShortestPathRouter, SimConfig, Simulator};
+pub use engine::{EngineStats, Router, ShortestPathRouter, SimConfig, Simulator};
 pub use event::{EventKind, EventQueue, QueueStats, TimerKind};
 pub use flow::{CoflowTag, FlowOutcome, FlowPath, FlowRecord, FlowSpec};
 pub use ids::{CoflowId, FlowId, LinkId, NodeId};

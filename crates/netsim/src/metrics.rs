@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use crate::engine::EngineStats;
 use crate::event::QueueStats;
 use crate::flow::{FlowOutcome, FlowRecord};
 use crate::ids::{FlowId, LinkId};
@@ -72,6 +73,10 @@ pub struct SimResults {
     /// Event-scheduler telemetry (summed across shards in a partitioned run; the
     /// peak is the sum of per-shard peaks, an upper bound on the global peak).
     pub queue: QueueStats,
+    /// What the popped events were, by class, and the packet pool's high-water mark
+    /// (summed across shards like `queue`). Telemetry: never part of a fingerprint or
+    /// a cache record.
+    pub engine: EngineStats,
     /// Simulated time at which the run stopped: the last flow's finish (or an
     /// unroutable flow's arrival, if that settled the run) when it stopped because
     /// every flow was done — `ZERO` for a run without flows, at every shard count —
@@ -206,6 +211,7 @@ mod tests {
             link_stats: Vec::new(),
             traces: Traces::default(),
             queue: QueueStats::default(),
+            engine: EngineStats::default(),
             end_time: SimTime::from_millis(100),
         }
     }

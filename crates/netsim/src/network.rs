@@ -6,11 +6,25 @@
 //! data-center switches), a line rate (default 1 Gbps) and a propagation delay
 //! (default 0.1 µs). A per-hop processing delay (default 25 µs) is charged when a
 //! packet is received by a node.
+//!
+//! # Links are departure ledgers
+//!
+//! A FIFO server needs no event of its own: packet *k* leaves at
+//! `max(arrival_k, departure_{k-1}) + tx_k`, known the moment the packet is accepted.
+//! So a [`Link`] stores no packets and runs no transmit-completion events. It keeps
+//! one small ledger entry per accepted packet — when its serialization starts and
+//! ends, and its wire size — and the engine schedules the packet's arrival at the
+//! next node right away. Occupancy and counters stay exact because the engine
+//! *settles* a link before looking at it: every entry whose virtual
+//! [`EventKind::TransmitDone`](crate::event::EventKind::TransmitDone) event — the one
+//! an explicit link server would have scheduled — orders before the event being
+//! dispatched is retired, bytes and busy time credited, exactly as if that event had
+//! popped.
 
 use std::collections::VecDeque;
 
+use crate::event::EventKey;
 use crate::ids::{LinkId, NodeId};
-use crate::packet::Packet;
 use crate::time::SimTime;
 
 /// Default link rate: 1 Gbps (paper §5.1).
@@ -79,6 +93,19 @@ pub struct LinkStats {
     pub max_queue_bytes: u64,
 }
 
+/// One accepted packet in a link's ledger.
+#[derive(Clone, Copy, Debug)]
+struct Departure {
+    /// When the packet's last bit leaves the link.
+    depart: SimTime,
+    /// When its serialization starts: the instant it was accepted on an idle link,
+    /// the previous packet's departure on a busy one. This is also when an explicit
+    /// link server would have scheduled the packet's transmit-done event.
+    start: SimTime,
+    /// Wire bytes.
+    wire: u32,
+}
+
 /// A unidirectional link with its egress FIFO tail-drop queue.
 #[derive(Clone, Debug)]
 pub struct Link {
@@ -101,15 +128,12 @@ pub struct Link {
     pub loss_stream: LossStream,
     /// The id of the link in the opposite direction.
     pub reverse: LinkId,
-    /// FIFO egress queue (packets waiting behind the one being serialized).
-    pub queue: VecDeque<Packet>,
-    /// Bytes currently waiting in `queue`.
+    /// Bytes the link has accepted and not finished serializing: the packets waiting
+    /// in the FIFO *and* the one on the wire, which counts until its last bit has
+    /// left. See [`Link::queue_bytes`].
     pub queue_bytes: u64,
-    /// True while a packet is being serialized onto the wire.
-    pub busy: bool,
-    /// Serialization time of the packet on the wire (meaningful while `busy`): set
-    /// when it starts transmitting, charged to `stats.busy_time` when it is done.
-    pub tx_time: SimTime,
+    /// The FIFO, oldest first: one entry per packet counted in `queue_bytes`.
+    ledger: VecDeque<Departure>,
     /// Counters.
     pub stats: LinkStats,
 }
@@ -120,9 +144,82 @@ impl Link {
         SimTime::transmission_time(bytes, self.rate_bps)
     }
 
-    /// Instantaneous queue occupancy in bytes (excluding the packet on the wire).
+    /// Instantaneous queue occupancy in bytes, **including** the packet on the wire
+    /// (it counts until it is fully serialized). This is what the tail-drop check
+    /// compares with the capacity and what the PDQ, RCP and D3 rate controllers drain.
+    ///
+    /// The engine settles a link — retires every packet whose serialization has
+    /// completed by the event being dispatched — before each [`crate::LinkController`]
+    /// callback that is handed the link and before a trace sample reads it, so the
+    /// value is current wherever it can be observed during a run.
     pub fn queue_bytes(&self) -> u64 {
         self.queue_bytes
+    }
+
+    /// Retire every departure whose virtual transmit-done event orders before `bound`
+    /// (the key of the event being dispatched, or the point a finished run stopped
+    /// at), crediting its bytes and serialization time to the counters.
+    pub(crate) fn settle(&mut self, bound: EventKey) {
+        while let Some(d) = self.ledger.front() {
+            if EventKey::transmit_done(d.depart, d.start, self.id) >= bound {
+                break;
+            }
+            self.queue_bytes -= d.wire as u64;
+            self.stats.bytes_transmitted += d.wire as u64;
+            self.stats.packets_transmitted += 1;
+            self.stats.busy_time += d.depart - d.start;
+            self.ledger.pop_front();
+        }
+        self.debug_check();
+    }
+
+    /// Offer a packet of `wire` bytes to the link during the event with key `now`.
+    /// Returns when its last bit leaves — it starts serializing at once on an idle
+    /// link, behind the last accepted packet otherwise — or `None`, counting a tail
+    /// drop, if the queue has no room for it.
+    pub(crate) fn enqueue(&mut self, now: EventKey, wire: u32) -> Option<SimTime> {
+        self.settle(now);
+        if self.queue_bytes + wire as u64 > self.queue_capacity_bytes {
+            self.stats.tail_drops += 1;
+            return None;
+        }
+        // A departure that `settle` left behind has not happened yet in event order,
+        // even if its time is `now.at`: the link is still busy with it.
+        let start = self.ledger.back().map_or(now.at, |d| d.depart);
+        let tx = self.transmission_time(wire as u64);
+        let depart = start + tx;
+        debug_assert!(
+            start >= now.at && (depart > start || tx == SimTime::ZERO),
+            "{:?}: departure {depart:?} does not follow {start:?} at {:?}",
+            self.id,
+            now.at
+        );
+        self.ledger.push_back(Departure {
+            depart,
+            start,
+            wire,
+        });
+        self.queue_bytes += wire as u64;
+        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
+        self.debug_check();
+        Some(depart)
+    }
+
+    /// Debug builds: the ledger accounts for exactly the queued bytes, within capacity.
+    fn debug_check(&self) {
+        debug_assert_eq!(
+            self.queue_bytes,
+            self.ledger.iter().map(|d| d.wire as u64).sum::<u64>(),
+            "{:?}: queue_bytes out of step with the ledger",
+            self.id
+        );
+        debug_assert!(
+            self.queue_bytes <= self.queue_capacity_bytes,
+            "{:?}: {} bytes queued, capacity {}",
+            self.id,
+            self.queue_bytes,
+            self.queue_capacity_bytes
+        );
     }
 }
 
@@ -224,10 +321,8 @@ impl Network {
             loss_rate: params.loss_rate,
             loss_stream: params.loss_stream,
             reverse: ba,
-            queue: VecDeque::new(),
             queue_bytes: 0,
-            busy: false,
-            tx_time: SimTime::ZERO,
+            ledger: VecDeque::new(),
             stats: LinkStats::default(),
         });
         self.links.push(Link {
@@ -240,10 +335,8 @@ impl Network {
             loss_rate: params.loss_rate,
             loss_stream: params.loss_stream,
             reverse: ab,
-            queue: VecDeque::new(),
             queue_bytes: 0,
-            busy: false,
-            tx_time: SimTime::ZERO,
+            ledger: VecDeque::new(),
             stats: LinkStats::default(),
         });
         self.adjacency[a.index()].push(ab);
@@ -350,10 +443,8 @@ impl Network {
     /// reused for another simulation run.
     pub fn reset_runtime_state(&mut self) {
         for l in &mut self.links {
-            l.queue.clear();
+            l.ledger.clear();
             l.queue_bytes = 0;
-            l.busy = false;
-            l.tx_time = SimTime::ZERO;
             l.stats = LinkStats::default();
         }
     }
@@ -439,12 +530,59 @@ mod tests {
     #[test]
     fn reset_clears_runtime_state() {
         let (mut net, _) = line_network();
-        net.link_mut(LinkId(0)).queue_bytes = 100;
-        net.link_mut(LinkId(0)).busy = true;
-        net.link_mut(LinkId(0)).stats.tail_drops = 3;
+        let link = net.link_mut(LinkId(0));
+        assert!(link
+            .enqueue(EventKey::start_of(SimTime::ZERO), 1500)
+            .is_some());
+        link.stats.tail_drops = 3;
         net.reset_runtime_state();
-        assert_eq!(net.link(LinkId(0)).queue_bytes, 0);
-        assert!(!net.link(LinkId(0)).busy);
-        assert_eq!(net.link(LinkId(0)).stats.tail_drops, 0);
+        let link = net.link_mut(LinkId(0));
+        assert_eq!(link.queue_bytes, 0);
+        assert!(link.ledger.is_empty());
+        assert_eq!(link.stats.tail_drops, 0);
+        // Idle again: the next packet starts serializing the moment it is accepted.
+        let at = SimTime::from_micros(1);
+        let tx = link.transmission_time(1500);
+        assert_eq!(link.enqueue(EventKey::start_of(at), 1500), Some(at + tx));
+    }
+
+    #[test]
+    fn ledger_retires_departures_in_event_key_order() {
+        let (mut net, _) = line_network();
+        let link = net.link_mut(LinkId(0));
+        let us = SimTime::from_micros;
+        // Two back-to-back MTUs accepted at t = 0: departures at 12 and 24 µs.
+        assert_eq!(link.enqueue(EventKey::start_of(us(0)), 1500), Some(us(12)));
+        assert_eq!(link.enqueue(EventKey::start_of(us(0)), 1500), Some(us(24)));
+        assert_eq!(link.queue_bytes(), 3000);
+        // A packet arrival (class 1) at the instant of the first departure still
+        // sees it queued; a timer (class 3) created no earlier than it sees it gone.
+        let at_12 = |class, created| EventKey {
+            class,
+            created,
+            ..EventKey::start_of(us(12))
+        };
+        link.settle(at_12(1, us(0)));
+        assert_eq!(link.queue_bytes(), 3000);
+        link.settle(at_12(3, us(0)));
+        assert_eq!(link.queue_bytes(), 1500);
+        // The second departure was "scheduled" at 12 µs: an event at 24 µs created
+        // before that goes first whatever its class.
+        let at_24 = |class, created| EventKey {
+            class,
+            created,
+            ..EventKey::start_of(us(24))
+        };
+        link.settle(at_24(3, us(11)));
+        assert_eq!(link.queue_bytes(), 1500);
+        // Still busy at the very instant its last departure is due: the next packet
+        // queues behind it.
+        assert_eq!(link.enqueue(at_24(3, us(11)), 1500), Some(us(36)));
+        link.settle(EventKey::start_of(SimTime::MAX));
+        assert_eq!(link.queue_bytes(), 0);
+        assert_eq!(link.stats.packets_transmitted, 3);
+        assert_eq!(link.stats.bytes_transmitted, 4500);
+        assert_eq!(link.stats.busy_time, us(36));
+        assert_eq!(link.stats.max_queue_bytes, 3000);
     }
 }

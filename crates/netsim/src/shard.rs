@@ -11,9 +11,11 @@
 //! 1. every shard publishes the time of its earliest pending event;
 //! 2. all shards compute the same global minimum `T` and process every local event in
 //!    `[T, T + L)`, where the lookahead `L` is the minimum cross-shard link latency
-//!    (propagation + per-hop processing). A packet crossing a shard boundary at time
-//!    `t ≥ T` arrives at `t + prop + processing ≥ T + L`, i.e. strictly after the
-//!    window — so no shard can ever receive an event for a time it has already passed;
+//!    (propagation + per-hop processing). A packet accepted by a boundary link at time
+//!    `t ≥ T` is handed over at once, for the instant it arrives — its departure from
+//!    the link (no earlier than `t`) `+ prop + processing ≥ T + L`, i.e. strictly after
+//!    the window — so no shard can ever receive an event for a time it has already
+//!    passed;
 //! 3. boundary messages (packets, flow registrations, completion notices) are
 //!    exchanged, ingested in a deterministic order, and the next window begins.
 //!
@@ -360,6 +362,14 @@ impl Simulator {
     where
         F: FnMut(u32) -> Box<dyn Router + Send>,
     {
+        merge_results(self.run_cores(assignment, make_router))
+    }
+
+    /// [`Simulator::run_sharded`] up to the merge: the cores as the run left them.
+    fn run_cores<F>(self, assignment: &ShardAssignment, make_router: F) -> Vec<EngineCore>
+    where
+        F: FnMut(u32) -> Box<dyn Router + Send>,
+    {
         assert_eq!(
             assignment.node_count(),
             self.core.network.node_count(),
@@ -381,7 +391,7 @@ impl Simulator {
             core.setup();
         }
         run_barrier_loop(&mut cores, lookahead);
-        merge_results(cores)
+        cores
     }
 }
 
@@ -499,20 +509,28 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
 /// Fold the cores' state into one [`SimResults`], deterministically, moving records
 /// and traces out of them.
 ///
-/// * link counters come from the shard owning each link's source (its only writer);
+/// * link counters come from the shard owning each link's source (its only writer),
+///   settled up to the point that core stopped at — every departure an explicit
+///   transmit-done event would have completed by then is credited;
 /// * flow records are merged home-record-then-replicas with earliest-finish-wins,
 ///   summed drops and max delivered bytes (delivery happens on one shard only);
 /// * traces are a disjoint union (each series is sampled by exactly one shard), except
 ///   the per-core queue depth, which is interleaved by time;
 /// * the end time is the instant the last flow settled when the run stopped because
 ///   all flows finished, the latest core clock otherwise.
-fn merge_results(cores: Vec<EngineCore>) -> SimResults {
+fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
     // What the workers' last decision saw: nothing live means the run stopped because
     // every flow was done (the cores have not moved since).
     let flows_done = cores[0].config.stop_when_flows_done
         && cores
             .iter()
             .all(|c| c.unfinished_flows + c.pending_arrivals == 0);
+    for core in &mut cores {
+        let bound = core.key;
+        for link in &mut core.network.links {
+            link.settle(bound);
+        }
+    }
     let link_stats: Vec<_> = cores[0]
         .network
         .links
@@ -526,8 +544,18 @@ fn merge_results(cores: Vec<EngineCore>) -> SimResults {
 
     let mut max_now = SimTime::ZERO;
     let mut queue = crate::event::QueueStats::default();
+    let mut engine = crate::engine::EngineStats::default();
     for core in &cores {
         max_now = max_now.max(core.now);
+        let e = core.stats;
+        engine.arrivals += e.arrivals;
+        engine.packets += e.packets;
+        engine.timers_fired += e.timers_fired;
+        engine.timers_dead += e.timers_dead;
+        engine.ticks += e.ticks;
+        engine.samples += e.samples;
+        // Like `peak_pending`: per-shard peaks, summed to an upper bound.
+        engine.pool_high_water += core.pool.high_water();
         let s = core.events.stats();
         queue.pushes += s.pushes;
         queue.pops += s.pops;
@@ -609,6 +637,7 @@ fn merge_results(cores: Vec<EngineCore>) -> SimResults {
         link_stats,
         traces,
         queue,
+        engine,
         end_time,
     }
 }
@@ -803,6 +832,43 @@ mod tests {
         for series in res.traces.link_utilization.values() {
             for pair in series.windows(2) {
                 assert!(pair[0].at < pair[1].at, "duplicate or unsorted samples");
+            }
+        }
+    }
+
+    /// Pool-leak gate. Packets leave the network by delivery, random loss, tail drop
+    /// and — on two shards — by being boxed for the peer; once a run has drained its
+    /// event queue, each of those paths must have vacated the packet's pool slot.
+    #[test]
+    fn a_drained_run_leaves_every_pool_slot_free() {
+        for assignment in [ShardAssignment::single(5), dumbbell_assignment()] {
+            let mut net = dumbbell();
+            for link in &mut net.links {
+                link.queue_capacity_bytes = 20_000;
+                link.loss_rate = 0.05;
+            }
+            let hosts = net.hosts();
+            let mut sim = blast_sim(net);
+            // Lost packets are never repaired, so the flows never finish: the run ends
+            // at the hard stop, long after the last packet has left the network.
+            sim.core.config.max_sim_time = SimTime::from_millis(50);
+            sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 300_000));
+            sim.add_flow(FlowSpec::new(2, hosts[1], hosts[2], 300_000));
+            let cores = sim.run_cores(&assignment, |_| Box::new(crate::engine::ShortestPathRouter));
+            let shards = cores.len();
+            let sum = |count: fn(&crate::network::LinkStats) -> u64| -> u64 {
+                let stats = cores.iter().flat_map(|c| &c.network.links);
+                stats.map(|l| count(&l.stats)).sum()
+            };
+            assert!(sum(|s| s.tail_drops) > 0, "{shards} shard(s): no tail drop");
+            assert!(
+                sum(|s| s.random_drops) > 0,
+                "{shards} shard(s): no random loss"
+            );
+            for core in &cores {
+                assert!(core.stopped && core.events.is_empty(), "not drained");
+                assert!(core.pool.high_water() > 0, "{shards} shard(s): pool unused");
+                assert_eq!(core.pool.live(), 0, "{shards} shard(s): leaked pool slots");
             }
         }
     }

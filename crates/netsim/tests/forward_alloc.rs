@@ -2,8 +2,8 @@
 //!
 //! The engine's contract (ISSUE 2 tentpole): forwarding a packet hop by hop performs
 //! **zero heap allocations per hop** in steady state — flow state is resolved through
-//! dense slabs, the path is shared via `Arc`, in-flight packets are parked in a
-//! recycled pool, and link queues / the event heap only reallocate on (amortized,
+//! dense slabs, the path is shared via `Arc`, packets live in a recycled pool from
+//! send to delivery, and link ledgers / event buckets only reallocate on (amortized,
 //! logarithmic) capacity growth.
 //!
 //! The test pins that property with a counting global allocator: running the same
@@ -119,9 +119,9 @@ fn allocs_for(switches: usize, packets: u64) -> u64 {
 
 /// Zero allocations per hop: stretching the path from 2 to 12 switches adds
 /// `10 extra hops × 200 packets × 2 directions = 4000` hop traversals (each a
-/// link enqueue, a TransmitDone and a PacketAtNode event). If any of those allocated
+/// ledger entry on the link and a PacketAtNode event). If any of those allocated
 /// even once per hop, the allocation delta would be ≥ 4000; container capacity growth
-/// (event heap, link queues, packet pool — all amortized) stays orders of magnitude
+/// (event buckets, link ledgers, packet pool — all amortized) stays orders of magnitude
 /// below that.
 #[test]
 fn forwarding_does_not_allocate_per_hop() {

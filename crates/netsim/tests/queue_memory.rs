@@ -9,9 +9,10 @@
 //!
 //! The test pins that with a live-byte-counting global allocator and no wall clock:
 //! 400 window-limited flows arriving within 1 ms on a 16-host fat-tree keep every NIC
-//! busy for 45 simulated milliseconds (0.4 M events, under 500 pending at any time),
-//! and the run's peak live heap must stay under a bound a per-slot high-water queue
-//! exceeds several times over (0.9 MB with the two-level wheel, 13.8 MB before it).
+//! busy for 45 simulated milliseconds (0.2 M events — one per packet hop — and about
+//! 800 pending at any time), and the run's peak live heap must stay under a bound a
+//! per-slot high-water queue exceeds ten times over (0.75 MB with the two-level wheel
+//! and ledger links, 13.8 MB with the single-level wheel).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
@@ -170,11 +171,11 @@ fn overloaded_run_holds_memory_for_pending_events_not_for_wheel_slots() {
         res.end_time.as_secs_f64() * 1e3
     );
     assert!(
-        queue.pops > 300_000 && queue.peak_pending < 10_000,
+        queue.pops > 150_000 && queue.peak_pending < 10_000,
         "not the run this gate was sized for: {queue:?}"
     );
     assert!(
-        peak < 2_000_000,
+        peak < 1_200_000,
         "peak live heap inside the run was {peak} bytes for {} pending events",
         queue.peak_pending
     );
