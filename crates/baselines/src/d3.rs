@@ -12,9 +12,7 @@
 //! (their fix to the published algorithm) and the rate-adaptation constants are
 //! α = 0.1, β = 1.
 
-use std::collections::HashMap;
-
-use pdq_netsim::{FlowId, Link, LinkController, Packet, PacketKind, SimTime};
+use pdq_netsim::{FlowId, FlowMap, Link, LinkController, Packet, PacketKind, SimTime};
 
 /// Parameters for the D3 controller.
 #[derive(Clone, Debug)]
@@ -57,7 +55,7 @@ pub struct D3SwitchController {
     /// Capacity available to new allocations after the rate-adaptation correction.
     effective_capacity: f64,
     rtt_avg: f64,
-    allocations: HashMap<FlowId, Allocation>,
+    allocations: FlowMap<Allocation>,
     allocated_sum: f64,
     /// Bytes transmitted at the last tick (to measure utilization for rate adaptation).
     last_bytes_transmitted: u64,
@@ -72,7 +70,7 @@ impl D3SwitchController {
             capacity: 0.0,
             effective_capacity: 0.0,
             rtt_avg: rtt,
-            allocations: HashMap::new(),
+            allocations: FlowMap::default(),
             allocated_sum: 0.0,
             last_bytes_transmitted: 0,
         }

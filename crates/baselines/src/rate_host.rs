@@ -4,11 +4,9 @@
 //! header; they differ only in which header fields carry the grant and in what the
 //! sender requests (D3 deadline flows ask for `remaining_size / time_to_deadline`).
 
-use std::collections::HashMap;
-
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind, SimTime,
-    TimerKind, MSS_BYTES,
+    Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
+    SimTime, TimerKind, MSS_BYTES,
 };
 
 use crate::receiver::EchoReceiver;
@@ -350,8 +348,8 @@ pub struct RateHostAgent {
     mode: RateMode,
     min_rto: SimTime,
     pacer: Option<PacerConfig>,
-    senders: HashMap<FlowId, RateSender>,
-    receivers: HashMap<FlowId, EchoReceiver>,
+    senders: FlowMap<RateSender>,
+    receivers: FlowMap<EchoReceiver>,
 }
 
 impl RateHostAgent {
@@ -361,8 +359,8 @@ impl RateHostAgent {
             mode,
             min_rto: SimTime::from_millis(2),
             pacer: None,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
+            senders: FlowMap::default(),
+            receivers: FlowMap::default(),
         }
     }
 
@@ -415,7 +413,7 @@ mod tests {
     use super::*;
     use pdq_netsim::{Action, FlowPath, FlowSpec, LinkId, SchedulingHeader};
 
-    fn info(size: u64, deadline: Option<SimTime>) -> (HashMap<FlowId, FlowInfo>, FlowInfo) {
+    fn info(size: u64, deadline: Option<SimTime>) -> (FlowMap<FlowInfo>, FlowInfo) {
         let mut spec = FlowSpec::new(1, NodeId(0), NodeId(2), size);
         if let Some(d) = deadline {
             spec = spec.with_deadline(d);
@@ -431,7 +429,7 @@ mod tests {
             nic_rate_bps: 1e9,
             base_rtt: SimTime::from_micros(150),
         };
-        let mut m = HashMap::new();
+        let mut m = FlowMap::default();
         m.insert(FlowId(1), fi.clone());
         (m, fi)
     }

@@ -5,9 +5,7 @@
 //! `C_effective / N` instead of being estimated from aggregate arrival rates. This is
 //! also exactly what D3 degenerates to when no flow has a deadline.
 
-use std::collections::HashMap;
-
-use pdq_netsim::{FlowId, Link, LinkController, Packet, PacketKind, SimTime};
+use pdq_netsim::{FlowMap, Link, LinkController, Packet, PacketKind, SimTime};
 
 /// Parameters for the RCP controller.
 #[derive(Clone, Debug)]
@@ -38,7 +36,7 @@ pub struct RcpSwitchController {
     fair_rate: f64,
     rtt_avg: f64,
     /// Active flows and when each was last seen.
-    flows: HashMap<FlowId, SimTime>,
+    flows: FlowMap<SimTime>,
 }
 
 impl RcpSwitchController {
@@ -50,7 +48,7 @@ impl RcpSwitchController {
             capacity: 0.0,
             fair_rate: 0.0,
             rtt_avg: rtt,
-            flows: HashMap::new(),
+            flows: FlowMap::default(),
         }
     }
 
@@ -128,7 +126,7 @@ impl LinkController for RcpSwitchController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{LinkParams, Network, NodeId, SchedulingHeader};
+    use pdq_netsim::{FlowId, LinkParams, Network, NodeId, SchedulingHeader};
 
     fn setup() -> (Network, pdq_netsim::LinkId, RcpSwitchController) {
         let mut net = Network::new();

@@ -5,11 +5,9 @@
 //! floor (to alleviate the incast problem, as suggested by Vasudevan et al. and done in
 //! the PDQ paper's TCP baseline). Switches need no controller: plain FIFO tail-drop.
 
-use std::collections::HashMap;
-
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind, SimTime,
-    TimerKind, MSS_BYTES,
+    Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
+    SimTime, TimerKind, MSS_BYTES,
 };
 
 use crate::receiver::EchoReceiver;
@@ -298,8 +296,8 @@ impl TcpSender {
 /// [`EchoReceiver`] per terminating flow.
 pub struct TcpHostAgent {
     params: TcpParams,
-    senders: HashMap<FlowId, TcpSender>,
-    receivers: HashMap<FlowId, EchoReceiver>,
+    senders: FlowMap<TcpSender>,
+    receivers: FlowMap<EchoReceiver>,
 }
 
 impl TcpHostAgent {
@@ -307,8 +305,8 @@ impl TcpHostAgent {
     pub fn new(params: TcpParams) -> Self {
         TcpHostAgent {
             params,
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
+            senders: FlowMap::default(),
+            receivers: FlowMap::default(),
         }
     }
 }
@@ -351,7 +349,7 @@ mod tests {
     use super::*;
     use pdq_netsim::{Action, FlowPath, FlowSpec, LinkId};
 
-    fn info(size: u64) -> (HashMap<FlowId, FlowInfo>, FlowInfo) {
+    fn info(size: u64) -> (FlowMap<FlowInfo>, FlowInfo) {
         let fi = FlowInfo {
             spec: FlowSpec::new(1, NodeId(0), NodeId(2), size),
             path: FlowPath::new(
@@ -363,7 +361,7 @@ mod tests {
             nic_rate_bps: 1e9,
             base_rtt: SimTime::from_micros(150),
         };
-        let mut m = HashMap::new();
+        let mut m = FlowMap::default();
         m.insert(FlowId(1), fi.clone());
         (m, fi)
     }

@@ -8,6 +8,7 @@
 //! engine and makes protocols unit-testable without a network.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crate::event::TimerKind;
@@ -19,9 +20,10 @@ use crate::time::SimTime;
 /// Everything an agent may want to know about a flow when it starts (and later via
 /// [`Ctx::flow`]).
 ///
-/// The path is behind an [`Arc`]: the engine and every agent share one immutable
-/// `FlowPath` per flow, so handing a `FlowInfo` around (and forwarding a packet along
-/// its path) never deep-copies the node/link vectors. Agents must treat the path as
+/// The path is behind an [`Arc`]: the engine, its shard replicas and every agent share
+/// one immutable `FlowPath` per flow, so handing a `FlowInfo` around never deep-copies
+/// the node/link vectors. (Forwarding does not read it: the engine copies the links
+/// into its route arena when the flow arrives.) Agents must treat the path as
 /// read-only; re-routing a flow means injecting a new flow (e.g. an M-PDQ subflow).
 #[derive(Clone, Debug)]
 pub struct FlowInfo {
@@ -71,14 +73,14 @@ pub enum Action {
 /// Read-only lookup of per-flow routing/size information.
 ///
 /// The engine implements this on its dense flow slab; protocol unit tests implement it
-/// for free via the blanket impl on `HashMap<FlowId, FlowInfo>`, so a test can hand
-/// [`Ctx::new`] a plain map.
+/// for free via the blanket impl on `HashMap<FlowId, FlowInfo, _>`, so a test can hand
+/// [`Ctx::new`] a plain map (or a [`FlowMap`](crate::ids::FlowMap)).
 pub trait FlowLookup {
     /// The routing/size information of a flow, if the flow is known.
     fn flow_info(&self, id: FlowId) -> Option<&FlowInfo>;
 }
 
-impl FlowLookup for HashMap<FlowId, FlowInfo> {
+impl<S: BuildHasher> FlowLookup for HashMap<FlowId, FlowInfo, S> {
     fn flow_info(&self, id: FlowId) -> Option<&FlowInfo> {
         self.get(&id)
     }

@@ -19,26 +19,36 @@
 //! [`Simulator::run`] is its N = 1 case — one core, one window, the caller's thread.
 //! Either way a run is fully deterministic for a fixed seed.
 //!
-//! # Hot-path layout (id slabs, shared paths, pooled packets, ledger links)
+//! # Hot-path layout (id slabs, route arena, pooled packets, ledger links)
 //!
 //! All engine state is held in dense, id-indexed slabs rather than hash maps:
 //!
 //! * **agents** — `Vec<Option<Box<dyn HostAgent + Send>>>` indexed by [`NodeId`];
 //! * **controllers** — `Vec<Option<Box<dyn LinkController + Send>>>` indexed by
 //!   [`LinkId`];
-//! * **flows** — a [`FlowTable`]: a `Vec<FlowState>` slab holding each flow's
-//!   [`FlowInfo`], [`FlowRecord`], trace accumulator and timer generation, plus a
-//!   `FlowId -> slot` index consulted only at the *per-packet* boundaries (agent
-//!   actions). [`NodeId`]/[`LinkId`] are sequential by construction; [`FlowId`]s may be
-//!   sparse (M-PDQ subflow ids, workload-chosen ids), which is exactly what the index
-//!   absorbs.
+//! * **flows** — a [`FlowTable`]: two parallel slabs indexed by a per-core flow slot.
+//!   The *hot* one (`FlowHot`, 20 bytes a flow: endpoints, route, timer generation)
+//!   is all that sending a packet and arming, firing or cancelling a timer read, and
+//!   stays cache-resident with thousands of flows live; the *cold* one (`FlowState`:
+//!   [`FlowInfo`], [`FlowRecord`], trace accumulator) is read when a flow arrives or
+//!   finishes, when an agent asks for its `FlowInfo`, and to count a drop or delivered
+//!   bytes. Beside them a flat **route arena** holds every routed flow's forward links
+//!   followed by the links its ACKs take, and a `FlowId -> slot` index
+//!   ([`FlowMap`]: one multiply-xorshift round, not SipHash) is consulted only at the
+//!   per-packet boundaries (agent actions, fired timers). [`NodeId`]/[`LinkId`] are
+//!   sequential by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids,
+//!   workload-chosen ids), which is exactly what the index absorbs.
 //!
-//! The *per-hop* path never hashes, never allocates and never copies the packet: when
-//! a packet enters the network the engine stamps the flow's slab slot into it and
-//! writes it into a recycled pool slot, where it stays until it is delivered, dropped
-//! or boxed for another shard. Each hop resolves the flow by direct `Vec` index, reads
-//! the shared `Arc<FlowPath>` in place, lets the link controller rewrite the pooled
-//! packet in place, and re-schedules the same `u32` slot.
+//! The *per-hop* path reads hop state only: the popped event, the pooled packet, one
+//! run of the route arena, the link controller and the link. When a packet enters the
+//! network (or is taken over from another shard) the engine stamps the flow's slot,
+//! its arena offset and its link count into it and writes it into a recycled pool
+//! slot, where it stays until it is delivered, dropped or boxed for another shard.
+//! Each hop then knows it has arrived when `hop == nlinks` — which is why a routed path
+//! must be simple; one that revisits a node is refused like no path at all — or finds
+//! its next link at `routes[route + hop]` (`routes[route + nlinks + hop]` for an ACK),
+//! lets the link controller rewrite the pooled packet in place, and re-schedules the
+//! same `u32` slot: no hash, no allocation, no packet copy, no per-flow state.
 //!
 //! A hop is **one event**. A link is a departure ledger (see the `network` module):
 //! accepting a packet fixes when its last bit leaves, so its arrival at the next node
@@ -46,12 +56,13 @@
 //! `(at, created, class, flow, subkey)` key it would have got from a transmit-done
 //! event popping at that instant, hence the same place in the event order. Before the
 //! engine reads a link (tail-drop check, controller callback, trace sample, final
-//! results) it settles it against the key of the event being dispatched.
+//! results) it settles it against the key of the event being dispatched — once per
+//! link per event.
 //!
 //! # Timer cancellation
 //!
-//! Each flow carries a generation counter; timer events snapshot it when scheduled and
-//! are silently dropped at pop time if the flow's generation has moved on. Only agents
+//! Each flow carries a generation counter (in its `FlowHot`); timer events snapshot it
+//! when scheduled and are silently dropped at pop time if it has moved on. Only agents
 //! bump the generation (via `Ctx::cancel_flow_timers`), and only for timers armed at
 //! their own node: the engine deliberately does *not* cancel timers when a flow
 //! finishes, because a finish detected at the receiver must not acausally suppress a
@@ -59,7 +70,6 @@
 //! window later, and a lone core must behave identically. Agents instead
 //! ignore late timers through status guards and token freshness.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -69,7 +79,7 @@ use crate::agent::{Action, Ctx, FlowInfo, FlowLookup, HostAgent};
 use crate::controller::LinkController;
 use crate::event::{EventKey, EventKind, EventQueue, PacketSlot, TimerKind};
 use crate::flow::{FlowPath, FlowRecord, FlowSpec};
-use crate::ids::{FlowId, LinkId, NodeId};
+use crate::ids::{FlowId, FlowMap, LinkId, NodeId};
 use crate::metrics::{Sample, SimResults, TraceConfig, Traces};
 use crate::network::{LossStream, Network, NodeKind, DEFAULT_PROCESSING_DELAY};
 use crate::packet::{Packet, PacketKind, CONTROL_PACKET_BYTES, MTU_BYTES};
@@ -81,7 +91,8 @@ use crate::time::SimTime;
 pub trait Router {
     /// Compute the forward path for `spec` over `net`, or `None` if the pair is
     /// disconnected. An unroutable flow is recorded as [`crate::FlowOutcome::Failed`]
-    /// instead of aborting the run.
+    /// instead of aborting the run — and so is one whose path visits a node twice:
+    /// packets are delivered by hop count, which needs a simple path.
     fn route(&mut self, net: &Network, spec: &FlowSpec, rng: &mut SmallRng) -> Option<FlowPath>;
 }
 
@@ -184,7 +195,9 @@ impl Default for SimConfig {
     }
 }
 
-/// Per-flow engine state, stored contiguously in the [`FlowTable`] slab.
+/// The cold half of a flow's engine state: what arrivals, agent lookups, finishes,
+/// trace samples and the final merge read. Nothing on the per-packet paths touches it
+/// except to count a drop or delivered bytes (see [`FlowHot`]).
 pub(crate) struct FlowState {
     /// Routing/size information; `None` for flows the router could not place (their
     /// record is kept, marked failed, but they never touch an agent or a link).
@@ -193,8 +206,6 @@ pub(crate) struct FlowState {
     pub(crate) record: FlowRecord,
     /// `raw_bytes_delivered` at the previous trace sample (goodput time series).
     pub(crate) bytes_at_last_sample: u64,
-    /// Timer generation: pending timers of older generations are dropped unfired.
-    pub(crate) timer_gen: u32,
     /// True on the shard that owns the flow's source host (always true on a
     /// lone core). Only the home replica counts towards `unfinished_flows`;
     /// other shards hold replicas for forwarding/delivery and report their local
@@ -212,21 +223,47 @@ impl FlowState {
             info,
             record,
             bytes_at_last_sample: 0,
-            timer_gen: 0,
             home,
         }
     }
 }
 
-/// Dense slab of per-flow state plus the sparse `FlowId -> slot` index.
+/// The hot half of a flow's engine state: all that sending a packet, arming, firing
+/// or cancelling a timer and taking a packet over from another shard need. It lives
+/// in a slab of its own so that thousands of live flows stay cache-resident (20 bytes
+/// each against several hundred for a [`FlowState`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FlowHot {
+    /// The flow's endpoints: where its forward and reverse packets enter the network,
+    /// and (`src`) where its timers fire.
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    /// Where the flow's links start in [`FlowTable::routes`].
+    pub(crate) route: u32,
+    /// Links on the flow's path; 0 for a flow the router could not place, which never
+    /// sends a packet or arms a timer.
+    pub(crate) nlinks: u32,
+    /// Timer generation: pending timers of older generations are dropped unfired.
+    pub(crate) timer_gen: u32,
+}
+
+/// Per-flow state in dense slabs — hot and cold halves side by side, indexed by the
+/// same slot — plus the flat route arena and the sparse `FlowId -> slot` index.
 ///
 /// Slots are assigned in arrival order and never reused within a run, so a slot is a
-/// stable dense id for the flow. The hash index is consulted once per agent *action*
-/// (send / timer / completion); per-hop code uses the slot stamped into the packet.
+/// stable dense id for the flow *on this core*. The index is consulted once per agent
+/// action (send / timer / finish) and per fired timer; per-hop code needs neither the
+/// index nor the slabs, only the route stamp in the packet.
+///
+/// `routes` holds, for each routed flow, its `n` forward links followed by the `n`
+/// links its ACKs take (`network.reverse(links[n-1-h])` at reverse hop `h`), so a hop
+/// in either direction is one index into one contiguous run of link ids.
 #[derive(Default)]
 pub(crate) struct FlowTable {
+    pub(crate) hot: Vec<FlowHot>,
     pub(crate) slots: Vec<FlowState>,
-    pub(crate) index: HashMap<FlowId, u32>,
+    pub(crate) routes: Vec<LinkId>,
+    index: FlowMap<u32>,
 }
 
 impl FlowTable {
@@ -238,19 +275,52 @@ impl FlowTable {
         self.index.get(&id).copied()
     }
 
-    pub(crate) fn insert(&mut self, id: FlowId, state: FlowState) -> u32 {
+    /// Add a flow, laying its path (if it has one) out in the route arena.
+    pub(crate) fn insert(&mut self, network: &Network, state: FlowState) -> u32 {
         let slot = self.slots.len() as u32;
+        let spec = &state.record.spec;
+        let links = state.info.as_ref().map_or(&[][..], |i| &i.path.links[..]);
+        self.hot.push(FlowHot {
+            src: spec.src,
+            dst: spec.dst,
+            route: u32::try_from(self.routes.len()).expect("route arena exceeds u32 offsets"),
+            nlinks: links.len() as u32,
+            timer_gen: 0,
+        });
+        self.routes.extend_from_slice(links);
+        self.routes
+            .extend(links.iter().rev().map(|&l| network.reverse(l)));
+        self.index.insert(spec.id, slot);
         self.slots.push(state);
-        self.index.insert(id, slot);
         slot
     }
 
-    fn get(&self, slot: u32) -> Option<&FlowState> {
-        self.slots.get(slot as usize)
+    /// Stamp `packet` with the flow's slot and route on this core; returns the hot
+    /// state it stamped from.
+    #[inline]
+    pub(crate) fn stamp(&self, slot: u32, packet: &mut Packet) -> FlowHot {
+        let hot = self.hot[slot as usize];
+        packet.flow_slot = slot;
+        packet.route = hot.route;
+        packet.nlinks = hot.nlinks;
+        hot
     }
 
-    fn get_mut(&mut self, slot: u32) -> Option<&mut FlowState> {
-        self.slots.get_mut(slot as usize)
+    /// The link a stamped packet takes at its current hop, and the forward link whose
+    /// controller sees it pass: the same link for a forward packet; for a reverse
+    /// packet the forward link leaving the node it is at (none at hop 0, where it is
+    /// still at the destination host).
+    #[inline]
+    pub(crate) fn hop_links(&self, packet: &Packet) -> (LinkId, Option<LinkId>) {
+        let (route, nlinks, hop) = (packet.route as usize, packet.nlinks as usize, packet.hop);
+        debug_assert!(hop < nlinks, "hop {hop} beyond a {nlinks}-link path");
+        if packet.reverse {
+            let ctl = (hop >= 1).then(|| self.routes[route + nlinks - hop]);
+            (self.routes[route + nlinks + hop], ctl)
+        } else {
+            let next = self.routes[route + hop];
+            (next, Some(next))
+        }
     }
 }
 
@@ -328,6 +398,10 @@ pub struct EngineStats {
     /// Most packets inside the network at once (per shard; the sum is an upper bound
     /// on the global peak).
     pub pool_high_water: u64,
+    /// Most flows unfinished at once, counted where each is homed (per shard; the sum
+    /// is an upper bound on the global peak). The size of the per-flow working set:
+    /// what separates an overloaded run from a steady one at the same event count.
+    pub live_flows_high_water: u64,
 }
 
 impl std::fmt::Display for EngineStats {
@@ -336,14 +410,15 @@ impl std::fmt::Display for EngineStats {
         write!(
             f,
             "arrivals={} packets={} timers_fired={} timers_dead={} ticks={} samples={} \
-             pool_high_water={}",
+             pool_high_water={} live_flows_high_water={}",
             self.arrivals,
             self.packets,
             self.timers_fired,
             self.timers_dead,
             self.ticks,
             self.samples,
-            self.pool_high_water
+            self.pool_high_water,
+            self.live_flows_high_water
         )
     }
 }
@@ -621,10 +696,14 @@ impl EngineCore {
             let mut route_rng = route_rng(self.config.seed, spec.id);
             router.route(network, &spec, &mut route_rng)
         };
-        let Some(path) = path else {
+        // A packet has arrived when it has crossed every link of its path, which is
+        // the far endpoint only if the path visits no node twice: a router that loops
+        // has not placed the flow.
+        let Some(path) = path.filter(|p| is_simple(&p.nodes)) else {
             // Disconnected src/dst pair: record the flow as failed instead of
             // aborting the whole run. It never reaches an agent.
-            self.flows.insert(spec.id, FlowState::new(spec, None, true));
+            self.flows
+                .insert(&self.network, FlowState::new(spec, None, true));
             return;
         };
         assert_eq!(
@@ -638,15 +717,19 @@ impl EngineCore {
             "router returned a path with wrong destination"
         );
 
-        let (id, src) = (spec.id, spec.src);
+        let src = spec.src;
         let info = make_flow_info(&self.network, &self.config, spec.clone(), path);
         // Every shard the path touches must know the flow before any of its packets
         // cross a boundary; registrations sort ahead of packets at ingest.
         self.broadcast_registration(&info);
         let slot = self
             .flows
-            .insert(id, FlowState::new(spec, Some(info), true));
+            .insert(&self.network, FlowState::new(spec, Some(info), true));
         self.unfinished_flows += 1;
+        self.stats.live_flows_high_water = self
+            .stats
+            .live_flows_high_water
+            .max(self.unfinished_flows as u64);
         let actions = {
             let Self {
                 agents,
@@ -693,16 +776,20 @@ impl EngineCore {
             // Pool slot already vacated (should not happen); silently discard.
             return;
         };
-        let delivered = match self
-            .flows
-            .get(packet.flow_slot)
-            .and_then(|s| s.info.as_ref())
-        {
-            Some(info) if packet.reverse => node == info.spec.src,
-            Some(info) => node == info.spec.dst,
-            // Flow record was dropped (should not happen); `forward_packet` discards.
-            None => false,
-        };
+        // The path is simple, so the packet is at its far endpoint exactly when it has
+        // crossed every link.
+        let delivered = packet.hop == packet.nlinks as usize;
+        debug_assert_eq!(
+            delivered,
+            {
+                let hot = &self.flows.hot[packet.flow_slot as usize];
+                node == if packet.reverse { hot.src } else { hot.dst }
+            },
+            "{:?} hop {} of {} at {node:?}",
+            packet.flow,
+            packet.hop,
+            packet.nlinks
+        );
         if delivered {
             let packet = self.pool.take(slot).expect("peeked above");
             self.deliver_packet(node, packet);
@@ -714,9 +801,8 @@ impl EngineCore {
     /// Deliver a packet to the host agent at `node`.
     fn deliver_packet(&mut self, node: NodeId, packet: Packet) {
         if !packet.reverse && packet.kind == PacketKind::Data {
-            if let Some(state) = self.flows.get_mut(packet.flow_slot) {
-                state.record.raw_bytes_delivered += packet.payload as u64;
-            }
+            let state = &mut self.flows.slots[packet.flow_slot as usize];
+            state.record.raw_bytes_delivered += packet.payload as u64;
         }
         let actions = {
             let Self {
@@ -739,45 +825,29 @@ impl EngineCore {
     /// controller, apply random loss and tail drop, and — the link being a departure
     /// ledger — schedule its arrival at the far end straight away, created at the
     /// instant its last bit leaves the link. The packet stays in its pool slot; every
-    /// path that does not re-schedule it (discard, drop, hand-off to another shard)
-    /// vacates the slot.
+    /// path that does not re-schedule it (drop, hand-off to another shard) vacates the
+    /// slot.
     ///
-    /// This is the hottest function in the simulator; it performs no heap allocation,
-    /// no hash lookup, no reference-count traffic and no packet copy (the flow is
-    /// resolved through the slot stamped into the packet, its path is read in place,
-    /// and the controller rewrites the pooled packet).
+    /// This is the hottest function in the simulator. It reads hop state only — the
+    /// pooled packet, one run of the route arena, the controller and the link — and
+    /// never the flow slabs (but to count a drop); it performs no heap allocation, no
+    /// hash lookup and no packet copy, and settles each link it touches exactly once.
     fn forward_packet(&mut self, node: NodeId, slot: PacketSlot) {
         let key = self.key;
         let Some(packet) = self.pool.get_mut(slot) else {
             return;
         };
-        let flow_slot = packet.flow_slot;
-        let hop = packet.hop;
-        // The two link ids this hop needs, copied out of the flow's shared path so no
-        // borrow of the flow table outlives them. An unknown flow or a hop beyond the
-        // path (a mis-routed packet) is discarded defensively.
-        let path = self.flows.get(flow_slot).and_then(|s| s.info.as_ref());
-        let Some(links) = path.map(|info| &info.path.links).filter(|l| hop < l.len()) else {
-            self.pool.take(slot);
-            return;
-        };
-        let nlinks = links.len();
-        let (next_link, controller_link) = if !packet.reverse {
-            (links[hop], Some(links[hop]))
-        } else {
-            // The switch owning forward link `links[nlinks - hop]` is `node` (for
-            // hop >= 1); hop == 0 means we are at the destination host.
-            let ctl = (hop >= 1).then(|| links[nlinks - hop]);
-            (self.network.reverse(links[nlinks - 1 - hop]), ctl)
-        };
+        let (next_link, controller_link) = self.flows.hop_links(packet);
         debug_assert_eq!(self.network.link(next_link).src, node, "hop mismatch");
+        self.network.link_mut(next_link).settle(key);
 
-        // Run the link controller (switch scheduling logic) on the settled link.
+        // Run the link controller (switch scheduling logic) on the settled link: the
+        // one just settled for a forward packet, another for a reverse one.
         if let Some(cl) = controller_link {
             if let Some(ctl) = self.controllers[cl.index()].as_mut() {
                 let link = self.network.link_mut(cl);
-                link.settle(key);
                 if packet.reverse {
+                    link.settle(key);
                     ctl.on_reverse(packet, self.now, link);
                 } else {
                     ctl.on_forward(packet, self.now, link);
@@ -810,12 +880,10 @@ impl EngineCore {
         let depart = if lost {
             None
         } else {
-            link.enqueue(key, packet.wire_size)
+            link.accept(key, packet.wire_size)
         };
         let Some(depart) = depart else {
-            if let Some(state) = self.flows.get_mut(flow_slot) {
-                state.record.drops += 1;
-            }
+            self.flows.slots[packet.flow_slot as usize].record.drops += 1;
             self.pool.take(slot);
             return;
         };
@@ -846,7 +914,7 @@ impl EngineCore {
         let live = self
             .flows
             .slot_of(flow)
-            .is_some_and(|slot| self.flows.slots[slot as usize].timer_gen == gen);
+            .is_some_and(|slot| self.flows.hot[slot as usize].timer_gen == gen);
         if !live {
             self.stats.timers_dead += 1;
             return;
@@ -984,20 +1052,16 @@ impl EngineCore {
                     // The packet leaves the host that generated it: the flow source for
                     // forward packets, the flow destination for reverse packets. This
                     // is the one place a packet's flow id is hashed; every hop after
-                    // this uses the dense slot stamped here.
+                    // this uses the route stamped here.
                     packet.hop = 0;
                     let Some(slot) = self.flows.slot_of(packet.flow) else {
                         continue;
                     };
-                    let Some(info) = self.flows.slots[slot as usize].info.as_ref() else {
+                    let hot = self.flows.stamp(slot, &mut packet);
+                    if hot.nlinks == 0 {
                         continue;
-                    };
-                    packet.flow_slot = slot;
-                    let origin = if packet.reverse {
-                        info.spec.dst
-                    } else {
-                        info.spec.src
-                    };
+                    }
+                    let origin = if packet.reverse { hot.dst } else { hot.src };
                     if self.is_local(origin) {
                         let slot = self.pool.park(packet);
                         self.forward_packet(origin, slot);
@@ -1027,13 +1091,13 @@ impl EngineCore {
                     let Some(slot) = self.flows.slot_of(flow) else {
                         continue;
                     };
-                    let state = &self.flows.slots[slot as usize];
-                    let Some(info) = state.info.as_ref() else {
+                    let hot = self.flows.hot[slot as usize];
+                    if hot.nlinks == 0 {
                         continue;
-                    };
+                    }
                     // Timers always fire on the host that owns the flow's sending side;
                     // receiver-side protocols use distinct flows or tokens.
-                    let node = info.spec.src;
+                    let node = hot.src;
                     let at = at.max(self.now);
                     if self.is_local(node) {
                         self.events.schedule(
@@ -1043,7 +1107,7 @@ impl EngineCore {
                                 flow,
                                 kind,
                                 token,
-                                gen: state.timer_gen,
+                                gen: hot.timer_gen,
                             },
                         );
                     } else {
@@ -1055,8 +1119,8 @@ impl EngineCore {
                 Action::FlowTerminated(flow) => self.finish_flow(flow, false),
                 Action::CancelTimers(flow) => {
                     if let Some(slot) = self.flows.slot_of(flow) {
-                        let state = &mut self.flows.slots[slot as usize];
-                        state.timer_gen = state.timer_gen.wrapping_add(1);
+                        let hot = &mut self.flows.hot[slot as usize];
+                        hot.timer_gen = hot.timer_gen.wrapping_add(1);
                     }
                 }
                 Action::SpawnFlow(spec) => {
@@ -1102,6 +1166,11 @@ impl EngineCore {
             self.push_msg(to, at, at, MsgBody::Finished { flow, completed });
         }
     }
+}
+
+/// True if no node occurs twice (paths are a handful of nodes: quadratic is fine).
+fn is_simple(nodes: &[NodeId]) -> bool {
+    (1..nodes.len()).all(|i| !nodes[..i].contains(&nodes[i]))
 }
 
 /// Build the [`FlowInfo`] the engine derives from a routed path: the path bottleneck
@@ -1254,20 +1323,21 @@ pub(crate) mod tests {
     use super::*;
     use crate::flow::FlowOutcome;
     use crate::network::LinkParams;
+    use crate::shard::{MsgBody, ShardMsg};
 
     /// A minimal "blast" transport used to exercise the engine: the sender transmits the
     /// whole flow as a burst of MSS packets; the receiver ACKs each packet and declares
     /// completion when it has seen every byte (ignoring ordering; there is no loss in
     /// these tests unless injected).
     pub(crate) struct BlastAgent {
-        received: HashMap<FlowId, u64>,
-        sizes: HashMap<FlowId, u64>,
+        received: FlowMap<u64>,
+        sizes: FlowMap<u64>,
     }
     impl BlastAgent {
         pub(crate) fn new() -> Self {
             BlastAgent {
-                received: HashMap::new(),
-                sizes: HashMap::new(),
+                received: FlowMap::default(),
+                sizes: FlowMap::default(),
             }
         }
     }
@@ -1553,6 +1623,43 @@ pub(crate) mod tests {
         assert_eq!(failed.raw_bytes_delivered, 0);
     }
 
+    /// Regression (looping route): delivery is decided by hop count, which is the far
+    /// endpoint only on a simple path — and before that rule, a path revisiting the
+    /// destination silently delivered at the first visit. A router (a public trait:
+    /// anyone's closure) that returns a path visiting a node twice has not placed the
+    /// flow: it is recorded as Failed and never reaches an agent or a link.
+    #[test]
+    fn looping_route_is_recorded_as_failed_like_an_unroutable_one() {
+        let net = dumbbell();
+        let hosts = net.hosts();
+        let mut sim = blast_sim(net);
+        // h0 -> s0 -> s1 -> h2 -> s1 -> h2: right endpoints, through h2 twice.
+        sim.set_router(|net: &Network, spec: &FlowSpec, _: &mut SmallRng| {
+            let direct = net.shortest_path(spec.src, spec.dst)?;
+            if spec.id != FlowId(2) {
+                return Some(direct);
+            }
+            let (mut nodes, mut links) = (direct.nodes, direct.links);
+            let last = *links.last().unwrap();
+            nodes.extend([net.link(last).src, net.link(last).dst]);
+            links.extend([net.reverse(last), last]);
+            Some(FlowPath::new(nodes, links))
+        });
+        sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 50_000));
+        sim.add_flow(FlowSpec::new(2, hosts[0], hosts[2], 50_000));
+        let res = sim.run();
+        assert_eq!(
+            res.flow(FlowId(1)).unwrap().outcome(),
+            FlowOutcome::Completed
+        );
+        let looped = res.flow(FlowId(2)).unwrap();
+        assert_eq!(looped.outcome(), FlowOutcome::Failed);
+        assert_eq!(looped.raw_bytes_delivered, 0);
+        // Only flow 1's packets ever crossed the access link.
+        let sent = res.link_stats[0].1.packets_transmitted;
+        assert_eq!(sent, 50_000u64.div_ceil(crate::packet::MSS_BYTES as u64));
+    }
+
     /// Regression (mis-sequenced TransmitDone): in release builds a spurious
     /// TransmitDone on an idle link is absorbed (link idled, no crash); in debug
     /// builds the checked invariant fires.
@@ -1585,6 +1692,110 @@ pub(crate) mod tests {
         );
         sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 50_000));
         let _ = sim.run();
+    }
+
+    /// 5 000 live flows must stay L2-resident: the hot slab is 24 bytes a flow at most.
+    #[test]
+    fn hot_flow_state_stays_small() {
+        assert!(std::mem::size_of::<FlowHot>() <= 24);
+    }
+
+    /// What each hop of `path` must do, derived the long way from the path and
+    /// `Network::reverse`: `(next link, controller link)` per hop, forward then reverse.
+    type HopLinks = Vec<(LinkId, Option<LinkId>)>;
+    fn hops_from_path(net: &Network, path: &FlowPath) -> (HopLinks, HopLinks) {
+        let n = path.links.len();
+        let forward = path.links.iter().map(|&l| (l, Some(l))).collect();
+        let reverse = (0..n)
+            .map(|h| {
+                let ctl = (h >= 1).then(|| path.links[n - h]);
+                (net.reverse(path.links[n - 1 - h]), ctl)
+            })
+            .collect();
+        (forward, reverse)
+    }
+
+    proptest::proptest! {
+        /// The route arena against the path it was built from: on a random duplex
+        /// network and a random simple path, a packet stamped by the flow's home core
+        /// — and one stamped by a replica that learnt the flow through
+        /// `MsgBody::Register`, at another slot and arena offset — takes the links
+        /// `FlowPath` + `Network::reverse` give, hop by hop in both directions, and has
+        /// arrived exactly when it reaches the far endpoint.
+        #[test]
+        fn route_arena_agrees_with_the_flow_path(
+            n in 3usize..10,
+            order in proptest::prop::collection::vec(0u32..1_000_000, 10),
+            len in 2usize..9,
+            extra in proptest::prop::collection::vec((0usize..10, 0usize..10), 0..12),
+        ) {
+            // Nodes in a random order; the first `len` of them are the path. Unrelated
+            // links before and between the path's keep link ids from lining up.
+            let mut net = Network::new();
+            let mut nodes: Vec<NodeId> = (0..n).map(|i| net.add_host(format!("n{i}"))).collect();
+            nodes.sort_by_key(|v| order[v.index()]);
+            nodes.truncate(len.min(n));
+            let mut extra = extra.into_iter().filter(|(a, b)| a % n != b % n);
+            let mut links = Vec::new();
+            for pair in nodes.windows(2) {
+                if let Some((a, b)) = extra.next() {
+                    let (a, b) = (NodeId((a % n) as u32), NodeId((b % n) as u32));
+                    net.add_duplex_link(a, b, LinkParams::default());
+                }
+                links.push(net.add_duplex_link(pair[0], pair[1], LinkParams::default()).0);
+            }
+            let path = FlowPath::new(nodes.clone(), links);
+            let (src, dst) = (path.src(), path.dst());
+            let (forward, reverse) = hops_from_path(&net, &path);
+
+            let config = SimConfig::default();
+            let spec = FlowSpec::new(7, src, dst, 10_000);
+            let info = make_flow_info(&net, &config, spec.clone(), path.clone());
+            let mut home = EngineCore::new(net.clone(), config.clone());
+            home.flows
+                .insert(&net, FlowState::new(spec, Some(info.clone()), true));
+            // The replica already holds a flow, so slot and offset differ from home's.
+            let mut replica = EngineCore::new(net.clone(), config.clone());
+            let decoy = FlowSpec::new(8, dst, src, 10_000);
+            let back = FlowPath::new(
+                nodes.iter().rev().copied().collect(),
+                reverse.iter().map(|&(l, _)| l).collect(),
+            );
+            let decoy_info = make_flow_info(&net, &config, decoy.clone(), back);
+            replica
+                .flows
+                .insert(&net, FlowState::new(decoy, Some(decoy_info), false));
+            replica.ingest(vec![ShardMsg {
+                at: SimTime::ZERO,
+                sent: SimTime::ZERO,
+                src_shard: 0,
+                seq: 0,
+                body: MsgBody::Register(Box::new(info)),
+            }]);
+            proptest::prop_assert_ne!(
+                home.flows.slot_of(FlowId(7)),
+                replica.flows.slot_of(FlowId(7))
+            );
+
+            for core in [&home, &replica] {
+                let slot = core.flows.slot_of(FlowId(7)).unwrap();
+                for (kind, want, end) in [
+                    (PacketKind::Data, &forward, dst),
+                    (PacketKind::Ack, &reverse, src),
+                ] {
+                    let mut p = Packet::control(kind, FlowId(7), src, dst);
+                    core.flows.stamp(slot, &mut p);
+                    for (hop, &links) in want.iter().enumerate() {
+                        p.hop = hop;
+                        proptest::prop_assert!(p.hop != p.nlinks as usize, "early delivery");
+                        proptest::prop_assert_eq!(core.flows.hop_links(&p), links);
+                        // Crossing the link leads to the far endpoint at the last hop only.
+                        let at_end = net.link(links.0).dst == end;
+                        proptest::prop_assert_eq!(at_end, hop + 1 == p.nlinks as usize);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub use controller::{LinkController, NullController};
 pub use engine::{EngineStats, Router, ShortestPathRouter, SimConfig, Simulator};
 pub use event::{EventKind, EventQueue, QueueStats, TimerKind};
 pub use flow::{CoflowTag, FlowOutcome, FlowPath, FlowRecord, FlowSpec};
-pub use ids::{CoflowId, FlowId, LinkId, NodeId};
+pub use ids::{CoflowId, FlowId, FlowMap, FlowSet, LinkId, NodeId};
 pub use metrics::{Sample, SimResults, TraceConfig, Traces};
 pub use network::{
     Link, LinkParams, LinkStats, LossStream, Network, Node, NodeKind, DEFAULT_LINK_RATE_BPS,

@@ -25,6 +25,7 @@ use std::collections::VecDeque;
 
 use crate::event::EventKey;
 use crate::ids::{LinkId, NodeId};
+use crate::packet::CONTROL_PACKET_BYTES;
 use crate::time::SimTime;
 
 /// Default link rate: 1 Gbps (paper §5.1).
@@ -115,7 +116,8 @@ pub struct Link {
     pub src: NodeId,
     /// Receiving node.
     pub dst: NodeId,
-    /// Line rate in bits per second.
+    /// Line rate in bits per second. Fixed once the link has carried a packet: it
+    /// remembers serialization times (until [`Network::reset_runtime_state`]).
     pub rate_bps: f64,
     /// Propagation delay.
     pub prop_delay: SimTime,
@@ -134,6 +136,9 @@ pub struct Link {
     pub queue_bytes: u64,
     /// The FIFO, oldest first: one entry per packet counted in `queue_bytes`.
     ledger: VecDeque<Departure>,
+    /// `(wire size, serialization time)` of the last control-size packet accepted and
+    /// of the last packet of any other size (`(0, ZERO)` is exact before the first).
+    tx_memo: [(u32, SimTime); 2],
     /// Counters.
     pub stats: LinkStats,
 }
@@ -173,12 +178,20 @@ impl Link {
         self.debug_check();
     }
 
-    /// Offer a packet of `wire` bytes to the link during the event with key `now`.
-    /// Returns when its last bit leaves — it starts serializing at once on an idle
-    /// link, behind the last accepted packet otherwise — or `None`, counting a tail
-    /// drop, if the queue has no room for it.
-    pub(crate) fn enqueue(&mut self, now: EventKey, wire: u32) -> Option<SimTime> {
-        self.settle(now);
+    /// Offer a packet of `wire` bytes to the link during the event with key `now`,
+    /// which the caller has [settled](Link::settle) the link against — the engine
+    /// settles each link an event touches once, for the controller callback and this
+    /// alike. Returns when the packet's last bit leaves — it starts serializing at
+    /// once on an idle link, behind the last accepted packet otherwise — or `None`,
+    /// counting a tail drop, if the queue has no room for it.
+    pub(crate) fn accept(&mut self, now: EventKey, wire: u32) -> Option<SimTime> {
+        debug_assert!(
+            self.ledger
+                .front()
+                .is_none_or(|d| EventKey::transmit_done(d.depart, d.start, self.id) >= now),
+            "{:?}: accept on a link not settled against {now:?}",
+            self.id
+        );
         if self.queue_bytes + wire as u64 > self.queue_capacity_bytes {
             self.stats.tail_drops += 1;
             return None;
@@ -186,7 +199,7 @@ impl Link {
         // A departure that `settle` left behind has not happened yet in event order,
         // even if its time is `now.at`: the link is still busy with it.
         let start = self.ledger.back().map_or(now.at, |d| d.depart);
-        let tx = self.transmission_time(wire as u64);
+        let tx = self.memoised_transmission_time(wire);
         let depart = start + tx;
         debug_assert!(
             start >= now.at && (depart > start || tx == SimTime::ZERO),
@@ -203,6 +216,24 @@ impl Link {
         self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
         self.debug_check();
         Some(depart)
+    }
+
+    /// [`Link::transmission_time`] of a `wire`-byte packet, remembered for the last
+    /// control-size packet and the last packet of any other size: nearly every packet
+    /// is an ACK/probe or a full MTU, and the exact value costs an `f64` divide and a
+    /// `round`.
+    fn memoised_transmission_time(&mut self, wire: u32) -> SimTime {
+        let memo = &mut self.tx_memo[(wire != CONTROL_PACKET_BYTES) as usize];
+        if memo.0 != wire {
+            *memo = (wire, SimTime::transmission_time(wire as u64, self.rate_bps));
+        }
+        debug_assert_eq!(
+            memo.1,
+            SimTime::transmission_time(wire as u64, self.rate_bps),
+            "{:?}: rate changed under the serialization-time memo",
+            self.id
+        );
+        memo.1
     }
 
     /// Debug builds: the ledger accounts for exactly the queued bytes, within capacity.
@@ -323,6 +354,7 @@ impl Network {
             reverse: ba,
             queue_bytes: 0,
             ledger: VecDeque::new(),
+            tx_memo: [(0, SimTime::ZERO); 2],
             stats: LinkStats::default(),
         });
         self.links.push(Link {
@@ -337,6 +369,7 @@ impl Network {
             reverse: ab,
             queue_bytes: 0,
             ledger: VecDeque::new(),
+            tx_memo: [(0, SimTime::ZERO); 2],
             stats: LinkStats::default(),
         });
         self.adjacency[a.index()].push(ab);
@@ -444,6 +477,7 @@ impl Network {
     pub fn reset_runtime_state(&mut self) {
         for l in &mut self.links {
             l.ledger.clear();
+            l.tx_memo = [(0, SimTime::ZERO); 2];
             l.queue_bytes = 0;
             l.stats = LinkStats::default();
         }
@@ -453,6 +487,12 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the engine does per hop: settle the link against the event, then offer.
+    fn offer(link: &mut Link, now: EventKey, wire: u32) -> Option<SimTime> {
+        link.settle(now);
+        link.accept(now, wire)
+    }
 
     fn line_network() -> (Network, Vec<NodeId>) {
         // h0 - s0 - s1 - h1
@@ -531,9 +571,7 @@ mod tests {
     fn reset_clears_runtime_state() {
         let (mut net, _) = line_network();
         let link = net.link_mut(LinkId(0));
-        assert!(link
-            .enqueue(EventKey::start_of(SimTime::ZERO), 1500)
-            .is_some());
+        assert!(offer(link, EventKey::start_of(SimTime::ZERO), 1500).is_some());
         link.stats.tail_drops = 3;
         net.reset_runtime_state();
         let link = net.link_mut(LinkId(0));
@@ -543,7 +581,25 @@ mod tests {
         // Idle again: the next packet starts serializing the moment it is accepted.
         let at = SimTime::from_micros(1);
         let tx = link.transmission_time(1500);
-        assert_eq!(link.enqueue(EventKey::start_of(at), 1500), Some(at + tx));
+        assert_eq!(offer(link, EventKey::start_of(at), 1500), Some(at + tx));
+    }
+
+    /// The memo returns what `transmission_time` returns, whatever sizes alternate.
+    #[test]
+    fn memoised_serialization_times_are_the_exact_ones() {
+        let (mut net, _) = line_network();
+        let link = net.link_mut(LinkId(0));
+        link.queue_capacity_bytes = u64::MAX;
+        let mut start = SimTime::ZERO;
+        for wire in [56, 1500, 1500, 56, 700, 56, 1500, 700, 701, 56, 0] {
+            let depart = offer(link, EventKey::start_of(SimTime::ZERO), wire).unwrap();
+            assert_eq!(
+                depart - start,
+                link.transmission_time(wire as u64),
+                "{wire}"
+            );
+            start = depart;
+        }
     }
 
     #[test]
@@ -552,8 +608,8 @@ mod tests {
         let link = net.link_mut(LinkId(0));
         let us = SimTime::from_micros;
         // Two back-to-back MTUs accepted at t = 0: departures at 12 and 24 µs.
-        assert_eq!(link.enqueue(EventKey::start_of(us(0)), 1500), Some(us(12)));
-        assert_eq!(link.enqueue(EventKey::start_of(us(0)), 1500), Some(us(24)));
+        assert_eq!(offer(link, EventKey::start_of(us(0)), 1500), Some(us(12)));
+        assert_eq!(offer(link, EventKey::start_of(us(0)), 1500), Some(us(24)));
         assert_eq!(link.queue_bytes(), 3000);
         // A packet arrival (class 1) at the instant of the first departure still
         // sees it queued; a timer (class 3) created no earlier than it sees it gone.
@@ -577,7 +633,7 @@ mod tests {
         assert_eq!(link.queue_bytes(), 1500);
         // Still busy at the very instant its last departure is due: the next packet
         // queues behind it.
-        assert_eq!(link.enqueue(at_24(3, us(11)), 1500), Some(us(36)));
+        assert_eq!(offer(link, at_24(3, us(11)), 1500), Some(us(36)));
         link.settle(EventKey::start_of(SimTime::MAX));
         assert_eq!(link.queue_bytes(), 0);
         assert_eq!(link.stats.packets_transmitted, 3);

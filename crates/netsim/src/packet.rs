@@ -153,9 +153,14 @@ pub struct Packet {
     /// Time the packet was handed to the NIC by the transport (for RTT sampling).
     pub sent_at: SimTime,
     /// Dense index of `flow` in the engine's flow slab, stamped by the engine when the
-    /// packet enters the network. Lets every subsequent hop resolve the flow with a
-    /// direct `Vec` index instead of a hash lookup. [`INVALID_FLOW_SLOT`] until stamped.
+    /// packet enters the network (and again by a shard that takes it over: slots are
+    /// per core). [`INVALID_FLOW_SLOT`] until stamped.
     pub(crate) flow_slot: u32,
+    /// Where the flow's links start in the stamping core's route arena, and how many
+    /// links its path has: with `hop` and `reverse`, all a hop needs to find its next
+    /// link and to know it has arrived (`hop == nlinks`). Stamped with `flow_slot`.
+    pub(crate) route: u32,
+    pub(crate) nlinks: u32,
 }
 
 /// Sentinel for a packet the engine has not stamped with a flow-slab index yet.
@@ -178,6 +183,8 @@ impl Packet {
             sched: SchedulingHeader::default(),
             sent_at: SimTime::ZERO,
             flow_slot: INVALID_FLOW_SLOT,
+            route: 0,
+            nlinks: 0,
         }
     }
 
@@ -197,6 +204,8 @@ impl Packet {
             sched: SchedulingHeader::default(),
             sent_at: SimTime::ZERO,
             flow_slot: INVALID_FLOW_SLOT,
+            route: 0,
+            nlinks: 0,
         }
     }
 
@@ -224,6 +233,13 @@ mod tests {
             MTU_BYTES
         );
         assert_eq!(CONTROL_PACKET_BYTES, 56);
+    }
+
+    /// Every packet in flight holds a pool slot of this size, and each hop pulls it
+    /// into cache: 152 bytes before the route stamp, which may add one word.
+    #[test]
+    fn route_stamp_adds_at_most_eight_bytes() {
+        assert!(std::mem::size_of::<Packet>() <= 152 + 8);
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub(crate) enum MsgBody {
     Packet {
         /// The node the packet arrives at.
         node: NodeId,
-        /// The packet itself (its `flow_slot` is re-stamped by the receiver).
+        /// The packet itself (its flow slot and route are re-stamped by the receiver).
         packet: Box<Packet>,
     },
 }
@@ -237,7 +237,7 @@ impl EngineCore {
                     );
                     let spec = info.spec.clone();
                     self.flows
-                        .insert(spec.id, FlowState::new(spec, Some(*info), false));
+                        .insert(&self.network, FlowState::new(spec, Some(*info), false));
                 }
                 MsgBody::Finished { flow, completed } => {
                     let Some(slot) = self.flows.slot_of(flow) else {
@@ -255,12 +255,11 @@ impl EngineCore {
                     let Some(slot) = self.flows.slot_of(flow) else {
                         continue;
                     };
-                    let state = &self.flows.slots[slot as usize];
-                    let Some(info) = state.info.as_ref() else {
+                    let hot = self.flows.hot[slot as usize];
+                    if hot.nlinks == 0 {
                         continue;
-                    };
-                    let node = info.spec.src;
-                    let gen = state.timer_gen;
+                    }
+                    let (node, gen) = (hot.src, hot.timer_gen);
                     // A remotely-armed timer may name a time this shard has already
                     // passed; clamp so the clock never runs backwards (no shipped
                     // protocol arms cross-shard timers — see the README).
@@ -284,7 +283,9 @@ impl EngineCore {
                         // registrations sort first). Drop rather than corrupt.
                         continue;
                     };
-                    packet.flow_slot = slot;
+                    // Slots and arena offsets are this core's own: the sender's stamp
+                    // means nothing here.
+                    self.flows.stamp(slot, &mut packet);
                     let at = msg.at.max(self.now);
                     let flow = packet.flow;
                     let tie = crate::engine::packet_tie(&packet);
@@ -556,6 +557,7 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         engine.samples += e.samples;
         // Like `peak_pending`: per-shard peaks, summed to an upper bound.
         engine.pool_high_water += core.pool.high_water();
+        engine.live_flows_high_water += e.live_flows_high_water;
         let s = core.events.stats();
         queue.pushes += s.pushes;
         queue.pops += s.pops;
@@ -871,6 +873,51 @@ mod tests {
                 assert_eq!(core.pool.live(), 0, "{shards} shard(s): leaked pool slots");
             }
         }
+    }
+
+    /// Slots and route-arena offsets are per core. Flow 1 is homed on shard 0 and
+    /// flow 2 on shard 1, both arriving at t = 0, so each core lays out its own flow
+    /// first and the other's — registered at the first barrier — second: every packet
+    /// crossing the cut carries the sender's stamp, which names the *other* flow's
+    /// route on the receiver until `ingest` re-stamps it. (A stale stamp sends flow 1's
+    /// data down flow 2's links: the hop assert in debug builds, wrong records in
+    /// release.) The arenas hold one entry per link and direction per flow, however
+    /// many packets went through.
+    #[test]
+    fn cross_shard_packets_are_restamped_for_the_receiving_cores_arena() {
+        let build = || {
+            let net = dumbbell();
+            let hosts = net.hosts();
+            let mut sim = blast_sim(net);
+            sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 120_000));
+            sim.add_flow(FlowSpec::new(2, hosts[2], hosts[1], 90_000));
+            sim
+        };
+        let lone = build().run();
+        let cores = build().run_cores(&dumbbell_assignment(), |_| {
+            Box::new(crate::engine::ShortestPathRouter)
+        });
+        let slots = |id| [0, 1].map(|c: usize| cores[c].flows.slot_of(FlowId(id)).unwrap());
+        assert_eq!(
+            slots(1),
+            [0, 1],
+            "flow 1: first at home, second on its replica"
+        );
+        assert_eq!(slots(2), [1, 0], "flow 2: the other way round");
+        for core in &cores {
+            // Two flows of three links, forward and reverse runs each.
+            assert_eq!(core.flows.routes.len(), 2 * 2 * 3);
+            let offsets: Vec<u32> = core.flows.hot.iter().map(|h| h.route).collect();
+            assert_eq!(offsets, [0, 6]);
+        }
+        let split = merge_results(cores);
+        for (id, want) in &lone.flows {
+            let got = split.flow(*id).unwrap();
+            assert_eq!(got.completed_at, want.completed_at, "{id:?}");
+            assert_eq!(got.raw_bytes_delivered, want.raw_bytes_delivered, "{id:?}");
+            assert_eq!(got.drops, 0, "{id:?}");
+        }
+        assert_eq!(split.completed_count(), 2);
     }
 
     #[test]

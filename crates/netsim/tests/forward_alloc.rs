@@ -1,10 +1,11 @@
 //! Allocation accounting for the engine hot path.
 //!
 //! The engine's contract (ISSUE 2 tentpole): forwarding a packet hop by hop performs
-//! **zero heap allocations per hop** in steady state — flow state is resolved through
-//! dense slabs, the path is shared via `Arc`, packets live in a recycled pool from
-//! send to delivery, and link ledgers / event buckets only reallocate on (amortized,
-//! logarithmic) capacity growth.
+//! **zero heap allocations per hop** in steady state — a hop finds its link through
+//! the route stamped into the packet (the route arena grows when a flow arrives, never
+//! when a packet moves), packets live in a recycled pool from send to delivery, and
+//! link ledgers / event buckets only reallocate on (amortized, logarithmic) capacity
+//! growth.
 //!
 //! The test pins that property with a counting global allocator: running the same
 //! fixed workload over a *longer* path multiplies the number of per-hop operations

@@ -7,9 +7,7 @@
 //! them over distinct paths), and a periodic re-balancer moves unsent bytes from paused
 //! subflows to the sending subflow with the least remaining work.
 
-use std::collections::HashMap;
-
-use pdq_netsim::{Ctx, FlowId, FlowInfo, FlowSpec, HostAgent, Packet, SimTime, TimerKind};
+use pdq_netsim::{Ctx, FlowId, FlowInfo, FlowMap, FlowSpec, HostAgent, Packet, SimTime, TimerKind};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -41,14 +39,14 @@ pub struct PdqHostAgent {
     params: PdqParams,
     discipline: Discipline,
     rng: SmallRng,
-    senders: HashMap<FlowId, PdqSender>,
-    receivers: HashMap<FlowId, PdqReceiver>,
+    senders: FlowMap<PdqSender>,
+    receivers: FlowMap<PdqReceiver>,
     /// Parent flow id -> its subflow ids (only for flows originating at this host).
-    children: HashMap<FlowId, Vec<FlowId>>,
+    children: FlowMap<Vec<FlowId>>,
     /// Subflow id -> parent flow id.
-    parent_of: HashMap<FlowId, FlowId>,
+    parent_of: FlowMap<FlowId>,
     /// Parents already reported complete/terminated.
-    parent_done: HashMap<FlowId, bool>,
+    parent_done: FlowMap<bool>,
 }
 
 impl PdqHostAgent {
@@ -59,11 +57,11 @@ impl PdqHostAgent {
             params,
             discipline,
             rng: SmallRng::seed_from_u64(seed),
-            senders: HashMap::new(),
-            receivers: HashMap::new(),
-            children: HashMap::new(),
-            parent_of: HashMap::new(),
-            parent_done: HashMap::new(),
+            senders: FlowMap::default(),
+            receivers: FlowMap::default(),
+            children: FlowMap::default(),
+            parent_of: FlowMap::default(),
+            parent_done: FlowMap::default(),
         }
     }
 
@@ -303,7 +301,7 @@ mod tests {
     #[test]
     fn single_path_flow_starts_a_sender() {
         let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 1);
-        let flows = HashMap::new();
+        let flows = FlowMap::default();
         let mut ctx = Ctx::new(SimTime::ZERO, &flows);
         agent.on_flow_arrival(&info(1, 10_000, None), &mut ctx);
         assert_eq!(agent.active_senders(), 1);
@@ -318,7 +316,7 @@ mod tests {
         let mut params = PdqParams::full();
         params.subflows = 4;
         let mut agent = PdqHostAgent::new(params, Discipline::Exact, 1);
-        let flows = HashMap::new();
+        let flows = FlowMap::default();
         let mut ctx = Ctx::new(SimTime::ZERO, &flows);
         agent.on_flow_arrival(&info(1, 100_000, None), &mut ctx);
         let actions = ctx.take_actions();
@@ -349,7 +347,7 @@ mod tests {
         let mut params = PdqParams::full();
         params.subflows = 2;
         let mut agent = PdqHostAgent::new(params, Discipline::Exact, 1);
-        let flows = HashMap::new();
+        let flows = FlowMap::default();
         let mut ctx = Ctx::new(SimTime::ZERO, &flows);
         // The engine delivers the subflow arrival back to the same host.
         let sub = info(subflow_id(FlowId(1), 0).value(), 50_000, Some(FlowId(1)));
@@ -360,7 +358,7 @@ mod tests {
     #[test]
     fn receiver_is_created_on_demand() {
         let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 1);
-        let mut flows = HashMap::new();
+        let mut flows = FlowMap::default();
         flows.insert(FlowId(1), info(1, 2_000, None));
         let mut ctx = Ctx::new(SimTime::ZERO, &flows);
         let syn = Packet::control(pdq_netsim::PacketKind::Syn, FlowId(1), NodeId(0), NodeId(2));

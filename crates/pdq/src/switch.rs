@@ -7,9 +7,7 @@
 //! back through the switch (Algorithm 3, including Suppressed Probing), and runs the
 //! aggregate rate controller that keeps the queue drained (§3.3.3).
 
-use std::collections::HashSet;
-
-use pdq_netsim::{FlowId, Link, LinkController, LinkId, Packet, PacketKind, SimTime};
+use pdq_netsim::{FlowId, FlowSet, Link, LinkController, LinkId, Packet, PacketKind, SimTime};
 
 use crate::comparator::Criticality;
 use crate::params::PdqParams;
@@ -45,7 +43,7 @@ pub struct PdqSwitchController {
     last_nonsending_accept: Option<(FlowId, SimTime, Criticality)>,
     /// Flows seen since the last rate-controller tick that did not fit in the list
     /// (served by the RCP fallback).
-    unlisted_seen: HashSet<FlowId>,
+    unlisted_seen: FlowSet,
 }
 
 impl PdqSwitchController {
@@ -61,7 +59,7 @@ impl PdqSwitchController {
             r_pdq: 0.0,
             rtt_avg: rtt,
             last_nonsending_accept: None,
-            unlisted_seen: HashSet::new(),
+            unlisted_seen: FlowSet::default(),
         }
     }
 

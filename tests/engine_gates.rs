@@ -35,4 +35,7 @@ fn engine_scale_quick_stays_under_the_events_per_flow_ceiling() {
         + engine.samples;
     assert_eq!(by_class, queue.pops, "{engine:?}");
     assert!(engine.pool_high_water > 0 && engine.pool_high_water <= queue.peak_pending);
+    // Flows unfinished at once: at least one, never more than were injected.
+    let live = engine.live_flows_high_water;
+    assert!(0 < live && live <= run.flows as u64, "{engine:?}");
 }
