@@ -43,7 +43,8 @@
 //! run of the route arena, the link controller and the link. When a packet enters the
 //! network (or is taken over from another shard) the engine stamps the flow's slot,
 //! its arena offset and its link count into it and writes it into a recycled pool
-//! slot, where it stays until it is delivered, dropped or boxed for another shard.
+//! slot, where it stays until it is delivered, dropped or moved (by value) into the
+//! outbox for another shard.
 //! Each hop then knows it has arrived when `hop == nlinks` — which is why a routed path
 //! must be simple; one that revisits a node is refused like no path at all — or finds
 //! its next link at `routes[route + hop]` (`routes[route + nlinks + hop]` for an ACK),
@@ -378,8 +379,9 @@ impl PacketPool {
 }
 
 /// Always-on work counters of the engine proper, next to the event queue's
-/// [`QueueStats`](crate::event::QueueStats): what the popped events were. Summed
-/// across shards; never part of a fingerprint or a cache record.
+/// [`QueueStats`](crate::event::QueueStats): what the popped events were, plus what
+/// the shard protocol did. Summed across shards (except `windows`); never part of a
+/// fingerprint or a cache record.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Flow arrivals dispatched.
@@ -402,6 +404,12 @@ pub struct EngineStats {
     /// is an upper bound on the global peak). The size of the per-flow working set:
     /// what separates an overloaded run from a steady one at the same event count.
     pub live_flows_high_water: u64,
+    /// Lookahead windows the run processed: 1 on a lone core (one unbounded window),
+    /// at most `end_time / lookahead` plus one or two on shards. Every shard opens the
+    /// same windows, so this one counter is merged as the common count, not summed.
+    pub windows: u64,
+    /// Boundary messages ingested from other shards (0 on a lone core).
+    pub messages_in: u64,
 }
 
 impl std::fmt::Display for EngineStats {
@@ -410,7 +418,7 @@ impl std::fmt::Display for EngineStats {
         write!(
             f,
             "arrivals={} packets={} timers_fired={} timers_dead={} ticks={} samples={} \
-             pool_high_water={} live_flows_high_water={}",
+             pool_high_water={} live_flows_high_water={} windows={} messages_in={}",
             self.arrivals,
             self.packets,
             self.timers_fired,
@@ -418,7 +426,9 @@ impl std::fmt::Display for EngineStats {
             self.ticks,
             self.samples,
             self.pool_high_water,
-            self.live_flows_high_water
+            self.live_flows_high_water,
+            self.windows,
+            self.messages_in
         )
     }
 }
@@ -904,7 +914,7 @@ impl EngineCore {
             // Boundary crossing: the conservative lookahead window is sized so that
             // `arrive_at` is at or past the receiver's next barrier.
             let to = self.shard_of[dst.index()];
-            let packet = Box::new(self.pool.take(slot).expect("peeked above"));
+            let packet = self.pool.take(slot).expect("peeked above");
             self.push_msg(to, arrive_at, depart, MsgBody::Packet { node: dst, packet });
         }
     }
@@ -1071,15 +1081,11 @@ impl EngineCore {
                         // for injection there (no current protocol does this).
                         let to = self.shard_of[origin.index()];
                         let at = self.now;
-                        self.push_msg(
-                            to,
-                            at,
-                            at,
-                            MsgBody::Packet {
-                                node: origin,
-                                packet: Box::new(packet),
-                            },
-                        );
+                        let body = MsgBody::Packet {
+                            node: origin,
+                            packet,
+                        };
+                        self.push_msg(to, at, at, body);
                     }
                 }
                 Action::SetTimer {
@@ -1765,7 +1771,7 @@ pub(crate) mod tests {
             replica
                 .flows
                 .insert(&net, FlowState::new(decoy, Some(decoy_info), false));
-            replica.ingest(vec![ShardMsg {
+            replica.ingest(&mut vec![ShardMsg {
                 at: SimTime::ZERO,
                 sent: SimTime::ZERO,
                 src_shard: 0,

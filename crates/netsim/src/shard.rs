@@ -19,8 +19,17 @@
 //! 3. boundary messages (packets, flow registrations, completion notices) are
 //!    exchanged, ingested in a deterministic order, and the next window begins.
 //!
+//! Steps 1 and 3 each end at a rendezvous of all shards. A fat-tree cut has a 25 µs
+//! lookahead, so a run crosses thousands of them, each a few microseconds of work
+//! apart: the rendezvous is a generation barrier of this module's own (`SpinBarrier`)
+//! that spins briefly, then yields the CPU (to the peer, when the guest has put both
+//! threads on one core), and only then sleeps on a condition variable — a kernel sleep
+//! and wake-up per window would cost more than the window's work. Crossing packets
+//! travel by value in per-shard mailboxes that keep their capacity from window to
+//! window, so the exchange allocates nothing in steady state.
+//!
 //! One shard is the same loop with nothing to wait for: it runs on the caller's thread
-//! (only two or more shards get a thread each), a one-party barrier never blocks, no
+//! (only two or more shards get a thread each), a one-party barrier returns at once, no
 //! link crosses a boundary so `L` is unbounded and the whole run is one window, and
 //! there are no peers to exchange with. [`Simulator::run`] is exactly that.
 //!
@@ -54,8 +63,8 @@
 //! results are fingerprint-identical to 1-shard.
 
 use std::collections::hash_map::{Entry, HashMap};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -152,7 +161,9 @@ pub(crate) struct ShardMsg {
     pub(crate) body: MsgBody,
 }
 
-/// What a [`ShardMsg`] carries.
+/// What a [`ShardMsg`] carries. Packets, by far the most frequent, travel by value:
+/// the sender moves one out of its pool into the outbox and the receiver moves it
+/// into its own, with no allocation on either side.
 pub(crate) enum MsgBody {
     /// Make a flow (routed at arrival by its home shard) visible to this shard before
     /// any of its packets arrive.
@@ -179,7 +190,7 @@ pub(crate) enum MsgBody {
         /// The node the packet arrives at.
         node: NodeId,
         /// The packet itself (its flow slot and route are re-stamped by the receiver).
-        packet: Box<Packet>,
+        packet: Packet,
     },
 }
 
@@ -223,10 +234,14 @@ fn apply_finish(rec: &mut FlowRecord, completed: bool, at: SimTime) {
 }
 
 impl EngineCore {
-    /// Apply a barrier's worth of boundary messages, in the canonical order.
-    pub(crate) fn ingest(&mut self, mut msgs: Vec<ShardMsg>) {
-        msgs.sort_by_key(|m| (m.body.rank(), m.at, m.src_shard, m.seq));
-        for msg in msgs {
+    /// Apply a barrier's worth of boundary messages, in the canonical order, leaving
+    /// `msgs` empty with its capacity intact for the next window.
+    pub(crate) fn ingest(&mut self, msgs: &mut Vec<ShardMsg>) {
+        self.stats.messages_in += msgs.len() as u64;
+        // `(src_shard, seq)` is unique, so the unstable sort (no scratch buffer) gives
+        // the one canonical order.
+        msgs.sort_unstable_by_key(|m| (m.body.rank(), m.at, m.src_shard, m.seq));
+        for msg in msgs.drain(..) {
             match msg.body {
                 MsgBody::Register(info) => {
                     // A flow is registered once, by its one home shard.
@@ -276,17 +291,29 @@ impl EngineCore {
                         },
                     );
                 }
-                MsgBody::Packet { node, packet } => {
-                    let mut packet = *packet;
+                MsgBody::Packet { node, mut packet } => {
                     let Some(slot) = self.flows.slot_of(packet.flow) else {
                         // Unknown flow: its registration was lost (cannot happen —
                         // registrations sort first). Drop rather than corrupt.
                         continue;
                     };
+                    // A packet that crossed a cut link (hop ≥ 1) arrives at or after
+                    // the window end, which this shard has not reached: the lookahead
+                    // guarantees it. Only a packet injected at a host of this shard by
+                    // an agent on another (hop 0; no shipped protocol does that) can
+                    // name this shard's past, and is clamped like a timer.
+                    debug_assert!(
+                        packet.hop == 0 || msg.at >= self.now,
+                        "broken lookahead: {:?} arrives at {:?}, shard {} is at {:?}",
+                        packet.flow,
+                        msg.at,
+                        self.shard,
+                        self.now
+                    );
+                    let at = msg.at.max(self.now);
                     // Slots and arena offsets are this core's own: the sender's stamp
                     // means nothing here.
                     self.flows.stamp(slot, &mut packet);
-                    let at = msg.at.max(self.now);
                     let flow = packet.flow;
                     let tie = crate::engine::packet_tie(&packet);
                     let parked = self.pool.park(packet);
@@ -396,14 +423,123 @@ impl Simulator {
     }
 }
 
+/// A reusable barrier for the `parties` workers of one run that spins, then yields,
+/// then parks.
+///
+/// The window loop meets here twice per lookahead window, and the windows of a
+/// fat-tree cut are a few microseconds of work apart — shorter than a futex sleep and
+/// wake-up. So a waiter first spins on the generation counter ([`Self::SPINS`]
+/// rounds: the peer is usually already on its way), then yields ([`Self::YIELDS`]
+/// rounds: when the guest scheduler has stacked both workers on one vCPU, that is what
+/// lets the late one run at all), and only then sleeps on the condition variable. The
+/// budgets are fixed constants, not settings: on a 2-vCPU guest any spin budget from
+/// 256 to 10⁶ rounds ran alike, while yielding before parking was what mattered
+/// (parking alone was the slowest) — so the spin is short and the yield phase long
+/// enough to cover a typical window.
+///
+/// A one-party barrier returns at once.
+///
+/// Memory ordering: every atomic access is `SeqCst`. The last arrival's generation
+/// bump followed by its load of `parked`, against a sleeper's `parked` increment
+/// followed by its generation load under the lock, is a store-then-load on each side
+/// (Dekker's pattern), which needs the single total order: either the releaser sees
+/// the sleeper and notifies under the lock, or the sleeper sees the new generation and
+/// never waits — no wake-up is lost. The bump also publishes everything the parties
+/// wrote before arriving (the mailboxes, the published snapshot) to every waiter that
+/// observes it.
+struct SpinBarrier {
+    parties: usize,
+    /// Parties that have arrived in the current generation.
+    arrived: AtomicUsize,
+    /// Bumped by the last arrival of each generation, which releases the others.
+    generation: AtomicUsize,
+    /// Waiters registered to sleep on `wake` (incremented under `lock`).
+    parked: AtomicUsize,
+    /// Guards no data: it only orders a sleeper's last generation check against the
+    /// releaser's notification.
+    lock: Mutex<()>,
+    wake: Condvar,
+}
+
+impl SpinBarrier {
+    /// `spin_loop` rounds before the first yield.
+    const SPINS: u32 = 128;
+    /// `yield_now` rounds before parking.
+    const YIELDS: u32 = 256;
+
+    fn new(parties: usize) -> Self {
+        assert!(parties >= 1, "a barrier needs at least one party");
+        SpinBarrier {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            parked: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Block until all parties have called `wait` for this generation.
+    ///
+    /// Never panics: it runs from [`Bail`]'s drop during unwinding, where a second
+    /// panic would abort. The mutex guards no data, so a poisoned one is simply
+    /// recovered.
+    fn wait(&self) {
+        if self.parties == 1 {
+            return;
+        }
+        // Read before arriving: the generation cannot move until this party arrives.
+        let gen = self.generation.load(Ordering::SeqCst);
+        if self.arrived.fetch_add(1, Ordering::SeqCst) + 1 == self.parties {
+            // Reset before the bump: nobody arrives for the next generation until
+            // they have seen the bump.
+            self.arrived.store(0, Ordering::SeqCst);
+            self.generation.fetch_add(1, Ordering::SeqCst);
+            if self.parked.load(Ordering::SeqCst) > 0 {
+                let _guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+                self.wake.notify_all();
+            }
+            return;
+        }
+        let released = || self.generation.load(Ordering::SeqCst) != gen;
+        for round in 0..Self::SPINS + Self::YIELDS {
+            if released() {
+                return;
+            }
+            if round < Self::SPINS {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while !released() {
+            guard = self
+                .wake
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Waiters currently registered as asleep.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.parked.load(Ordering::SeqCst)
+    }
+}
+
 /// What the workers of one run share: the snapshot each publishes before a window, the
 /// mailboxes they exchange through, and the barrier separating the two.
 struct Rendezvous {
     next_times: Vec<AtomicU64>,
     /// Per core: flows still unfinished plus arrivals still pending.
     live: Vec<AtomicU64>,
+    /// Per receiving core: messages for it from every sender this window. The
+    /// receiver swaps its drained inbox in, so both `Vec`s keep their capacity.
     mailboxes: Vec<Mutex<Vec<ShardMsg>>>,
-    barrier: Barrier,
+    barrier: SpinBarrier,
     /// Raised by a worker that is unwinding; see [`Bail`].
     failed: AtomicBool,
     look_ns: u64,
@@ -441,6 +577,7 @@ impl Rendezvous {
             sync: self,
             in_window: false,
         };
+        let mut inbox = Vec::new();
         loop {
             // Publish this core's horizon and liveness.
             self.next_times[i].store(core.next_event_nanos(), Ordering::SeqCst);
@@ -468,6 +605,7 @@ impl Rendezvous {
 
             // Safe window: no shard can inject an event below t_min + L.
             bail.in_window = true;
+            core.stats.windows += 1;
             core.process_window(SimTime::from_nanos(t_min.saturating_add(self.look_ns)));
 
             // Exchange boundary messages (a lone core has no outbox and sends none).
@@ -478,8 +616,11 @@ impl Rendezvous {
             }
             self.barrier.wait();
             bail.in_window = false;
-            let msgs = std::mem::take(&mut *self.mailboxes[i].lock().expect("mailbox poisoned"));
-            core.ingest(msgs);
+            std::mem::swap(
+                &mut inbox,
+                &mut *self.mailboxes[i].lock().expect("mailbox poisoned"),
+            );
+            core.ingest(&mut inbox);
         }
     }
 }
@@ -492,7 +633,7 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
         next_times: (0..n).map(|_| AtomicU64::new(u64::MAX)).collect(),
         live: (0..n).map(|_| AtomicU64::new(0)).collect(),
         mailboxes: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        barrier: Barrier::new(n),
+        barrier: SpinBarrier::new(n),
         failed: AtomicBool::new(false),
         look_ns: lookahead.as_nanos(),
     };
@@ -558,6 +699,10 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         // Like `peak_pending`: per-shard peaks, summed to an upper bound.
         engine.pool_high_water += core.pool.high_water();
         engine.live_flows_high_water += e.live_flows_high_water;
+        // Every worker opens the same windows (one decision from one snapshot), so the
+        // run's count is any core's, not a sum.
+        engine.windows = engine.windows.max(e.windows);
+        engine.messages_in += e.messages_in;
         let s = core.events.stats();
         queue.pushes += s.pushes;
         queue.pops += s.pops;
@@ -839,8 +984,9 @@ mod tests {
     }
 
     /// Pool-leak gate. Packets leave the network by delivery, random loss, tail drop
-    /// and — on two shards — by being boxed for the peer; once a run has drained its
-    /// event queue, each of those paths must have vacated the packet's pool slot.
+    /// and — on two shards — by being moved into the outbox for the peer; once a run has
+    /// drained its event queue, each of those paths must have vacated the packet's pool
+    /// slot.
     #[test]
     fn a_drained_run_leaves_every_pool_slot_free() {
         for assignment in [ShardAssignment::single(5), dumbbell_assignment()] {
@@ -951,6 +1097,73 @@ mod tests {
     #[should_panic]
     fn duplicate_flow_ids_across_shards_rejected() {
         run_split_with_id_one_twice([(0, 2), (2, 1)]);
+    }
+
+    /// No party leaves a generation early: each bumps a shared counter before the first
+    /// wait of a round and must read all `n` bumps of every round so far after it; the
+    /// second wait keeps the next round's bumps out until everyone has looked. With
+    /// more parties than cores, waits run out their spin and yield budgets and park.
+    #[test]
+    fn barrier_releases_no_party_before_the_last_arrives() {
+        const ROUNDS: usize = 5_000; // two generations each
+        for n in [2, 3, 4] {
+            let barrier = SpinBarrier::new(n);
+            let bumps = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..n {
+                    scope.spawn(|| {
+                        for round in 1..=ROUNDS {
+                            bumps.fetch_add(1, Ordering::SeqCst);
+                            barrier.wait();
+                            assert_eq!(bumps.load(Ordering::SeqCst), n * round, "n = {n}");
+                            barrier.wait();
+                        }
+                    });
+                }
+            });
+            assert_eq!(barrier.generation.load(Ordering::SeqCst), 2 * ROUNDS);
+            assert_eq!(barrier.parked(), 0);
+        }
+    }
+
+    /// The park path, forced: every party but one is known to be asleep on the
+    /// condition variable before the last is let through (by channel, not by timing),
+    /// and its arrival must wake them all — also after a panic has poisoned the mutex,
+    /// which `Bail` relies on when it waits while unwinding.
+    #[test]
+    fn last_arrival_wakes_every_parked_party() {
+        for (n, poisoned) in [(2, false), (3, false), (4, true)] {
+            let barrier = SpinBarrier::new(n);
+            if poisoned {
+                let poison = std::thread::scope(|scope| {
+                    scope
+                        .spawn(|| {
+                            let _guard = barrier.lock.lock();
+                            panic!("poisoning the barrier's mutex on purpose");
+                        })
+                        .join()
+                });
+                assert!(poison.is_err() && barrier.lock.is_poisoned());
+            }
+            for _ in 0..3 {
+                let (go, gate) = std::sync::mpsc::channel::<()>();
+                std::thread::scope(|scope| {
+                    for _ in 1..n {
+                        scope.spawn(|| barrier.wait());
+                    }
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        gate.recv().expect("released by the test");
+                        barrier.wait();
+                    });
+                    while barrier.parked() < n - 1 {
+                        std::thread::yield_now();
+                    }
+                    go.send(()).expect("last party is waiting on the gate");
+                });
+                assert_eq!(barrier.parked(), 0, "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -12,14 +12,20 @@
 //! while holding flows, packets and agent callbacks constant, so any per-hop
 //! allocation would scale the count difference with `packets × extra hops`. We assert
 //! the difference stays far below that product.
+//!
+//! The same holds for a hop that crosses a shard boundary: a crossing packet moves by
+//! value into a mailbox that keeps its capacity from window to window, so a two-shard
+//! run's allocation count does not grow with the number of packets that cross.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, FlowSpec, HostAgent, LinkParams, Network, Packet, PacketKind, SimConfig,
-    Simulator, TimerKind, MSS_BYTES,
+    Ctx, FlowId, FlowInfo, FlowSpec, HostAgent, LinkParams, Network, Packet, PacketKind,
+    ShardAssignment, ShortestPathRouter, SimConfig, Simulator, TimerKind, DEFAULT_PROP_DELAY,
+    MSS_BYTES,
 };
 
 struct CountingAllocator;
@@ -42,6 +48,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The counter is process-wide: tests that read it take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Blast sender / ACKing receiver, the minimal transport that drives the forwarding
 /// hot path without protocol overhead.
@@ -95,10 +107,12 @@ fn line(switches: usize) -> Network {
 }
 
 /// Allocation count of running `packets` full-MSS packets (plus ACKs) end to end over
-/// a line with `switches` switches. Only `sim.run()` is measured.
-fn allocs_for(switches: usize, packets: u64) -> u64 {
+/// a line with `switches` switches, on one shard or — `split` — on two, cut between
+/// the middle switches. Only the run is measured.
+fn allocs_for(switches: usize, packets: u64, split: bool) -> u64 {
     let net = line(switches);
     let hosts = net.hosts();
+    let nodes = net.node_count();
     let mut sim = Simulator::new(net, SimConfig::default());
     sim.install_agents(|_, _| {
         Box::new(Blast {
@@ -111,8 +125,15 @@ fn allocs_for(switches: usize, packets: u64) -> u64 {
         hosts[1],
         packets * MSS_BYTES as u64,
     ));
+    // Nodes are numbered along the line: h0, s0 .. s(n-1), h1.
+    let halves = (0..nodes).map(|i| (2 * i >= nodes) as u32).collect();
+    let assignment = if split {
+        ShardAssignment::new(halves, 2, DEFAULT_PROP_DELAY)
+    } else {
+        ShardAssignment::single(nodes)
+    };
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let res = sim.run();
+    let res = sim.run_sharded(&assignment, |_| Box::new(ShortestPathRouter));
     let after = ALLOCATIONS.load(Ordering::Relaxed);
     assert_eq!(res.completed_count(), 1, "flow must complete");
     after - before
@@ -127,10 +148,11 @@ fn allocs_for(switches: usize, packets: u64) -> u64 {
 #[test]
 fn forwarding_does_not_allocate_per_hop() {
     const PACKETS: u64 = 200;
+    let _serial = serial();
     // Warm up the allocator's internal structures once.
-    let _ = allocs_for(2, PACKETS);
-    let short = allocs_for(2, PACKETS);
-    let long = allocs_for(12, PACKETS);
+    let _ = allocs_for(2, PACKETS, false);
+    let short = allocs_for(2, PACKETS, false);
+    let long = allocs_for(12, PACKETS, false);
     let extra = long.saturating_sub(short);
     let per_hop_ops = 10 * PACKETS * 2; // extra hops × packets × (data + ack)
     eprintln!(
@@ -141,5 +163,30 @@ fn forwarding_does_not_allocate_per_hop() {
         extra < per_hop_ops / 4,
         "path stretched by {per_hop_ops} hop traversals cost {extra} allocations \
          (short={short}, long={long}); the hot path is allocating per hop"
+    );
+}
+
+/// Zero allocations per crossing packet: on a line of four switches cut between s1
+/// and s2, every data packet crosses the cut once and its ACK once back. Four times the
+/// packets adds `2 × 3 × 200 = 1200` crossings; one allocation per crossing (a boxed
+/// packet, a mailbox regrown every window, a sort buffer per window) would put the
+/// difference at or above that, while buffer growth stays a small constant.
+#[test]
+fn crossing_a_shard_boundary_does_not_allocate_per_packet() {
+    const PACKETS: u64 = 200;
+    let _serial = serial();
+    let _ = allocs_for(4, PACKETS, true);
+    let few = allocs_for(4, PACKETS, true);
+    let many = allocs_for(4, 4 * PACKETS, true);
+    let extra = many.saturating_sub(few);
+    let extra_crossings = 2 * 3 * PACKETS;
+    eprintln!(
+        "few={few} many={many} extra={extra} budget={}",
+        extra_crossings / 4
+    );
+    assert!(
+        extra < extra_crossings / 4,
+        "{extra_crossings} more crossing packets cost {extra} allocations \
+         (few={few}, many={many}); the shard exchange is allocating per packet"
     );
 }

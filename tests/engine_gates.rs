@@ -2,7 +2,16 @@
 //! itself at a fixed seed — never wall-clock.
 
 use pdq_experiments::common::registry;
+use pdq_netsim::{EngineStats, SimConfig};
 use pdq_scenario::Scenario;
+use pdq_topology::Partition;
+
+fn engine_scale_quick() -> Scenario {
+    let scenario = Scenario::from_spec(include_str!("../specs/engine_scale_quick.scn"))
+        .expect("committed spec parses");
+    assert_eq!(scenario.seed, 1, "the gates were measured at seed 1");
+    scenario
+}
 
 /// A packet hop is one event. With an explicit link server it was two — the parent of
 /// the departure-ledger change popped 176 099 events for the 300 flows of the
@@ -11,10 +20,9 @@ use pdq_scenario::Scenario;
 #[test]
 fn engine_scale_quick_stays_under_the_events_per_flow_ceiling() {
     const PARENT_EVENTS_PER_FLOW: f64 = 176_099.0 / 300.0;
-    let scenario = Scenario::from_spec(include_str!("../specs/engine_scale_quick.scn"))
-        .expect("committed spec parses");
-    assert_eq!(scenario.seed, 1, "the ceiling was measured at seed 1");
-    let run = scenario.run(registry()).unwrap_or_else(|e| panic!("{e}"));
+    let run = engine_scale_quick()
+        .run(registry())
+        .unwrap_or_else(|e| panic!("{e}"));
     let (queue, engine) = (run.packet().queue, run.packet().engine);
     let per_flow = queue.pops as f64 / run.flows as f64;
     let ceiling = 0.6 * PARENT_EVENTS_PER_FLOW;
@@ -38,4 +46,42 @@ fn engine_scale_quick_stays_under_the_events_per_flow_ceiling() {
     // Flows unfinished at once: at least one, never more than were injected.
     let live = engine.live_flows_high_water;
     assert!(0 < live && live <= run.flows as u64, "{engine:?}");
+}
+
+/// The shard protocol's own counters. A lone core runs one unbounded window and
+/// receives nothing; two shards run lock-step windows no shorter than the lookahead
+/// (each opens at the earliest pending event, which is at or past the previous window's
+/// end), exchange messages across the cut, and count both the same way every time.
+#[test]
+fn shard_counters_count_windows_and_messages() {
+    let lone = engine_scale_quick()
+        .run(registry())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .packet()
+        .engine;
+    assert_eq!((lone.windows, lone.messages_in), (1, 0), "{lone:?}");
+
+    let split = engine_scale_quick().engine_threads(2);
+    let topo = split.topology.build();
+    let lookahead = Partition::of_topology(&topo, 2)
+        .to_assignment(&topo.net)
+        .lookahead()
+        .saturating_add(SimConfig::default().processing_delay);
+    let run = |scenario: &Scenario| -> (EngineStats, u64) {
+        let run = scenario.run(registry()).unwrap_or_else(|e| panic!("{e}"));
+        (run.packet().engine, run.packet().end_time.as_nanos())
+    };
+    let (engine, end_ns) = run(&split);
+    let bound = end_ns / lookahead.as_nanos() + 2;
+    assert!(
+        0 < engine.windows && engine.windows <= bound,
+        "{} windows over {end_ns} ns at a {lookahead:?} lookahead (bound {bound})",
+        engine.windows
+    );
+    assert!(engine.messages_in > 0, "{engine:?}");
+    let (again, _) = run(&split);
+    assert_eq!(
+        (again.windows, again.messages_in),
+        (engine.windows, engine.messages_in)
+    );
 }
