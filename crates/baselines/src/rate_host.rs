@@ -342,8 +342,9 @@ impl RateSender {
     }
 }
 
-/// The host agent for RCP / D3: one [`RateSender`] per originating flow, one
-/// [`EchoReceiver`] per terminating flow.
+/// The host agent for RCP / D3: one [`RateSender`] per originating flow while it is
+/// active, one [`EchoReceiver`] per terminating flow. A finished or quenched sender
+/// ignores every later packet and timer, so the agent drops it at once.
 pub struct RateHostAgent {
     mode: RateMode,
     min_rto: SimTime,
@@ -370,6 +371,22 @@ impl RateHostAgent {
         self.pacer = Some(config);
         self
     }
+
+    /// Hand `flow`'s sender (if it is still held) to `event`; drop it once it has
+    /// finished or been quenched.
+    fn drive_sender(
+        &mut self,
+        flow: FlowId,
+        ctx: &mut Ctx,
+        event: impl FnOnce(&mut RateSender, &mut Ctx),
+    ) {
+        if let Some(s) = self.senders.get_mut(&flow) {
+            event(s, ctx);
+            if s.status() != RateSenderStatus::Active {
+                self.senders.remove(&flow);
+            }
+        }
+    }
 }
 
 impl HostAgent for RateHostAgent {
@@ -379,14 +396,14 @@ impl HostAgent for RateHostAgent {
             s = s.with_pacer(config);
         }
         s.start(ctx);
-        self.senders.insert(flow.spec.id, s);
+        if s.status() == RateSenderStatus::Active {
+            self.senders.insert(flow.spec.id, s);
+        }
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
         if packet.reverse {
-            if let Some(s) = self.senders.get_mut(&packet.flow) {
-                s.on_packet(&packet, ctx);
-            }
+            self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
         } else {
             let receiver = match self.receivers.entry(packet.flow) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -402,9 +419,7 @@ impl HostAgent for RateHostAgent {
     }
 
     fn on_timer(&mut self, flow: FlowId, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        if let Some(s) = self.senders.get_mut(&flow) {
-            s.on_timer(kind, token, ctx);
-        }
+        self.drive_sender(flow, ctx, |s, ctx| s.on_timer(kind, token, ctx));
     }
 }
 
@@ -561,6 +576,83 @@ mod tests {
             })
             .count();
         assert_eq!(pacing_timers, 1);
+    }
+
+    /// One agent callback at `now`: the actions it queued.
+    fn run(
+        now: SimTime,
+        flows: &FlowMap<FlowInfo>,
+        callback: impl FnOnce(&mut Ctx),
+    ) -> Vec<Action> {
+        let mut ctx = Ctx::new(now, flows);
+        callback(&mut ctx);
+        ctx.take_actions()
+    }
+
+    /// An ACK of `n` bytes carrying grants for both protocols.
+    fn ack(n: u64, now: SimTime) -> Packet {
+        let mut p = synack(5e8, 5e8, now);
+        p.kind = PacketKind::Ack;
+        p.ack = n;
+        p
+    }
+
+    /// A late ACK and any stale timer for flow 1 find no sender — exactly what the
+    /// finished or quenched sender answered: nothing.
+    fn assert_ignored_after_retirement(agent: &mut RateHostAgent, map: &FlowMap<FlowInfo>) {
+        let late = SimTime::from_millis(20);
+        assert!(run(late, map, |ctx| agent.on_packet(ack(1, late), ctx)).is_empty());
+        for kind in [TimerKind::Rto, TimerKind::Pacing] {
+            for token in 0..=4 {
+                let actions = run(late, map, |ctx| agent.on_timer(FlowId(1), kind, token, ctx));
+                assert!(actions.is_empty(), "{kind:?} #{token} acted: {actions:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_finished_sender_is_retired() {
+        let (map, fi) = info(2_000, None);
+        let mut agent = RateHostAgent::new(RateMode::Rcp);
+        run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
+        let t0 = SimTime::from_micros(200);
+        run(t0, &map, |ctx| agent.on_packet(synack(5e8, 1e3, t0), ctx));
+        assert_eq!(agent.senders.len(), 1);
+        let t1 = t0 + SimTime::from_micros(300);
+        let done = run(t1, &map, |ctx| agent.on_packet(ack(2_000, t1), ctx));
+        assert!(done
+            .iter()
+            .any(|a| matches!(a, Action::FlowCompleted(f) if *f == FlowId(1))));
+        assert!(agent.senders.is_empty());
+        assert_ignored_after_retirement(&mut agent, &map);
+    }
+
+    #[test]
+    fn a_quenched_sender_is_retired() {
+        let (map, fi) = info(500_000, Some(SimTime::from_millis(1)));
+        let mut agent = RateHostAgent::new(RateMode::D3 { quenching: true });
+        run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
+        // The first feedback arrives after the deadline has passed.
+        let late = SimTime::from_millis(2);
+        let quenched = run(late, &map, |ctx| {
+            agent.on_packet(synack(1e3, 1e8, late), ctx)
+        });
+        assert!(quenched
+            .iter()
+            .any(|a| matches!(a, Action::FlowTerminated(f) if *f == FlowId(1))));
+        assert!(agent.senders.is_empty());
+        assert_ignored_after_retirement(&mut agent, &map);
+    }
+
+    #[test]
+    fn a_zero_byte_flow_is_never_stored() {
+        let (map, fi) = info(0, None);
+        let mut agent = RateHostAgent::new(RateMode::Rcp);
+        let actions = run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::FlowCompleted(_))));
+        assert!(agent.senders.is_empty());
     }
 
     #[test]

@@ -292,8 +292,9 @@ impl TcpSender {
     }
 }
 
-/// The per-host TCP agent: one [`TcpSender`] per originating flow, one
-/// [`EchoReceiver`] per terminating flow.
+/// The per-host TCP agent: one [`TcpSender`] per originating flow while it is
+/// active, one [`EchoReceiver`] per terminating flow. A finished sender ignores every
+/// later packet and timer, so the agent drops it at once.
 pub struct TcpHostAgent {
     params: TcpParams,
     senders: FlowMap<TcpSender>,
@@ -309,20 +310,35 @@ impl TcpHostAgent {
             receivers: FlowMap::default(),
         }
     }
+
+    /// Hand `flow`'s sender (if it is still held) to `event`; drop it once finished.
+    fn drive_sender(
+        &mut self,
+        flow: FlowId,
+        ctx: &mut Ctx,
+        event: impl FnOnce(&mut TcpSender, &mut Ctx),
+    ) {
+        if let Some(s) = self.senders.get_mut(&flow) {
+            event(s, ctx);
+            if s.status() != TcpStatus::Active {
+                self.senders.remove(&flow);
+            }
+        }
+    }
 }
 
 impl HostAgent for TcpHostAgent {
     fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
         let mut s = TcpSender::new(self.params.clone(), flow);
         s.start(ctx);
-        self.senders.insert(flow.spec.id, s);
+        if s.status() == TcpStatus::Active {
+            self.senders.insert(flow.spec.id, s);
+        }
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
         if packet.reverse {
-            if let Some(s) = self.senders.get_mut(&packet.flow) {
-                s.on_packet(&packet, ctx);
-            }
+            self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
         } else {
             let receiver = match self.receivers.entry(packet.flow) {
                 std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
@@ -338,9 +354,7 @@ impl HostAgent for TcpHostAgent {
     }
 
     fn on_timer(&mut self, flow: FlowId, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        if let Some(s) = self.senders.get_mut(&flow) {
-            s.on_timer(kind, token, ctx);
-        }
+        self.drive_sender(flow, ctx, |s, ctx| s.on_timer(kind, token, ctx));
     }
 }
 
@@ -513,6 +527,58 @@ mod tests {
         let mut ctx = Ctx::new(at, &map);
         s.on_timer(TimerKind::Pacing, token, &mut ctx);
         assert_eq!(count_data(&ctx.take_actions()), 1);
+    }
+
+    /// One agent callback at `now`: the actions it queued.
+    fn run(
+        now: SimTime,
+        flows: &FlowMap<FlowInfo>,
+        callback: impl FnOnce(&mut Ctx),
+    ) -> Vec<Action> {
+        let mut ctx = Ctx::new(now, flows);
+        callback(&mut ctx);
+        ctx.take_actions()
+    }
+
+    #[test]
+    fn a_finished_sender_is_retired() {
+        let (map, fi) = info(2 * MSS_BYTES as u64);
+        let mut agent = TcpHostAgent::new(TcpParams::default());
+        run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
+        let t0 = SimTime::from_micros(200);
+        let sent = run(t0, &map, |ctx| agent.on_packet(synack(t0), ctx));
+        assert_eq!(count_data(&sent), 2);
+        let t1 = t0 + SimTime::from_micros(400);
+        let done = run(t1, &map, |ctx| {
+            agent.on_packet(ack(2 * MSS_BYTES as u64, t1), ctx)
+        });
+        assert!(done.iter().any(|a| matches!(a, Action::FlowCompleted(_))));
+        assert!(agent.senders.is_empty());
+        // A late ACK and any stale timer find no sender — exactly what the finished
+        // sender answered: nothing.
+        let late = t1 + SimTime::from_millis(10);
+        assert!(run(late, &map, |ctx| agent
+            .on_packet(ack(MSS_BYTES as u64, late), ctx))
+        .is_empty());
+        for kind in [TimerKind::Rto, TimerKind::Pacing] {
+            for token in 0..=4 {
+                let actions = run(late, &map, |ctx| {
+                    agent.on_timer(FlowId(1), kind, token, ctx)
+                });
+                assert!(actions.is_empty(), "{kind:?} #{token} acted: {actions:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_zero_byte_flow_is_never_stored() {
+        let (map, fi) = info(0);
+        let mut agent = TcpHostAgent::new(TcpParams::default());
+        let actions = run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::FlowCompleted(_))));
+        assert!(agent.senders.is_empty());
     }
 
     #[test]

@@ -276,6 +276,15 @@ impl FlowTable {
         self.index.get(&id).copied()
     }
 
+    /// Make room for `flows` more flows in the slabs and the index, so that a run
+    /// whose arrivals are all known up front sizes them once instead of doubling
+    /// (which copies the cold slab and briefly holds both copies).
+    pub(crate) fn reserve(&mut self, flows: usize) {
+        self.hot.reserve(flows);
+        self.slots.reserve(flows);
+        self.index.reserve(flows);
+    }
+
     /// Add a flow, laying its path (if it has one) out in the route arena.
     pub(crate) fn insert(&mut self, network: &Network, state: FlowState) -> u32 {
         let slot = self.slots.len() as u32;
@@ -572,8 +581,10 @@ impl EngineCore {
     }
 
     /// Schedule the run's bootstrap events: controller init ticks, the first trace
-    /// sample, and the hard Stop at `max_sim_time`.
+    /// sample, and the hard Stop at `max_sim_time`; size the flow slabs for the
+    /// arrivals already queued.
     pub(crate) fn setup(&mut self) {
+        self.flows.reserve(self.pending_arrivals);
         {
             let Self {
                 controllers,

@@ -46,7 +46,13 @@
 //! **Storage.** A drained bucket's buffer goes to one LIFO spare list that empty fine
 //! buckets refill from, and an opened level-1 slot gives its buffer back to the
 //! allocator, so the queue holds about as many buffers as there are simultaneously
-//! non-empty buckets — not one high-water buffer per wheel slot.
+//! non-empty buckets — not one high-water buffer per wheel slot. The *bytes* need one
+//! more rule, because a buffer keeps the capacity of the fullest bucket it ever held:
+//! after a burst that filled a whole level-1 slot, a thousand spare buffers would each
+//! stay sized for the burst while only a trickle of events is pending. So the spare
+//! list keeps a drained buffer only while its total capacity stays within
+//! [`SPARE_FACTOR`] × max(pending events, [`SPARE_FLOOR`]) events, and frees it
+//! otherwise: the queue's memory follows the events it holds, not its history.
 //!
 //! # Why the total order survives the restructure
 //!
@@ -369,6 +375,15 @@ const WHEEL_BITS: u32 = 10;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
+/// The spare list's capacity bound, in multiples of the events pending. Twice the
+/// pending count leaves room for the buckets that drain while as many fill, so a
+/// steady workload still recycles every buffer.
+const SPARE_FACTOR: usize = 2;
+/// The pending count below which the spare bound stops shrinking (512 KiB of 64-byte
+/// events at the factor of two): a nearly idle queue keeps enough buffers to absorb
+/// the next burst's first buckets without reallocating.
+const SPARE_FLOOR: usize = 4096;
+
 /// One wheel level: [`WHEEL_SLOTS`] unsorted event buffers and a bitmap of the
 /// non-empty ones.
 #[derive(Debug)]
@@ -446,6 +461,8 @@ pub struct EventQueue {
     overflow: BinaryHeap<Reverse<Event>>,
     /// Emptied bucket buffers, reused last-in first-out by fine buckets that fill.
     spare: Vec<Vec<Event>>,
+    /// Total capacity of the `spare` buffers, in events.
+    spare_capacity: usize,
     /// Fine bucket width in nanoseconds (≥ 1).
     bucket_ns: u64,
     len: usize,
@@ -485,6 +502,7 @@ impl EventQueue {
             coarse: Wheel::new(),
             overflow: BinaryHeap::new(),
             spare: Vec::new(),
+            spare_capacity: 0,
             bucket_ns: width.as_nanos().max(1),
             len: 0,
             next_seq: 0,
@@ -558,10 +576,24 @@ impl EventQueue {
         let bucket = self.fine.slot_mut((b & WHEEL_MASK) as usize);
         if bucket.capacity() == 0 {
             if let Some(buf) = self.spare.pop() {
+                self.spare_capacity -= buf.capacity();
                 *bucket = buf;
             }
         }
         bucket.push(ev);
+    }
+
+    /// Keep the drained buffer `buf` for reuse if the spare list stays within its
+    /// bound (see the module docs' *Storage*); free it otherwise.
+    fn recycle(&mut self, buf: Vec<Event>) {
+        debug_assert!(buf.is_empty());
+        let capacity = buf.capacity();
+        if capacity > 0
+            && self.spare_capacity + capacity <= SPARE_FACTOR * self.len.max(SPARE_FLOOR)
+        {
+            self.spare_capacity += capacity;
+            self.spare.push(buf);
+        }
     }
 
     /// Make the earliest non-empty fine bucket current and sort it by the full key,
@@ -581,9 +613,7 @@ impl EventQueue {
         };
         self.cursor = (self.cursor & !WHEEL_MASK) | idx as u64;
         let drained = std::mem::replace(&mut self.current, self.fine.take(idx));
-        if drained.capacity() > 0 {
-            self.spare.push(drained);
-        }
+        self.recycle(drained);
         // Lazy in-bucket sort: descending, so pops come off the tail. Keys are
         // unique (seq fallback), so stability is irrelevant.
         self.current.sort_unstable_by(|a, b| b.cmp(a));
@@ -690,6 +720,13 @@ impl EventQueue {
     /// A snapshot of the queue's telemetry counters.
     pub fn stats(&self) -> QueueStats {
         self.stats
+    }
+
+    /// Total capacity of the spare buffers, in events, recounted from the buffers
+    /// themselves (the queue keeps a running total).
+    #[cfg(test)]
+    fn recount_spare_capacity(&self) -> usize {
+        self.spare.iter().map(Vec::capacity).sum()
     }
 }
 
@@ -950,6 +987,50 @@ mod tests {
         assert!(
             held as u64 <= 2 * LIVE + 2,
             "{held} buffers held for {LIVE} live buckets"
+        );
+    }
+
+    #[test]
+    fn spare_buffers_shrink_back_to_the_pending_bound_after_a_burst() {
+        // A burst fills all 1 024 fine buckets of one level-1 slot with 128 events
+        // each, so draining it leaves a thousand buffers sized for 128 events. A
+        // trickle of a few hundred pending events follows: the spare list must fall
+        // back within its bound instead of keeping the burst's buffers.
+        const PER_BUCKET: u64 = 128;
+        const TRICKLE: u64 = 300;
+        let at = SimTime::from_nanos;
+        let mut q = EventQueue::with_bucket_width(at(1));
+        for b in 0..SLOT_NS {
+            for i in 0..PER_BUCKET {
+                q.schedule(at(SLOT_NS + b), timer(i));
+            }
+        }
+        let mut popped = 0u64;
+        while let Some(ev) = q.pop() {
+            q.set_now(ev.at);
+            popped += 1;
+        }
+        assert_eq!(popped, SLOT_NS * PER_BUCKET);
+        assert_eq!(q.stats().buckets_sorted, SLOT_NS);
+        // The trickle: one event per bucket, each popped event rescheduled
+        // `TRICKLE` buckets later, so `TRICKLE` events stay pending.
+        let start = q.peek_time().map_or(3 * SLOT_NS, |t| t.as_nanos());
+        for i in 0..TRICKLE {
+            q.schedule(at(start + i), timer(i));
+        }
+        for _ in 0..20 * SLOT_NS {
+            let ev = q.pop().expect("the trickle never drains");
+            q.set_now(ev.at);
+            q.schedule(ev.at + at(TRICKLE), timer(ev.at.as_nanos()));
+        }
+        assert_eq!(q.len() as u64, TRICKLE);
+        let held = q.recount_spare_capacity();
+        assert_eq!(held, q.spare_capacity, "running total drifted");
+        let bound = SPARE_FACTOR * q.len().max(SPARE_FLOOR);
+        assert!(
+            held <= bound,
+            "{held} spare events' capacity kept for {} pending (bound {bound})",
+            q.len()
         );
     }
 

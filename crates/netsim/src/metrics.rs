@@ -105,19 +105,26 @@ impl SimResults {
     /// Mean flow completion time in seconds over completed flows matching `filter`.
     /// Returns `None` if no flow matches.
     pub fn mean_fct_secs<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Option<f64> {
+        let fcts = self.sorted_fcts_secs(filter);
+        if fcts.is_empty() {
+            return None;
+        }
+        Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
+    }
+
+    /// Completion times in seconds of the completed top-level flows matching
+    /// `filter`, in ascending `f64::total_cmp` order. f64 addition is
+    /// order-sensitive at the last ulp and `flows` is a HashMap with per-instance
+    /// iteration order: a mean summed in this order is bit-identical across runs
+    /// (and matches cached records).
+    fn sorted_fcts_secs<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Vec<f64> {
         let mut fcts: Vec<f64> = self
             .top_level_flows()
             .filter(|r| filter(r))
             .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
             .collect();
-        if fcts.is_empty() {
-            return None;
-        }
-        // f64 addition is order-sensitive at the last ulp and `flows` is a
-        // HashMap with per-instance iteration order: sum in sorted order so the
-        // mean is bit-identical across runs (and matches cached records).
         fcts.sort_by(f64::total_cmp);
-        Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
+        fcts
     }
 
     /// Mean FCT over all completed top-level flows.
@@ -132,15 +139,10 @@ impl SimResults {
         percentile: f64,
         filter: F,
     ) -> Option<f64> {
-        let mut fcts: Vec<f64> = self
-            .top_level_flows()
-            .filter(|r| filter(r))
-            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
-            .collect();
+        let fcts = self.sorted_fcts_secs(filter);
         if fcts.is_empty() {
             return None;
         }
-        fcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let idx = ((percentile / 100.0) * (fcts.len() as f64 - 1.0)).round() as usize;
         Some(fcts[idx.min(fcts.len() - 1)])
     }
@@ -260,6 +262,29 @@ mod tests {
         assert!((p100 - 0.030).abs() < 1e-9);
         let max = res.max_fct_secs(|_| true).unwrap();
         assert!((max - 0.030).abs() < 1e-9);
+    }
+
+    #[test]
+    fn percentiles_follow_the_sorted_completion_times() {
+        // 101 flows finishing at 1..=101 ms, inserted out of order (ids scrambled):
+        // percentile p is the (p + 1)-th smallest FCT, whatever the map's order.
+        let records = (0..101u64)
+            .map(|i| record((i * 37) % 101 + 1, 1000, None, Some((i * 37) % 101 + 1)))
+            .collect();
+        let res = results_with(records);
+        let ms = |p: f64| (res.fct_percentile_secs(p, |_| true).unwrap() * 1e3).round();
+        assert_eq!(
+            (ms(0.0), ms(50.0), ms(99.0), ms(100.0)),
+            (1.0, 51.0, 100.0, 101.0)
+        );
+        assert_eq!(
+            res.fct_percentile_secs(100.0, |_| true),
+            res.max_fct_secs(|_| true)
+        );
+        assert_eq!(
+            res.fct_percentile_secs(50.0, |r| r.spec.id.value() > 200),
+            None
+        );
     }
 
     #[test]

@@ -6,6 +6,16 @@
 //! flows are split into subflows (each routed independently, so flow-level ECMP spreads
 //! them over distinct paths), and a periodic re-balancer moves unsent bytes from paused
 //! subflows to the sending subflow with the least remaining work.
+//!
+//! The agent holds state for what is live. A sender that leaves
+//! [`SenderStatus::Active`] ignores every later packet and timer, so the agent drops
+//! it at once — the host-side counterpart of the TERM that lets switches drop the
+//! flow. An M-PDQ subflow's sender is the exception: its parent's completion check and
+//! the re-balancer read it, so it stays until the parent reports, and then the parent's
+//! whole M-PDQ bookkeeping goes with it. Receivers stay for the whole run: a forward
+//! packet arriving after a receiver was dropped would re-create it with fresh state.
+
+use std::sync::Arc;
 
 use pdq_netsim::{Ctx, FlowId, FlowInfo, FlowMap, FlowSpec, HostAgent, Packet, SimTime, TimerKind};
 use rand::rngs::SmallRng;
@@ -36,17 +46,18 @@ pub fn subflow_id(parent: FlowId, k: usize) -> FlowId {
 
 /// The PDQ (and M-PDQ) host agent.
 pub struct PdqHostAgent {
-    params: PdqParams,
+    /// Shared by every sender this agent starts.
+    params: Arc<PdqParams>,
     discipline: Discipline,
     rng: SmallRng,
+    /// Live senders, plus finished M-PDQ subflows whose parent has not reported yet.
     senders: FlowMap<PdqSender>,
     receivers: FlowMap<PdqReceiver>,
-    /// Parent flow id -> its subflow ids (only for flows originating at this host).
+    /// Parent flow id -> its subflow ids, for flows originating at this host whose
+    /// completion is not yet reported.
     children: FlowMap<Vec<FlowId>>,
-    /// Subflow id -> parent flow id.
+    /// Subflow id -> parent flow id, while the parent is in `children`.
     parent_of: FlowMap<FlowId>,
-    /// Parents already reported complete/terminated.
-    parent_done: FlowMap<bool>,
 }
 
 impl PdqHostAgent {
@@ -54,18 +65,19 @@ impl PdqHostAgent {
     /// reproducible; pass e.g. the host's node id.
     pub fn new(params: PdqParams, discipline: Discipline, seed: u64) -> Self {
         PdqHostAgent {
-            params,
+            params: Arc::new(params),
             discipline,
             rng: SmallRng::seed_from_u64(seed),
             senders: FlowMap::default(),
             receivers: FlowMap::default(),
             children: FlowMap::default(),
             parent_of: FlowMap::default(),
-            parent_done: FlowMap::default(),
         }
     }
 
-    /// Number of currently tracked sender state machines (diagnostics / tests).
+    /// Number of sender state machines held (diagnostics / tests): the live senders,
+    /// plus the finished subflows of M-PDQ parents that have not reported yet. A
+    /// single-path sender is dropped as soon as it finishes or terminates.
     pub fn active_senders(&self) -> usize {
         self.senders.len()
     }
@@ -73,7 +85,7 @@ impl PdqHostAgent {
     fn start_sender(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
         let random_crit = Discipline::draw_random_criticality(&mut self.rng);
         let mut sender = PdqSender::new(
-            self.params.clone(),
+            Arc::clone(&self.params),
             self.discipline.clone(),
             flow,
             flow.spec.size_bytes,
@@ -82,8 +94,34 @@ impl PdqHostAgent {
         sender.start(ctx);
         if let Some(parent) = flow.spec.parent {
             self.parent_of.insert(flow.spec.id, parent);
+        } else if sender.status() != SenderStatus::Active {
+            // Finished inside `start` (nothing to send): there is nothing to keep.
+            return;
         }
         self.senders.insert(flow.spec.id, sender);
+    }
+
+    /// Hand `flow`'s sender (if it is still held) to `event`, then drop it if it left
+    /// `Active` — or, for an M-PDQ subflow, check whether its parent is done.
+    fn drive_sender(
+        &mut self,
+        flow: FlowId,
+        ctx: &mut Ctx,
+        event: impl FnOnce(&mut PdqSender, &mut Ctx),
+    ) {
+        let Some(sender) = self.senders.get_mut(&flow) else {
+            return;
+        };
+        event(sender, ctx);
+        if sender.status() == SenderStatus::Active {
+            return;
+        }
+        match self.parent_of.get(&flow).copied() {
+            Some(parent) => self.check_parent_completion(parent, ctx),
+            None => {
+                self.senders.remove(&flow);
+            }
+        }
     }
 
     fn split_into_subflows(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
@@ -115,7 +153,6 @@ impl PdqHostAgent {
             ctx.spawn_flow(spec);
         }
         self.children.insert(flow.spec.id, ids);
-        self.parent_done.insert(flow.spec.id, false);
         // Periodic M-PDQ re-balancing.
         let interval = flow
             .base_rtt
@@ -124,32 +161,28 @@ impl PdqHostAgent {
         ctx.set_timer_after(flow.spec.id, TimerKind::Rebalance, interval, 0);
     }
 
+    /// Report `parent` once every subflow sender has finished or terminated, and drop
+    /// its M-PDQ state: nothing reads it afterwards.
     fn check_parent_completion(&mut self, parent: FlowId, ctx: &mut Ctx) {
-        if self.parent_done.get(&parent).copied().unwrap_or(true) {
-            return;
-        }
         let Some(kids) = self.children.get(&parent) else {
-            return;
+            return; // not split here, or already reported
         };
-        let mut all_done = true;
         let mut any_terminated = false;
         for k in kids {
             match self.senders.get(k).map(|s| s.status()) {
                 Some(SenderStatus::Finished) => {}
                 Some(SenderStatus::Terminated) => any_terminated = true,
-                _ => {
-                    all_done = false;
-                    break;
-                }
+                _ => return,
             }
         }
-        if all_done {
-            self.parent_done.insert(parent, true);
-            if any_terminated {
-                ctx.flow_terminated(parent);
-            } else {
-                ctx.flow_completed(parent);
-            }
+        if any_terminated {
+            ctx.flow_terminated(parent);
+        } else {
+            ctx.flow_completed(parent);
+        }
+        for k in self.children.remove(&parent).into_iter().flatten() {
+            self.senders.remove(&k);
+            self.parent_of.remove(&k);
         }
     }
 
@@ -194,7 +227,7 @@ impl PdqHostAgent {
             }
         }
         self.check_parent_completion(parent, ctx);
-        if !self.parent_done.get(&parent).copied().unwrap_or(true) {
+        if self.children.contains_key(&parent) {
             let interval = SimTime::from_secs_f64(
                 self.params.rebalance_interval_rtts * self.params.default_rtt.as_secs_f64(),
             )
@@ -216,14 +249,7 @@ impl HostAgent for PdqHostAgent {
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
         if packet.reverse {
             // We are the flow's source: feed the sender.
-            if let Some(sender) = self.senders.get_mut(&packet.flow) {
-                sender.on_packet(&packet, ctx);
-                if sender.status() != SenderStatus::Active {
-                    if let Some(parent) = self.parent_of.get(&packet.flow).copied() {
-                        self.check_parent_completion(parent, ctx);
-                    }
-                }
-            }
+            self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
         } else {
             // We are the flow's destination: feed (or create) the receiver.
             let receiver = match self.receivers.entry(packet.flow) {
@@ -249,21 +275,14 @@ impl HostAgent for PdqHostAgent {
             self.rebalance(flow, ctx);
             return;
         }
-        if let Some(sender) = self.senders.get_mut(&flow) {
-            sender.on_timer(kind, token, ctx);
-            if sender.status() != SenderStatus::Active {
-                if let Some(parent) = self.parent_of.get(&flow).copied() {
-                    self.check_parent_completion(parent, ctx);
-                }
-            }
-        }
+        self.drive_sender(flow, ctx, |s, ctx| s.on_timer(kind, token, ctx));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowPath, LinkId, NodeId};
+    use pdq_netsim::{Action, FlowPath, LinkId, NodeId, PacketKind, SchedulingHeader};
 
     fn info(id: u64, size: u64, parent: Option<FlowId>) -> FlowInfo {
         FlowInfo {
@@ -353,6 +372,169 @@ mod tests {
         let sub = info(subflow_id(FlowId(1), 0).value(), 50_000, Some(FlowId(1)));
         agent.on_flow_arrival(&sub, &mut ctx);
         assert_eq!(agent.active_senders(), 1);
+    }
+
+    const GBPS: f64 = 1e9;
+
+    /// One agent callback at `now`: the actions it queued.
+    fn run(
+        now: SimTime,
+        flows: &FlowMap<FlowInfo>,
+        callback: impl FnOnce(&mut Ctx),
+    ) -> Vec<Action> {
+        let mut ctx = Ctx::new(now, flows);
+        callback(&mut ctx);
+        ctx.take_actions()
+    }
+
+    /// Switch feedback for `flow`: a `kind` packet granting `rate` and cumulatively
+    /// acknowledging `ack` bytes.
+    fn feedback(kind: PacketKind, flow: FlowId, ack: u64, rate: f64, now: SimTime) -> Packet {
+        let mut p = Packet::control(kind, flow, NodeId(0), NodeId(2));
+        p.ack = ack;
+        p.sched = SchedulingHeader::new(GBPS);
+        p.sched.rate = rate;
+        p.sent_at = now.saturating_sub(SimTime::from_micros(150));
+        p
+    }
+
+    fn flows_of<'a>(infos: impl IntoIterator<Item = &'a FlowInfo>) -> FlowMap<FlowInfo> {
+        infos.into_iter().map(|i| (i.spec.id, i.clone())).collect()
+    }
+
+    /// Every late packet and timer a retired `flow` can still receive — an ACK, and
+    /// each sender timer kind with any token it can have armed — produces no action,
+    /// which is what the agent got from the `Finished`/`Terminated` sender before.
+    fn assert_ignored_after_retirement(
+        agent: &mut PdqHostAgent,
+        flows: &FlowMap<FlowInfo>,
+        flow: FlowId,
+        now: SimTime,
+    ) {
+        let late_ack = feedback(PacketKind::Ack, flow, 1, GBPS, now);
+        assert!(run(now, flows, |ctx| agent.on_packet(late_ack, ctx)).is_empty());
+        for kind in [
+            TimerKind::Rto,
+            TimerKind::Probe,
+            TimerKind::Pacing,
+            TimerKind::Custom(0),
+        ] {
+            for token in 0..=4 {
+                let actions = run(now, flows, |ctx| agent.on_timer(flow, kind, token, ctx));
+                assert!(actions.is_empty(), "{kind:?} #{token} acted: {actions:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_completed_sender_is_retired() {
+        let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 1);
+        let flow = info(1, 2_000, None);
+        let flows = flows_of([&flow]);
+        run(SimTime::ZERO, &flows, |ctx| {
+            agent.on_flow_arrival(&flow, ctx)
+        });
+        let t = SimTime::from_micros(200);
+        let synack = feedback(PacketKind::SynAck, FlowId(1), 0, GBPS, t);
+        run(t, &flows, |ctx| agent.on_packet(synack, ctx));
+        assert_eq!(agent.active_senders(), 1);
+        let t = SimTime::from_micros(500);
+        let ack = feedback(PacketKind::Ack, FlowId(1), 2_000, GBPS, t);
+        let actions = run(t, &flows, |ctx| agent.on_packet(ack, ctx));
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::FlowCompleted(f) if *f == FlowId(1))));
+        assert_eq!(agent.active_senders(), 0);
+        assert_ignored_after_retirement(&mut agent, &flows, FlowId(1), SimTime::from_millis(5));
+    }
+
+    #[test]
+    fn an_early_terminated_sender_is_retired() {
+        // 10 MB due in 1 ms cannot make it at 1 Gbit/s: the first grant terminates it.
+        let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 1);
+        let mut flow = info(1, 10_000_000, None);
+        flow.spec.deadline = Some(SimTime::from_millis(1));
+        let flows = flows_of([&flow]);
+        run(SimTime::ZERO, &flows, |ctx| {
+            agent.on_flow_arrival(&flow, ctx)
+        });
+        let t = SimTime::from_micros(200);
+        let synack = feedback(PacketKind::SynAck, FlowId(1), 0, GBPS, t);
+        let actions = run(t, &flows, |ctx| agent.on_packet(synack, ctx));
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::FlowTerminated(f) if *f == FlowId(1))));
+        assert_eq!(agent.active_senders(), 0);
+        assert_ignored_after_retirement(&mut agent, &flows, FlowId(1), SimTime::from_millis(2));
+    }
+
+    #[test]
+    fn a_sender_finished_inside_start_is_never_stored() {
+        let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 1);
+        let flow = info(1, 0, None);
+        let flows = flows_of([&flow]);
+        let actions = run(SimTime::ZERO, &flows, |ctx| {
+            agent.on_flow_arrival(&flow, ctx)
+        });
+        assert!(actions
+            .iter()
+            .any(|a| matches!(a, Action::FlowCompleted(f) if *f == FlowId(1))));
+        assert_eq!(agent.active_senders(), 0);
+    }
+
+    #[test]
+    fn a_multipath_parent_reports_once_its_last_subflow_is_done() {
+        let mut params = PdqParams::full();
+        params.subflows = 2;
+        let mut agent = PdqHostAgent::new(params, Discipline::Exact, 1);
+        let parent = info(1, 100_000, None);
+        let split = run(SimTime::ZERO, &FlowMap::default(), |ctx| {
+            agent.on_flow_arrival(&parent, ctx)
+        });
+        // The engine delivers each spawned subflow back to this host.
+        let subs: Vec<FlowInfo> = split
+            .iter()
+            .filter_map(|a| match a {
+                Action::SpawnFlow(s) => Some(info(s.id.value(), s.size_bytes, s.parent)),
+                _ => None,
+            })
+            .collect();
+        let flows = flows_of(&subs);
+        for sub in &subs {
+            run(SimTime::ZERO, &flows, |ctx| agent.on_flow_arrival(sub, ctx));
+        }
+        let finish = |agent: &mut PdqHostAgent, sub: &FlowInfo, us: u64| {
+            let (id, size) = (sub.spec.id, sub.spec.size_bytes);
+            let t = SimTime::from_micros(us);
+            let synack = feedback(PacketKind::SynAck, id, 0, GBPS, t);
+            run(t, &flows, |ctx| agent.on_packet(synack, ctx));
+            let t = SimTime::from_micros(us + 300);
+            let ack = feedback(PacketKind::Ack, id, size, GBPS, t);
+            run(t, &flows, |ctx| agent.on_packet(ack, ctx))
+        };
+        let parent_done = |actions: &[Action]| {
+            actions
+                .iter()
+                .any(|a| matches!(a, Action::FlowCompleted(f) if *f == FlowId(1)))
+        };
+        let first = finish(&mut agent, &subs[0], 200);
+        assert!(
+            !parent_done(&first),
+            "reported with a subflow still sending"
+        );
+        // The finished subflow stays: the parent's completion check reads it.
+        assert_eq!(agent.active_senders(), 2);
+        let last = finish(&mut agent, &subs[1], 400);
+        assert!(parent_done(&last), "{last:?}");
+        assert_eq!(agent.active_senders(), 0);
+        // Reported once: a later re-balance neither reports again nor re-arms.
+        let t = SimTime::from_millis(1);
+        let rebalance = TimerKind::Rebalance;
+        let actions = run(t, &flows, |ctx| {
+            agent.on_timer(FlowId(1), rebalance, 0, ctx)
+        });
+        assert!(actions.is_empty(), "{actions:?}");
+        assert_ignored_after_retirement(&mut agent, &flows, subs[0].spec.id, t);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! can no longer make it, and finishes with a TERM packet so switches can drop the
 //! flow's state immediately.
 
+use std::sync::Arc;
+
 use pdq_netsim::{
     Ctx, FlowId, FlowInfo, LinkId, Pacer, Packet, PacketKind, SimTime, TimerKind,
     BASE_HEADER_BYTES, MSS_BYTES, SCHED_HEADER_BYTES,
@@ -26,9 +28,12 @@ pub enum SenderStatus {
 }
 
 /// Per-flow PDQ sender state machine.
+///
+/// The parameters are shared: a host agent hands every sender it starts the same
+/// [`Arc`], so a sender carries its own flow's state and nothing per host.
 #[derive(Debug)]
 pub struct PdqSender {
-    params: PdqParams,
+    params: Arc<PdqParams>,
     discipline: Discipline,
 
     flow: FlowId,
@@ -98,7 +103,7 @@ impl PdqSender {
     /// Create a sender for `flow`, responsible for `assigned_bytes` of it (the full
     /// size for single-path PDQ, a share for M-PDQ subflows).
     pub fn new(
-        params: PdqParams,
+        params: Arc<PdqParams>,
         discipline: Discipline,
         flow: &FlowInfo,
         assigned_bytes: u64,
@@ -591,7 +596,13 @@ mod tests {
 
     fn sender(size: u64, deadline: Option<SimTime>) -> (HashMap<FlowId, FlowInfo>, PdqSender) {
         let (map, info) = flow_info(size, deadline);
-        let s = PdqSender::new(PdqParams::full(), Discipline::Exact, &info, size, 0.0);
+        let s = PdqSender::new(
+            PdqParams::full().into(),
+            Discipline::Exact,
+            &info,
+            size,
+            0.0,
+        );
         (map, s)
     }
 
@@ -625,20 +636,38 @@ mod tests {
         tagged.spec = tagged.spec.with_coflow(tag);
 
         // Coflow-unaware params ignore the tag entirely.
-        let plain = PdqSender::new(PdqParams::full(), Discipline::Exact, &tagged, 10_000, 0.0);
+        let plain = PdqSender::new(
+            PdqParams::full().into(),
+            Discipline::Exact,
+            &tagged,
+            10_000,
+            0.0,
+        );
         let p = plain.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
         assert_eq!(p.sched.deadline, Some(SimTime::from_millis(5)));
         assert_eq!(p.sched.expected_trans_time, 10_000.0 * 8.0 / GBPS);
 
         // Coflow-aware senders inherit the group deadline and advertise the group
         // bottleneck's transmission time: the whole coflow shares one criticality.
-        let aware = PdqSender::new(PdqParams::coflow(), Discipline::Exact, &tagged, 10_000, 0.0);
+        let aware = PdqSender::new(
+            PdqParams::coflow().into(),
+            Discipline::Exact,
+            &tagged,
+            10_000,
+            0.0,
+        );
         let p = aware.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
         assert_eq!(p.sched.deadline, Some(SimTime::from_millis(9)));
         assert_eq!(p.sched.expected_trans_time, 1_000_000.0 * 8.0 / GBPS);
 
         // Untagged flows under coflow-aware params behave exactly as plain PDQ.
-        let untagged = PdqSender::new(PdqParams::coflow(), Discipline::Exact, &info, 10_000, 0.0);
+        let untagged = PdqSender::new(
+            PdqParams::coflow().into(),
+            Discipline::Exact,
+            &info,
+            10_000,
+            0.0,
+        );
         let p = untagged.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
         assert_eq!(p.sched.deadline, Some(SimTime::from_millis(5)));
         assert_eq!(p.sched.expected_trans_time, 10_000.0 * 8.0 / GBPS);
@@ -798,7 +827,7 @@ mod tests {
         let (map, info) = flow_info(10_000_000, deadline);
         let mut params = PdqParams::full();
         params.early_termination = false;
-        let mut s = PdqSender::new(params, Discipline::Exact, &info, 10_000_000, 0.0);
+        let mut s = PdqSender::new(params.into(), Discipline::Exact, &info, 10_000_000, 0.0);
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         s.on_packet(&synack_with_rate(GBPS, now), &mut ctx);
@@ -871,9 +900,17 @@ mod tests {
     }
 
     #[test]
+    fn senders_stay_slim() {
+        // An overloaded host keeps thousands of senders live and touches one per
+        // packet; the parameters are shared, never copied into each sender.
+        let size = std::mem::size_of::<PdqSender>();
+        assert!(size <= 272, "PdqSender grew to {size} bytes");
+    }
+
+    #[test]
     fn zero_byte_assignment_finishes_immediately() {
         let (map, info) = flow_info(0, None);
-        let mut s = PdqSender::new(PdqParams::full(), Discipline::Exact, &info, 0, 0.0);
+        let mut s = PdqSender::new(PdqParams::full().into(), Discipline::Exact, &info, 0, 0.0);
         let mut ctx = Ctx::new(SimTime::ZERO, &map);
         s.start(&mut ctx);
         assert_eq!(s.status(), SenderStatus::Finished);

@@ -1,0 +1,122 @@
+//! Memory gate for PDQ runs: peak live heap follows what is live, not the run's
+//! history.
+//!
+//! The committed quick engine-scale spec (PDQ(Full) on a 16-host fat-tree) scaled to
+//! 1 000 flows, run twice:
+//!
+//! * **overloaded** — every arrival squeezed into 1 ms: nearly every flow is
+//!   unfinished at once, most of them paused and probing, and over 4 096 events are
+//!   pending, so the event queue's spare-buffer bound is in play;
+//! * **steady** — arrivals spread over 66 ms (the spec's own arrival rate): a few
+//!   dozen flows are live at any time while the finished ones pile up, so a host that
+//!   kept its finished senders would hold memory for all of them.
+//!
+//! The gate bounds the peak live heap of the whole scenario run (topology, workload,
+//! engine, agents, results) with a live-byte-counting global allocator and no wall
+//! clock. Measured at seed 1, before and after hosts retired finished senders,
+//! senders shared their parameters, the event queue bounded its spare buffers and
+//! the flow slabs were sized once: overloaded 4 476 375 → 3 277 495 B (4 207 287 B
+//! with everything but the spare-buffer bound), steady 2 199 495 → 1 493 607 B
+//! (1 947 879 B with everything but sender retirement).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, Ordering};
+
+use pdq_experiments::common::registry;
+use pdq_netsim::SimTime;
+use pdq_scenario::{RunSummary, Scenario, WorkloadSpec};
+
+struct LiveBytes;
+
+// Statistics only: nothing else is published through these, so `Relaxed` is enough.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the counters never touch the returned memory.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        grew(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        grew(new_size);
+        // SAFETY: `ptr` came from `System` with `layout`; the caller guarantees
+        // `new_size` is valid for `layout.align()`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+const FLOWS: usize = 1_000;
+
+/// The committed quick engine-scale spec with [`FLOWS`] flows arriving over `spread`.
+fn engine_scale(spread: SimTime) -> Scenario {
+    let mut scenario = Scenario::from_spec(include_str!("../specs/engine_scale_quick.scn"))
+        .expect("committed spec parses");
+    assert_eq!(scenario.seed, 1, "the gate was measured at seed 1");
+    let WorkloadSpec::RandomPairs {
+        flows,
+        spread: arrivals,
+        ..
+    } = &mut scenario.workload
+    else {
+        panic!("the quick engine-scale spec is a random-pairs workload");
+    };
+    (*flows, *arrivals) = (FLOWS, spread);
+    scenario
+}
+
+/// Run `scenario`, returning its summary and the peak live heap the run added.
+fn peak_live(scenario: &Scenario) -> (RunSummary, u64) {
+    let registry = registry(); // initialised outside the measurement
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let run = scenario.run(registry).unwrap_or_else(|e| panic!("{e}"));
+    let peak = (PEAK.load(Ordering::Relaxed) - before) as u64;
+    (run, peak)
+}
+
+// One test in this binary: the counters are process-wide.
+#[test]
+fn pdq_runs_hold_memory_for_what_is_live() {
+    for (case, spread_us, bound) in [
+        ("overloaded", 1_000, 3_800_000),
+        ("steady", 66_000, 1_750_000),
+    ] {
+        let (run, peak) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
+        let (queue, engine) = (run.packet().queue, run.packet().engine);
+        let live = engine.live_flows_high_water;
+        eprintln!(
+            "{case}: peak live {peak} B; {} events, {} pending at most, {live} flows live at most",
+            queue.pops, queue.peak_pending
+        );
+        assert_eq!(run.completed, run.flows, "{case}: every flow completes");
+        let regime = match case {
+            "overloaded" => live > 900 && queue.peak_pending > 4_096,
+            _ => live < 50,
+        };
+        assert!(
+            regime,
+            "{case}: not the run this gate was sized for: {queue:?} {engine:?}"
+        );
+        assert!(
+            peak < bound,
+            "{case}: peak live heap of the run was {peak} bytes (bound {bound})"
+        );
+    }
+}
