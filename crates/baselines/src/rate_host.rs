@@ -6,7 +6,7 @@
 
 use pdq_netsim::{
     Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
-    SimTime, TimerKind, MSS_BYTES,
+    RestartTimer, SimTime, TimerKind, MSS_BYTES,
 };
 
 use crate::receiver::EchoReceiver;
@@ -61,7 +61,8 @@ pub struct RateSender {
 
     pacing_token: u64,
     pacing_armed: bool,
-    rto_token: u64,
+    /// The retransmission timeout, restarted on every ACK of new data.
+    rto: RestartTimer,
     /// RFC 9002-style token bucket replacing the one-packet-per-gap schedule
     /// when enabled (see [`RateSender::with_pacer`]).
     pacer: Option<Pacer>,
@@ -91,7 +92,7 @@ impl RateSender {
             status: RateSenderStatus::Active,
             pacing_token: 0,
             pacing_armed: false,
-            rto_token: 0,
+            rto: RestartTimer::new(),
             pacer: None,
         }
     }
@@ -243,7 +244,7 @@ impl RateSender {
                 self.send_paced(ctx);
             }
             TimerKind::Rto => {
-                if token != self.rto_token {
+                if !self.rto.fire(self.flow, kind, token, ctx) {
                     return;
                 }
                 if !self.syn_acked {
@@ -309,8 +310,7 @@ impl RateSender {
 
     fn arm_rto(&mut self, ctx: &mut Ctx) {
         let rto = SimTime::from_secs_f64(3.0 * self.rtt).max(self.min_rto);
-        self.rto_token += 1;
-        ctx.set_timer_after(self.flow, TimerKind::Rto, rto, self.rto_token);
+        self.rto.arm_after(self.flow, TimerKind::Rto, rto, ctx);
     }
 
     fn finish(&mut self, ctx: &mut Ctx) {

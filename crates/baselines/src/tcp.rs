@@ -7,7 +7,7 @@
 
 use pdq_netsim::{
     Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
-    SimTime, TimerKind, MSS_BYTES,
+    RestartTimer, SimTime, TimerKind, MSS_BYTES,
 };
 
 use crate::receiver::EchoReceiver;
@@ -75,7 +75,8 @@ pub struct TcpSender {
     rttvar: f64,
     syn_acked: bool,
     status: TcpStatus,
-    rto_token: u64,
+    /// The retransmission timeout, restarted on every ACK of new data.
+    rto_timer: RestartTimer,
     rto_backoff: u32,
     pacer: Option<Pacer>,
     pace_token: u64,
@@ -104,7 +105,7 @@ impl TcpSender {
             rttvar: rtt / 2.0,
             syn_acked: false,
             status: TcpStatus::Active,
-            rto_token: 0,
+            rto_timer: RestartTimer::new(),
             rto_backoff: 0,
             pace_token: 0,
         }
@@ -257,7 +258,7 @@ impl TcpSender {
             }
             return;
         }
-        if kind != TimerKind::Rto || token != self.rto_token {
+        if kind != TimerKind::Rto || !self.rto_timer.fire(self.flow, kind, token, ctx) {
             return;
         }
         if !self.syn_acked {
@@ -286,9 +287,9 @@ impl TcpSender {
     }
 
     fn arm_rto(&mut self, ctx: &mut Ctx) {
-        self.rto_token += 1;
         let rto = self.rto();
-        ctx.set_timer_after(self.flow, TimerKind::Rto, rto, self.rto_token);
+        self.rto_timer
+            .arm_after(self.flow, TimerKind::Rto, rto, ctx);
     }
 }
 
@@ -463,7 +464,7 @@ mod tests {
         let mut ctx = Ctx::new(t0, &map);
         s.on_packet(&synack(t0), &mut ctx);
         ctx.take_actions();
-        let token = s.rto_token;
+        let token = s.rto_timer.token();
         let mut ctx = Ctx::new(t0 + SimTime::from_millis(10), &map);
         s.on_timer(TimerKind::Rto, token, &mut ctx);
         assert_eq!(s.cwnd_bytes(), MSS_BYTES as f64);

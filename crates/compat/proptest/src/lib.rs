@@ -110,7 +110,7 @@ pub mod prop {
             max_len_exclusive: usize,
         }
 
-        /// Length specifications accepted by [`vec`].
+        /// Length specifications accepted by [`vec()`].
         pub trait IntoSizeRange {
             /// Lower bound (inclusive) and upper bound (exclusive).
             fn bounds(&self) -> (usize, usize);

@@ -14,7 +14,7 @@ use pdq_workloads::{DeadlineDist, SizeDist};
 use crate::common::{fmt, label_of, run_scenario, Table};
 use crate::fig3::Scale;
 
-/// Figure 10: mean FCT [ms] for each information model and size distribution.
+/// Figure 10: mean FCT \[ms\] for each information model and size distribution.
 pub fn fig10(scale: Scale) -> Table {
     let n_flows = 10;
     let seeds: Vec<u64> = match scale {

@@ -36,7 +36,7 @@ fn load_scenario(name: &str, load: f64) -> Scenario {
         .seed(4)
 }
 
-/// Figure 11a: mean FCT [ms] vs load, single-path PDQ vs M-PDQ with 3 subflows.
+/// Figure 11a: mean FCT \[ms\] vs load, single-path PDQ vs M-PDQ with 3 subflows.
 pub fn fig11a(scale: Scale) -> Table {
     let loads = match scale {
         Scale::Quick => vec![0.25, 1.0],
@@ -57,7 +57,7 @@ pub fn fig11a(scale: Scale) -> Table {
     table
 }
 
-/// Figure 11b: mean FCT [ms] vs number of subflows at 100% load.
+/// Figure 11b: mean FCT \[ms\] vs number of subflows at 100% load.
 pub fn fig11b(scale: Scale) -> Table {
     let subflow_counts: Vec<usize> = match scale {
         Scale::Quick => vec![1, 3],

@@ -13,7 +13,7 @@ use crate::common::{fmt, fmt_opt, run_scenario, Table, PDQ_FULL};
 use crate::fig3::Scale;
 use crate::fig8::FLOW_LEVEL_STOP_AT;
 
-/// Figure 12: max and mean FCT [ms] vs aging rate α.
+/// Figure 12: max and mean FCT \[ms\] vs aging rate α.
 pub fn fig12(scale: Scale) -> Table {
     let n_hosts = match scale {
         Scale::Quick => 16,

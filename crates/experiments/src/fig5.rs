@@ -37,7 +37,7 @@ pub fn fig5a_scenario(rate: f64, deadline_ms: u64, duration: SimTime) -> Scenari
         .seed(7)
 }
 
-/// The Figure 5a grid axes at a given scale: deadlines [ms], rates [flows/s] and the
+/// The Figure 5a grid axes at a given scale: deadlines \[ms\], rates [flows/s] and the
 /// workload duration.
 pub fn fig5a_axes(scale: Scale) -> (Vec<u64>, Vec<f64>, SimTime) {
     match scale {

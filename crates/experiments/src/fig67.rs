@@ -143,7 +143,7 @@ pub fn fig6() -> Table {
 }
 
 /// Summary statistics for Figure 6 used by tests and EXPERIMENTS.md: total completion
-/// time of all five flows [ms], mean bottleneck utilization while busy, max queue
+/// time of all five flows \[ms\], mean bottleneck utilization while busy, max queue
 /// (packets).
 pub fn fig6_summary() -> (f64, f64, f64) {
     let (scenario, bottleneck) = fig6_scenario(false);

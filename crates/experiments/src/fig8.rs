@@ -89,7 +89,7 @@ fn flow_scenario(
         .stop_at(FLOW_LEVEL_STOP_AT)
 }
 
-/// Figure 8b/8c/8d: mean FCT [ms] vs network size under random permutation traffic with
+/// Figure 8b/8c/8d: mean FCT \[ms\] vs network size under random permutation traffic with
 /// deadline-unconstrained flows, comparing PDQ and RCP/D3 flow-level models; the
 /// smallest size is cross-checked against the packet-level simulator.
 pub fn fig8_fct_vs_size(topology: ScaleTopology, scale: Scale) -> Table {

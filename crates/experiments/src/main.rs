@@ -58,7 +58,7 @@ use std::str::FromStr;
 
 use pdq_experiments::{all_experiments, run_experiment, sweeps, Scale, Table};
 use pdq_scenario::{
-    default_threads, CachePolicy, GridBuilder, ResultCache, Scenario, SimBackend, Sweep,
+    default_threads, CachePolicy, GridBuilder, GridError, ResultCache, Scenario, SimBackend, Sweep,
 };
 use pdq_workloads::{DeadlineDist, SizeDist};
 
@@ -241,6 +241,11 @@ fn build_sweep(scale: Scale, base_spec: Option<&str>, axes: &AxisFlags) -> (Swee
     }
     match grid.build() {
         Ok(sweep) => (sweep, "custom grid"),
+        // An axis the workload refuses is a bad value of the flag that set it.
+        Err(GridError::Axis { axis, message }) => {
+            eprintln!("bad --{axis} value: {message}");
+            std::process::exit(2);
+        }
         Err(e) => {
             eprintln!("sweep grid: {e}");
             std::process::exit(2);

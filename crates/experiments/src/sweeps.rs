@@ -15,8 +15,9 @@ use crate::fig5::{fig5a_axes, fig5a_scenario};
 
 /// The base scenario custom CLI grids expand over when no spec file is named: the
 /// fig5a cell at the scale's first deadline and first arrival rate. Its Poisson
-/// workload has a load knob (the arrival rate), so all five [`GridBuilder`]
-/// axes — protocols, seeds, loads, sizes, deadlines — apply to it.
+/// workload has a load knob (the arrival rate), so all five
+/// [`GridBuilder`](pdq_scenario::GridBuilder) axes — protocols, seeds, loads, sizes,
+/// deadlines — apply to it.
 pub fn fig5a_base(scale: Scale) -> pdq_scenario::Scenario {
     let (deadlines, rates, duration) = fig5a_axes(scale);
     fig5a_scenario(rates[0], deadlines[0], duration)

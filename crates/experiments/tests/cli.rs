@@ -242,6 +242,29 @@ fn sweep_exits_2_on_empty_or_malformed_axis_values() {
         (vec!["sweep", "--loads", ","], "non-empty comma-separated"),
         (vec!["sweep", "--seeds", "1,x"], "bad --seeds value"),
         (vec!["sweep", "--sizes", "huge:1"], "bad --sizes value"),
+        // Values that parse but that the workload generators cannot draw from (they
+        // used to panic): a Poisson rate that is not positive and finite, and a
+        // Pareto tail without a finite mean.
+        (
+            vec!["sweep", "--quick", "--loads", "0"],
+            "bad --loads value",
+        ),
+        (
+            vec!["sweep", "--quick", "--loads", "-5"],
+            "bad --loads value",
+        ),
+        (
+            vec!["sweep", "--quick", "--loads", "nan"],
+            "bad --loads value",
+        ),
+        (
+            vec!["sweep", "--quick", "--sizes", "pareto:30000:1"],
+            "bad --sizes value",
+        ),
+        (
+            vec!["sweep", "--quick", "--sizes", "pareto:30000:nan"],
+            "bad --sizes value",
+        ),
         (
             vec!["sweep", "--deadlines", "soon"],
             "bad --deadlines value",

@@ -55,6 +55,12 @@ pub enum Action {
         kind: TimerKind,
         /// Absolute expiry time.
         at: SimTime,
+        /// The instant the timer was armed: its firing's creation stamp, which orders
+        /// it first among same-instant events (see the `event` module). It is the
+        /// callback's `now` for [`Ctx::set_timer_at`] and [`Ctx::set_timer_after`]; a
+        /// [`RestartTimer`](crate::RestartTimer) re-queueing a deadline armed earlier
+        /// stamps that earlier instant. Never later than the callback's `now`.
+        created: SimTime,
         /// Opaque token echoed back to the agent (used to detect stale timers).
         token: u64,
     },
@@ -132,20 +138,40 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Send(packet));
     }
 
-    /// Set (or re-arm) a timer at an absolute time.
+    /// Add a timer firing at an absolute time.
+    ///
+    /// This queues one more timer: every timer set earlier still fires, and the agent
+    /// tells a stale one from the live one by its token. A deadline that is re-armed
+    /// over and over (a retransmission timeout) belongs in a
+    /// [`RestartTimer`](crate::RestartTimer), which queues no event for a later re-arm.
     pub fn set_timer_at(&mut self, flow: FlowId, kind: TimerKind, at: SimTime, token: u64) {
+        self.set_timer_created(flow, kind, at, self.now, token);
+    }
+
+    /// Add a timer firing `delay` after the current time (see [`Ctx::set_timer_at`]).
+    pub fn set_timer_after(&mut self, flow: FlowId, kind: TimerKind, delay: SimTime, token: u64) {
+        let at = self.now + delay;
+        self.set_timer_at(flow, kind, at, token);
+    }
+
+    /// Add a timer stamped as armed at `created` rather than now (clamped to now): a
+    /// [`RestartTimer`](crate::RestartTimer) re-queueing a deadline armed earlier
+    /// gives the firing the key that arming would have given it.
+    pub(crate) fn set_timer_created(
+        &mut self,
+        flow: FlowId,
+        kind: TimerKind,
+        at: SimTime,
+        created: SimTime,
+        token: u64,
+    ) {
         self.actions.push(Action::SetTimer {
             flow,
             kind,
             at,
+            created: created.min(self.now),
             token,
         });
-    }
-
-    /// Set a timer `delay` after the current time.
-    pub fn set_timer_after(&mut self, flow: FlowId, kind: TimerKind, delay: SimTime, token: u64) {
-        let at = self.now + delay;
-        self.set_timer_at(flow, kind, at, token);
     }
 
     /// Mark a flow as completed.
@@ -219,8 +245,11 @@ mod tests {
         let acts = ctx.take_actions();
         assert_eq!(acts.len(), 2);
         match &acts[1] {
-            Action::SetTimer { at, token, .. } => {
+            Action::SetTimer {
+                at, created, token, ..
+            } => {
                 assert_eq!(*at, SimTime::from_millis(3));
+                assert_eq!(*created, SimTime::from_millis(1));
                 assert_eq!(*token, 7);
             }
             other => panic!("unexpected action {other:?}"),

@@ -15,7 +15,7 @@
 //!
 //! There is one driver, [`Simulator::run_sharded`] (see the `shard` module for the
 //! window loop and the determinism model): it partitions the state across N
-//! cooperating [`EngineCore`]s synchronized by conservative lookahead, and
+//! cooperating `EngineCore`s synchronized by conservative lookahead, and
 //! [`Simulator::run`] is its N = 1 case — one core, one window, the caller's thread.
 //! Either way a run is fully deterministic for a fixed seed.
 //!
@@ -26,7 +26,7 @@
 //! * **agents** — `Vec<Option<Box<dyn HostAgent + Send>>>` indexed by [`NodeId`];
 //! * **controllers** — `Vec<Option<Box<dyn LinkController + Send>>>` indexed by
 //!   [`LinkId`];
-//! * **flows** — a [`FlowTable`]: two parallel slabs indexed by a per-core flow slot.
+//! * **flows** — a `FlowTable`: two parallel slabs indexed by a per-core flow slot.
 //!   The *hot* one (`FlowHot`, 20 bytes a flow: endpoints, route, timer generation)
 //!   is all that sending a packet and arming, firing or cancelling a timer read, and
 //!   stays cache-resident with thousands of flows live; the *cold* one (`FlowState`:
@@ -70,6 +70,17 @@
 //! timer pending at the sender — under sharding that knowledge travels a lookahead
 //! window later, and a lone core must behave identically. Agents instead
 //! ignore late timers through status guards and token freshness.
+//!
+//! Nor does re-arming cancel anything: `Ctx::set_timer_*` adds a timer, and every
+//! earlier one still pops. A deadline an agent re-arms over and over (a
+//! retransmission timeout, restarted on every ACK of new data) is a
+//! [`RestartTimer`](crate::RestartTimer) instead: it queues a firing only when the
+//! new deadline is no later than the one queued, and a firing that pops early
+//! re-queues the latest deadline with the creation stamp (`Action::SetTimer`'s
+//! `created`) and token its arming gave it — so the firing that acts pops at exactly
+//! the place in the event order a timer per arming would have, and the superseded
+//! firings never enter the queue. The engine schedules every timer with the stamp the
+//! action carries, which is never later than the current instant.
 
 use std::sync::Arc;
 
@@ -1103,8 +1114,14 @@ impl EngineCore {
                     flow,
                     kind,
                     at,
+                    created,
                     token,
                 } => {
+                    debug_assert!(
+                        created <= self.now,
+                        "{flow:?}: a timer armed at {created:?} set at {:?}",
+                        self.now
+                    );
                     let Some(slot) = self.flows.slot_of(flow) else {
                         continue;
                     };
@@ -1117,8 +1134,9 @@ impl EngineCore {
                     let node = hot.src;
                     let at = at.max(self.now);
                     if self.is_local(node) {
-                        self.events.schedule(
+                        self.events.schedule_created(
                             at,
+                            created,
                             EventKind::Timer {
                                 node,
                                 flow,
@@ -1129,7 +1147,7 @@ impl EngineCore {
                         );
                     } else {
                         let to = self.shard_of[node.index()];
-                        self.push_msg(to, at, self.now, MsgBody::SetTimer { flow, kind, token });
+                        self.push_msg(to, at, created, MsgBody::SetTimer { flow, kind, token });
                     }
                 }
                 Action::FlowCompleted(flow) => self.finish_flow(flow, true),
@@ -1224,7 +1242,7 @@ fn make_flow_info(
     }
 }
 
-/// The discrete-event simulator: construction facade over an [`EngineCore`].
+/// The discrete-event simulator: construction facade over an `EngineCore`.
 ///
 /// Install agents, controllers and flows, then [`Simulator::run`] (this core, the
 /// caller's thread) or [`Simulator::run_sharded`] (the same loop over N cores under

@@ -23,9 +23,9 @@
 //! fastest link — 448 ns at 1 Gbit/s), because that is the spacing at which a busy
 //! link releases packets. Three tiers hold the pending events:
 //!
-//! * **Level 0 — the fine wheel.** [`WHEEL_SLOTS`] fine buckets covering exactly the
+//! * **Level 0 — the fine wheel.** `WHEEL_SLOTS` fine buckets covering exactly the
 //!   level-1 slot the clock is in. A push appends to the bucket's unsorted `Vec`.
-//! * **Level 1 — the coarse wheel.** [`WHEEL_SLOTS`] slots, each one level-0
+//! * **Level 1 — the coarse wheel.** `WHEEL_SLOTS` slots, each one level-0
 //!   revolution wide (459 µs slots and a 470 ms horizon at 448 ns), holding the
 //!   events of the next slots unsorted and un-bucketed.
 //! * **The heap.** Events beyond the level-1 horizon (the hard-stop event, backed-off
@@ -51,7 +51,7 @@
 //! after a burst that filled a whole level-1 slot, a thousand spare buffers would each
 //! stay sized for the burst while only a trickle of events is pending. So the spare
 //! list keeps a drained buffer only while its total capacity stays within
-//! [`SPARE_FACTOR`] × max(pending events, [`SPARE_FLOOR`]) events, and frees it
+//! `SPARE_FACTOR` × max(pending events, `SPARE_FLOOR`) events, and frees it
 //! otherwise: the queue's memory follows the events it holds, not its history.
 //!
 //! # Why the total order survives the restructure
@@ -128,7 +128,7 @@ pub enum EventKind {
         /// Flow the packet belongs to — the primary same-instant ordering key, so
         /// that ordering is preserved under monotone flow-id relabelings.
         flow: FlowId,
-        /// Content-derived subkey (see [`crate::engine::packet_tie`]) separating
+        /// Content-derived subkey (see `engine::packet_tie`) separating
         /// same-flow packets: pool slots are engine-local and
         /// insertion-order-dependent, so the key is computed from the packet itself
         /// before it is parked.
@@ -384,7 +384,7 @@ const SPARE_FACTOR: usize = 2;
 /// the next burst's first buckets without reallocating.
 const SPARE_FLOOR: usize = 4096;
 
-/// One wheel level: [`WHEEL_SLOTS`] unsorted event buffers and a bitmap of the
+/// One wheel level: `WHEEL_SLOTS` unsorted event buffers and a bitmap of the
 /// non-empty ones.
 #[derive(Debug)]
 struct Wheel {
@@ -493,7 +493,7 @@ impl EventQueue {
     /// The width should be on the order of the smallest gap between the events the
     /// workload generates (for the packet engine: the shortest serialization time),
     /// so a bucket sorts a handful of events; level 1 then reaches
-    /// [`WHEEL_SLOTS`]² widths ahead before the heap is involved.
+    /// `WHEEL_SLOTS`² widths ahead before the heap is involved.
     pub fn with_bucket_width(width: SimTime) -> Self {
         EventQueue {
             current: Vec::new(),

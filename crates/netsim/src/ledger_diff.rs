@@ -391,6 +391,7 @@ impl Reference {
                     flow,
                     kind,
                     at,
+                    created,
                     token,
                 } => {
                     let timer = EventKind::Timer {
@@ -400,7 +401,8 @@ impl Reference {
                         token,
                         gen: 0,
                     };
-                    self.events.schedule(at.max(self.now), timer);
+                    self.events
+                        .schedule_created(at.max(self.now), created, timer);
                 }
                 Action::FlowCompleted(flow) => {
                     let rec = self.records.get_mut(&flow.value()).expect("known flow");

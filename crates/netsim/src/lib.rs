@@ -84,6 +84,7 @@ pub mod pacer;
 pub mod packet;
 pub mod shard;
 pub mod time;
+pub mod timer;
 
 #[cfg(test)]
 mod ledger_diff;
@@ -106,3 +107,4 @@ pub use packet::{
 };
 pub use shard::ShardAssignment;
 pub use time::SimTime;
+pub use timer::RestartTimer;

@@ -42,7 +42,7 @@ impl TraceConfig {
 pub struct Sample {
     /// Sample time.
     pub at: SimTime,
-    /// Sampled value (utilization in [0,1], queue bytes, or rate in bits/s).
+    /// Sampled value (utilization in `[0, 1]`, queue bytes, or rate in bits/s).
     pub value: f64,
 }
 

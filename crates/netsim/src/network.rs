@@ -123,7 +123,7 @@ pub struct Link {
     pub prop_delay: SimTime,
     /// Queue capacity in bytes (tail drop beyond this).
     pub queue_capacity_bytes: u64,
-    /// Probability in [0,1] that a packet handed to this link is dropped at random
+    /// Probability in `[0, 1]` that a packet handed to this link is dropped at random
     /// (used for the loss-resilience experiments, Figure 9).
     pub loss_rate: f64,
     /// Which random stream the loss injector draws from.

@@ -1,10 +1,10 @@
-//! The engine's one driver: N cooperating [`EngineCore`]s under conservative-lookahead
+//! The engine's one driver: N cooperating `EngineCore`s under conservative-lookahead
 //! synchronization, N = 1 included.
 //!
 //! # Model
 //!
 //! A [`ShardAssignment`] maps every node to exactly one shard. Each shard owns an
-//! [`EngineCore`] holding the agents, link queues, flow replicas and event queue of its
+//! `EngineCore` holding the agents, link queues, flow replicas and event queue of its
 //! nodes (a link belongs to the shard of its *source* node, so each directed queue has
 //! exactly one writer). Shards advance in lock-step windows:
 //!
@@ -148,9 +148,10 @@ pub(crate) struct ShardMsg {
     /// Simulated time the message takes effect (event time for packets/timers,
     /// notification time for registrations/finishes).
     pub(crate) at: SimTime,
-    /// Simulated time on the sending shard when the message was created. Ingested
-    /// events carry this as their creation stamp so the receiving queue orders them
-    /// exactly as a single global queue would have.
+    /// Simulated time on the sending shard when the message was created (for a timer:
+    /// the instant it was armed, its `Action::SetTimer::created`). Ingested events
+    /// carry this as their creation stamp so the receiving queue orders them exactly
+    /// as a single global queue would have.
     pub(crate) sent: SimTime,
     /// Sending shard (ingest tie-break).
     pub(crate) src_shard: u32,

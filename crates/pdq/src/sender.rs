@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, LinkId, Pacer, Packet, PacketKind, SimTime, TimerKind,
+    Ctx, FlowId, FlowInfo, LinkId, Pacer, Packet, PacketKind, RestartTimer, SimTime, TimerKind,
     BASE_HEADER_BYTES, MSS_BYTES, SCHED_HEADER_BYTES,
 };
 
@@ -91,7 +91,8 @@ pub struct PdqSender {
     pacing_at: SimTime,
     probe_token: u64,
     probe_armed: bool,
-    rto_token: u64,
+    /// The retransmission timeout, restarted on every ACK of new data.
+    rto: RestartTimer,
     /// When the last data packet was handed to the network (pacing reference point).
     last_data_send: Option<SimTime>,
     /// RFC 9002-style token bucket replacing the gap schedule when
@@ -150,7 +151,7 @@ impl PdqSender {
             pacing_at: SimTime::ZERO,
             probe_token: 0,
             probe_armed: false,
-            rto_token: 0,
+            rto: RestartTimer::new(),
             last_data_send: None,
         }
     }
@@ -289,7 +290,7 @@ impl PdqSender {
                 self.reschedule(ctx);
             }
             TimerKind::Rto => {
-                if token != self.rto_token {
+                if !self.rto.fire(self.flow, kind, token, ctx) {
                     return;
                 }
                 if self.check_early_termination(ctx) {
@@ -526,8 +527,7 @@ impl PdqSender {
 
     fn arm_rto(&mut self, ctx: &mut Ctx) {
         let rto = SimTime::from_secs_f64(3.0 * self.rtt).max(self.params.min_rto);
-        self.rto_token += 1;
-        ctx.set_timer_after(self.flow, TimerKind::Rto, rto, self.rto_token);
+        self.rto.arm_after(self.flow, TimerKind::Rto, rto, ctx);
     }
 
     fn finish(&mut self, ctx: &mut Ctx) {
@@ -855,7 +855,7 @@ mod tests {
         // RTO fires with nothing acknowledged: the sender rewinds to the last cumulative
         // ACK and immediately retransmits the first unacknowledged packet.
         let mut c = Ctx::new(t + SimTime::from_millis(10), &map);
-        let token = s.rto_token;
+        let token = s.rto.token();
         s.on_timer(TimerKind::Rto, token, &mut c);
         let actions = c.take_actions();
         let retransmitted = actions.iter().find_map(|a| match a {
@@ -902,9 +902,12 @@ mod tests {
     #[test]
     fn senders_stay_slim() {
         // An overloaded host keeps thousands of senders live and touches one per
-        // packet; the parameters are shared, never copied into each sender.
+        // packet; the parameters are shared, never copied into each sender, and the
+        // restartable RTO stores neither its flow nor its kind.
+        let timer = std::mem::size_of::<RestartTimer>();
+        assert!(timer <= 40, "RestartTimer grew to {timer} bytes");
         let size = std::mem::size_of::<PdqSender>();
-        assert!(size <= 272, "PdqSender grew to {size} bytes");
+        assert!(size <= 296, "PdqSender grew to {size} bytes");
     }
 
     #[test]

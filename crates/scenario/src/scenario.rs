@@ -910,4 +910,31 @@ mod tests {
         let err = Scenario::from_spec(&spec).unwrap_err();
         assert!(err.to_string().contains("flow"), "{err}");
     }
+
+    #[test]
+    fn spec_rejects_workloads_the_generators_cannot_draw() {
+        // Each of these used to parse and then panic inside the workload generator.
+        let poisson = sample_scenarios()[1].to_spec();
+        assert!(poisson.contains("workload.rate_flows_per_sec = 1500\n"));
+        for rate in ["0", "-5", "nan", "inf"] {
+            let spec = poisson.replace(
+                "workload.rate_flows_per_sec = 1500\n",
+                &format!("workload.rate_flows_per_sec = {rate}\n"),
+            );
+            let err = Scenario::from_spec(&spec).unwrap_err().to_string();
+            assert!(err.contains("rate_flows_per_sec"), "{rate}: {err}");
+        }
+        let sizes = format!("workload.sizes = {}\n", SizeDist::vl2_like());
+        assert!(poisson.contains(&sizes));
+        let spec = poisson.replace(&sizes, "workload.sizes = pareto:30000:1\n");
+        let err = Scenario::from_spec(&spec).unwrap_err().to_string();
+        assert!(err.contains("tail index"), "{err}");
+
+        // The load axis of a Poisson workload is its arrival rate: the same rule.
+        let workload = &sample_scenarios()[1].workload;
+        for load in [0.0, -5.0, f64::NAN, f64::INFINITY] {
+            assert!(workload.with_load(load).is_err(), "load {load}");
+        }
+        assert!(workload.with_load(900.0).is_ok());
+    }
 }

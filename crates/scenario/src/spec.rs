@@ -460,14 +460,15 @@ impl WorkloadSpec {
     /// The workload with its load knob replaced — the load sweep axis. For
     /// [`WorkloadSpec::PermutationAtLoad`] the value is the sending-host fraction;
     /// for [`WorkloadSpec::Poisson`] it is the aggregate arrival rate in flows per
-    /// second. Other workloads have no load parameter and error.
+    /// second, which must be positive and finite. Other workloads have no load
+    /// parameter and error.
     pub fn with_load(&self, load: f64) -> Result<WorkloadSpec, String> {
         let mut w = self.clone();
         match &mut w {
             WorkloadSpec::PermutationAtLoad { load: l, .. } => *l = load,
             WorkloadSpec::Poisson {
                 rate_flows_per_sec, ..
-            } => *rate_flows_per_sec = load,
+            } => *rate_flows_per_sec = poisson_rate(load)?,
             WorkloadSpec::Coflow {
                 rate_coflows_per_sec,
                 ..
@@ -639,7 +640,11 @@ impl WorkloadSpec {
             "poisson" => Ok(WorkloadSpec::Poisson {
                 rate_flows_per_sec: require("rate_flows_per_sec")?
                     .parse()
-                    .map_err(|_| "bad workload.rate_flows_per_sec".to_string())?,
+                    .map_err(|_| "bad workload.rate_flows_per_sec".to_string())
+                    .and_then(|rate| {
+                        poisson_rate(rate)
+                            .map_err(|e| format!("bad workload.rate_flows_per_sec: {e}"))
+                    })?,
                 duration: SimTime::from_nanos(
                     require("duration_ns")?
                         .parse()
@@ -692,6 +697,18 @@ impl WorkloadSpec {
             }
             _ => Err(format!("unrecognized workload kind: {kind:?}")),
         }
+    }
+}
+
+/// A Poisson arrival rate the generator can draw gaps from: positive and finite.
+fn poisson_rate(rate: f64) -> Result<f64, String> {
+    if rate.is_finite() && rate > 0.0 {
+        Ok(rate)
+    } else {
+        Err(format!(
+            "a Poisson arrival rate must be a positive, finite number of flows per second, \
+             got {rate}"
+        ))
     }
 }
 

@@ -12,7 +12,7 @@
 //!   (Singla et al.) at scale (Figure 8), and BCube again for multipath PDQ
 //!   (Figure 11).
 //!
-//! Beyond the paper, the [`wan`] module builds heterogeneous **inter-datacenter**
+//! Beyond the paper, the [`wan`](mod@wan) module builds heterogeneous **inter-datacenter**
 //! topologies (2–8 sites, 10–100 ms RTTs, 1–10 Gbps long-hauls, BDP-scaled
 //! queues, optional per-link loss) for the high-BDP scenarios where sender
 //! pacing matters.

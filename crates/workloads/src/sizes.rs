@@ -45,7 +45,7 @@ impl SizeDist {
         }
     }
 
-    /// A VL2-like data-center mix (Greenberg et al. [12]): most flows are mice of a few
+    /// A VL2-like data-center mix (Greenberg et al. \[12\]): most flows are mice of a few
     /// kilobytes, while most of the bytes are carried by multi-megabyte elephants.
     /// Synthetic stand-in for the unpublished production trace (see DESIGN.md).
     pub fn vl2_like() -> Self {
@@ -60,7 +60,7 @@ impl SizeDist {
         ])
     }
 
-    /// An EDU1-like university data-center mix (Benson et al. [6]): dominated by small
+    /// An EDU1-like university data-center mix (Benson et al. \[6\]): dominated by small
     /// transfers of a few kilobytes with a modest tail below ~2 MB.
     /// Synthetic stand-in for the Bro-processed packet trace (see DESIGN.md).
     pub fn edu1_like() -> Self {
@@ -191,10 +191,14 @@ impl FromStr for SizeDist {
             "uniform_mean" => Ok(SizeDist::UniformMean(parse_u64(args)?)),
             "pareto" => {
                 let (mean, alpha) = args.split_once(':').ok_or_else(bad)?;
-                Ok(SizeDist::Pareto {
-                    mean: parse_u64(mean)?,
-                    alpha: parse_f64(alpha)?,
-                })
+                let (mean, alpha) = (parse_u64(mean)?, parse_f64(alpha)?);
+                if !(alpha.is_finite() && alpha > 1.0) {
+                    return Err(format!(
+                        "the Pareto tail index must be finite and above 1 \
+                         (the mean is infinite otherwise), got {alpha}"
+                    ));
+                }
+                Ok(SizeDist::Pareto { mean, alpha })
             }
             "empirical" => {
                 let mut points = Vec::new();
@@ -244,6 +248,17 @@ mod tests {
         assert_eq!("vl2".parse::<SizeDist>().unwrap(), SizeDist::vl2_like());
         assert!("nonsense".parse::<SizeDist>().is_err());
         assert!("pareto:10".parse::<SizeDist>().is_err());
+    }
+
+    #[test]
+    fn pareto_without_a_finite_mean_is_rejected_at_parse_time() {
+        // `sample` would panic on these; a spec or CLI token must not reach it.
+        for alpha in ["1", "0.5", "-2", "nan", "inf"] {
+            let text = format!("pareto:30000:{alpha}");
+            let err = text.parse::<SizeDist>().unwrap_err();
+            assert!(err.contains("tail index"), "{text}: {err}");
+        }
+        assert!("pareto:30000:1.0001".parse::<SizeDist>().is_ok());
     }
 
     #[test]

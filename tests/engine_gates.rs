@@ -48,6 +48,46 @@ fn engine_scale_quick_stays_under_the_events_per_flow_ceiling() {
     assert!(0 < live && live <= run.flows as u64, "{engine:?}");
 }
 
+/// A restarted retransmission timeout queues no event. When every restart queued a
+/// timer, the committed quick engine-scale spec (seed 1) fired 13 099 timers, half of
+/// them superseded RTOs that popped into a stale-token check. The restartable deadline
+/// fires only the ones that can act or re-queue the latest deadline: 6 893.
+#[test]
+fn restarted_timeouts_fire_no_dead_timers() {
+    const TIMER_PER_ARMING: f64 = 13_099.0;
+    let engine = engine_scale_quick()
+        .run(registry())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .packet()
+        .engine;
+    let ceiling = 0.6 * TIMER_PER_ARMING;
+    assert!(
+        engine.timers_fired as f64 <= ceiling,
+        "{} timers fired; the ceiling is {ceiling:.0}, 0.6 x a timer per arming: {engine:?}",
+        engine.timers_fired
+    );
+}
+
+/// On the paced WAN (60 ms paths, an RTO of about 3 RTTs, an ACK every few
+/// microseconds) a timer per RTO restart left thousands of dead timers pending: the
+/// committed spec's peak pending events exceeded its packets in flight by 2 605 with
+/// 32 flows live at most. What is pending beyond the packets is now a few live timers
+/// per live flow — RTO, pacing, probe, deadline: 40 events.
+#[test]
+fn paced_wan_pends_live_timers_only() {
+    let scenario =
+        Scenario::from_spec(include_str!("../specs/wan_quick.scn")).expect("committed spec parses");
+    let run = scenario.run(registry()).unwrap_or_else(|e| panic!("{e}"));
+    let (queue, engine) = (run.packet().queue, run.packet().engine);
+    let beyond_packets = queue.peak_pending.saturating_sub(engine.pool_high_water);
+    let bound = 4 * engine.live_flows_high_water;
+    assert!(
+        beyond_packets <= bound,
+        "{beyond_packets} events pending beyond the packets in flight; the bound is {bound}, \
+         4 per live flow: {queue:?} {engine:?}"
+    );
+}
+
 /// The shard protocol's own counters. A lone core runs one unbounded window and
 /// receives nothing; two shards run lock-step windows no shorter than the lookahead
 /// (each opens at the earliest pending event, which is at or past the previous window's

@@ -5,8 +5,9 @@
 //! 1 000 flows, run twice:
 //!
 //! * **overloaded** — every arrival squeezed into 1 ms: nearly every flow is
-//!   unfinished at once, most of them paused and probing, and over 4 096 events are
-//!   pending, so the event queue's spare-buffer bound is in play;
+//!   unfinished at once, most of them paused and probing, and thousands of events are
+//!   pending; the burst drains far more bucket capacity than the event queue's
+//!   spare-buffer bound keeps, so that bound is in play;
 //! * **steady** — arrivals spread over 66 ms (the spec's own arrival rate): a few
 //!   dozen flows are live at any time while the finished ones pile up, so a host that
 //!   kept its finished senders would hold memory for all of them.
@@ -18,6 +19,12 @@
 //! the flow slabs were sized once: overloaded 4 476 375 → 3 277 495 B (4 207 287 B
 //! with everything but the spare-buffer bound), steady 2 199 495 → 1 493 607 B
 //! (1 947 879 B with everything but sender retirement).
+//!
+//! Since the senders' retransmission timeouts are restartable deadlines that queue
+//! no event per restart, the overloaded run peaks at 3 813 pending events (5 666
+//! before) and 3 120 247 B (4 063 799 B without the spare-buffer bound), and the
+//! steady run at 1 351 447 B (1 858 967 B without sender retirement). Each bound
+//! sits between the two.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -95,8 +102,8 @@ fn peak_live(scenario: &Scenario) -> (RunSummary, u64) {
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
     for (case, spread_us, bound) in [
-        ("overloaded", 1_000, 3_800_000),
-        ("steady", 66_000, 1_750_000),
+        ("overloaded", 1_000, 3_500_000),
+        ("steady", 66_000, 1_600_000),
     ] {
         let (run, peak) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         let (queue, engine) = (run.packet().queue, run.packet().engine);
@@ -107,7 +114,7 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         );
         assert_eq!(run.completed, run.flows, "{case}: every flow completes");
         let regime = match case {
-            "overloaded" => live > 900 && queue.peak_pending > 4_096,
+            "overloaded" => live > 900 && queue.peak_pending > 3_000,
             _ => live < 50,
         };
         assert!(

@@ -109,6 +109,60 @@ fn coflow_fingerprint_is_shard_count_invariant() {
     }
 }
 
+/// A 128-bit digest of a determinism fingerprint: two 64-bit FNV-1a passes, the
+/// second seeded by the first (the scheme of `pdq_scenario::cache::request_fingerprint`).
+fn digest(fingerprint: &str) -> String {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let fnv = |basis: u64| {
+        fingerprint.bytes().fold(basis, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let lo = fnv(OFFSET);
+    format!("{:016x}{lo:016x}", fnv(lo ^ OFFSET))
+}
+
+/// Every protocol family's exact behaviour, pinned by digest at one and two shards:
+/// the lossy paced WAN under each sender (TCP, RCP, D3 and PDQ retransmit on timeouts
+/// there) and the engine-scale fat-tree. A change to any sender's timers or to the
+/// engine's timer path that alters a single event's order shows up here.
+#[test]
+fn protocol_fingerprints_are_pinned() {
+    let cases = [
+        (
+            "wan tcp",
+            wan_scenario(Scale::Quick, "tcp", true),
+            "7d769a5c1ea358d4ef932656c64bea12",
+        ),
+        (
+            "wan rcp",
+            wan_scenario(Scale::Quick, "rcp", true),
+            "f1dffb6e0d602b80de33a2529ae221b0",
+        ),
+        (
+            "wan d3",
+            wan_scenario(Scale::Quick, "d3", true),
+            "37b1a56c90f3e728c09b496aee9f145e",
+        ),
+        (
+            "wan pdq(full)",
+            wan_scenario(Scale::Quick, "pdq(full)", true),
+            "184cff3f8c8070c41da2a02afc8fec92",
+        ),
+        (
+            "engine_scale",
+            engine_scale_scenario(Scale::Quick),
+            "5235ce075f2090823dcb276e4a3a292d",
+        ),
+    ];
+    for (name, scenario, expected) in cases {
+        for shards in [1, 2] {
+            let got = digest(&fingerprint_at(&scenario, shards));
+            assert_eq!(got, expected, "{name} at {shards} shard(s)");
+        }
+    }
+}
+
 /// The default scenario's fingerprint, pinned byte-for-byte. This run covers the
 /// paper tree, the deadline workload and the full PDQ stack; if any engine or
 /// protocol change alters it, that change is a determinism break (or a deliberate
