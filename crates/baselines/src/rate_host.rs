@@ -426,7 +426,7 @@ impl HostAgent for RateHostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowPath, FlowSpec, LinkId, SchedulingHeader};
+    use pdq_netsim::{Action, FlowSpec, SchedulingHeader};
 
     fn info(size: u64, deadline: Option<SimTime>) -> (FlowMap<FlowInfo>, FlowInfo) {
         let mut spec = FlowSpec::new(1, NodeId(0), NodeId(2), size);
@@ -435,11 +435,6 @@ mod tests {
         }
         let fi = FlowInfo {
             spec,
-            path: FlowPath::new(
-                vec![NodeId(0), NodeId(1), NodeId(2)],
-                vec![LinkId(0), LinkId(2)],
-            )
-            .into(),
             bottleneck_rate_bps: 1e9,
             nic_rate_bps: 1e9,
             base_rtt: SimTime::from_micros(150),

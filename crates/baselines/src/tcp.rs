@@ -362,16 +362,11 @@ impl HostAgent for TcpHostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowPath, FlowSpec, LinkId};
+    use pdq_netsim::{Action, FlowSpec};
 
     fn info(size: u64) -> (FlowMap<FlowInfo>, FlowInfo) {
         let fi = FlowInfo {
             spec: FlowSpec::new(1, NodeId(0), NodeId(2), size),
-            path: FlowPath::new(
-                vec![NodeId(0), NodeId(1), NodeId(2)],
-                vec![LinkId(0), LinkId(2)],
-            )
-            .into(),
             bottleneck_rate_bps: 1e9,
             nic_rate_bps: 1e9,
             base_rtt: SimTime::from_micros(150),

@@ -184,6 +184,51 @@ fn run_spec_exits_2_naming_the_unknown_key_and_the_valid_key_set() {
 }
 
 #[test]
+fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
+    // The committed flow-level fig8a spec with one line replaced: each of these used
+    // to panic inside the workload generator (exit 101).
+    let fig8a = std::fs::read_to_string(workspace_file("specs/fig8a_flow.scn")).unwrap();
+    let sizes = "workload.sizes = uniform:2000:198000";
+    let pattern = "workload.pattern = random_permutation";
+    for (tag, line, replacement, needle) in [
+        (
+            "uniform",
+            sizes,
+            "workload.sizes = uniform:200000:100",
+            "min <= max",
+        ),
+        (
+            "staggered",
+            pattern,
+            "workload.pattern = staggered:1.5",
+            "[0, 1]",
+        ),
+        ("nan", pattern, "workload.pattern = staggered:NaN", "[0, 1]"),
+        (
+            "stride0",
+            pattern,
+            "workload.pattern = stride:0",
+            "stride of 0",
+        ),
+        // 16 hosts: only the built topology says this stride sends to self.
+        (
+            "stride16",
+            pattern,
+            "workload.pattern = stride:16",
+            "to itself",
+        ),
+    ] {
+        assert!(fig8a.contains(line), "{line}");
+        let (dir, spec) = temp_spec(tag, &fig8a.replace(line, replacement));
+        let out = binary().arg("run-spec").arg(&spec).output().expect("spawn");
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{replacement}: {stderr}");
+        assert!(stderr.contains(needle), "{replacement}: {stderr}");
+    }
+}
+
+#[test]
 fn sweep_axis_flags_expand_a_custom_grid() {
     // --loads / --sizes / --deadlines over the fig5a base: 2 × 1 × 2 = 4 cells.
     let out = binary()
@@ -263,6 +308,10 @@ fn sweep_exits_2_on_empty_or_malformed_axis_values() {
         ),
         (
             vec!["sweep", "--quick", "--sizes", "pareto:30000:nan"],
+            "bad --sizes value",
+        ),
+        (
+            vec!["sweep", "--quick", "--sizes", "uniform:200000:100"],
             "bad --sizes value",
         ),
         (

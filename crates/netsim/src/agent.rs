@@ -9,28 +9,26 @@
 
 use std::collections::HashMap;
 use std::hash::BuildHasher;
-use std::sync::Arc;
 
 use crate::event::TimerKind;
-use crate::flow::{FlowPath, FlowSpec};
+use crate::flow::FlowSpec;
 use crate::ids::FlowId;
 use crate::packet::Packet;
 use crate::time::SimTime;
 
 /// Everything an agent may want to know about a flow when it starts (and later via
-/// [`Ctx::flow`]).
+/// [`Ctx::flow`]): the spec, plus what the engine derived from the path the router
+/// chose.
 ///
-/// The path is behind an [`Arc`]: the engine, its shard replicas and every agent share
-/// one immutable `FlowPath` per flow, so handing a `FlowInfo` around never deep-copies
-/// the node/link vectors. (Forwarding does not read it: the engine copies the links
-/// into its route arena when the flow arrives.) Agents must treat the path as
-/// read-only; re-routing a flow means injecting a new flow (e.g. an M-PDQ subflow).
+/// The path itself is not here. The engine keeps a flow's links in one place, its
+/// route arena, from the arrival to the end of the run; no agent needs them, and
+/// re-routing a flow means injecting a new flow (e.g. an M-PDQ subflow). The engine
+/// holds one `FlowInfo` per flow, in the flow's slot, so [`Ctx::flow`] hands out a
+/// reference, never a copy.
 #[derive(Clone, Debug)]
 pub struct FlowInfo {
     /// The flow specification (size, deadline, endpoints, arrival time).
     pub spec: FlowSpec,
-    /// The forward path assigned by the router (shared, immutable).
-    pub path: Arc<FlowPath>,
     /// The minimum link rate along the forward path, i.e. the highest rate at which the
     /// flow could possibly be served (`R^max` in the paper, before receiver limits).
     pub bottleneck_rate_bps: f64,
@@ -265,7 +263,6 @@ mod tests {
             FlowId(3),
             FlowInfo {
                 spec: spec.clone(),
-                path: FlowPath::new(vec![NodeId(0), NodeId(1)], vec![crate::ids::LinkId(0)]).into(),
                 bottleneck_rate_bps: 1e9,
                 nic_rate_bps: 1e9,
                 base_rtt: SimTime::from_micros(100),

@@ -30,10 +30,14 @@
 //!   The *hot* one (`FlowHot`, 20 bytes a flow: endpoints, route, timer generation)
 //!   is all that sending a packet and arming, firing or cancelling a timer read, and
 //!   stays cache-resident with thousands of flows live; the *cold* one (`FlowState`:
-//!   [`FlowInfo`], [`FlowRecord`], trace accumulator) is read when a flow arrives or
-//!   finishes, when an agent asks for its `FlowInfo`, and to count a drop or delivered
-//!   bytes. Beside them a flat **route arena** holds every routed flow's forward links
-//!   followed by the links its ACKs take, and a `FlowId -> slot` index
+//!   the flow's [`FlowInfo`] — the one copy of its spec — its accounting and trace
+//!   accumulator; the [`FlowRecord`] is assembled from it at the merge) is read when a
+//!   flow arrives or finishes, when an agent asks for its `FlowInfo`, and to count a
+//!   drop or delivered bytes. A flow holds its slot from injection to the merge; the
+//!   flows injected before the run are ordered by arrival and fed to the event queue
+//!   one at a time. Beside the slabs a flat **route arena** holds every routed flow's
+//!   forward links — the only copy of its path — followed by the links its ACKs take,
+//!   and a `FlowId -> slot` index
 //!   ([`FlowMap`]: one multiply-xorshift round, not SipHash) is consulted only at the
 //!   per-packet boundaries (agent actions, fired timers). [`NodeId`]/[`LinkId`] are
 //!   sequential by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids,
@@ -207,37 +211,119 @@ impl Default for SimConfig {
     }
 }
 
-/// The cold half of a flow's engine state: what arrivals, agent lookups, finishes,
-/// trace samples and the final merge read. Nothing on the per-packet paths touches it
-/// except to count a drop or delivered bytes (see [`FlowHot`]).
+/// Where a flow is in its life on one core.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Stage {
+    /// Injected or spawned, its arrival still to come: invisible to agents, and no
+    /// record if the run ends first.
+    Pending,
+    /// Routed: visible to agents, its links in the route arena.
+    Routed,
+    /// Arrived, but the router could not place it: recorded as failed, never to touch
+    /// an agent or a link.
+    Failed,
+}
+
+/// How a flow ended, as one core saw it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Finish {
+    pub(crate) at: SimTime,
+    /// True for completion, false for early termination.
+    pub(crate) completed: bool,
+}
+
+impl Finish {
+    /// True if `self` replaces `other` as the flow's finish: earlier wins, and at equal
+    /// times completion beats termination.
+    pub(crate) fn beats(self, other: Option<Finish>) -> bool {
+        match other {
+            None => true,
+            Some(o) => self.at < o.at || (self.at == o.at && self.completed && !o.completed),
+        }
+    }
+}
+
+/// The cold half of a flow's engine state, and the only place its spec is kept: what
+/// arrivals, agent lookups, finishes, trace samples and the final merge read. Nothing
+/// on the per-packet paths touches it except to count a drop or delivered bytes (see
+/// [`FlowHot`]). The flow's [`FlowRecord`] is assembled from it at the merge.
 pub(crate) struct FlowState {
-    /// Routing/size information; `None` for flows the router could not place (their
-    /// record is kept, marked failed, but they never touch an agent or a link).
-    pub(crate) info: Option<FlowInfo>,
-    /// Per-flow accounting (becomes `SimResults::flows` at the end of the run).
-    pub(crate) record: FlowRecord,
-    /// `raw_bytes_delivered` at the previous trace sample (goodput time series).
-    pub(crate) bytes_at_last_sample: u64,
+    /// The spec, and once the flow is routed the rates and RTT estimate derived from
+    /// its path: what [`Ctx::flow`] returns for a routed flow.
+    pub(crate) info: FlowInfo,
+    pub(crate) stage: Stage,
     /// True on the shard that owns the flow's source host (always true on a
     /// lone core). Only the home replica counts towards `unfinished_flows`;
     /// other shards hold replicas for forwarding/delivery and report their local
     /// accounting through the deterministic result merge.
     pub(crate) home: bool,
+    /// [`FlowRecord::raw_bytes_delivered`] on this core.
+    pub(crate) raw_bytes_delivered: u64,
+    /// [`FlowRecord::drops`] on this core.
+    pub(crate) drops: u64,
+    pub(crate) finish: Option<Finish>,
+    /// `raw_bytes_delivered` at the previous trace sample (goodput time series).
+    pub(crate) bytes_at_last_sample: u64,
 }
 
 impl FlowState {
-    /// Fresh state for `spec`, routed along `info` — or, without one, unroutable:
-    /// recorded as failed, never to touch an agent or a link.
-    pub(crate) fn new(spec: FlowSpec, info: Option<FlowInfo>, home: bool) -> Self {
-        let mut record = FlowRecord::new(spec);
-        record.failed = info.is_none();
+    /// A flow whose arrival is still to come, on its home core.
+    pub(crate) fn pending(spec: FlowSpec) -> Self {
+        let info = FlowInfo {
+            spec,
+            bottleneck_rate_bps: 0.0,
+            nic_rate_bps: 0.0,
+            base_rtt: SimTime::ZERO,
+        };
+        FlowState::new(info, Stage::Pending, true)
+    }
+
+    pub(crate) fn new(info: FlowInfo, stage: Stage, home: bool) -> Self {
         FlowState {
             info,
-            record,
-            bytes_at_last_sample: 0,
+            stage,
             home,
+            raw_bytes_delivered: 0,
+            drops: 0,
+            finish: None,
+            bytes_at_last_sample: 0,
         }
     }
+
+    /// The flow's record on this core; none for a flow that never arrived.
+    pub(crate) fn into_record(self) -> Option<FlowRecord> {
+        if self.stage == Stage::Pending {
+            return None;
+        }
+        let mut record = FlowRecord::new(self.info.spec);
+        record.raw_bytes_delivered = self.raw_bytes_delivered;
+        record.drops = self.drops;
+        record.failed = self.stage == Stage::Failed;
+        if let Some(finish) = self.finish {
+            set_finish(&mut record, finish);
+        }
+        Some(record)
+    }
+}
+
+/// `record`'s finish, if it has one.
+pub(crate) fn finish_of(record: &FlowRecord) -> Option<Finish> {
+    let completed = record.completed_at.map(|at| Finish {
+        at,
+        completed: true,
+    });
+    completed.or(record.terminated_at.map(|at| Finish {
+        at,
+        completed: false,
+    }))
+}
+
+/// Record `finish` on `record`, replacing any finish it had.
+pub(crate) fn set_finish(record: &mut FlowRecord, finish: Finish) {
+    let Finish { at, completed } = finish;
+    record.completed_at = completed.then_some(at);
+    record.terminated_at = (!completed).then_some(at);
+    record.bytes_acked = if completed { record.spec.size_bytes } else { 0 };
 }
 
 /// The hot half of a flow's engine state: all that sending a packet, arming, firing
@@ -252,24 +338,41 @@ pub(crate) struct FlowHot {
     pub(crate) dst: NodeId,
     /// Where the flow's links start in [`FlowTable::routes`].
     pub(crate) route: u32,
-    /// Links on the flow's path; 0 for a flow the router could not place, which never
-    /// sends a packet or arms a timer.
+    /// Links on the flow's path; 0 for a flow not routed — not yet arrived, or not
+    /// placed by the router — which sends no packet and arms no timer.
     pub(crate) nlinks: u32,
     /// Timer generation: pending timers of older generations are dropped unfired.
     pub(crate) timer_gen: u32,
 }
 
+impl FlowHot {
+    fn unrouted(spec: &FlowSpec) -> Self {
+        FlowHot {
+            src: spec.src,
+            dst: spec.dst,
+            route: 0,
+            nlinks: 0,
+            timer_gen: 0,
+        }
+    }
+}
+
 /// Per-flow state in dense slabs — hot and cold halves side by side, indexed by the
 /// same slot — plus the flat route arena and the sparse `FlowId -> slot` index.
 ///
-/// Slots are assigned in arrival order and never reused within a run, so a slot is a
-/// stable dense id for the flow *on this core*. The index is consulted once per agent
-/// action (send / timer / finish) and per fired timer; per-hop code needs neither the
-/// index nor the slabs, only the route stamp in the packet.
+/// A flow has one slot per core that knows it, from the moment it is injected (or
+/// spawned, or registered by the shard it is homed on) until the results are merged;
+/// slots are never reused within a run, so a slot is a stable dense id for the flow
+/// *on this core*. The flows injected before the run take the first slots, in the
+/// order their arrivals pop (`(arrival, id)`), so the next arrival is always the next
+/// slot. The index is consulted once per agent action (send / timer / finish) and per
+/// fired timer; per-hop code needs neither the index nor the slabs, only the route
+/// stamp in the packet.
 ///
 /// `routes` holds, for each routed flow, its `n` forward links followed by the `n`
 /// links its ACKs take (`network.reverse(links[n-1-h])` at reverse hop `h`), so a hop
-/// in either direction is one index into one contiguous run of link ids.
+/// in either direction is one index into one contiguous run of link ids. A flow's
+/// links are laid out when it is routed, so the arena is in arrival order.
 #[derive(Default)]
 pub(crate) struct FlowTable {
     pub(crate) hot: Vec<FlowHot>,
@@ -287,33 +390,50 @@ impl FlowTable {
         self.index.get(&id).copied()
     }
 
-    /// Make room for `flows` more flows in the slabs and the index, so that a run
-    /// whose arrivals are all known up front sizes them once instead of doubling
-    /// (which copies the cold slab and briefly holds both copies).
-    pub(crate) fn reserve(&mut self, flows: usize) {
-        self.hot.reserve(flows);
-        self.slots.reserve(flows);
-        self.index.reserve(flows);
+    /// Add a flow, unrouted: it sends nothing and arms no timer until
+    /// [`FlowTable::set_route`] gives it links.
+    pub(crate) fn push(&mut self, state: FlowState) -> u32 {
+        let slot = self.slots.len() as u32;
+        self.index.insert(state.info.spec.id, slot);
+        self.hot.push(FlowHot::unrouted(&state.info.spec));
+        self.slots.push(state);
+        slot
     }
 
-    /// Add a flow, laying its path (if it has one) out in the route arena.
-    pub(crate) fn insert(&mut self, network: &Network, state: FlowState) -> u32 {
-        let slot = self.slots.len() as u32;
-        let spec = &state.record.spec;
-        let links = state.info.as_ref().map_or(&[][..], |i| &i.path.links[..]);
-        self.hot.push(FlowHot {
-            src: spec.src,
-            dst: spec.dst,
-            route: u32::try_from(self.routes.len()).expect("route arena exceeds u32 offsets"),
-            nlinks: links.len() as u32,
-            timer_gen: 0,
-        });
+    /// Order the flows added before the run (their hot halves and index entries not
+    /// yet built) by `(arrival, id)`, the order their arrivals pop, and index them.
+    ///
+    /// # Panics
+    /// If two of them share an id.
+    pub(crate) fn order_injected(&mut self) {
+        debug_assert!(self.hot.is_empty() && self.index.is_empty());
+        self.slots
+            .sort_unstable_by_key(|s| (s.info.spec.arrival, s.info.spec.id));
+        self.hot.reserve_exact(self.slots.len());
+        self.index.reserve(self.slots.len());
+        for (slot, state) in self.slots.iter().enumerate() {
+            let spec = &state.info.spec;
+            let fresh = self.index.insert(spec.id, slot as u32).is_none();
+            assert!(fresh, "duplicate flow id {:?}", spec.id);
+            self.hot.push(FlowHot::unrouted(spec));
+        }
+    }
+
+    /// Give the flow in `slot` its path: lay `links` and the links its ACKs take out
+    /// in the route arena.
+    pub(crate) fn set_route(&mut self, slot: u32, network: &Network, links: &[LinkId]) {
+        let hot = &mut self.hot[slot as usize];
+        hot.route = u32::try_from(self.routes.len()).expect("route arena exceeds u32 offsets");
+        hot.nlinks = links.len() as u32;
         self.routes.extend_from_slice(links);
         self.routes
             .extend(links.iter().rev().map(|&l| network.reverse(l)));
-        self.index.insert(spec.id, slot);
-        self.slots.push(state);
-        slot
+    }
+
+    /// The forward links of the flow in `slot` (none for an unrouted flow).
+    pub(crate) fn links(&self, slot: u32) -> &[LinkId] {
+        let hot = self.hot[slot as usize];
+        &self.routes[hot.route as usize..][..hot.nlinks as usize]
     }
 
     /// Stamp `packet` with the flow's slot and route on this core; returns the hot
@@ -347,8 +467,8 @@ impl FlowTable {
 
 impl FlowLookup for FlowTable {
     fn flow_info(&self, id: FlowId) -> Option<&FlowInfo> {
-        let slot = self.slot_of(id)?;
-        self.slots[slot as usize].info.as_ref()
+        let state = &self.slots[self.slot_of(id)? as usize];
+        (state.stage == Stage::Routed).then_some(&state.info)
     }
 }
 
@@ -457,7 +577,7 @@ impl std::fmt::Display for EngineStats {
 /// event queue, the RNG stream, the metrics accumulators and the live network queues.
 ///
 /// A one-shard run drives the core the [`Simulator`] was built on; an N-shard run
-/// deals its agents, controllers and pending arrivals out to one core per shard, each
+/// deals its agents, controllers and injected flows out to one core per shard, each
 /// with an `outbox` of boundary messages exchanged at conservative-lookahead barriers.
 /// Every core routes a flow when it arrives and registers it with the other shards on
 /// its path.
@@ -486,6 +606,8 @@ pub(crate) struct EngineCore {
     pub(crate) stats: EngineStats,
     pub(crate) rng: SmallRng,
     pub(crate) flows: FlowTable,
+    /// Flows injected before the run: slots `0..injected`, in arrival order.
+    injected: usize,
     pub(crate) pool: PacketPool,
     pub(crate) unfinished_flows: usize,
     pub(crate) pending_arrivals: usize,
@@ -544,6 +666,7 @@ impl EngineCore {
             stats: EngineStats::default(),
             rng,
             flows: FlowTable::default(),
+            injected: 0,
             pool: PacketPool::default(),
             unfinished_flows: 0,
             pending_arrivals: 0,
@@ -579,23 +702,51 @@ impl EngineCore {
         });
     }
 
-    /// Inject a flow; its arrival event fires at `spec.arrival`.
+    /// Inject a flow before the run: its state waits in the flow slab (ordered by
+    /// arrival when the run starts), and it arrives at `spec.arrival`.
     pub(crate) fn add_flow(&mut self, spec: FlowSpec) {
+        self.pending_arrivals += 1;
+        self.flows.slots.push(FlowState::pending(spec));
+    }
+
+    /// Add a flow an agent spawned at run time (arriving no earlier than now), with an
+    /// arrival event of its own.
+    fn spawn_flow(&mut self, spec: FlowSpec) {
         assert!(
             !self.flows.contains(spec.id),
             "duplicate flow id {:?}",
             spec.id
         );
         self.pending_arrivals += 1;
+        let arrival = spec.arrival.max(self.now);
+        let (flow, spec) = (spec.id, FlowSpec { arrival, ..spec });
+        let slot = self.flows.push(FlowState::pending(spec));
         self.events
-            .schedule(spec.arrival, EventKind::FlowArrival(Box::new(spec)));
+            .schedule(arrival, EventKind::FlowArrival { flow, slot });
     }
 
-    /// Schedule the run's bootstrap events: controller init ticks, the first trace
-    /// sample, and the hard Stop at `max_sim_time`; size the flow slabs for the
-    /// arrivals already queued.
+    /// Queue the arrival of injected flow `slot`, if there is one. It is created at
+    /// time 0, the key it would have had had every arrival been queued before the run:
+    /// the queue holds one injected arrival at a time, and they pop in the same places.
+    fn feed_arrival(&mut self, slot: usize) {
+        if let Some(state) = self.flows.slots[..self.injected].get(slot) {
+            let spec = &state.info.spec;
+            let kind = EventKind::FlowArrival {
+                flow: spec.id,
+                slot: slot as u32,
+            };
+            self.events
+                .schedule_created(spec.arrival, SimTime::ZERO, kind);
+        }
+    }
+
+    /// Start the run: order the injected flows by arrival and queue the first, then
+    /// schedule the bootstrap events — controller init ticks, the first trace sample,
+    /// and the hard Stop at `max_sim_time`.
     pub(crate) fn setup(&mut self) {
-        self.flows.reserve(self.pending_arrivals);
+        self.flows.order_injected();
+        self.injected = self.flows.slots.len();
+        self.feed_arrival(0);
         {
             let Self {
                 controllers,
@@ -674,9 +825,9 @@ impl EngineCore {
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Stop => unreachable!("Stop is handled by the event loop"),
-            EventKind::FlowArrival(spec) => {
+            EventKind::FlowArrival { slot, .. } => {
                 self.stats.arrivals += 1;
-                self.handle_flow_arrival(*spec)
+                self.handle_flow_arrival(slot)
             }
             EventKind::PacketAtNode { node, packet, .. } => {
                 self.stats.packets += 1;
@@ -708,25 +859,30 @@ impl EngineCore {
 
     // ------------------------------------------------------------------ events
 
-    /// Route an arriving flow, make it visible to every shard its path touches, and
-    /// hand it to its source agent.
-    fn handle_flow_arrival(&mut self, spec: FlowSpec) {
+    /// Route the flow arriving in `slot`, make it visible to every shard its path
+    /// touches, and hand it to its source agent. The path goes into the route arena
+    /// and is dropped.
+    fn handle_flow_arrival(&mut self, slot: u32) {
         self.pending_arrivals -= 1;
-        assert!(
-            !self.flows.contains(spec.id),
-            "duplicate flow id {:?} arrived twice",
-            spec.id
-        );
+        let s = slot as usize;
+        if s < self.injected {
+            self.feed_arrival(s + 1);
+        }
         let path = {
             let Self {
-                router, network, ..
+                router,
+                network,
+                flows,
+                config,
+                ..
             } = self;
+            let spec = &flows.slots[s].info.spec;
             // Route on a per-flow RNG derived from (seed, flow id), not the engine
             // stream: the draw is then a pure function of the flow, so it picks the
             // same ECMP path no matter which shard routes it or how arrivals
             // interleave.
-            let mut route_rng = route_rng(self.config.seed, spec.id);
-            router.route(network, &spec, &mut route_rng)
+            let mut route_rng = route_rng(config.seed, spec.id);
+            router.route(network, spec, &mut route_rng)
         };
         // A packet has arrived when it has crossed every link of its path, which is
         // the far endpoint only if the path visits no node twice: a router that loops
@@ -734,29 +890,23 @@ impl EngineCore {
         let Some(path) = path.filter(|p| is_simple(&p.nodes)) else {
             // Disconnected src/dst pair: record the flow as failed instead of
             // aborting the whole run. It never reaches an agent.
-            self.flows
-                .insert(&self.network, FlowState::new(spec, None, true));
+            self.flows.slots[s].stage = Stage::Failed;
             return;
         };
-        assert_eq!(
-            path.src(),
-            spec.src,
-            "router returned a path with wrong source"
-        );
+        let state = &mut self.flows.slots[s];
+        let src = state.info.spec.src;
+        assert_eq!(path.src(), src, "router returned a path with wrong source");
         assert_eq!(
             path.dst(),
-            spec.dst,
+            state.info.spec.dst,
             "router returned a path with wrong destination"
         );
-
-        let src = spec.src;
-        let info = make_flow_info(&self.network, &self.config, spec.clone(), path);
+        state.stage = Stage::Routed;
+        describe_path(&mut state.info, &self.network, &self.config, &path.links);
+        self.flows.set_route(slot, &self.network, &path.links);
         // Every shard the path touches must know the flow before any of its packets
         // cross a boundary; registrations sort ahead of packets at ingest.
-        self.broadcast_registration(&info);
-        let slot = self
-            .flows
-            .insert(&self.network, FlowState::new(spec, Some(info), true));
+        self.broadcast_registration(slot);
         self.unfinished_flows += 1;
         self.stats.live_flows_high_water = self
             .stats
@@ -772,10 +922,7 @@ impl EngineCore {
             let agent = agents[src.index()]
                 .as_mut()
                 .unwrap_or_else(|| panic!("no agent installed on {src:?}"));
-            let info = flows.slots[slot as usize]
-                .info
-                .as_ref()
-                .expect("routed above");
+            let info = &flows.slots[s].info;
             let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
             agent.on_flow_arrival(info, &mut ctx);
             ctx.take_actions()
@@ -783,23 +930,30 @@ impl EngineCore {
         self.apply_actions(actions);
     }
 
-    /// Send a registration for the flow to every other shard on its path.
-    fn broadcast_registration(&mut self, info: &FlowInfo) {
+    /// Send a registration for the routed flow in `slot` — its info and its links — to
+    /// every other shard on its path.
+    fn broadcast_registration(&mut self, slot: u32) {
         if self.shard_of.is_empty() {
             return;
         }
-        let mut shards: Vec<u32> = info
-            .path
-            .nodes
+        let links = self.flows.links(slot);
+        let mut shards: Vec<u32> = links
             .iter()
+            .flat_map(|&l| {
+                let link = self.network.link(l);
+                [link.src, link.dst]
+            })
             .map(|n| self.shard_of[n.index()])
             .filter(|&s| s != self.shard)
             .collect();
         shards.sort_unstable();
         shards.dedup();
+        let links: Box<[LinkId]> = links.into();
+        let info = self.flows.slots[slot as usize].info.clone();
         let now = self.now;
         for s in shards {
-            self.push_msg(s, now, now, MsgBody::Register(Box::new(info.clone())));
+            let (info, links) = (Box::new(info.clone()), links.clone());
+            self.push_msg(s, now, now, MsgBody::Register { info, links });
         }
     }
 
@@ -834,7 +988,7 @@ impl EngineCore {
     fn deliver_packet(&mut self, node: NodeId, packet: Packet) {
         if !packet.reverse && packet.kind == PacketKind::Data {
             let state = &mut self.flows.slots[packet.flow_slot as usize];
-            state.record.raw_bytes_delivered += packet.payload as u64;
+            state.raw_bytes_delivered += packet.payload as u64;
         }
         let actions = {
             let Self {
@@ -915,7 +1069,7 @@ impl EngineCore {
             link.accept(key, packet.wire_size)
         };
         let Some(depart) = depart else {
-            self.flows.slots[packet.flow_slot as usize].record.drops += 1;
+            self.flows.slots[packet.flow_slot as usize].drops += 1;
             self.pool.take(slot);
             return;
         };
@@ -1039,14 +1193,15 @@ impl EngineCore {
                 ..
             } = self;
             for state in &mut flows.slots {
-                let rec = &state.record;
+                let spec = &state.info.spec;
                 // Goodput accumulates where the data is delivered: the shard owning
-                // the flow's destination samples it (every shard in a 1-shard run).
-                if sharded && shard_of[rec.spec.dst.index()] != shard {
+                // the flow's destination samples it (every shard in a 1-shard run). A
+                // flow yet to arrive has no series.
+                if state.stage == Stage::Pending || sharded && shard_of[spec.dst.index()] != shard {
                     continue;
                 }
-                let delta = rec.raw_bytes_delivered - state.bytes_at_last_sample;
-                state.bytes_at_last_sample = rec.raw_bytes_delivered;
+                let delta = state.raw_bytes_delivered - state.bytes_at_last_sample;
+                state.bytes_at_last_sample = state.raw_bytes_delivered;
                 let rate = if elapsed_s > 0.0 {
                     delta as f64 * 8.0 / elapsed_s
                 } else {
@@ -1054,7 +1209,7 @@ impl EngineCore {
                 };
                 traces
                     .flow_goodput
-                    .entry(rec.spec.id)
+                    .entry(spec.id)
                     .or_default()
                     .push(Sample {
                         at: self.now,
@@ -1158,11 +1313,7 @@ impl EngineCore {
                         hot.timer_gen = hot.timer_gen.wrapping_add(1);
                     }
                 }
-                Action::SpawnFlow(spec) => {
-                    let arrival = spec.arrival.max(self.now);
-                    let spec = FlowSpec { arrival, ..spec };
-                    self.add_flow(spec);
-                }
+                Action::SpawnFlow(spec) => self.spawn_flow(spec),
             }
         }
         self.actions = actions;
@@ -1177,21 +1328,18 @@ impl EngineCore {
         };
         let (home, src) = {
             let state = &mut self.flows.slots[slot as usize];
-            let rec = &mut state.record;
-            if rec.completed_at.is_some() || rec.terminated_at.is_some() {
+            if state.stage == Stage::Pending || state.finish.is_some() {
                 return;
             }
-            if completed {
-                rec.completed_at = Some(self.now);
-                rec.bytes_acked = rec.spec.size_bytes;
-            } else {
-                rec.terminated_at = Some(self.now);
-            }
+            state.finish = Some(Finish {
+                at: self.now,
+                completed,
+            });
             // Deliberately no timer cancellation here: a finish detected at one node
             // (usually the receiver) must not acausally reach timers armed at another
             // node. Agents suppress their own late timers via status guards and token
             // freshness, which keeps 1-shard and N-shard runs byte-identical.
-            (state.home, rec.spec.src)
+            (state.home, state.info.spec.src)
         };
         if home {
             self.unfinished_flows = self.unfinished_flows.saturating_sub(1);
@@ -1208,23 +1356,17 @@ fn is_simple(nodes: &[NodeId]) -> bool {
     (1..nodes.len()).all(|i| !nodes[..i].contains(&nodes[i]))
 }
 
-/// Build the [`FlowInfo`] the engine derives from a routed path: the path bottleneck
-/// and NIC rates plus the no-load RTT estimate (one MTU forward, one control packet
-/// back, per hop).
-fn make_flow_info(
-    network: &Network,
-    config: &SimConfig,
-    spec: FlowSpec,
-    path: FlowPath,
-) -> FlowInfo {
-    let bottleneck = path
-        .links
+/// Fill in what the engine derives from a flow's routed path, `links`: the path
+/// bottleneck and NIC rates plus the no-load RTT estimate (one MTU forward, one
+/// control packet back, per hop).
+fn describe_path(info: &mut FlowInfo, network: &Network, config: &SimConfig, links: &[LinkId]) {
+    info.bottleneck_rate_bps = links
         .iter()
         .map(|&l| network.link(l).rate_bps)
         .fold(f64::INFINITY, f64::min);
-    let nic = network.link(path.links[0]).rate_bps;
+    info.nic_rate_bps = network.link(links[0]).rate_bps;
     let mut base_rtt = SimTime::ZERO;
-    for &l in &path.links {
+    for &l in links {
         let link = network.link(l);
         base_rtt +=
             link.transmission_time(MTU_BYTES as u64) + link.prop_delay + config.processing_delay;
@@ -1233,13 +1375,7 @@ fn make_flow_info(
             + rev.prop_delay
             + config.processing_delay;
     }
-    FlowInfo {
-        spec,
-        path: Arc::new(path),
-        bottleneck_rate_bps: bottleneck,
-        nic_rate_bps: nic,
-        base_rtt,
-    }
+    info.base_rtt = base_rtt;
 }
 
 /// The discrete-event simulator: construction facade over an `EngineCore`.
@@ -1318,13 +1454,16 @@ impl Simulator {
         });
     }
 
-    /// Inject a flow; its arrival event fires at `spec.arrival`.
+    /// Inject a flow; it arrives at `spec.arrival`. Its spec is kept once, in the
+    /// flow's slot, until the results are merged.
     pub fn add_flow(&mut self, spec: FlowSpec) {
         self.core.add_flow(spec);
     }
 
     /// Inject many flows.
     pub fn add_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) {
+        let specs = specs.into_iter();
+        self.core.flows.slots.reserve(specs.size_hint().0);
         for s in specs {
             self.add_flow(s);
         }
@@ -1735,6 +1874,53 @@ pub(crate) mod tests {
         assert!(std::mem::size_of::<FlowHot>() <= 24);
     }
 
+    /// Every flow of a run holds a cold slot from injection to the merge, finished or
+    /// not: with the spec kept once (in its `FlowInfo`) and the record assembled at
+    /// the merge, a slot is at most 200 bytes (304 with a spec in both an info and a
+    /// record).
+    #[test]
+    fn flow_state_stays_small() {
+        let size = std::mem::size_of::<FlowState>();
+        assert!(size <= 200, "FlowState is {size} bytes");
+    }
+
+    /// A hard stop before some arrivals: the flows that never arrived hold a slot but
+    /// produce no record and no trace series.
+    #[test]
+    fn arrivals_after_a_hard_stop_leave_no_record() {
+        let net = dumbbell();
+        let hosts = net.hosts();
+        let mut sim = blast_sim(net);
+        sim.core.config.max_sim_time = SimTime::from_millis(2);
+        sim.core.config.trace = TraceConfig {
+            interval: SimTime::from_micros(200),
+            links: vec![],
+            flows: true,
+        };
+        let late = |id, ms| {
+            FlowSpec::new(id, hosts[1], hosts[2], 10_000).with_arrival(SimTime::from_millis(ms))
+        };
+        sim.add_flows([
+            FlowSpec::new(1, hosts[0], hosts[2], 10_000),
+            late(3, 5),
+            late(2, 1),
+            late(4, 7),
+        ]);
+        let res = sim.run();
+        let mut ids: Vec<u64> = res.flows.keys().map(|id| id.value()).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [1, 2]);
+        assert_eq!(res.engine.arrivals, 2);
+        let mut traced: Vec<u64> = res
+            .traces
+            .flow_goodput
+            .keys()
+            .map(|id| id.value())
+            .collect();
+        traced.sort_unstable();
+        assert_eq!(traced, [1, 2]);
+    }
+
     /// What each hop of `path` must do, derived the long way from the path and
     /// `Network::reverse`: `(next link, controller link)` per hop, forward then reverse.
     type HopLinks = Vec<(LinkId, Option<LinkId>)>;
@@ -1783,29 +1969,25 @@ pub(crate) mod tests {
             let (src, dst) = (path.src(), path.dst());
             let (forward, reverse) = hops_from_path(&net, &path);
 
+            let routed = |core: &mut EngineCore, spec: FlowSpec, links: &[LinkId]| {
+                let slot = core.flows.push(FlowState::pending(spec));
+                core.flows.set_route(slot, &net, links);
+                core.flows.slots[slot as usize].stage = Stage::Routed;
+            };
             let config = SimConfig::default();
-            let spec = FlowSpec::new(7, src, dst, 10_000);
-            let info = make_flow_info(&net, &config, spec.clone(), path.clone());
             let mut home = EngineCore::new(net.clone(), config.clone());
-            home.flows
-                .insert(&net, FlowState::new(spec, Some(info.clone()), true));
+            routed(&mut home, FlowSpec::new(7, src, dst, 10_000), &path.links);
             // The replica already holds a flow, so slot and offset differ from home's.
             let mut replica = EngineCore::new(net.clone(), config.clone());
-            let decoy = FlowSpec::new(8, dst, src, 10_000);
-            let back = FlowPath::new(
-                nodes.iter().rev().copied().collect(),
-                reverse.iter().map(|&(l, _)| l).collect(),
-            );
-            let decoy_info = make_flow_info(&net, &config, decoy.clone(), back);
-            replica
-                .flows
-                .insert(&net, FlowState::new(decoy, Some(decoy_info), false));
+            let back: Vec<LinkId> = reverse.iter().map(|&(l, _)| l).collect();
+            routed(&mut replica, FlowSpec::new(8, dst, src, 10_000), &back);
+            let info = Box::new(home.flows.slots[0].info.clone());
             replica.ingest(&mut vec![ShardMsg {
                 at: SimTime::ZERO,
                 sent: SimTime::ZERO,
                 src_shard: 0,
                 seq: 0,
-                body: MsgBody::Register(Box::new(info)),
+                body: MsgBody::Register { info, links: path.links.clone().into() },
             }]);
             proptest::prop_assert_ne!(
                 home.flows.slot_of(FlowId(7)),

@@ -29,7 +29,7 @@
 //!   revolution wide (459 µs slots and a 470 ms horizon at 448 ns), holding the
 //!   events of the next slots unsorted and un-bucketed.
 //! * **The heap.** Events beyond the level-1 horizon (the hard-stop event, backed-off
-//!   RTOs, pre-injected arrival backlogs) wait in a min-heap.
+//!   RTOs, an arrival after a long lull) wait in a min-heap.
 //!
 //! **Cascade rule.** When level 0 runs dry the queue opens the earliest pending
 //! level-1 slot: the slot's events, plus every heap event that falls inside it, are
@@ -75,10 +75,10 @@
 //!
 //! # Why events are small
 //!
-//! [`EventKind`] never carries a large payload inline — a flow arrival boxes its
-//! `FlowSpec` (one allocation per *flow*) and a packet lives in the engine's recycled
-//! packet pool from the moment it is sent until it is delivered or dropped, referenced
-//! by a [`PacketSlot`] (no allocation and no copy per *hop*). This keeps
+//! [`EventKind`] never carries a large payload: a flow arrival names the flow's slot
+//! in the engine's flow slab, where its spec lives, and a packet lives in the engine's
+//! recycled packet pool from the moment it is sent until it is delivered or dropped,
+//! referenced by a [`PacketSlot`] (no allocation and no copy per *hop*). This keeps
 //! `size_of::<Event>()` at 64 bytes, so bucket sorts and in-run insertions move little
 //! memory — and a packet waiting in a link's queue costs one such event, not a queue
 //! entry holding the packet.
@@ -86,7 +86,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::flow::FlowSpec;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::time::SimTime;
 
@@ -116,9 +115,17 @@ pub struct PacketSlot(pub u32);
 /// What happens at an instant of simulated time.
 #[derive(Clone, Debug)]
 pub enum EventKind {
-    /// A new flow arrives at its source host. Boxed: a `FlowSpec` is ~10× the size of
-    /// every other variant and would otherwise inflate the whole queue.
-    FlowArrival(Box<FlowSpec>),
+    /// A new flow arrives at its source host. The event names the flow; its spec waits
+    /// in the engine's flow slab, at `slot`, from injection until the results are
+    /// merged. The engine queues only the next injected arrival (created at time 0, the
+    /// key it would have had queued before the run), plus one per flow an agent spawns.
+    FlowArrival {
+        /// The arriving flow — the same-instant ordering key.
+        flow: FlowId,
+        /// Where the engine keeps the flow's state. Like a [`PacketSlot`], meaningful
+        /// only to the engine that issued it.
+        slot: u32,
+    },
     /// A packet has finished propagation + processing and is now at `node`.
     PacketAtNode {
         /// Node the packet is at.
@@ -185,7 +192,7 @@ impl EventKind {
     /// a fixed convention both engines share.
     fn class_rank(&self) -> u8 {
         match self {
-            EventKind::FlowArrival(_) => 0,
+            EventKind::FlowArrival { .. } => 0,
             EventKind::PacketAtNode { .. } => 1,
             EventKind::TransmitDone { .. } => EventKey::TRANSMIT_DONE_RANK,
             EventKind::Timer { .. } => 3,
@@ -200,8 +207,9 @@ impl EventKind {
     /// and the order is preserved under monotone flow-id relabelings.
     fn owner(&self) -> u64 {
         match self {
-            EventKind::FlowArrival(spec) => spec.id.value(),
-            EventKind::PacketAtNode { flow, .. } | EventKind::Timer { flow, .. } => flow.value(),
+            EventKind::FlowArrival { flow, .. }
+            | EventKind::PacketAtNode { flow, .. }
+            | EventKind::Timer { flow, .. } => flow.value(),
             EventKind::TransmitDone { link } | EventKind::ControllerTick { link } => link.0 as u64,
             EventKind::TraceSample | EventKind::Stop => 0,
         }

@@ -278,7 +278,11 @@ struct Reference {
     in_flight: Vec<Option<Packet>>,
     agents: Vec<Option<Box<dyn HostAgent + Send>>>,
     controllers: Vec<Option<Box<dyn LinkController + Send>>>,
+    /// The injected flows, indexed by the slot their arrival event carries.
+    specs: Vec<FlowSpec>,
     flows: HashMap<FlowId, FlowInfo>,
+    /// Per flow id: its forward links.
+    paths: HashMap<FlowId, Vec<LinkId>>,
     /// Per flow id: drops and completion time.
     records: HashMap<u64, (u64, Option<SimTime>)>,
     /// Flows not yet arrived or not yet completed.
@@ -357,7 +361,7 @@ impl Reference {
 
     /// Controller, then the link: `EngineCore::forward_packet` without loss.
     fn forward(&mut self, mut packet: Packet) {
-        let links = &self.flows[&packet.flow].path.links;
+        let links = &self.paths[&packet.flow];
         let (n, hop) = (links.len(), packet.hop);
         let (next, controlled) = if !packet.reverse {
             (links[hop], Some(links[hop]))
@@ -444,16 +448,17 @@ impl Reference {
             self.events.set_now(ev.at);
             match ev.kind {
                 EventKind::Stop => break,
-                EventKind::FlowArrival(spec) => {
+                EventKind::FlowArrival { slot, .. } => {
+                    let spec = self.specs[slot as usize].clone();
                     let path = self.net.shortest_path(spec.src, spec.dst).expect("a line");
                     let info = FlowInfo {
-                        spec: *spec,
-                        path: Arc::new(path),
+                        spec,
                         bottleneck_rate_bps: 0.0,
                         nic_rate_bps: 0.0,
                         base_rtt: SimTime::ZERO,
                     };
                     let (id, src) = (info.spec.id, info.spec.src);
+                    self.paths.insert(id, path.links);
                     self.flows.insert(id, info.clone());
                     self.records.insert(id.value(), (0, None));
                     self.with_agent(src, |agent, ctx| agent.on_flow_arrival(&info, ctx));
@@ -507,8 +512,9 @@ fn run_reference(seed: u64, config: SimConfig) -> (Outcome, [u32; 2]) {
     let mut events = EventQueue::new();
     let specs = flows(seed, hosts);
     let live = specs.len();
-    for spec in specs {
-        events.schedule(spec.arrival, EventKind::FlowArrival(Box::new(spec)));
+    for (slot, spec) in specs.iter().enumerate() {
+        let (flow, slot) = (spec.id, slot as u32);
+        events.schedule(spec.arrival, EventKind::FlowArrival { flow, slot });
     }
     let mut agents: Vec<_> = (0..n_nodes).map(|_| None).collect();
     for h in hosts {
@@ -524,7 +530,9 @@ fn run_reference(seed: u64, config: SimConfig) -> (Outcome, [u32; 2]) {
         in_flight: Vec::new(),
         agents,
         controllers: (0..n_links).map(|_| Some(recorder(&log))).collect(),
+        specs,
         flows: HashMap::new(),
+        paths: HashMap::new(),
         records: HashMap::new(),
         live,
         departed_at: vec![None; n_links],

@@ -70,7 +70,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::agent::FlowInfo;
-use crate::engine::{EngineCore, FlowState, Router, Simulator};
+use crate::engine::{
+    finish_of, set_finish, EngineCore, Finish, FlowState, Router, Simulator, Stage,
+};
 use crate::event::EventKind;
 use crate::flow::FlowRecord;
 use crate::ids::{FlowId, LinkId, NodeId};
@@ -168,7 +170,12 @@ pub(crate) struct ShardMsg {
 pub(crate) enum MsgBody {
     /// Make a flow (routed at arrival by its home shard) visible to this shard before
     /// any of its packets arrive.
-    Register(Box<FlowInfo>),
+    Register {
+        /// What the flow's agents may look up.
+        info: Box<FlowInfo>,
+        /// The flow's forward path, for this shard's route arena.
+        links: Box<[LinkId]>,
+    },
     /// A replica of the flow finished on another shard; the home shard settles the
     /// liveness accounting and records the finish.
     Finished {
@@ -200,7 +207,7 @@ impl MsgBody {
     /// and timers touch records before packets are scheduled.
     fn rank(&self) -> u8 {
         match self {
-            MsgBody::Register(_) => 0,
+            MsgBody::Register { .. } => 0,
             MsgBody::Finished { .. } => 1,
             MsgBody::SetTimer { .. } => 2,
             MsgBody::Packet { .. } => 3,
@@ -208,29 +215,11 @@ impl MsgBody {
     }
 }
 
-/// Record a finish on `rec` if it beats the existing one: earlier wins, and at equal
-/// times completion beats termination. Used both when a `Finished` message reaches the
-/// home shard and when replica records are merged into the final results.
-fn apply_finish(rec: &mut FlowRecord, completed: bool, at: SimTime) {
-    let existing = match (rec.completed_at, rec.terminated_at) {
-        (Some(t), _) => Some((t, true)),
-        (None, Some(t)) => Some((t, false)),
-        (None, None) => None,
-    };
-    let better = match existing {
-        None => true,
-        Some((t, was_completed)) => at < t || (at == t && completed && !was_completed),
-    };
-    if better {
-        if completed {
-            rec.completed_at = Some(at);
-            rec.terminated_at = None;
-            rec.bytes_acked = rec.spec.size_bytes;
-        } else {
-            rec.terminated_at = Some(at);
-            rec.completed_at = None;
-            rec.bytes_acked = 0;
-        }
+/// Record `finish` on `rec` if it beats the existing one (see [`Finish::beats`]): how
+/// replica records are merged into the final results.
+fn apply_finish(rec: &mut FlowRecord, finish: Finish) {
+    if finish.beats(finish_of(rec)) {
+        set_finish(rec, finish);
     }
 }
 
@@ -244,25 +233,29 @@ impl EngineCore {
         msgs.sort_unstable_by_key(|m| (m.body.rank(), m.at, m.src_shard, m.seq));
         for msg in msgs.drain(..) {
             match msg.body {
-                MsgBody::Register(info) => {
+                MsgBody::Register { info, links } => {
                     // A flow is registered once, by its one home shard.
                     assert!(
                         !self.flows.contains(info.spec.id),
                         "duplicate flow id {:?} homed on two shards",
                         info.spec.id
                     );
-                    let spec = info.spec.clone();
-                    self.flows
-                        .insert(&self.network, FlowState::new(spec, Some(*info), false));
+                    let slot = self.flows.push(FlowState::new(*info, Stage::Routed, false));
+                    self.flows.set_route(slot, &self.network, &links);
                 }
                 MsgBody::Finished { flow, completed } => {
                     let Some(slot) = self.flows.slot_of(flow) else {
                         continue;
                     };
                     let state = &mut self.flows.slots[slot as usize];
-                    let was_live =
-                        state.record.completed_at.is_none() && state.record.terminated_at.is_none();
-                    apply_finish(&mut state.record, completed, msg.at);
+                    let was_live = state.finish.is_none();
+                    let finish = Finish {
+                        at: msg.at,
+                        completed,
+                    };
+                    if finish.beats(state.finish) {
+                        state.finish = Some(finish);
+                    }
                     if was_live && state.home {
                         self.unfinished_flows = self.unfinished_flows.saturating_sub(1);
                     }
@@ -337,8 +330,8 @@ impl EngineCore {
 impl EngineCore {
     /// Deal this not-yet-started core out to one core per shard: every agent to the
     /// shard owning its host, every controller to the shard owning its link's source,
-    /// every pending flow arrival (in queue order) to the shard owning its source.
-    fn deal<F>(mut self, assignment: &ShardAssignment, mut make_router: F) -> Vec<EngineCore>
+    /// every injected flow to the shard owning its source.
+    fn deal<F>(self, assignment: &ShardAssignment, mut make_router: F) -> Vec<EngineCore>
     where
         F: FnMut(u32) -> Box<dyn Router + Send>,
     {
@@ -362,13 +355,20 @@ impl EngineCore {
             let src = self.network.link(LinkId(idx as u32)).src;
             cores[shard_of[src.index()] as usize].controllers[idx] = ctl;
         }
-        while let Some(ev) = self.events.pop() {
-            match ev.kind {
-                EventKind::FlowArrival(spec) => {
-                    cores[shard_of[spec.src.index()] as usize].add_flow(*spec)
-                }
-                other => panic!("run_sharded: unexpected pre-run event {other:?}"),
-            }
+        assert!(
+            self.events.is_empty(),
+            "run_sharded: events scheduled before the run"
+        );
+        let home = |state: &FlowState| shard_of[state.info.spec.src.index()] as usize;
+        let mut counts = vec![0; cores.len()];
+        for state in &self.flows.slots {
+            counts[home(state)] += 1;
+        }
+        for (core, n) in cores.iter_mut().zip(counts) {
+            core.flows.slots.reserve_exact(n);
+        }
+        for state in self.flows.slots {
+            cores[home(&state)].add_flow(state.info.spec);
         }
         cores
     }
@@ -719,17 +719,22 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         .into_iter()
         .map(|c| (c.flows.slots, c.traces))
         .collect();
-    // Every flow has exactly one home record, on the shard that saw it arrive.
+    // Every flow that arrived has exactly one home record, on the shard that saw it
+    // arrive.
     let homes = cores
         .iter()
         .flat_map(|(slots, _)| slots)
-        .filter(|s| s.home)
+        .filter(|s| s.home && s.stage != Stage::Pending)
         .count();
     let mut flows: HashMap<FlowId, FlowRecord> = HashMap::with_capacity(homes);
     let mut traces = crate::metrics::Traces::default();
     for (slots, core_traces) in cores {
         for state in slots {
-            let rec = state.record;
+            let finish = state.finish;
+            // A flow whose arrival never came (the run stopped first) has no record.
+            let Some(rec) = state.into_record() else {
+                continue;
+            };
             match flows.entry(rec.spec.id) {
                 Entry::Vacant(slot) => {
                     slot.insert(rec);
@@ -740,10 +745,8 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
                     merged.raw_bytes_delivered =
                         merged.raw_bytes_delivered.max(rec.raw_bytes_delivered);
                     merged.failed |= rec.failed;
-                    if let Some(t) = rec.completed_at {
-                        apply_finish(merged, true, t);
-                    } else if let Some(t) = rec.terminated_at {
-                        apply_finish(merged, false, t);
+                    if let Some(finish) = finish {
+                        apply_finish(merged, finish);
                     }
                 }
             }
@@ -1085,15 +1088,16 @@ mod tests {
         let _ = run_split(sim);
     }
 
-    /// Both sources on shard 1: the second arrival trips the flow-table guard on one
-    /// worker, whose peer must leave the barrier loop rather than wait for it forever.
+    /// Both sources on shard 1: that core's flow table refuses the second one when the
+    /// run starts.
     #[test]
     #[should_panic]
     fn duplicate_flow_ids_on_one_shard_rejected() {
         run_split_with_id_one_twice([(2, 0), (2, 1)]);
     }
 
-    /// Sources on different shards: each home registers the id with the other.
+    /// Sources on different shards: each home registers the id with the other, and the
+    /// worker that trips the guard must not leave its peer waiting at the barrier.
     #[test]
     #[should_panic]
     fn duplicate_flow_ids_across_shards_rejected() {
@@ -1171,19 +1175,23 @@ mod tests {
     fn apply_finish_prefers_earliest_then_completion() {
         let spec = FlowSpec::new(1, NodeId(0), NodeId(1), 1000);
         let mut rec = FlowRecord::new(spec);
-        apply_finish(&mut rec, false, SimTime::from_micros(10));
+        let finish = |completed, us| Finish {
+            at: SimTime::from_micros(us),
+            completed,
+        };
+        apply_finish(&mut rec, finish(false, 10));
         assert!(rec.terminated_at.is_some());
         // A later completion does not displace an earlier termination...
-        apply_finish(&mut rec, true, SimTime::from_micros(20));
+        apply_finish(&mut rec, finish(true, 20));
         assert_eq!(rec.terminated_at, Some(SimTime::from_micros(10)));
         assert!(rec.completed_at.is_none());
         // ...an earlier completion does...
-        apply_finish(&mut rec, true, SimTime::from_micros(5));
+        apply_finish(&mut rec, finish(true, 5));
         assert_eq!(rec.completed_at, Some(SimTime::from_micros(5)));
         assert!(rec.terminated_at.is_none());
         assert_eq!(rec.bytes_acked, 1000);
         // ...and at equal times completion beats termination.
-        apply_finish(&mut rec, false, SimTime::from_micros(5));
+        apply_finish(&mut rec, finish(false, 5));
         assert_eq!(rec.completed_at, Some(SimTime::from_micros(5)));
     }
 

@@ -12,12 +12,21 @@
 //! it at once — the host-side counterpart of the TERM that lets switches drop the
 //! flow. An M-PDQ subflow's sender is the exception: its parent's completion check and
 //! the re-balancer read it, so it stays until the parent reports, and then the parent's
-//! whole M-PDQ bookkeeping goes with it. Receivers stay for the whole run: a forward
-//! packet arriving after a receiver was dropped would re-create it with fresh state.
+//! whole M-PDQ bookkeeping goes with it.
+//!
+//! A receiver goes when it has echoed its flow's TERM. A sender sends the TERM last,
+//! once, and every packet of a flow takes the same FIFO path, so nothing of the flow
+//! reaches the receiver after it — a packet that did would re-create the receiver with
+//! fresh state and echo a cumulative ACK of 0. (A lost TERM leaves its receiver in
+//! place, which is harmless.) M-PDQ subflow receivers stay for the whole run: the
+//! re-balancer can hand a finished subflow more bytes, and its sender then sends again
+//! after its TERM.
 
 use std::sync::Arc;
 
-use pdq_netsim::{Ctx, FlowId, FlowInfo, FlowMap, FlowSpec, HostAgent, Packet, SimTime, TimerKind};
+use pdq_netsim::{
+    Ctx, FlowId, FlowInfo, FlowMap, FlowSpec, HostAgent, Packet, PacketKind, SimTime, TimerKind,
+};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -80,6 +89,13 @@ impl PdqHostAgent {
     /// single-path sender is dropped as soon as it finishes or terminates.
     pub fn active_senders(&self) -> usize {
         self.senders.len()
+    }
+
+    /// Number of receiver state machines held (diagnostics / tests): one per flow
+    /// terminating here that has sent something and not yet its TERM, plus every M-PDQ
+    /// subflow that has reached this host.
+    pub fn active_receivers(&self) -> usize {
+        self.receivers.len()
     }
 
     fn start_sender(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
@@ -267,6 +283,11 @@ impl HostAgent for PdqHostAgent {
                 }
             };
             receiver.on_packet(&packet, ctx);
+            if packet.kind == PacketKind::Term && !receiver.is_subflow() {
+                // Its sender sent the TERM last and the path is FIFO: nothing of this
+                // flow arrives after it.
+                self.receivers.remove(&packet.flow);
+            }
         }
     }
 
@@ -282,7 +303,7 @@ impl HostAgent for PdqHostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowPath, LinkId, NodeId, PacketKind, SchedulingHeader};
+    use pdq_netsim::{Action, NodeId, PacketKind, SchedulingHeader};
 
     fn info(id: u64, size: u64, parent: Option<FlowId>) -> FlowInfo {
         FlowInfo {
@@ -296,11 +317,6 @@ mod tests {
                 parent,
                 coflow: None,
             },
-            path: FlowPath::new(
-                vec![NodeId(0), NodeId(1), NodeId(2)],
-                vec![LinkId(0), LinkId(2)],
-            )
-            .into(),
             bottleneck_rate_bps: 1e9,
             nic_rate_bps: 1e9,
             base_rtt: SimTime::from_micros(150),
@@ -535,6 +551,122 @@ mod tests {
         });
         assert!(actions.is_empty(), "{actions:?}");
         assert_ignored_after_retirement(&mut agent, &flows, subs[0].spec.id, t);
+    }
+
+    /// A forward packet of `flow` arriving at the destination (`seq`/`payload` for
+    /// data).
+    fn forward(kind: PacketKind, flow: FlowId, seq: u64, payload: u32) -> Packet {
+        let mut p = match kind {
+            PacketKind::Data => Packet::data(flow, NodeId(0), NodeId(2), seq, payload),
+            _ => Packet::control(kind, flow, NodeId(0), NodeId(2)),
+        };
+        p.sched = SchedulingHeader::new(GBPS);
+        p
+    }
+
+    /// Deliver `packets` to `agent` (the flows' destination) one by one: the kind and
+    /// cumulative ACK of each echo, and the receivers held after each packet.
+    fn echoes(
+        agent: &mut PdqHostAgent,
+        flows: &FlowMap<FlowInfo>,
+        packets: impl IntoIterator<Item = Packet>,
+    ) -> Vec<(PacketKind, u64, usize)> {
+        let mut out = Vec::new();
+        for packet in packets {
+            let actions = run(SimTime::ZERO, flows, |ctx| agent.on_packet(packet, ctx));
+            for a in &actions {
+                if let Action::Send(echo) = a {
+                    assert!(echo.reverse, "{echo:?}");
+                    out.push((echo.kind, echo.ack, agent.active_receivers()));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn term_retires_the_receiver_of_a_completed_flow() {
+        use PacketKind::{Ack, Data, Probe, Syn, SynAck, Term, TermAck};
+        let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 2);
+        let flows = flows_of([&info(1, 3_000, None)]);
+        let f = FlowId(1);
+        let got = echoes(
+            &mut agent,
+            &flows,
+            [
+                forward(Syn, f, 0, 0),
+                forward(Data, f, 0, 1_500),
+                forward(Probe, f, 0, 0),
+                forward(Data, f, 1_500, 1_500),
+                forward(Term, f, 3_000, 0),
+            ],
+        );
+        let want = [
+            (SynAck, 0, 1),
+            (Ack, 1_500, 1),
+            (Ack, 1_500, 1),
+            (Ack, 3_000, 1),
+            (TermAck, 3_000, 0),
+        ];
+        assert_eq!(got, want);
+        assert_eq!(agent.active_receivers(), 0);
+    }
+
+    #[test]
+    fn term_retires_the_receiver_of_an_early_terminated_flow() {
+        use PacketKind::{Ack, Data, Probe, Syn, SynAck, Term, TermAck};
+        let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 2);
+        let mut flow = info(1, 10_000_000, None);
+        flow.spec.deadline = Some(SimTime::from_millis(1));
+        let flows = flows_of([&flow, &info(2, 3_000, None)]);
+        let (f, other) = (FlowId(1), FlowId(2));
+        let got = echoes(
+            &mut agent,
+            &flows,
+            [
+                forward(Syn, f, 0, 0),
+                forward(Syn, other, 0, 0),
+                forward(Data, f, 0, 1_500),
+                // Out of order: the cumulative ACK stays put.
+                forward(Data, f, 3_000, 1_500),
+                forward(Probe, f, 0, 0),
+                // Given up with most of the flow unsent.
+                forward(Term, f, 4_500, 0),
+            ],
+        );
+        let want = [
+            (SynAck, 0, 1),
+            (SynAck, 0, 2),
+            (Ack, 1_500, 2),
+            (Ack, 1_500, 2),
+            (Ack, 1_500, 2),
+            (TermAck, 1_500, 1),
+        ];
+        assert_eq!(got, want);
+        // Only the other flow's receiver is left.
+        let more = echoes(&mut agent, &flows, [forward(Data, other, 0, 1_500)]);
+        assert_eq!(more, [(Ack, 1_500, 1)]);
+    }
+
+    #[test]
+    fn multipath_subflow_receivers_outlive_their_term() {
+        use PacketKind::{Ack, Data, Term, TermAck};
+        let mut params = PdqParams::full();
+        params.subflows = 2;
+        let mut agent = PdqHostAgent::new(params, Discipline::Exact, 2);
+        let sub = subflow_id(FlowId(1), 0);
+        let flows = flows_of([&info(sub.value(), 1_500, Some(FlowId(1)))]);
+        let got = echoes(
+            &mut agent,
+            &flows,
+            [
+                forward(Data, sub, 0, 1_500),
+                forward(Term, sub, 1_500, 0),
+                // The re-balancer handed the finished subflow more bytes.
+                forward(Data, sub, 1_500, 1_500),
+            ],
+        );
+        assert_eq!(got, [(Ack, 1_500, 1), (TermAck, 1_500, 1), (Ack, 3_000, 1)]);
     }
 
     #[test]

@@ -48,6 +48,11 @@ impl PdqReceiver {
         self.received_upto >= self.size
     }
 
+    /// True for an M-PDQ subflow, whose sender may send more after its TERM.
+    pub fn is_subflow(&self) -> bool {
+        self.is_subflow
+    }
+
     /// Handle a forward-direction packet addressed to this receiver, emitting the echo.
     pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         match pkt.kind {

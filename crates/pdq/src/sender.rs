@@ -568,7 +568,7 @@ impl PdqSender {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowPath, FlowSpec, NodeId, SchedulingHeader};
+    use pdq_netsim::{Action, FlowSpec, NodeId, SchedulingHeader};
     use std::collections::HashMap;
 
     const GBPS: f64 = 1e9;
@@ -580,11 +580,6 @@ mod tests {
         }
         let info = FlowInfo {
             spec,
-            path: FlowPath::new(
-                vec![NodeId(0), NodeId(1), NodeId(2)],
-                vec![LinkId(0), LinkId(2)],
-            )
-            .into(),
             bottleneck_rate_bps: GBPS,
             nic_rate_bps: GBPS,
             base_rtt: SimTime::from_micros(150),

@@ -278,6 +278,7 @@ impl Scenario {
                 link.queue_capacity_bytes = bytes;
             }
         }
+        self.workload.fits(&topo).map_err(ScenarioError::Spec)?;
         let flows = self.workload.generate(&topo, self.seed);
         let mut summary = match self.backend {
             SimBackend::Packet => {
@@ -936,5 +937,62 @@ mod tests {
             assert!(workload.with_load(load).is_err(), "load {load}");
         }
         assert!(workload.with_load(900.0).is_ok());
+    }
+
+    #[test]
+    fn spec_rejects_size_ranges_and_patterns_the_generators_cannot_draw() {
+        use pdq_netsim::Simulator;
+        use std::sync::Arc;
+
+        // The committed flow-level Figure 8a spec, one line replaced: each of these
+        // used to parse and then panic inside the workload generator.
+        let fig8a = include_str!("../../../specs/fig8a_flow.scn");
+        let sizes = "workload.sizes = uniform:2000:198000\n";
+        let pattern = "workload.pattern = random_permutation\n";
+        for (line, replacement, needle) in [
+            (sizes, "workload.sizes = uniform:200000:100\n", "min <= max"),
+            (pattern, "workload.pattern = staggered:1.5\n", "[0, 1]"),
+            (pattern, "workload.pattern = staggered:NaN\n", "[0, 1]"),
+            (pattern, "workload.pattern = stride:0\n", "stride of 0"),
+        ] {
+            assert!(fig8a.contains(line), "{line}");
+            let err = Scenario::from_spec(&fig8a.replace(line, replacement)).unwrap_err();
+            assert!(
+                matches!(&err, ScenarioError::Spec(m) if m.contains(needle)),
+                "{replacement}: {err}"
+            );
+        }
+
+        // A stride that is a multiple of the host count parses — it depends on the
+        // topology — and is refused once the topology is built, before any flow is
+        // generated or any protocol installed.
+        struct Inert;
+        impl ProtocolInstaller for Inert {
+            fn name(&self) -> String {
+                "inert".into()
+            }
+            fn label(&self) -> String {
+                "Inert".into()
+            }
+            fn install(&self, _sim: &mut Simulator) {}
+        }
+        let mut registry = ProtocolRegistry::new();
+        registry.register_instance(Arc::new(Inert));
+        let spec = fig8a.replace(pattern, "workload.pattern = stride:16\n");
+        let scenario = Scenario::from_spec(&spec).unwrap().protocol("inert");
+        let err = scenario.run(&registry).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::Spec(m) if m.contains("to itself")),
+            "{err}"
+        );
+        let topo = scenario.topology.build();
+        for (stride, fits) in [(5, true), (16, false), (32, false), (17, true)] {
+            let mut workload = scenario.workload.clone();
+            let WorkloadSpec::Pattern { pattern, .. } = &mut workload else {
+                panic!("fig8a is a pattern workload");
+            };
+            *pattern = Pattern::Stride(stride);
+            assert_eq!(workload.fits(&topo).is_ok(), fits, "stride {stride}");
+        }
     }
 }

@@ -416,6 +416,26 @@ impl WorkloadSpec {
         }
     }
 
+    /// Whether [`WorkloadSpec::generate`] can draw this workload on `topo`: a stride
+    /// that is a multiple of the host count would send every host to itself. (What
+    /// depends on no topology is refused at parse time.)
+    pub(crate) fn fits(&self, topo: &Topology) -> Result<(), String> {
+        let hosts = topo.host_count();
+        match self {
+            WorkloadSpec::Pattern {
+                pattern: Pattern::Stride(i),
+                ..
+            }
+            | WorkloadSpec::Poisson {
+                pattern: Pattern::Stride(i),
+                ..
+            } if i % hosts == 0 => Err(format!(
+                "pattern stride:{i} on {hosts} hosts would send every host to itself"
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// The workload with its flow-size distribution replaced — the flow-size sweep
     /// axis. Errors for [`WorkloadSpec::Manual`], whose flows are explicit.
     pub fn with_sizes(&self, sizes: SizeDist) -> Result<WorkloadSpec, String> {

@@ -117,8 +117,19 @@ impl FromStr for Pattern {
         }
         let (kind, args) = s.split_once(':').ok_or_else(bad)?;
         match kind {
-            "stride" => Ok(Pattern::Stride(args.parse().map_err(|_| bad())?)),
-            "staggered" => Ok(Pattern::StaggeredProb(args.parse().map_err(|_| bad())?)),
+            "stride" => match args.parse().map_err(|_| bad())? {
+                0 => Err("a stride of 0 would send every host to itself".to_string()),
+                i => Ok(Pattern::Stride(i)),
+            },
+            "staggered" => {
+                let p: f64 = args.parse().map_err(|_| bad())?;
+                if !(0.0..=1.0).contains(&p) {
+                    return Err(format!(
+                        "a staggered pattern's probability must lie in [0, 1], got {p}"
+                    ));
+                }
+                Ok(Pattern::StaggeredProb(p))
+            }
             _ => Err(bad()),
         }
     }
@@ -148,6 +159,24 @@ mod tests {
             assert_eq!(text.parse::<Pattern>().expect(&text), p, "{text}");
         }
         assert!("spiral".parse::<Pattern>().is_err());
+    }
+
+    #[test]
+    fn patterns_that_cannot_be_drawn_are_rejected_at_parse_time() {
+        // `pairs` asserts on these; a spec token must not reach it. (A stride that is
+        // a nonzero multiple of the host count depends on the topology: the scenario
+        // checks it once the topology is built.)
+        for (text, needle) in [
+            ("stride:0", "stride of 0"),
+            ("staggered:1.5", "[0, 1]"),
+            ("staggered:-0.1", "[0, 1]"),
+            ("staggered:nan", "[0, 1]"),
+        ] {
+            let err = text.parse::<Pattern>().unwrap_err();
+            assert!(err.contains(needle), "{text}: {err}");
+        }
+        assert_eq!("staggered:1".parse(), Ok(Pattern::StaggeredProb(1.0)));
+        assert_eq!("stride:16".parse(), Ok(Pattern::Stride(16)));
     }
 
     fn rng() -> SmallRng {

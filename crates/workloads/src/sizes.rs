@@ -183,10 +183,13 @@ impl FromStr for SizeDist {
             "fixed" => Ok(SizeDist::Fixed(parse_u64(args)?)),
             "uniform" => {
                 let (min, max) = args.split_once(':').ok_or_else(bad)?;
-                Ok(SizeDist::Uniform {
-                    min: parse_u64(min)?,
-                    max: parse_u64(max)?,
-                })
+                let (min, max) = (parse_u64(min)?, parse_u64(max)?);
+                if min > max {
+                    return Err(format!(
+                        "a uniform size range needs min <= max, got {min} > {max}"
+                    ));
+                }
+                Ok(SizeDist::Uniform { min, max })
             }
             "uniform_mean" => Ok(SizeDist::UniformMean(parse_u64(args)?)),
             "pareto" => {
@@ -259,6 +262,17 @@ mod tests {
             assert!(err.contains("tail index"), "{text}: {err}");
         }
         assert!("pareto:30000:1.0001".parse::<SizeDist>().is_ok());
+    }
+
+    #[test]
+    fn an_empty_uniform_range_is_rejected_at_parse_time() {
+        // `sample` asserts `min <= max`; a spec or CLI token must not reach it.
+        let err = "uniform:200000:100".parse::<SizeDist>().unwrap_err();
+        assert!(err.contains("min <= max"), "{err}");
+        assert_eq!(
+            "uniform:7:7".parse::<SizeDist>(),
+            Ok(SizeDist::Uniform { min: 7, max: 7 })
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! itself at a fixed seed — never wall-clock.
 
 use pdq_experiments::common::registry;
-use pdq_netsim::{EngineStats, SimConfig};
+use pdq_netsim::{EngineStats, NodeKind, SimConfig};
 use pdq_scenario::Scenario;
 use pdq_topology::Partition;
 
@@ -85,6 +85,34 @@ fn paced_wan_pends_live_timers_only() {
         beyond_packets <= bound,
         "{beyond_packets} events pending beyond the packets in flight; the bound is {bound}, \
          4 per live flow: {queue:?} {engine:?}"
+    );
+}
+
+/// Injected flows wait in the flow slab, not in the event queue: the queue holds the
+/// next injected arrival only. Beyond the packets in flight, what is pending is then
+/// one controller tick per switch egress link, a few live timers per live flow —
+/// RTO, pacing, probe, deadline — the next arrival and the Stop. When every arrival
+/// was queued at t = 0, the committed quick engine-scale spec (seed 1) peaked at 600
+/// pending events with 262 packets in flight and 31 flows live: 338 beyond the
+/// packets, against a bound of 206. Now: 130.
+#[test]
+fn arrivals_wait_in_the_flow_slab_not_the_event_queue() {
+    let scenario = engine_scale_quick();
+    let net = scenario.topology.build().net;
+    let ticking = net
+        .links
+        .iter()
+        .filter(|l| net.node(l.src).kind == NodeKind::Switch)
+        .count() as u64;
+    let run = scenario.run(registry()).unwrap_or_else(|e| panic!("{e}"));
+    let (queue, engine) = (run.packet().queue, run.packet().engine);
+    let beyond_packets = queue.peak_pending.saturating_sub(engine.pool_high_water);
+    let bound = ticking + 4 * engine.live_flows_high_water + 2;
+    assert!(
+        beyond_packets <= bound,
+        "{beyond_packets} events pending beyond the packets in flight; the bound is {bound}: \
+         {ticking} controller ticks, 4 timers per live flow, an arrival and the Stop: \
+         {queue:?} {engine:?}"
     );
 }
 

@@ -23,8 +23,17 @@
 //! Since the senders' retransmission timeouts are restartable deadlines that queue
 //! no event per restart, the overloaded run peaks at 3 813 pending events (5 666
 //! before) and 3 120 247 B (4 063 799 B without the spare-buffer bound), and the
-//! steady run at 1 351 447 B (1 858 967 B without sender retirement). Each bound
-//! sits between the two.
+//! steady run at 1 351 447 B (1 858 967 B without sender retirement).
+//!
+//! Since a flow costs one compact slot from injection to the merge — arrivals fed
+//! from the flow slab instead of queued up front, the spec kept once, no path copy
+//! beside the route arena — and PDQ receivers go at the TERM, the overloaded run
+//! peaks at 2 852 151 B (2 983 863 B with each flow's path kept after its arrival)
+//! and the steady run at 998 535 B (1 085 303 B with every receiver kept for the
+//! whole run, 1 128 903 B with the paths kept). Each bound sits between the run and
+//! its named mutation. The overloaded run still peaks at 3 813 pending events: its
+//! peak comes after the last arrival, so arrivals queued one at a time leave it
+//! where it was, and the regime check holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -102,8 +111,8 @@ fn peak_live(scenario: &Scenario) -> (RunSummary, u64) {
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
     for (case, spread_us, bound) in [
-        ("overloaded", 1_000, 3_500_000),
-        ("steady", 66_000, 1_600_000),
+        ("overloaded", 1_000, 2_920_000),
+        ("steady", 66_000, 1_040_000),
     ] {
         let (run, peak) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         let (queue, engine) = (run.packet().queue, run.packet().engine);
