@@ -183,13 +183,36 @@ fn run_spec_exits_2_naming_the_unknown_key_and_the_valid_key_set() {
     }
 }
 
+/// Run `cmd` to completion, killing it after `secs` seconds, so that an input
+/// which hangs the CLI fails its test instead of hanging the suite.
+fn output_within(mut cmd: Command, secs: u64) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = cmd
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("collect output")
+}
+
 #[test]
 fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
     // The committed flow-level fig8a spec with one line replaced: each of these used
-    // to panic inside the workload generator (exit 101).
+    // to panic inside the workload generator or the topology builder (exit 101),
+    // to run with a loss probability above 1, or, for a 1-port BCube, never return.
     let fig8a = std::fs::read_to_string(workspace_file("specs/fig8a_flow.scn")).unwrap();
     let sizes = "workload.sizes = uniform:2000:198000";
     let pattern = "workload.pattern = random_permutation";
+    let topology = "topology = fat_tree:16";
     for (tag, line, replacement, needle) in [
         (
             "uniform",
@@ -217,15 +240,111 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
             "workload.pattern = stride:16",
             "to itself",
         ),
+        ("bcube11", topology, "topology = bcube:1:1", "port count"),
+        ("bcube00", topology, "topology = bcube:0:0", "port count"),
+        (
+            "bcubehosts",
+            topology,
+            "topology = bcube_hosts:16:1",
+            "port count",
+        ),
+        (
+            "single0",
+            topology,
+            "topology = single_bottleneck:0",
+            "sender",
+        ),
+        (
+            "loss2",
+            topology,
+            "topology = single_bottleneck:3:loss=2",
+            "[0, 1)",
+        ),
+        ("wan1site", topology, "topology = wan:1:1:60:1", "2 sites"),
+        (
+            "wan0hosts",
+            topology,
+            "topology = wan:2:0:60:1",
+            "host per site",
+        ),
+        ("wannan", topology, "topology = wan:2:2:NaN:1", "RTT"),
+        // A packet run (the backend line gives way) tracing a link the topology
+        // does not have.
+        (
+            "tracelink",
+            "\nbackend = flow",
+            "\ntrace.interval_ns = 1000000\ntrace.links = 99999",
+            "link 99999",
+        ),
     ] {
         assert!(fig8a.contains(line), "{line}");
         let (dir, spec) = temp_spec(tag, &fig8a.replace(line, replacement));
-        let out = binary().arg("run-spec").arg(&spec).output().expect("spawn");
+        let mut run = binary();
+        run.arg("run-spec").arg(&spec);
+        let out = output_within(run, 60);
         std::fs::remove_dir_all(&dir).ok();
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert_eq!(out.status.code(), Some(2), "{replacement}: {stderr}");
         assert!(stderr.contains(needle), "{replacement}: {stderr}");
     }
+}
+
+#[test]
+fn run_spec_exits_2_naming_a_repeated_key_and_both_lines() {
+    // Only `flow` may repeat. Any other key given twice is refused, rather than
+    // one occurrence silently winning.
+    let fig8a = std::fs::read_to_string(workspace_file("specs/fig8a_flow.scn")).unwrap();
+    let appended = fig8a.lines().count() + 1;
+    for (tag, key, first, repeat) in [
+        ("seed", "seed", "seed = 5", "seed = 2"),
+        (
+            "sizes",
+            "workload.sizes",
+            "workload.sizes = uniform:2000:198000",
+            "workload.sizes = fixed:1000",
+        ),
+    ] {
+        let first_line = 1 + fig8a.lines().position(|l| l == first).expect(first);
+        let (dir, spec) = temp_spec(&format!("repeat-{tag}"), &format!("{fig8a}{repeat}\n"));
+        let out = binary().arg("run-spec").arg(&spec).output().expect("spawn");
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{repeat}: {stderr}");
+        for needle in [
+            format!("line {appended}: {key}: repeated key"),
+            format!("first on line {first_line}"),
+        ] {
+            assert!(stderr.contains(&needle), "{needle} missing from: {stderr}");
+        }
+    }
+}
+
+#[test]
+fn a_cache_record_with_a_repeated_key_reads_as_a_miss() {
+    let dir = temp_dir("repeat");
+    let cache = dir.join("cache");
+    let sweep = || {
+        let out = binary()
+            .args(["sweep", "--quick", "--protocols", "rcp", "--seeds", "1"])
+            .args(["--cache-dir", cache.to_str().unwrap()])
+            .output()
+            .expect("spawn sweep");
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8(out.stderr).unwrap()
+    };
+    assert!(sweep().contains("(0 cache hits, 1 executed)"));
+    for entry in std::fs::read_dir(&cache).unwrap() {
+        let path = entry.unwrap().path();
+        let mut record = std::fs::read_to_string(&path).unwrap();
+        record.push_str("completed = 0\n");
+        std::fs::write(&path, record).unwrap();
+    }
+    let stderr = sweep();
+    assert!(stderr.contains("(0 cache hits, 1 executed)"), "{stderr}");
+    // The recomputed cell replaced the record, which is a hit again.
+    let stderr = sweep();
+    assert!(stderr.contains("(1 cache hits, 0 executed)"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

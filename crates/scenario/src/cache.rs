@@ -10,20 +10,23 @@
 //! request fingerprint as the address, the determinism fingerprint as part of the
 //! preserved summary.
 //!
-//! The on-disk layout is one plain-text record file per cell under the cache
-//! directory (`<fingerprint>.record`, hand-rolled `key = value` lines like the
-//! scenario spec format — no serde). Writes go to a temporary file first and are
-//! published with an atomic rename, so a process killed mid-store never leaves a
-//! torn record — at worst a stale `.tmp-*` file that [`ResultCache::clear`]
-//! sweeps up. Lookups verify the stored canonical spec against the request, so
-//! even a fingerprint collision can never produce a false hit; torn, corrupt or
-//! colliding records all read as misses and are simply recomputed.
+//! The on-disk layout is one `<fingerprint>.record` file per cell, in the spec's
+//! `key = value` format: a `# pdq cache record v1` header, `request_fingerprint`,
+//! the canonical spec escaped onto one `request_spec` line (`\` → `\\`, newline →
+//! `\n`), then the [`RunSummary::to_record`] body under the scenario name `-`.
+//! Writes go to a temporary file published with an atomic rename, so a killed
+//! process never leaves a torn record — at worst a stale `.tmp-*` file that
+//! [`ResultCache::clear`] sweeps up. Lookups check the stored spec against the
+//! request, so even a fingerprint collision is never a false hit; torn, corrupt,
+//! colliding and repeated-key records all read as misses and are recomputed.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::backend::SimBackend;
+use crate::kv;
 use crate::scenario::Scenario;
 use crate::summary::RunSummary;
 
@@ -85,7 +88,11 @@ fn fnv1a64(bytes: &[u8], basis: u64) -> u64 {
 /// first-pass-prefixed text) give a 128-bit key; the stored-spec comparison in
 /// [`ResultCache::lookup`] makes even a full collision harmless.
 pub fn request_fingerprint(scenario: &Scenario) -> String {
-    let spec = canonical_request_spec(scenario);
+    spec_fingerprint(&canonical_request_spec(scenario))
+}
+
+/// [`request_fingerprint`] of an already canonical request spec.
+fn spec_fingerprint(spec: &str) -> String {
     let lo = fnv1a64(spec.as_bytes(), FNV_OFFSET);
     let hi = fnv1a64(spec.as_bytes(), lo ^ FNV_OFFSET);
     format!("{hi:016x}{lo:016x}")
@@ -144,11 +151,14 @@ impl ResultCache {
     /// stored name-normalized so overlapping grids share cells whatever each sweep
     /// called them.
     pub fn lookup(&self, scenario: &Scenario) -> Option<RunSummary> {
-        let text = fs::read_to_string(self.record_path(scenario)).ok()?;
-        let (stored_spec, mut summary) = parse_record(&text).ok()?;
-        if stored_spec != canonical_request_spec(scenario) {
+        let spec = canonical_request_spec(scenario);
+        let path = self.dir.join(format!("{}.record", spec_fingerprint(&spec)));
+        let text = fs::read_to_string(path).ok()?;
+        let record = kv::Reader::new(&text, &[]).ok()?;
+        if record.get("request_spec")?.value != kv::escape(&spec) {
             return None;
         }
+        let mut summary = RunSummary::read_record(&record).ok()?;
         summary.scenario = scenario.name.clone();
         Some(summary)
     }
@@ -159,16 +169,15 @@ impl ResultCache {
     /// state or the complete new record, never a torn one.
     pub fn store(&self, scenario: &Scenario, summary: &RunSummary) -> io::Result<()> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-        let fingerprint = request_fingerprint(scenario);
-        let mut record = format!(
-            "# pdq cache record v1\nrequest_fingerprint = {fingerprint}\nrequest_spec = {}\n",
-            escape(&canonical_request_spec(scenario))
-        );
+        let spec = canonical_request_spec(scenario);
+        let fingerprint = spec_fingerprint(&spec);
+        let mut w = kv::Writer::new("pdq cache record v1");
+        w.put("request_fingerprint", &fingerprint);
+        w.put("request_spec", kv::escape(&spec));
+        let mut record = w.finish();
         // Canonicalize the stored name too: the record's bytes are identical
         // whichever sweep cell produced it.
-        let mut canonical = summary.clone();
-        canonical.scenario = CANONICAL_NAME.to_string();
-        record.push_str(&canonical.to_record());
+        record.push_str(&summary.record_named(CANONICAL_NAME));
         let tmp = self.dir.join(format!(
             "{fingerprint}.tmp-{}-{}",
             std::process::id(),
@@ -191,20 +200,13 @@ impl ResultCache {
             if entry.path().extension().is_some_and(|e| e == "record") {
                 stats.records += 1;
                 stats.bytes += entry.metadata()?.len();
-                let backend = fs::read_to_string(entry.path())
-                    .ok()
-                    .and_then(|text| {
-                        text.lines()
-                            .filter_map(|l| l.split_once('='))
-                            .find(|(k, _)| k.trim() == "backend")
-                            .map(|(_, v)| v.trim().to_string())
-                    })
-                    .unwrap_or_default();
-                match backend.as_str() {
-                    "packet" => stats.packet_records += 1,
-                    "flow" => stats.flow_records += 1,
-                    "fluid" => stats.fluid_records += 1,
-                    _ => {}
+                let text = fs::read_to_string(entry.path()).unwrap_or_default();
+                let record = kv::Reader::new(&text, &[]).ok();
+                match record.and_then(|r| r.optional("backend").ok()?) {
+                    Some(SimBackend::Packet) => stats.packet_records += 1,
+                    Some(SimBackend::Flow) => stats.flow_records += 1,
+                    Some(SimBackend::Fluid) => stats.fluid_records += 1,
+                    None => {}
                 }
             }
         }
@@ -229,42 +231,6 @@ impl ResultCache {
         }
         Ok(removed)
     }
-}
-
-/// Escape a multi-line spec into a single record line (`\` → `\\`, newline → `\n`).
-fn escape(text: &str) -> String {
-    text.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Invert [`escape`]. Errors on a dangling trailing backslash or unknown escape.
-fn unescape(text: &str) -> Result<String, String> {
-    let mut out = String::with_capacity(text.len());
-    let mut chars = text.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('n') => out.push('\n'),
-            other => return Err(format!("bad escape \\{other:?} in cache record")),
-        }
-    }
-    Ok(out)
-}
-
-/// Parse a record file into its stored canonical spec and summary.
-fn parse_record(text: &str) -> Result<(String, RunSummary), String> {
-    let spec_line = text
-        .lines()
-        .filter_map(|l| l.trim().split_once('='))
-        .find(|(k, _)| k.trim() == "request_spec")
-        .map(|(_, v)| v.trim().to_string())
-        .ok_or_else(|| "missing key request_spec".to_string())?;
-    let spec = unescape(&spec_line)?;
-    let summary = RunSummary::from_record(text)?;
-    Ok((spec, summary))
 }
 
 /// One sweep cell as a JSONL line: the headline summary fields plus the cell's
@@ -334,7 +300,6 @@ pub fn jsonl_record(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::SimBackend;
 
     fn temp_cache(tag: &str) -> ResultCache {
         let dir = std::env::temp_dir().join(format!(
@@ -367,15 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn escape_round_trips() {
-        for text in ["", "plain", "a\nb", "back\\slash\\n", "\\", "trail\n"] {
-            assert_eq!(unescape(&escape(text)).unwrap(), text, "{text:?}");
-        }
-        assert!(unescape("dangling\\").is_err());
-        assert!(unescape("bad\\q").is_err());
-    }
-
-    #[test]
     fn corrupt_and_colliding_records_read_as_misses() {
         let cache = temp_cache("corrupt");
         let scenario = Scenario::new("s");
@@ -390,7 +346,7 @@ mod tests {
         let mut record = format!(
             "# pdq cache record v1\nrequest_fingerprint = {}\nrequest_spec = {}\n",
             request_fingerprint(&scenario),
-            escape(&canonical_request_spec(&other))
+            kv::escape(&canonical_request_spec(&other))
         );
         record.push_str(
             "scenario = -\nprotocol = pdq(full)\nprotocol_label = PDQ(Full)\n\

@@ -51,6 +51,7 @@
 
 pub mod backend;
 pub mod cache;
+mod kv;
 pub mod protocol;
 pub mod scenario;
 pub mod spec;

@@ -8,6 +8,7 @@ use pdq_netsim::{FlowSpec, LinkId, SimConfig, SimResults, SimTime, Simulator, Tr
 use pdq_topology::{EcmpRouter, Partition, Topology};
 
 use crate::backend::SimBackend;
+use crate::kv;
 use crate::protocol::{ProtocolInstaller, ProtocolRegistry, RegistryError};
 use crate::spec::{TopologySpec, WorkloadSpec};
 use crate::summary::RunSummary;
@@ -279,6 +280,13 @@ impl Scenario {
             }
         }
         self.workload.fits(&topo).map_err(ScenarioError::Spec)?;
+        let links = topo.net.link_count();
+        if let Some(bad) = self.trace.links.iter().find(|l| l.0 as usize >= links) {
+            return Err(ScenarioError::Spec(format!(
+                "trace.links: link {} does not exist (the topology has {links} links)",
+                bad.0
+            )));
+        }
         let flows = self.workload.generate(&topo, self.seed);
         let mut summary = match self.backend {
             SimBackend::Packet => {
@@ -321,202 +329,90 @@ impl Scenario {
         Ok(summary)
     }
 
-    /// Serialize to the plain-text spec format (`key = value` lines, `#` comments).
-    /// The `backend` key is only written for non-default (flow/fluid) backends, so
-    /// the serialization of every pre-backend spec is byte-identical to before.
+    /// Serialize to the plain-text spec format (`key = value` lines under a `#`
+    /// header). A key at its default — `backend`, `engine_threads`,
+    /// `pacing`, `topology.queue_bytes`, the `trace.*` keys — is not written, so a
+    /// spec serializes exactly as it did before the key existed.
     pub fn to_spec(&self) -> String {
-        let mut pairs: Vec<(String, String)> = vec![
-            ("scenario".into(), self.name.clone()),
-            ("protocol".into(), self.protocol.clone()),
-            ("seed".into(), self.seed.to_string()),
-            ("stop_at_ns".into(), self.stop_at.as_nanos().to_string()),
-            ("topology".into(), self.topology.spec_token()),
-        ];
+        let mut w = kv::Writer::new("pdq scenario spec v1");
+        w.put("scenario", &self.name);
+        w.put("protocol", &self.protocol);
         if self.backend != SimBackend::default() {
-            pairs.insert(2, ("backend".into(), self.backend.token().into()));
+            w.put("backend", self.backend);
         }
-        // Like `backend`, the `engine_threads` key is only written when it deviates
-        // from the sequential default, keeping older specs byte-identical.
+        w.put("seed", self.seed);
+        w.put("stop_at_ns", self.stop_at.as_nanos());
+        w.put("topology", &self.topology);
         if self.engine_threads != 1 {
-            pairs.push(("engine_threads".into(), self.engine_threads.to_string()));
+            w.put("engine_threads", self.engine_threads);
         }
-        // Same rule for the pacing and queue-override axes: default-off scenarios
-        // serialize exactly as they did before the keys existed.
         if self.pacing {
-            pairs.push(("pacing".into(), "on".into()));
+            w.put("pacing", "on");
         }
         if let Some(bytes) = self.queue_capacity {
-            pairs.push(("topology.queue_bytes".into(), bytes.to_string()));
+            w.put("topology.queue_bytes", bytes);
         }
-        self.workload.write_keys(&mut pairs);
+        self.workload.write_keys(&mut w);
         if self.trace != TraceConfig::default() {
-            pairs.push((
-                "trace.interval_ns".into(),
-                self.trace.interval.as_nanos().to_string(),
-            ));
+            w.put("trace.interval_ns", self.trace.interval.as_nanos());
             if !self.trace.links.is_empty() {
                 let links: Vec<String> = self.trace.links.iter().map(|l| l.0.to_string()).collect();
-                pairs.push(("trace.links".into(), links.join(",")));
+                w.put("trace.links", links.join(","));
             }
             if self.trace.flows {
-                pairs.push(("trace.flows".into(), "true".into()));
+                w.put("trace.flows", true);
             }
         }
-        let mut out = String::from("# pdq scenario spec v1\n");
-        for (k, v) in pairs {
-            out.push_str(&k);
-            out.push_str(" = ");
-            out.push_str(&v);
-            out.push('\n');
-        }
-        out
+        w.finish()
     }
 
-    /// Parse the [`Scenario::to_spec`] format. Unknown keys are rejected so typos
-    /// fail loudly rather than silently changing the run.
+    /// Parse the [`Scenario::to_spec`] format. A repeated key (other than `flow`)
+    /// and a key the scenario does not use are refused, so a typo or a leftover
+    /// line fails loudly rather than silently changing the run.
     pub fn from_spec(text: &str) -> Result<Self, ScenarioError> {
-        let err = |msg: String| ScenarioError::Spec(msg);
-        let mut pairs: Vec<(String, String)> = Vec::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let (k, v) = line
-                .split_once('=')
-                .ok_or_else(|| err(format!("line {}: expected key = value", lineno + 1)))?;
-            pairs.push((k.trim().to_string(), v.trim().to_string()));
-        }
-        let get = |key: &str| -> Option<String> {
-            pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone())
-        };
-        let require = |key: &str| -> Result<String, ScenarioError> {
-            get(key).ok_or_else(|| err(format!("missing key {key}")))
-        };
+        Self::read_spec(text).map_err(|e| ScenarioError::Spec(e.to_string()))
+    }
 
-        let name = require("scenario")?;
-        let protocol = require("protocol")?;
-        let backend = match get("backend") {
-            None => SimBackend::default(),
-            Some(v) => v.parse().map_err(err)?,
+    /// Reads the keys in the order [`Scenario::to_spec`] writes them, which keeps
+    /// each lookup short.
+    fn read_spec(text: &str) -> Result<Self, kv::Error> {
+        let r = kv::Reader::new(text, &["flow"])?;
+        let scenario = Scenario {
+            name: r.required("scenario")?,
+            protocol: r.required("protocol")?,
+            backend: r.optional("backend")?.unwrap_or_default(),
+            seed: r.required("seed")?,
+            stop_at: SimTime::from_nanos(r.required("stop_at_ns")?),
+            topology: r.required("topology")?,
+            engine_threads: r.optional("engine_threads")?.unwrap_or(1),
+            pacing: match r.get("pacing") {
+                None => false,
+                Some(f) => f.parse_with(|v| match v {
+                    "on" => Ok(true),
+                    "off" => Ok(false),
+                    _ => Err("want on or off"),
+                })?,
+            },
+            queue_capacity: r.optional("topology.queue_bytes")?,
+            workload: WorkloadSpec::from_keys(&r)?,
+            trace: TraceConfig {
+                interval: SimTime::from_nanos(r.optional("trace.interval_ns")?.unwrap_or(0)),
+                links: match r.get("trace.links") {
+                    None => Vec::new(),
+                    Some(f) => f.parse_with(|v| {
+                        v.split(',')
+                            .map(|part| part.trim().parse().map(LinkId))
+                            .collect::<Result<_, _>>()
+                    })?,
+                },
+                flows: r.optional("trace.flows")?.unwrap_or(false),
+            },
         };
-        let seed: u64 = require("seed")?
-            .parse()
-            .map_err(|_| err("bad seed".into()))?;
-        let stop_at = SimTime::from_nanos(
-            require("stop_at_ns")?
-                .parse()
-                .map_err(|_| err("bad stop_at_ns".into()))?,
-        );
-        let topology = TopologySpec::parse(&require("topology")?).map_err(err)?;
-        let engine_threads: u32 = match get("engine_threads") {
-            None => 1,
-            Some(v) => v.parse().map_err(|_| err("bad engine_threads".into()))?,
-        };
-        let pacing = match get("pacing").as_deref() {
-            None | Some("off") => false,
-            Some("on") => true,
-            Some(v) => return Err(err(format!("bad pacing {v:?} (want on or off)"))),
-        };
-        let queue_capacity = match get("topology.queue_bytes") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| err("bad topology.queue_bytes".into()))?,
-            ),
-        };
-        let workload_kind = require("workload")?;
-        let flow_lines: Vec<String> = pairs
-            .iter()
-            .filter(|(k, _)| k == "flow")
-            .map(|(_, v)| v.clone())
-            .collect();
-        let workload_get = |key: &str| -> Option<String> { get(&format!("workload.{key}")) };
-        let workload =
-            WorkloadSpec::from_keys(&workload_kind, &workload_get, &flow_lines).map_err(err)?;
-
-        let mut trace = TraceConfig::default();
-        if let Some(interval) = get("trace.interval_ns") {
-            trace.interval = SimTime::from_nanos(
-                interval
-                    .parse()
-                    .map_err(|_| err("bad trace.interval_ns".into()))?,
-            );
-        }
-        if let Some(links) = get("trace.links") {
-            for part in links.split(',') {
-                trace.links.push(LinkId(
-                    part.trim()
-                        .parse()
-                        .map_err(|_| err("bad trace.links".into()))?,
-                ));
-            }
-        }
-        if let Some(flows) = get("trace.flows") {
-            trace.flows = flows.parse().map_err(|_| err("bad trace.flows".into()))?;
-        }
-
-        // Reject unknown keys. The workload keys are validated against the keys the
-        // parsed workload actually serializes, so a leftover `workload.*` line from a
-        // different workload kind (or a stray `flow` line outside a manual workload)
-        // fails loudly instead of silently changing the run.
-        let mut workload_keys: Vec<(String, String)> = Vec::new();
-        workload.write_keys(&mut workload_keys);
-        for (k, _) in &pairs {
-            let known = matches!(
-                k.as_str(),
-                "scenario"
-                    | "protocol"
-                    | "backend"
-                    | "seed"
-                    | "stop_at_ns"
-                    | "topology"
-                    | "engine_threads"
-                    | "pacing"
-                    | "topology.queue_bytes"
-                    | "trace.interval_ns"
-                    | "trace.links"
-                    | "trace.flows"
-            ) || workload_keys.iter().any(|(wk, _)| wk == k);
-            if !known {
-                let mut valid: Vec<&str> = vec![
-                    "scenario",
-                    "protocol",
-                    "backend",
-                    "seed",
-                    "stop_at_ns",
-                    "topology",
-                    "engine_threads",
-                    "pacing",
-                    "topology.queue_bytes",
-                    "trace.interval_ns",
-                    "trace.links",
-                    "trace.flows",
-                ];
-                valid.extend(workload_keys.iter().map(|(wk, _)| wk.as_str()));
-                valid.sort_unstable();
-                valid.dedup();
-                return Err(err(format!(
-                    "unknown key {k:?} (not used by workload {workload_kind:?}); \
-                     valid keys: {}",
-                    valid.join(", ")
-                )));
-            }
-        }
-
-        Ok(Scenario {
-            name,
-            backend,
-            topology,
-            workload,
-            protocol,
-            seed,
-            stop_at,
-            trace,
-            engine_threads,
-            pacing,
-            queue_capacity,
-        })
+        r.reject_unread(format_args!(
+            " (not used by workload {:?})",
+            scenario.workload.kind()
+        ))?;
+        Ok(scenario)
     }
 }
 

@@ -6,6 +6,10 @@
 //! reproduces the experiment harness' historical RNG draw order exactly, so a spec
 //! plus a seed pins down the flow set byte for byte.
 
+use std::fmt;
+use std::ops::{Range, RangeBounds, RangeInclusive};
+use std::str::FromStr;
+
 use pdq_netsim::{CoflowId, CoflowTag, FlowSpec, LinkParams, NodeId, SimTime};
 use pdq_topology::{
     bcube::{bcube, bcube_with_at_least},
@@ -21,6 +25,8 @@ use pdq_workloads::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+use crate::kv::{self, OrDash};
 
 /// A buildable topology. All variants use default (paper) link parameters; the only
 /// link-level variation the figures need — access-link loss — is part of
@@ -42,12 +48,12 @@ pub enum TopologySpec {
         /// Minimum host count.
         hosts: usize,
     },
-    /// `bcube(n, k)`: BCube with the given level count and switch port count
-    /// (Figure 11 uses BCube(2,3)).
+    /// `bcube(n, k)`: BCube with `n`-port switches and `k + 1` levels, so
+    /// `n^(k+1)` hosts (Figure 11 uses BCube(2,3)).
     BCube {
-        /// BCube level parameter `n`.
+        /// Switch port count `n`.
         n: usize,
-        /// Switch port count `k`.
+        /// Level parameter `k`: the topology has `k + 1` levels.
         k: usize,
     },
     /// Smallest BCube with `n`-port switches and at least `hosts` hosts (Figure 8c).
@@ -117,25 +123,27 @@ impl TopologySpec {
             }),
         }
     }
+}
 
-    /// One-token spec form, parseable back via [`TopologySpec::parse`].
-    pub fn spec_token(&self) -> String {
+/// The one-token spec form, e.g. `fat_tree:16` or `wan:4:2:60:1:loss=0.0001`.
+impl fmt::Display for TopologySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            TopologySpec::PaperTree => "paper_tree".into(),
+            TopologySpec::PaperTree => f.write_str("paper_tree"),
             TopologySpec::SingleBottleneck {
                 senders,
                 access_loss,
             } => {
+                write!(f, "single_bottleneck:{senders}")?;
                 if access_loss > 0.0 {
-                    format!("single_bottleneck:{senders}:loss={access_loss}")
-                } else {
-                    format!("single_bottleneck:{senders}")
+                    write!(f, ":loss={access_loss}")?;
                 }
+                Ok(())
             }
-            TopologySpec::FatTree { hosts } => format!("fat_tree:{hosts}"),
-            TopologySpec::BCube { n, k } => format!("bcube:{n}:{k}"),
-            TopologySpec::BCubeHosts { hosts, n } => format!("bcube_hosts:{hosts}:{n}"),
-            TopologySpec::Jellyfish { hosts, seed } => format!("jellyfish:{hosts}:{seed}"),
+            TopologySpec::FatTree { hosts } => write!(f, "fat_tree:{hosts}"),
+            TopologySpec::BCube { n, k } => write!(f, "bcube:{n}:{k}"),
+            TopologySpec::BCubeHosts { hosts, n } => write!(f, "bcube_hosts:{hosts}:{n}"),
+            TopologySpec::Jellyfish { hosts, seed } => write!(f, "jellyfish:{hosts}:{seed}"),
             TopologySpec::Wan {
                 sites,
                 hosts_per_site,
@@ -143,86 +151,60 @@ impl TopologySpec {
                 gbps,
                 loss_rate,
             } => {
+                write!(f, "wan:{sites}:{hosts_per_site}:{rtt_ms}:{gbps}")?;
                 if loss_rate > 0.0 {
-                    format!("wan:{sites}:{hosts_per_site}:{rtt_ms}:{gbps}:loss={loss_rate}")
-                } else {
-                    format!("wan:{sites}:{hosts_per_site}:{rtt_ms}:{gbps}")
+                    write!(f, ":loss={loss_rate}")?;
                 }
+                Ok(())
             }
         }
     }
+}
 
-    /// Parse the [`TopologySpec::spec_token`] form.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let bad = || format!("unrecognized topology: {s:?}");
-        if s == "paper_tree" {
-            return Ok(TopologySpec::PaperTree);
+/// Parses the [`Display`](fmt::Display) form, refusing arguments the topology
+/// builders cannot build from.
+impl FromStr for TopologySpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        // The optional trailing `loss=<p>` argument.
+        fn loss(rest: &[&str]) -> Result<f64, String> {
+            match rest {
+                [] => Ok(0.0),
+                [p] if p.starts_with("loss=") => arg(&p[5..], 0.0..1.0, "a loss in [0, 1)"),
+                _ => Err(format!("want loss=<p> last, got {:?}", rest.join(":"))),
+            }
         }
-        let mut parts = s.split(':');
-        let kind = parts.next().ok_or_else(bad)?;
-        let next_usize = |parts: &mut std::str::Split<'_, char>| -> Result<usize, String> {
-            parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())
-        };
-        let spec = match kind {
-            "single_bottleneck" => {
-                let senders = next_usize(&mut parts)?;
-                let access_loss = match parts.next() {
-                    None => 0.0,
-                    Some(arg) => arg
-                        .strip_prefix("loss=")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(bad)?,
-                };
-                TopologySpec::SingleBottleneck {
-                    senders,
-                    access_loss,
-                }
-            }
-            "fat_tree" => TopologySpec::FatTree {
-                hosts: next_usize(&mut parts)?,
+        Ok(match s.split(':').collect::<Vec<_>>()[..] {
+            ["paper_tree"] => TopologySpec::PaperTree,
+            ["single_bottleneck", senders, ref rest @ ..] => TopologySpec::SingleBottleneck {
+                senders: arg(senders, 1.., "at least 1 sender")?,
+                access_loss: loss(rest)?,
             },
-            "bcube" => TopologySpec::BCube {
-                n: next_usize(&mut parts)?,
-                k: next_usize(&mut parts)?,
+            ["fat_tree", hosts] => TopologySpec::FatTree {
+                hosts: arg(hosts, .., "a host count")?,
             },
-            "bcube_hosts" => TopologySpec::BCubeHosts {
-                hosts: next_usize(&mut parts)?,
-                n: next_usize(&mut parts)?,
+            ["bcube", n, k] => TopologySpec::BCube {
+                n: arg(n, 2.., "a switch port count of at least 2")?,
+                k: arg(k, .., "a level count")?,
             },
-            "jellyfish" => {
-                let hosts = next_usize(&mut parts)?;
-                let seed = parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())?;
-                TopologySpec::Jellyfish { hosts, seed }
-            }
-            "wan" => {
-                let sites = next_usize(&mut parts)?;
-                let hosts_per_site = next_usize(&mut parts)?;
-                let mut next_f64 = || -> Result<f64, String> {
-                    parts.next().ok_or_else(bad)?.parse().map_err(|_| bad())
-                };
-                let rtt_ms = next_f64()?;
-                let gbps = next_f64()?;
-                let loss_rate = match parts.next() {
-                    None => 0.0,
-                    Some(arg) => arg
-                        .strip_prefix("loss=")
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(bad)?,
-                };
-                TopologySpec::Wan {
-                    sites,
-                    hosts_per_site,
-                    rtt_ms,
-                    gbps,
-                    loss_rate,
-                }
-            }
-            _ => return Err(bad()),
-        };
-        if parts.next().is_some() {
-            return Err(bad());
-        }
-        Ok(spec)
+            ["bcube_hosts", hosts, n] => TopologySpec::BCubeHosts {
+                hosts: arg(hosts, .., "a host count")?,
+                n: arg(n, 2.., "a switch port count of at least 2")?,
+            },
+            ["jellyfish", hosts, seed] => TopologySpec::Jellyfish {
+                hosts: arg(hosts, .., "a host count")?,
+                seed: arg(seed, .., "a seed")?,
+            },
+            ["wan", sites, hosts_per_site, rtt_ms, gbps, ref rest @ ..] => TopologySpec::Wan {
+                sites: arg(sites, 2.., "at least 2 sites")?,
+                hosts_per_site: arg(hosts_per_site, 1.., "at least 1 host per site")?,
+                rtt_ms: arg(rtt_ms, POSITIVE, "a positive, finite RTT in ms")?,
+                gbps: arg(gbps, POSITIVE, "a positive, finite line rate in Gbit/s")?,
+                loss_rate: loss(rest)?,
+            },
+            _ => return Err("unrecognized topology kind or argument count".into()),
+        })
     }
 }
 
@@ -488,7 +470,12 @@ impl WorkloadSpec {
             WorkloadSpec::PermutationAtLoad { load: l, .. } => *l = load,
             WorkloadSpec::Poisson {
                 rate_flows_per_sec, ..
-            } => *rate_flows_per_sec = poisson_rate(load)?,
+            } if POSITIVE.contains(&load) => *rate_flows_per_sec = load,
+            WorkloadSpec::Poisson { .. } => {
+                return Err(format!(
+                    "a Poisson arrival rate must be positive and finite, got {load}"
+                ))
+            }
             WorkloadSpec::Coflow {
                 rate_coflows_per_sec,
                 ..
@@ -516,20 +503,19 @@ impl WorkloadSpec {
         }
     }
 
-    /// Append this workload's `key = value` spec lines to `out` (keys are prefixed
-    /// `workload.`; manual flows use repeated `flow` keys).
-    pub(crate) fn write_keys(&self, out: &mut Vec<(String, String)>) {
-        let mut push = |k: &str, v: String| out.push((k.to_string(), v));
-        push("workload", self.kind().to_string());
+    /// Write this workload's spec lines: the `workload =` kind, its `workload.*`
+    /// keys, and one `flow` line per flow of a manual workload.
+    pub(crate) fn write_keys(&self, w: &mut kv::Writer) {
+        w.put("workload", self.kind());
         match self {
             WorkloadSpec::QueryAggregation {
                 flows,
                 sizes,
                 deadlines,
             } => {
-                push("workload.flows", flows.to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
+                w.put("workload.flows", flows);
+                w.put("workload.sizes", sizes);
+                w.put("workload.deadlines", deadlines);
             }
             WorkloadSpec::Pattern {
                 pattern,
@@ -537,10 +523,10 @@ impl WorkloadSpec {
                 deadlines,
                 flows_per_pair,
             } => {
-                push("workload.pattern", pattern.to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
-                push("workload.flows_per_pair", flows_per_pair.to_string());
+                w.put("workload.pattern", pattern);
+                w.put("workload.sizes", sizes);
+                w.put("workload.deadlines", deadlines);
+                w.put("workload.flows_per_pair", flows_per_pair);
             }
             WorkloadSpec::Poisson {
                 rate_flows_per_sec,
@@ -550,36 +536,30 @@ impl WorkloadSpec {
                 short_flow_threshold_bytes,
                 pattern,
             } => {
-                push(
-                    "workload.rate_flows_per_sec",
-                    rate_flows_per_sec.to_string(),
-                );
-                push("workload.duration_ns", duration.as_nanos().to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.short_deadlines", short_deadlines.to_string());
-                push(
-                    "workload.short_threshold_bytes",
-                    short_flow_threshold_bytes.to_string(),
-                );
-                push("workload.pattern", pattern.to_string());
+                w.put("workload.rate_flows_per_sec", rate_flows_per_sec);
+                w.put("workload.duration_ns", duration.as_nanos());
+                w.put("workload.sizes", sizes);
+                w.put("workload.short_deadlines", short_deadlines);
+                w.put("workload.short_threshold_bytes", short_flow_threshold_bytes);
+                w.put("workload.pattern", pattern);
             }
             WorkloadSpec::PermutationAtLoad {
                 load,
                 sizes,
                 deadlines,
             } => {
-                push("workload.load", load.to_string());
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
+                w.put("workload.load", load);
+                w.put("workload.sizes", sizes);
+                w.put("workload.deadlines", deadlines);
             }
             WorkloadSpec::RandomPairs {
                 flows,
                 spread,
                 sizes,
             } => {
-                push("workload.flows", flows.to_string());
-                push("workload.spread_ns", spread.as_nanos().to_string());
-                push("workload.sizes", sizes.to_string());
+                w.put("workload.flows", flows);
+                w.put("workload.spread_ns", spread.as_nanos());
+                w.put("workload.sizes", sizes);
             }
             WorkloadSpec::Coflow {
                 coflows,
@@ -588,191 +568,149 @@ impl WorkloadSpec {
                 sizes,
                 deadlines,
             } => {
-                push("workload.coflows", coflows.to_string());
-                push("workload.width", width.to_string());
-                push(
-                    "workload.rate_coflows_per_sec",
-                    rate_coflows_per_sec.to_string(),
-                );
-                push("workload.sizes", sizes.to_string());
-                push("workload.deadlines", deadlines.to_string());
+                w.put("workload.coflows", coflows);
+                w.put("workload.width", width);
+                w.put("workload.rate_coflows_per_sec", rate_coflows_per_sec);
+                w.put("workload.sizes", sizes);
+                w.put("workload.deadlines", deadlines);
             }
             WorkloadSpec::Manual(flows) => {
                 for f in flows {
-                    let deadline = f
-                        .deadline
-                        .map(|d| d.as_nanos().to_string())
-                        .unwrap_or_else(|| "-".to_string());
-                    // The coflow tag is a 7th field written only when present, so
-                    // untagged flow lines stay byte-identical to older specs.
-                    let coflow = f
-                        .coflow
-                        .map(|t| {
-                            let d = t
-                                .deadline
-                                .map(|d| d.as_nanos().to_string())
-                                .unwrap_or_else(|| "-".to_string());
-                            format!(" {}:{}:{d}", t.id.value(), t.bottleneck_bytes)
-                        })
-                        .unwrap_or_default();
-                    push(
-                        "flow",
-                        format!(
-                            "{} {} {} {} {} {deadline}{coflow}",
-                            f.id.value(),
-                            f.src.0,
-                            f.dst.0,
-                            f.size_bytes,
-                            f.arrival.as_nanos()
-                        ),
-                    );
+                    w.put("flow", FlowLine(f.clone()));
                 }
             }
         }
     }
 
-    /// Rebuild a workload from its spec keys: the `workload =` kind token, a lookup
-    /// for `workload.<key>` values, and the repeated `flow` lines (manual workloads).
-    pub(crate) fn from_keys(
-        kind: &str,
-        get: &dyn Fn(&str) -> Option<String>,
-        flow_lines: &[String],
-    ) -> Result<Self, String> {
-        let require = |key: &str| get(key).ok_or_else(|| format!("missing key workload.{key}"));
-        let parse_sizes = |v: String| v.parse::<SizeDist>();
-        let parse_deadlines = |v: String| v.parse::<DeadlineDist>();
-        match kind {
-            "query_aggregation" => Ok(WorkloadSpec::QueryAggregation {
-                flows: require("flows")?
-                    .parse()
-                    .map_err(|_| "bad workload.flows".to_string())?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-            }),
-            "pattern" => Ok(WorkloadSpec::Pattern {
-                pattern: require("pattern")?.parse()?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-                flows_per_pair: require("flows_per_pair")?
-                    .parse()
-                    .map_err(|_| "bad workload.flows_per_pair".to_string())?,
-            }),
-            "poisson" => Ok(WorkloadSpec::Poisson {
-                rate_flows_per_sec: require("rate_flows_per_sec")?
-                    .parse()
-                    .map_err(|_| "bad workload.rate_flows_per_sec".to_string())
-                    .and_then(|rate| {
-                        poisson_rate(rate)
-                            .map_err(|e| format!("bad workload.rate_flows_per_sec: {e}"))
-                    })?,
-                duration: SimTime::from_nanos(
-                    require("duration_ns")?
-                        .parse()
-                        .map_err(|_| "bad workload.duration_ns".to_string())?,
-                ),
-                sizes: parse_sizes(require("sizes")?)?,
-                short_deadlines: parse_deadlines(require("short_deadlines")?)?,
-                short_flow_threshold_bytes: require("short_threshold_bytes")?
-                    .parse()
-                    .map_err(|_| "bad workload.short_threshold_bytes".to_string())?,
-                pattern: require("pattern")?.parse()?,
-            }),
-            "permutation_at_load" => Ok(WorkloadSpec::PermutationAtLoad {
-                load: require("load")?
-                    .parse()
-                    .map_err(|_| "bad workload.load".to_string())?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-            }),
-            "random_pairs" => Ok(WorkloadSpec::RandomPairs {
-                flows: require("flows")?
-                    .parse()
-                    .map_err(|_| "bad workload.flows".to_string())?,
-                spread: SimTime::from_nanos(
-                    require("spread_ns")?
-                        .parse()
-                        .map_err(|_| "bad workload.spread_ns".to_string())?,
-                ),
-                sizes: parse_sizes(require("sizes")?)?,
-            }),
-            "coflow" => Ok(WorkloadSpec::Coflow {
-                coflows: require("coflows")?
-                    .parse()
-                    .map_err(|_| "bad workload.coflows".to_string())?,
-                width: require("width")?
-                    .parse()
-                    .map_err(|_| "bad workload.width".to_string())?,
-                rate_coflows_per_sec: require("rate_coflows_per_sec")?
-                    .parse()
-                    .map_err(|_| "bad workload.rate_coflows_per_sec".to_string())?,
-                sizes: parse_sizes(require("sizes")?)?,
-                deadlines: parse_deadlines(require("deadlines")?)?,
-            }),
-            "manual" => {
-                let mut flows = Vec::with_capacity(flow_lines.len());
-                for line in flow_lines {
-                    flows.push(parse_flow_line(line)?);
-                }
-                Ok(WorkloadSpec::Manual(flows))
-            }
-            _ => Err(format!("unrecognized workload kind: {kind:?}")),
-        }
+    /// Read a workload back from the keys [`WorkloadSpec::write_keys`] writes.
+    pub(crate) fn from_keys(r: &kv::Reader) -> Result<Self, kv::Error> {
+        let kind = r.field("workload")?;
+        Ok(match kind.value {
+            "query_aggregation" => WorkloadSpec::QueryAggregation {
+                flows: r.required("workload.flows")?,
+                sizes: r.required("workload.sizes")?,
+                deadlines: r.required("workload.deadlines")?,
+            },
+            "pattern" => WorkloadSpec::Pattern {
+                pattern: r.required("workload.pattern")?,
+                sizes: r.required("workload.sizes")?,
+                deadlines: r.required("workload.deadlines")?,
+                flows_per_pair: r.required("workload.flows_per_pair")?,
+            },
+            "poisson" => WorkloadSpec::Poisson {
+                rate_flows_per_sec: r
+                    .field("workload.rate_flows_per_sec")?
+                    .parse_with(|v| arg(v, POSITIVE, "a positive, finite rate in flows/s"))?,
+                duration: SimTime::from_nanos(r.required("workload.duration_ns")?),
+                sizes: r.required("workload.sizes")?,
+                short_deadlines: r.required("workload.short_deadlines")?,
+                short_flow_threshold_bytes: r.required("workload.short_threshold_bytes")?,
+                pattern: r.required("workload.pattern")?,
+            },
+            "permutation_at_load" => WorkloadSpec::PermutationAtLoad {
+                load: r
+                    .field("workload.load")?
+                    .parse_with(|v| arg(v, NUMBER, "a number"))?,
+                sizes: r.required("workload.sizes")?,
+                deadlines: r.required("workload.deadlines")?,
+            },
+            "random_pairs" => WorkloadSpec::RandomPairs {
+                flows: r.required("workload.flows")?,
+                spread: SimTime::from_nanos(r.required("workload.spread_ns")?),
+                sizes: r.required("workload.sizes")?,
+            },
+            "coflow" => WorkloadSpec::Coflow {
+                coflows: r.required("workload.coflows")?,
+                width: r.required("workload.width")?,
+                rate_coflows_per_sec: r
+                    .field("workload.rate_coflows_per_sec")?
+                    .parse_with(|v| arg(v, NUMBER, "a number"))?,
+                sizes: r.required("workload.sizes")?,
+                deadlines: r.required("workload.deadlines")?,
+            },
+            "manual" => WorkloadSpec::Manual(
+                r.all("flow")
+                    .map(|f| f.parse().map(|FlowLine(spec)| spec))
+                    .collect::<Result<_, _>>()?,
+            ),
+            other => return Err(kind.error(format!("unrecognized workload kind {other:?}"))),
+        })
     }
 }
 
-/// A Poisson arrival rate the generator can draw gaps from: positive and finite.
-fn poisson_rate(rate: f64) -> Result<f64, String> {
-    if rate.is_finite() && rate > 0.0 {
-        Ok(rate)
-    } else {
-        Err(format!(
-            "a Poisson arrival rate must be a positive, finite number of flows per second, \
-             got {rate}"
-        ))
+/// A spec argument: `v` parsed, and in `ok`.
+fn arg<T: FromStr + PartialOrd>(v: &str, ok: impl RangeBounds<T>, want: &str) -> Result<T, String> {
+    match v.parse() {
+        Ok(x) if ok.contains(&x) => Ok(x),
+        _ => Err(format!("want {want}, got {v:?}")),
     }
 }
 
-fn parse_flow_line(line: &str) -> Result<FlowSpec, String> {
-    let bad = || {
-        format!(
-            "bad flow line: {line:?} (want: id src dst bytes arrival_ns deadline_ns|- \
-             [coflow_id:bottleneck_bytes:deadline_ns|-])"
-        )
-    };
-    let fields: Vec<&str> = line.split_whitespace().collect();
-    if fields.len() != 6 && fields.len() != 7 {
-        return Err(bad());
-    }
-    let id: u64 = fields[0].parse().map_err(|_| bad())?;
-    let src: u32 = fields[1].parse().map_err(|_| bad())?;
-    let dst: u32 = fields[2].parse().map_err(|_| bad())?;
-    let bytes: u64 = fields[3].parse().map_err(|_| bad())?;
-    let arrival: u64 = fields[4].parse().map_err(|_| bad())?;
-    let mut spec = FlowSpec::new(id, NodeId(src), NodeId(dst), bytes)
-        .with_arrival(SimTime::from_nanos(arrival));
-    if fields[5] != "-" {
-        let deadline: u64 = fields[5].parse().map_err(|_| bad())?;
-        spec = spec.with_deadline(SimTime::from_nanos(deadline));
-    }
-    if let Some(tag) = fields.get(6) {
-        let parts: Vec<&str> = tag.split(':').collect();
-        if parts.len() != 3 {
-            return Err(bad());
+/// Every float but NaN, which would not read back equal to itself.
+const NUMBER: RangeInclusive<f64> = f64::NEG_INFINITY..=f64::INFINITY;
+const POSITIVE: Range<f64> = f64::MIN_POSITIVE..f64::INFINITY;
+
+/// One flow of a manual workload as the value of a `flow` line:
+/// `id src dst bytes arrival_ns deadline_ns|- [coflow_id:bottleneck_bytes:deadline_ns|-]`.
+struct FlowLine(FlowSpec);
+
+impl fmt::Display for FlowLine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &self.0;
+        let nanos = |t: Option<SimTime>| OrDash(t.map(SimTime::as_nanos));
+        let (id, src, dst, bytes) = (s.id.value(), s.src.0, s.dst.0, s.size_bytes);
+        let arrival = s.arrival.as_nanos();
+        write!(
+            f,
+            "{id} {src} {dst} {bytes} {arrival} {}",
+            nanos(s.deadline)
+        )?;
+        // The coflow tag is a 7th field written only when present, so untagged
+        // flow lines stay byte-identical to older specs.
+        if let Some(t) = s.coflow {
+            let (id, bottleneck) = (t.id.value(), t.bottleneck_bytes);
+            write!(f, " {id}:{bottleneck}:{}", nanos(t.deadline))?;
         }
-        let cid: u64 = parts[0].parse().map_err(|_| bad())?;
-        let bottleneck: u64 = parts[1].parse().map_err(|_| bad())?;
-        let deadline = if parts[2] == "-" {
-            None
-        } else {
-            Some(SimTime::from_nanos(parts[2].parse().map_err(|_| bad())?))
+        Ok(())
+    }
+}
+
+impl FromStr for FlowLine {
+    type Err = String;
+
+    fn from_str(line: &str) -> Result<Self, String> {
+        const WANT: &str = "want: id src dst bytes arrival_ns deadline_ns|- \
+                            [coflow_id:bottleneck_bytes:deadline_ns|-]";
+        fn field<T: FromStr>(v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| WANT.to_string())
+        }
+        let nanos = |v: &str| field(v).map(|OrDash(t)| t.map(SimTime::from_nanos));
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let [id, src, dst, bytes, arrival, deadline, ref tag @ ..] = fields[..] else {
+            return Err(WANT.into());
         };
-        spec = spec.with_coflow(CoflowTag {
-            id: CoflowId(cid),
-            bottleneck_bytes: bottleneck,
-            deadline,
-        });
+        let mut spec = FlowSpec::new(
+            field(id)?,
+            NodeId(field(src)?),
+            NodeId(field(dst)?),
+            field(bytes)?,
+        )
+        .with_arrival(SimTime::from_nanos(field(arrival)?));
+        spec.deadline = nanos(deadline)?;
+        spec.coflow = match *tag {
+            [] => None,
+            [tag] => match tag.split(':').collect::<Vec<_>>()[..] {
+                [id, bottleneck, deadline] => Some(CoflowTag {
+                    id: CoflowId(field(id)?),
+                    bottleneck_bytes: field(bottleneck)?,
+                    deadline: nanos(deadline)?,
+                }),
+                _ => return Err(WANT.into()),
+            },
+            _ => return Err(WANT.into()),
+        };
+        Ok(FlowLine(spec))
     }
-    Ok(spec)
 }
 
 #[cfg(test)]
@@ -811,11 +749,28 @@ mod tests {
             },
         ];
         for s in specs {
-            let token = s.spec_token();
-            assert_eq!(TopologySpec::parse(&token).expect(&token), s, "{token}");
+            let token = s.to_string();
+            assert_eq!(token.parse::<TopologySpec>().expect(&token), s, "{token}");
         }
-        assert!(TopologySpec::parse("torus:4").is_err());
-        assert!(TopologySpec::parse("fat_tree:16:extra").is_err());
+        for (token, needle) in [
+            ("torus:4", "unrecognized"),
+            ("fat_tree:16:extra", "unrecognized"),
+            ("fat_tree:-1", "host count"),
+            ("single_bottleneck:3:drop=1", "loss="),
+            ("single_bottleneck:0", "sender"),
+            ("single_bottleneck:3:loss=1", "[0, 1)"),
+            ("single_bottleneck:3:loss=-0.5", "[0, 1)"),
+            ("bcube:1:3", "port count"),
+            ("bcube_hosts:16:0", "port count"),
+            ("wan:1:4:60:1", "2 sites"),
+            ("wan:2:0:60:1", "host per site"),
+            ("wan:2:2:inf:1", "RTT"),
+            ("wan:2:2:60:0", "line rate"),
+            ("wan:2:2:60:1:loss=NaN", "[0, 1)"),
+        ] {
+            let err = token.parse::<TopologySpec>().unwrap_err();
+            assert!(err.contains(needle), "{token}: {err}");
+        }
     }
 
     #[test]
@@ -871,22 +826,27 @@ mod tests {
                     deadline: Some(SimTime::from_millis(40)),
                 }),
         ];
-        let w = WorkloadSpec::Manual(flows.clone());
-        let mut keys = Vec::new();
-        w.write_keys(&mut keys);
-        let flow_lines: Vec<String> = keys
-            .iter()
-            .filter(|(k, _)| k == "flow")
-            .map(|(_, v)| v.clone())
-            .collect();
-        assert_eq!(flow_lines.len(), 3);
+        let w = WorkloadSpec::Manual(flows);
+        let mut out = kv::Writer::new("h");
+        w.write_keys(&mut out);
+        let text = out.finish();
         // Untagged lines keep the historical 6-field form byte for byte.
-        assert_eq!(flow_lines[0], "1 0 5 100000 0 -");
-        assert_eq!(flow_lines[2], "3 4 5 50000 0 40000000 9:60000:40000000");
-        let back = WorkloadSpec::from_keys("manual", &|_| None, &flow_lines).unwrap();
+        assert_eq!(
+            text,
+            "# h\nworkload = manual\nflow = 1 0 5 100000 0 -\n\
+             flow = 2 3 5 20000 10000000 30000000\n\
+             flow = 3 4 5 50000 0 40000000 9:60000:40000000\n"
+        );
+        let back = WorkloadSpec::from_keys(&kv::Reader::new(&text, &["flow"]).unwrap()).unwrap();
         assert_eq!(back, w);
-        assert!(parse_flow_line("1 2 3").is_err());
-        assert!(parse_flow_line("1 0 5 100 0 - 9:60000").is_err());
+        for bad in [
+            "1 2 3",
+            "1 0 5 100 0 - 9:60000",
+            "1 0 5 100 0 - 9:1:2 x",
+            "1 0 5 -1 0 -",
+        ] {
+            assert!(bad.parse::<FlowLine>().is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -898,15 +858,11 @@ mod tests {
             sizes: SizeDist::query(),
             deadlines: DeadlineDist::paper_default(),
         };
-        let mut keys = Vec::new();
-        w.write_keys(&mut keys);
-        assert_eq!(keys[0], ("workload".to_string(), "coflow".to_string()));
-        let lookup = |k: &str| {
-            keys.iter()
-                .find(|(key, _)| key == &format!("workload.{k}"))
-                .map(|(_, v)| v.clone())
-        };
-        let back = WorkloadSpec::from_keys("coflow", &lookup, &[]).unwrap();
+        let mut out = kv::Writer::new("h");
+        w.write_keys(&mut out);
+        let text = out.finish();
+        assert!(text.starts_with("# h\nworkload = coflow\n"), "{text}");
+        let back = WorkloadSpec::from_keys(&kv::Reader::new(&text, &[]).unwrap()).unwrap();
         assert_eq!(back, w);
 
         let topo = default_paper_tree();

@@ -1,5 +1,10 @@
-//! Typed run outcomes: the [`RunSummary`] a scenario run produces, on either
+//! Typed run outcomes: the [`RunSummary`] a scenario run produces, on any
 //! backend, plus the [`BackendResults`] holding the engine-specific records.
+//!
+//! A summary persists as a run record ([`RunSummary::to_record`]): the headline
+//! fields and the determinism fingerprint as `key = value` lines under a
+//! `# pdq run record v1` header, in the scenario spec's format. Absent metrics
+//! are written `-`, and the coflow keys only when the run had coflows.
 
 use std::fmt::Write as _;
 
@@ -7,6 +12,7 @@ use pdq_flowsim::{FlowLevelResults, FluidResults};
 use pdq_netsim::{FlowOutcome, FlowSpec, SimResults, SimTime};
 
 use crate::backend::SimBackend;
+use crate::kv::{self, OrDash};
 use crate::scenario::Scenario;
 
 /// The engine-specific result records behind a [`RunSummary`]: full packet-level
@@ -540,124 +546,87 @@ impl RunSummary {
     /// `to_record` → `from_record` reproduces every headline value bit-exactly
     /// (absent metrics serialize as `-`).
     pub fn to_record(&self) -> String {
-        let opt = |v: Option<f64>| v.map(|v| v.to_string()).unwrap_or_else(|| "-".into());
-        let mut out = String::from("# pdq run record v1\n");
-        for (k, v) in [
-            ("scenario", self.scenario.clone()),
-            ("protocol", self.protocol.clone()),
-            ("protocol_label", self.protocol_label.clone()),
-            ("backend", self.backend.token().to_string()),
-            ("seed", self.seed.to_string()),
-            ("flows", self.flows.to_string()),
-            ("completed", self.completed.to_string()),
-            ("terminated", self.terminated.to_string()),
-            ("failed", self.failed.to_string()),
-            ("unfinished", self.unfinished.to_string()),
-            ("deadline_flows", self.deadline_flows.to_string()),
-            ("deadlines_met", self.deadlines_met.to_string()),
-            ("mean_fct_secs", opt(self.mean_fct_secs)),
-            ("p99_fct_secs", opt(self.p99_fct_secs)),
-            ("max_fct_secs", opt(self.max_fct_secs)),
-            ("goodput_bytes", self.goodput_bytes.to_string()),
-            ("end_time_ns", self.end_time.as_nanos().to_string()),
-        ] {
-            let _ = writeln!(out, "{k} = {v}");
-        }
+        self.record_named(&self.scenario)
+    }
+
+    /// [`RunSummary::to_record`] with `name` in place of the scenario name.
+    pub(crate) fn record_named(&self, name: &str) -> String {
+        let mut w = kv::Writer::new("pdq run record v1");
+        w.put("scenario", name);
+        w.put("protocol", &self.protocol);
+        w.put("protocol_label", &self.protocol_label);
+        w.put("backend", self.backend);
+        w.put("seed", self.seed);
+        w.put("flows", self.flows);
+        w.put("completed", self.completed);
+        w.put("terminated", self.terminated);
+        w.put("failed", self.failed);
+        w.put("unfinished", self.unfinished);
+        w.put("deadline_flows", self.deadline_flows);
+        w.put("deadlines_met", self.deadlines_met);
+        w.put("mean_fct_secs", OrDash(self.mean_fct_secs));
+        w.put("p99_fct_secs", OrDash(self.p99_fct_secs));
+        w.put("max_fct_secs", OrDash(self.max_fct_secs));
+        w.put("goodput_bytes", self.goodput_bytes);
+        w.put("end_time_ns", self.end_time.as_nanos());
         // Coflow metrics are written only when coflows are present, so non-coflow
         // records keep their historical bytes.
         if self.coflows > 0 {
-            for (k, v) in [
-                ("coflows", self.coflows.to_string()),
-                ("coflows_completed", self.coflows_completed.to_string()),
-                ("coflow_deadlines", self.coflow_deadlines.to_string()),
-                (
-                    "coflow_deadlines_met",
-                    self.coflow_deadlines_met.to_string(),
-                ),
-                ("mean_cct_secs", opt(self.mean_cct_secs)),
-                ("p95_cct_secs", opt(self.p95_cct_secs)),
-            ] {
-                let _ = writeln!(out, "{k} = {v}");
-            }
+            w.put("coflows", self.coflows);
+            w.put("coflows_completed", self.coflows_completed);
+            w.put("coflow_deadlines", self.coflow_deadlines);
+            w.put("coflow_deadlines_met", self.coflow_deadlines_met);
+            w.put("mean_cct_secs", OrDash(self.mean_cct_secs));
+            w.put("p95_cct_secs", OrDash(self.p95_cct_secs));
         }
-        let _ = writeln!(out, "fingerprint = {}", self.fingerprint());
-        out
+        w.put("fingerprint", self.fingerprint());
+        w.finish()
     }
 
     /// Parse the [`RunSummary::to_record`] format back into a summary whose
-    /// `results` are [`BackendResults::Cached`]. Missing or malformed required keys
-    /// error; unknown keys are ignored (cache records carry extra bookkeeping lines
-    /// and future versions may add fields).
+    /// `results` are [`BackendResults::Cached`]. A missing, malformed or repeated
+    /// key errors; unknown keys are ignored (cache records carry extra
+    /// bookkeeping lines and future versions may add fields).
     pub fn from_record(text: &str) -> Result<RunSummary, String> {
-        let mut pairs: Vec<(&str, &str)> = Vec::new();
-        for raw in text.lines() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if let Some((k, v)) = line.split_once('=') {
-                pairs.push((k.trim(), v.trim()));
-            }
-        }
-        let get = |key: &str| -> Result<&str, String> {
-            pairs
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v)
-                .ok_or_else(|| format!("missing key {key}"))
-        };
-        fn num<T: std::str::FromStr>(key: &str, v: &str) -> Result<T, String> {
-            v.parse().map_err(|_| format!("bad {key}: {v:?}"))
-        }
-        let opt = |key: &str| -> Result<Option<f64>, String> {
-            match get(key)? {
-                "-" => Ok(None),
-                v => num(key, v).map(Some),
-            }
-        };
-        // Coflow keys are optional: records from non-coflow runs (and older
-        // records) simply omit them.
-        let get_opt = |key: &str| pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
-        let opt_count = |key: &str| -> Result<usize, String> {
-            match get_opt(key) {
-                Some(v) => num(key, v),
-                None => Ok(0),
-            }
-        };
-        let opt_secs = |key: &str| -> Result<Option<f64>, String> {
-            match get_opt(key) {
-                Some("-") | None => Ok(None),
-                Some(v) => num(key, v).map(Some),
-            }
-        };
-        let backend: SimBackend = get("backend")?.parse()?;
+        kv::Reader::new(text, &[])
+            .and_then(|r| Self::read_record(&r))
+            .map_err(|e| e.to_string())
+    }
+
+    /// Read the [`RunSummary::to_record`] keys out of a parsed record.
+    pub(crate) fn read_record(r: &kv::Reader) -> Result<RunSummary, kv::Error> {
+        let secs = |key| r.required::<OrDash<f64>>(key).map(|OrDash(v)| v);
+        // Coflow keys are optional: records of non-coflow runs omit them.
+        let count = |key| r.optional(key).map(Option::unwrap_or_default);
+        let coflow_secs = |key| r.optional(key).map(|v| v.and_then(|OrDash(v)| v));
+        let backend = r.required("backend")?;
         Ok(RunSummary {
-            scenario: get("scenario")?.to_string(),
-            protocol: get("protocol")?.to_string(),
-            protocol_label: get("protocol_label")?.to_string(),
+            scenario: r.required("scenario")?,
+            protocol: r.required("protocol")?,
+            protocol_label: r.required("protocol_label")?,
             backend,
-            seed: num("seed", get("seed")?)?,
-            flows: num("flows", get("flows")?)?,
-            completed: num("completed", get("completed")?)?,
-            terminated: num("terminated", get("terminated")?)?,
-            failed: num("failed", get("failed")?)?,
-            unfinished: num("unfinished", get("unfinished")?)?,
-            deadline_flows: num("deadline_flows", get("deadline_flows")?)?,
-            deadlines_met: num("deadlines_met", get("deadlines_met")?)?,
-            mean_fct_secs: opt("mean_fct_secs")?,
-            p99_fct_secs: opt("p99_fct_secs")?,
-            max_fct_secs: opt("max_fct_secs")?,
-            goodput_bytes: num("goodput_bytes", get("goodput_bytes")?)?,
-            end_time: SimTime::from_nanos(num("end_time_ns", get("end_time_ns")?)?),
-            coflows: opt_count("coflows")?,
-            coflows_completed: opt_count("coflows_completed")?,
-            coflow_deadlines: opt_count("coflow_deadlines")?,
-            coflow_deadlines_met: opt_count("coflow_deadlines_met")?,
-            mean_cct_secs: opt_secs("mean_cct_secs")?,
-            p95_cct_secs: opt_secs("p95_cct_secs")?,
+            seed: r.required("seed")?,
+            flows: r.required("flows")?,
+            completed: r.required("completed")?,
+            terminated: r.required("terminated")?,
+            failed: r.required("failed")?,
+            unfinished: r.required("unfinished")?,
+            deadline_flows: r.required("deadline_flows")?,
+            deadlines_met: r.required("deadlines_met")?,
+            mean_fct_secs: secs("mean_fct_secs")?,
+            p99_fct_secs: secs("p99_fct_secs")?,
+            max_fct_secs: secs("max_fct_secs")?,
+            goodput_bytes: r.required("goodput_bytes")?,
+            end_time: SimTime::from_nanos(r.required("end_time_ns")?),
+            coflows: count("coflows")?,
+            coflows_completed: count("coflows_completed")?,
+            coflow_deadlines: count("coflow_deadlines")?,
+            coflow_deadlines_met: count("coflow_deadlines_met")?,
+            mean_cct_secs: coflow_secs("mean_cct_secs")?,
+            p95_cct_secs: coflow_secs("p95_cct_secs")?,
             results: BackendResults::Cached(CachedResults {
                 backend,
-                fingerprint: get("fingerprint")?.to_string(),
+                fingerprint: r.required("fingerprint")?,
             }),
         })
     }
