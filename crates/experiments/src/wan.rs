@@ -7,9 +7,9 @@
 //! one-packet-per-gap schedule (`pacing = off`) and with the RFC 9002-style
 //! token bucket (`pacing = on`), so the table shows what burst-capped bucket
 //! pacing buys at WAN BDPs. The quick tier is also the committed
-//! `specs/wan_quick.scn` that CI replays at 1 and 4 engine shards to pin the
-//! lossy-WAN determinism fingerprint (per-link loss streams are shard-count
-//! invariant; see `pdq_netsim::LossStream`).
+//! `specs/wan_quick.scn` that CI replays at 1, 2 and 4 engine shards to pin the
+//! lossy-WAN determinism fingerprint (each lossy link draws from its own
+//! `(seed, link)` stream, which is shard-count invariant; see `pdq_netsim::network`).
 //!
 //! Like `engine_scale`, wall-clock and event-queue telemetry go to stderr —
 //! stdout tables are byte-compared in CI and must stay deterministic.

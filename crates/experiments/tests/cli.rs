@@ -268,6 +268,49 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
             "host per site",
         ),
         ("wannan", topology, "topology = wan:2:2:NaN:1", "RTT"),
+        // Sizes the builders would overflow on (2^65 hosts) or try to allocate.
+        (
+            "bcube264",
+            topology,
+            "topology = bcube:2:64",
+            "at most 65536 hosts",
+        ),
+        (
+            "bcubehostsbig",
+            topology,
+            "topology = bcube_hosts:65537:2",
+            "at most 65536 hosts",
+        ),
+        (
+            "fattreebig",
+            topology,
+            "topology = fat_tree:100000000",
+            "at most 65536 hosts",
+        ),
+        (
+            "jellyfishbig",
+            topology,
+            "topology = jellyfish:65537:1",
+            "at most 65536 hosts",
+        ),
+        (
+            "singlebig",
+            topology,
+            "topology = single_bottleneck:65536",
+            "at most 65536 hosts",
+        ),
+        (
+            "wan257",
+            topology,
+            "topology = wan:257:1:60:1",
+            "at most 256",
+        ),
+        (
+            "wanbig",
+            topology,
+            "topology = wan:256:257:60:1",
+            "at most 65536 hosts",
+        ),
         // A packet run (the backend line gives way) tracing a link the topology
         // does not have.
         (

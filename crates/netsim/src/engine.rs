@@ -97,7 +97,7 @@ use crate::event::{EventKey, EventKind, EventQueue, PacketSlot, TimerKind};
 use crate::flow::{FlowPath, FlowRecord, FlowSpec};
 use crate::ids::{FlowId, FlowMap, LinkId, NodeId};
 use crate::metrics::{Sample, SimResults, TraceConfig, Traces};
-use crate::network::{LossStream, Network, NodeKind, DEFAULT_PROCESSING_DELAY};
+use crate::network::{Network, NodeKind, DEFAULT_PROCESSING_DELAY};
 use crate::packet::{Packet, PacketKind, CONTROL_PACKET_BYTES, MTU_BYTES};
 use crate::shard::{MsgBody, ShardAssignment, ShardMsg};
 use crate::time::SimTime;
@@ -140,14 +140,13 @@ pub(crate) fn route_rng(seed: u64, flow: FlowId) -> SmallRng {
     SmallRng::seed_from_u64(crate::event::mix(seed, flow.value()))
 }
 
-/// Domain-separation salt for per-link loss streams ([`LossStream::PerLink`]): keeps
-/// a link's loss stream independent of the per-flow routing streams and of the
-/// per-shard engine streams derived from the same master seed.
+/// Domain-separation salt for per-link loss streams: keeps a link's loss stream
+/// independent of the per-flow routing streams derived from the same master seed.
 const LINK_LOSS_SALT: u64 = 0x6C6F_7373_6C6E_6B73; // "losslnks"
 
-/// The private loss stream of `link` ([`LossStream::PerLink`]): a pure function of
-/// `(seed, link id)`, consumed in the order packets are handed to the link — an
-/// order the deterministic engine reproduces at every shard count.
+/// The private loss stream of `link`: a pure function of `(seed, link id)`, consumed
+/// in the order packets are handed to the link — an order the deterministic engine
+/// reproduces at every shard count.
 pub(crate) fn link_loss_rng(seed: u64, link: LinkId) -> SmallRng {
     SmallRng::seed_from_u64(crate::event::mix(
         seed ^ LINK_LOSS_SALT,
@@ -180,14 +179,9 @@ pub(crate) fn packet_tie(p: &Packet) -> u64 {
 /// Global simulation parameters.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
-    /// Master seed. Random loss draws on [`LossStream::Engine`] links come from an
-    /// engine stream derived from it (per shard in a partitioned run); links marked
-    /// [`LossStream::PerLink`] draw from a private `(seed, link id)` stream instead,
-    /// which is shard-count invariant. ECMP routing draws from a per-flow RNG
-    /// derived from `(seed, flow id)` so paths are shard-invariant.
-    ///
-    /// [`LossStream::Engine`]: crate::network::LossStream::Engine
-    /// [`LossStream::PerLink`]: crate::network::LossStream::PerLink
+    /// Master seed. Each lossy link draws from a private stream derived from
+    /// `(seed, link id)`, and ECMP routing from one derived from `(seed, flow id)`,
+    /// so drops and paths are shard-count invariant.
     pub seed: u64,
     /// Hard stop: the run never advances past this simulated time.
     pub max_sim_time: SimTime,
@@ -604,7 +598,6 @@ pub(crate) struct EngineCore {
     /// `process_window` broke at, or the start of `window_end` if it drained.
     pub(crate) key: EventKey,
     pub(crate) stats: EngineStats,
-    pub(crate) rng: SmallRng,
     pub(crate) flows: FlowTable,
     /// Flows injected before the run: slots `0..injected`, in arrival order.
     injected: usize,
@@ -629,10 +622,8 @@ pub(crate) struct EngineCore {
     /// Per-core sequence number stamped on outgoing messages (deterministic ingest
     /// ordering at the receiver).
     pub(crate) msg_seq: u64,
-    /// Lazily-seeded private loss streams for [`LossStream::PerLink`] links,
-    /// indexed by [`LinkId`]. `None` until the link's first loss draw.
-    ///
-    /// [`LossStream::PerLink`]: crate::network::LossStream::PerLink
+    /// Lazily-seeded private loss streams ([`link_loss_rng`]), indexed by [`LinkId`].
+    /// `None` until the link's first loss draw.
     pub(crate) link_loss_rngs: Vec<Option<SmallRng>>,
     /// The one action buffer every agent callback's [`Ctx`] fills: taken for the
     /// callback, drained by `apply_actions` (which never calls an agent, so there is
@@ -642,7 +633,6 @@ pub(crate) struct EngineCore {
 
 impl EngineCore {
     pub(crate) fn new(network: Network, config: SimConfig) -> Self {
-        let rng = SmallRng::seed_from_u64(config.seed);
         let n_nodes = network.node_count();
         let n_links = network.link_count();
         // Event-queue bucket width: the smallest serialization time in this topology
@@ -664,7 +654,6 @@ impl EngineCore {
             now: SimTime::ZERO,
             key: EventKey::start_of(SimTime::ZERO),
             stats: EngineStats::default(),
-            rng,
             flows: FlowTable::default(),
             injected: 0,
             pool: PacketPool::default(),
@@ -1041,21 +1030,15 @@ impl EngineCore {
             }
         }
 
-        // Random loss injection. `Engine` links share this core's stream;
-        // `PerLink` links (WAN long-hauls) each consume their own `(seed, link)`
-        // stream so the draw sequence is invariant under the shard count.
+        // Random loss injection: each lossy link consumes its own `(seed, link)`
+        // stream, so the draw sequence is invariant under the shard count.
         let link = self.network.link_mut(next_link);
         let mut lost = false;
         if link.loss_rate > 0.0 {
-            let draw = match link.loss_stream {
-                LossStream::Engine => self.rng.gen::<f64>(),
-                LossStream::PerLink => {
-                    let seed = self.config.seed;
-                    self.link_loss_rngs[next_link.index()]
-                        .get_or_insert_with(|| link_loss_rng(seed, next_link))
-                        .gen::<f64>()
-                }
-            };
+            let seed = self.config.seed;
+            let draw = self.link_loss_rngs[next_link.index()]
+                .get_or_insert_with(|| link_loss_rng(seed, next_link))
+                .gen::<f64>();
             if draw < link.loss_rate {
                 link.stats.random_drops += 1;
                 lost = true;

@@ -20,6 +20,13 @@
 //! an explicit link server would have scheduled — orders before the event being
 //! dispatched is retired, bytes and busy time credited, exactly as if that event had
 //! popped.
+//!
+//! # Random loss
+//!
+//! A link with a nonzero [`Link::loss_rate`] drops each packet handed to it with that
+//! probability, drawing from a stream of its own derived from `(seed, link id)` in the
+//! order packets reach it — an order the engine reproduces at every shard count, so
+//! lossy runs are shard-count invariant.
 
 use std::collections::VecDeque;
 
@@ -36,26 +43,6 @@ pub const DEFAULT_QUEUE_CAPACITY_BYTES: u64 = 4 * 1024 * 1024;
 pub const DEFAULT_PROP_DELAY: SimTime = SimTime(100);
 /// Default per-hop processing delay: 25 µs (paper Figure 2).
 pub const DEFAULT_PROCESSING_DELAY: SimTime = SimTime(25_000);
-
-/// Which random stream a link's loss injector draws from.
-///
-/// The historical default draws from the engine core's own RNG stream. That keeps
-/// every run self-deterministic, but the stream is *per shard* (`seed ⊕ shard id`),
-/// so outcomes on lossy links depend on the shard count. [`LossStream::PerLink`]
-/// instead derives an independent stream from `(seed, link id)` and consumes it in
-/// the order packets are handed to that link — an order the deterministic engine
-/// reproduces at every shard count, making loss draws shard-count invariant. WAN
-/// long-haul links (which cross shard cuts by construction) use it; existing
-/// intra-DC topologies keep [`LossStream::Engine`] so their figures are
-/// byte-identical to earlier releases.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LossStream {
-    /// Draw from the owning engine core's stream (`seed ⊕ shard id`).
-    #[default]
-    Engine,
-    /// Draw from a private `(seed, link id)`-derived stream; shard-count invariant.
-    PerLink,
-}
 
 /// Whether a node is an end host or a switch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -124,10 +111,9 @@ pub struct Link {
     /// Queue capacity in bytes (tail drop beyond this).
     pub queue_capacity_bytes: u64,
     /// Probability in `[0, 1]` that a packet handed to this link is dropped at random
-    /// (used for the loss-resilience experiments, Figure 9).
+    /// (used for the loss-resilience experiments, Figure 9), from a stream of the
+    /// link's own ([random loss](crate::network#random-loss)).
     pub loss_rate: f64,
-    /// Which random stream the loss injector draws from.
-    pub loss_stream: LossStream,
     /// The id of the link in the opposite direction.
     pub reverse: LinkId,
     /// Bytes the link has accepted and not finished serializing: the packets waiting
@@ -265,8 +251,6 @@ pub struct LinkParams {
     pub queue_capacity_bytes: u64,
     /// Random loss probability.
     pub loss_rate: f64,
-    /// Which random stream the loss injector draws from.
-    pub loss_stream: LossStream,
 }
 
 impl Default for LinkParams {
@@ -276,7 +260,6 @@ impl Default for LinkParams {
             prop_delay: DEFAULT_PROP_DELAY,
             queue_capacity_bytes: DEFAULT_QUEUE_CAPACITY_BYTES,
             loss_rate: 0.0,
-            loss_stream: LossStream::Engine,
         }
     }
 }
@@ -341,39 +324,24 @@ impl Network {
         assert!(b.index() < self.nodes.len(), "unknown node {b:?}");
         assert_ne!(a, b, "self-loop links are not allowed");
         let ab = LinkId(self.links.len() as u32);
-        let ba = LinkId(self.links.len() as u32 + 1);
-        self.links.push(Link {
-            id: ab,
-            src: a,
-            dst: b,
-            rate_bps: params.rate_bps,
-            prop_delay: params.prop_delay,
-            queue_capacity_bytes: params.queue_capacity_bytes,
-            loss_rate: params.loss_rate,
-            loss_stream: params.loss_stream,
-            reverse: ba,
-            queue_bytes: 0,
-            ledger: VecDeque::new(),
-            tx_memo: [(0, SimTime::ZERO); 2],
-            stats: LinkStats::default(),
-        });
-        self.links.push(Link {
-            id: ba,
-            src: b,
-            dst: a,
-            rate_bps: params.rate_bps,
-            prop_delay: params.prop_delay,
-            queue_capacity_bytes: params.queue_capacity_bytes,
-            loss_rate: params.loss_rate,
-            loss_stream: params.loss_stream,
-            reverse: ab,
-            queue_bytes: 0,
-            ledger: VecDeque::new(),
-            tx_memo: [(0, SimTime::ZERO); 2],
-            stats: LinkStats::default(),
-        });
-        self.adjacency[a.index()].push(ab);
-        self.adjacency[b.index()].push(ba);
+        let ba = LinkId(ab.0 + 1);
+        for (id, src, dst, reverse) in [(ab, a, b, ba), (ba, b, a, ab)] {
+            self.links.push(Link {
+                id,
+                src,
+                dst,
+                rate_bps: params.rate_bps,
+                prop_delay: params.prop_delay,
+                queue_capacity_bytes: params.queue_capacity_bytes,
+                loss_rate: params.loss_rate,
+                reverse,
+                queue_bytes: 0,
+                ledger: VecDeque::new(),
+                tx_memo: [(0, SimTime::ZERO); 2],
+                stats: LinkStats::default(),
+            });
+            self.adjacency[src.index()].push(id);
+        }
         (ab, ba)
     }
 

@@ -40,16 +40,9 @@
 //!   from `(seed, flow id)` (see `engine::route_rng`): its path is a pure function of
 //!   the flow and identical at every shard count. The routing shard then registers
 //!   the flow with every other shard on the path (`MsgBody::Register`).
-//! * Random loss on [`LossStream::Engine`] links (the default) draws from each
-//!   core's own stream (`seed ⊕ shard id`): N-shard runs are self-deterministic,
-//!   but lossy runs are shard-count-*invariant* only when every lossy link is
-//!   marked [`LossStream::PerLink`] — those links consume a private `(seed, link
-//!   id)` stream in packet-crossing order, which the content-derived event order
-//!   reproduces at every shard count. The WAN topologies mark their lossy
-//!   long-haul links this way.
-//!
-//! [`LossStream::Engine`]: crate::network::LossStream::Engine
-//! [`LossStream::PerLink`]: crate::network::LossStream::PerLink
+//! * Every lossy link draws from a private `(seed, link id)` stream in
+//!   packet-crossing order, which the content-derived event order reproduces at
+//!   every shard count (see [`crate::network#random-loss`]).
 //! * Boundary messages are ingested sorted by `(message class, time, source shard,
 //!   sequence)`, and results are merged in shard order, so an N-shard run is
 //!   bit-reproducible for a fixed seed and shard count.
@@ -65,9 +58,6 @@
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use crate::agent::FlowInfo;
 use crate::engine::{
@@ -338,9 +328,8 @@ impl EngineCore {
         let shard_of = &assignment.shard_of;
         let mut cores: Vec<EngineCore> = (0..assignment.shards)
             .map(|s| {
-                // Its own loss stream (`seed ⊕ shard`) and router, one outbox per shard.
+                // Its own router, one outbox per shard.
                 let mut core = EngineCore::new(self.network.clone(), self.config.clone());
-                core.rng = SmallRng::seed_from_u64(core.config.seed ^ s as u64);
                 core.router = make_router(s);
                 core.shard = s;
                 core.shard_of = shard_of.clone();
@@ -801,6 +790,7 @@ mod tests {
     use crate::flow::{FlowPath, FlowSpec};
     use crate::network::{LinkParams, Network};
     use crate::packet::{PacketKind, MTU_BYTES};
+    use rand::rngs::SmallRng;
 
     /// Split the dumbbell (h0,h1 – s0 – s1 – h2) down the middle: the senders' side on
     /// shard 0, the receiver's side on shard 1. The s0–s1 links cross the boundary.

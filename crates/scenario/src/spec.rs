@@ -15,7 +15,7 @@ use pdq_topology::{
     bcube::{bcube, bcube_with_at_least},
     fattree::fat_tree_with_at_least,
     jellyfish::jellyfish_paper_config,
-    single::{default_paper_tree, single_bottleneck, single_bottleneck_with_access_loss},
+    single::{default_paper_tree, single_bottleneck_with_access_loss},
     wan::{wan, WanParams},
     Topology,
 };
@@ -97,13 +97,7 @@ impl TopologySpec {
             TopologySpec::SingleBottleneck {
                 senders,
                 access_loss,
-            } => {
-                if access_loss > 0.0 {
-                    single_bottleneck_with_access_loss(senders, link, access_loss)
-                } else {
-                    single_bottleneck(senders, link)
-                }
-            }
+            } => single_bottleneck_with_access_loss(senders, link, access_loss),
             TopologySpec::FatTree { hosts } => fat_tree_with_at_least(hosts, link),
             TopologySpec::BCube { n, k } => bcube(n, k, link),
             TopologySpec::BCubeHosts { hosts, n } => bcube_with_at_least(hosts, n, link),
@@ -123,7 +117,43 @@ impl TopologySpec {
             }),
         }
     }
+
+    /// How many hosts [`TopologySpec::build`] makes, by the builders' own sizing
+    /// rules, or `None` if the count overflows.
+    fn host_count(&self) -> Option<usize> {
+        match *self {
+            TopologySpec::PaperTree => Some(12),
+            TopologySpec::SingleBottleneck { senders, .. } => senders.checked_add(1),
+            // The smallest even k with k³/4 hosts ≥ `hosts`.
+            TopologySpec::FatTree { hosts } => (2usize..)
+                .step_by(2)
+                .map(|k| k.checked_pow(3).map(|cube| cube / 4))
+                .find(|n| n.is_none_or(|n| n >= hosts))?,
+            TopologySpec::BCube { n, k } => n.checked_pow(u32::try_from(k.checked_add(1)?).ok()?),
+            // The fewest levels that reach `hosts`.
+            TopologySpec::BCubeHosts { hosts, n } => {
+                let mut count = n;
+                while count < hosts {
+                    count = count.checked_mul(n)?;
+                }
+                Some(count)
+            }
+            // 8 hosts on each of at least 17 switches.
+            TopologySpec::Jellyfish { hosts, .. } => hosts.div_ceil(8).max(17).checked_mul(8),
+            TopologySpec::Wan {
+                sites,
+                hosts_per_site,
+                ..
+            } => sites.checked_mul(hosts_per_site),
+        }
+    }
 }
+
+/// The most hosts a topology token may ask for: the k = 64 fat-tree. The largest
+/// shipped topology, the Huge tier's tree, has 1 024.
+const MAX_HOSTS: usize = 65_536;
+/// The most sites a `wan` token may ask for: its long-haul mesh grows with sites².
+const MAX_WAN_SITES: usize = 256;
 
 /// The one-token spec form, e.g. `fat_tree:16` or `wan:4:2:60:1:loss=0.0001`.
 impl fmt::Display for TopologySpec {
@@ -162,7 +192,7 @@ impl fmt::Display for TopologySpec {
 }
 
 /// Parses the [`Display`](fmt::Display) form, refusing arguments the topology
-/// builders cannot build from.
+/// builders cannot build from and topologies of more than 65 536 hosts.
 impl FromStr for TopologySpec {
     type Err = String;
 
@@ -175,7 +205,7 @@ impl FromStr for TopologySpec {
                 _ => Err(format!("want loss=<p> last, got {:?}", rest.join(":"))),
             }
         }
-        Ok(match s.split(':').collect::<Vec<_>>()[..] {
+        let spec = match s.split(':').collect::<Vec<_>>()[..] {
             ["paper_tree"] => TopologySpec::PaperTree,
             ["single_bottleneck", senders, ref rest @ ..] => TopologySpec::SingleBottleneck {
                 senders: arg(senders, 1.., "at least 1 sender")?,
@@ -197,14 +227,25 @@ impl FromStr for TopologySpec {
                 seed: arg(seed, .., "a seed")?,
             },
             ["wan", sites, hosts_per_site, rtt_ms, gbps, ref rest @ ..] => TopologySpec::Wan {
-                sites: arg(sites, 2.., "at least 2 sites")?,
+                sites: arg(
+                    sites,
+                    2..=MAX_WAN_SITES,
+                    &format!("at least 2 sites and at most {MAX_WAN_SITES}"),
+                )?,
                 hosts_per_site: arg(hosts_per_site, 1.., "at least 1 host per site")?,
                 rtt_ms: arg(rtt_ms, POSITIVE, "a positive, finite RTT in ms")?,
                 gbps: arg(gbps, POSITIVE, "a positive, finite line rate in Gbit/s")?,
                 loss_rate: loss(rest)?,
             },
             _ => return Err("unrecognized topology kind or argument count".into()),
-        })
+        };
+        match spec.host_count() {
+            Some(hosts) if hosts <= MAX_HOSTS => Ok(spec),
+            hosts => Err(format!(
+                "want at most {MAX_HOSTS} hosts (the k = 64 fat-tree), this builds {}",
+                hosts.map_or("more than a usize holds".into(), |n| n.to_string())
+            )),
+        }
     }
 }
 
@@ -751,6 +792,37 @@ mod tests {
         for s in specs {
             let token = s.to_string();
             assert_eq!(token.parse::<TopologySpec>().expect(&token), s, "{token}");
+            assert_eq!(s.host_count(), Some(s.build().host_count()), "{token}");
+        }
+        // The size caps: 65 536 hosts, 256 WAN sites.
+        for token in [
+            "fat_tree:65536",
+            "bcube:2:15",
+            "bcube:65536:0",
+            "bcube_hosts:65536:2",
+            "jellyfish:65536:1",
+            "single_bottleneck:65535",
+            "wan:256:256:60:1",
+        ] {
+            let s = token.parse::<TopologySpec>().expect(token);
+            assert_eq!(s.host_count(), Some(MAX_HOSTS), "{token}");
+        }
+        for (token, needle) in [
+            ("bcube:2:64", "at most 65536 hosts"),
+            ("bcube:2:16", "at most 65536 hosts"),
+            ("bcube:2:18446744073709551615", "at most 65536 hosts"),
+            ("bcube:65537:0", "at most 65536 hosts"),
+            ("fat_tree:65537", "at most 65536 hosts"),
+            ("fat_tree:18446744073709551615", "at most 65536 hosts"),
+            ("bcube_hosts:65537:2", "at most 65536 hosts"),
+            ("bcube_hosts:2:65537", "at most 65536 hosts"),
+            ("jellyfish:65537:1", "at most 65536 hosts"),
+            ("single_bottleneck:65536", "at most 65536 hosts"),
+            ("wan:256:257:60:1", "at most 65536 hosts"),
+            ("wan:257:1:60:1", "at most 256"),
+        ] {
+            let err = token.parse::<TopologySpec>().unwrap_err();
+            assert!(err.contains(needle), "{token}: {err}");
         }
         for (token, needle) in [
             ("torus:4", "unrecognized"),

@@ -17,9 +17,9 @@
 //!   `max(rate · rtt / 8, DEFAULT_QUEUE_CAPACITY_BYTES)` bytes — a 4 MB
 //!   intra-DC default is less than half the BDP of a 2.5 Gbps / 60 ms path and
 //!   would tail-drop every window burst;
-//! * optional random `loss_rate` on every long-haul direction, drawn from
-//!   [`LossStream::PerLink`] streams so lossy WAN runs stay fingerprint-identical
-//!   at every shard count (see `pdq_netsim::shard`).
+//! * optional random `loss_rate` on every long-haul direction. Like every lossy
+//!   link, each draws from its own `(seed, link)` stream, so lossy WAN runs are
+//!   fingerprint-identical at every shard count (see `pdq_netsim::network`).
 //!
 //! Each site is one rack ([`Topology::rack_of`]), so rack-aware workloads and
 //! the shard partitioner both see sites as the natural unit: a partitioned run
@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 
-use pdq_netsim::{LinkParams, LossStream, Network, SimTime, DEFAULT_QUEUE_CAPACITY_BYTES};
+use pdq_netsim::{LinkParams, Network, SimTime, DEFAULT_QUEUE_CAPACITY_BYTES};
 
 use crate::Topology;
 
@@ -118,7 +118,6 @@ pub fn wan(params: WanParams) -> Topology {
                 prop_delay: SimTime::from_secs_f64(one_way_s),
                 queue_capacity_bytes: bdp_bytes.max(DEFAULT_QUEUE_CAPACITY_BYTES),
                 loss_rate: params.loss_rate,
-                loss_stream: LossStream::PerLink,
             },
         );
     }
@@ -158,12 +157,8 @@ mod tests {
             ..WanParams::default()
         };
         let t = wan(params);
-        let long_hauls: Vec<_> = t
-            .net
-            .links
-            .iter()
-            .filter(|l| l.loss_stream == LossStream::PerLink)
-            .collect();
+        let (long_hauls, access): (Vec<_>, Vec<_>) =
+            t.net.links.iter().partition(|l| l.loss_rate > 0.0);
         assert_eq!(long_hauls.len(), 12); // 6 pairs, both directions
         let delays: Vec<_> = long_hauls.iter().map(|l| l.prop_delay).collect();
         let min = *delays.iter().min().unwrap();
@@ -179,14 +174,9 @@ mod tests {
             let bdp = (l.rate_bps * 2.0 * l.prop_delay.as_secs_f64() / 8.0).ceil() as u64;
             assert!(l.queue_capacity_bytes >= bdp.max(DEFAULT_QUEUE_CAPACITY_BYTES));
         }
-        // Access links keep intra-DC defaults and the engine loss stream.
-        for l in t
-            .net
-            .links
-            .iter()
-            .filter(|l| l.loss_stream == LossStream::Engine)
-        {
-            assert_eq!(l.loss_rate, 0.0);
+        // Access links keep the lossless intra-DC defaults.
+        assert_eq!(access.len(), 32);
+        for l in access {
             assert_eq!(l.queue_capacity_bytes, DEFAULT_QUEUE_CAPACITY_BYTES);
         }
     }
@@ -209,14 +199,9 @@ mod tests {
             hosts_per_site: 1,
             rtt_ms: 100.0,
             gbps: 1.0,
-            loss_rate: 0.0,
+            loss_rate: 0.01,
         });
-        let long_haul = t
-            .net
-            .links
-            .iter()
-            .find(|l| l.loss_stream == LossStream::PerLink)
-            .unwrap();
+        let long_haul = t.net.links.iter().find(|l| l.loss_rate > 0.0).unwrap();
         assert_eq!(long_haul.prop_delay, SimTime::from_millis(50));
         assert_eq!(long_haul.rate_bps, 1e9);
     }

@@ -212,6 +212,18 @@ impl FromStr for SizeDist {
                 if points.len() < 2 {
                     return Err(bad());
                 }
+                // A CDF: probabilities in [0, 1], never decreasing (which also keeps
+                // out NaN, a value that would not read back equal to itself).
+                let mut last = 0.0;
+                for &(_, p) in &points {
+                    if !(last..=1.0).contains(&p) {
+                        return Err(format!(
+                            "empirical cumulative probabilities must rise within [0, 1], \
+                             got {p} after {last}"
+                        ));
+                    }
+                    last = p;
+                }
                 Ok(SizeDist::Empirical(points))
             }
             _ => Err(bad()),
@@ -262,6 +274,17 @@ mod tests {
             assert!(err.contains("tail index"), "{text}: {err}");
         }
         assert!("pareto:30000:1.0001".parse::<SizeDist>().is_ok());
+    }
+
+    #[test]
+    fn an_empirical_cdf_must_rise_within_the_unit_interval() {
+        // NaN would not round-trip; a falling or out-of-range CDF means nothing.
+        for points in ["1@0,2@NaN", "1@0.5,2@0.4", "1@-0.1,2@1", "1@0,2@1.5"] {
+            let text = format!("empirical:{points}");
+            let err = text.parse::<SizeDist>().unwrap_err();
+            assert!(err.contains("within [0, 1]"), "{text}: {err}");
+        }
+        assert!("empirical:1@0,2@0.5,3@0.5,4@1".parse::<SizeDist>().is_ok());
     }
 
     #[test]

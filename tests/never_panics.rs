@@ -1,16 +1,21 @@
 //! No panic from the outside: `Scenario::from_spec`, `RunSummary::from_record` and
-//! `TopologySpec::from_str` return `Ok` or `Err` for any input. The inputs are
-//! arbitrary bytes read as lossy UTF-8, and line mutations of the committed specs
-//! and of a real cache record: lines dropped, duplicated or swapped, and values
-//! replaced by edge cases. Every spec that parses must also round-trip:
-//! `from_spec(to_spec(s)) == s`.
+//! the token parsers (`TopologySpec`, `SizeDist`, `DeadlineDist`, `Pattern`) return
+//! `Ok` or `Err` for any input. The inputs are arbitrary bytes read as lossy UTF-8,
+//! line mutations of the committed specs and of a real cache record (lines dropped,
+//! duplicated or swapped, and values replaced by edge cases), and edge-value
+//! mutations of the fields of every token the committed specs and the benchmark's
+//! workloads use. Everything that parses must also round-trip:
+//! `from_spec(to_spec(s)) == s`, and `t.to_string().parse() == Ok(t)` for a token.
 //!
 //! The case counts keep the default test run short; CI runs this file in release
 //! under several `PROPTEST_SEED` values to widen the search.
 
+use std::fmt::{Debug, Display};
+use std::str::FromStr;
 use std::sync::OnceLock;
 
 use pdq_repro::scenario::{ProtocolRegistry, ResultCache, RunSummary, Scenario, TopologySpec};
+use pdq_repro::workloads::{DeadlineDist, Pattern, SizeDist};
 use proptest::prelude::*;
 
 const SPECS: [&str; 5] = [
@@ -21,8 +26,20 @@ const SPECS: [&str; 5] = [
     include_str!("../specs/wan_quick.scn"),
 ];
 
+/// The benchmark's workload specs: more workload tokens to mutate.
+const PERF_SPECS: [&str; 8] = [
+    include_str!("../examples/perf/workloads/fattree_burst.scn"),
+    include_str!("../examples/perf/workloads/fattree_steady.scn"),
+    include_str!("../examples/perf/workloads/fattree_steady_2shard.scn"),
+    include_str!("../examples/perf/workloads/smoke.scn"),
+    include_str!("../examples/perf/workloads/sweep_fig5a.scn"),
+    include_str!("../examples/perf/workloads/sweep_flow.scn"),
+    include_str!("../examples/perf/workloads/sweep_fluid.scn"),
+    include_str!("../examples/perf/workloads/wan_paced.scn"),
+];
+
 /// Values that tend to find the edges of a parser.
-const EDGE_VALUES: [&str; 10] = [
+const EDGE_VALUES: [&str; 14] = [
     "0",
     "-1",
     "NaN",
@@ -33,6 +50,16 @@ const EDGE_VALUES: [&str; 10] = [
     "\"\"",
     "",
     "-",
+    "18446744073709551615",
+    "-0",
+    "1e308",
+    "0.5",
+];
+
+/// Topology arguments beside the edge values: small sizes, and the edges of the
+/// 65 536-host and 256-site caps.
+const TOPOLOGY_ARGS: [&str; 10] = [
+    "1", "2", "16", "60", "loss=0.5", "loss=NaN", "64", "256", "65536", "65537",
 ];
 
 /// A mutation: (kind, line, other line or edge value), indices taken modulo.
@@ -67,6 +94,74 @@ fn mutate(text: &str, ops: &[Op]) -> String {
         }
     }
     lines.join("\n") + "\n"
+}
+
+/// The values of `keys` in the committed and benchmark specs, then `forms`: the
+/// parser's other `Display` forms and named shortcuts.
+fn tokens(keys: &[&str], forms: &[&str]) -> Vec<String> {
+    let used = SPECS
+        .iter()
+        .chain(&PERF_SPECS)
+        .flat_map(|text| text.lines());
+    let used = used.filter_map(|line| line.split_once('='));
+    let used = used.filter(|(key, _)| keys.contains(&key.trim()));
+    let mut tokens: Vec<String> = used.map(|(_, value)| value.trim().to_string()).collect();
+    assert!(!tokens.is_empty(), "no spec sets {keys:?}");
+    tokens.extend(forms.iter().map(|form| form.to_string()));
+    tokens
+}
+
+/// Replace fields of `token` — the pieces between `:`, `,` and `@` — with edge
+/// values: each op is (field, edge value), indices taken modulo.
+fn mutate_token(token: &str, ops: &[(usize, usize)]) -> String {
+    let mut fields: Vec<&str> = token.split([':', ',', '@']).collect();
+    for &(field, edge) in ops {
+        let n = fields.len();
+        fields[field % n] = EDGE_VALUES[edge % EDGE_VALUES.len()];
+    }
+    let seps = token.matches([':', ',', '@']);
+    let mut out = fields[0].to_string();
+    for (sep, field) in seps.zip(&fields[1..]) {
+        out.push_str(sep);
+        out.push_str(field);
+    }
+    out
+}
+
+/// A token that parses reads back equal from its `Display` form.
+fn check_token<T: FromStr + Display + PartialEq + Debug>(token: &str) {
+    if let Ok(value) = token.parse::<T>() {
+        let text = value.to_string();
+        assert_eq!(
+            text.parse::<T>().ok(),
+            Some(value),
+            "{token:?} displays as {text:?}"
+        );
+    }
+}
+
+/// One case of a token parser's fuzz: arbitrary bytes, the same bytes after the kind
+/// of a known token, and edge-value mutations of a known token.
+fn fuzz_token<T: FromStr + Display + PartialEq + Debug>(
+    tokens: &[String],
+    which: usize,
+    ops: &[(usize, usize)],
+    bytes: &[u8],
+) {
+    let token = &tokens[which % tokens.len()];
+    let bytes = String::from_utf8_lossy(bytes);
+    let kind = token.split(':').next().unwrap_or_default();
+    check_token::<T>(&bytes);
+    check_token::<T>(&format!("{kind}:{bytes}"));
+    check_token::<T>(&mutate_token(token, ops));
+}
+
+fn token_ops() -> impl Strategy<Value = Vec<(usize, usize)>> {
+    prop::collection::vec((0usize..16, 0usize..EDGE_VALUES.len()), 1..4)
+}
+
+fn bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(0u8..=255, 0..32)
 }
 
 /// Parse `text` every way there is; a spec that parses must round-trip.
@@ -129,7 +224,7 @@ proptest! {
     #[test]
     fn topology_tokens_never_panic_and_round_trip(
         kind in 0usize..8,
-        args in prop::collection::vec(0usize..16, 0..7),
+        args in prop::collection::vec(0usize..EDGE_VALUES.len() + TOPOLOGY_ARGS.len(), 0..7),
     ) {
         const KINDS: [&str; 8] = [
             "paper_tree",
@@ -141,18 +236,34 @@ proptest! {
             "wan",
             "torus",
         ];
-        const ARGS: [&str; 6] = ["1", "2", "16", "60", "loss=0.5", "loss=NaN"];
         let mut token = KINDS[kind].to_string();
         for &a in &args {
             token.push(':');
             token.push_str(if a < EDGE_VALUES.len() {
                 EDGE_VALUES[a]
             } else {
-                ARGS[a - EDGE_VALUES.len()]
+                TOPOLOGY_ARGS[a - EDGE_VALUES.len()]
             });
         }
-        if let Ok(topology) = token.parse::<TopologySpec>() {
-            prop_assert_eq!(topology.to_string().parse::<TopologySpec>(), Ok(topology));
-        }
+        check_token::<TopologySpec>(&token);
+    }
+
+    #[test]
+    fn size_tokens_never_panic_and_round_trip(which in 0usize..64, ops in token_ops(), bytes in bytes()) {
+        let forms = ["fixed:777", "uniform:7:7", "pareto:100000:1.1", "query", "vl2", "edu1"];
+        fuzz_token::<SizeDist>(&tokens(&["workload.sizes"], &forms), which, &ops, &bytes);
+    }
+
+    #[test]
+    fn deadline_tokens_never_panic_and_round_trip(which in 0usize..64, ops in token_ops(), bytes in bytes()) {
+        let keys = ["workload.deadlines", "workload.short_deadlines"];
+        let forms = ["none", "paper", "fixed:7000000"];
+        fuzz_token::<DeadlineDist>(&tokens(&keys, &forms), which, &ops, &bytes);
+    }
+
+    #[test]
+    fn pattern_tokens_never_panic_and_round_trip(which in 0usize..64, ops in token_ops(), bytes in bytes()) {
+        let forms = ["aggregation", "stride:6", "staggered:0.7"];
+        fuzz_token::<Pattern>(&tokens(&["workload.pattern"], &forms), which, &ops, &bytes);
     }
 }

@@ -68,6 +68,71 @@ fn wan_fingerprint_is_shard_count_invariant_despite_loss() {
     }
 }
 
+/// Loss where no spec can put it: 1 % on every link of a k = 4 fat-tree, so lossy
+/// links sit inside every shard and on every cut. Each draws from its own
+/// `(seed, link)` stream in packet-crossing order, so PDQ(full) gives the same flow
+/// records and fingerprint at 1, 2 and 4 shards.
+#[test]
+fn lossy_fat_tree_is_shard_count_invariant() {
+    use pdq_experiments::common::PDQ_FULL;
+    use pdq_netsim::{LinkParams, SimConfig, SimResults, SimTime, Simulator};
+    use pdq_scenario::{RunSummary, WorkloadSpec};
+    use pdq_topology::{fat_tree, EcmpRouter, Partition};
+    use pdq_workloads::SizeDist;
+
+    let lossy = LinkParams {
+        loss_rate: 0.01,
+        ..LinkParams::default()
+    };
+    let topo = fat_tree(4, lossy);
+    let flows = WorkloadSpec::RandomPairs {
+        flows: 300,
+        spread: SimTime::from_millis(30),
+        sizes: SizeDist::query(),
+    }
+    .generate(&topo, 3);
+    let installer = registry().resolve(PDQ_FULL).unwrap();
+    let run = |shards: u32| -> SimResults {
+        let config = SimConfig {
+            seed: 3,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(topo.net.clone(), config);
+        sim.set_router(EcmpRouter::new());
+        installer.install(&mut sim);
+        sim.add_flows(flows.iter().cloned());
+        let assignment = Partition::of_topology(&topo, shards).to_assignment(&topo.net);
+        assert_eq!(assignment.shards(), shards);
+        sim.run_sharded(&assignment, |_| Box::new(EcmpRouter::new()))
+    };
+    let records = |results: &SimResults| -> Vec<String> {
+        let mut records: Vec<_> = results.flows.values().collect();
+        records.sort_by_key(|r| r.spec.id);
+        records.iter().map(|r| format!("{r:?}")).collect()
+    };
+    let fingerprint = |results: SimResults| {
+        RunSummary::new(&Scenario::new("lossy-fat-tree"), PDQ_FULL.into(), results).fingerprint()
+    };
+
+    let sequential = run(1);
+    let drops: u64 = sequential
+        .link_stats
+        .iter()
+        .map(|(_, s)| s.random_drops)
+        .sum();
+    assert!(drops > 100, "only {drops} random drops");
+    assert_eq!(sequential.completed_count(), flows.len());
+    let expected = (records(&sequential), fingerprint(sequential));
+    for shards in [2, 4] {
+        let sharded = run(shards);
+        let got = (records(&sharded), fingerprint(sharded));
+        assert_eq!(
+            got, expected,
+            "{shards} shards diverged on the lossy fat-tree"
+        );
+    }
+}
+
 /// Shard-count invariance on the paper tree with deadline-constrained PDQ traffic:
 /// deadline outcomes (completed vs terminated) must merge identically too.
 #[test]
