@@ -65,7 +65,7 @@ pub fn convergence_run(params: &PdqParams) -> ConvergenceOutcome {
     let res = sim.run();
     let makespan_ms = res
         .flows
-        .values()
+        .iter()
         .filter_map(|r| r.completed_at)
         .max()
         .map(|t| t.as_millis_f64())

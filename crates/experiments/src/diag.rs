@@ -41,13 +41,7 @@ pub fn per_flow_outcomes(n_flows: usize, seed: u64) -> Vec<Table> {
                 "slack [ms]",
             ],
         );
-        let mut ids: Vec<_> = res.packet().flows.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let r = &res.packet().flows[&id];
-            if r.spec.parent.is_some() {
-                continue;
-            }
+        for r in res.packet().top_level_flows() {
             let deadline = r.spec.deadline;
             let done = r.completed_at.or(r.terminated_at);
             let outcome = match (r.completed_at, r.terminated_at) {
@@ -66,7 +60,7 @@ pub fn per_flow_outcomes(n_flows: usize, seed: u64) -> Vec<Table> {
                 _ => None,
             };
             table.push_row(vec![
-                id.value().to_string(),
+                r.spec.id.value().to_string(),
                 fmt(r.spec.size_bytes as f64 / 1000.0),
                 deadline
                     .map(|d| fmt(d.as_millis_f64()))

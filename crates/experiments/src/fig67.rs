@@ -151,7 +151,7 @@ pub fn fig6_summary() -> (f64, f64, f64) {
     let last_completion = res
         .packet()
         .flows
-        .values()
+        .iter()
         .filter_map(|r| r.completed_at)
         .max()
         .map(|t| t.as_millis_f64())

@@ -41,7 +41,8 @@
 //!                  applies to every scenario that does not pin engine_threads itself
 //!                  and leaves determinism fingerprints unchanged
 //!   --replicate K  run every sweep cell under K consecutive seeds and report
-//!                  mean/stddev/95%-CI (Student-t) statistics per cell
+//!                  mean/stddev/95%-CI (Student-t) statistics per cell; cells x K
+//!                  over 2^20 runs exits 2
 //!   --cache-dir D  serve sweep cells from the fingerprint-keyed result cache in D,
 //!                  storing newly computed cells as they finish — an interrupted
 //!                  sweep re-run restarts from the missing cells only
@@ -64,6 +65,9 @@ use pdq_workloads::{DeadlineDist, SizeDist};
 
 /// The cache directory `cache` and `sweep --cache-dir` default to.
 const DEFAULT_CACHE_DIR: &str = ".pdq-cache";
+
+/// The most runs (cells × `--replicate` seeds) a sweep may expand to: 2²⁰.
+const MAX_SWEEP_RUNS: usize = 1 << 20;
 
 fn print_tables(tables: &[Table], heading: &str, csv: bool) {
     for t in tables {
@@ -307,6 +311,16 @@ fn cmd_sweep(
     cache_flags: &CacheFlags,
 ) {
     let (sweep, grid_label) = build_sweep(scale, base_spec, axes);
+    // Every replicate run is expanded into a scenario before the first one runs.
+    let runs = sweep.len().checked_mul(replicate.get());
+    if runs.is_none_or(|n| n > MAX_SWEEP_RUNS) {
+        eprintln!(
+            "--replicate {replicate}: {} cells x {replicate} seeds is more than the \
+             {MAX_SWEEP_RUNS} runs a sweep may expand to",
+            sweep.len()
+        );
+        std::process::exit(2);
+    }
     let registry = pdq_experiments::common::registry();
     let (cache, policy) = cache_flags.open_cache();
     let mut sink_file = cache_flags.open_sink();

@@ -319,6 +319,33 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
             "\ntrace.interval_ns = 1000000\ntrace.links = 99999",
             "link 99999",
         ),
+        // 16 pairs of 10^12 flows each: more than a run may hold (it used to abort
+        // allocating them).
+        (
+            "perpair",
+            "workload.flows_per_pair = 2",
+            "workload.flows_per_pair = 1000000000000",
+            "would draw 16000000000000 flows, more than the 16777216",
+        ),
+        // Aging rates the flow backend used to take (and the packet engine too).
+        (
+            "agingnan",
+            "protocol = pdq(full)",
+            "protocol = pdq(full;aging=NaN)",
+            "aging rate",
+        ),
+        (
+            "aginginf",
+            "protocol = pdq(full)",
+            "protocol = pdq(full;aging=inf)",
+            "aging rate",
+        ),
+        (
+            "agingneg",
+            "protocol = pdq(full)",
+            "protocol = pdq(full;aging=-2)",
+            "aging rate",
+        ),
     ] {
         assert!(fig8a.contains(line), "{line}");
         let (dir, spec) = temp_spec(tag, &fig8a.replace(line, replacement));
@@ -329,6 +356,38 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert_eq!(out.status.code(), Some(2), "{replacement}: {stderr}");
         assert!(stderr.contains(needle), "{replacement}: {stderr}");
+    }
+}
+
+#[test]
+fn run_spec_exits_2_on_workloads_too_large_to_draw() {
+    // Committed specs with one count raised to 10^12: each used to abort allocating
+    // the flow list (exit 134), and is now refused before any flow is drawn.
+    for (file, line, replacement, flows) in [
+        (
+            "specs/engine_scale_quick.scn",
+            "workload.flows = 300",
+            "workload.flows = 1000000000000",
+            "1000000000000",
+        ),
+        (
+            "specs/coflow_quick.scn",
+            "workload.coflows = 8",
+            "workload.coflows = 1000000000000",
+            "4000000000000",
+        ),
+    ] {
+        let text = std::fs::read_to_string(workspace_file(file)).unwrap();
+        assert!(text.contains(line), "{file}: {line}");
+        let (dir, spec) = temp_spec("too-many", &text.replace(line, replacement));
+        let mut run = binary();
+        run.arg("run-spec").arg(&spec);
+        let out = output_within(run, 60);
+        std::fs::remove_dir_all(&dir).ok();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{replacement}: {stderr}");
+        let want = format!("would draw {flows} flows, more than the 16777216");
+        assert!(stderr.contains(&want), "{replacement}: {stderr}");
     }
 }
 
@@ -485,8 +544,34 @@ fn sweep_exits_2_on_empty_or_malformed_axis_values() {
             vec!["sweep", "--quick", "--loads", "0.5", "--loads", "0.7"],
             "set twice",
         ),
+        // Arrival rates whose flow lists no run can hold (they used to abort, or
+        // run until the OOM killer stepped in), and a replicated grid too large to
+        // expand.
+        (
+            vec!["sweep", "--quick", "--loads", "1e12"],
+            "more than the 16777216",
+        ),
+        (
+            vec!["sweep", "--quick", "--loads", "1e308"],
+            "more than the 16777216",
+        ),
+        (
+            vec!["sweep", "--quick", "--replicate", "1000000000"],
+            "12 cells x 1000000000 seeds is more than the 1048576 runs",
+        ),
+        // Discipline arguments that used to run under their own label.
+        (
+            vec!["sweep", "--quick", "--protocols", "pdq(full;aging=NaN)"],
+            "aging rate",
+        ),
+        (
+            vec!["sweep", "--quick", "--protocols", "pdq(full;estimate=0)"],
+            "estimate granularity",
+        ),
     ] {
-        let out = binary().args(&args).output().expect("spawn sweep");
+        let mut sweep = binary();
+        sweep.args(&args);
+        let out = output_within(sweep, 60);
         assert_eq!(out.status.code(), Some(2), "args {args:?}: {out:?}");
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert!(stderr.contains(needle), "args {args:?}: {stderr}");

@@ -205,8 +205,9 @@ impl Default for SimConfig {
     }
 }
 
-/// Where a flow is in its life on one core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where a flow is in its life on one core, in the order a merge of several cores'
+/// stages keeps the greatest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Stage {
     /// Injected or spawned, its arrival still to come: invisible to agents, and no
     /// record if the run ends first.
@@ -293,31 +294,13 @@ impl FlowState {
         record.raw_bytes_delivered = self.raw_bytes_delivered;
         record.drops = self.drops;
         record.failed = self.stage == Stage::Failed;
-        if let Some(finish) = self.finish {
-            set_finish(&mut record, finish);
+        if let Some(Finish { at, completed }) = self.finish {
+            record.completed_at = completed.then_some(at);
+            record.terminated_at = (!completed).then_some(at);
+            record.bytes_acked = if completed { record.spec.size_bytes } else { 0 };
         }
         Some(record)
     }
-}
-
-/// `record`'s finish, if it has one.
-pub(crate) fn finish_of(record: &FlowRecord) -> Option<Finish> {
-    let completed = record.completed_at.map(|at| Finish {
-        at,
-        completed: true,
-    });
-    completed.or(record.terminated_at.map(|at| Finish {
-        at,
-        completed: false,
-    }))
-}
-
-/// Record `finish` on `record`, replacing any finish it had.
-pub(crate) fn set_finish(record: &mut FlowRecord, finish: Finish) {
-    let Finish { at, completed } = finish;
-    record.completed_at = completed.then_some(at);
-    record.terminated_at = (!completed).then_some(at);
-    record.bytes_acked = if completed { record.spec.size_bytes } else { 0 };
 }
 
 /// The hot half of a flow's engine state: all that sending a packet, arming, firing
@@ -1860,11 +1843,19 @@ pub(crate) mod tests {
     /// Every flow of a run holds a cold slot from injection to the merge, finished or
     /// not: with the spec kept once (in its `FlowInfo`) and the record assembled at
     /// the merge, a slot is at most 200 bytes (304 with a spec in both an info and a
-    /// record).
+    /// record). A record fits in the slot it is built from (160 bytes in 168), so a
+    /// lone core's records reuse its slot slab's buffer.
     #[test]
     fn flow_state_stays_small() {
-        let size = std::mem::size_of::<FlowState>();
+        use std::mem::{align_of, size_of};
+        let size = size_of::<FlowState>();
         assert!(size <= 200, "FlowState is {size} bytes");
+        let record = size_of::<FlowRecord>();
+        assert!(
+            record <= size,
+            "FlowRecord is {record} bytes, FlowState {size}"
+        );
+        assert!(align_of::<FlowRecord>() <= align_of::<FlowState>());
     }
 
     /// A hard stop before some arrivals: the flows that never arrived hold a slot but
@@ -1890,8 +1881,7 @@ pub(crate) mod tests {
             late(4, 7),
         ]);
         let res = sim.run();
-        let mut ids: Vec<u64> = res.flows.keys().map(|id| id.value()).collect();
-        ids.sort_unstable();
+        let ids: Vec<u64> = res.flows.iter().map(|r| r.spec.id.value()).collect();
         assert_eq!(ids, [1, 2]);
         assert_eq!(res.engine.arrivals, 2);
         let mut traced: Vec<u64> = res

@@ -135,7 +135,7 @@ pub enum FlowOutcome {
 }
 
 /// Per-flow accounting kept by the simulator.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowRecord {
     /// The flow's specification.
     pub spec: FlowSpec,

@@ -248,12 +248,11 @@ fn run_engine(seed: u64, config: SimConfig) -> Outcome {
     sim.install_controllers(|_, _| Some(recorder(&log)));
     sim.add_flows(flows(seed, hosts));
     let res = sim.run();
-    let mut flows: Vec<_> = res
+    let flows = res
         .flows
-        .values()
+        .iter()
         .map(|r| (r.spec.id.value(), r.drops, r.completed_at))
         .collect();
-    flows.sort_unstable();
     let log = log.lock().unwrap().clone();
     Outcome {
         log,

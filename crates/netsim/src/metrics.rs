@@ -64,8 +64,9 @@ pub struct Traces {
 /// Everything a simulation run produces.
 #[derive(Clone, Debug, Default)]
 pub struct SimResults {
-    /// Per-flow accounting, keyed by flow id.
-    pub flows: HashMap<FlowId, FlowRecord>,
+    /// Per-flow accounting, one record per flow that arrived, in ascending flow-id
+    /// order: built in place from the engine's flow slab when the run ends.
+    pub flows: Vec<FlowRecord>,
     /// Final per-link counters.
     pub link_stats: Vec<(LinkId, LinkStats)>,
     /// Time-series traces (if tracing was enabled).
@@ -85,14 +86,16 @@ pub struct SimResults {
 }
 
 impl SimResults {
-    /// All flow records, excluding M-PDQ subflows (records whose spec has a parent).
+    /// All flow records in id order, excluding M-PDQ subflows (records whose spec has
+    /// a parent).
     pub fn top_level_flows(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.flows.values().filter(|r| r.spec.parent.is_none())
+        self.flows.iter().filter(|r| r.spec.parent.is_none())
     }
 
-    /// Record of a single flow.
+    /// Record of a single flow (a binary search); `None` if it never arrived.
     pub fn flow(&self, id: FlowId) -> Option<&FlowRecord> {
-        self.flows.get(&id)
+        let at = self.flows.binary_search_by_key(&id, |r| r.spec.id).ok()?;
+        self.flows.get(at)
     }
 
     /// Number of flows that completed.
@@ -113,10 +116,9 @@ impl SimResults {
     }
 
     /// Completion times in seconds of the completed top-level flows matching
-    /// `filter`, in ascending `f64::total_cmp` order. f64 addition is
-    /// order-sensitive at the last ulp and `flows` is a HashMap with per-instance
-    /// iteration order: a mean summed in this order is bit-identical across runs
-    /// (and matches cached records).
+    /// `filter`, in ascending `f64::total_cmp` order. The records are in a
+    /// deterministic (id) order already, but f64 addition is order-sensitive at the
+    /// last ulp and cached run records hold means summed in FCT order.
     fn sorted_fcts_secs<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Vec<f64> {
         let mut fcts: Vec<f64> = self
             .top_level_flows()
@@ -203,11 +205,8 @@ mod tests {
     use crate::flow::FlowSpec;
     use crate::ids::NodeId;
 
-    fn results_with(records: Vec<FlowRecord>) -> SimResults {
-        let mut flows = HashMap::new();
-        for r in records {
-            flows.insert(r.spec.id, r);
-        }
+    fn results_with(mut flows: Vec<FlowRecord>) -> SimResults {
+        flows.sort_unstable_by_key(|r| r.spec.id);
         SimResults {
             flows,
             link_stats: Vec::new(),
@@ -267,7 +266,7 @@ mod tests {
     #[test]
     fn percentiles_follow_the_sorted_completion_times() {
         // 101 flows finishing at 1..=101 ms, inserted out of order (ids scrambled):
-        // percentile p is the (p + 1)-th smallest FCT, whatever the map's order.
+        // percentile p is the (p + 1)-th smallest FCT, whatever the input order.
         let records = (0..101u64)
             .map(|i| record((i * 37) % 101 + 1, 1000, None, Some((i * 37) % 101 + 1)))
             .collect();

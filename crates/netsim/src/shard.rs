@@ -55,14 +55,11 @@
 //! repository README ("Partitioned engine & determinism model") for when N-shard
 //! results are fingerprint-identical to 1-shard.
 
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::agent::FlowInfo;
-use crate::engine::{
-    finish_of, set_finish, EngineCore, Finish, FlowState, Router, Simulator, Stage,
-};
+use crate::engine::{EngineCore, Finish, FlowState, Router, Simulator, Stage};
 use crate::event::EventKind;
 use crate::flow::FlowRecord;
 use crate::ids::{FlowId, LinkId, NodeId};
@@ -202,14 +199,6 @@ impl MsgBody {
             MsgBody::SetTimer { .. } => 2,
             MsgBody::Packet { .. } => 3,
         }
-    }
-}
-
-/// Record `finish` on `rec` if it beats the existing one (see [`Finish::beats`]): how
-/// replica records are merged into the final results.
-fn apply_finish(rec: &mut FlowRecord, finish: Finish) {
-    if finish.beats(finish_of(rec)) {
-        set_finish(rec, finish);
     }
 }
 
@@ -644,8 +633,8 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
 /// * link counters come from the shard owning each link's source (its only writer),
 ///   settled up to the point that core stopped at — every departure an explicit
 ///   transmit-done event would have completed by then is credited;
-/// * flow records are merged home-record-then-replicas with earliest-finish-wins,
-///   summed drops and max delivered bytes (delivery happens on one shard only);
+/// * flow records are built in place from the cores' slot slabs, in id order, each
+///   flow's records on several cores folded into one (see `flow_records`);
 /// * traces are a disjoint union (each series is sampled by exactly one shard), except
 ///   the per-core queue depth, which is interleaved by time;
 /// * the end time is the instant the last flow settled when the run stopped because
@@ -703,43 +692,12 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
     }
 
     // Keep only what is moved into the results: agents, controllers, event queues and
-    // network copies are freed here, before the merged flow map is allocated.
-    let cores: Vec<_> = cores
-        .into_iter()
-        .map(|c| (c.flows.slots, c.traces))
-        .collect();
-    // Every flow that arrived has exactly one home record, on the shard that saw it
-    // arrive.
-    let homes = cores
-        .iter()
-        .flat_map(|(slots, _)| slots)
-        .filter(|s| s.home && s.stage != Stage::Pending)
-        .count();
-    let mut flows: HashMap<FlowId, FlowRecord> = HashMap::with_capacity(homes);
+    // network copies are freed here, before the records are built.
+    let (slabs, per_core): (Vec<_>, Vec<_>) =
+        cores.into_iter().map(|c| (c.flows.slots, c.traces)).unzip();
+    let flows = flow_records(slabs);
     let mut traces = crate::metrics::Traces::default();
-    for (slots, core_traces) in cores {
-        for state in slots {
-            let finish = state.finish;
-            // A flow whose arrival never came (the run stopped first) has no record.
-            let Some(rec) = state.into_record() else {
-                continue;
-            };
-            match flows.entry(rec.spec.id) {
-                Entry::Vacant(slot) => {
-                    slot.insert(rec);
-                }
-                Entry::Occupied(mut slot) => {
-                    let merged = slot.get_mut();
-                    merged.drops += rec.drops;
-                    merged.raw_bytes_delivered =
-                        merged.raw_bytes_delivered.max(rec.raw_bytes_delivered);
-                    merged.failed |= rec.failed;
-                    if let Some(finish) = finish {
-                        apply_finish(merged, finish);
-                    }
-                }
-            }
-        }
+    for core_traces in per_core {
         traces.link_utilization.extend(core_traces.link_utilization);
         traces.link_queue_bytes.extend(core_traces.link_queue_bytes);
         traces.flow_goodput.extend(core_traces.flow_goodput);
@@ -747,7 +705,6 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
             .event_queue_depth
             .extend(core_traces.event_queue_depth);
     }
-    assert_eq!(flows.len(), homes, "duplicate flow id homed on two shards");
     // Stable sort: same-instant samples keep shard order (cores are iterated in shard
     // order above), so the merged series is deterministic.
     traces.event_queue_depth.sort_by_key(|s| s.at);
@@ -757,7 +714,7 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
     // zeroed the pending count afterwards (`ZERO` for a run without flows).
     let end_time = if flows_done {
         flows
-            .values()
+            .iter()
             .flat_map(|r| {
                 [
                     r.completed_at,
@@ -780,6 +737,48 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         engine,
         end_time,
     }
+}
+
+/// The records of the flows that arrived, in ascending id order, built in place from
+/// the cores' slot slabs: a lone core's own slab, or one buffer reserved once for
+/// several cores' slots (a [`FlowRecord`] fits in a [`FlowState`]). Sorted by id, a
+/// flow's slots on several cores are adjacent and fold into one by a rule that does
+/// not depend on their order: drops summed, the most bytes delivered (on one core
+/// only), failed if failed on any core, and the earliest finish.
+fn flow_records(mut slabs: Vec<Vec<FlowState>>) -> Vec<FlowRecord> {
+    // Every flow that arrived has exactly one home slot, on the shard that saw it
+    // arrive; a flow whose arrival never came (the run stopped first) has no record.
+    let homes = slabs
+        .iter()
+        .flatten()
+        .filter(|s| s.home && s.stage != Stage::Pending)
+        .count();
+    let mut slots = if slabs.len() == 1 {
+        slabs.swap_remove(0)
+    } else {
+        let mut slots = Vec::with_capacity(slabs.iter().map(Vec::len).sum());
+        slabs.into_iter().for_each(|slab| slots.extend(slab));
+        slots
+    };
+    slots.sort_unstable_by_key(|s| s.info.spec.id);
+    slots.dedup_by(|replica, slot| {
+        if replica.info.spec.id != slot.info.spec.id {
+            return false;
+        }
+        slot.drops += replica.drops;
+        slot.raw_bytes_delivered = slot.raw_bytes_delivered.max(replica.raw_bytes_delivered);
+        slot.stage = slot.stage.max(replica.stage);
+        if replica.finish.is_some_and(|f| f.beats(slot.finish)) {
+            slot.finish = replica.finish;
+        }
+        true
+    });
+    let flows: Vec<FlowRecord> = slots
+        .into_iter()
+        .filter_map(FlowState::into_record)
+        .collect();
+    assert_eq!(flows.len(), homes, "duplicate flow id homed on two shards");
+    flows
 }
 
 #[cfg(test)]
@@ -826,8 +825,9 @@ mod tests {
         let seq = run_seq(two_flow_sim());
         let par = run_split(two_flow_sim());
         assert_eq!(seq.flows.len(), par.flows.len());
-        for (id, s) in &seq.flows {
-            let p = par.flow(*id).unwrap();
+        for s in &seq.flows {
+            let id = s.spec.id;
+            let p = par.flow(id).unwrap();
             assert_eq!(s.outcome(), p.outcome(), "outcome mismatch for {id:?}");
             assert_eq!(s.completed_at, p.completed_at, "fct mismatch for {id:?}");
             assert_eq!(s.bytes_acked, p.bytes_acked);
@@ -880,7 +880,7 @@ mod tests {
                 sim
             };
             let lone = build().run();
-            let last_completion = lone.flows.values().filter_map(|r| r.completed_at).max();
+            let last_completion = lone.flows.iter().filter_map(|r| r.completed_at).max();
             assert_eq!(Some(lone.end_time), want.or(last_completion), "{name}");
             // A hard stop is the documented exception to shard-count invariance.
             if hard_stop.is_none() {
@@ -919,9 +919,7 @@ mod tests {
         let a = run_split(two_flow_sim());
         let b = run_split(two_flow_sim());
         assert_eq!(a.end_time, b.end_time);
-        for (id, ra) in &a.flows {
-            assert_eq!(ra.completed_at, b.flow(*id).unwrap().completed_at);
-        }
+        assert_eq!(a.flows, b.flows);
     }
 
     #[test]
@@ -1051,8 +1049,9 @@ mod tests {
             assert_eq!(offsets, [0, 6]);
         }
         let split = merge_results(cores);
-        for (id, want) in &lone.flows {
-            let got = split.flow(*id).unwrap();
+        for want in &lone.flows {
+            let id = want.spec.id;
+            let got = split.flow(id).unwrap();
             assert_eq!(got.completed_at, want.completed_at, "{id:?}");
             assert_eq!(got.raw_bytes_delivered, want.raw_bytes_delivered, "{id:?}");
             assert_eq!(got.drops, 0, "{id:?}");
@@ -1162,27 +1161,56 @@ mod tests {
     }
 
     #[test]
-    fn apply_finish_prefers_earliest_then_completion() {
-        let spec = FlowSpec::new(1, NodeId(0), NodeId(1), 1000);
-        let mut rec = FlowRecord::new(spec);
+    fn the_earliest_finish_wins_then_completion() {
         let finish = |completed, us| Finish {
             at: SimTime::from_micros(us),
             completed,
         };
-        apply_finish(&mut rec, finish(false, 10));
-        assert!(rec.terminated_at.is_some());
+        let terminated = finish(false, 10);
+        assert!(terminated.beats(None));
         // A later completion does not displace an earlier termination...
-        apply_finish(&mut rec, finish(true, 20));
-        assert_eq!(rec.terminated_at, Some(SimTime::from_micros(10)));
-        assert!(rec.completed_at.is_none());
+        assert!(!finish(true, 20).beats(Some(terminated)));
         // ...an earlier completion does...
-        apply_finish(&mut rec, finish(true, 5));
-        assert_eq!(rec.completed_at, Some(SimTime::from_micros(5)));
-        assert!(rec.terminated_at.is_none());
-        assert_eq!(rec.bytes_acked, 1000);
+        assert!(finish(true, 5).beats(Some(terminated)));
         // ...and at equal times completion beats termination.
-        apply_finish(&mut rec, finish(false, 5));
-        assert_eq!(rec.completed_at, Some(SimTime::from_micros(5)));
+        assert!(finish(true, 10).beats(Some(terminated)));
+        assert!(!terminated.beats(Some(finish(true, 10))));
+    }
+
+    /// Two cores hold flow 1: its home terminated it at 40 µs after 2 drops; the core
+    /// it delivers to saw it complete at 30 µs, with every byte and 3 more drops. They
+    /// fold to one record, whichever core comes first, and the records come out in id
+    /// order.
+    #[test]
+    fn replica_records_fold_alike_in_either_core_order() {
+        let state = |id, home, drops, delivered, (us, completed)| {
+            let mut s = FlowState::pending(FlowSpec::new(id, NodeId(0), NodeId(1), 3000));
+            (s.stage, s.home, s.drops, s.raw_bytes_delivered) =
+                (Stage::Routed, home, drops, delivered);
+            s.finish = Some(Finish {
+                at: SimTime::from_micros(us),
+                completed,
+            });
+            s
+        };
+        let home = || vec![state(1, true, 2, 0, (40, false))];
+        let sink = || {
+            vec![
+                state(2, true, 0, 0, (50, false)),
+                state(1, false, 3, 3000, (30, true)),
+            ]
+        };
+        let records = flow_records(vec![home(), sink()]);
+        assert_eq!(records, flow_records(vec![sink(), home()]));
+        let ids: Vec<u64> = records.iter().map(|r| r.spec.id.value()).collect();
+        assert_eq!(ids, [1, 2]);
+        let one = &records[0];
+        assert_eq!(one.outcome(), crate::flow::FlowOutcome::Completed);
+        assert_eq!(one.completed_at, Some(SimTime::from_micros(30)));
+        assert_eq!(
+            (one.drops, one.raw_bytes_delivered, one.bytes_acked),
+            (5, 3000, 3000)
+        );
     }
 
     /// A sender-side agent that spawns a second flow mid-run (like M-PDQ subflows):

@@ -206,14 +206,22 @@ fn parse_discipline(s: &str) -> Result<Discipline, String> {
         _ => {}
     }
     if let Some(v) = s.strip_prefix("estimate=") {
-        let update_bytes = v
-            .parse()
-            .map_err(|_| format!("bad estimate granularity {v:?}"))?;
-        return Ok(Discipline::EstimatedSize { update_bytes });
+        return match v.parse() {
+            Ok(update_bytes) if update_bytes >= 1 => Ok(Discipline::EstimatedSize { update_bytes }),
+            _ => Err(format!(
+                "bad estimate granularity {v:?} (want a byte count of at least 1)"
+            )),
+        };
     }
     if let Some(v) = s.strip_prefix("aging=") {
-        let alpha = v.parse().map_err(|_| format!("bad aging rate {v:?}"))?;
-        return Ok(Discipline::Aging { alpha });
+        // A NaN or infinite alpha makes every advertised T NaN (∞ × 0 at zero
+        // wait); a negative one ages flows the wrong way.
+        return match v.parse::<f64>() {
+            Ok(alpha) if alpha.is_finite() && alpha >= 0.0 => Ok(Discipline::Aging { alpha }),
+            _ => Err(format!(
+                "bad aging rate {v:?} (want a finite alpha of at least 0)"
+            )),
+        };
     }
     Err(format!(
         "unknown discipline {s:?} (want exact, random, estimate=<bytes> or aging=<alpha>)"
@@ -299,6 +307,34 @@ mod tests {
         assert!(reg.resolve("mpdq(0)").is_err());
         assert!(reg.resolve("pdq(full;psychic)").is_err());
         assert!(reg.resolve("cpdq(3)").is_err());
+    }
+
+    /// Aging takes a finite alpha ≥ 0 and size estimation a granularity ≥ 1 byte:
+    /// anything else used to run — NaN and ∞ as flows ordered by id, a negative alpha
+    /// aging the wrong way, `estimate=0` as `estimate=1` under its own label.
+    #[test]
+    fn discipline_arguments_are_range_checked() {
+        let reg = &mut ProtocolRegistry::new();
+        register_pdq(reg);
+        for (spec, needle) in [
+            ("pdq(full;aging=NaN)", "aging rate"),
+            ("pdq(full;aging=inf)", "aging rate"),
+            ("pdq(full;aging=-inf)", "aging rate"),
+            ("pdq(full;aging=-2)", "aging rate"),
+            ("pdq(full;aging=x)", "aging rate"),
+            ("pdq(full;estimate=0)", "estimate granularity"),
+            ("pdq(full;estimate=-1)", "estimate granularity"),
+        ] {
+            let err = reg.resolve(spec).err().expect(spec).to_string();
+            assert!(err.contains(needle), "{spec}: {err}");
+        }
+        for spec in [
+            "pdq(full;aging=0)",
+            "pdq(basic;aging=2)",
+            "pdq(full;estimate=1)",
+        ] {
+            assert_eq!(reg.resolve(spec).expect(spec).name(), spec);
+        }
     }
 
     #[test]

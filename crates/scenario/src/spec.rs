@@ -154,6 +154,8 @@ impl TopologySpec {
 const MAX_HOSTS: usize = 65_536;
 /// The most sites a `wan` token may ask for: its long-haul mesh grows with sites².
 const MAX_WAN_SITES: usize = 256;
+/// The most flows a workload may draw: 2²⁴, 16 times the Huge tier's 2²⁰.
+const MAX_FLOWS: usize = 1 << 24;
 
 /// The one-token spec form, e.g. `fat_tree:16` or `wan:4:2:60:1:loss=0.0001`.
 impl fmt::Display for TopologySpec {
@@ -439,9 +441,33 @@ impl WorkloadSpec {
         }
     }
 
+    /// How many flows [`WorkloadSpec::generate`] draws on `topo` (at most, for a
+    /// pattern; the expected count for Poisson arrivals), or `None` on overflow.
+    fn flow_count(&self, topo: &Topology) -> Option<usize> {
+        let hosts = topo.host_count();
+        match self {
+            WorkloadSpec::QueryAggregation { flows, .. }
+            | WorkloadSpec::RandomPairs { flows, .. } => Some(*flows),
+            WorkloadSpec::Pattern { flows_per_pair, .. } => hosts.checked_mul(*flows_per_pair),
+            WorkloadSpec::Poisson {
+                rate_flows_per_sec,
+                duration,
+                ..
+            } => {
+                let expected = (rate_flows_per_sec * duration.as_secs_f64()).ceil();
+                // Infinite and NaN counts compare false here, like finite overflows.
+                (expected < usize::MAX as f64).then_some(expected as usize)
+            }
+            WorkloadSpec::PermutationAtLoad { .. } => Some(hosts),
+            WorkloadSpec::Coflow { coflows, width, .. } => coflows.checked_mul(*width),
+            WorkloadSpec::Manual(flows) => Some(flows.len()),
+        }
+    }
+
     /// Whether [`WorkloadSpec::generate`] can draw this workload on `topo`: a stride
-    /// that is a multiple of the host count would send every host to itself. (What
-    /// depends on no topology is refused at parse time.)
+    /// that is a multiple of the host count would send every host to itself, and more
+    /// than 2²⁴ flows would not fit. (What depends on no topology is refused at parse
+    /// time.)
     pub(crate) fn fits(&self, topo: &Topology) -> Result<(), String> {
         let hosts = topo.host_count();
         match self {
@@ -455,7 +481,13 @@ impl WorkloadSpec {
             } if i % hosts == 0 => Err(format!(
                 "pattern stride:{i} on {hosts} hosts would send every host to itself"
             )),
-            _ => Ok(()),
+            _ => match self.flow_count(topo) {
+                Some(flows) if flows <= MAX_FLOWS => Ok(()),
+                flows => Err(format!(
+                    "the workload would draw {} flows, more than the {MAX_FLOWS} a run may hold",
+                    flows.map_or(format!("over {}", usize::MAX), |n| n.to_string())
+                )),
+            },
         }
     }
 
@@ -881,6 +913,75 @@ mod tests {
         assert_ne!(w.generate(&topo, 5), w.generate(&topo, 6));
         // Ids start at 1, matching the historical harness.
         assert_eq!(w.generate(&topo, 5)[0].id.value(), 1);
+    }
+
+    #[test]
+    fn flow_counts_follow_the_generators_and_are_capped() {
+        let topo = default_paper_tree();
+        let (sizes, deadlines) = (SizeDist::query, DeadlineDist::paper_default);
+        let pairs = |flows| WorkloadSpec::RandomPairs {
+            flows,
+            spread: SimTime::from_millis(1),
+            sizes: sizes(),
+        };
+        let pattern = |flows_per_pair| WorkloadSpec::Pattern {
+            pattern: Pattern::RandomPermutation,
+            sizes: sizes(),
+            deadlines: deadlines(),
+            flows_per_pair,
+        };
+        let poisson = |rate_flows_per_sec| WorkloadSpec::Poisson {
+            rate_flows_per_sec,
+            duration: SimTime::from_millis(250),
+            sizes: sizes(),
+            short_deadlines: deadlines(),
+            short_flow_threshold_bytes: 40_000,
+            pattern: Pattern::RandomPermutation,
+        };
+        let coflow = |coflows, width| WorkloadSpec::Coflow {
+            coflows,
+            width,
+            rate_coflows_per_sec: 400.0,
+            sizes: sizes(),
+            deadlines: deadlines(),
+        };
+        // What the generators draw: a random permutation has one pair per host.
+        for w in [
+            WorkloadSpec::QueryAggregation {
+                flows: 9,
+                sizes: sizes(),
+                deadlines: deadlines(),
+            },
+            pattern(3),
+            WorkloadSpec::PermutationAtLoad {
+                load: 1.0,
+                sizes: sizes(),
+                deadlines: deadlines(),
+            },
+            pairs(7),
+            coflow(5, 3),
+        ] {
+            let drawn = w.generate(&topo, 1).len();
+            assert_eq!(w.flow_count(&topo), Some(drawn), "{}", w.kind());
+        }
+        // Poisson arrivals: the expected count.
+        assert_eq!(poisson(2_000.0).flow_count(&topo), Some(500));
+
+        // 2^24 flows fit; one more, or a count that overflows, does not.
+        assert!(pairs(MAX_FLOWS).fits(&topo).is_ok());
+        for (w, count) in [
+            (pairs(MAX_FLOWS + 1), "16777217"),
+            (pairs(1_000_000_000_000), "1000000000000"),
+            (pattern(1_000_000_000_000), "12000000000000"),
+            (pattern(usize::MAX), "over 18446744073709551615"),
+            (poisson(1e12), "250000000000"),
+            (poisson(1e308), "over 18446744073709551615"),
+            (coflow(usize::MAX, 2), "over 18446744073709551615"),
+        ] {
+            let err = w.fits(&topo).unwrap_err();
+            let want = format!("would draw {count} flows, more than the 16777216");
+            assert!(err.contains(&want), "{}: {err}", w.kind());
+        }
     }
 
     #[test]

@@ -23,8 +23,8 @@ use crate::scenario::Scenario;
 #[derive(Clone, Debug)]
 pub enum BackendResults {
     /// Results of a packet-level run. Boxed: `SimResults` is by far the largest
-    /// record (flow/link/trace maps plus scheduler telemetry) and would otherwise
-    /// dominate the size of every `RunSummary`.
+    /// record (flow records, link counters, trace maps plus scheduler telemetry) and
+    /// would otherwise dominate the size of every `RunSummary`.
     Packet(Box<SimResults>),
     /// Results of a flow-level run.
     Flow(FlowLevelResults),
@@ -451,26 +451,24 @@ impl RunSummary {
     /// original run's stored fingerprint, so cached and fresh results of the same
     /// scenario always agree.
     pub fn fingerprint(&self) -> String {
+        let mut out = format!("end={};", self.end_time.as_nanos());
         let mut rows: Vec<(u64, String)> = match &self.results {
             BackendResults::Cached(r) => return r.fingerprint.clone(),
-            BackendResults::Packet(results) => results
-                .top_level_flows()
-                .map(|r| {
+            // Packet records are in id order already: each row goes straight out.
+            BackendResults::Packet(results) => {
+                for r in results.top_level_flows() {
                     let done = r.completed_at.map(|t| t.as_nanos()).unwrap_or(0);
                     let term = r.terminated_at.map(|t| t.as_nanos()).unwrap_or(0);
-                    (
+                    let _ = write!(
+                        out,
+                        "{}:{:?}:{done}:{term}:{};",
                         r.spec.id.value(),
-                        format!(
-                            "{}:{:?}:{}:{}:{}",
-                            r.spec.id.value(),
-                            r.outcome(),
-                            done,
-                            term,
-                            r.bytes_acked
-                        ),
-                    )
-                })
-                .collect(),
+                        r.outcome(),
+                        r.bytes_acked
+                    );
+                }
+                Vec::new()
+            }
             BackendResults::Flow(results) => results
                 .flows
                 .values()
@@ -515,7 +513,6 @@ impl RunSummary {
                 .collect(),
         };
         rows.sort();
-        let mut out = format!("end={};", self.end_time.as_nanos());
         for (_, row) in rows {
             let _ = write!(out, "{row};");
         }

@@ -58,7 +58,7 @@ fn main() {
         let fct = res.mean_fct_all_secs().map(|v| v * 1e3).unwrap_or(f64::NAN);
         let terminated = res
             .flows
-            .values()
+            .iter()
             .filter(|r| r.terminated_at.is_some())
             .count();
         println!(

@@ -44,7 +44,7 @@ fn run_coflows(groups: &[Vec<u64>]) -> BTreeMap<u64, (f64, f64)> {
     }
     let res = sim.run();
     let mut per_coflow: BTreeMap<u64, (f64, f64)> = BTreeMap::new();
-    for rec in res.flows.values() {
+    for rec in &res.flows {
         let tag = rec.spec.coflow.expect("every flow is tagged");
         let done = rec
             .completed_at

@@ -138,11 +138,7 @@ fn multipath_pdq_completes_parents_and_subflows() {
     // Two parent flows completed...
     assert_eq!(res.completed_count(), 2);
     // ...and the subflows exist as their own records with a parent pointer.
-    let subflow_records = res
-        .flows
-        .values()
-        .filter(|r| r.spec.parent.is_some())
-        .count();
+    let subflow_records = res.flows.iter().filter(|r| r.spec.parent.is_some()).count();
     assert_eq!(subflow_records, 6);
 }
 
@@ -192,13 +188,10 @@ fn end_to_end_determinism() {
             9,
             TraceConfig::default(),
         );
-        let mut fcts: Vec<(u64, Option<SimTime>)> = res
-            .flows
-            .values()
+        res.flows
+            .iter()
             .map(|r| (r.spec.id.value(), r.fct()))
-            .collect();
-        fcts.sort();
-        fcts
+            .collect::<Vec<(u64, Option<SimTime>)>>()
     };
     assert_eq!(run(), run());
 }

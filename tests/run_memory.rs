@@ -34,9 +34,15 @@
 //! its named mutation. The overloaded run still peaks at 3 813 pending events: its
 //! peak comes after the last arrival, so arrivals queued one at a time leave it
 //! where it was, and the regime check holds.
+//!
+//! The steady run also bounds the largest single allocation. Its flow records are
+//! built in place in the slot slab's buffer, so nothing it allocates is larger than
+//! that slab: 168 000 B, 1 000 slots of 168 B (346 128 B when the records went into a
+//! hash map allocated after the run). The overloaded run's largest allocation is an
+//! event-queue buffer (327 680 B), so the bound does not apply to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 use pdq_experiments::common::registry;
 use pdq_netsim::SimTime;
@@ -47,10 +53,13 @@ struct LiveBytes;
 // Statistics only: nothing else is published through these, so `Relaxed` is enough.
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PEAK: AtomicI64 = AtomicI64::new(0);
+/// The largest single allocation (or reallocation's new size) since the last reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes as i64, Ordering::Relaxed) + bytes as i64;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    LARGEST.fetch_max(bytes, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which upholds
@@ -97,15 +106,21 @@ fn engine_scale(spread: SimTime) -> Scenario {
     scenario
 }
 
-/// Run `scenario`, returning its summary and the peak live heap the run added.
-fn peak_live(scenario: &Scenario) -> (RunSummary, u64) {
+/// Run `scenario`, returning its summary, the peak live heap the run added and the
+/// largest single allocation it made.
+fn peak_live(scenario: &Scenario) -> (RunSummary, u64, usize) {
     let registry = registry(); // initialised outside the measurement
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
+    LARGEST.store(0, Ordering::Relaxed);
     let run = scenario.run(registry).unwrap_or_else(|e| panic!("{e}"));
     let peak = (PEAK.load(Ordering::Relaxed) - before) as u64;
-    (run, peak)
+    (run, peak, LARGEST.load(Ordering::Relaxed))
 }
+
+/// The most a flow's engine slot may take (`size_of::<FlowState>()`, pinned by
+/// `pdq-netsim`'s `flow_state_stays_small`; 168 bytes now).
+const SLOT_BYTES_CAP: usize = 200;
 
 // One test in this binary: the counters are process-wide.
 #[test]
@@ -114,11 +129,12 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         ("overloaded", 1_000, 2_920_000),
         ("steady", 66_000, 1_040_000),
     ] {
-        let (run, peak) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
+        let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         let (queue, engine) = (run.packet().queue, run.packet().engine);
         let live = engine.live_flows_high_water;
         eprintln!(
-            "{case}: peak live {peak} B; {} events, {} pending at most, {live} flows live at most",
+            "{case}: peak live {peak} B, largest allocation {largest} B; {} events, \
+             {} pending at most, {live} flows live at most",
             queue.pops, queue.peak_pending
         );
         assert_eq!(run.completed, run.flows, "{case}: every flow completes");
@@ -134,5 +150,14 @@ fn pdq_runs_hold_memory_for_what_is_live() {
             peak < bound,
             "{case}: peak live heap of the run was {peak} bytes (bound {bound})"
         );
+        // The records are built in the slot slab's own buffer: nothing the run
+        // allocates is larger than the slab.
+        if case == "steady" {
+            let slab = FLOWS * SLOT_BYTES_CAP;
+            assert!(
+                largest <= slab,
+                "{case}: a {largest}-byte allocation, larger than the slot slab ({slab} B)"
+            );
+        }
     }
 }

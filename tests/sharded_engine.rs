@@ -29,14 +29,22 @@ fn committed_engine_scale_spec_matches_the_code() {
 
 /// The tentpole determinism claim: for a loss-free scenario with no run-time flow
 /// spawning, every shard count produces the identical flow-outcome fingerprint —
-/// 1 shard is the sequential engine, N shards the conservative-lookahead one.
+/// 1 shard is the sequential engine, N shards the conservative-lookahead one. At
+/// every shard count each of the 300 flows has one record, in id order.
 #[test]
 fn engine_scale_fingerprint_is_shard_count_invariant() {
     let scenario = engine_scale_scenario(Scale::Quick);
-    let sequential = fingerprint_at(&scenario, 1);
+    let run_at = |shards| {
+        let run = scenario.clone().engine_threads(shards).run(registry());
+        let run = run.unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(run.packet().flows.len(), 300, "{shards} shard(s)");
+        assert_records_in_id_order(run.packet(), &format!("{shards} shard(s)"));
+        run.fingerprint()
+    };
+    let sequential = run_at(1);
     for shards in [2, 4] {
         assert_eq!(
-            fingerprint_at(&scenario, shards),
+            run_at(shards),
             sequential,
             "shard count {shards} diverged from the sequential engine"
         );
@@ -64,6 +72,33 @@ fn wan_fingerprint_is_shard_count_invariant_despite_loss() {
             fingerprint_at(&scenario, shards),
             sequential,
             "shard count {shards} diverged on the lossy WAN scenario"
+        );
+    }
+}
+
+/// `results.flows` holds one record per arrived flow, strictly ascending by id, and
+/// `flow(id)` finds each of them; an id no flow has gives `None`.
+fn assert_records_in_id_order(results: &pdq_netsim::SimResults, context: &str) {
+    use pdq_netsim::FlowId;
+    let ids: Vec<FlowId> = results.flows.iter().map(|r| r.spec.id).collect();
+    assert!(
+        ids.windows(2).all(|pair| pair[0] < pair[1]),
+        "{context}: records not strictly ascending by id"
+    );
+    assert_eq!(
+        ids.len() as u64,
+        results.engine.arrivals,
+        "{context}: not one record per arrived flow"
+    );
+    for record in &results.flows {
+        assert_eq!(results.flow(record.spec.id), Some(record), "{context}");
+    }
+    let past_the_last = ids.last().map_or(1, |id| id.value() + 1);
+    for absent in [0, past_the_last, u64::MAX] {
+        assert_eq!(
+            results.flow(FlowId(absent)),
+            None,
+            "{context}: flow {absent}"
         );
     }
 }
@@ -105,11 +140,6 @@ fn lossy_fat_tree_is_shard_count_invariant() {
         assert_eq!(assignment.shards(), shards);
         sim.run_sharded(&assignment, |_| Box::new(EcmpRouter::new()))
     };
-    let records = |results: &SimResults| -> Vec<String> {
-        let mut records: Vec<_> = results.flows.values().collect();
-        records.sort_by_key(|r| r.spec.id);
-        records.iter().map(|r| format!("{r:?}")).collect()
-    };
     let fingerprint = |results: SimResults| {
         RunSummary::new(&Scenario::new("lossy-fat-tree"), PDQ_FULL.into(), results).fingerprint()
     };
@@ -122,10 +152,12 @@ fn lossy_fat_tree_is_shard_count_invariant() {
         .sum();
     assert!(drops > 100, "only {drops} random drops");
     assert_eq!(sequential.completed_count(), flows.len());
-    let expected = (records(&sequential), fingerprint(sequential));
+    assert_records_in_id_order(&sequential, "lossy fat-tree, 1 shard");
+    let expected = (sequential.flows.clone(), fingerprint(sequential));
     for shards in [2, 4] {
         let sharded = run(shards);
-        let got = (records(&sharded), fingerprint(sharded));
+        assert_records_in_id_order(&sharded, &format!("lossy fat-tree, {shards} shards"));
+        let got = (sharded.flows.clone(), fingerprint(sharded));
         assert_eq!(
             got, expected,
             "{shards} shards diverged on the lossy fat-tree"
