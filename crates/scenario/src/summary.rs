@@ -720,6 +720,203 @@ mod tests {
         assert_eq!(back.coflow_deadline_miss_rate(), Some(0.5));
     }
 
+    /// Summarize hand-built `results` the way [`Scenario::run`] does, coflows
+    /// joined against `specs`.
+    fn summarize(results: BackendResults, specs: &[FlowSpec]) -> RunSummary {
+        let scenario = Scenario::new("pin");
+        let mut summary = match results {
+            BackendResults::Packet(r) => RunSummary::new(&scenario, "label".into(), *r),
+            BackendResults::Flow(r) => RunSummary::from_flow(&scenario, "label".into(), r),
+            BackendResults::Fluid(r) => RunSummary::from_fluid(&scenario, "label".into(), r),
+            BackendResults::Cached(_) => unreachable!("only fresh results are summarized"),
+        };
+        summary.attach_coflows(specs);
+        summary
+    }
+
+    /// `(flows, completed, terminated, failed, unfinished, deadline_flows,
+    /// deadlines_met, goodput_bytes, end_time_ns)`.
+    fn counts(s: &RunSummary) -> [u64; 9] {
+        [
+            s.flows as u64,
+            s.completed as u64,
+            s.terminated as u64,
+            s.failed as u64,
+            s.unfinished as u64,
+            s.deadline_flows as u64,
+            s.deadlines_met as u64,
+            s.goodput_bytes,
+            s.end_time.as_nanos(),
+        ]
+    }
+
+    fn tagged(spec: FlowSpec, coflow: u64, deadline: Option<SimTime>) -> FlowSpec {
+        let tag = pdq_netsim::CoflowTag {
+            id: pdq_netsim::CoflowId(coflow),
+            bottleneck_bytes: spec.size_bytes,
+            deadline,
+        };
+        spec.with_coflow(tag)
+    }
+
+    #[test]
+    fn packet_runs_summarize_one_flow_per_outcome() {
+        use pdq_netsim::{FlowId, FlowRecord, NodeId};
+        let ms = SimTime::from_millis;
+        let spec = |id, size| FlowSpec::new(id, NodeId(0), NodeId(1), size);
+        let specs = vec![
+            tagged(
+                spec(1, 1_000).with_arrival(ms(1)).with_deadline(ms(10)),
+                1,
+                Some(ms(10)),
+            ),
+            spec(2, 2_000).with_deadline(ms(3)),
+            spec(3, 3_000),
+            tagged(spec(4, 4_000), 2, None),
+        ];
+        let mut records: Vec<FlowRecord> = specs.iter().cloned().map(FlowRecord::new).collect();
+        records[0].completed_at = Some(ms(5));
+        records[0].bytes_acked = 1_000;
+        records[1].terminated_at = Some(ms(2));
+        records[1].bytes_acked = 300;
+        records[2].failed = true;
+        records[3].bytes_acked = 50;
+        // An M-PDQ subflow of flow 1: accounted to its parent, never counted itself.
+        let mut sub = FlowRecord::new(FlowSpec {
+            parent: Some(FlowId(1)),
+            ..spec(5, 500).with_deadline(ms(1))
+        });
+        sub.completed_at = Some(ms(4));
+        sub.bytes_acked = 500;
+        records.push(sub);
+        let results = SimResults {
+            flows: records,
+            end_time: ms(20),
+            ..SimResults::default()
+        };
+
+        let s = summarize(BackendResults::Packet(Box::new(results)), &specs);
+        assert_eq!(counts(&s), [4, 1, 1, 1, 1, 2, 1, 1_350, 20_000_000]);
+        assert_eq!(
+            (s.mean_fct_secs, s.p99_fct_secs, s.max_fct_secs),
+            (Some(0.004), Some(0.004), Some(0.004))
+        );
+        assert_eq!(
+            (s.coflows, s.coflows_completed, s.coflow_deadlines),
+            (2, 1, 1)
+        );
+        assert_eq!(s.coflow_deadlines_met, 1);
+        assert_eq!(
+            (s.mean_cct_secs, s.p95_cct_secs),
+            (Some(0.004), Some(0.004))
+        );
+        assert_eq!(
+            s.fingerprint(),
+            "end=20000000;1:Completed:5000000:0:1000;2:Terminated:0:2000000:300;\
+             3:Failed:0:0:0;4:Active:0:0:50;cct=2:1:1:1:0.004:0.004;"
+        );
+    }
+
+    #[test]
+    fn flow_level_runs_summarize_one_flow_per_outcome() {
+        use pdq_flowsim::FlowLevelRecord;
+        use pdq_netsim::{FlowId, NodeId};
+        let ms = SimTime::from_millis;
+        let record = |id, size_bytes, deadline| FlowLevelRecord {
+            id: FlowId(id),
+            size_bytes,
+            arrival: ms(1),
+            deadline,
+            completed_at: None,
+            terminated: false,
+        };
+        let mut completed = record(1, 2_000, Some(ms(10)));
+        completed.completed_at = Some(ms(6));
+        let mut terminated = record(2, 3_000, Some(ms(2)));
+        terminated.terminated = true;
+        let active = record(3, 4_000, None);
+        let specs = vec![tagged(
+            FlowSpec::new(1, NodeId(0), NodeId(1), 2_000).with_arrival(ms(1)),
+            7,
+            None,
+        )];
+        let results = FlowLevelResults {
+            flows: [active, completed, terminated]
+                .into_iter()
+                .map(|r| (r.id, r))
+                .collect(),
+        };
+
+        let s = summarize(BackendResults::Flow(results), &specs);
+        assert_eq!(counts(&s), [3, 1, 1, 0, 1, 2, 1, 2_000, 6_000_000]);
+        assert_eq!(
+            (s.mean_fct_secs, s.p99_fct_secs, s.max_fct_secs),
+            (Some(0.005), Some(0.005), Some(0.005))
+        );
+        assert_eq!((s.coflows, s.coflows_completed), (1, 1));
+        assert_eq!(
+            (s.mean_cct_secs, s.p95_cct_secs),
+            (Some(0.005), Some(0.005))
+        );
+        assert_eq!(
+            s.fingerprint(),
+            "end=6000000;1:Completed:6000000:0:2000;2:Terminated:0:0:0;3:Active:0:0:0;\
+             cct=1:1:0:0:0.005:0.005;"
+        );
+    }
+
+    #[test]
+    fn fluid_runs_summarize_completed_and_unfinished_flows() {
+        use pdq_flowsim::{FluidFlow, FluidFlowRecord, FluidModel};
+        use pdq_netsim::NodeId;
+        let record = |id, size, deadline, completion| FluidFlowRecord {
+            id,
+            flow: FluidFlow { size, deadline },
+            completion,
+        };
+        // Input (arrival) order, not id order. Flow 2 meets its deadline inside the
+        // model's 1e-6 s tolerance; flow 3 never finished.
+        let results = FluidResults {
+            model: FluidModel::D3,
+            flows: vec![
+                record(2, 3.0, Some(3.0), Some(3.000_000_5)),
+                record(1, 1.0, None, Some(1.0)),
+                record(3, 5.0, Some(4.0), None),
+            ],
+        };
+        // The coflow's members arrive late in the spec, but the fluid model starts
+        // every flow at time zero, so its CCT is the last member's completion.
+        let specs: Vec<FlowSpec> = [1, 2]
+            .into_iter()
+            .map(|id| {
+                let spec = FlowSpec::new(id, NodeId(0), NodeId(1), id)
+                    .with_arrival(SimTime::from_millis(500));
+                tagged(spec, 9, Some(SimTime::from_secs(4)))
+            })
+            .collect();
+
+        let s = summarize(BackendResults::Fluid(results), &specs);
+        assert_eq!(counts(&s), [3, 2, 0, 0, 1, 2, 1, 4, 3_000_000_500]);
+        assert_eq!(
+            (s.mean_fct_secs, s.p99_fct_secs, s.max_fct_secs),
+            (
+                Some((1.0 + 3.000_000_5) / 2.0),
+                Some(3.000_000_5),
+                Some(3.000_000_5)
+            )
+        );
+        assert_eq!(
+            (s.coflows, s.coflows_completed, s.coflow_deadlines_met),
+            (1, 1, 1)
+        );
+        assert_eq!(s.mean_cct_secs, Some(3.000_000_5));
+        assert_eq!(
+            s.fingerprint(),
+            "end=3000000500;1:Completed:1000000000:0:1;2:Completed:3000000500:0:3;\
+             3:Active:0:0:0;cct=1:1:1:1:3.0000005:3.0000005;"
+        );
+    }
+
     #[test]
     fn from_record_rejects_missing_and_malformed_keys() {
         let record = cached_summary().to_record();

@@ -222,10 +222,49 @@ fn digest(fingerprint: &str) -> String {
 /// Every protocol family's exact behaviour, pinned by digest at one and two shards:
 /// the lossy paced WAN under each sender (TCP, RCP, D3 and PDQ retransmit on timeouts
 /// there) and the engine-scale fat-tree. A change to any sender's timers or to the
-/// engine's timer path that alters a single event's order shows up here.
+/// engine's timer path that alters a single event's order shows up here. The
+/// committed flow-level and fluid specs pin the other two backends' fingerprint rows
+/// (the shard count does not apply to them).
 #[test]
 fn protocol_fingerprints_are_pinned() {
+    let spec = |text: &str, protocol: &str| {
+        Scenario::from_spec(text)
+            .expect("committed spec parses")
+            .protocol(protocol)
+    };
+    let flow = include_str!("../specs/fig8a_flow.scn");
+    let fluid = include_str!("../specs/fig1_fluid.scn");
     let cases = [
+        (
+            "fig8a_flow pdq(full)",
+            spec(flow, "pdq(full)"),
+            "6952b89e348ba11cffd5c01d16c82196",
+        ),
+        (
+            "fig8a_flow rcp",
+            spec(flow, "rcp"),
+            "0cc21ce61104d65c1d319fdb9632af9a",
+        ),
+        (
+            "fig8a_flow d3",
+            spec(flow, "d3"),
+            "1b9151436f272baad3db7c1fb4160b4d",
+        ),
+        (
+            "fig1_fluid tcp",
+            spec(fluid, "tcp"),
+            "2441e7bbd04162acedcfbb74730044a6",
+        ),
+        (
+            "fig1_fluid pdq(full)",
+            spec(fluid, "pdq(full)"),
+            "a0e0c282258581948d69aa73475c3612",
+        ),
+        (
+            "fig1_fluid d3",
+            spec(fluid, "d3"),
+            "2bb5ee4a2a23a578b23ad50ad962854b",
+        ),
         (
             "wan tcp",
             wan_scenario(Scale::Quick, "tcp", true),
