@@ -61,8 +61,8 @@ fn row(label: &str, summary: &RunSummary) -> Vec<String> {
         completion(1),
         completion(2),
         completion(3),
-        fluid
-            .mean_fct_secs()
+        summary
+            .mean_fct_secs
             .map(|m| format!("{m:.2}"))
             .unwrap_or_else(|| "-".to_string()),
         format!("{}/{}", summary.deadlines_met, summary.deadline_flows),

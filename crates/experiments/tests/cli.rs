@@ -348,15 +348,51 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
         ),
     ] {
         assert!(fig8a.contains(line), "{line}");
-        let (dir, spec) = temp_spec(tag, &fig8a.replace(line, replacement));
-        let mut run = binary();
-        run.arg("run-spec").arg(&spec);
-        let out = output_within(run, 60);
-        std::fs::remove_dir_all(&dir).ok();
-        let stderr = String::from_utf8(out.stderr).unwrap();
-        assert_eq!(out.status.code(), Some(2), "{replacement}: {stderr}");
-        assert!(stderr.contains(needle), "{replacement}: {stderr}");
+        exits_2(tag, &fig8a.replace(line, replacement), needle);
     }
+    // Manual flows no backend can run, on each backend: they used to panic (exit
+    // 101), record a failed flow, run to the stop time or complete, depending on the
+    // backend, and were all accepted by the fluid one. Nodes 1-4 of
+    // `single_bottleneck:3` are hosts and node 0 its switch.
+    let tail = &fig8a[fig8a.find("\nbackend = flow").unwrap() + 1..];
+    for backend in ["packet", "flow", "fluid"] {
+        for (tag, flows, needle) in [
+            (
+                "outside",
+                "flow = 1 1 99 50000 0 -",
+                "not two distinct hosts",
+            ),
+            ("self", "flow = 1 1 1 50000 0 -", "not two distinct hosts"),
+            ("switch", "flow = 1 0 4 50000 0 -", "not two distinct hosts"),
+            (
+                "sameid",
+                "flow = 1 1 4 50000 0 -\nflow = 1 2 4 50000 0 -",
+                "used by two flows",
+            ),
+        ] {
+            let manual = format!(
+                "backend = {backend}\nseed = 5\nstop_at_ns = 50000000\n\
+                 topology = single_bottleneck:3\nworkload = manual\n{flows}\n"
+            );
+            exits_2(
+                &format!("{tag}{backend}"),
+                &fig8a.replace(tail, &manual),
+                needle,
+            );
+        }
+    }
+}
+
+/// `run-spec` on a spec file holding `text` exits 2 with `needle` on stderr.
+fn exits_2(tag: &str, text: &str, needle: &str) {
+    let (dir, spec) = temp_spec(tag, text);
+    let mut run = binary();
+    run.arg("run-spec").arg(&spec);
+    let out = output_within(run, 60);
+    std::fs::remove_dir_all(&dir).ok();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(2), "{tag}: {stderr}");
+    assert!(stderr.contains(needle), "{tag}: {stderr}");
 }
 
 #[test]

@@ -6,8 +6,12 @@
 //! inefficiencies (flow-initialization latency and header overhead). This module
 //! provides that simulator for PDQ, RCP and D3, and is used for the Figure 8
 //! (scale), Figure 11 (load) and Figure 12 (aging) experiments.
-
-use std::collections::HashMap;
+//!
+//! A run yields one [`FlowLevelRecord`] per flow, in flow-id order, and nothing
+//! more: mean and percentile FCTs, deadline counts and the fingerprint come from
+//! the scenario layer's summary, the same code that summarizes packet and fluid
+//! runs. RCP and D3's max-min share is found by progressive filling with ties
+//! broken by link index, so a run is a function of its inputs and seed alone.
 
 use pdq_netsim::{FlowId, FlowSpec, SimTime};
 use pdq_topology::{EcmpRouter, Topology};
@@ -108,87 +112,15 @@ impl FlowLevelRecord {
 /// Results of a flow-level run.
 #[derive(Clone, Debug, Default)]
 pub struct FlowLevelResults {
-    /// Per-flow records.
-    pub flows: HashMap<FlowId, FlowLevelRecord>,
+    /// One record per flow, in ascending flow-id order.
+    pub flows: Vec<FlowLevelRecord>,
 }
 
 impl FlowLevelResults {
-    /// Mean FCT in seconds over completed flows matching `filter`.
-    pub fn mean_fct_secs<F: Fn(&FlowLevelRecord) -> bool>(&self, filter: F) -> Option<f64> {
-        let mut fcts: Vec<f64> = self
-            .flows
-            .values()
-            .filter(|r| filter(r))
-            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
-            .collect();
-        if fcts.is_empty() {
-            return None;
-        }
-        // f64 addition is order-sensitive at the last ulp and `flows` is a
-        // HashMap with per-process iteration order: sum in sorted order so the
-        // mean is bit-identical across runs (and matches cached records).
-        fcts.sort_by(f64::total_cmp);
-        Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
-    }
-
-    /// Mean FCT over all completed flows.
-    pub fn mean_fct_all_secs(&self) -> Option<f64> {
-        self.mean_fct_secs(|_| true)
-    }
-
-    /// FCT percentile in seconds over completed flows — the same index convention
-    /// as the packet-level `SimResults::fct_percentile_secs`, so flow- and
-    /// packet-level percentile columns stay comparable in one table.
-    pub fn fct_percentile_secs(&self, percentile: f64) -> Option<f64> {
-        let mut fcts: Vec<f64> = self
-            .flows
-            .values()
-            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
-            .collect();
-        if fcts.is_empty() {
-            return None;
-        }
-        fcts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((percentile / 100.0) * (fcts.len() as f64 - 1.0)).round() as usize;
-        Some(fcts[idx.min(fcts.len() - 1)])
-    }
-
-    /// Maximum FCT in seconds over completed flows.
-    pub fn max_fct_secs(&self) -> Option<f64> {
-        self.flows
-            .values()
-            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-
-    /// Fraction of deadline-constrained flows that met their deadline.
-    pub fn application_throughput(&self) -> Option<f64> {
-        let with_deadline: Vec<&FlowLevelRecord> = self
-            .flows
-            .values()
-            .filter(|r| r.deadline.is_some())
-            .collect();
-        if with_deadline.is_empty() {
-            return None;
-        }
-        let met = with_deadline.iter().filter(|r| r.met_deadline()).count();
-        Some(met as f64 / with_deadline.len() as f64)
-    }
-
-    /// FCT of a particular flow in seconds.
+    /// FCT of a particular flow in seconds (a binary search).
     pub fn fct_of(&self, id: FlowId) -> Option<f64> {
-        self.flows
-            .get(&id)
-            .and_then(|r| r.fct())
-            .map(|t| t.as_secs_f64())
-    }
-
-    /// Number of completed flows.
-    pub fn completed_count(&self) -> usize {
-        self.flows
-            .values()
-            .filter(|r| r.completed_at.is_some())
-            .count()
+        let at = self.flows.binary_search_by_key(&id, |r| r.id).ok()?;
+        self.flows[at].fct().map(|t| t.as_secs_f64())
     }
 }
 
@@ -201,6 +133,7 @@ struct ActiveFlow {
     start: SimTime,
     deadline: Option<SimTime>,
     max_rate: f64,
+    /// Position in the input flow list: D3's reservation order and the flow's record.
     arrival_order: usize,
 }
 
@@ -222,7 +155,7 @@ pub fn run_flow_level(
 
     // Route every flow once (flow-level ECMP), set up its record.
     let mut pending: Vec<ActiveFlow> = Vec::with_capacity(flows.len());
-    let mut results = FlowLevelResults::default();
+    let mut records: Vec<FlowLevelRecord> = Vec::with_capacity(flows.len());
     for (order, spec) in flows.iter().enumerate() {
         let path = router.random_shortest_path(&topo.net, spec.src, spec.dst, &mut rng);
         let links: Vec<usize> = path.links.iter().map(|l| l.index()).collect();
@@ -241,17 +174,14 @@ pub fn run_flow_level(
             max_rate,
             arrival_order: order,
         });
-        results.flows.insert(
-            spec.id,
-            FlowLevelRecord {
-                id: spec.id,
-                size_bytes: spec.size_bytes,
-                arrival: spec.arrival,
-                deadline: spec.deadline,
-                completed_at: None,
-                terminated: false,
-            },
-        );
+        records.push(FlowLevelRecord {
+            id: spec.id,
+            size_bytes: spec.size_bytes,
+            arrival: spec.arrival,
+            deadline: spec.deadline,
+            completed_at: None,
+            terminated: false,
+        });
     }
     pending.sort_by_key(|f| f.start);
 
@@ -291,9 +221,7 @@ pub fn run_flow_level(
                     FlowProtocol::Rcp => false,
                 };
                 if hopeless {
-                    if let Some(rec) = results.flows.get_mut(&f.id) {
-                        rec.terminated = true;
-                    }
+                    records[f.arrival_order].terminated = true;
                 }
                 !hopeless
             });
@@ -322,9 +250,7 @@ pub fn run_flow_level(
             if delivered >= f.remaining_bits {
                 let frac = f.remaining_bits / r;
                 let done_at = now + SimTime::from_secs_f64(frac);
-                if let Some(rec) = results.flows.get_mut(&f.id) {
-                    rec.completed_at = Some(done_at);
-                }
+                records[f.arrival_order].completed_at = Some(done_at);
                 f.remaining_bits = 0.0;
                 finished.push(i);
             } else {
@@ -337,7 +263,8 @@ pub fn run_flow_level(
         now += cfg.step;
     }
 
-    results
+    records.sort_by_key(|r| r.id);
+    FlowLevelResults { flows: records }
 }
 
 /// Compute the per-flow rate allocation for one step.
@@ -349,7 +276,7 @@ fn allocate_rates(
 ) -> Vec<f64> {
     match cfg.protocol {
         FlowProtocol::Pdq => pdq_waterfill(active, capacities, cfg, now),
-        FlowProtocol::Rcp => max_min_fair(active, capacities, &vec![0.0; active.len()]),
+        FlowProtocol::Rcp => max_min_fair(active, capacities),
         FlowProtocol::D3 => {
             // Phase 1: deadline flows reserve their desired rate in arrival order.
             let mut residual = capacities.to_vec();
@@ -377,7 +304,7 @@ fn allocate_rates(
                 }
             }
             // Phase 2: the leftover is shared max-min among everyone.
-            let extra = max_min_fair_with_capacity(active, &residual, &reserved);
+            let extra = max_min_fair(active, &residual);
             reserved.iter().zip(extra).map(|(r, e)| r + e).collect()
         }
     }
@@ -426,51 +353,34 @@ fn pdq_waterfill(
     rates
 }
 
-/// Standard link-constrained max-min fair allocation (progressive filling).
-fn max_min_fair(active: &[ActiveFlow], capacities: &[f64], already: &[f64]) -> Vec<f64> {
-    max_min_fair_with_capacity(active, capacities, already)
-}
-
-fn max_min_fair_with_capacity(
-    active: &[ActiveFlow],
-    capacities: &[f64],
-    _already: &[f64],
-) -> Vec<f64> {
+/// Link-constrained max-min fair allocation by progressive filling: each round the
+/// bottleneck is the link with the smallest residual capacity per unfrozen flow
+/// crossing it (ties go to the lowest link index), and its flows freeze at that
+/// share.
+fn max_min_fair(active: &[ActiveFlow], capacities: &[f64]) -> Vec<f64> {
     let n = active.len();
     let mut rates = vec![0.0f64; n];
-    if n == 0 {
-        return rates;
-    }
     let mut residual = capacities.to_vec();
     let mut frozen = vec![false; n];
-    let mut remaining = n;
-    // Progressive filling: repeatedly find the tightest link, freeze its flows.
+    let mut counts = vec![0usize; capacities.len()];
+    // Every round freezes at least one flow.
     for _ in 0..n {
-        if remaining == 0 {
-            break;
-        }
-        // Count unfrozen flows per link.
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for (i, f) in active.iter().enumerate() {
-            if frozen[i] {
-                continue;
-            }
+        counts.fill(0);
+        for (f, _) in active.iter().zip(&frozen).filter(|(_, &frozen)| !frozen) {
             for &l in &f.path {
-                *counts.entry(l).or_default() += 1;
+                counts[l] += 1;
             }
         }
-        // The bottleneck link is the one with the smallest residual share.
         let mut best: Option<(usize, f64)> = None;
-        for (&l, &c) in &counts {
-            let share = (residual[l].max(0.0)) / c as f64;
-            if best.map(|(_, s)| share < s).unwrap_or(true) {
+        for (l, &c) in counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            let share = residual[l].max(0.0) / c as f64;
+            if best.is_none_or(|(_, s)| share < s) {
                 best = Some((l, share));
             }
         }
         let Some((bottleneck, share)) = best else {
             break;
         };
-        // Freeze every unfrozen flow crossing the bottleneck at that share.
         for (i, f) in active.iter().enumerate() {
             if frozen[i] || !f.path.contains(&bottleneck) {
                 continue;
@@ -478,7 +388,6 @@ fn max_min_fair_with_capacity(
             let r = share.min(f.max_rate);
             rates[i] = r;
             frozen[i] = true;
-            remaining -= 1;
             for &l in &f.path {
                 residual[l] -= r;
             }
@@ -490,8 +399,23 @@ fn max_min_fair_with_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::LinkParams;
+    use pdq_netsim::{Fcts, LinkParams};
     use pdq_topology::{single_bottleneck, single_rooted_tree};
+
+    fn fcts(res: &FlowLevelResults) -> Fcts {
+        res.flows
+            .iter()
+            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
+            .collect()
+    }
+
+    /// The fraction of deadline flows that met their deadline.
+    fn application_throughput(res: &FlowLevelResults) -> Option<f64> {
+        let deadline = res.flows.iter().filter(|r| r.deadline.is_some());
+        let met = deadline.clone().filter(|r| r.met_deadline()).count();
+        let total = deadline.count();
+        (total > 0).then(|| met as f64 / total as f64)
+    }
 
     fn bottleneck_flows(sizes: &[u64], deadlines_ms: &[Option<u64>]) -> (Topology, Vec<FlowSpec>) {
         let topo = single_bottleneck(sizes.len(), LinkParams::default());
@@ -517,7 +441,7 @@ mod tests {
             bottleneck_flows(&[1_000_000, 2_000_000, 3_000_000], &[None, None, None]);
         let cfg = FlowLevelConfig::for_protocol(FlowProtocol::Pdq);
         let res = run_flow_level(&topo, &flows, &cfg, 1);
-        assert_eq!(res.completed_count(), 3);
+        assert!(res.flows.iter().all(|r| r.completed_at.is_some()));
         let f1 = res.fct_of(FlowId(1)).unwrap();
         let f2 = res.fct_of(FlowId(2)).unwrap();
         let f3 = res.fct_of(FlowId(3)).unwrap();
@@ -547,8 +471,8 @@ mod tests {
             &FlowLevelConfig::for_protocol(FlowProtocol::Rcp),
             1,
         );
-        let pdq_mean = pdq.mean_fct_all_secs().unwrap();
-        let rcp_mean = rcp.mean_fct_all_secs().unwrap();
+        let pdq_mean = fcts(&pdq).mean().unwrap();
+        let rcp_mean = fcts(&rcp).mean().unwrap();
         assert!(
             pdq_mean < rcp_mean * 0.85,
             "PDQ should clearly beat fair sharing: pdq={pdq_mean} rcp={rcp_mean}"
@@ -586,8 +510,8 @@ mod tests {
             &FlowLevelConfig::for_protocol(FlowProtocol::D3),
             1,
         );
-        assert_eq!(pdq.application_throughput(), Some(1.0), "{:?}", pdq.flows);
-        assert!(d3.application_throughput().unwrap() < 1.0);
+        assert_eq!(application_throughput(&pdq), Some(1.0), "{:?}", pdq.flows);
+        assert!(application_throughput(&d3).unwrap() < 1.0);
     }
 
     #[test]
@@ -611,8 +535,8 @@ mod tests {
         let mut aged_cfg = FlowLevelConfig::for_protocol(FlowProtocol::Pdq);
         aged_cfg.aging_alpha = Some(4.0);
         let aged = run_flow_level(&topo, &flows, &aged_cfg, 1);
-        let plain_max = plain.max_fct_secs().unwrap();
-        let aged_max = aged.max_fct_secs().unwrap();
+        let plain_max = fcts(&plain).max().unwrap();
+        let aged_max = fcts(&aged).max().unwrap();
         assert!(
             aged_max <= plain_max,
             "aging must not make the worst flow worse: {aged_max} vs {plain_max}"
@@ -625,12 +549,8 @@ mod tests {
             let few = bottleneck_flows(&[100_000; 3], &[Some(20); 3]);
             let many = bottleneck_flows(&[100_000; 40], &[Some(20); 40]);
             let cfg = FlowLevelConfig::for_protocol(proto);
-            let light = run_flow_level(&few.0, &few.1, &cfg, 1)
-                .application_throughput()
-                .unwrap();
-            let heavy = run_flow_level(&many.0, &many.1, &cfg, 1)
-                .application_throughput()
-                .unwrap();
+            let light = application_throughput(&run_flow_level(&few.0, &few.1, &cfg, 1)).unwrap();
+            let heavy = application_throughput(&run_flow_level(&many.0, &many.1, &cfg, 1)).unwrap();
             assert!(light >= heavy, "{proto:?}: light {light} heavy {heavy}");
             assert!(
                 light > 0.9,

@@ -95,7 +95,7 @@ pub use engine::{EngineStats, Router, ShortestPathRouter, SimConfig, Simulator};
 pub use event::{EventKind, EventQueue, QueueStats, TimerKind};
 pub use flow::{CoflowTag, FlowOutcome, FlowPath, FlowRecord, FlowSpec};
 pub use ids::{CoflowId, FlowId, FlowMap, FlowSet, LinkId, NodeId};
-pub use metrics::{Sample, SimResults, TraceConfig, Traces};
+pub use metrics::{Fcts, Sample, SimResults, TraceConfig, Traces};
 pub use network::{
     Link, LinkParams, LinkStats, Network, Node, NodeKind, DEFAULT_LINK_RATE_BPS,
     DEFAULT_PROCESSING_DELAY, DEFAULT_PROP_DELAY, DEFAULT_QUEUE_CAPACITY_BYTES,

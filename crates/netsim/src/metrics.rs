@@ -1,4 +1,5 @@
-//! Simulation results: per-flow records, link counters and time-series traces.
+//! Simulation results: per-flow records, link counters and time-series traces, and
+//! the one rule ([`Fcts`]) every summary computes FCT statistics by.
 
 use std::collections::HashMap;
 
@@ -105,28 +106,18 @@ impl SimResults {
             .count()
     }
 
+    /// Completion times of the completed top-level flows matching `filter`.
+    fn fcts<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Fcts {
+        self.top_level_flows()
+            .filter(|r| filter(r))
+            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
+            .collect()
+    }
+
     /// Mean flow completion time in seconds over completed flows matching `filter`.
     /// Returns `None` if no flow matches.
     pub fn mean_fct_secs<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Option<f64> {
-        let fcts = self.sorted_fcts_secs(filter);
-        if fcts.is_empty() {
-            return None;
-        }
-        Some(fcts.iter().sum::<f64>() / fcts.len() as f64)
-    }
-
-    /// Completion times in seconds of the completed top-level flows matching
-    /// `filter`, in ascending `f64::total_cmp` order. The records are in a
-    /// deterministic (id) order already, but f64 addition is order-sensitive at the
-    /// last ulp and cached run records hold means summed in FCT order.
-    fn sorted_fcts_secs<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Vec<f64> {
-        let mut fcts: Vec<f64> = self
-            .top_level_flows()
-            .filter(|r| filter(r))
-            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
-            .collect();
-        fcts.sort_by(f64::total_cmp);
-        fcts
+        self.fcts(filter).mean()
     }
 
     /// Mean FCT over all completed top-level flows.
@@ -141,20 +132,12 @@ impl SimResults {
         percentile: f64,
         filter: F,
     ) -> Option<f64> {
-        let fcts = self.sorted_fcts_secs(filter);
-        if fcts.is_empty() {
-            return None;
-        }
-        let idx = ((percentile / 100.0) * (fcts.len() as f64 - 1.0)).round() as usize;
-        Some(fcts[idx.min(fcts.len() - 1)])
+        self.fcts(filter).percentile(percentile)
     }
 
     /// Maximum completion time over completed flows matching `filter`, in seconds.
     pub fn max_fct_secs<F: Fn(&FlowRecord) -> bool>(&self, filter: F) -> Option<f64> {
-        self.top_level_flows()
-            .filter(|r| filter(r))
-            .filter_map(|r| r.fct().map(|t| t.as_secs_f64()))
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
+        self.fcts(filter).max()
     }
 
     /// Application throughput (paper §5.1): the fraction of deadline-constrained flows
@@ -196,6 +179,42 @@ impl SimResults {
             return 0.0;
         }
         (bytes as f64 * 8.0) / (rate_bps * self.end_time.as_secs_f64())
+    }
+}
+
+/// Flow completion times in seconds, sorted by [`f64::total_cmp`]: the one FCT rule
+/// every summary follows, whichever backend produced the times. The mean sums in
+/// that order (f64 addition is order-sensitive at the last ulp, and cached run
+/// records hold means summed this way), and percentile `p` is the time at index
+/// `round(p / 100 · (n − 1))`.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Fcts(Vec<f64>);
+
+impl FromIterator<f64> for Fcts {
+    fn from_iter<I: IntoIterator<Item = f64>>(fcts: I) -> Self {
+        let mut fcts: Vec<f64> = fcts.into_iter().collect();
+        fcts.sort_by(f64::total_cmp);
+        Fcts(fcts)
+    }
+}
+
+impl Fcts {
+    /// Mean completion time; `None` without completions.
+    pub fn mean(&self) -> Option<f64> {
+        let n = self.0.len();
+        (n > 0).then(|| self.0.iter().sum::<f64>() / n as f64)
+    }
+
+    /// The given percentile (0..=100) of completion time; `None` without completions.
+    pub fn percentile(&self, percentile: f64) -> Option<f64> {
+        let last = self.0.len().checked_sub(1)?;
+        let idx = ((percentile / 100.0) * last as f64).round() as usize;
+        Some(self.0[idx.min(last)])
+    }
+
+    /// The longest completion time; `None` without completions.
+    pub fn max(&self) -> Option<f64> {
+        self.0.last().copied()
     }
 }
 

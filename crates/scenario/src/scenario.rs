@@ -11,7 +11,7 @@ use crate::backend::SimBackend;
 use crate::kv;
 use crate::protocol::{ProtocolInstaller, ProtocolRegistry, RegistryError};
 use crate::spec::{TopologySpec, WorkloadSpec};
-use crate::summary::RunSummary;
+use crate::summary::{BackendResults, RunSummary};
 
 /// Default simulated-time cap: the harness' historical `run_packet_level` limit.
 pub const DEFAULT_STOP_AT: SimTime = SimTime::from_secs(20);
@@ -311,7 +311,7 @@ impl Scenario {
                     })?;
                 cfg.max_time = self.stop_at;
                 let results = run_flow_level(&topo, &flows, &cfg, self.seed);
-                RunSummary::from_flow(self, installer.label(), results)
+                RunSummary::summarize(self, installer.label(), BackendResults::Flow(results))
             }
             SimBackend::Fluid => {
                 let model = installer
@@ -322,7 +322,7 @@ impl Scenario {
                         supported: registry.families_supporting(SimBackend::Fluid),
                     })?;
                 let results = run_fluid(model, &lower_to_fluid(&flows));
-                RunSummary::from_fluid(self, installer.label(), results)
+                RunSummary::summarize(self, installer.label(), BackendResults::Fluid(results))
             }
         };
         summary.attach_coflows(&flows);

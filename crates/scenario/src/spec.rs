@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::{Range, RangeBounds, RangeInclusive};
 use std::str::FromStr;
 
-use pdq_netsim::{CoflowId, CoflowTag, FlowSpec, LinkParams, NodeId, SimTime};
+use pdq_netsim::{CoflowId, CoflowTag, FlowSpec, LinkParams, NodeId, NodeKind, SimTime};
 use pdq_topology::{
     bcube::{bcube, bcube_with_at_least},
     fattree::fat_tree_with_at_least,
@@ -465,11 +465,35 @@ impl WorkloadSpec {
     }
 
     /// Whether [`WorkloadSpec::generate`] can draw this workload on `topo`: a stride
-    /// that is a multiple of the host count would send every host to itself, and more
-    /// than 2²⁴ flows would not fit. (What depends on no topology is refused at parse
-    /// time.)
+    /// that is a multiple of the host count would send every host to itself, more
+    /// than 2²⁴ flows would not fit, and every manual flow must run between two
+    /// distinct hosts of `topo` under an id no other flow has. (What depends on no
+    /// topology is refused at parse time.)
     pub(crate) fn fits(&self, topo: &Topology) -> Result<(), String> {
         let hosts = topo.host_count();
+        if let WorkloadSpec::Manual(flows) = self {
+            let host = |n: NodeId| {
+                let node = topo.net.nodes.get(n.index());
+                node.is_some_and(|node| node.kind == NodeKind::Host)
+            };
+            if let Some(f) = flows
+                .iter()
+                .find(|f| f.src == f.dst || !host(f.src) || !host(f.dst))
+            {
+                return Err(format!(
+                    "flow {}: nodes {} -> {} are not two distinct hosts of {}",
+                    f.id.value(),
+                    f.src.0,
+                    f.dst.0,
+                    topo.name
+                ));
+            }
+            let mut ids: Vec<u64> = flows.iter().map(|f| f.id.value()).collect();
+            ids.sort_unstable();
+            if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+                return Err(format!("flow id {} is used by two flows", pair[0]));
+            }
+        }
         match self {
             WorkloadSpec::Pattern {
                 pattern: Pattern::Stride(i),

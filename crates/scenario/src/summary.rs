@@ -1,6 +1,14 @@
 //! Typed run outcomes: the [`RunSummary`] a scenario run produces, on any
 //! backend, plus the [`BackendResults`] holding the engine-specific records.
 //!
+//! One path summarizes every backend. Packet, flow-level and fluid results each
+//! map to the same private per-flow row (id, outcome, FCT, deadline met, arrival,
+//! and the fingerprint's `done`/`term`/`bytes` fields, each defined as its backend
+//! defines it). From those rows one constructor computes the counts and the FCT
+//! statistics ([`pdq_netsim::Fcts`]: sorted by `f64::total_cmp`, summed in that
+//! order), [`RunSummary::attach_coflows`] joins the coflow tags against them, and
+//! [`RunSummary::fingerprint`] writes them out in id order.
+//!
 //! A summary persists as a run record ([`RunSummary::to_record`]): the headline
 //! fields and the determinism fingerprint as `key = value` lines under a
 //! `# pdq run record v1` header, in the scenario spec's format. Absent metrics
@@ -9,7 +17,7 @@
 use std::fmt::Write as _;
 
 use pdq_flowsim::{FlowLevelResults, FluidResults};
-use pdq_netsim::{FlowOutcome, FlowSpec, SimResults, SimTime};
+use pdq_netsim::{Fcts, FlowOutcome, FlowSpec, SimResults, SimTime};
 
 use crate::backend::SimBackend;
 use crate::kv::{self, OrDash};
@@ -148,156 +156,149 @@ pub struct RunSummary {
     pub results: BackendResults,
 }
 
+/// One top-level flow's outcome as every summary statistic and the fingerprint read
+/// it. Each backend's records map onto rows ([`BackendResults::rows`]), and each
+/// field keeps that backend's definition:
+/// * `fct_secs`: packet and flow-level FCTs are whole nanoseconds; fluid FCTs are
+///   the model's unrounded seconds.
+/// * `deadline_met`: fluid completions meet a deadline within 1e-6 s.
+/// * `arrival`: fluid flows all start at time zero.
+/// * `term`: only the packet engine records when a flow was terminated; 0 elsewhere.
+/// * `bytes`: the packet engine counts distinct payload bytes acknowledged; the
+///   flow-level and fluid models count a completed flow's size, 0 otherwise.
+#[derive(Debug)]
+struct Row {
+    id: u64,
+    outcome: FlowOutcome,
+    /// Completion time in seconds, for a completed flow.
+    fct_secs: Option<f64>,
+    /// `Some(met)` for a flow that carried a deadline.
+    deadline_met: Option<bool>,
+    arrival: SimTime,
+    /// When the flow completed, in nanoseconds.
+    done: Option<u64>,
+    /// When the flow was terminated, in nanoseconds (0 if it was not).
+    term: u64,
+    bytes: u64,
+}
+
+impl BackendResults {
+    /// Every top-level flow's [`Row`], in ascending id order (none for a cached
+    /// summary).
+    fn rows(&self) -> Box<dyn Iterator<Item = Row> + '_> {
+        match self {
+            BackendResults::Packet(r) => Box::new(r.top_level_flows().map(|r| Row {
+                id: r.spec.id.value(),
+                outcome: r.outcome(),
+                fct_secs: r.fct().map(SimTime::as_secs_f64),
+                deadline_met: r.spec.deadline.map(|_| r.met_deadline()),
+                arrival: r.spec.arrival,
+                done: r.completed_at.map(SimTime::as_nanos),
+                term: r.terminated_at.map_or(0, SimTime::as_nanos),
+                bytes: r.bytes_acked,
+            })),
+            BackendResults::Flow(r) => Box::new(r.flows.iter().map(|r| Row {
+                id: r.id.value(),
+                outcome: match (r.completed_at, r.terminated) {
+                    (Some(_), _) => FlowOutcome::Completed,
+                    (None, true) => FlowOutcome::Terminated,
+                    (None, false) => FlowOutcome::Active,
+                },
+                fct_secs: r.fct().map(SimTime::as_secs_f64),
+                deadline_met: r.deadline.map(|_| r.met_deadline()),
+                arrival: r.arrival,
+                done: r.completed_at.map(SimTime::as_nanos),
+                term: 0,
+                bytes: r.completed_at.map_or(0, |_| r.size_bytes),
+            })),
+            BackendResults::Fluid(r) => {
+                let mut rows: Vec<Row> = r
+                    .flows
+                    .iter()
+                    .map(|r| Row {
+                        id: r.id,
+                        outcome: match r.completion {
+                            Some(_) => FlowOutcome::Completed,
+                            None => FlowOutcome::Active,
+                        },
+                        fct_secs: r.completion,
+                        deadline_met: r.flow.deadline.map(|_| r.met_deadline()),
+                        arrival: SimTime::ZERO,
+                        done: r.completion.map(|c| SimTime::from_secs_f64(c).as_nanos()),
+                        term: 0,
+                        bytes: r.completion.map_or(0, |_| r.flow.size as u64),
+                    })
+                    .collect();
+                // Fluid records are in arrival order.
+                rows.sort_by_key(|row| row.id);
+                Box::new(rows.into_iter())
+            }
+            BackendResults::Cached(_) => Box::new(std::iter::empty()),
+        }
+    }
+}
+
 impl RunSummary {
     /// Summarize packet-level `results` for `scenario`.
     pub fn new(scenario: &Scenario, protocol_label: String, results: SimResults) -> Self {
-        let mut flows = 0;
-        let mut completed = 0;
-        let mut terminated = 0;
-        let mut failed = 0;
-        let mut unfinished = 0;
-        let mut deadline_flows = 0;
-        let mut deadlines_met = 0;
-        let mut goodput_bytes = 0u64;
-        for r in results.top_level_flows() {
-            flows += 1;
-            match r.outcome() {
-                FlowOutcome::Completed => completed += 1,
-                FlowOutcome::Terminated => terminated += 1,
-                FlowOutcome::Failed => failed += 1,
-                FlowOutcome::Active => unfinished += 1,
-            }
-            if r.spec.deadline.is_some() {
-                deadline_flows += 1;
-                if r.met_deadline() {
-                    deadlines_met += 1;
-                }
-            }
-            goodput_bytes += r.bytes_acked;
-        }
-        RunSummary {
-            scenario: scenario.name.clone(),
-            protocol: scenario.protocol.clone(),
+        Self::summarize(
+            scenario,
             protocol_label,
-            backend: SimBackend::Packet,
-            seed: scenario.seed,
-            flows,
-            completed,
-            terminated,
-            failed,
-            unfinished,
-            deadline_flows,
-            deadlines_met,
-            mean_fct_secs: results.mean_fct_all_secs(),
-            p99_fct_secs: results.fct_percentile_secs(99.0, |_| true),
-            max_fct_secs: results.max_fct_secs(|_| true),
-            goodput_bytes,
-            end_time: results.end_time,
-            coflows: 0,
-            coflows_completed: 0,
-            coflow_deadlines: 0,
-            coflow_deadlines_met: 0,
-            mean_cct_secs: None,
-            p95_cct_secs: None,
-            results: BackendResults::Packet(Box::new(results)),
-        }
+            BackendResults::Packet(Box::new(results)),
+        )
     }
 
-    /// Summarize flow-level `results` for `scenario`.
-    pub fn from_flow(
+    /// Summarize a fresh run's `results`, of any backend, for `scenario`: every
+    /// headline field comes from the results' [`Row`]s. The run ends at the packet
+    /// engine's stop time, or else at the last completion.
+    pub(crate) fn summarize(
         scenario: &Scenario,
         protocol_label: String,
-        results: FlowLevelResults,
+        results: BackendResults,
     ) -> Self {
-        let mut completed = 0;
-        let mut terminated = 0;
-        let mut unfinished = 0;
-        let mut deadline_flows = 0;
-        let mut deadlines_met = 0;
-        let mut goodput_bytes = 0u64;
-        let mut end_time = SimTime::ZERO;
-        for r in results.flows.values() {
-            match (r.completed_at, r.terminated) {
-                (Some(done), _) => {
-                    completed += 1;
-                    goodput_bytes += r.size_bytes;
-                    end_time = end_time.max(done);
-                }
-                (None, true) => terminated += 1,
-                (None, false) => unfinished += 1,
-            }
-            if r.deadline.is_some() {
+        let mut fcts = Vec::new();
+        let (mut flows, mut outcomes, mut last_done) = (0, [0; 4], 0);
+        let (mut deadline_flows, mut deadlines_met, mut goodput_bytes) = (0, 0, 0);
+        for row in results.rows() {
+            flows += 1;
+            outcomes[row.outcome as usize] += 1;
+            if let Some(met) = row.deadline_met {
                 deadline_flows += 1;
-                if r.met_deadline() {
-                    deadlines_met += 1;
-                }
+                deadlines_met += usize::from(met);
             }
+            goodput_bytes += row.bytes;
+            last_done = last_done.max(row.done.unwrap_or(0));
+            fcts.extend(row.fct_secs);
         }
+        let fcts = Fcts::from_iter(fcts);
+        let count = |outcome: FlowOutcome| outcomes[outcome as usize];
         RunSummary {
             scenario: scenario.name.clone(),
             protocol: scenario.protocol.clone(),
             protocol_label,
-            backend: SimBackend::Flow,
+            backend: results.backend(),
             seed: scenario.seed,
-            flows: results.flows.len(),
-            completed,
-            terminated,
-            failed: 0,
-            unfinished,
+            flows,
+            completed: count(FlowOutcome::Completed),
+            terminated: count(FlowOutcome::Terminated),
+            failed: count(FlowOutcome::Failed),
+            unfinished: count(FlowOutcome::Active),
             deadline_flows,
             deadlines_met,
-            mean_fct_secs: results.mean_fct_all_secs(),
-            p99_fct_secs: results.fct_percentile_secs(99.0),
-            max_fct_secs: results.max_fct_secs(),
+            mean_fct_secs: fcts.mean(),
+            p99_fct_secs: fcts.percentile(99.0),
+            max_fct_secs: fcts.max(),
             goodput_bytes,
-            end_time,
+            end_time: results
+                .packet()
+                .map_or(SimTime::from_nanos(last_done), |r| r.end_time),
             coflows: 0,
             coflows_completed: 0,
             coflow_deadlines: 0,
             coflow_deadlines_met: 0,
             mean_cct_secs: None,
             p95_cct_secs: None,
-            results: BackendResults::Flow(results),
-        }
-    }
-
-    /// Summarize fluid-model `results` for `scenario`.
-    ///
-    /// The fluid model's unit-rate bottleneck serves one size unit per second, so a
-    /// flow's size doubles as the bytes delivered on completion, and completion
-    /// times convert to [`SimTime`] directly as seconds.
-    pub fn from_fluid(scenario: &Scenario, protocol_label: String, results: FluidResults) -> Self {
-        let mut goodput_bytes = 0u64;
-        for r in &results.flows {
-            if r.completion.is_some() {
-                goodput_bytes += r.flow.size as u64;
-            }
-        }
-        RunSummary {
-            scenario: scenario.name.clone(),
-            protocol: scenario.protocol.clone(),
-            protocol_label,
-            backend: SimBackend::Fluid,
-            seed: scenario.seed,
-            flows: results.flows.len(),
-            completed: results.completed(),
-            terminated: 0,
-            failed: 0,
-            unfinished: results.flows.len() - results.completed(),
-            deadline_flows: results.deadline_flows(),
-            deadlines_met: results.deadlines_met(),
-            mean_fct_secs: results.mean_fct_secs(),
-            p99_fct_secs: results.fct_percentile_secs(99.0),
-            max_fct_secs: results.max_fct_secs(),
-            goodput_bytes,
-            end_time: SimTime::from_secs_f64(results.end_time_secs()),
-            coflows: 0,
-            coflows_completed: 0,
-            coflow_deadlines: 0,
-            coflow_deadlines_met: 0,
-            mean_cct_secs: None,
-            p95_cct_secs: None,
-            results: BackendResults::Fluid(results),
+            results,
         }
     }
 
@@ -324,89 +325,52 @@ impl RunSummary {
     }
 
     /// Compute coflow-level metrics (CCT, coflow deadline hits) by joining the
-    /// workload's [`pdq_netsim::CoflowTag`]s with this run's per-flow completions.
+    /// workload's [`pdq_netsim::CoflowTag`]s with this run's per-flow rows.
     ///
     /// `specs` is the materialized flow set the run executed; untagged flows are
     /// ignored, and a workload with no tagged flows leaves the summary unchanged
     /// (so non-coflow runs — and their fingerprints — are untouched). A coflow
     /// counts as completed only when *every* member delivered all bytes; its CCT is
-    /// the last member's completion minus the group's earliest member arrival
-    /// (fluid runs start all flows at time zero, so the fluid CCT is simply the
-    /// last member's completion time). Cached summaries keep their stored metrics.
+    /// the last member's completion minus the group's earliest member arrival (fluid
+    /// flows all arrive at time zero). Cached summaries keep their stored metrics.
     pub fn attach_coflows(&mut self, specs: &[FlowSpec]) {
         use std::collections::BTreeMap;
 
-        struct Group {
-            arrival: SimTime,
-            deadline: Option<SimTime>,
-            members: Vec<u64>,
-        }
-        let mut groups: BTreeMap<u64, Group> = BTreeMap::new();
+        // Each coflow's group deadline and member ids.
+        let mut groups: BTreeMap<u64, (Option<SimTime>, Vec<u64>)> = BTreeMap::new();
         for s in specs {
             if let Some(tag) = s.coflow {
-                let g = groups.entry(tag.id.value()).or_insert(Group {
-                    arrival: s.arrival,
-                    deadline: tag.deadline,
-                    members: Vec::new(),
-                });
-                g.arrival = g.arrival.min(s.arrival);
-                g.members.push(s.id.value());
+                let group = groups
+                    .entry(tag.id.value())
+                    .or_insert((tag.deadline, Vec::new()));
+                group.1.push(s.id.value());
             }
         }
-        if groups.is_empty() {
+        if groups.is_empty() || self.results.cached().is_some() {
             return;
         }
-        // Per-flow completion times in nanoseconds, by flow id.
-        let (done, fluid): (std::collections::HashMap<u64, u64>, bool) = match &self.results {
-            BackendResults::Cached(_) => return,
-            BackendResults::Packet(r) => (
-                r.top_level_flows()
-                    .filter_map(|f| f.completed_at.map(|t| (f.spec.id.value(), t.as_nanos())))
-                    .collect(),
-                false,
-            ),
-            BackendResults::Flow(r) => (
-                r.flows
-                    .values()
-                    .filter_map(|f| f.completed_at.map(|t| (f.id.value(), t.as_nanos())))
-                    .collect(),
-                false,
-            ),
-            BackendResults::Fluid(r) => (
-                r.flows
-                    .iter()
-                    .filter_map(|f| {
-                        f.completion
-                            .map(|c| (f.id, SimTime::from_secs_f64(c).as_nanos()))
-                    })
-                    .collect(),
-                true,
-            ),
-        };
+        // Rows come in id order: a member's row is a binary search away.
+        let rows: Vec<Row> = self.results.rows().collect();
         let mut ccts_ns: Vec<u64> = Vec::new();
-        for g in groups.values() {
+        for (deadline, members) in groups.values() {
             self.coflows += 1;
-            if g.deadline.is_some() {
+            if deadline.is_some() {
                 self.coflow_deadlines += 1;
             }
-            let mut last = 0u64;
-            let mut all_done = true;
-            for id in &g.members {
-                match done.get(id) {
-                    Some(&t) => last = last.max(t),
-                    None => all_done = false,
-                }
-            }
-            if !all_done {
+            // (first arrival, last completion), if every member completed.
+            let span = members
+                .iter()
+                .try_fold((u64::MAX, 0u64), |(first, last), id| {
+                    let row = &rows[rows.binary_search_by_key(id, |r| r.id).ok()?];
+                    Some((first.min(row.arrival.as_nanos()), last.max(row.done?)))
+                });
+            let Some((first, last)) = span else {
                 continue;
-            }
+            };
             self.coflows_completed += 1;
-            let start = if fluid { 0 } else { g.arrival.as_nanos() };
-            ccts_ns.push(last.saturating_sub(start));
-            if let Some(d) = g.deadline {
-                if last <= d.as_nanos() {
-                    self.coflow_deadlines_met += 1;
-                }
+            ccts_ns.push(last.saturating_sub(first));
+            if deadline.is_some_and(|d| last <= d.as_nanos()) {
+                self.coflow_deadlines_met += 1;
             }
         }
         if ccts_ns.is_empty() {
@@ -444,77 +408,29 @@ impl RunSummary {
         self.application_throughput().map(|at| 1.0 - at)
     }
 
-    /// A deterministic digest of the run: every top-level flow's outcome and timing,
-    /// sorted by flow id, plus the end time. Two runs of the same scenario — on any
-    /// thread count — must produce identical fingerprints; the sweep-determinism
-    /// tests compare these. A summary restored from a cache record returns the
-    /// original run's stored fingerprint, so cached and fresh results of the same
-    /// scenario always agree.
+    /// A deterministic digest of the run: the end time, then one
+    /// `id:outcome:done:term:bytes;` row per top-level flow in id order (completion
+    /// and termination instants in nanoseconds, 0 when absent, and the bytes
+    /// delivered, each by its backend's rule), then the coflow metrics of a coflow
+    /// run. Two runs of the same scenario — on any thread count — must produce
+    /// identical fingerprints; the sweep-determinism tests compare these. A summary restored from a cache record
+    /// returns the original run's stored fingerprint, so cached and fresh results of
+    /// the same scenario always agree.
     pub fn fingerprint(&self) -> String {
+        if let BackendResults::Cached(r) = &self.results {
+            return r.fingerprint.clone();
+        }
         let mut out = format!("end={};", self.end_time.as_nanos());
-        let mut rows: Vec<(u64, String)> = match &self.results {
-            BackendResults::Cached(r) => return r.fingerprint.clone(),
-            // Packet records are in id order already: each row goes straight out.
-            BackendResults::Packet(results) => {
-                for r in results.top_level_flows() {
-                    let done = r.completed_at.map(|t| t.as_nanos()).unwrap_or(0);
-                    let term = r.terminated_at.map(|t| t.as_nanos()).unwrap_or(0);
-                    let _ = write!(
-                        out,
-                        "{}:{:?}:{done}:{term}:{};",
-                        r.spec.id.value(),
-                        r.outcome(),
-                        r.bytes_acked
-                    );
-                }
-                Vec::new()
-            }
-            BackendResults::Flow(results) => results
-                .flows
-                .values()
-                .map(|r| {
-                    let outcome = match (r.completed_at, r.terminated) {
-                        (Some(_), _) => "Completed",
-                        (None, true) => "Terminated",
-                        (None, false) => "Active",
-                    };
-                    let done = r.completed_at.map(|t| t.as_nanos()).unwrap_or(0);
-                    let bytes = if r.completed_at.is_some() {
-                        r.size_bytes
-                    } else {
-                        0
-                    };
-                    (
-                        r.id.value(),
-                        format!("{}:{}:{}:0:{}", r.id.value(), outcome, done, bytes),
-                    )
-                })
-                .collect(),
-            BackendResults::Fluid(results) => results
-                .flows
-                .iter()
-                .map(|r| {
-                    let outcome = if r.completion.is_some() {
-                        "Completed"
-                    } else {
-                        "Active"
-                    };
-                    let done = r
-                        .completion
-                        .map(|c| SimTime::from_secs_f64(c).as_nanos())
-                        .unwrap_or(0);
-                    let bytes = if r.completion.is_some() {
-                        r.flow.size as u64
-                    } else {
-                        0
-                    };
-                    (r.id, format!("{}:{}:{}:0:{}", r.id, outcome, done, bytes))
-                })
-                .collect(),
-        };
-        rows.sort();
-        for (_, row) in rows {
-            let _ = write!(out, "{row};");
+        for row in self.results.rows() {
+            let _ = write!(
+                out,
+                "{}:{:?}:{}:{}:{};",
+                row.id,
+                row.outcome,
+                row.done.unwrap_or(0),
+                row.term,
+                row.bytes
+            );
         }
         // Coflow runs additionally pin the derived CCT metrics; non-coflow runs
         // keep the historical fingerprint bytes.
@@ -724,12 +640,7 @@ mod tests {
     /// joined against `specs`.
     fn summarize(results: BackendResults, specs: &[FlowSpec]) -> RunSummary {
         let scenario = Scenario::new("pin");
-        let mut summary = match results {
-            BackendResults::Packet(r) => RunSummary::new(&scenario, "label".into(), *r),
-            BackendResults::Flow(r) => RunSummary::from_flow(&scenario, "label".into(), r),
-            BackendResults::Fluid(r) => RunSummary::from_fluid(&scenario, "label".into(), r),
-            BackendResults::Cached(_) => unreachable!("only fresh results are summarized"),
-        };
+        let mut summary = RunSummary::summarize(&scenario, "label".into(), results);
         summary.attach_coflows(specs);
         summary
     }
@@ -841,10 +752,7 @@ mod tests {
             None,
         )];
         let results = FlowLevelResults {
-            flows: [active, completed, terminated]
-                .into_iter()
-                .map(|r| (r.id, r))
-                .collect(),
+            flows: vec![completed, terminated, active],
         };
 
         let s = summarize(BackendResults::Flow(results), &specs);

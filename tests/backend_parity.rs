@@ -60,7 +60,7 @@ fn completion_order(summary: &RunSummary) -> Vec<u64> {
             .collect(),
         BackendResults::Flow(r) => r
             .flows
-            .values()
+            .iter()
             .filter_map(|r| r.completed_at.map(|t| (r.id.value(), t.as_nanos())))
             .collect(),
         BackendResults::Fluid(r) => r
@@ -87,7 +87,7 @@ fn missed_deadlines(summary: &RunSummary) -> BTreeSet<u64> {
             .collect(),
         BackendResults::Flow(r) => r
             .flows
-            .values()
+            .iter()
             .filter(|r| r.deadline.is_some() && !r.met_deadline())
             .map(|r| r.id.value())
             .collect(),
@@ -262,7 +262,8 @@ proptest! {
                     "model {:?}, flow {}", model, record.id
                 );
             }
-            prop_assert_eq!(base.deadlines_met(), perm.deadlines_met());
+            let met = |r: &pdq_flowsim::FluidResults| r.flows.iter().filter(|f| f.met_deadline()).count();
+            prop_assert_eq!(met(&base), met(&perm));
         }
     }
 }

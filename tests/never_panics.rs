@@ -1,6 +1,7 @@
 //! No panic from the outside: `Scenario::from_spec`, `RunSummary::from_record` and
 //! the token parsers (`TopologySpec`, `SizeDist`, `DeadlineDist`, `Pattern`) return
-//! `Ok` or `Err` for any input. The inputs are arbitrary bytes read as lossy UTF-8,
+//! `Ok` or `Err` for any input, and so does `Scenario::run` on tiny manual workloads
+//! whose endpoints may be switches, nodes outside the topology or the same host. The inputs are arbitrary bytes read as lossy UTF-8,
 //! line mutations of the committed specs and of a real cache record (lines dropped,
 //! duplicated or swapped, and values replaced by edge cases), and edge-value
 //! mutations of the fields of every token the committed specs and the benchmark's
@@ -14,7 +15,10 @@ use std::fmt::{Debug, Display};
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use pdq_repro::scenario::{ProtocolRegistry, ResultCache, RunSummary, Scenario, TopologySpec};
+use pdq_netsim::{FlowSpec, NodeId, SimTime};
+use pdq_repro::scenario::{
+    ProtocolRegistry, ResultCache, RunSummary, Scenario, SimBackend, TopologySpec, WorkloadSpec,
+};
 use pdq_repro::workloads::{DeadlineDist, Pattern, SizeDist};
 use proptest::prelude::*;
 
@@ -265,5 +269,44 @@ proptest! {
     fn pattern_tokens_never_panic_and_round_trip(which in 0usize..64, ops in token_ops(), bytes in bytes()) {
         let forms = ["aggregation", "stride:6", "staggered:0.7"];
         fuzz_token::<Pattern>(&tokens(&["workload.pattern"], &forms), which, &ops, &bytes);
+    }
+}
+
+/// Protocols the manual-run fuzz picks from: every family of the three-backend
+/// group, TCP (no flow-level model) and M-PDQ (packet only).
+const PROTOCOLS: [&str; 5] = ["pdq(full)", "rcp", "d3", "tcp", "mpdq"];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Up to four flows on `single_bottleneck:3` (hosts are nodes 1-4, node 0 the
+    /// switch), endpoints drawn from nodes 0-7 with equal pairs allowed: every
+    /// backend returns `Ok` or `Err`.
+    #[test]
+    fn tiny_manual_runs_never_panic(
+        flows in prop::collection::vec(((0u32..8, 0u32..8), 1u64..=100_000, 0u64..=50, 0u64..=60), 1..=4),
+        protocol in 0usize..PROTOCOLS.len(),
+        stop_ms in 1u64..=50,
+    ) {
+        let flows = flows
+            .iter()
+            .enumerate()
+            .map(|(i, &((src, dst), size, arrival_ms, deadline_ms))| {
+                let spec = FlowSpec::new(i as u64 + 1, NodeId(src), NodeId(dst), size)
+                    .with_arrival(SimTime::from_millis(arrival_ms));
+                match deadline_ms {
+                    0 => spec,
+                    ms => spec.with_deadline(SimTime::from_millis(ms)),
+                }
+            })
+            .collect();
+        let scenario = Scenario::new("tiny")
+            .topology(TopologySpec::SingleBottleneck { senders: 3, access_loss: 0.0 })
+            .workload(WorkloadSpec::Manual(flows))
+            .protocol(PROTOCOLS[protocol])
+            .stop_at(SimTime::from_millis(stop_ms));
+        for backend in SimBackend::all() {
+            let _ = scenario.clone().backend(backend).run(pdq_experiments::common::registry());
+        }
     }
 }
