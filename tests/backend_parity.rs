@@ -262,7 +262,9 @@ proptest! {
                     "model {:?}, flow {}", model, record.id
                 );
             }
-            let met = |r: &pdq_flowsim::FluidResults| r.flows.iter().filter(|f| f.met_deadline()).count();
+            let met = |r: &pdq_flowsim::FluidResults| {
+                r.flows.iter().filter(|f| f.met_deadline()).count()
+            };
             prop_assert_eq!(met(&base), met(&perm));
         }
     }

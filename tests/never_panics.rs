@@ -1,12 +1,13 @@
 //! No panic from the outside: `Scenario::from_spec`, `RunSummary::from_record` and
 //! the token parsers (`TopologySpec`, `SizeDist`, `DeadlineDist`, `Pattern`) return
 //! `Ok` or `Err` for any input, and so does `Scenario::run` on tiny manual workloads
-//! whose endpoints may be switches, nodes outside the topology or the same host. The inputs are arbitrary bytes read as lossy UTF-8,
-//! line mutations of the committed specs and of a real cache record (lines dropped,
-//! duplicated or swapped, and values replaced by edge cases), and edge-value
-//! mutations of the fields of every token the committed specs and the benchmark's
-//! workloads use. Everything that parses must also round-trip:
-//! `from_spec(to_spec(s)) == s`, and `t.to_string().parse() == Ok(t)` for a token.
+//! whose endpoints may be switches, nodes outside the topology or the same host. The
+//! inputs are arbitrary bytes read as lossy UTF-8, line mutations of the committed
+//! specs and of a real cache record (lines dropped, duplicated or swapped, and values
+//! replaced by edge cases), and edge-value mutations of the fields of every token the
+//! committed specs and the benchmark's workloads use. Everything that parses must
+//! also round-trip: `from_spec(to_spec(s)) == s`, and `t.to_string().parse() ==
+//! Ok(t)` for a token.
 //!
 //! The case counts keep the default test run short; CI runs this file in release
 //! under several `PROPTEST_SEED` values to widen the search.
