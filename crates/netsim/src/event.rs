@@ -24,10 +24,11 @@
 //! link releases packets. Three tiers hold the pending events:
 //!
 //! * **Level 0 — the fine wheel.** `WHEEL_SLOTS` fine buckets covering exactly the
-//!   level-1 slot the clock is in. A push appends to the bucket's unsorted `Vec`.
+//!   level-1 slot the clock is in. A push adds to the bucket's unsorted chain of
+//!   chunks (see *Storage*).
 //! * **Level 1 — the coarse wheel.** `WHEEL_SLOTS` slots, each one level-0
 //!   revolution wide (459 µs slots and a 470 ms horizon at 448 ns), holding the
-//!   events of the next slots unsorted and un-bucketed.
+//!   events of the next slots unsorted and un-bucketed, one chain per slot.
 //! * **The heap.** Events beyond the level-1 horizon (the hard-stop event, backed-off
 //!   RTOs, an arrival after a long lull) wait in a min-heap.
 //!
@@ -43,16 +44,22 @@
 //! not-yet-popped tail of the run. Every [`Event`] carries its hashed content subkey,
 //! computed once when it is scheduled, so sorting and searching compare plain integers.
 //!
-//! **Storage.** A drained bucket's buffer goes to one LIFO spare list that empty fine
-//! buckets refill from, and an opened level-1 slot gives its buffer back to the
-//! allocator, so the queue holds about as many buffers as there are simultaneously
-//! non-empty buckets — not one high-water buffer per wheel slot. The *bytes* need one
-//! more rule, because a buffer keeps the capacity of the fullest bucket it ever held:
-//! after a burst that filled a whole level-1 slot, a thousand spare buffers would each
-//! stay sized for the burst while only a trickle of events is pending. So the spare
-//! list keeps a drained buffer only while its total capacity stays within
-//! `SPARE_FACTOR` × max(pending events, `SPARE_FLOOR`) events, and frees it
-//! otherwise: the queue's memory follows the events it holds, not its history.
+//! **Storage.** Both wheel levels keep their events in fixed-size chunks of `CHUNK`
+//! (8) events taken from one pool: a fine bucket or a level-1 slot is a chain of
+//! chunks whose head chunk takes the pushes. Opening a bucket copies its chain into
+//! the current run and frees the chunks; a cascade frees each level-1 chunk as soon
+//! as its events are spread over level 0, so level 0 reuses it at once. Free chunks
+//! wait on one LIFO free list. The queue therefore holds about the pending events
+//! plus at most one partly filled chunk per non-empty bucket, not one buffer per
+//! wheel slot sized by the fullest bucket it ever held. The pool allocates chunks
+//! 64 at a time, in 32 KiB pages, so a growing bucket never reallocates or copies
+//! its events.
+//!
+//! A burst leaves many free chunks behind once it drains. Whenever the free chunks
+//! outnumber both the chunks in use and `FREE_FLOOR` (4 096 events' worth), the
+//! pool moves every chained chunk that lies beyond the first pages the chunks in use
+//! need onto a free chunk below them, and hands the pages above back to the
+//! allocator: the queue's memory follows the events it holds, not its history.
 //!
 //! # Why the total order survives the restructure
 //!
@@ -374,6 +381,9 @@ pub struct QueueStats {
     /// Fine buckets opened, i.e. sorted on becoming current (one per non-empty bucket
     /// drained).
     pub buckets_sorted: u64,
+    /// The most event chunks the queue held at once, in use or free: its event
+    /// storage peaked at this many times the chunk size (8 events, 512 bytes).
+    pub peak_chunks: u64,
 }
 
 /// Slots per wheel level. Power of two, so a fine bucket index splits into a level-1
@@ -383,41 +393,222 @@ const WHEEL_BITS: u32 = 10;
 const WHEEL_MASK: u64 = WHEEL_SLOTS as u64 - 1;
 const WHEEL_WORDS: usize = WHEEL_SLOTS / 64;
 
-/// The spare list's capacity bound, in multiples of the events pending. Twice the
-/// pending count leaves room for the buckets that drain while as many fill, so a
-/// steady workload still recycles every buffer.
-const SPARE_FACTOR: usize = 2;
-/// The pending count below which the spare bound stops shrinking (512 KiB of 64-byte
-/// events at the factor of two): a nearly idle queue keeps enough buffers to absorb
-/// the next burst's first buckets without reallocating.
-const SPARE_FLOOR: usize = 4096;
+/// Events per chunk. Every bucket pays for its last, partly filled chunk, and every
+/// chunk costs a link to follow, so this trades memory on sparse buckets against
+/// hops on dense ones. Measured on the benchmark, 16 held more memory under load
+/// and 4 cost time on the WAN workload's dense level-1 slots.
+const CHUNK: usize = 8;
+/// Chunks per page, the pool's unit of allocation: 32 KiB of 64-byte events.
+const PAGE_CHUNKS: usize = 64;
+/// Free chunks the pool may always keep (4 096 events' worth): a nearly idle queue
+/// absorbs the next burst's first buckets without allocating.
+const FREE_FLOOR: usize = 4096 / CHUNK;
+/// The end of a chain, and the head of an empty wheel slot.
+const NIL: u32 = u32::MAX;
+/// Placeholder for the pool's unused event positions; never read as an event.
+const VACANT: Event = Event {
+    at: SimTime::ZERO,
+    created: SimTime::ZERO,
+    seq: 0,
+    subkey: 0,
+    kind: EventKind::Stop,
+};
 
-/// One wheel level: `WHEEL_SLOTS` unsorted event buffers and a bitmap of the
-/// non-empty ones.
+/// Fixed-size chunks of events, allocated a page at a time. A wheel slot's events
+/// are a chain of chunks: the head chunk takes the pushes and every later chunk is
+/// full. Chunks not in a chain sit on one LIFO free list.
+#[derive(Debug)]
+struct ChunkPool {
+    /// `PAGE_CHUNKS × CHUNK` events each: chunk `c` is page `c / PAGE_CHUNKS`,
+    /// events from `(c % PAGE_CHUNKS) × CHUNK` on.
+    pages: Vec<Box<[Event]>>,
+    /// Per chunk: the next chunk of its chain or of the free list.
+    next: Vec<u32>,
+    /// Per chunk: how many events it holds.
+    len: Vec<u8>,
+    /// Head of the free list.
+    free: u32,
+    /// Chunks on the free list.
+    free_count: usize,
+    /// The most chunks held at once.
+    high_water: usize,
+}
+
+impl ChunkPool {
+    fn new() -> Self {
+        ChunkPool {
+            pages: Vec::new(),
+            next: Vec::new(),
+            len: Vec::new(),
+            free: NIL,
+            free_count: 0,
+            high_water: 0,
+        }
+    }
+
+    /// Chunks held, in chains or free.
+    fn chunks(&self) -> usize {
+        self.next.len()
+    }
+
+    /// Chunks in chains.
+    fn in_use(&self) -> usize {
+        self.chunks() - self.free_count
+    }
+
+    /// An empty chunk linked in front of `next`, from the free list or a new page.
+    fn alloc(&mut self, next: u32) -> u32 {
+        if self.free == NIL {
+            self.add_page();
+        }
+        let c = self.free;
+        self.free = self.next[c as usize];
+        self.free_count -= 1;
+        self.next[c as usize] = next;
+        self.len[c as usize] = 0;
+        c
+    }
+
+    /// Allocate a page and put its chunks on the (empty) free list, lowest first.
+    #[cold]
+    fn add_page(&mut self) {
+        let first = self.chunks();
+        self.pages
+            .push(vec![VACANT; PAGE_CHUNKS * CHUNK].into_boxed_slice());
+        self.next
+            .extend((first..first + PAGE_CHUNKS).map(|c| c as u32 + 1));
+        self.next[first + PAGE_CHUNKS - 1] = NIL;
+        self.len.resize(first + PAGE_CHUNKS, 0);
+        self.free = first as u32;
+        self.free_count = PAGE_CHUNKS;
+        self.high_water = self.high_water.max(self.chunks());
+    }
+
+    /// Put chunk `c` on the free list, returning the chunk that followed it.
+    fn release(&mut self, c: u32) -> u32 {
+        let after = std::mem::replace(&mut self.next[c as usize], self.free);
+        self.free = c;
+        self.free_count += 1;
+        after
+    }
+
+    /// The event positions of chunk `c`.
+    fn slots_mut(&mut self, c: u32) -> &mut [Event] {
+        let c = c as usize;
+        let start = c % PAGE_CHUNKS * CHUNK;
+        &mut self.pages[c / PAGE_CHUNKS][start..start + CHUNK]
+    }
+
+    /// The events chunk `c` holds.
+    fn events(&self, c: u32) -> &[Event] {
+        let c = c as usize;
+        let start = c % PAGE_CHUNKS * CHUNK;
+        &self.pages[c / PAGE_CHUNKS][start..start + self.len[c] as usize]
+    }
+
+    /// Add `ev` to the chain starting at `*head`, opening a chunk in front of it when
+    /// the head chunk is full (or the chain empty).
+    fn push(&mut self, head: &mut u32, ev: Event) {
+        if *head == NIL || self.len[*head as usize] as usize == CHUNK {
+            *head = self.alloc(*head);
+        }
+        let c = *head;
+        let n = self.len[c as usize];
+        self.slots_mut(c)[n as usize] = ev;
+        self.len[c as usize] = n + 1;
+    }
+
+    /// The chunks of the chain starting at `head`, head first.
+    fn chain(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((head != NIL).then_some(head), |&c| {
+            let n = self.next[c as usize];
+            (n != NIL).then_some(n)
+        })
+    }
+
+    /// Give back every page the chunks in use do not need: move the chained chunks
+    /// that lie beyond the first `in_use` chunks (rounded up to whole pages) onto
+    /// free chunks below that limit, relinking `chains` (every non-empty chain head),
+    /// then drop the pages above it. The chunks move within this pool, so the
+    /// events are never held twice.
+    fn shrink<'a>(&mut self, chains: impl Iterator<Item = &'a mut u32>) {
+        let limit = self.in_use().div_ceil(PAGE_CHUNKS) * PAGE_CHUNKS;
+        // Only the free chunks below the limit stay, as the moves' targets.
+        let (mut c, mut kept) = (self.free, 0);
+        self.free = NIL;
+        while c != NIL {
+            let after = self.next[c as usize];
+            if (c as usize) < limit {
+                self.next[c as usize] = self.free;
+                self.free = c;
+                kept += 1;
+            }
+            c = after;
+        }
+        self.free_count = kept;
+        for head in chains {
+            *head = self.move_below(*head, limit);
+            let mut c = *head;
+            while self.next[c as usize] != NIL {
+                let moved = self.move_below(self.next[c as usize], limit);
+                self.next[c as usize] = moved;
+                c = moved;
+            }
+        }
+        self.pages.truncate(limit / PAGE_CHUNKS);
+        self.pages.shrink_to_fit();
+        self.next.truncate(limit);
+        self.next.shrink_to_fit();
+        self.len.truncate(limit);
+        self.len.shrink_to_fit();
+    }
+
+    /// Chunk `c`, or a free chunk below `limit` that takes over its events and link.
+    fn move_below(&mut self, c: u32, limit: usize) -> u32 {
+        if (c as usize) < limit {
+            return c;
+        }
+        let d = self.free;
+        self.free = self.next[d as usize];
+        self.free_count -= 1;
+        let (c, d) = (c as usize, d as usize);
+        let n = self.len[c] as usize;
+        // `d`'s page lies below the limit and `c`'s above it.
+        let (low, high) = self.pages.split_at_mut(c / PAGE_CHUNKS);
+        let (from, to) = (c % PAGE_CHUNKS * CHUNK, d % PAGE_CHUNKS * CHUNK);
+        low[d / PAGE_CHUNKS][to..to + n].clone_from_slice(&high[0][from..from + n]);
+        self.len[d] = n as u8;
+        self.next[d] = self.next[c];
+        d as u32
+    }
+}
+
+/// One wheel level: `WHEEL_SLOTS` chains of unsorted events in the [`ChunkPool`]
+/// and a bitmap of the non-empty ones.
 #[derive(Debug)]
 struct Wheel {
-    slots: Vec<Vec<Event>>,
+    heads: Box<[u32; WHEEL_SLOTS]>,
     occupied: [u64; WHEEL_WORDS],
 }
 
 impl Wheel {
     fn new() -> Self {
         Wheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
+            heads: Box::new([NIL; WHEEL_SLOTS]),
             occupied: [0; WHEEL_WORDS],
         }
     }
 
-    /// The buffer of slot `i`, marked occupied: the caller pushes into it.
-    fn slot_mut(&mut self, i: usize) -> &mut Vec<Event> {
+    /// The chain head of slot `i`, marked occupied: the caller pushes onto it.
+    fn slot_mut(&mut self, i: usize) -> &mut u32 {
         self.occupied[i / 64] |= 1u64 << (i % 64);
-        &mut self.slots[i]
+        &mut self.heads[i]
     }
 
-    /// Empty slot `i`, returning its buffer and leaving an unallocated one behind.
-    fn take(&mut self, i: usize) -> Vec<Event> {
+    /// Empty slot `i`, returning its chain.
+    fn take(&mut self, i: usize) -> u32 {
         self.occupied[i / 64] &= !(1u64 << (i % 64));
-        std::mem::take(&mut self.slots[i])
+        std::mem::replace(&mut self.heads[i], NIL)
     }
 
     /// The first occupied slot at or after position `from`.
@@ -442,6 +633,11 @@ impl Wheel {
         self.first_from(0)
             .map(|i| cur + (WHEEL_SLOTS - pos + i) as u64)
     }
+
+    /// The heads of the non-empty slots' chains.
+    fn chains_mut(&mut self) -> impl Iterator<Item = &mut u32> {
+        self.heads.iter_mut().filter(|h| **h != NIL)
+    }
 }
 
 /// A min-priority queue of events ordered by
@@ -464,13 +660,11 @@ pub struct EventQueue {
     /// Level 1: a ring over the level-1 slots in
     /// `(cursor's slot, cursor's slot + WHEEL_SLOTS)`, at position `slot & WHEEL_MASK`.
     coarse: Wheel,
+    /// The chunks both wheels keep their events in.
+    pool: ChunkPool,
     /// Events that lay at or beyond the level-1 horizon when they were scheduled,
     /// min-first; they stay here until their slot opens.
     overflow: BinaryHeap<Reverse<Event>>,
-    /// Emptied bucket buffers, reused last-in first-out by fine buckets that fill.
-    spare: Vec<Vec<Event>>,
-    /// Total capacity of the `spare` buffers, in events.
-    spare_capacity: usize,
     /// Fine bucket width in nanoseconds (≥ 1).
     bucket_ns: u64,
     len: usize,
@@ -508,9 +702,8 @@ impl EventQueue {
             cursor: 0,
             fine: Wheel::new(),
             coarse: Wheel::new(),
+            pool: ChunkPool::new(),
             overflow: BinaryHeap::new(),
-            spare: Vec::new(),
-            spare_capacity: 0,
             bucket_ns: width.as_nanos().max(1),
             len: 0,
             next_seq: 0,
@@ -572,36 +765,17 @@ impl EventQueue {
         if slots_ahead == 0 {
             self.push_fine(b, ev);
         } else if slots_ahead < WHEEL_SLOTS as u64 {
-            self.coarse.slot_mut((slot & WHEEL_MASK) as usize).push(ev);
+            let head = self.coarse.slot_mut((slot & WHEEL_MASK) as usize);
+            self.pool.push(head, ev);
         } else {
             self.overflow.push(Reverse(ev));
         }
     }
 
-    /// Append to fine bucket `b` (inside the cursor's level-1 slot), giving the
-    /// bucket a spare buffer if it has none.
+    /// Add to fine bucket `b` (inside the cursor's level-1 slot).
     fn push_fine(&mut self, b: u64, ev: Event) {
-        let bucket = self.fine.slot_mut((b & WHEEL_MASK) as usize);
-        if bucket.capacity() == 0 {
-            if let Some(buf) = self.spare.pop() {
-                self.spare_capacity -= buf.capacity();
-                *bucket = buf;
-            }
-        }
-        bucket.push(ev);
-    }
-
-    /// Keep the drained buffer `buf` for reuse if the spare list stays within its
-    /// bound (see the module docs' *Storage*); free it otherwise.
-    fn recycle(&mut self, buf: Vec<Event>) {
-        debug_assert!(buf.is_empty());
-        let capacity = buf.capacity();
-        if capacity > 0
-            && self.spare_capacity + capacity <= SPARE_FACTOR * self.len.max(SPARE_FLOOR)
-        {
-            self.spare_capacity += capacity;
-            self.spare.push(buf);
-        }
+        let head = self.fine.slot_mut((b & WHEEL_MASK) as usize);
+        self.pool.push(head, ev);
     }
 
     /// Make the earliest non-empty fine bucket current and sort it by the full key,
@@ -620,12 +794,20 @@ impl EventQueue {
             from = 0;
         };
         self.cursor = (self.cursor & !WHEEL_MASK) | idx as u64;
-        let drained = std::mem::replace(&mut self.current, self.fine.take(idx));
-        self.recycle(drained);
+        let mut c = self.fine.take(idx);
+        while c != NIL {
+            self.current.extend_from_slice(self.pool.events(c));
+            c = self.pool.release(c);
+        }
         // Lazy in-bucket sort: descending, so pops come off the tail. Keys are
         // unique (seq fallback), so stability is irrelevant.
         self.current.sort_unstable_by(|a, b| b.cmp(a));
         self.stats.buckets_sorted += 1;
+        if self.pool.free_count > self.pool.in_use().max(FREE_FLOOR) {
+            // Hand the free chunks back (see the module docs' *Storage*).
+            let chains = self.fine.chains_mut().chain(self.coarse.chains_mut());
+            self.pool.shrink(chains);
+        }
         true
     }
 
@@ -644,9 +826,15 @@ impl EventQueue {
         self.cursor = slot << WHEEL_BITS;
         if wheel_next == Some(slot) {
             // By the ring invariant the position holds exactly this slot's events.
-            // Taking the buffer releases the slot's storage once it is spread out.
-            for ev in self.coarse.take((slot & WHEEL_MASK) as usize) {
-                self.push_fine(self.bucket_of(&ev), ev);
+            // Each chunk is copied out (through the still empty `current`) and freed
+            // before its events are spread, so level 0 reuses it at once.
+            let mut c = self.coarse.take((slot & WHEEL_MASK) as usize);
+            while c != NIL {
+                self.current.extend_from_slice(self.pool.events(c));
+                c = self.pool.release(c);
+                while let Some(ev) = self.current.pop() {
+                    self.push_fine(self.bucket_of(&ev), ev);
+                }
             }
         }
         while let Some(Reverse(e)) = self.overflow.peek() {
@@ -700,17 +888,23 @@ impl EventQueue {
         // fine bucket (still unsorted) or, with level 0 empty, in the next non-empty
         // level-1 slot or on top of the heap, whichever is earlier. Later buckets and
         // slots start later than either, so this scan is exact.
-        let earliest = |bucket: &Vec<Event>| bucket.iter().map(|e| e.at).min();
+        let earliest = |head: u32| {
+            self.pool
+                .chain(head)
+                .flat_map(|c| self.pool.events(c))
+                .map(|e| e.at)
+                .min()
+        };
         if let Some(i) = self
             .fine
             .first_from((self.cursor & WHEEL_MASK) as usize + 1)
         {
-            return earliest(&self.fine.slots[i]);
+            return earliest(self.fine.heads[i]);
         }
         let wheel_min = self
             .coarse
             .next_after(self.cursor >> WHEEL_BITS)
-            .and_then(|slot| earliest(&self.coarse.slots[(slot & WHEEL_MASK) as usize]));
+            .and_then(|slot| earliest(self.coarse.heads[(slot & WHEEL_MASK) as usize]));
         let heap_min = self.overflow.peek().map(|Reverse(e)| e.at);
         wheel_min.into_iter().chain(heap_min).min()
     }
@@ -727,14 +921,10 @@ impl EventQueue {
 
     /// A snapshot of the queue's telemetry counters.
     pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Total capacity of the spare buffers, in events, recounted from the buffers
-    /// themselves (the queue keeps a running total).
-    #[cfg(test)]
-    fn recount_spare_capacity(&self) -> usize {
-        self.spare.iter().map(Vec::capacity).sum()
+        QueueStats {
+            peak_chunks: self.pool.high_water as u64,
+            ..self.stats
+        }
     }
 }
 
@@ -968,13 +1158,23 @@ mod tests {
         assert_eq!(q.peek_time(), Some(at(5 * SLOT_NS + 2)));
     }
 
+    /// Chunks in the wheels' chains and on the free list, recounted by walking them
+    /// (the pool keeps running totals).
+    fn recount_chunks(q: &EventQueue) -> (usize, usize) {
+        let chained =
+            |w: &Wheel| -> usize { w.heads.iter().map(|&h| q.pool.chain(h).count()).sum() };
+        let free = q.pool.chain(q.pool.free).count();
+        (chained(&q.fine) + chained(&q.coarse), free)
+    }
+
     #[test]
-    fn drained_bucket_buffers_are_recycled() {
-        // Hold model: `LIVE` non-empty buckets of `PER_BUCKET` events at any time,
-        // marching through 5 000 buckets (several level-1 slots). The queue must end
-        // up holding a handful of buffers, not one per bucket it ever used.
+    fn drained_chunks_are_reused() {
+        // Hold model: `LIVE` non-empty buckets of `PER_BUCKET` events (a full chunk
+        // and a partly filled one each) at any time, marching through 5 000 buckets
+        // (several level-1 slots). The queue must keep reusing the chunks of its
+        // first page, not take new ones per bucket it ever used.
         const LIVE: u64 = 4;
-        const PER_BUCKET: u64 = 8;
+        const PER_BUCKET: u64 = CHUNK as u64 + 3;
         let bucket = |b: u64| SimTime::from_micros(b);
         let mut q = EventQueue::with_bucket_width(bucket(1));
         for b in 1..=LIVE {
@@ -989,21 +1189,22 @@ mod tests {
                 q.set_now(ev.at);
                 q.schedule(bucket(b + LIVE), timer(i));
             }
+            let in_use = q.pool.in_use();
+            assert!(
+                in_use <= 2 * LIVE as usize,
+                "{in_use} chunks for {LIVE} buckets"
+            );
         }
-        let allocated = |w: &Wheel| w.slots.iter().filter(|s| s.capacity() > 0).count();
-        let held = allocated(&q.fine) + allocated(&q.coarse) + q.spare.len() + 1;
-        assert!(
-            held as u64 <= 2 * LIVE + 2,
-            "{held} buffers held for {LIVE} live buckets"
-        );
+        assert_eq!(recount_chunks(&q), (q.pool.in_use(), q.pool.free_count));
+        assert_eq!(q.stats().peak_chunks, PAGE_CHUNKS as u64);
     }
 
     #[test]
-    fn spare_buffers_shrink_back_to_the_pending_bound_after_a_burst() {
+    fn free_chunks_shrink_back_to_the_pending_bound_after_a_burst() {
         // A burst fills all 1 024 fine buckets of one level-1 slot with 128 events
-        // each, so draining it leaves a thousand buffers sized for 128 events. A
-        // trickle of a few hundred pending events follows: the spare list must fall
-        // back within its bound instead of keeping the burst's buffers.
+        // each: 16 384 chunks. A trickle of a few hundred pending events follows:
+        // the pool must hand back the burst's chunks, keeping no more free ones than
+        // max(chunks in use, `FREE_FLOOR`).
         const PER_BUCKET: u64 = 128;
         const TRICKLE: u64 = 300;
         let at = SimTime::from_nanos;
@@ -1013,8 +1214,13 @@ mod tests {
                 q.schedule(at(SLOT_NS + b), timer(i));
             }
         }
+        let burst_chunks = (SLOT_NS * PER_BUCKET) as usize / CHUNK;
+        assert_eq!(q.pool.in_use(), burst_chunks);
+        let mut last = SimTime::ZERO;
         let mut popped = 0u64;
         while let Some(ev) = q.pop() {
+            assert!(ev.at >= last, "a rebuilt pool reordered the burst");
+            last = ev.at;
             q.set_now(ev.at);
             popped += 1;
         }
@@ -1032,14 +1238,13 @@ mod tests {
             q.schedule(ev.at + at(TRICKLE), timer(ev.at.as_nanos()));
         }
         assert_eq!(q.len() as u64, TRICKLE);
-        let held = q.recount_spare_capacity();
-        assert_eq!(held, q.spare_capacity, "running total drifted");
-        let bound = SPARE_FACTOR * q.len().max(SPARE_FLOOR);
+        let (in_use, free) = (q.pool.in_use(), q.pool.free_count);
+        assert_eq!(recount_chunks(&q), (in_use, free), "running totals drifted");
         assert!(
-            held <= bound,
-            "{held} spare events' capacity kept for {} pending (bound {bound})",
-            q.len()
+            free <= in_use.max(FREE_FLOOR),
+            "{free} free chunks kept for {in_use} in use (floor {FREE_FLOOR})"
         );
+        assert!(q.stats().peak_chunks as usize >= burst_chunks);
     }
 
     #[test]

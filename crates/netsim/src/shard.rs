@@ -689,6 +689,7 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         queue.peak_pending += s.peak_pending;
         queue.overflow_migrations += s.overflow_migrations;
         queue.buckets_sorted += s.buckets_sorted;
+        queue.peak_chunks += s.peak_chunks;
     }
 
     // Keep only what is moved into the results: agents, controllers, event queues and

@@ -11,8 +11,9 @@
 //! 400 window-limited flows arriving within 1 ms on a 16-host fat-tree keep every NIC
 //! busy for 45 simulated milliseconds (0.2 M events — one per packet hop — and about
 //! 800 pending at any time), and the run's peak live heap must stay under a bound a
-//! per-slot high-water queue exceeds ten times over (0.75 MB with the two-level wheel
-//! and ledger links, 13.8 MB with the single-level wheel).
+//! per-slot high-water queue exceeds ten times over (0.57 MB with the two-level wheel
+//! in 8-event chunks and ledger links, 0.75 MB with a buffer per wheel slot, 13.8 MB
+//! with the single-level wheel).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashMap;

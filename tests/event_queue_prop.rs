@@ -201,3 +201,123 @@ proptest! {
         prop_assert_eq!(stats.pushes, stats.pops);
     }
 }
+
+/// Events in one bucket around the queue's chunk edges: one less than, exactly and
+/// one more than one chunk (8 events) and two chunks.
+const EDGE_COUNTS: [u64; 6] = [7, 8, 9, 15, 16, 17];
+
+/// A splitmix step: the event content and reschedule choices of one case.
+fn splitmix(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// The calendar queue and the reference heap side by side.
+struct Both {
+    cal: EventQueue,
+    reference: RefQueue,
+    rng: u64,
+    /// Pushes left for events rescheduled while draining.
+    reschedules: u32,
+}
+
+impl Both {
+    fn schedule(&mut self, at: u64) {
+        let (sel, a) = (splitmix(&mut self.rng), splitmix(&mut self.rng) % 4_800);
+        let at = SimTime::from_nanos(at);
+        self.cal.schedule(at, kind_for(sel, a));
+        self.reference.schedule(at, kind_for(sel, a));
+    }
+
+    /// Pop from both and compare; one popped event in four schedules another a few
+    /// buckets ahead (or in the bucket being drained), while the budget lasts.
+    fn pop(&mut self, width: u64) -> Option<SimTime> {
+        let got = self.cal.pop();
+        let want = self.reference.pop();
+        prop_assert_eq!(got.as_ref().map(ident), want.as_ref().map(ident));
+        let at = got?.at;
+        self.cal.set_now(at);
+        self.reference.set_now(at);
+        let roll = splitmix(&mut self.rng);
+        if roll.is_multiple_of(4) && self.reschedules > 0 {
+            self.reschedules -= 1;
+            self.schedule(at.as_nanos() + (roll >> 8) % (4 * width));
+        }
+        prop_assert_eq!(self.cal.len(), self.reference.heap.len());
+        Some(at)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Schedules built to cross the queue's storage edges: fine buckets holding just
+    /// under, exactly and just over one and two chunks — filled directly in the
+    /// clock's level-1 slot or by a cascade from level 1 — a level-1 slot of several
+    /// thousand events (whose drain frees enough chunks for the queue to move chains
+    /// and give pages back while other chains wait), and heap events that migrate
+    /// into a level-1 slot whose fine buckets already hold chains cascaded from
+    /// level 1. Pops, including those of events rescheduled mid-drain, must stay
+    /// bit-identical to the reference heap.
+    #[test]
+    fn chunk_edges_match_reference_heap(
+        edges in prop::collection::vec((0usize..6, 0u64..1_024, 0u64..4), 4..16),
+        dense in (4_000u64..12_000, 1u64..1_024, 2u64..40),
+        far in (1u64..40, 60u64..600, 0u64..1_000),
+        width in 1u64..64,
+        salt in 0u64..(1 << 40),
+    ) {
+        let (dense_n, dense_spread, dense_slot) = dense;
+        let (heap_n, anchor_slot, far_bucket) = far;
+        // Beyond the level-1 horizon from slot 0, inside it from the anchor's slot.
+        let far_slot = anchor_slot + 1_000;
+        let at = |slot: u64, bucket: u64, offset: u64| {
+            ((slot << 10) | bucket) * width + offset % width
+        };
+        let mut q = Both {
+            cal: EventQueue::with_bucket_width(SimTime::from_nanos(width)),
+            reference: RefQueue::new(),
+            rng: salt,
+            reschedules: 2_000,
+        };
+        let mut late = Vec::new();
+        for &(count, bucket, group) in &edges {
+            let slot = match group {
+                0 => 0,
+                1 => 1,
+                2 => dense_slot + 1,
+                _ => {
+                    late.push((EDGE_COUNTS[count], bucket));
+                    continue;
+                }
+            };
+            for i in 0..EDGE_COUNTS[count] {
+                q.schedule(at(slot, bucket, i * 7));
+            }
+        }
+        for i in 0..dense_n {
+            q.schedule(at(dense_slot, i % dense_spread, i / dense_spread));
+        }
+        for i in 0..heap_n {
+            q.schedule(at(far_slot, far_bucket + i % 3, i));
+        }
+        prop_assert_eq!(q.cal.stats().pushes, q.reference.next_seq);
+        let anchor = at(anchor_slot, 0, 0);
+        q.schedule(anchor);
+        // Drain through the dense slot up to the anchor; the clock's level-1 slot is
+        // then within reach of `far_slot`, so these go to level 1 beside the heap's.
+        while q.pop(width).is_some_and(|t| t.as_nanos() < anchor) {}
+        late.push((EDGE_COUNTS[2], far_bucket));
+        for &(count, bucket) in &late {
+            for i in 0..count {
+                q.schedule(at(far_slot, bucket, i * 5));
+            }
+        }
+        while q.pop(width).is_some() {}
+        prop_assert!(q.cal.is_empty());
+        prop_assert_eq!(q.cal.stats().overflow_migrations, heap_n);
+    }
+}

@@ -6,8 +6,8 @@
 //!
 //! * **overloaded** — every arrival squeezed into 1 ms: nearly every flow is
 //!   unfinished at once, most of them paused and probing, and thousands of events are
-//!   pending; the burst drains far more bucket capacity than the event queue's
-//!   spare-buffer bound keeps, so that bound is in play;
+//!   pending; the burst frees far more event-queue chunks than the queue keeps once
+//!   it drains, so the rule that hands them back is in play;
 //! * **steady** — arrivals spread over 66 ms (the spec's own arrival rate): a few
 //!   dozen flows are live at any time while the finished ones pile up, so a host that
 //!   kept its finished senders would hold memory for all of them.
@@ -35,11 +35,21 @@
 //! peak comes after the last arrival, so arrivals queued one at a time leave it
 //! where it was, and the regime check holds.
 //!
+//! Since the event queue keeps its events in fixed-size chunks from one pool, instead
+//! of a growable buffer per wheel slot plus a bounded list of spare buffers, the
+//! overloaded run peaks at 2 204 023 B (2 852 151 B before) and the steady run at
+//! 890 071 B (998 535 B before). Both bounds moved down with it. Kept at 1 040 000 B,
+//! the steady bound no longer caught receivers kept for the whole run (983 367 B with
+//! chunks); the overloaded bound keeps the paths mutation's 131 712 B margin over the
+//! run.
+//!
 //! The steady run also bounds the largest single allocation. Its flow records are
 //! built in place in the slot slab's buffer, so nothing it allocates is larger than
 //! that slab: 168 000 B, 1 000 slots of 168 B (346 128 B when the records went into a
-//! hash map allocated after the run). The overloaded run's largest allocation is an
-//! event-queue buffer (327 680 B), so the bound does not apply to it.
+//! hash map allocated after the run). The overloaded run's largest allocation is the
+//! packet pool growing in `PacketPool::park` (327 680 B), so the bound does not apply
+//! to it. The event queue's largest allocation there was a 4 096-event level-1 slot
+//! buffer (262 144 B) before chunks; now it is a 32 KiB page of the chunk pool.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -126,16 +136,16 @@ const SLOT_BYTES_CAP: usize = 200;
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
     for (case, spread_us, bound) in [
-        ("overloaded", 1_000, 2_920_000),
-        ("steady", 66_000, 1_040_000),
+        ("overloaded", 1_000, 2_300_000),
+        ("steady", 66_000, 940_000),
     ] {
         let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         let (queue, engine) = (run.packet().queue, run.packet().engine);
         let live = engine.live_flows_high_water;
         eprintln!(
             "{case}: peak live {peak} B, largest allocation {largest} B; {} events, \
-             {} pending at most, {live} flows live at most",
-            queue.pops, queue.peak_pending
+             {} pending at most in {} queue chunks, {live} flows live at most",
+            queue.pops, queue.peak_pending, queue.peak_chunks
         );
         assert_eq!(run.completed, run.flows, "{case}: every flow completes");
         let regime = match case {
