@@ -15,259 +15,127 @@
 //! Sweeps: the Early Start threshold `K`, the dampening window, the Suppressed Probing
 //! constant `X`, and the sliver-acceptance threshold added by this implementation.
 
-use pdq::{install_pdq, Discipline, PdqParams};
-use pdq_netsim::{FlowSpec, LinkId, SimConfig, SimTime, Simulator, TraceConfig};
-use pdq_topology::{single_bottleneck, Topology};
+use std::sync::Arc;
 
-use crate::common::{fmt, Table};
-use crate::fig3::Scale;
+use pdq::{Discipline, PdqInstaller, PdqParams};
+use pdq_netsim::SimTime;
+use pdq_scenario::{ProtocolRegistry, RunSummary, Scenario};
 
-/// Outcome of one Figure-6-style convergence run.
-#[derive(Clone, Copy, Debug)]
-pub struct ConvergenceOutcome {
-    /// Completion time of the last flow, in milliseconds.
-    pub makespan_ms: f64,
-    /// Mean bottleneck utilization over the samples where the link was busy.
-    pub busy_utilization: f64,
-    /// Peak bottleneck queue in packets.
-    pub max_queue_pkts: f64,
+use crate::common::{fmt, run_in, Scale, Table};
+use crate::fig67::{burst_utilization, fig6_scenario, fig7_scenario, ConvergenceOutcome};
+
+/// Run `scenario` under PDQ with `params`: a one-entry registry holds the ablated
+/// installer, so the run takes the same [`Scenario::run`] path as every figure.
+fn run_ablated(params: &PdqParams, scenario: Scenario) -> RunSummary {
+    let mut registry = ProtocolRegistry::new();
+    let installer = PdqInstaller::custom("ablated", "PDQ", params.clone(), Discipline::Exact);
+    registry.register_instance(Arc::new(installer));
+    run_in(&registry, &scenario.protocol("ablated"))
 }
 
-fn bottleneck_link(topo: &Topology) -> LinkId {
-    LinkId(topo.net.link_count() as u32 - 2)
-}
-
-/// Run the Figure 6 scenario (five ~1 MB flows, single 1 Gbps bottleneck) under the
-/// given PDQ parameters.
-pub fn convergence_run(params: &PdqParams) -> ConvergenceOutcome {
-    let topo = single_bottleneck(5, Default::default());
-    let receiver = *topo.hosts.last().unwrap();
-    let bottleneck = bottleneck_link(&topo);
-    let cfg = SimConfig {
-        max_sim_time: SimTime::from_secs(5),
-        trace: TraceConfig {
-            interval: SimTime::from_millis(1),
-            links: vec![bottleneck],
-            flows: false,
-        },
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.net.clone(), cfg);
-    install_pdq(&mut sim, params, &Discipline::Exact);
-    for i in 0..5u64 {
-        sim.add_flow(FlowSpec::new(
-            i + 1,
-            topo.hosts[i as usize],
-            receiver,
-            1_000_000 + i * 2_000,
-        ));
+/// One ablation table: a row per parameter value (each `set` on
+/// [`PdqParams::full`]) with the Figure 6 [`ConvergenceOutcome`] and, with `burst`,
+/// the Figure 7 [`burst_utilization`].
+fn parameter_sweep(
+    title: &str,
+    header: &str,
+    values: Vec<f64>,
+    label: fn(f64) -> String,
+    burst: bool,
+    set: fn(&mut PdqParams, f64),
+) -> Table {
+    let mut columns = vec![
+        header,
+        "makespan [ms]",
+        "busy utilization",
+        "max queue [pkts]",
+    ];
+    if burst {
+        columns.push("burst utilization");
     }
-    let res = sim.run();
-    let makespan_ms = res
-        .flows
-        .iter()
-        .filter_map(|r| r.completed_at)
-        .max()
-        .map(|t| t.as_millis_f64())
-        .unwrap_or(f64::INFINITY);
-    let util = res
-        .traces
-        .link_utilization
-        .get(&bottleneck)
-        .cloned()
-        .unwrap_or_default();
-    let busy: Vec<f64> = util
-        .iter()
-        .map(|s| s.value.min(1.0))
-        .filter(|v| *v > 0.05)
-        .collect();
-    let busy_utilization = busy.iter().sum::<f64>() / busy.len().max(1) as f64;
-    let max_queue_pkts = res
-        .traces
-        .link_queue_bytes
-        .get(&bottleneck)
-        .map(|s| s.iter().map(|x| x.value).fold(0.0, f64::max) / 1500.0)
-        .unwrap_or(0.0);
-    ConvergenceOutcome {
-        makespan_ms,
-        busy_utilization,
-        max_queue_pkts,
+    let mut table = Table::new(title, &columns);
+    for v in values {
+        let mut params = PdqParams::full();
+        set(&mut params, v);
+        let (scenario, bottleneck) = fig6_scenario(false);
+        let conv = ConvergenceOutcome::of(&run_ablated(&params, scenario), bottleneck);
+        let mut row = vec![
+            label(v),
+            fmt(conv.makespan_ms),
+            fmt(conv.busy_utilization),
+            fmt(conv.max_queue_pkts),
+        ];
+        if burst {
+            let (scenario, bottleneck) = fig7_scenario(false);
+            row.push(fmt(burst_utilization(
+                &run_ablated(&params, scenario),
+                bottleneck,
+            )));
+        }
+        table.push_row(row);
     }
-}
-
-/// Run the Figure 7 burst scenario under the given PDQ parameters and return the mean
-/// bottleneck utilization during the preemption period (10–20 ms).
-pub fn burst_utilization(params: &PdqParams) -> f64 {
-    let topo = single_bottleneck(51, Default::default());
-    let receiver = *topo.hosts.last().unwrap();
-    let bottleneck = bottleneck_link(&topo);
-    let cfg = SimConfig {
-        max_sim_time: SimTime::from_secs(5),
-        trace: TraceConfig {
-            interval: SimTime::from_millis(1),
-            links: vec![bottleneck],
-            flows: false,
-        },
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(topo.net.clone(), cfg);
-    install_pdq(&mut sim, params, &Discipline::Exact);
-    sim.add_flow(FlowSpec::new(1, topo.hosts[0], receiver, 6_000_000));
-    for i in 0..50u64 {
-        sim.add_flow(
-            FlowSpec::new(
-                i + 2,
-                topo.hosts[(i + 1) as usize],
-                receiver,
-                20_000 + 100 * (i % 7),
-            )
-            .with_arrival(SimTime::from_millis(10)),
-        );
-    }
-    let res = sim.run();
-    let util = res
-        .traces
-        .link_utilization
-        .get(&bottleneck)
-        .cloned()
-        .unwrap_or_default();
-    let window: Vec<f64> = util
-        .iter()
-        .filter(|s| {
-            let t = s.at.as_millis_f64();
-            (10.0..20.0).contains(&t)
-        })
-        .map(|s| s.value.min(1.0))
-        .collect();
-    window.iter().sum::<f64>() / window.len().max(1) as f64
+    table
 }
 
 /// Ablation of the Early Start threshold `K` (paper recommends 1–2, uses 2; K = 0
 /// disables Early Start entirely).
 pub fn ablate_early_start_k(scale: Scale) -> Table {
-    let ks: Vec<f64> = match scale {
-        Scale::Quick => vec![0.0, 2.0],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0],
-    };
-    let mut table = Table::new(
+    parameter_sweep(
         "Ablation: Early Start threshold K (Fig. 6 convergence + Fig. 7 burst scenarios)",
-        &[
-            "K [RTTs]",
-            "makespan [ms]",
-            "busy utilization",
-            "max queue [pkts]",
-            "burst utilization",
-        ],
-    );
-    for &k in &ks {
-        let mut params = PdqParams::full();
-        params.early_start = k > 0.0;
-        params.early_start_k = k.max(0.0);
-        let conv = convergence_run(&params);
-        let burst = burst_utilization(&params);
-        table.push_row(vec![
-            fmt(k),
-            fmt(conv.makespan_ms),
-            fmt(conv.busy_utilization),
-            fmt(conv.max_queue_pkts),
-            fmt(burst),
-        ]);
-    }
-    table
+        "K [RTTs]",
+        scale.pick(vec![0.0, 2.0], vec![0.0, 0.5, 1.0, 2.0, 4.0, 8.0]),
+        fmt,
+        true,
+        |p, k| {
+            p.early_start = k > 0.0;
+            p.early_start_k = k.max(0.0);
+        },
+    )
 }
 
 /// Ablation of the dampening window (0 disables dampening).
 pub fn ablate_damping(scale: Scale) -> Table {
-    let windows_us: Vec<u64> = match scale {
-        Scale::Quick => vec![0, 150, 600],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0, 75, 150, 300, 600, 1200],
-    };
-    let mut table = Table::new(
+    parameter_sweep(
         "Ablation: dampening window (Fig. 6 convergence + Fig. 7 burst scenarios)",
-        &[
-            "window [us]",
-            "makespan [ms]",
-            "busy utilization",
-            "max queue [pkts]",
-            "burst utilization",
-        ],
-    );
-    for &w in &windows_us {
-        let mut params = PdqParams::full();
-        params.damping = SimTime::from_micros(w);
-        let conv = convergence_run(&params);
-        let burst = burst_utilization(&params);
-        table.push_row(vec![
-            w.to_string(),
-            fmt(conv.makespan_ms),
-            fmt(conv.busy_utilization),
-            fmt(conv.max_queue_pkts),
-            fmt(burst),
-        ]);
-    }
-    table
+        "window [us]",
+        scale.pick(
+            vec![0.0, 150.0, 600.0],
+            vec![0.0, 75.0, 150.0, 300.0, 600.0, 1200.0],
+        ),
+        |w| w.to_string(),
+        true,
+        |p, w| p.damping = SimTime::from_micros(w as u64),
+    )
 }
 
 /// Ablation of the Suppressed Probing constant `X` (0 disables suppression: every
 /// paused flow probes once per RTT).
 pub fn ablate_probing_x(scale: Scale) -> Table {
-    let xs: Vec<f64> = match scale {
-        Scale::Quick => vec![0.0, 0.2],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.0, 0.1, 0.2, 0.5, 1.0, 2.0],
-    };
-    let mut table = Table::new(
+    parameter_sweep(
         "Ablation: Suppressed Probing constant X (Fig. 6 convergence scenario)",
-        &[
-            "X [RTTs/flow]",
-            "makespan [ms]",
-            "busy utilization",
-            "max queue [pkts]",
-        ],
-    );
-    for &x in &xs {
-        let mut params = PdqParams::full();
-        params.suppressed_probing = x > 0.0;
-        params.probing_x = x.max(0.0);
-        let conv = convergence_run(&params);
-        table.push_row(vec![
-            fmt(x),
-            fmt(conv.makespan_ms),
-            fmt(conv.busy_utilization),
-            fmt(conv.max_queue_pkts),
-        ]);
-    }
-    table
+        "X [RTTs/flow]",
+        scale.pick(vec![0.0, 0.2], vec![0.0, 0.1, 0.2, 0.5, 1.0, 2.0]),
+        fmt,
+        false,
+        |p, x| {
+            p.suppressed_probing = x > 0.0;
+            p.probing_x = x.max(0.0);
+        },
+    )
 }
 
 /// Ablation of the sliver-acceptance threshold added by this implementation (see
 /// EXPERIMENTS.md "implementation notes"): 0 reproduces the literal Algorithm 1, which
 /// grants arbitrarily small leftovers to paused flows.
 pub fn ablate_min_accept(scale: Scale) -> Table {
-    let fractions: Vec<f64> = match scale {
-        Scale::Quick => vec![0.0, 0.01],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.0, 0.001, 0.01, 0.05, 0.1],
-    };
-    let mut table = Table::new(
+    parameter_sweep(
         "Ablation: sliver-acceptance threshold (fraction of link rate; Fig. 6 scenario)",
-        &[
-            "threshold",
-            "makespan [ms]",
-            "busy utilization",
-            "max queue [pkts]",
-        ],
-    );
-    for &f in &fractions {
-        let mut params = PdqParams::full();
-        params.min_accept_fraction = f;
-        let conv = convergence_run(&params);
-        table.push_row(vec![
-            fmt(f),
-            fmt(conv.makespan_ms),
-            fmt(conv.busy_utilization),
-            fmt(conv.max_queue_pkts),
-        ]);
-    }
-    table
+        "threshold",
+        scale.pick(vec![0.0, 0.01], vec![0.0, 0.001, 0.01, 0.05, 0.1]),
+        fmt,
+        false,
+        |p, f| p.min_accept_fraction = f,
+    )
 }
 
 /// All ablation tables.

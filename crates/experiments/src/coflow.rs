@@ -23,8 +23,7 @@
 use pdq_scenario::{RunSummary, Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, SizeDist};
 
-use crate::common::{fmt_opt, label_of, run_scenario, Table};
-use crate::fig3::Scale;
+use crate::common::{fmt_opt, label_of, run_scenario, Scale, Table};
 
 /// The schemes the coflow experiment compares.
 pub fn coflow_protocols() -> Vec<&'static str> {

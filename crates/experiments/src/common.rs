@@ -1,6 +1,7 @@
-//! Shared experiment machinery: the default protocol registry, scenario execution
-//! helpers, binary search for the "flows supported at 99% application throughput"
-//! metric, and table output.
+//! Shared experiment machinery: the experiment [`Scale`], the default protocol
+//! registry, scenario execution helpers, the seed average, binary search for the
+//! "flows supported at 99% application throughput" metric, and table output —
+//! including [`protocol_table`], the axis × protocol shape most figures share.
 //!
 //! Every scheme the paper evaluates — the four PDQ variants, the Figure 10/12
 //! information models, M-PDQ, D3, RCP and TCP — installs through the open
@@ -15,8 +16,64 @@ use pdq_scenario::{ProtocolRegistry, RunSummary, Scenario};
 
 pub use pdq_scenario::run_packet_level;
 
+/// Experiment scale: `Quick` keeps runtimes in seconds (used by tests and benches),
+/// `Paper` sweeps the full parameter ranges of the figures, and `Large` / `Huge`
+/// additionally unlock the engine-stress tiers of the engine-scale scenario
+/// ([`crate::scalebench::engine_scale`]) used to benchmark the packet engine itself.
+/// Figure sweeps treat `Large` and `Huge` like `Paper` (see [`Scale::pick`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scale {
+    /// Reduced sweep, fewer seeds and protocols.
+    Quick,
+    /// The paper's parameter ranges.
+    Paper,
+    /// Engine-stress scale: ≥10k flows on a fat-tree in the `engine_scale` scenario
+    /// (figure experiments fall back to the `Paper` ranges).
+    Large,
+    /// Partitioned-engine stress scale: ≥1024 hosts and ≥1M flows in the
+    /// `engine_scale` scenario — the tier the sharded engine exists for (figure
+    /// experiments fall back to the `Paper` ranges).
+    Huge,
+}
+
+impl Scale {
+    /// `quick` at [`Scale::Quick`], `paper` at every larger scale.
+    pub fn pick<T>(self, quick: T, paper: T) -> T {
+        if self == Scale::Quick {
+            quick
+        } else {
+            paper
+        }
+    }
+
+    /// The seeds a figure averages over.
+    pub(crate) fn seeds(self) -> Vec<u64> {
+        self.pick(vec![1], vec![1, 2, 3])
+    }
+
+    /// The protocols a figure compares, PDQ(Full) first.
+    pub(crate) fn protocols(self) -> &'static [&'static str] {
+        self.pick(QUICK_PROTOCOLS, PAPER_PROTOCOLS)
+    }
+}
+
 /// The canonical complete protocol, used as the normalization baseline everywhere.
 pub const PDQ_FULL: &str = "pdq(full)";
+
+/// The protocol set most figures compare at paper scale: PDQ variants, D3, RCP and
+/// TCP.
+pub const PAPER_PROTOCOLS: &[&str] = &[
+    PDQ_FULL,
+    "pdq(es+et)",
+    "pdq(es)",
+    "pdq(basic)",
+    "d3",
+    "rcp",
+    "tcp",
+];
+
+/// The reduced set the quick configurations compare.
+pub const QUICK_PROTOCOLS: &[&str] = &[PDQ_FULL, "d3", "rcp", "tcp"];
 
 /// A fresh registry with every scheme the paper evaluates registered: the `pdq` and
 /// `mpdq` families plus the `tcp`, `rcp` and `d3` baselines.
@@ -33,48 +90,32 @@ pub fn registry() -> &'static ProtocolRegistry {
     REGISTRY.get_or_init(default_registry)
 }
 
-/// The protocol set most figures compare: PDQ variants, D3, RCP and TCP.
-pub fn paper_protocols() -> Vec<&'static str> {
-    vec![
-        "pdq(full)",
-        "pdq(es+et)",
-        "pdq(es)",
-        "pdq(basic)",
-        "d3",
-        "rcp",
-        "tcp",
-    ]
-}
-
-/// A reduced set used by the quick configurations and the benches.
-pub fn quick_protocols() -> Vec<&'static str> {
-    vec!["pdq(full)", "d3", "rcp", "tcp"]
-}
-
 /// The table label a protocol spec resolves to (via the shared registry).
 pub fn label_of(protocol: &str) -> String {
     registry().label(protocol).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// One table column per protocol, headed by its registry label.
+pub fn labelled<'a>(protocols: &[&'a str]) -> Vec<(String, &'a str)> {
+    protocols.iter().map(|p| (label_of(p), *p)).collect()
+}
+
 /// The process-wide packet-engine shard count (`--engine-threads`), applied to every
-/// scenario that keeps the sequential default. 0 stores "auto-detect cores".
+/// scenario that keeps the one-shard default.
 static ENGINE_THREADS: AtomicU32 = AtomicU32::new(1);
 
-/// Set the process-wide packet-engine shard count: 1 (default) keeps the sequential
-/// engine, N ≥ 2 shards every figure scenario, 0 auto-detects the core count.
+/// Set the process-wide packet-engine shard count: 1 (default) runs one core, N ≥ 2
+/// shards every figure scenario.
 pub fn set_engine_threads(threads: u32) {
     ENGINE_THREADS.store(threads, Ordering::Relaxed);
 }
 
-/// The process-wide shard count with auto-detection resolved (never 0).
+/// The process-wide shard count.
 pub fn engine_threads() -> u32 {
-    match ENGINE_THREADS.load(Ordering::Relaxed) {
-        0 => pdq_scenario::default_threads() as u32,
-        n => n,
-    }
+    ENGINE_THREADS.load(Ordering::Relaxed)
 }
 
-/// Apply the process-wide shard count to a scenario that keeps the sequential
+/// Apply the process-wide shard count to a scenario that keeps the one-shard
 /// default; a scenario (or spec file) that pins its own count wins.
 pub fn with_engine_threads(scenario: Scenario) -> Scenario {
     let threads = engine_threads();
@@ -85,25 +126,57 @@ pub fn with_engine_threads(scenario: Scenario) -> Scenario {
     }
 }
 
-/// Run one scenario through the shared registry, under the process-wide
-/// `--engine-threads` override. Panics on unresolvable protocols — figure code only
-/// uses registered names.
-pub fn run_scenario(scenario: &Scenario) -> RunSummary {
+/// Run one scenario through `registry`, under the process-wide `--engine-threads`
+/// override. Panics on unresolvable protocols — figure code only uses registered
+/// names.
+pub fn run_in(registry: &ProtocolRegistry, scenario: &Scenario) -> RunSummary {
     with_engine_threads(scenario.clone())
-        .run(registry())
+        .run(registry)
         .unwrap_or_else(|e| panic!("scenario {:?}: {e}", scenario.name))
 }
 
-/// Average application throughput of `base` (protocol and workload already set) over
-/// several seeds.
-pub fn avg_application_throughput(base: &Scenario, seeds: &[u64]) -> f64 {
-    let mut sum = 0.0;
-    for &s in seeds {
-        sum += run_scenario(&base.clone().seed(s))
-            .application_throughput()
-            .unwrap_or(1.0);
+/// Run one scenario through the shared registry ([`run_in`]).
+pub fn run_scenario(scenario: &Scenario) -> RunSummary {
+    run_in(registry(), scenario)
+}
+
+/// Print `label`, then a packet run's event-queue and engine counters, on stderr:
+/// per-run telemetry, kept off the byte-compared stdout tables.
+pub fn print_engine_counters(label: &str, res: &RunSummary) {
+    if let Some(r) = res.results.packet() {
+        let q = &r.queue;
+        eprintln!(
+            "{label} event queue pushes={} pops={} peak_pending={} overflow_migrations={} \
+             buckets_sorted={}; engine {}",
+            q.pushes, q.pops, q.peak_pending, q.overflow_migrations, q.buckets_sorted, r.engine
+        );
     }
-    sum / seeds.len() as f64
+}
+
+/// Application throughput of one run (1.0 when no flow has a deadline).
+pub fn app_throughput(scenario: &Scenario) -> f64 {
+    run_scenario(scenario)
+        .application_throughput()
+        .unwrap_or(1.0)
+}
+
+/// Mean FCT of one run in seconds (10 s when no flow completed).
+pub fn mean_fct(scenario: &Scenario) -> f64 {
+    run_scenario(scenario).mean_fct_secs.unwrap_or(10.0)
+}
+
+/// The mean of `metric` over `seeds`, summed in seed order.
+pub fn seed_mean(seeds: &[u64], mut metric: impl FnMut(u64) -> f64) -> f64 {
+    seeds.iter().fold(0.0, |sum, &s| sum + metric(s)) / seeds.len() as f64
+}
+
+/// Flows supported at 99% application throughput: the largest `n` in `[1, max_n]`
+/// whose `scenario(n)`, averaged over `seeds`, still meets the target (see
+/// [`max_supported`]).
+pub fn supported(max_n: usize, seeds: &[u64], scenario: impl Fn(usize) -> Scenario) -> usize {
+    max_supported(max_n, 0.99, |n| {
+        seed_mean(seeds, |s| app_throughput(&scenario(n).seed(s)))
+    })
 }
 
 /// Binary-search the largest `n` in `[1, max_n]` for which `metric(n) >= target`.
@@ -114,13 +187,10 @@ pub fn max_supported<F>(max_n: usize, target: f64, mut metric: F) -> usize
 where
     F: FnMut(usize) -> f64,
 {
-    let mut lo = 0usize; // highest n known to satisfy the target
-    let mut hi = max_n + 1; // lowest n known to fail (exclusive bound)
-                            // Quick check of the smallest instance.
     if metric(1) < target {
         return 0;
     }
-    lo = lo.max(1);
+    let (mut lo, mut hi) = (1, max_n + 1); // lo satisfies the target, hi fails
     while hi - lo > 1 {
         let mid = (lo + hi) / 2;
         if metric(mid) >= target {
@@ -130,6 +200,28 @@ where
         }
     }
     lo
+}
+
+/// The axis × protocol table most figures share: one row per `(label, value)` of
+/// `rows`, a first column headed `row_header`, then one column per `(header,
+/// protocol)` whose cells are `cell(value, protocol)`, computed row by row in column
+/// order.
+pub fn protocol_table<R>(
+    title: &str,
+    row_header: &str,
+    rows: impl IntoIterator<Item = (String, R)>,
+    columns: &[(String, &str)],
+    mut cell: impl FnMut(&R, &str) -> String,
+) -> Table {
+    let mut headers = vec![row_header];
+    headers.extend(columns.iter().map(|(h, _)| h.as_str()));
+    let mut table = Table::new(title, &headers);
+    for (label, value) in rows {
+        let mut row = vec![label];
+        row.extend(columns.iter().map(|(_, p)| cell(&value, p)));
+        table.push_row(row);
+    }
+    table
 }
 
 /// A printable experiment result table.
@@ -223,6 +315,34 @@ mod tests {
     }
 
     #[test]
+    fn protocol_table_fills_rows_by_column() {
+        let columns = [("A".to_string(), "a"), ("B".to_string(), "b")];
+        let rows = [1, 2].map(|n| (format!("r{n}"), n));
+        let t = protocol_table("T", "axis", rows, &columns, |n, p| format!("{p}{n}"));
+        assert_eq!(t.columns, ["axis", "A", "B"]);
+        assert_eq!(t.rows, [["r1", "a1", "b1"], ["r2", "a2", "b2"]]);
+    }
+
+    #[test]
+    fn scale_pick_treats_every_larger_tier_as_paper() {
+        assert_eq!(Scale::Quick.pick(1, 2), 1);
+        for scale in [Scale::Paper, Scale::Large, Scale::Huge] {
+            assert_eq!(scale.pick(1, 2), 2);
+            assert_eq!(scale.protocols(), PAPER_PROTOCOLS);
+        }
+        assert_eq!(Scale::Quick.protocols()[0], PDQ_FULL);
+    }
+
+    #[test]
+    fn seed_mean_sums_in_seed_order() {
+        // (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in f64: the order is part of the
+        // tables' bytes.
+        let v = |s: u64| s as f64 / 10.0;
+        assert_eq!(seed_mean(&[1, 2, 3], v), (0.1 + 0.2 + 0.3) / 3.0);
+        assert_eq!(seed_mean(&[3], v), 0.3);
+    }
+
+    #[test]
     fn binary_search_finds_threshold() {
         // metric(n) >= 0.99 iff n <= 37.
         let n = max_supported(100, 0.99, |n| if n <= 37 { 1.0 } else { 0.5 });
@@ -238,9 +358,9 @@ mod tests {
         assert_eq!(label_of("pdq(full)"), "PDQ(Full)");
         assert_eq!(label_of("d3"), "D3");
         assert_eq!(label_of("mpdq(3)"), "M-PDQ(3 subflows)");
-        assert_eq!(paper_protocols().len(), 7);
+        assert_eq!(PAPER_PROTOCOLS.len(), 7);
         // Every set member resolves.
-        for p in paper_protocols().iter().chain(quick_protocols().iter()) {
+        for p in PAPER_PROTOCOLS.iter().chain(QUICK_PROTOCOLS) {
             assert!(registry().resolve(p).is_ok(), "{p}");
         }
     }

@@ -9,13 +9,13 @@
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, SizeDist};
 
-use crate::common::{fmt, label_of, quick_protocols, run_scenario, Table};
+use crate::common::{fmt, label_of, run_scenario, Table, QUICK_PROTOCOLS};
 
 /// One table per protocol in the quick comparison set: per-flow outcomes of a single
 /// deadline-constrained query-aggregation run with `n_flows` flows.
 pub fn per_flow_outcomes(n_flows: usize, seed: u64) -> Vec<Table> {
     let mut tables = Vec::new();
-    for protocol in quick_protocols() {
+    for &protocol in QUICK_PROTOCOLS {
         let res = run_scenario(
             &Scenario::new("diag")
                 .topology(TopologySpec::PaperTree)
@@ -84,19 +84,9 @@ pub fn per_flow_outcomes(n_flows: usize, seed: u64) -> Vec<Table> {
     tables
 }
 
-/// Default diagnostic configuration used by the `diag` experiment name. The flow count
-/// and seed can be overridden with the `PDQ_DIAG_FLOWS` / `PDQ_DIAG_SEED` environment
-/// variables so the tool is usable without recompiling.
+/// The `diag` experiment: [`per_flow_outcomes`] of 9 flows at seed 1.
 pub fn diag() -> Vec<Table> {
-    let n = std::env::var("PDQ_DIAG_FLOWS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
-    let seed = std::env::var("PDQ_DIAG_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    per_flow_outcomes(n, seed)
+    per_flow_outcomes(9, 1)
 }
 
 #[cfg(test)]
@@ -106,7 +96,7 @@ mod tests {
     #[test]
     fn diag_reports_every_flow_for_every_protocol() {
         let tables = per_flow_outcomes(3, 7);
-        assert_eq!(tables.len(), quick_protocols().len());
+        assert_eq!(tables.len(), QUICK_PROTOCOLS.len());
         for t in &tables {
             // 3 flows + the summary row.
             assert_eq!(t.rows.len(), 4);

@@ -11,61 +11,43 @@
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, SizeDist};
 
-use crate::common::{fmt, label_of, run_scenario, Table};
-use crate::fig3::Scale;
+use crate::common::{fmt, labelled, mean_fct, protocol_table, seed_mean, Scale, Table};
 
 /// Figure 10: mean FCT \[ms\] for each information model and size distribution.
 pub fn fig10(scale: Scale) -> Table {
-    let n_flows = 10;
-    let seeds: Vec<u64> = match scale {
-        Scale::Quick => vec![1],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![1, 2, 3, 4],
+    let seeds = scale.pick(vec![1], vec![1, 2, 3, 4]);
+    let pareto = SizeDist::Pareto {
+        mean: 100_000,
+        alpha: 1.1,
     };
-    let schemes: Vec<&str> = vec![
-        "pdq(full;exact)",
-        "pdq(full;random)",
-        "pdq(full;estimate=50000)",
-        "rcp",
+    let dists = [
+        ("Uniform".to_string(), SizeDist::UniformMean(100_000)),
+        ("Pareto (tail 1.1)".to_string(), pareto),
     ];
-    let dists: Vec<(&str, SizeDist)> = vec![
-        ("Uniform", SizeDist::UniformMean(100_000)),
-        (
-            "Pareto (tail 1.1)",
-            SizeDist::Pareto {
-                mean: 100_000,
-                alpha: 1.1,
-            },
-        ),
-    ];
-    let mut cols = vec!["size distribution".to_string()];
-    cols.extend(schemes.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    protocol_table(
         "Figure 10: mean FCT [ms] with inaccurate flow information (10 flows, mean 100 KB)",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for (name, dist) in &dists {
-        let mut row = vec![name.to_string()];
-        for p in &schemes {
-            let mut sum = 0.0;
-            for &s in &seeds {
-                let summary = run_scenario(
-                    &Scenario::new("fig10")
-                        .topology(TopologySpec::PaperTree)
-                        .workload(WorkloadSpec::QueryAggregation {
-                            flows: n_flows,
-                            sizes: dist.clone(),
-                            deadlines: DeadlineDist::None,
-                        })
-                        .protocol(*p)
-                        .seed(s),
-                );
-                sum += summary.mean_fct_secs.unwrap_or(10.0) * 1e3;
-            }
-            row.push(fmt(sum / seeds.len() as f64));
-        }
-        table.push_row(row);
-    }
-    table
+        "size distribution",
+        dists,
+        &labelled(&[
+            "pdq(full;exact)",
+            "pdq(full;random)",
+            "pdq(full;estimate=50000)",
+            "rcp",
+        ]),
+        |dist, p| {
+            let scenario = Scenario::new("fig10")
+                .topology(TopologySpec::PaperTree)
+                .workload(WorkloadSpec::QueryAggregation {
+                    flows: 10,
+                    sizes: dist.clone(),
+                    deadlines: DeadlineDist::None,
+                })
+                .protocol(p);
+            fmt(seed_mean(&seeds, |s| {
+                mean_fct(&scenario.clone().seed(s)) * 1e3
+            }))
+        },
+    )
 }
 
 #[cfg(test)]

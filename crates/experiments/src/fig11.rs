@@ -9,10 +9,7 @@
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, SizeDist};
 
-use crate::common::{
-    avg_application_throughput, fmt, max_supported, run_scenario, Table, PDQ_FULL,
-};
-use crate::fig3::Scale;
+use crate::common::{fmt, mean_fct, protocol_table, supported, Scale, Table, PDQ_FULL};
 
 // BCube(2,3): 16 servers with 4 NICs each, as in the paper's Figure 11.
 const BCUBE: TopologySpec = TopologySpec::BCube { n: 2, k: 3 };
@@ -38,42 +35,29 @@ fn load_scenario(name: &str, load: f64) -> Scenario {
 
 /// Figure 11a: mean FCT \[ms\] vs load, single-path PDQ vs M-PDQ with 3 subflows.
 pub fn fig11a(scale: Scale) -> Table {
-    let loads = match scale {
-        Scale::Quick => vec![0.25, 1.0],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.2, 0.4, 0.6, 0.8, 1.0],
-    };
-    let mut table = Table::new(
+    let loads = scale.pick(vec![0.25, 1.0], vec![0.2, 0.4, 0.6, 0.8, 1.0]);
+    protocol_table(
         "Figure 11a: mean FCT [ms] vs load on BCube(2,3) (random permutation, no deadlines)",
-        &["load", "PDQ", "M-PDQ (3 subflows)"],
-    );
-    for &load in &loads {
-        let mut row = vec![fmt(load)];
-        for p in [PDQ_FULL, "mpdq(3)"] {
-            let summary = run_scenario(&load_scenario("fig11a", load).protocol(p));
-            row.push(fmt(summary.mean_fct_secs.unwrap_or(10.0) * 1e3));
-        }
-        table.push_row(row);
-    }
-    table
+        "load",
+        loads.into_iter().map(|load| (fmt(load), load)),
+        &[
+            ("PDQ".into(), PDQ_FULL),
+            ("M-PDQ (3 subflows)".into(), "mpdq(3)"),
+        ],
+        |&load, p| fmt(mean_fct(&load_scenario("fig11a", load).protocol(p)) * 1e3),
+    )
 }
 
 /// Figure 11b: mean FCT \[ms\] vs number of subflows at 100% load.
 pub fn fig11b(scale: Scale) -> Table {
-    let subflow_counts: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 3],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![1, 2, 3, 4, 5, 6, 7, 8],
-    };
+    let subflow_counts = scale.pick(vec![1, 3], vec![1, 2, 3, 4, 5, 6, 7, 8]);
     let mut table = Table::new(
         "Figure 11b: mean FCT [ms] vs number of M-PDQ subflows (100% load)",
         &["subflows", "mean FCT [ms]"],
     );
-    for &k in &subflow_counts {
-        let summary =
-            run_scenario(&load_scenario("fig11b", 1.0).protocol(protocol_for_subflows(k)));
-        table.push_row(vec![
-            k.to_string(),
-            fmt(summary.mean_fct_secs.unwrap_or(10.0) * 1e3),
-        ]);
+    for k in subflow_counts {
+        let scenario = load_scenario("fig11b", 1.0).protocol(protocol_for_subflows(k));
+        table.push_row(vec![k.to_string(), fmt(mean_fct(&scenario) * 1e3)]);
     }
     table
 }
@@ -81,32 +65,23 @@ pub fn fig11b(scale: Scale) -> Table {
 /// Figure 11c: deadline flows supported at 99% application throughput vs number of
 /// subflows (100% load, deadline-constrained).
 pub fn fig11c(scale: Scale) -> Table {
-    let subflow_counts: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 3],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![1, 2, 3, 4, 6, 8],
-    };
-    let max_n = match scale {
-        Scale::Quick => 16,
-        Scale::Paper | Scale::Large | Scale::Huge => 40,
-    };
+    let subflow_counts = scale.pick(vec![1, 3], vec![1, 2, 3, 4, 6, 8]);
     let mut table = Table::new(
         "Figure 11c: flows at 99% application throughput vs number of M-PDQ subflows",
         &["subflows", "flows @99% application throughput"],
     );
-    for &k in &subflow_counts {
-        let protocol = protocol_for_subflows(k);
-        let supported = max_supported(max_n, 0.99, |n| {
-            let base = Scenario::new("fig11c")
+    for k in subflow_counts {
+        let flows = supported(scale.pick(16, 40), &[5], |n| {
+            Scenario::new("fig11c")
                 .topology(BCUBE)
                 .workload(WorkloadSpec::QueryAggregation {
                     flows: n,
                     sizes: SizeDist::query(),
                     deadlines: DeadlineDist::paper_default(),
                 })
-                .protocol(protocol.clone());
-            avg_application_throughput(&base, &[5])
+                .protocol(protocol_for_subflows(k))
         });
-        table.push_row(vec![k.to_string(), supported.to_string()]);
+        table.push_row(vec![k.to_string(), flows.to_string()]);
     }
     table
 }

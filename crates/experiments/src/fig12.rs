@@ -9,24 +9,14 @@ use pdq_netsim::SimTime;
 use pdq_scenario::{Scenario, SimBackend, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, Pattern, SizeDist};
 
-use crate::common::{fmt, fmt_opt, run_scenario, Table, PDQ_FULL};
-use crate::fig3::Scale;
+use crate::common::{fmt, fmt_opt, run_scenario, Scale, Table, PDQ_FULL};
 use crate::fig8::FLOW_LEVEL_STOP_AT;
 
 /// Figure 12: max and mean FCT \[ms\] vs aging rate α.
 pub fn fig12(scale: Scale) -> Table {
-    let n_hosts = match scale {
-        Scale::Quick => 16,
-        Scale::Paper | Scale::Large | Scale::Huge => 128,
-    };
-    let aging_rates: Vec<f64> = match scale {
-        Scale::Quick => vec![0.0, 8.0],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0],
-    };
-    let flows_per_host = match scale {
-        Scale::Quick => 30,
-        Scale::Paper | Scale::Large | Scale::Huge => 60,
-    };
+    let n_hosts = scale.pick(16, 128);
+    let aging_rates = scale.pick(vec![0.0, 8.0], vec![0.0, 1.0, 2.0, 4.0, 6.0, 8.0, 10.0]);
+    let flows_per_host = scale.pick(30, 60);
     // Aging only changes the schedule when flows of different ages compete, so flows
     // must arrive over time (not simultaneously). A heavy-tailed size mix makes some
     // flows much less critical than others, which is what starves them without aging.

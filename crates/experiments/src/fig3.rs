@@ -13,43 +13,14 @@ use pdq_topology::single::default_paper_tree;
 use pdq_workloads::{DeadlineDist, SizeDist};
 
 use crate::common::{
-    avg_application_throughput, fmt, label_of, max_supported, run_scenario, Table, PDQ_FULL,
+    app_throughput, fmt, labelled, mean_fct, protocol_table, seed_mean, supported, Scale, Table,
+    PDQ_FULL,
 };
 
-/// Experiment scale: `Quick` keeps runtimes in seconds (used by tests and benches),
-/// `Paper` sweeps the full parameter ranges of the figures, and `Large` / `Huge`
-/// additionally unlock the engine-stress tiers of the engine-scale scenario
-/// ([`crate::scalebench::engine_scale`]) used to benchmark the packet engine itself.
-/// Figure sweeps treat `Large` and `Huge` like `Paper`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Reduced sweep, fewer seeds and protocols.
-    Quick,
-    /// The paper's parameter ranges.
-    Paper,
-    /// Engine-stress scale: ≥10k flows on a fat-tree in the `engine_scale` scenario
-    /// (figure experiments fall back to the `Paper` ranges).
-    Large,
-    /// Partitioned-engine stress scale: ≥1024 hosts and ≥1M flows in the
-    /// `engine_scale` scenario — the tier the sharded engine exists for (figure
-    /// experiments fall back to the `Paper` ranges).
-    Huge,
-}
-
-impl Scale {
-    pub(crate) fn seeds(&self) -> Vec<u64> {
-        match self {
-            Scale::Quick => vec![1],
-            Scale::Paper | Scale::Large | Scale::Huge => vec![1, 2, 3],
-        }
-    }
-    pub(crate) fn protocols(&self) -> Vec<&'static str> {
-        match self {
-            Scale::Quick => crate::common::quick_protocols(),
-            Scale::Paper | Scale::Large | Scale::Huge => crate::common::paper_protocols(),
-        }
-    }
-}
+/// The Optimal column of Figure 3a/3b. It is not a registered protocol: its cells
+/// are EDF + Moore-Hodgson on the shared receiver access link, computed on exactly
+/// the flow sets the scenario runs see (same workload spec, same seeds).
+const OPTIMAL: &str = "optimal";
 
 fn aggregation_jobs(flows: &[FlowSpec]) -> Vec<Job> {
     flows
@@ -77,188 +48,123 @@ fn aggregation_scenario(
         })
 }
 
+/// A Figure 3 axis: one `(label, (flows, sizes))` per row.
+type Rows = Vec<(String, (usize, SizeDist))>;
+
+/// Figures 3a and 3b: application throughput [%] of deadline-constrained
+/// aggregation, Optimal first, per row of `rows`.
+fn app_throughput_table(scale: Scale, name: &str, title: &str, header: &str, rows: Rows) -> Table {
+    let topo = default_paper_tree();
+    let mut columns = vec![("Optimal".to_string(), OPTIMAL)];
+    columns.extend(labelled(scale.protocols()));
+    protocol_table(title, header, rows, &columns, |(n, sizes), p| {
+        let base = aggregation_scenario(name, *n, sizes, &DeadlineDist::paper_default());
+        let at = seed_mean(&scale.seeds(), |s| match p {
+            OPTIMAL => {
+                let jobs = aggregation_jobs(&base.workload.generate(&topo, s));
+                optimal_application_throughput(&jobs, 1e9).unwrap_or(1.0)
+            }
+            _ => app_throughput(&base.clone().protocol(p).seed(s)),
+        });
+        fmt(100.0 * at)
+    })
+}
+
+/// Figures 3d and 3e: mean FCT of deadline-unconstrained aggregation normalized to
+/// the optimal (SJF) schedule of the same flows, per row of `rows`.
+fn normalized_fct_table(scale: Scale, title: &str, header: &str, rows: Rows) -> Table {
+    let topo = default_paper_tree();
+    protocol_table(
+        title,
+        header,
+        rows,
+        &labelled(scale.protocols()),
+        |(n, sizes), p| {
+            fmt(seed_mean(&scale.seeds(), |s| {
+                let scenario = aggregation_scenario("fig3-fct", *n, sizes, &DeadlineDist::None)
+                    .protocol(p)
+                    .seed(s);
+                let flows = scenario.workload.generate(&topo, s);
+                mean_fct(&scenario) / optimal_mean_fct(&aggregation_jobs(&flows), 1e9).max(1e-9)
+            }))
+        },
+    )
+}
+
+/// Rows of `n` flows drawn from `sizes`, one per count.
+fn flow_rows(counts: Vec<usize>, sizes: SizeDist) -> Rows {
+    let row = |n: usize| (n.to_string(), (n, sizes.clone()));
+    counts.into_iter().map(row).collect()
+}
+
+/// Rows of 3 flows of uniform sizes with the given means in KB.
+fn size_rows(scale: Scale) -> Rows {
+    let kbs = scale.pick(vec![100, 250], vec![100, 150, 200, 250, 300, 350]);
+    let row = |kb: u64| (kb.to_string(), (3, SizeDist::UniformMean(kb * 1000)));
+    kbs.into_iter().map(row).collect()
+}
+
 /// Figure 3a: application throughput [%] vs number of deadline-constrained flows.
 pub fn fig3a(scale: Scale) -> Table {
-    let topo = default_paper_tree();
-    let flow_counts: Vec<usize> = match scale {
-        Scale::Quick => vec![3, 9, 15],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![2, 5, 10, 15, 20, 25],
-    };
-    let mut cols = vec!["flows".to_string(), "Optimal".to_string()];
-    let protocols = scale.protocols();
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    let counts = scale.pick(vec![3, 9, 15], vec![2, 5, 10, 15, 20, 25]);
+    app_throughput_table(
+        scale,
+        "fig3a",
         "Figure 3a: application throughput [%] vs number of flows (query aggregation, deadlines)",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &n in &flow_counts {
-        let base = aggregation_scenario(
-            "fig3a",
-            n,
-            &SizeDist::query(),
-            &DeadlineDist::paper_default(),
-        );
-        let mut row = vec![n.to_string()];
-        // Optimal: EDF + Moore-Hodgson on the shared receiver access link, computed on
-        // exactly the flow sets the scenario runs see (same workload spec, same seeds).
-        let mut opt_sum = 0.0;
-        for &s in &scale.seeds() {
-            let flows = base.workload.generate(&topo, s);
-            opt_sum +=
-                optimal_application_throughput(&aggregation_jobs(&flows), 1e9).unwrap_or(1.0);
-        }
-        row.push(fmt(100.0 * opt_sum / scale.seeds().len() as f64));
-        for p in &protocols {
-            let at = avg_application_throughput(&base.clone().protocol(*p), &scale.seeds());
-            row.push(fmt(100.0 * at));
-        }
-        table.push_row(row);
-    }
-    table
+        "flows",
+        flow_rows(counts, SizeDist::query()),
+    )
 }
 
 /// Figure 3b: application throughput [%] vs mean flow size, 3 concurrent flows.
 pub fn fig3b(scale: Scale) -> Table {
-    let topo = default_paper_tree();
-    let sizes_kb: Vec<u64> = match scale {
-        Scale::Quick => vec![100, 250],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![100, 150, 200, 250, 300, 350],
-    };
-    let protocols = scale.protocols();
-    let mut cols = vec!["mean size [KB]".to_string(), "Optimal".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    app_throughput_table(
+        scale,
+        "fig3b",
         "Figure 3b: application throughput [%] vs mean flow size (3 flows, deadlines)",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &kb in &sizes_kb {
-        let size_dist = SizeDist::UniformMean(kb * 1000);
-        let base = aggregation_scenario("fig3b", 3, &size_dist, &DeadlineDist::paper_default());
-        let mut row = vec![kb.to_string()];
-        let mut opt_sum = 0.0;
-        for &s in &scale.seeds() {
-            let flows = base.workload.generate(&topo, s);
-            opt_sum +=
-                optimal_application_throughput(&aggregation_jobs(&flows), 1e9).unwrap_or(1.0);
-        }
-        row.push(fmt(100.0 * opt_sum / scale.seeds().len() as f64));
-        for p in &protocols {
-            let at = avg_application_throughput(&base.clone().protocol(*p), &scale.seeds());
-            row.push(fmt(100.0 * at));
-        }
-        table.push_row(row);
-    }
-    table
+        "mean size [KB]",
+        size_rows(scale),
+    )
 }
 
 /// Figure 3c: number of flows supported at 99% application throughput vs mean deadline.
 pub fn fig3c(scale: Scale) -> Table {
-    let deadlines_ms: Vec<u64> = match scale {
-        Scale::Quick => vec![20, 40],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![20, 30, 40, 50, 60],
-    };
-    let max_n = match scale {
-        Scale::Quick => 24,
-        Scale::Paper | Scale::Large | Scale::Huge => 64,
-    };
-    let protocols = scale.protocols();
-    let mut cols = vec!["mean deadline [ms]".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    let deadlines_ms = scale.pick(vec![20, 40], vec![20, 30, 40, 50, 60]);
+    protocol_table(
         "Figure 3c: flows supported at 99% application throughput vs mean flow deadline",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &dl in &deadlines_ms {
-        let mut row = vec![dl.to_string()];
-        for p in &protocols {
-            let supported = max_supported(max_n, 0.99, |n| {
-                let base = aggregation_scenario(
-                    "fig3c",
-                    n,
-                    &SizeDist::query(),
-                    &DeadlineDist::exponential_ms(dl),
-                )
-                .protocol(*p);
-                avg_application_throughput(&base, &scale.seeds())
-            });
-            row.push(supported.to_string());
-        }
-        table.push_row(row);
-    }
-    table
-}
-
-fn mean_fct_normalized(protocol: &str, seeds: &[u64], n_flows: usize, size_dist: &SizeDist) -> f64 {
-    let topo = default_paper_tree();
-    let mut ratio_sum = 0.0;
-    for &s in seeds {
-        let scenario = aggregation_scenario("fig3-fct", n_flows, size_dist, &DeadlineDist::None)
-            .protocol(protocol)
-            .seed(s);
-        // The optimal denominator is computed on the scenario's own flow set.
-        let flows = scenario.workload.generate(&topo, s);
-        let optimal = optimal_mean_fct(&aggregation_jobs(&flows), 1e9);
-        let summary = run_scenario(&scenario);
-        let fct = summary.mean_fct_secs.unwrap_or(10.0);
-        ratio_sum += fct / optimal.max(1e-9);
-    }
-    ratio_sum / seeds.len() as f64
+        "mean deadline [ms]",
+        deadlines_ms.into_iter().map(|dl: u64| (dl.to_string(), dl)),
+        &labelled(scale.protocols()),
+        |&dl, p| {
+            let deadlines = DeadlineDist::exponential_ms(dl);
+            let scenario = |n| aggregation_scenario("fig3c", n, &SizeDist::query(), &deadlines);
+            supported(scale.pick(24, 64), &scale.seeds(), |n| {
+                scenario(n).protocol(p)
+            })
+            .to_string()
+        },
+    )
 }
 
 /// Figure 3d: mean FCT normalized to optimal vs number of flows (no deadlines).
 pub fn fig3d(scale: Scale) -> Table {
-    let flow_counts: Vec<usize> = match scale {
-        Scale::Quick => vec![3, 9],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![1, 5, 10, 15, 20, 25],
-    };
-    let protocols = scale.protocols();
-    let mut cols = vec!["flows".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    let counts = scale.pick(vec![3, 9], vec![1, 5, 10, 15, 20, 25]);
+    normalized_fct_table(
+        scale,
         "Figure 3d: mean FCT (normalized to optimal) vs number of flows (no deadlines)",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &n in &flow_counts {
-        let mut row = vec![n.to_string()];
-        for p in &protocols {
-            row.push(fmt(mean_fct_normalized(
-                p,
-                &scale.seeds(),
-                n,
-                &SizeDist::UniformMean(100_000),
-            )));
-        }
-        table.push_row(row);
-    }
-    table
+        "flows",
+        flow_rows(counts, SizeDist::UniformMean(100_000)),
+    )
 }
 
 /// Figure 3e: mean FCT normalized to optimal vs mean flow size (3 flows, no deadlines).
 pub fn fig3e(scale: Scale) -> Table {
-    let sizes_kb: Vec<u64> = match scale {
-        Scale::Quick => vec![100, 250],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![100, 150, 200, 250, 300, 350],
-    };
-    let protocols = scale.protocols();
-    let mut cols = vec!["mean size [KB]".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    normalized_fct_table(
+        scale,
         "Figure 3e: mean FCT (normalized to optimal) vs mean flow size (3 flows, no deadlines)",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &kb in &sizes_kb {
-        let mut row = vec![kb.to_string()];
-        for p in &protocols {
-            row.push(fmt(mean_fct_normalized(
-                p,
-                &scale.seeds(),
-                3,
-                &SizeDist::UniformMean(kb * 1000),
-            )));
-        }
-        table.push_row(row);
-    }
-    table
+        "mean size [KB]",
+        size_rows(scale),
+    )
 }
 
 /// The paper's headline claims derived from the Figure 3/4 setup: the mean-FCT saving
@@ -266,64 +172,32 @@ pub fn fig3e(scale: Scale) -> Table {
 /// application throughput relative to D3.
 pub fn headline(scale: Scale) -> Table {
     let seeds = scale.seeds();
-    let n_flows = 15;
     let mut table = Table::new(
         "Headline claims (§1): FCT saving vs baselines and supported-flow ratio vs D3",
         &["metric", "value"],
     );
-    // Mean FCT comparison, deadline-unconstrained aggregation.
-    let fct_of = |p: &str| -> f64 {
-        let mut sum = 0.0;
-        for &s in &seeds {
-            let summary = run_scenario(
-                &aggregation_scenario(
-                    "headline",
-                    n_flows,
-                    &SizeDist::UniformMean(100_000),
-                    &DeadlineDist::None,
-                )
-                .protocol(p)
-                .seed(s),
-            );
-            sum += summary.mean_fct_secs.unwrap_or(10.0);
-        }
-        sum / seeds.len() as f64
+    // Mean FCT comparison, deadline-unconstrained aggregation of 15 flows.
+    let fct_of = |p: &str| {
+        let sizes = SizeDist::UniformMean(100_000);
+        let base = aggregation_scenario("headline", 15, &sizes, &DeadlineDist::None).protocol(p);
+        seed_mean(&seeds, |s| mean_fct(&base.clone().seed(s)))
     };
     let pdq = fct_of(PDQ_FULL);
-    let rcp = fct_of("rcp");
-    let tcp = fct_of("tcp");
-    let d3 = fct_of("d3");
-    table.push_row(vec![
-        "mean FCT saving vs RCP [%]".into(),
-        fmt(100.0 * (1.0 - pdq / rcp)),
-    ]);
-    table.push_row(vec![
-        "mean FCT saving vs D3 [%]".into(),
-        fmt(100.0 * (1.0 - pdq / d3)),
-    ]);
-    table.push_row(vec![
-        "mean FCT saving vs TCP [%]".into(),
-        fmt(100.0 * (1.0 - pdq / tcp)),
-    ]);
+    for (p, label) in [("rcp", "RCP"), ("d3", "D3"), ("tcp", "TCP")] {
+        table.push_row(vec![
+            format!("mean FCT saving vs {label} [%]"),
+            fmt(100.0 * (1.0 - pdq / fct_of(p))),
+        ]);
+    }
     // Concurrent senders supported at 99% application throughput vs D3.
-    let max_n = match scale {
-        Scale::Quick => 24,
-        Scale::Paper | Scale::Large | Scale::Huge => 64,
-    };
-    let supported = |p: &str| {
-        max_supported(max_n, 0.99, |n| {
-            let base = aggregation_scenario(
-                "headline",
-                n,
-                &SizeDist::query(),
-                &DeadlineDist::paper_default(),
-            )
-            .protocol(p);
-            avg_application_throughput(&base, &seeds)
+    let supported_by = |p: &str| {
+        let (sizes, deadlines) = (SizeDist::query(), DeadlineDist::paper_default());
+        supported(scale.pick(24, 64), &seeds, |n| {
+            aggregation_scenario("headline", n, &sizes, &deadlines).protocol(p)
         })
     };
-    let pdq_n = supported(PDQ_FULL);
-    let d3_n = supported("d3").max(1);
+    let pdq_n = supported_by(PDQ_FULL);
+    let d3_n = supported_by("d3").max(1);
     table.push_row(vec!["PDQ flows @99% AT".into(), pdq_n.to_string()]);
     table.push_row(vec!["D3 flows @99% AT".into(), d3_n.to_string()]);
     table.push_row(vec![

@@ -6,14 +6,13 @@ use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, Pattern, SizeDist};
 
 use crate::common::{
-    avg_application_throughput, fmt, label_of, max_supported, run_scenario, Table, PDQ_FULL,
+    fmt, labelled, mean_fct, protocol_table, seed_mean, supported, Scale, Table, PDQ_FULL,
 };
-use crate::fig3::Scale;
 
-fn patterns(scale: Scale) -> Vec<Pattern> {
-    match scale {
-        Scale::Quick => vec![Pattern::Aggregation, Pattern::RandomPermutation],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![
+fn patterns(scale: Scale) -> Vec<(String, Pattern)> {
+    let patterns = scale.pick(
+        vec![Pattern::Aggregation, Pattern::RandomPermutation],
+        vec![
             Pattern::Aggregation,
             Pattern::Stride(1),
             Pattern::Stride(6),
@@ -21,7 +20,8 @@ fn patterns(scale: Scale) -> Vec<Pattern> {
             Pattern::StaggeredProb(0.3),
             Pattern::RandomPermutation,
         ],
-    }
+    );
+    patterns.into_iter().map(|p| (p.label(), p)).collect()
 }
 
 fn pattern_scenario(
@@ -44,88 +44,49 @@ fn pattern_scenario(
 /// Figure 4a: flows supported at 99% application throughput for each sending pattern,
 /// normalized to PDQ(Full).
 pub fn fig4a(scale: Scale) -> Table {
-    let seeds = match scale {
-        Scale::Quick => vec![1],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![1, 2],
-    };
-    let protocols = scale.protocols();
-    let max_per_pair = match scale {
-        Scale::Quick => 6,
-        Scale::Paper | Scale::Large | Scale::Huge => 16,
-    };
-    let mut cols = vec!["pattern".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    let seeds = scale.pick(vec![1], vec![1, 2]);
+    // PDQ(Full) is the first column, so each row's base is set before it is used.
+    let mut base = 1;
+    protocol_table(
         "Figure 4a: flows at 99% application throughput by sending pattern (normalized to PDQ(Full))",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for pattern in patterns(scale) {
-        let supported = |p: &str| {
-            max_supported(max_per_pair, 0.99, |n| {
-                let base = pattern_scenario(
-                    "fig4a",
-                    &pattern,
-                    SizeDist::query(),
-                    DeadlineDist::paper_default(),
-                    n,
-                )
-                .protocol(p);
-                avg_application_throughput(&base, &seeds)
-            })
-        };
-        let base = supported(PDQ_FULL).max(1);
-        let mut row = vec![pattern.label()];
-        for p in &protocols {
-            let v = if *p == PDQ_FULL { base } else { supported(p) };
-            row.push(fmt(v as f64 / base as f64));
-        }
-        table.push_row(row);
-    }
-    table
+        "pattern",
+        patterns(scale),
+        &labelled(scale.protocols()),
+        |pattern, p| {
+            let mut v = supported(scale.pick(6, 16), &seeds, |n| {
+                let (sizes, deadlines) = (SizeDist::query(), DeadlineDist::paper_default());
+                pattern_scenario("fig4a", pattern, sizes, deadlines, n).protocol(p)
+            });
+            if p == PDQ_FULL {
+                v = v.max(1);
+                base = v;
+            }
+            fmt(v as f64 / base as f64)
+        },
+    )
 }
 
 /// Figure 4b: mean FCT for each sending pattern (no deadlines), normalized to
 /// PDQ(Full).
 pub fn fig4b(scale: Scale) -> Table {
-    let seeds = match scale {
-        Scale::Quick => vec![1],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![1, 2, 3],
-    };
-    let protocols = scale.protocols();
-    let mut cols = vec!["pattern".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    let seeds = scale.seeds();
+    // PDQ(Full) is the first column, so each row's base is set before it is used.
+    let mut base = 1.0;
+    protocol_table(
         "Figure 4b: mean FCT by sending pattern (no deadlines, normalized to PDQ(Full))",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for pattern in patterns(scale) {
-        let fct_of = |p: &str| -> f64 {
-            let mut sum = 0.0;
-            for &s in &seeds {
-                let summary = run_scenario(
-                    &pattern_scenario(
-                        "fig4b",
-                        &pattern,
-                        SizeDist::UniformMean(100_000),
-                        DeadlineDist::None,
-                        2,
-                    )
-                    .protocol(p)
-                    .seed(s),
-                );
-                sum += summary.mean_fct_secs.unwrap_or(10.0);
+        "pattern",
+        patterns(scale),
+        &labelled(scale.protocols()),
+        |pattern, p| {
+            let sizes = SizeDist::UniformMean(100_000);
+            let scenario = pattern_scenario("fig4b", pattern, sizes, DeadlineDist::None, 2);
+            let v = seed_mean(&seeds, |s| mean_fct(&scenario.clone().protocol(p).seed(s)));
+            if p == PDQ_FULL {
+                base = v;
             }
-            sum / seeds.len() as f64
-        };
-        let base = fct_of(PDQ_FULL);
-        let mut row = vec![pattern.label()];
-        for p in &protocols {
-            let v = if *p == PDQ_FULL { base } else { fct_of(p) };
-            row.push(fmt(v / base.max(1e-9)));
-        }
-        table.push_row(row);
-    }
-    table
+            fmt(v / base.max(1e-9))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@ use pdq_netsim::SimTime;
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, Pattern, SizeDist};
 
-use crate::common::{fmt, label_of, run_scenario, Table, PDQ_FULL};
-use crate::fig3::Scale;
+use crate::common::{
+    app_throughput, fmt, label_of, labelled, protocol_table, run_scenario, Scale, Table, PDQ_FULL,
+};
 
 fn vl2_workload(rate: f64, deadline_ms: u64, duration: SimTime) -> WorkloadSpec {
     WorkloadSpec::Poisson {
@@ -40,49 +41,41 @@ pub fn fig5a_scenario(rate: f64, deadline_ms: u64, duration: SimTime) -> Scenari
 /// The Figure 5a grid axes at a given scale: deadlines \[ms\], rates [flows/s] and the
 /// workload duration.
 pub fn fig5a_axes(scale: Scale) -> (Vec<u64>, Vec<f64>, SimTime) {
-    match scale {
-        Scale::Quick => (
-            vec![30u64],
+    scale.pick(
+        (
+            vec![30],
             vec![500.0, 1_000.0, 2_000.0],
             SimTime::from_millis(100),
         ),
-        Scale::Paper | Scale::Large | Scale::Huge => (
+        (
             vec![15, 25, 35, 45],
             vec![500.0, 1_000.0, 2_000.0, 4_000.0, 8_000.0, 16_000.0],
             SimTime::from_millis(250),
         ),
-    }
+    )
 }
 
 /// Figure 5a: supported short-flow arrival rate at 99% application throughput vs mean
 /// flow deadline (VL2-like workload, random permutation).
 pub fn fig5a(scale: Scale) -> Table {
     let (deadlines, rates, duration) = fig5a_axes(scale);
-    let protocols = scale.protocols();
-    let mut cols = vec!["mean deadline [ms]".to_string()];
-    cols.extend(protocols.iter().map(|p| label_of(p)));
-    let mut table = Table::new(
+    protocol_table(
         "Figure 5a: short-flow arrival rate [flows/s] supported at 99% application throughput (VL2-like mix)",
-        &cols.iter().map(|s| s.as_str()).collect::<Vec<_>>(),
-    );
-    for &dl in &deadlines {
-        let mut row = vec![dl.to_string()];
-        for p in &protocols {
+        "mean deadline [ms]",
+        deadlines.into_iter().map(|dl| (dl.to_string(), dl)),
+        &labelled(scale.protocols()),
+        |&dl, p| {
             // Walk the rate ladder and report the largest rate still at >= 99%.
             let mut best = 0.0f64;
             for &rate in &rates {
-                let summary = run_scenario(&fig5a_scenario(rate, dl, duration).protocol(*p));
-                if summary.application_throughput().unwrap_or(1.0) >= 0.99 {
-                    best = rate;
-                } else {
+                if app_throughput(&fig5a_scenario(rate, dl, duration).protocol(p)) < 0.99 {
                     break;
                 }
+                best = rate;
             }
-            row.push(fmt(best));
-        }
-        table.push_row(row);
-    }
-    table
+            fmt(best)
+        },
+    )
 }
 
 fn normalized_fct_table(
@@ -91,40 +84,26 @@ fn normalized_fct_table(
     long_flows_only: bool,
     scale: Scale,
 ) -> Table {
-    let protocols = scale.protocols();
-    let duration = match scale {
-        Scale::Quick => SimTime::from_millis(80),
-        Scale::Paper | Scale::Large | Scale::Huge => SimTime::from_millis(300),
-    };
-    let workload = WorkloadSpec::Poisson {
-        rate_flows_per_sec: 1_500.0,
-        duration,
-        sizes,
-        short_deadlines: DeadlineDist::paper_default(),
-        short_flow_threshold_bytes: 40_000,
-        pattern: Pattern::RandomPermutation,
-    };
-    let filter = move |r: &pdq_netsim::FlowRecord| {
-        if long_flows_only {
-            r.spec.size_bytes > 40_000
-        } else {
-            true
-        }
-    };
-    let fct_of = |p: &str| -> f64 {
-        let summary = run_scenario(
-            &Scenario::new("fig5-fct")
-                .topology(TopologySpec::PaperTree)
-                .workload(workload.clone())
-                .protocol(p)
-                .seed(11),
-        );
-        summary.packet().mean_fct_secs(filter).unwrap_or(10.0)
+    let scenario = Scenario::new("fig5-fct")
+        .topology(TopologySpec::PaperTree)
+        .workload(WorkloadSpec::Poisson {
+            rate_flows_per_sec: 1_500.0,
+            duration: SimTime::from_millis(scale.pick(80, 300)),
+            sizes,
+            short_deadlines: DeadlineDist::paper_default(),
+            short_flow_threshold_bytes: 40_000,
+            pattern: Pattern::RandomPermutation,
+        })
+        .seed(11);
+    let fct_of = |p: &str| {
+        let summary = run_scenario(&scenario.clone().protocol(p));
+        let counted = |r: &pdq_netsim::FlowRecord| !long_flows_only || r.spec.size_bytes > 40_000;
+        summary.packet().mean_fct_secs(counted).unwrap_or(10.0)
     };
     let mut table = Table::new(title, &["scheme", "normalized FCT"]);
     let base = fct_of(PDQ_FULL);
-    for p in &protocols {
-        let v = if *p == PDQ_FULL { base } else { fct_of(p) };
+    for &p in scale.protocols() {
+        let v = if p == PDQ_FULL { base } else { fct_of(p) };
         table.push_row(vec![label_of(p), fmt(v / base.max(1e-9))]);
     }
     table

@@ -11,8 +11,7 @@ use pdq_scenario::{Scenario, SimBackend, TopologySpec, WorkloadSpec};
 use pdq_topology::Topology;
 use pdq_workloads::{DeadlineDist, Pattern, SizeDist};
 
-use crate::common::{fmt, fmt_opt, run_scenario, Table, PDQ_FULL};
-use crate::fig3::Scale;
+use crate::common::{fmt, fmt_opt, run_scenario, supported, Scale, Table, PDQ_FULL};
 
 /// The flow-level model's historical time horizon (`FlowLevelConfig::max_time`).
 pub(crate) const FLOW_LEVEL_STOP_AT: SimTime = SimTime::from_secs(60);
@@ -93,14 +92,8 @@ fn flow_scenario(
 /// deadline-unconstrained flows, comparing PDQ and RCP/D3 flow-level models; the
 /// smallest size is cross-checked against the packet-level simulator.
 pub fn fig8_fct_vs_size(topology: ScaleTopology, scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 64],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![16, 64, 128, 256, 512],
-    };
-    let flows_per_host = match scale {
-        Scale::Quick => 2,
-        Scale::Paper | Scale::Large | Scale::Huge => 10,
-    };
+    let sizes = scale.pick(vec![16, 64], vec![16, 64, 128, 256, 512]);
+    let flows_per_host = scale.pick(2, 10);
     let mut table = Table::new(
         format!(
             "Figure 8 ({}): mean FCT [ms] vs network size (random permutation, no deadlines)",
@@ -144,10 +137,7 @@ pub fn fig8_fct_vs_size(topology: ScaleTopology, scale: Scale) -> Table {
 /// Figure 8a: number of deadline-constrained flows (per the whole network) supported at
 /// 99% application throughput vs network size, fat-tree, flow-level.
 pub fn fig8a(scale: Scale) -> Table {
-    let sizes: Vec<usize> = match scale {
-        Scale::Quick => vec![16, 64],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![16, 64, 128, 256, 512],
-    };
+    let sizes = scale.pick(vec![16, 64], vec![16, 64, 128, 256, 512]);
     let mut table = Table::new(
         "Figure 8a: flows at 99% application throughput vs network size (fat-tree, deadlines, flow level)",
         &["servers", "PDQ", "D3", "RCP"],
@@ -156,12 +146,11 @@ pub fn fig8a(scale: Scale) -> Table {
         let hosts = ScaleTopology::FatTree.build(n).host_count();
         let mut row = vec![hosts.to_string()];
         for proto in [PDQ_FULL, "d3", "rcp"] {
-            let supported = crate::common::max_supported(8, 0.99, |flows_per_host| {
-                let s = flow_scenario("fig8a", ScaleTopology::FatTree, n, flows_per_host, true, 5)
-                    .protocol(proto);
-                run_scenario(&s).application_throughput().unwrap_or(1.0)
+            let per_host = supported(8, &[5], |flows_per_host| {
+                flow_scenario("fig8a", ScaleTopology::FatTree, n, flows_per_host, true, 5)
+                    .protocol(proto)
             });
-            row.push((supported * hosts).to_string());
+            row.push((per_host * hosts).to_string());
         }
         table.push_row(row);
     }
@@ -171,18 +160,15 @@ pub fn fig8a(scale: Scale) -> Table {
 /// Figure 8e: CDF of the per-flow ratio RCP-FCT / PDQ-FCT on a ~128-server topology.
 /// Returns selected percentiles of the ratio distribution for each topology family.
 pub fn fig8e(scale: Scale) -> Table {
-    let n_hosts = match scale {
-        Scale::Quick => 16,
-        Scale::Paper | Scale::Large | Scale::Huge => 128,
-    };
-    let topologies = match scale {
-        Scale::Quick => vec![ScaleTopology::FatTree],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![
+    let n_hosts = scale.pick(16, 128);
+    let topologies = scale.pick(
+        vec![ScaleTopology::FatTree],
+        vec![
             ScaleTopology::FatTree,
             ScaleTopology::BCube,
             ScaleTopology::Jellyfish,
         ],
-    };
+    );
     let mut table = Table::new(
         "Figure 8e: distribution of per-flow RCP FCT / PDQ FCT (flow level)",
         &[

@@ -4,10 +4,7 @@
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::{DeadlineDist, SizeDist};
 
-use crate::common::{
-    avg_application_throughput, fmt, max_supported, run_scenario, Table, PDQ_FULL,
-};
-use crate::fig3::Scale;
+use crate::common::{fmt, mean_fct, protocol_table, supported, Scale, Table, PDQ_FULL};
 
 /// The Figure 9 scenario: query aggregation over a 12-sender bottleneck whose shared
 /// access link drops packets at `loss` in both directions.
@@ -23,68 +20,45 @@ fn lossy_scenario(name: &str, loss: f64, workload: WorkloadSpec) -> Scenario {
 /// Figure 9a: number of deadline flows supported at 99% application throughput vs
 /// packet loss rate, PDQ vs TCP.
 pub fn fig9a(scale: Scale) -> Table {
-    let loss_rates = match scale {
-        Scale::Quick => vec![0.0, 0.02],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.0, 0.01, 0.02, 0.03],
-    };
-    let max_n = match scale {
-        Scale::Quick => 16,
-        Scale::Paper | Scale::Large | Scale::Huge => 24,
-    };
-    let mut table = Table::new(
+    let loss_rates = scale.pick(vec![0.0, 0.02], vec![0.0, 0.01, 0.02, 0.03]);
+    protocol_table(
         "Figure 9a: flows at 99% application throughput vs bottleneck loss rate",
-        &["loss rate", "PDQ", "TCP"],
-    );
-    for &loss in &loss_rates {
-        let mut row = vec![fmt(loss)];
-        for p in [PDQ_FULL, "tcp"] {
-            let supported = max_supported(max_n, 0.99, |n| {
-                let base = lossy_scenario(
-                    "fig9a",
-                    loss,
-                    WorkloadSpec::QueryAggregation {
-                        flows: n,
-                        sizes: SizeDist::query(),
-                        deadlines: DeadlineDist::paper_default(),
-                    },
-                )
-                .protocol(p);
-                avg_application_throughput(&base, &[1])
+        "loss rate",
+        loss_rates.into_iter().map(|loss| (fmt(loss), loss)),
+        &[("PDQ".into(), PDQ_FULL), ("TCP".into(), "tcp")],
+        |&loss, p| {
+            let flows = supported(scale.pick(16, 24), &[1], |n| {
+                let workload = WorkloadSpec::QueryAggregation {
+                    flows: n,
+                    sizes: SizeDist::query(),
+                    deadlines: DeadlineDist::paper_default(),
+                };
+                lossy_scenario("fig9a", loss, workload).protocol(p)
             });
-            row.push(supported.to_string());
-        }
-        table.push_row(row);
-    }
-    table
+            flows.to_string()
+        },
+    )
 }
 
 /// Figure 9b: mean FCT (normalized to PDQ without loss) vs packet loss rate, PDQ vs
 /// TCP, deadline-unconstrained flows.
 pub fn fig9b(scale: Scale) -> Table {
-    let loss_rates = match scale {
-        Scale::Quick => vec![0.0, 0.03],
-        Scale::Paper | Scale::Large | Scale::Huge => vec![0.0, 0.01, 0.02, 0.03],
-    };
-    let n_flows = 10;
+    let loss_rates = scale.pick(vec![0.0, 0.03], vec![0.0, 0.01, 0.02, 0.03]);
     let mut table = Table::new(
         "Figure 9b: mean FCT vs bottleneck loss rate (normalized to PDQ without loss)",
         &["loss rate", "PDQ", "TCP"],
     );
-    let fct = |protocol: &str, loss: f64| -> f64 {
-        let summary = run_scenario(
-            &lossy_scenario(
-                "fig9b",
-                loss,
-                WorkloadSpec::QueryAggregation {
-                    flows: n_flows,
-                    sizes: SizeDist::UniformMean(100_000),
-                    deadlines: DeadlineDist::None,
-                },
-            )
-            .protocol(protocol)
-            .seed(2),
-        );
-        summary.mean_fct_secs.unwrap_or(10.0)
+    let fct = |protocol: &str, loss: f64| {
+        let workload = WorkloadSpec::QueryAggregation {
+            flows: 10,
+            sizes: SizeDist::UniformMean(100_000),
+            deadlines: DeadlineDist::None,
+        };
+        mean_fct(
+            &lossy_scenario("fig9b", loss, workload)
+                .protocol(protocol)
+                .seed(2),
+        )
     };
     let base = fct(PDQ_FULL, 0.0);
     for &loss in &loss_rates {

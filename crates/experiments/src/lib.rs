@@ -3,7 +3,7 @@
 //! The experiment harness that regenerates every table and figure of the PDQ paper's
 //! evaluation (§5–§7). Each `figNN` function returns a [`common::Table`] with the same
 //! rows/series the paper reports; the `pdq-experiments` binary prints them as markdown
-//! or CSV. Every experiment accepts a [`fig3::Scale`]: `Quick` for second-scale runs
+//! or CSV. Every experiment accepts a [`Scale`]: `Quick` for second-scale runs
 //! (used by the test suite and the CI determinism job) and `Paper` for the full
 //! parameter sweeps recorded in EXPERIMENTS.md.
 //!
@@ -35,6 +35,15 @@
 //! | [`fig12::fig12`] | Fig. 12 | flow | flow aging vs starvation |
 //! | [`coflow::coflow`] | — (coflow extension) | packet | group-level CCT: coflow-aware PDQ vs flow-level schemes |
 //! | [`wan::wan`] | — (WAN extension) | packet | inter-datacenter mesh: RFC 9002-style paced vs unpaced senders |
+//! | [`ablation::ablation`] | — (Fig. 6/7 scenarios) | packet | Early Start K, dampening, Suppressed Probing X, sliver threshold |
+//! | [`diag::diag`] | — | packet | per-flow outcomes of the Figure 3a setup, one table per protocol |
+//! | [`scalebench::engine_scale`] | — | packet | engine stress; its wall-clock column is never byte-stable |
+//!
+//! [`EXPERIMENTS`] is the one list of experiment names. The figures share a few
+//! primitives in [`common`]: [`Scale::pick`] for the quick / paper tiers,
+//! [`common::seed_mean`] for seed averages, [`common::supported`] for "flows at
+//! 99% application throughput", and [`common::protocol_table`] for the axis ×
+//! protocol grid most tables are. The ablations run [`fig67`]'s two scenarios.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -57,87 +66,65 @@ pub mod scalebench;
 pub mod sweeps;
 pub mod wan;
 
-pub use common::Table;
-pub use fig3::Scale;
+pub use common::{Scale, Table};
+
+use fig8::ScaleTopology;
+
+/// A named experiment and the tables it prints at a given scale.
+pub type Experiment = (&'static str, fn(Scale) -> Vec<Table>);
+
+/// Every experiment, in paper order: the one list [`run_experiment`],
+/// [`all_experiments`] and the CLI read.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("fig1", |_| vec![fig1::fig1()]),
+    ("fig3a", |s| vec![fig3::fig3a(s)]),
+    ("fig3b", |s| vec![fig3::fig3b(s)]),
+    ("fig3c", |s| vec![fig3::fig3c(s)]),
+    ("fig3d", |s| vec![fig3::fig3d(s)]),
+    ("fig3e", |s| vec![fig3::fig3e(s)]),
+    ("headline", |s| vec![fig3::headline(s)]),
+    ("fig4a", |s| vec![fig4::fig4a(s)]),
+    ("fig4b", |s| vec![fig4::fig4b(s)]),
+    ("fig5a", |s| vec![fig5::fig5a(s)]),
+    ("fig5b", |s| vec![fig5::fig5b(s)]),
+    ("fig5c", |s| vec![fig5::fig5c(s)]),
+    ("fig6", |_| vec![fig67::fig6()]),
+    ("fig7", |_| vec![fig67::fig7()]),
+    ("fig8a", |s| vec![fig8::fig8a(s)]),
+    ("fig8b", |s| {
+        vec![fig8::fig8_fct_vs_size(ScaleTopology::FatTree, s)]
+    }),
+    ("fig8c", |s| {
+        vec![fig8::fig8_fct_vs_size(ScaleTopology::BCube, s)]
+    }),
+    ("fig8d", |s| {
+        vec![fig8::fig8_fct_vs_size(ScaleTopology::Jellyfish, s)]
+    }),
+    ("fig8e", |s| vec![fig8::fig8e(s)]),
+    ("fig9a", |s| vec![fig9::fig9a(s)]),
+    ("fig9b", |s| vec![fig9::fig9b(s)]),
+    ("fig10", |s| vec![fig10::fig10(s)]),
+    ("fig11a", |s| vec![fig11::fig11a(s)]),
+    ("fig11b", |s| vec![fig11::fig11b(s)]),
+    ("fig11c", |s| vec![fig11::fig11c(s)]),
+    ("fig12", |s| vec![fig12::fig12(s)]),
+    ("coflow", coflow::coflow),
+    ("diag", |_| diag::diag()),
+    ("ablation", ablation::ablation),
+    ("engine_scale", |s| vec![scalebench::engine_scale(s)]),
+    ("wan", |s| vec![wan::wan(s)]),
+];
 
 /// Run one named experiment ("fig3a", "fig6", "headline", ...) and return its tables,
 /// or `None` for an unknown name (callers print [`all_experiments`] and fail loudly).
 pub fn run_experiment(name: &str, scale: Scale) -> Option<Vec<Table>> {
-    let tables = match name {
-        "fig1" => vec![fig1::fig1()],
-        "fig3a" => vec![fig3::fig3a(scale)],
-        "fig3b" => vec![fig3::fig3b(scale)],
-        "fig3c" => vec![fig3::fig3c(scale)],
-        "fig3d" => vec![fig3::fig3d(scale)],
-        "fig3e" => vec![fig3::fig3e(scale)],
-        "headline" => vec![fig3::headline(scale)],
-        "fig4a" => vec![fig4::fig4a(scale)],
-        "fig4b" => vec![fig4::fig4b(scale)],
-        "fig5a" => vec![fig5::fig5a(scale)],
-        "fig5b" => vec![fig5::fig5b(scale)],
-        "fig5c" => vec![fig5::fig5c(scale)],
-        "fig6" => vec![fig67::fig6()],
-        "fig7" => vec![fig67::fig7()],
-        "fig8a" => vec![fig8::fig8a(scale)],
-        "fig8b" => vec![fig8::fig8_fct_vs_size(fig8::ScaleTopology::FatTree, scale)],
-        "fig8c" => vec![fig8::fig8_fct_vs_size(fig8::ScaleTopology::BCube, scale)],
-        "fig8d" => vec![fig8::fig8_fct_vs_size(
-            fig8::ScaleTopology::Jellyfish,
-            scale,
-        )],
-        "fig8e" => vec![fig8::fig8e(scale)],
-        "fig9a" => vec![fig9::fig9a(scale)],
-        "fig9b" => vec![fig9::fig9b(scale)],
-        "fig10" => vec![fig10::fig10(scale)],
-        "fig11a" => vec![fig11::fig11a(scale)],
-        "fig11b" => vec![fig11::fig11b(scale)],
-        "fig11c" => vec![fig11::fig11c(scale)],
-        "fig12" => vec![fig12::fig12(scale)],
-        "coflow" => coflow::coflow(scale),
-        "diag" => diag::diag(),
-        "ablation" => ablation::ablation(scale),
-        "engine_scale" => vec![scalebench::engine_scale(scale)],
-        "wan" => vec![wan::wan(scale)],
-        _ => return None,
-    };
-    Some(tables)
+    let (_, run) = EXPERIMENTS.iter().find(|(n, _)| *n == name)?;
+    Some(run(scale))
 }
 
 /// All experiment names, in paper order.
 pub fn all_experiments() -> Vec<&'static str> {
-    vec![
-        "fig1",
-        "fig3a",
-        "fig3b",
-        "fig3c",
-        "fig3d",
-        "fig3e",
-        "headline",
-        "fig4a",
-        "fig4b",
-        "fig5a",
-        "fig5b",
-        "fig5c",
-        "fig6",
-        "fig7",
-        "fig8a",
-        "fig8b",
-        "fig8c",
-        "fig8d",
-        "fig8e",
-        "fig9a",
-        "fig9b",
-        "fig10",
-        "fig11a",
-        "fig11b",
-        "fig11c",
-        "fig12",
-        "coflow",
-        "diag",
-        "ablation",
-        "engine_scale",
-        "wan",
-    ]
+    EXPERIMENTS.iter().map(|(name, _)| *name).collect()
 }
 
 #[cfg(test)]

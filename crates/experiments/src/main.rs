@@ -12,10 +12,7 @@
 //!                       [--cache-dir DIR] [--no-cache] [--jsonl FILE] [--csv]
 //! pdq-experiments cache <stats|clear> [--cache-dir DIR]
 //!
-//!   <experiment>   one or more of: fig1 fig3a fig3b fig3c fig3d fig3e headline fig4a
-//!                  fig4b fig5a fig5b fig5c fig6 fig7 fig8a fig8b fig8c fig8d fig8e
-//!                  fig9a fig9b fig10 fig11a fig11b fig11c fig12 diag engine_scale,
-//!                  or "all"
+//!   <experiment>   one or more of the names `list` prints, or "all"
 //!   list           print every experiment name and every registered protocol family,
 //!                  grouped by the simulation backends the family supports
 //!   run-spec       execute one scenario from a plain-text spec file (see README);
@@ -37,9 +34,9 @@
 //!   --huge         partitioned-engine stress scale: >=1M flows on a >=1024-host
 //!                  fat-tree in engine_scale (figures as --paper)
 //!   --engine-threads N  shard the packet engine across N conservative-lookahead
-//!                  cores (default 1 = sequential; 0 = auto-detect the core count);
-//!                  applies to every scenario that does not pin engine_threads itself
-//!                  and leaves determinism fingerprints unchanged
+//!                  cores (default 1, one core); applies to every scenario that
+//!                  does not pin engine_threads itself and leaves determinism
+//!                  fingerprints unchanged
 //!   --replicate K  run every sweep cell under K consecutive seeds and report
 //!                  mean/stddev/95%-CI (Student-t) statistics per cell; cells x K
 //!                  over 2^20 runs exits 2
@@ -53,6 +50,7 @@
 //!   --csv          print CSV instead of markdown
 //! ```
 
+use std::fmt::Display;
 use std::io::Write;
 use std::num::NonZeroUsize;
 use std::str::FromStr;
@@ -69,6 +67,19 @@ const DEFAULT_CACHE_DIR: &str = ".pdq-cache";
 /// The most runs (cells × `--replicate` seeds) a sweep may expand to: 2²⁰.
 const MAX_SWEEP_RUNS: usize = 1 << 20;
 
+/// Print `msg` on stderr and exit 2, the CLI's code for every usage or input error.
+fn fail(msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Read and parse the scenario spec file at `path`.
+fn read_spec(path: &str) -> Scenario {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    Scenario::from_spec(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")))
+}
+
 fn print_tables(tables: &[Table], heading: &str, csv: bool) {
     for t in tables {
         if csv {
@@ -81,10 +92,11 @@ fn print_tables(tables: &[Table], heading: &str, csv: bool) {
 }
 
 fn unknown_experiment(name: &str) -> ! {
-    eprintln!("unknown experiment: {name}");
-    eprintln!("experiments: {}", all_experiments().join(" "));
-    eprintln!("(run `pdq-experiments list` for experiments and protocols)");
-    std::process::exit(2);
+    fail(format!(
+        "unknown experiment: {name}\nexperiments: {}\n\
+         (run `pdq-experiments list` for experiments and protocols)",
+        all_experiments().join(" ")
+    ))
 }
 
 fn cmd_list() {
@@ -122,29 +134,11 @@ fn cmd_list() {
 }
 
 fn cmd_run_spec(path: &str, csv: bool, fingerprint: bool) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let scenario = match Scenario::from_spec(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        }
-    };
     // A spec that pins engine_threads wins over the --engine-threads flag.
-    let scenario = pdq_experiments::common::with_engine_threads(scenario);
-    let summary = match scenario.run(pdq_experiments::common::registry()) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let scenario = pdq_experiments::common::with_engine_threads(read_spec(path));
+    let summary = scenario
+        .run(pdq_experiments::common::registry())
+        .unwrap_or_else(|e| fail(format!("{path}: {e}")));
     if fingerprint {
         println!("{}", summary.fingerprint());
         return;
@@ -178,7 +172,7 @@ impl AxisFlags {
 /// so a typo'd axis never silently shrinks (or empties) the grid.
 fn parse_axis<T: FromStr>(flag: &str, value: &str) -> Vec<T>
 where
-    T::Err: std::fmt::Display,
+    T::Err: Display,
 {
     let parts: Vec<&str> = value
         .split(',')
@@ -186,16 +180,15 @@ where
         .filter(|p| !p.is_empty())
         .collect();
     if parts.is_empty() {
-        eprintln!("{flag} needs a non-empty comma-separated list, got {value:?}");
-        std::process::exit(2);
+        fail(format!(
+            "{flag} needs a non-empty comma-separated list, got {value:?}"
+        ));
     }
     parts
         .into_iter()
         .map(|p| {
-            p.parse().unwrap_or_else(|e| {
-                eprintln!("bad {flag} value {p:?}: {e}");
-                std::process::exit(2);
-            })
+            p.parse()
+                .unwrap_or_else(|e| fail(format!("bad {flag} value {p:?}: {e}")))
         })
         .collect()
 }
@@ -207,25 +200,7 @@ fn build_sweep(scale: Scale, base_spec: Option<&str>, axes: &AxisFlags) -> (Swee
     if !axes.any() && base_spec.is_none() {
         return (sweeps::fig5a_grid(scale), "fig5a grid");
     }
-    let base = match base_spec {
-        None => sweeps::fig5a_base(scale),
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(2);
-                }
-            };
-            match Scenario::from_spec(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("{path}: {e}");
-                    std::process::exit(2);
-                }
-            }
-        }
-    };
+    let base = base_spec.map_or_else(|| sweeps::fig5a_base(scale), read_spec);
     let mut grid = GridBuilder::new(base);
     if let Some(protocols) = &axes.protocols {
         let refs: Vec<&str> = protocols.iter().map(String::as_str).collect();
@@ -246,14 +221,8 @@ fn build_sweep(scale: Scale, base_spec: Option<&str>, axes: &AxisFlags) -> (Swee
     match grid.build() {
         Ok(sweep) => (sweep, "custom grid"),
         // An axis the workload refuses is a bad value of the flag that set it.
-        Err(GridError::Axis { axis, message }) => {
-            eprintln!("bad --{axis} value: {message}");
-            std::process::exit(2);
-        }
-        Err(e) => {
-            eprintln!("sweep grid: {e}");
-            std::process::exit(2);
-        }
+        Err(GridError::Axis { axis, message }) => fail(format!("bad --{axis} value: {message}")),
+        Err(e) => fail(format!("sweep grid: {e}")),
     }
 }
 
@@ -273,32 +242,24 @@ impl CacheFlags {
     /// Open the result cache (if any) and pick the policy: `--no-cache` bypasses
     /// even an explicit `--cache-dir`.
     fn open_cache(&self) -> (Option<ResultCache>, CachePolicy) {
-        if self.no_cache {
-            return (None, CachePolicy::Bypass);
-        }
-        let Some(dir) = &self.cache_dir else {
-            return (None, CachePolicy::Bypass);
-        };
-        match ResultCache::open(dir) {
-            Ok(cache) => (Some(cache), CachePolicy::ReadWrite),
-            Err(e) => {
-                eprintln!("cannot open cache dir {dir}: {e}");
-                std::process::exit(2);
-            }
+        match &self.cache_dir {
+            Some(dir) if !self.no_cache => (Some(open_cache_dir(dir)), CachePolicy::ReadWrite),
+            _ => (None, CachePolicy::Bypass),
         }
     }
 
     /// Open the `--jsonl` sink for writing (truncating any previous stream).
     fn open_sink(&self) -> Option<std::fs::File> {
         let path = self.jsonl.as_ref()?;
-        match std::fs::File::create(path) {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!("cannot create {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        Some(
+            std::fs::File::create(path)
+                .unwrap_or_else(|e| fail(format!("cannot create {path}: {e}"))),
+        )
     }
+}
+
+fn open_cache_dir(dir: &str) -> ResultCache {
+    ResultCache::open(dir).unwrap_or_else(|e| fail(format!("cannot open cache dir {dir}: {e}")))
 }
 
 fn cmd_sweep(
@@ -314,104 +275,68 @@ fn cmd_sweep(
     // Every replicate run is expanded into a scenario before the first one runs.
     let runs = sweep.len().checked_mul(replicate.get());
     if runs.is_none_or(|n| n > MAX_SWEEP_RUNS) {
-        eprintln!(
+        fail(format!(
             "--replicate {replicate}: {} cells x {replicate} seeds is more than the \
              {MAX_SWEEP_RUNS} runs a sweep may expand to",
             sweep.len()
-        );
-        std::process::exit(2);
+        ));
     }
     let registry = pdq_experiments::common::registry();
     let (cache, policy) = cache_flags.open_cache();
     let mut sink_file = cache_flags.open_sink();
     let sink = sink_file.as_mut().map(|f| f as &mut (dyn Write + Send));
     let started = std::time::Instant::now();
-    let (table, runs, hits, executed) = if replicate.get() > 1 {
-        match sweep.run_replicated_cached(
-            registry,
-            threads,
-            replicate,
-            cache.as_ref(),
-            policy,
-            sink,
-        ) {
-            Ok(outcome) => {
-                let runs = outcome.cells.iter().map(|c| c.runs.len()).sum();
-                let table = sweeps::replicated_table(
-                    &format!(
-                        "Sweep: {grid_label}, {} cells x {} seeds",
-                        outcome.cells.len(),
-                        replicate
-                    ),
-                    &outcome.cells,
-                );
-                (table, runs, outcome.cache_hits, outcome.executed)
-            }
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(2);
-            }
-        }
+    // One replicate per cell runs each cell under its own seed, exactly as
+    // `Sweep::run_cached` would.
+    let outcome = sweep
+        .run_replicated_cached(registry, threads, replicate, cache.as_ref(), policy, sink)
+        .unwrap_or_else(|e| fail(format!("sweep failed: {e}")));
+    let cells = outcome.cells.len();
+    let table = if replicate.get() > 1 {
+        let title = format!("Sweep: {grid_label}, {cells} cells x {replicate} seeds");
+        sweeps::replicated_table(&title, &outcome.cells)
     } else {
-        match sweep.run_cached(registry, threads, cache.as_ref(), policy, sink) {
-            Ok(outcome) => {
-                let table = sweeps::sweep_table(
-                    &format!("Sweep: {grid_label}, {} scenarios", outcome.summaries.len()),
-                    &outcome.summaries,
-                );
-                let runs = outcome.summaries.len();
-                (table, runs, outcome.cache_hits, outcome.executed)
-            }
-            Err(e) => {
-                eprintln!("sweep failed: {e}");
-                std::process::exit(2);
-            }
-        }
+        let summaries: Vec<_> = outcome.cells.into_iter().flat_map(|c| c.runs).collect();
+        sweeps::sweep_table(
+            &format!("Sweep: {grid_label}, {cells} scenarios"),
+            &summaries,
+        )
     };
     let wall = started.elapsed().as_secs_f64();
+    let (hits, executed) = (outcome.cache_hits, outcome.executed);
     print_tables(&[table], "sweep", csv);
     eprintln!(
-        "sweep: {runs} runs ({hits} cache hits, {executed} executed) \
-         on {threads} thread(s) in {wall:.3} s"
+        "sweep: {} runs ({hits} cache hits, {executed} executed) \
+         on {threads} thread(s) in {wall:.3} s",
+        hits + executed
     );
 }
 
 fn cmd_cache(action: &str, dir: &str) {
-    let cache = match ResultCache::open(dir) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot open cache dir {dir}: {e}");
-            std::process::exit(2);
-        }
-    };
+    let cache = open_cache_dir(dir);
     match action {
-        "stats" => match cache.stats() {
-            Ok(stats) => {
-                println!(
-                    "cache {dir}: {} record(s), {} byte(s)",
-                    stats.records, stats.bytes
-                );
-                println!(
-                    "  by backend: {} packet, {} flow, {} fluid",
-                    stats.packet_records, stats.flow_records, stats.fluid_records
-                );
-            }
-            Err(e) => {
-                eprintln!("cache stats failed for {dir}: {e}");
-                std::process::exit(2);
-            }
-        },
-        "clear" => match cache.clear() {
-            Ok(removed) => println!("cache {dir}: removed {removed} record(s)"),
-            Err(e) => {
-                eprintln!("cache clear failed for {dir}: {e}");
-                std::process::exit(2);
-            }
-        },
-        other => {
-            eprintln!("unknown cache action: {other} (expected stats or clear)");
-            std::process::exit(2);
+        "stats" => {
+            let stats = cache
+                .stats()
+                .unwrap_or_else(|e| fail(format!("cache stats failed for {dir}: {e}")));
+            println!(
+                "cache {dir}: {} record(s), {} byte(s)",
+                stats.records, stats.bytes
+            );
+            println!(
+                "  by backend: {} packet, {} flow, {} fluid",
+                stats.packet_records, stats.flow_records, stats.fluid_records
+            );
         }
+        "clear" => {
+            let removed = cache
+                .clear()
+                .unwrap_or_else(|e| fail(format!("cache clear failed for {dir}: {e}")));
+            println!("cache {dir}: removed {removed} record(s)");
+        }
+        other => fail(format!(
+            "unknown cache action: {other} (expected stats or clear)"
+        )),
     }
 }
 
@@ -449,8 +374,10 @@ fn main() {
         .filter(|a| matches!(*a, "--quick" | "--paper" | "--large" | "--huge"))
         .collect();
     if scale_flags.len() > 1 {
-        eprintln!("conflicting scale flags: {}", scale_flags.join(" "));
-        std::process::exit(2);
+        fail(format!(
+            "conflicting scale flags: {}",
+            scale_flags.join(" ")
+        ));
     }
     let scale = match scale_flags.first() {
         Some(&"--huge") => Scale::Huge,
@@ -466,13 +393,10 @@ fn main() {
                 continue;
             }
             if found.is_some() {
-                eprintln!("{flag} was set twice — give each flag once");
-                std::process::exit(2);
+                fail(format!("{flag} was set twice — give each flag once"));
             }
-            found = Some(args.get(i + 1).cloned().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            }));
+            let value = args.get(i + 1).cloned();
+            found = Some(value.unwrap_or_else(|| fail(format!("{flag} needs a value"))));
         }
         found
     };
@@ -481,30 +405,20 @@ fn main() {
     let threads = match valued_flag("--threads") {
         None | Some(Some(0)) => default_threads(), // 0 = auto-detect, like no flag
         Some(Some(n)) => n,
-        Some(None) => {
-            eprintln!("--threads needs an integer (0 auto-detects the core count)");
-            std::process::exit(2);
-        }
+        Some(None) => fail("--threads needs an integer (0 auto-detects the core count)"),
     };
-    match valued_flag("--engine-threads") {
+    match valued_flag("--engine-threads").map(|n| n.and_then(|n| u32::try_from(n).ok())) {
         None => {}
-        Some(Some(n)) if u32::try_from(n).is_ok() => {
-            pdq_experiments::common::set_engine_threads(n as u32);
-        }
+        Some(Some(n)) if n >= 1 => pdq_experiments::common::set_engine_threads(n),
         Some(_) => {
-            eprintln!("--engine-threads needs an integer (0 auto-detects the core count)");
-            std::process::exit(2);
+            fail("--engine-threads needs a shard count of at least 1 (omit it for one shard)")
         }
     }
     let replicate = match valued_flag("--replicate") {
         None => NonZeroUsize::MIN,
-        Some(n) => match n.and_then(NonZeroUsize::new) {
-            Some(k) => k,
-            None => {
-                eprintln!("--replicate needs a positive seed count, e.g. --replicate 3");
-                std::process::exit(2);
-            }
-        },
+        Some(n) => n
+            .and_then(NonZeroUsize::new)
+            .unwrap_or_else(|| fail("--replicate needs a positive seed count, e.g. --replicate 3")),
     };
     let axes = AxisFlags {
         protocols: string_flag("--protocols").map(|v| parse_axis("--protocols", &v)),
@@ -529,8 +443,7 @@ fn main() {
                 flag,
                 "quick" | "paper" | "large" | "huge" | "csv" | "no-cache" | "fingerprint"
             ) {
-                eprintln!("unknown flag: --{flag}");
-                std::process::exit(2);
+                fail(format!("unknown flag: --{flag}"));
             }
             continue;
         }
@@ -544,62 +457,47 @@ fn main() {
 
     let subcommand = positional.first().map(String::as_str);
     if args.iter().any(|a| a == "--fingerprint") && subcommand != Some("run-spec") {
-        eprintln!("--fingerprint only applies to run-spec");
-        std::process::exit(2);
+        fail("--fingerprint only applies to run-spec");
     }
     if axes.any() && subcommand != Some("sweep") {
-        eprintln!(
-            "axis flags (--protocols/--seeds/--loads/--sizes/--deadlines) only apply to sweep"
-        );
-        std::process::exit(2);
+        fail("axis flags (--protocols/--seeds/--loads/--sizes/--deadlines) only apply to sweep");
     }
     if cache_flags.any() && !matches!(subcommand, Some("sweep") | Some("cache")) {
-        eprintln!("cache flags (--cache-dir/--no-cache/--jsonl) only apply to sweep and cache");
-        std::process::exit(2);
+        fail("cache flags (--cache-dir/--no-cache/--jsonl) only apply to sweep and cache");
     }
     if (cache_flags.no_cache || cache_flags.jsonl.is_some()) && subcommand == Some("cache") {
-        eprintln!("the cache subcommand only takes --cache-dir");
-        std::process::exit(2);
+        fail("the cache subcommand only takes --cache-dir");
     }
     match subcommand {
-        Some("list") => {
-            cmd_list();
-            return;
-        }
+        Some("list") => return cmd_list(),
         Some("run-spec") => {
             let Some(path) = positional.get(1) else {
-                eprintln!(
+                fail(
                     "usage: pdq-experiments run-spec <file.scn> \
-                     [--engine-threads N] [--fingerprint] [--csv]"
+                     [--engine-threads N] [--fingerprint] [--csv]",
                 );
-                std::process::exit(2);
             };
-            cmd_run_spec(path, csv, args.iter().any(|a| a == "--fingerprint"));
-            return;
+            return cmd_run_spec(path, csv, args.iter().any(|a| a == "--fingerprint"));
         }
         Some("sweep") => {
-            cmd_sweep(
+            let base_spec = positional.get(1).map(String::as_str);
+            let threads = threads.max(1);
+            return cmd_sweep(
                 scale,
-                threads.max(1),
+                threads,
                 replicate,
                 csv,
-                positional.get(1).map(String::as_str),
+                base_spec,
                 &axes,
                 &cache_flags,
             );
-            return;
         }
         Some("cache") => {
             let Some(action) = positional.get(1) else {
-                eprintln!("usage: pdq-experiments cache <stats|clear> [--cache-dir DIR]");
-                std::process::exit(2);
+                fail("usage: pdq-experiments cache <stats|clear> [--cache-dir DIR]");
             };
-            let dir = cache_flags
-                .cache_dir
-                .as_deref()
-                .unwrap_or(DEFAULT_CACHE_DIR);
-            cmd_cache(action, dir);
-            return;
+            let dir = cache_flags.cache_dir.as_deref();
+            return cmd_cache(action, dir.unwrap_or(DEFAULT_CACHE_DIR));
         }
         _ => {}
     }

@@ -16,8 +16,9 @@ use pdq_netsim::SimTime;
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::SizeDist;
 
-use crate::common::{engine_threads, fmt, run_scenario, Table, PDQ_FULL};
-use crate::fig3::Scale;
+use crate::common::{
+    engine_threads, fmt, print_engine_counters, run_scenario, Scale, Table, PDQ_FULL,
+};
 
 /// Number of flows the scenario injects at each scale.
 pub fn flow_count(scale: Scale) -> usize {
@@ -80,14 +81,7 @@ pub fn engine_scale(scale: Scale) -> Table {
     let wall = started.elapsed().as_secs_f64();
     // Scheduler telemetry on stderr (stdout tables are byte-compared in CI; this
     // line, like the wall-clock column, is a per-run measurement).
-    if let Some(r) = res.results.packet() {
-        let q = &r.queue;
-        eprintln!(
-            "engine_scale: event queue pushes={} pops={} peak_pending={} \
-             overflow_migrations={} buckets_sorted={}; engine {}",
-            q.pushes, q.pops, q.peak_pending, q.overflow_migrations, q.buckets_sorted, r.engine
-        );
-    }
+    print_engine_counters("engine_scale:", &res);
     table.push_row(vec![
         n_flows.to_string(),
         host_count.to_string(),

@@ -9,8 +9,7 @@
 
 use pdq_scenario::{ReplicatedSummary, RunSummary, SummaryStats, Sweep};
 
-use crate::common::{fmt, Table};
-use crate::fig3::Scale;
+use crate::common::{fmt, Scale, Table};
 use crate::fig5::{fig5a_axes, fig5a_scenario};
 
 /// The base scenario custom CLI grids expand over when no spec file is named: the
@@ -26,12 +25,11 @@ pub fn fig5a_base(scale: Scale) -> pdq_scenario::Scenario {
 /// The Figure 5a protocol × deadline × rate grid at the given scale.
 pub fn fig5a_grid(scale: Scale) -> Sweep {
     let (deadlines, rates, duration) = fig5a_axes(scale);
-    let protocols = scale.protocols();
     let mut scenarios = Vec::new();
-    for p in &protocols {
+    for &p in scale.protocols() {
         for &dl in &deadlines {
             for &rate in &rates {
-                scenarios.push(fig5a_scenario(rate, dl, duration).protocol(*p));
+                scenarios.push(fig5a_scenario(rate, dl, duration).protocol(p));
             }
         }
     }

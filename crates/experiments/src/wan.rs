@@ -20,8 +20,7 @@ use pdq_netsim::SimTime;
 use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
 use pdq_workloads::SizeDist;
 
-use crate::common::{fmt, fmt_opt, run_scenario, Table, PDQ_FULL};
-use crate::fig3::Scale;
+use crate::common::{fmt, fmt_opt, print_engine_counters, run_scenario, Scale, Table, PDQ_FULL};
 
 /// The protocols the WAN comparison runs, in table order.
 pub const WAN_PROTOCOLS: &[&str] = &["tcp", "rcp", "d3", PDQ_FULL];
@@ -80,24 +79,12 @@ pub fn wan(scale: Scale) -> Table {
             let wall = started.elapsed().as_secs_f64();
             // Telemetry on stderr (the wall-clock of a WAN run and the event
             // queue's high-water marks are per-run measurements, not results).
-            if let Some(r) = res.results.packet() {
-                let q = &r.queue;
-                eprintln!(
-                    "wan[{protocol} pacing={}]: wall={wall:.3}s event queue pushes={} \
-                     pops={} peak_pending={} overflow_migrations={} buckets_sorted={}; \
-                     engine {}",
-                    if pacing { "on" } else { "off" },
-                    q.pushes,
-                    q.pops,
-                    q.peak_pending,
-                    q.overflow_migrations,
-                    q.buckets_sorted,
-                    r.engine
-                );
-            }
+            let pacing_token = if pacing { "on" } else { "off" };
+            let label = format!("wan[{protocol} pacing={pacing_token}]: wall={wall:.3}s");
+            print_engine_counters(&label, &res);
             table.push_row(vec![
                 res.protocol_label.clone(),
-                if pacing { "on" } else { "off" }.to_string(),
+                pacing_token.to_string(),
                 res.flows.to_string(),
                 res.completed.to_string(),
                 fmt_opt(res.mean_fct_secs.map(|s| s * 1e3)),

@@ -346,6 +346,14 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
             "protocol = pdq(full;aging=-2)",
             "aging rate",
         ),
+        // A shard count of 0 is refused, naming the replacement.
+        (
+            "shards0",
+            topology,
+            "topology = fat_tree:16\nengine_threads = 0",
+            "engine_threads: bad value \"0\": want a shard count of at least 1 \
+             (omit engine_threads for one)",
+        ),
     ] {
         assert!(fig8a.contains(line), "{line}");
         exits_2(tag, &fig8a.replace(line, replacement), needle);
@@ -603,6 +611,11 @@ fn sweep_exits_2_on_empty_or_malformed_axis_values() {
         (
             vec!["sweep", "--quick", "--protocols", "pdq(full;estimate=0)"],
             "estimate granularity",
+        ),
+        // The global shard-count flag has no 0 either.
+        (
+            vec!["sweep", "--quick", "--engine-threads", "0"],
+            "shard count of at least 1",
         ),
     ] {
         let mut sweep = binary();

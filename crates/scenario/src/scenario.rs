@@ -16,6 +16,9 @@ use crate::summary::{BackendResults, RunSummary};
 /// Default simulated-time cap: the harness' historical `run_packet_level` limit.
 pub const DEFAULT_STOP_AT: SimTime = SimTime::from_secs(20);
 
+/// The `engine_threads` rule: there is no auto-detected shard count.
+const SHARD_COUNT: &str = "want a shard count of at least 1 (omit engine_threads for one)";
+
 /// Errors building or running a scenario.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioError {
@@ -151,7 +154,7 @@ pub struct Scenario {
     pub trace: TraceConfig,
     /// Shard count for the packet engine's [`pdq_netsim::Simulator::run_sharded`]:
     /// 1 (default) is one core on the caller's thread, N ≥ 2 a
-    /// [`Partition::of_topology`] cut, 0 auto-detects the core count at run time.
+    /// [`Partition::of_topology`] cut. 0 is refused.
     pub engine_threads: u32,
     /// RFC 9002-style sender pacing (spec key `pacing = on|off`, default off).
     /// Resolved through [`ProtocolInstaller::with_pacing`]; protocols without a
@@ -228,7 +231,7 @@ impl Scenario {
         self
     }
 
-    /// Set the packet-engine shard count (1 = sequential, 0 = auto-detect cores).
+    /// Set the packet-engine shard count (1 = one core, the default).
     pub fn engine_threads(mut self, engine_threads: u32) -> Self {
         self.engine_threads = engine_threads;
         self
@@ -256,6 +259,9 @@ impl Scenario {
     /// [`ProtocolInstaller::fluid_model`] (see [`lower_to_fluid`]). Either lowering
     /// fails with [`ScenarioError::Backend`] for protocols without that model.
     pub fn run(&self, registry: &ProtocolRegistry) -> Result<RunSummary, ScenarioError> {
+        if self.engine_threads == 0 {
+            return Err(ScenarioError::Spec(SHARD_COUNT.into()));
+        }
         let mut installer = registry.resolve(&self.protocol)?;
         if self.pacing {
             if self.backend != SimBackend::Packet {
@@ -384,7 +390,9 @@ impl Scenario {
             seed: r.required("seed")?,
             stop_at: SimTime::from_nanos(r.required("stop_at_ns")?),
             topology: r.required("topology")?,
-            engine_threads: r.optional("engine_threads")?.unwrap_or(1),
+            engine_threads: r.get("engine_threads").map_or(Ok(1), |f| {
+                f.parse_with(|v| v.parse().ok().filter(|&n| n > 0).ok_or(SHARD_COUNT))
+            })?,
             pacing: match r.get("pacing") {
                 None => false,
                 Some(f) => f.parse_with(|v| match v {
@@ -446,11 +454,9 @@ pub fn lower_to_fluid(flows: &[FlowSpec]) -> Vec<(u64, FluidFlow)> {
 ///
 /// This is the single execution path shared by [`Scenario::run`] and the lower-level
 /// `run_packet_level` helper, so scenario runs and direct flow-list runs are
-/// bit-for-bit identical. `engine_threads` of 0 resolves to the available core
-/// count; [`Partition::of_topology`] cuts the topology into at most that many shards
-/// (see `pdq_netsim::shard` for the determinism model), and one shard — asked for,
-/// or all a single-rack topology allows — is the same engine loop on one core, on
-/// the caller's thread.
+/// bit-for-bit identical. [`Partition::of_topology`] cuts at most that many shards
+/// (`pdq_netsim::shard` has the determinism model); one shard, asked for or all a
+/// single-rack topology allows, is the same engine loop on the caller's thread.
 pub fn execute(
     topo: &Topology,
     flows: &[FlowSpec],
@@ -460,12 +466,7 @@ pub fn execute(
     stop_at: SimTime,
     engine_threads: u32,
 ) -> SimResults {
-    let threads = if engine_threads == 0 {
-        crate::sweep::default_threads() as u32
-    } else {
-        engine_threads
-    };
-    let assignment = Partition::of_topology(topo, threads).to_assignment(&topo.net);
+    let assignment = Partition::of_topology(topo, engine_threads).to_assignment(&topo.net);
     let config = SimConfig {
         seed,
         trace,
@@ -634,12 +635,26 @@ mod tests {
         assert!(!Scenario::new("a").to_spec().contains("engine_threads"));
         let sharded = Scenario::new("a").engine_threads(4).to_spec();
         assert!(sharded.contains("engine_threads = 4"), "{sharded}");
-        // 0 (auto-detect at run time) is a deliberate, persistable setting.
-        let auto = Scenario::new("a").engine_threads(0).to_spec();
-        assert!(auto.contains("engine_threads = 0"), "{auto}");
         let mut bad = Scenario::new("a").to_spec();
         bad.push_str("engine_threads = lots\n");
         assert!(Scenario::from_spec(&bad).is_err());
+    }
+
+    #[test]
+    fn zero_engine_threads_is_refused_naming_the_replacement() {
+        // There is no auto-detected shard count: a spec key of 0 is a spec error
+        // on its line, and a scenario built with 0 refuses to run.
+        let auto = Scenario::new("a").engine_threads(0);
+        let err = Scenario::from_spec(&auto.to_spec())
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("engine_threads: bad value \"0\""), "{err}");
+        assert!(err.contains("omit engine_threads for one"), "{err}");
+        let registry = ProtocolRegistry::new();
+        match auto.run(&registry) {
+            Err(ScenarioError::Spec(msg)) => assert!(msg.contains("at least 1"), "{msg}"),
+            other => panic!("expected a spec error, got {other:?}"),
+        }
     }
 
     #[test]
