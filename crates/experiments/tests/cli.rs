@@ -354,6 +354,14 @@ fn run_spec_exits_2_on_workloads_the_generators_cannot_draw() {
             "engine_threads: bad value \"0\": want a shard count of at least 1 \
              (omit engine_threads for one)",
         ),
+        // The fluid model's one bottleneck is the receiver's link: a permutation has
+        // many receivers.
+        (
+            "fluidperm",
+            "backend = flow",
+            "backend = fluid",
+            "one bottleneck shared by every flow",
+        ),
     ] {
         assert!(fig8a.contains(line), "{line}");
         exits_2(tag, &fig8a.replace(line, replacement), needle);

@@ -6,6 +6,11 @@
 //! expiry — and the agent responds by pushing [`Action`]s into the provided [`Ctx`].
 //! This callback/action split keeps protocol logic free of borrow entanglement with the
 //! engine and makes protocols unit-testable without a network.
+//!
+//! Every action takes effect at the host whose callback issued it, at that instant: a
+//! sent packet enters the network there, a timer fires there, and a spawned flow starts
+//! there. An agent acts on its own node only; the far end of a flow hears from it
+//! through packets.
 
 use std::collections::HashMap;
 use std::hash::BuildHasher;
@@ -43,9 +48,11 @@ pub struct FlowInfo {
 /// Actions an agent can request from the engine.
 #[derive(Clone, Debug)]
 pub enum Action {
-    /// Hand a packet to the NIC. The engine forwards it along the flow's path.
+    /// Hand a packet to this host's NIC. The engine forwards it along the flow's path:
+    /// a forward packet from the flow's source, a reverse one from its destination.
     Send(Packet),
-    /// Ask for [`HostAgent::on_timer`] to be invoked at absolute time `at`.
+    /// Ask for [`HostAgent::on_timer`] to be invoked on this host at absolute time
+    /// `at`.
     SetTimer {
         /// The flow the timer belongs to.
         flow: FlowId,
@@ -66,12 +73,13 @@ pub enum Action {
     FlowCompleted(FlowId),
     /// Declare a flow terminated without completing (Early Termination / quenching).
     FlowTerminated(FlowId),
-    /// Inject a brand-new flow (used by M-PDQ to create subflows). The engine routes it
-    /// and delivers `on_flow_arrival` to its source host at the given arrival time.
+    /// Inject a brand-new flow (used by M-PDQ to create subflows) whose source is this
+    /// host. The engine routes it and delivers `on_flow_arrival` here at the given
+    /// arrival time.
+    ///
+    /// # Panics
+    /// The engine panics if `spec.src` is another node.
     SpawnFlow(FlowSpec),
-    /// Cancel every timer currently pending for the flow (see the timer-cancellation
-    /// contract on [`Ctx::cancel_flow_timers`]).
-    CancelTimers(FlowId),
 }
 
 /// Read-only lookup of per-flow routing/size information.
@@ -136,11 +144,11 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::Send(packet));
     }
 
-    /// Add a timer firing at an absolute time.
+    /// Add a timer firing on this host at an absolute time.
     ///
-    /// This queues one more timer: every timer set earlier still fires, and the agent
-    /// tells a stale one from the live one by its token. A deadline that is re-armed
-    /// over and over (a retransmission timeout) belongs in a
+    /// This queues one more timer: nothing cancels a timer, every timer set earlier
+    /// still fires, and the agent tells a stale one from the live one by its token. A
+    /// deadline that is re-armed over and over (a retransmission timeout) belongs in a
     /// [`RestartTimer`](crate::RestartTimer), which queues no event for a later re-arm.
     pub fn set_timer_at(&mut self, flow: FlowId, kind: TimerKind, at: SimTime, token: u64) {
         self.set_timer_created(flow, kind, at, self.now, token);
@@ -182,26 +190,9 @@ impl<'a> Ctx<'a> {
         self.actions.push(Action::FlowTerminated(flow));
     }
 
-    /// Inject a new flow (e.g. an M-PDQ subflow).
+    /// Inject a new flow (e.g. an M-PDQ subflow) whose source is this host.
     pub fn spawn_flow(&mut self, spec: FlowSpec) {
         self.actions.push(Action::SpawnFlow(spec));
-    }
-
-    /// Cancel every timer currently pending for `flow`.
-    ///
-    /// **Timer-cancellation contract.** Each flow carries a generation counter in the
-    /// engine. A timer snapshots the generation when it is scheduled; when it fires,
-    /// the engine silently drops it if the generation has moved on. Only this action
-    /// bumps the generation — a flow finishing does *not*: a completion is usually
-    /// detected at the receiver, and letting it cancel the sender's pending timers
-    /// would be an acausal cross-node effect the partitioned engine cannot reproduce
-    /// (the finish reaches the sender's shard a lookahead window later). Agents must
-    /// therefore ignore late timers themselves — every shipped sender guards on its
-    /// own status and a per-timer freshness token. Cancel timers only from the node
-    /// that armed them, for the same reason. Timers set *after* a cancellation (even
-    /// in the same callback) belong to the new generation and fire normally.
-    pub fn cancel_flow_timers(&mut self, flow: FlowId) {
-        self.actions.push(Action::CancelTimers(flow));
     }
 
     /// Drain the queued actions (used by the engine; also handy in protocol tests).

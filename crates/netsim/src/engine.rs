@@ -27,9 +27,9 @@
 //! * **controllers** — `Vec<Option<Box<dyn LinkController + Send>>>` indexed by
 //!   [`LinkId`];
 //! * **flows** — a `FlowTable`: two parallel slabs indexed by a per-core flow slot.
-//!   The *hot* one (`FlowHot`, 20 bytes a flow: endpoints, route, timer generation)
-//!   is all that sending a packet and arming, firing or cancelling a timer read, and
-//!   stays cache-resident with thousands of flows live; the *cold* one (`FlowState`:
+//!   The *hot* one (`FlowHot`, 8 bytes a flow: its route offset and link count) is
+//!   all that sending a packet reads, and stays cache-resident with thousands of
+//!   flows live; the *cold* one (`FlowState`:
 //!   the flow's [`FlowInfo`] — the one copy of its spec — its accounting and trace
 //!   accumulator; the [`FlowRecord`] is assembled from it at the merge) is read when a
 //!   flow arrives or finishes, when an agent asks for its `FlowInfo`, and to count a
@@ -39,7 +39,8 @@
 //!   forward links — the only copy of its path — followed by the links its ACKs take,
 //!   and a `FlowId -> slot` index
 //!   ([`FlowMap`]: one multiply-xorshift round, not SipHash) is consulted only at the
-//!   per-packet boundaries (agent actions, fired timers). [`NodeId`]/[`LinkId`] are
+//!   per-packet boundaries (a packet sent, a flow finished, a shard's message);
+//!   timers never read it. [`NodeId`]/[`LinkId`] are
 //!   sequential by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids,
 //!   workload-chosen ids), which is exactly what the index absorbs.
 //!
@@ -64,22 +65,22 @@
 //! results) it settles it against the key of the event being dispatched — once per
 //! link per event.
 //!
-//! # Timer cancellation
+//! # Agent actions take effect where the agent is
 //!
-//! Each flow carries a generation counter (in its `FlowHot`); timer events snapshot it
-//! when scheduled and are silently dropped at pop time if it has moved on. Only agents
-//! bump the generation (via `Ctx::cancel_flow_timers`), and only for timers armed at
-//! their own node: the engine deliberately does *not* cancel timers when a flow
-//! finishes, because a finish detected at the receiver must not acausally suppress a
-//! timer pending at the sender — under sharding that knowledge travels a lookahead
-//! window later, and a lone core must behave identically. Agents instead
-//! ignore late timers through status guards and token freshness.
+//! An agent's actions take effect at the node whose callback issued them, at that
+//! instant: a `Send` enters the network there, a timer is scheduled there, and a
+//! spawned flow must have that node as its source. No action reaches another node, so
+//! none crosses a shard boundary — what crosses is packets on links, flow
+//! registrations and finish notices (see the `shard` module) — and a lone core and N
+//! shards see the same actions at the same instants.
 //!
-//! Nor does re-arming cancel anything: `Ctx::set_timer_*` adds a timer, and every
-//! earlier one still pops. A deadline an agent re-arms over and over (a
-//! retransmission timeout, restarted on every ACK of new data) is a
-//! [`RestartTimer`](crate::RestartTimer) instead: it queues a firing only when the
-//! new deadline is no later than the one queued, and a firing that pops early
+//! Nothing cancels a timer: `Ctx::set_timer_*` adds one, and every timer set pops.
+//! Neither re-arming nor a flow finishing retires an earlier one — a finish detected
+//! at the receiver has no business reaching a timer pending at the sender. Agents
+//! ignore late timers through status guards and per-timer tokens. A deadline an agent
+//! re-arms over and over (a retransmission timeout, restarted on every ACK of new
+//! data) is a [`RestartTimer`](crate::RestartTimer) instead: it queues a firing only
+//! when the new deadline is no later than the one queued, and a firing that pops early
 //! re-queues the latest deadline with the creation stamp (`Action::SetTimer`'s
 //! `created`) and token its arming gave it — so the firing that acts pops at exactly
 //! the place in the event order a timer per arming would have, and the superseded
@@ -303,35 +304,17 @@ impl FlowState {
     }
 }
 
-/// The hot half of a flow's engine state: all that sending a packet, arming, firing
-/// or cancelling a timer and taking a packet over from another shard need. It lives
-/// in a slab of its own so that thousands of live flows stay cache-resident (20 bytes
-/// each against several hundred for a [`FlowState`]).
-#[derive(Clone, Copy, Debug)]
+/// The hot half of a flow's engine state: all that sending a packet and taking one
+/// over from another shard need. It lives in a slab of its own so that thousands of
+/// live flows stay cache-resident (8 bytes each against several hundred for a
+/// [`FlowState`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlowHot {
-    /// The flow's endpoints: where its forward and reverse packets enter the network,
-    /// and (`src`) where its timers fire.
-    pub(crate) src: NodeId,
-    pub(crate) dst: NodeId,
     /// Where the flow's links start in [`FlowTable::routes`].
     pub(crate) route: u32,
     /// Links on the flow's path; 0 for a flow not routed — not yet arrived, or not
-    /// placed by the router — which sends no packet and arms no timer.
+    /// placed by the router — which sends no packet.
     pub(crate) nlinks: u32,
-    /// Timer generation: pending timers of older generations are dropped unfired.
-    pub(crate) timer_gen: u32,
-}
-
-impl FlowHot {
-    fn unrouted(spec: &FlowSpec) -> Self {
-        FlowHot {
-            src: spec.src,
-            dst: spec.dst,
-            route: 0,
-            nlinks: 0,
-            timer_gen: 0,
-        }
-    }
 }
 
 /// Per-flow state in dense slabs — hot and cold halves side by side, indexed by the
@@ -342,9 +325,9 @@ impl FlowHot {
 /// slots are never reused within a run, so a slot is a stable dense id for the flow
 /// *on this core*. The flows injected before the run take the first slots, in the
 /// order their arrivals pop (`(arrival, id)`), so the next arrival is always the next
-/// slot. The index is consulted once per agent action (send / timer / finish) and per
-/// fired timer; per-hop code needs neither the index nor the slabs, only the route
-/// stamp in the packet.
+/// slot. The index is consulted once per packet an agent sends and per finish;
+/// per-hop code needs neither the index nor the slabs, only the route stamp in the
+/// packet.
 ///
 /// `routes` holds, for each routed flow, its `n` forward links followed by the `n`
 /// links its ACKs take (`network.reverse(links[n-1-h])` at reverse hop `h`), so a hop
@@ -367,12 +350,12 @@ impl FlowTable {
         self.index.get(&id).copied()
     }
 
-    /// Add a flow, unrouted: it sends nothing and arms no timer until
-    /// [`FlowTable::set_route`] gives it links.
+    /// Add a flow, unrouted: it sends nothing until [`FlowTable::set_route`] gives it
+    /// links.
     pub(crate) fn push(&mut self, state: FlowState) -> u32 {
         let slot = self.slots.len() as u32;
         self.index.insert(state.info.spec.id, slot);
-        self.hot.push(FlowHot::unrouted(&state.info.spec));
+        self.hot.push(FlowHot::default());
         self.slots.push(state);
         slot
     }
@@ -392,7 +375,7 @@ impl FlowTable {
             let spec = &state.info.spec;
             let fresh = self.index.insert(spec.id, slot as u32).is_none();
             assert!(fresh, "duplicate flow id {:?}", spec.id);
-            self.hot.push(FlowHot::unrouted(spec));
+            self.hot.push(FlowHot::default());
         }
     }
 
@@ -503,13 +486,10 @@ impl PacketPool {
 pub struct EngineStats {
     /// Flow arrivals dispatched.
     pub arrivals: u64,
-    /// Packet arrivals at a node (one per link traversal, plus one per cross-shard
-    /// injection), forwarded or delivered.
+    /// Packet arrivals at a node (one per link traversal), forwarded or delivered.
     pub packets: u64,
     /// Timers delivered to an agent.
     pub timers_fired: u64,
-    /// Timers popped only to be dropped: cancelled by a newer timer generation.
-    pub timers_dead: u64,
     /// Link-controller ticks.
     pub ticks: u64,
     /// Trace samples.
@@ -534,12 +514,11 @@ impl std::fmt::Display for EngineStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "arrivals={} packets={} timers_fired={} timers_dead={} ticks={} samples={} \
+            "arrivals={} packets={} timers_fired={} ticks={} samples={} \
              pool_high_water={} live_flows_high_water={} windows={} messages_in={}",
             self.arrivals,
             self.packets,
             self.timers_fired,
-            self.timers_dead,
             self.ticks,
             self.samples,
             self.pool_high_water,
@@ -816,8 +795,10 @@ impl EngineCore {
                 flow,
                 kind,
                 token,
-                gen,
-            } => self.handle_timer(node, flow, kind, token, gen),
+            } => {
+                self.stats.timers_fired += 1;
+                self.handle_timer(node, flow, kind, token)
+            }
             EventKind::ControllerTick { link } => {
                 self.stats.ticks += 1;
                 self.handle_controller_tick(link)
@@ -899,7 +880,7 @@ impl EngineCore {
             agent.on_flow_arrival(info, &mut ctx);
             ctx.take_actions()
         };
-        self.apply_actions(actions);
+        self.apply_actions(src, actions);
     }
 
     /// Send a registration for the routed flow in `slot` — its info and its links — to
@@ -939,9 +920,10 @@ impl EngineCore {
         let delivered = packet.hop == packet.nlinks as usize;
         debug_assert_eq!(
             delivered,
-            {
-                let hot = &self.flows.hot[packet.flow_slot as usize];
-                node == if packet.reverse { hot.src } else { hot.dst }
+            node == if packet.reverse {
+                packet.src
+            } else {
+                packet.dst
             },
             "{:?} hop {} of {} at {node:?}",
             packet.flow,
@@ -976,7 +958,7 @@ impl EngineCore {
             agent.on_packet(packet, &mut ctx);
             ctx.take_actions()
         };
-        self.apply_actions(actions);
+        self.apply_actions(node, actions);
     }
 
     /// Put the pooled packet `slot` on its next link from `node`: run the link
@@ -1061,17 +1043,7 @@ impl EngineCore {
         }
     }
 
-    fn handle_timer(&mut self, node: NodeId, flow: FlowId, kind: TimerKind, token: u64, gen: u32) {
-        // Lazy cancellation: a timer from an older generation is dropped unfired.
-        let live = self
-            .flows
-            .slot_of(flow)
-            .is_some_and(|slot| self.flows.hot[slot as usize].timer_gen == gen);
-        if !live {
-            self.stats.timers_dead += 1;
-            return;
-        }
-        self.stats.timers_fired += 1;
+    fn handle_timer(&mut self, node: NodeId, flow: FlowId, kind: TimerKind, token: u64) {
         let actions = {
             let Self {
                 agents,
@@ -1086,7 +1058,7 @@ impl EngineCore {
             agent.on_timer(flow, kind, token, &mut ctx);
             ctx.take_actions()
         };
-        self.apply_actions(actions);
+        self.apply_actions(node, actions);
     }
 
     fn handle_controller_tick(&mut self, link_id: LinkId) {
@@ -1198,38 +1170,24 @@ impl EngineCore {
 
     // ------------------------------------------------------------------ actions
 
-    pub(crate) fn apply_actions(&mut self, mut actions: Vec<Action>) {
+    /// Apply the actions of the agent at `node`, where they all take effect (see the
+    /// module docs).
+    fn apply_actions(&mut self, node: NodeId, mut actions: Vec<Action>) {
         for a in actions.drain(..) {
             match a {
                 Action::Send(mut packet) => {
-                    // The packet leaves the host that generated it: the flow source for
-                    // forward packets, the flow destination for reverse packets. This
-                    // is the one place a packet's flow id is hashed; every hop after
-                    // this uses the route stamped here.
+                    // This is the one place a packet's flow id is hashed; every hop after
+                    // this uses the route stamped here. A packet sent from the wrong end
+                    // of its flow trips `forward_packet`'s hop check in debug builds.
                     packet.hop = 0;
                     let Some(slot) = self.flows.slot_of(packet.flow) else {
                         continue;
                     };
-                    let hot = self.flows.stamp(slot, &mut packet);
-                    if hot.nlinks == 0 {
+                    if self.flows.stamp(slot, &mut packet).nlinks == 0 {
                         continue;
                     }
-                    let origin = if packet.reverse { hot.dst } else { hot.src };
-                    if self.is_local(origin) {
-                        let slot = self.pool.park(packet);
-                        self.forward_packet(origin, slot);
-                    } else {
-                        // An agent on this shard emitted a packet that enters the
-                        // network on a host owned by another shard; hand it over
-                        // for injection there (no current protocol does this).
-                        let to = self.shard_of[origin.index()];
-                        let at = self.now;
-                        let body = MsgBody::Packet {
-                            node: origin,
-                            packet,
-                        };
-                        self.push_msg(to, at, at, body);
-                    }
+                    let slot = self.pool.park(packet);
+                    self.forward_packet(node, slot);
                 }
                 Action::SetTimer {
                     flow,
@@ -1243,43 +1201,25 @@ impl EngineCore {
                         "{flow:?}: a timer armed at {created:?} set at {:?}",
                         self.now
                     );
-                    let Some(slot) = self.flows.slot_of(flow) else {
-                        continue;
+                    let timer = EventKind::Timer {
+                        node,
+                        flow,
+                        kind,
+                        token,
                     };
-                    let hot = self.flows.hot[slot as usize];
-                    if hot.nlinks == 0 {
-                        continue;
-                    }
-                    // Timers always fire on the host that owns the flow's sending side;
-                    // receiver-side protocols use distinct flows or tokens.
-                    let node = hot.src;
-                    let at = at.max(self.now);
-                    if self.is_local(node) {
-                        self.events.schedule_created(
-                            at,
-                            created,
-                            EventKind::Timer {
-                                node,
-                                flow,
-                                kind,
-                                token,
-                                gen: hot.timer_gen,
-                            },
-                        );
-                    } else {
-                        let to = self.shard_of[node.index()];
-                        self.push_msg(to, at, created, MsgBody::SetTimer { flow, kind, token });
-                    }
+                    self.events
+                        .schedule_created(at.max(self.now), created, timer);
                 }
                 Action::FlowCompleted(flow) => self.finish_flow(flow, true),
                 Action::FlowTerminated(flow) => self.finish_flow(flow, false),
-                Action::CancelTimers(flow) => {
-                    if let Some(slot) = self.flows.slot_of(flow) {
-                        let hot = &mut self.flows.hot[slot as usize];
-                        hot.timer_gen = hot.timer_gen.wrapping_add(1);
-                    }
+                Action::SpawnFlow(spec) => {
+                    assert_eq!(
+                        spec.src, node,
+                        "{:?} spawned by the agent at {node:?} with another source",
+                        spec.id
+                    );
+                    self.spawn_flow(spec)
                 }
-                Action::SpawnFlow(spec) => self.spawn_flow(spec),
             }
         }
         self.actions = actions;
@@ -1301,10 +1241,6 @@ impl EngineCore {
                 at: self.now,
                 completed,
             });
-            // Deliberately no timer cancellation here: a finish detected at one node
-            // (usually the receiver) must not acausally reach timers armed at another
-            // node. Agents suppress their own late timers via status guards and token
-            // freshness, which keeps 1-shard and N-shard runs byte-identical.
             (state.home, state.info.spec.src)
         };
         if home {
@@ -1387,11 +1323,6 @@ impl Simulator {
         }
     }
 
-    /// Install a controller on a specific link.
-    pub fn set_controller(&mut self, link: LinkId, controller: Box<dyn LinkController + Send>) {
-        self.core.controllers[link.index()] = Some(controller);
-    }
-
     /// Install controllers on links selected by a factory (commonly: every link whose
     /// source node is a switch). Returning `None` leaves a link uncontrolled.
     pub fn install_controllers<F>(&mut self, mut factory: F)
@@ -1438,11 +1369,6 @@ impl Simulator {
     /// Current simulated time (mostly useful from tests).
     pub fn now(&self) -> SimTime {
         self.core.now
-    }
-
-    /// Mutable access to the configuration (before calling [`Simulator::run`]).
-    pub fn config_mut(&mut self) -> &mut SimConfig {
-        &mut self.core.config
     }
 
     /// Read-only access to the network (topology + live queue state).
@@ -1834,10 +1760,11 @@ pub(crate) mod tests {
         let _ = sim.run();
     }
 
-    /// 5 000 live flows must stay L2-resident: the hot slab is 24 bytes a flow at most.
+    /// The hot slab is a route offset and a link count, 8 bytes a flow: 5 000 live
+    /// flows take 40 kB of it.
     #[test]
     fn hot_flow_state_stays_small() {
-        assert!(std::mem::size_of::<FlowHot>() <= 24);
+        assert_eq!(std::mem::size_of::<FlowHot>(), 8);
     }
 
     /// Every flow of a run holds a cold slot from injection to the merge, finished or
@@ -2056,26 +1983,17 @@ pub(crate) mod tests {
         }
     }
 
-    /// An agent exercising the cancellation contract: it arms three timers, cancels
-    /// them, arms one more (new generation), and completes the flow on that firing.
-    /// A further timer armed for after the completion must still fire — a finish
-    /// deliberately does not cancel timers (see the contract on
-    /// `Ctx::cancel_flow_timers`), so agents can observe it and ignore it themselves.
-    struct CancelProbe {
+    /// An agent that completes its flow on one timer's firing and has armed another
+    /// for after the completion: that one fires anyway — a finish does not cancel
+    /// timers (see the module docs), so agents recognise late timers themselves.
+    struct FinishProbe {
         fired: std::sync::Arc<std::sync::Mutex<Vec<u64>>>,
     }
-    impl HostAgent for CancelProbe {
+    impl HostAgent for FinishProbe {
         fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
             let f = flow.spec.id;
             let k = TimerKind::Custom(0);
-            ctx.set_timer_after(f, k, SimTime::from_micros(1), 1);
-            ctx.set_timer_after(f, k, SimTime::from_micros(2), 2);
-            ctx.set_timer_after(f, k, SimTime::from_micros(3), 3);
-            ctx.cancel_flow_timers(f);
-            // Re-armed after the cancellation: belongs to the new generation.
             ctx.set_timer_after(f, k, SimTime::from_micros(5), 4);
-            // Armed for after the completion: fires anyway, and the agent is expected
-            // to recognise it as late (real senders guard on their own status).
             ctx.set_timer_after(f, k, SimTime::from_micros(100), 5);
         }
         fn on_packet(&mut self, _packet: Packet, _ctx: &mut Ctx) {}
@@ -2101,15 +2019,83 @@ pub(crate) mod tests {
             },
         );
         let log = fired.clone();
-        sim.install_agents(move |_, _| Box::new(CancelProbe { fired: log.clone() }));
+        sim.install_agents(move |_, _| Box::new(FinishProbe { fired: log.clone() }));
         sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 1000));
         let res = sim.run();
         assert_eq!(
             *fired.lock().unwrap(),
             vec![4, 5],
-            "cancelled timers (1,2,3) must not fire; the post-completion timer (5) \
-             must (finishes never cancel timers — that would be acausal under sharding)"
+            "the post-completion timer (5) must fire"
         );
         assert_eq!(res.completed_count(), 1);
+    }
+
+    /// An agent that arms a timer wherever it is called — at the source on the
+    /// flow's arrival, at the destination on its first packet — and logs the node
+    /// each timer fires at; spawning at the destination if `spawn` is set.
+    struct WhereProbe {
+        node: NodeId,
+        spawn: bool,
+        fired: std::sync::Arc<std::sync::Mutex<Vec<(NodeId, u64)>>>,
+    }
+    impl HostAgent for WhereProbe {
+        fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
+            let f = flow.spec.id;
+            ctx.set_timer_after(f, TimerKind::Custom(0), SimTime::from_micros(1), 1);
+            ctx.send(Packet::data(f, flow.spec.src, flow.spec.dst, 0, 100));
+        }
+        fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
+            ctx.set_timer_after(
+                packet.flow,
+                TimerKind::Custom(0),
+                SimTime::from_micros(1),
+                2,
+            );
+            if self.spawn {
+                let spec = FlowSpec::new(2, packet.src, packet.dst, 100);
+                ctx.spawn_flow(spec.with_arrival(ctx.now()));
+            }
+        }
+        fn on_timer(&mut self, _flow: FlowId, _kind: TimerKind, token: u64, _ctx: &mut Ctx) {
+            self.fired.lock().unwrap().push((self.node, token));
+        }
+    }
+
+    fn where_probe_run(spawn: bool) -> Vec<(NodeId, u64)> {
+        let fired = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let net = dumbbell();
+        let hosts = net.hosts();
+        let mut sim = Simulator::new(
+            net,
+            SimConfig {
+                max_sim_time: SimTime::from_millis(1),
+                stop_when_flows_done: false,
+                ..SimConfig::default()
+            },
+        );
+        let log = fired.clone();
+        sim.install_agents(move |_, node| {
+            let fired = log.clone();
+            Box::new(WhereProbe { node, spawn, fired })
+        });
+        sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 100));
+        let _ = sim.run();
+        let fired = fired.lock().unwrap().clone();
+        fired
+    }
+
+    /// A timer fires at the node whose callback armed it, whichever end of the flow
+    /// that is.
+    #[test]
+    fn timers_fire_at_the_node_that_armed_them() {
+        let hosts = dumbbell().hosts();
+        assert_eq!(where_probe_run(false), [(hosts[0], 1), (hosts[2], 2)]);
+    }
+
+    /// A spawned flow starts at the node that spawned it: any other source is refused.
+    #[test]
+    #[should_panic(expected = "with another source")]
+    fn spawning_a_flow_elsewhere_panics() {
+        where_probe_run(true);
     }
 }

@@ -70,8 +70,9 @@
 //!   run fires no earlier than the current bucket's end;
 //! * the current run is sorted by the full key `(at, created, class, content, seq)`
 //!   and in-run insertions maintain that order (an event scheduled *behind* the
-//!   current bucket — e.g. a cross-shard timer clamped to `now` — binary-searches to
-//!   the front of the remaining tail, exactly where the heap would have popped it);
+//!   current bucket — e.g. a packet from another shard, ingested after a window
+//!   that opened a later bucket — binary-searches to the front of the remaining
+//!   tail, exactly where the heap would have popped it);
 //! * a level-1 slot and the heap events belonging to it reach level 0 before any
 //!   bucket of that slot is sorted, so they participate in the same in-bucket order.
 //!
@@ -167,10 +168,6 @@ pub enum EventKind {
         kind: TimerKind,
         /// Opaque token chosen by the agent (used to ignore stale timers).
         token: u64,
-        /// The flow's timer generation at scheduling time; the engine drops the event
-        /// without a callback if the flow's generation has moved on (lazy
-        /// cancellation — see `Ctx::cancel_flow_timers`).
-        gen: u32,
     },
     /// A periodic link-controller tick (e.g. the PDQ / RCP rate controller update).
     ControllerTick {
@@ -754,8 +751,9 @@ impl EventQueue {
             // Lands in (or before) the bucket currently being drained: binary-search
             // into the sorted remaining run. `current` is descending, so the prefix
             // holds the strictly larger keys. An event behind the current bucket
-            // (e.g. a cross-shard timer clamped to `now`) lands at the very end —
-            // popped next, exactly as a heap would order it.
+            // (e.g. a packet from another shard, ingested after a window that opened
+            // a later bucket) lands at the very end — popped next, exactly as a heap
+            // would order it.
             let idx = self.current.partition_point(|e| *e > ev);
             self.current.insert(idx, ev);
             return;
@@ -950,7 +948,6 @@ mod tests {
             flow: FlowId(token),
             kind: TimerKind::Rto,
             token,
-            gen: 0,
         }
     }
 
@@ -1126,7 +1123,7 @@ mod tests {
     fn insert_behind_the_cursor_after_an_empty_window_pops_first() {
         // A window that ends before the next event still opens that event's bucket
         // (here: in a later level-1 slot). Events ingested afterwards for earlier
-        // times — a cross-shard arrival clamped to `now` — must still pop first.
+        // times — a packet arriving from another shard — must still pop first.
         let us = SimTime::from_micros;
         let mut q = EventQueue::with_bucket_width(us(1));
         q.schedule(us(5_000), timer(1));

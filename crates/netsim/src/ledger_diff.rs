@@ -383,7 +383,7 @@ impl Reference {
         }
     }
 
-    fn apply(&mut self, actions: Vec<Action>) {
+    fn apply(&mut self, node: NodeId, actions: Vec<Action>) {
         for action in actions {
             match action {
                 Action::Send(mut packet) => {
@@ -398,11 +398,10 @@ impl Reference {
                     token,
                 } => {
                     let timer = EventKind::Timer {
-                        node: self.flows[&flow].spec.src,
+                        node,
                         flow,
                         kind,
                         token,
-                        gen: 0,
                     };
                     self.events
                         .schedule_created(at.max(self.now), created, timer);
@@ -427,7 +426,7 @@ impl Reference {
             callback(agent.as_mut(), &mut ctx);
             ctx.take_actions()
         };
-        self.apply(actions);
+        self.apply(node, actions);
     }
 
     fn run(mut self) -> (Outcome, [u32; 2]) {
@@ -478,7 +477,6 @@ impl Reference {
                     flow,
                     kind,
                     token,
-                    ..
                 } => self.with_agent(node, |agent, ctx| agent.on_timer(flow, kind, token, ctx)),
                 EventKind::ControllerTick { link } => {
                     let ctl = self.controllers[link.index()].as_mut().expect("recorded");

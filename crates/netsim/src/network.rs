@@ -264,16 +264,6 @@ impl Default for LinkParams {
     }
 }
 
-impl LinkParams {
-    /// A link with the given rate and otherwise default parameters.
-    pub fn with_rate(rate_bps: f64) -> Self {
-        LinkParams {
-            rate_bps,
-            ..Default::default()
-        }
-    }
-}
-
 /// The static topology plus per-link runtime state.
 #[derive(Clone, Debug, Default)]
 pub struct Network {

@@ -43,6 +43,10 @@
 //! * Every lossy link draws from a private `(seed, link id)` stream in
 //!   packet-crossing order, which the content-derived event order reproduces at
 //!   every shard count (see [`crate::network#random-loss`]).
+//! * An agent's actions take effect at its own node (see the `engine` module), so
+//!   nothing an agent does crosses a boundary: the messages are packets that crossed
+//!   a cut link, flow registrations and finish notices. Every crossing packet arrives
+//!   at or after the end of the window it was sent in, which ingest asserts.
 //! * Boundary messages are ingested sorted by `(message class, time, source shard,
 //!   sequence)`, and results are merged in shard order, so an N-shard run is
 //!   bit-reproducible for a fixed seed and shard count.
@@ -70,8 +74,8 @@ use crate::time::SimTime;
 /// A node → shard map plus the conservative lookahead it guarantees.
 ///
 /// Build one with [`ShardAssignment::new`] (typically via the topology crate's
-/// `Partition`, which knows how to cut fat-trees along pods, BCube along sub-cubes and
-/// arbitrary graphs by BFS bisection) and pass it to [`Simulator::run_sharded`].
+/// `Partition`, which keeps racks whole: fat-trees are cut along pods, BCube along
+/// sub-cubes) and pass it to [`Simulator::run_sharded`].
 #[derive(Clone, Debug)]
 pub struct ShardAssignment {
     shard_of: Arc<[u32]>,
@@ -134,13 +138,13 @@ impl ShardAssignment {
 
 /// A boundary-crossing message exchanged between shards at window barriers.
 pub(crate) struct ShardMsg {
-    /// Simulated time the message takes effect (event time for packets/timers,
-    /// notification time for registrations/finishes).
+    /// Simulated time the message takes effect (a packet's arrival at the far end of
+    /// its cut link, the instant of a registration or finish).
     pub(crate) at: SimTime,
-    /// Simulated time on the sending shard when the message was created (for a timer:
-    /// the instant it was armed, its `Action::SetTimer::created`). Ingested events
-    /// carry this as their creation stamp so the receiving queue orders them exactly
-    /// as a single global queue would have.
+    /// Simulated time on the sending shard when the message was created (for a
+    /// packet: its departure from the cut link). An ingested packet carries this as
+    /// its creation stamp so the receiving queue orders it exactly as a single global
+    /// queue would have.
     pub(crate) sent: SimTime,
     /// Sending shard (ingest tie-break).
     pub(crate) src_shard: u32,
@@ -171,15 +175,6 @@ pub(crate) enum MsgBody {
         /// True for completion, false for early termination.
         completed: bool,
     },
-    /// An agent on another shard armed a timer for a flow homed here.
-    SetTimer {
-        /// The flow the timer belongs to.
-        flow: FlowId,
-        /// Timer class.
-        kind: crate::event::TimerKind,
-        /// Agent-chosen token.
-        token: u64,
-    },
     /// A packet that crossed the shard boundary, to be delivered at `node` at `at`.
     Packet {
         /// The node the packet arrives at.
@@ -191,13 +186,12 @@ pub(crate) enum MsgBody {
 
 impl MsgBody {
     /// Ingest-order class: registrations must precede any use of the flow; finishes
-    /// and timers touch records before packets are scheduled.
+    /// touch records before packets are scheduled.
     fn rank(&self) -> u8 {
         match self {
             MsgBody::Register { .. } => 0,
             MsgBody::Finished { .. } => 1,
-            MsgBody::SetTimer { .. } => 2,
-            MsgBody::Packet { .. } => 3,
+            MsgBody::Packet { .. } => 2,
         }
     }
 }
@@ -239,51 +233,23 @@ impl EngineCore {
                         self.unfinished_flows = self.unfinished_flows.saturating_sub(1);
                     }
                 }
-                MsgBody::SetTimer { flow, kind, token } => {
-                    let Some(slot) = self.flows.slot_of(flow) else {
-                        continue;
-                    };
-                    let hot = self.flows.hot[slot as usize];
-                    if hot.nlinks == 0 {
-                        continue;
-                    }
-                    let (node, gen) = (hot.src, hot.timer_gen);
-                    // A remotely-armed timer may name a time this shard has already
-                    // passed; clamp so the clock never runs backwards (no shipped
-                    // protocol arms cross-shard timers — see the README).
-                    let at = msg.at.max(self.now);
-                    self.events.schedule_created(
-                        at,
-                        msg.sent,
-                        EventKind::Timer {
-                            node,
-                            flow,
-                            kind,
-                            token,
-                            gen,
-                        },
-                    );
-                }
                 MsgBody::Packet { node, mut packet } => {
                     let Some(slot) = self.flows.slot_of(packet.flow) else {
                         // Unknown flow: its registration was lost (cannot happen —
                         // registrations sort first). Drop rather than corrupt.
                         continue;
                     };
-                    // A packet that crossed a cut link (hop ≥ 1) arrives at or after
-                    // the window end, which this shard has not reached: the lookahead
-                    // guarantees it. Only a packet injected at a host of this shard by
-                    // an agent on another (hop 0; no shipped protocol does that) can
-                    // name this shard's past, and is clamped like a timer.
-                    debug_assert!(
-                        packet.hop == 0 || msg.at >= self.now,
+                    // The packet crossed a cut link, so it arrives at or after the
+                    // window end, which this shard has not reached: the lookahead
+                    // guarantees it.
+                    assert!(
+                        msg.at >= self.now,
                         "broken lookahead: {:?} arrives at {:?}, shard {} is at {:?}",
                         packet.flow,
                         msg.at,
                         self.shard,
                         self.now
                     );
-                    let at = msg.at.max(self.now);
                     // Slots and arena offsets are this core's own: the sender's stamp
                     // means nothing here.
                     self.flows.stamp(slot, &mut packet);
@@ -291,7 +257,7 @@ impl EngineCore {
                     let tie = crate::engine::packet_tie(&packet);
                     let parked = self.pool.park(packet);
                     self.events.schedule_created(
-                        at,
+                        msg.at,
                         msg.sent,
                         EventKind::PacketAtNode {
                             node,
@@ -672,7 +638,6 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         engine.arrivals += e.arrivals;
         engine.packets += e.packets;
         engine.timers_fired += e.timers_fired;
-        engine.timers_dead += e.timers_dead;
         engine.ticks += e.ticks;
         engine.samples += e.samples;
         // Like `peak_pending`: per-shard peaks, summed to an upper bound.

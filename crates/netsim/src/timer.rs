@@ -22,9 +22,9 @@
 //! check, and a re-queueing firing acts on nothing, so a run is bit-identical to one
 //! that queues a timer per arming; it just pops fewer events.
 //!
-//! Tokens count armings from 1, as a hand-rolled `token += 1` scheme does. A
-//! [`Ctx::cancel_flow_timers`] drops the queued firing without telling the helper, so
-//! a flow that cancels its timers must not keep using the helper that armed them.
+//! Tokens count armings from 1, as a hand-rolled `token += 1` scheme does. The engine
+//! cancels no timer, so with per-timer tokens this helper is how an agent retires a
+//! deadline: a firing that is no longer the latest arming acts on nothing.
 
 use crate::agent::Ctx;
 use crate::event::TimerKind;

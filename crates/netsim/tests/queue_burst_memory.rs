@@ -80,7 +80,6 @@ fn probe(token: u64) -> EventKind {
         flow: FlowId(token),
         kind: TimerKind::Probe,
         token,
-        gen: 0,
     }
 }
 

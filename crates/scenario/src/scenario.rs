@@ -257,7 +257,9 @@ impl Scenario {
     /// [`pdq_flowsim::FlowLevelConfig`] via [`ProtocolInstaller::flow_config`]; the
     /// fluid backend lowers it onto the §2.1 unit-rate bottleneck via
     /// [`ProtocolInstaller::fluid_model`] (see [`lower_to_fluid`]). Either lowering
-    /// fails with [`ScenarioError::Backend`] for protocols without that model.
+    /// fails with [`ScenarioError::Backend`] for protocols without that model, and the
+    /// fluid one with [`ScenarioError::Spec`] when the flows do not all share one
+    /// receiver, the one bottleneck the model has.
     pub fn run(&self, registry: &ProtocolRegistry) -> Result<RunSummary, ScenarioError> {
         if self.engine_threads == 0 {
             return Err(ScenarioError::Spec(SHARD_COUNT.into()));
@@ -327,6 +329,16 @@ impl Scenario {
                         backend: SimBackend::Fluid,
                         supported: registry.families_supporting(SimBackend::Fluid),
                     })?;
+                if let Some(f) = flows.iter().find(|f| f.dst != flows[0].dst) {
+                    return Err(ScenarioError::Spec(format!(
+                        "backend = fluid models one bottleneck shared by every flow, their \
+                         common receiver's link, but flows {} and {} go to nodes {} and {}",
+                        flows[0].id.value(),
+                        f.id.value(),
+                        flows[0].dst.index(),
+                        f.dst.index()
+                    )));
+                }
                 let results = run_fluid(model, &lower_to_fluid(&flows));
                 RunSummary::summarize(self, installer.label(), BackendResults::Fluid(results))
             }

@@ -80,11 +80,6 @@ impl SummaryStats {
             ci95,
         })
     }
-
-    /// The confidence interval as `(low, high)` bounds.
-    pub fn ci_bounds(&self) -> (f64, f64) {
-        (self.mean - self.ci95, self.mean + self.ci95)
-    }
 }
 
 /// Displays as `mean ± ci95` (the conventional table form).
@@ -168,8 +163,6 @@ mod tests {
         // Sample variance of 1..4 is 5/3; 4 samples → t with 3 degrees of freedom.
         assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
         assert!((s.ci95 - 3.182 * s.stddev / 2.0).abs() < 1e-12);
-        let (lo, hi) = s.ci_bounds();
-        assert!(lo < s.mean && s.mean < hi);
         assert_eq!(s.to_string(), format!("{:.3} ± {:.3}", s.mean, s.ci95));
     }
 

@@ -383,16 +383,6 @@ impl RunSummary {
         self.p95_cct_secs = Some(ccts_ns[idx] as f64 / 1e9);
     }
 
-    /// Fraction of deadline-carrying coflows whose last member completed in time;
-    /// `None` when no coflow carried a deadline.
-    pub fn coflow_deadline_miss_rate(&self) -> Option<f64> {
-        if self.coflow_deadlines == 0 {
-            None
-        } else {
-            Some(1.0 - self.coflow_deadlines_met as f64 / self.coflow_deadlines as f64)
-        }
-    }
-
     /// Application throughput (§5.1): fraction of deadline-constrained flows that met
     /// their deadline; `None` when no flow carried a deadline.
     pub fn application_throughput(&self) -> Option<f64> {
@@ -401,11 +391,6 @@ impl RunSummary {
         } else {
             Some(self.deadlines_met as f64 / self.deadline_flows as f64)
         }
-    }
-
-    /// Fraction of deadline-constrained flows that missed their deadline.
-    pub fn deadline_miss_rate(&self) -> Option<f64> {
-        self.application_throughput().map(|at| 1.0 - at)
     }
 
     /// A deterministic digest of the run: the end time, then one
@@ -633,7 +618,6 @@ mod tests {
         assert_eq!(back.mean_cct_secs, Some(0.012_5));
         assert_eq!(back.p95_cct_secs, None);
         assert_eq!(back.to_record(), s.to_record());
-        assert_eq!(back.coflow_deadline_miss_rate(), Some(0.5));
     }
 
     /// Summarize hand-built `results` the way [`Scenario::run`] does, coflows

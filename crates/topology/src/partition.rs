@@ -1,18 +1,13 @@
 //! Partitioning a topology into shards for the parallel engine.
 //!
 //! A [`Partition`] assigns every node of a network to exactly one shard, for
-//! [`pdq_netsim::Simulator::run_sharded`]. Two construction strategies:
-//!
-//! * [`Partition::of_topology`] — **structure-aware**: whole racks are kept together
-//!   and distributed as contiguous blocks (for a fat-tree this groups pods, for BCube
-//!   it groups sub-cubes, since both number their racks in construction order), then
-//!   every switch joins the shard of the nearest host block by multi-source BFS. This
-//!   keeps the dense intra-rack/intra-pod traffic shard-local and leaves only the
-//!   sparse aggregation/core layers on boundaries.
-//! * [`Partition::of_network`] — **structure-blind fallback** for jellyfish and
-//!   arbitrary graphs: a BFS sweep from node 0 cuts the visit order into equal
-//!   contiguous blocks (a breadth-first bisection), so each shard is a connected,
-//!   equally-sized region whenever the graph is connected.
+//! [`pdq_netsim::Simulator::run_sharded`]. [`Partition::of_topology`] builds one from
+//! the topology's racks, on every topology the crate builds (jellyfish and WAN meshes
+//! included): whole racks are kept together and distributed as contiguous blocks (for
+//! a fat-tree this groups pods, for BCube it groups sub-cubes, since both number their
+//! racks in construction order), then every switch joins the shard of the nearest host
+//! block by multi-source BFS. This keeps the dense intra-rack/intra-pod traffic
+//! shard-local and leaves only the sparse aggregation/core layers on boundaries.
 //!
 //! The conservative lookahead of the resulting cut is [`Partition::lookahead`]: the
 //! minimum propagation delay over links whose endpoints land on different shards
@@ -82,44 +77,6 @@ impl Partition {
         }
         // Nodes unreachable from any host (none in practice): shard 0.
         let shard_of = shard_of.into_iter().map(|s| s.unwrap_or(0)).collect();
-        Partition { shard_of, shards }
-    }
-
-    /// Structure-blind partition of an arbitrary network: the BFS visit order from
-    /// node 0 (unvisited components appended in id order) is cut into `shards`
-    /// near-equal contiguous blocks.
-    pub fn of_network(net: &Network, shards: u32) -> Partition {
-        let n = net.node_count();
-        let shards = (shards.max(1) as usize).min(n.max(1)) as u32;
-        if shards <= 1 {
-            return Partition {
-                shard_of: vec![0; n],
-                shards: 1,
-            };
-        }
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        for start in 0..n {
-            if visited[start] {
-                continue;
-            }
-            visited[start] = true;
-            let mut queue = VecDeque::from([NodeId(start as u32)]);
-            while let Some(u) = queue.pop_front() {
-                order.push(u);
-                for &l in net.outgoing(u) {
-                    let v = net.link(l).dst;
-                    if !visited[v.index()] {
-                        visited[v.index()] = true;
-                        queue.push_back(v);
-                    }
-                }
-            }
-        }
-        let mut shard_of = vec![0u32; n];
-        for (pos, node) in order.into_iter().enumerate() {
-            shard_of[node.index()] = (pos * shards as usize / n) as u32;
-        }
         Partition { shard_of, shards }
     }
 
@@ -224,24 +181,6 @@ mod tests {
         assert_eq!(p.lookahead(&topo.net), SimTime::MAX);
     }
 
-    #[test]
-    fn of_network_fallback_covers_disconnected_graphs() {
-        let mut net = Network::new();
-        let a = net.add_host("a");
-        let b = net.add_host("b");
-        let c = net.add_host("c");
-        let d = net.add_host("d");
-        net.add_duplex_link(a, b, LinkParams::default());
-        net.add_duplex_link(c, d, LinkParams::default());
-        let p = Partition::of_network(&net, 2);
-        check_partition(&p, &net, 2);
-        // The BFS blocks respect the components: each island stays whole.
-        assert_eq!(p.shard_of(a), p.shard_of(b));
-        assert_eq!(p.shard_of(c), p.shard_of(d));
-        assert_ne!(p.shard_of(a), p.shard_of(c));
-        assert_eq!(p.lookahead(&net), SimTime::MAX);
-    }
-
     proptest! {
         /// Partition correctness across the paper's three scaled topologies: every
         /// node on exactly one in-range shard, every effective shard non-empty, and
@@ -264,14 +203,6 @@ mod tests {
                 prop_assert_eq!(prev, s, "rack {} split across shards", r);
             }
             prop_assert!(p.shards() <= shards.max(1));
-        }
-
-        /// The structure-blind fallback is valid on arbitrary (jellyfish) graphs too.
-        #[test]
-        fn network_partitions_are_valid(seed in 0u64..50, shards in 1u32..9) {
-            let topo = jellyfish_paper_config(16, seed, LinkParams::default());
-            let p = Partition::of_network(&topo.net, shards);
-            check_partition(&p, &topo.net, shards);
         }
     }
 }

@@ -35,12 +35,8 @@ fn engine_scale_quick_stays_under_the_events_per_flow_ceiling() {
     );
     // The run stops at the event finishing its last flow, so every popped event was
     // dispatched and the per-class counters must account for each exactly once.
-    let by_class = engine.arrivals
-        + engine.packets
-        + engine.timers_fired
-        + engine.timers_dead
-        + engine.ticks
-        + engine.samples;
+    let by_class =
+        engine.arrivals + engine.packets + engine.timers_fired + engine.ticks + engine.samples;
     assert_eq!(by_class, queue.pops, "{engine:?}");
     assert!(engine.pool_high_water > 0 && engine.pool_high_water <= queue.peak_pending);
     // Flows unfinished at once: at least one, never more than were injected.

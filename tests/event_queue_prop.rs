@@ -69,14 +69,12 @@ fn kind_for(sel: u64, a: u64) -> EventKind {
             flow: FlowId(a % 7),
             kind: TimerKind::Rto,
             token: a,
-            gen: 0,
         },
         1 => EventKind::Timer {
             node: NodeId((a % 3) as u32),
             flow: FlowId(a % 5),
             kind: TimerKind::Pacing,
             token: a / 2,
-            gen: 1,
         },
         2 => EventKind::PacketAtNode {
             node: NodeId((a % 4) as u32),

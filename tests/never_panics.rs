@@ -18,7 +18,8 @@ use std::sync::OnceLock;
 
 use pdq_netsim::{FlowSpec, NodeId, SimTime};
 use pdq_repro::scenario::{
-    ProtocolRegistry, ResultCache, RunSummary, Scenario, SimBackend, TopologySpec, WorkloadSpec,
+    ProtocolRegistry, ResultCache, RunSummary, Scenario, ScenarioError, SimBackend, TopologySpec,
+    WorkloadSpec,
 };
 use pdq_repro::workloads::{DeadlineDist, Pattern, SizeDist};
 use proptest::prelude::*;
@@ -206,6 +207,24 @@ fn unmutated_inputs_parse() {
         assert!(Scenario::from_spec(spec).is_ok());
     }
     assert!(RunSummary::from_record(real_record()).is_ok());
+}
+
+/// The fluid model has one bottleneck, the receiver's link, so a run whose flows go to
+/// several receivers — the fig8a permutation on the fluid backend — is a spec error,
+/// not a table of FCTs in the wrong units.
+#[test]
+fn fluid_runs_without_one_receiver_are_spec_errors() {
+    let flow = "backend = flow\n";
+    assert!(SPECS[3].contains(flow));
+    let scenario = Scenario::from_spec(&SPECS[3].replace(flow, "backend = fluid\n")).unwrap();
+    assert_eq!(scenario.backend, SimBackend::Fluid);
+    let err = scenario
+        .run(pdq_experiments::common::registry())
+        .unwrap_err();
+    assert!(
+        matches!(&err, ScenarioError::Spec(m) if m.contains("one bottleneck shared by every flow")),
+        "{err}"
+    );
 }
 
 proptest! {

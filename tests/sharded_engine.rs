@@ -7,6 +7,7 @@ use pdq_experiments::common::registry;
 use pdq_experiments::scalebench::engine_scale_scenario;
 use pdq_experiments::wan::wan_scenario;
 use pdq_experiments::Scale;
+use pdq_netsim::SimTime;
 use pdq_scenario::Scenario;
 
 fn fingerprint_at(scenario: &Scenario, engine_threads: u32) -> String {
@@ -48,6 +49,42 @@ fn engine_scale_fingerprint_is_shard_count_invariant() {
             sequential,
             "shard count {shards} diverged from the sequential engine"
         );
+    }
+}
+
+/// A hard stop is shard-count invariant: the committed packet specs, cut at
+/// `stop_at` = 3 ms and 10 ms, before their flows drain, give the same
+/// fingerprint, the same link counters and the same end time at 1, 2 and 4 shards.
+/// Every core stops at the first event past the stop, and links are settled up to the
+/// key that core stopped at, so no window boundary shows in the results.
+#[test]
+fn hard_stops_are_shard_count_invariant() {
+    let specs = [
+        include_str!("../specs/engine_scale_quick.scn"),
+        include_str!("../specs/wan_quick.scn"),
+        include_str!("../specs/coflow_quick.scn"),
+    ];
+    for text in specs {
+        let base = Scenario::from_spec(text).expect("committed spec parses");
+        for stop_ms in [3, 10] {
+            let cut = base.clone().stop_at(SimTime::from_millis(stop_ms));
+            let run_at = |shards| {
+                let run = cut.clone().engine_threads(shards).run(registry());
+                let run = run.unwrap_or_else(|e| panic!("{e}"));
+                let results = run.packet();
+                let links = format!("{:?}", results.link_stats);
+                (run.fingerprint(), links, results.end_time)
+            };
+            let sequential = run_at(1);
+            let context = format!("{} cut at {stop_ms} ms", base.name);
+            assert_eq!(sequential.2, cut.stop_at, "{context}: the flows drained");
+            for shards in [2, 4] {
+                assert!(
+                    run_at(shards) == sequential,
+                    "{context}: {shards} shards diverged from one"
+                );
+            }
+        }
     }
 }
 
