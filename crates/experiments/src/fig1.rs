@@ -18,9 +18,10 @@ use pdq_scenario::{RunSummary, Scenario, SimBackend, TopologySpec, WorkloadSpec}
 
 use crate::common::{run_scenario, Table};
 
-/// The §2.1 flow set as a manual workload: sizes 1/2/3 (fluid units = bytes),
-/// deadlines 1/4/6 s, with per-flow arrival offsets in nanoseconds. Arrivals don't
-/// shift fluid completions — they only fix D3's reservation (arrival) order.
+/// The §2.1 flow set as a manual workload: sizes 1/2/3 bytes (1/2/3 s at the fluid
+/// backend's one byte per second), deadlines 1/4/6 s, with per-flow arrival offsets
+/// in nanoseconds. Arrivals don't shift fluid completions — they only fix D3's
+/// reservation (arrival) order.
 fn fig1_workload(arrival_offsets_ns: [u64; 3]) -> WorkloadSpec {
     let flow = |id: u64, size: u64, deadline_secs: u64, at: u64| {
         FlowSpec::new(id, NodeId(id as u32), NodeId(4), size)
@@ -104,7 +105,8 @@ pub fn fig1() -> Table {
 mod tests {
     use super::*;
     use pdq_flowsim::{
-        d3_completion, deadlines_met, edf_completion, fair_sharing_completion, figure1_flows,
+        d3_completion, edf_completion, fair_sharing_completion, figure1_flows, FluidFlowRecord,
+        FLUID_RATE_BPS as RATE,
     };
 
     /// The acceptance gate: the scenario-driven table is byte-identical to the one
@@ -114,16 +116,27 @@ mod tests {
         let flows = figure1_flows();
         let expect_row = |c: &[f64]| -> Vec<String> {
             let mean = c.iter().sum::<f64>() / c.len() as f64;
+            let met = (flows.iter().zip(c))
+                .filter(|&(&flow, &c)| {
+                    let completion = Some(c);
+                    FluidFlowRecord {
+                        id: 0,
+                        flow,
+                        completion,
+                    }
+                    .met_deadline()
+                })
+                .count();
             let mut row: Vec<String> = c.iter().map(|v| format!("{v:.2}")).collect();
             row.push(format!("{mean:.2}"));
-            row.push(format!("{}/3", deadlines_met(&flows, c)));
+            row.push(format!("{met}/3"));
             row
         };
         let expected = [
-            expect_row(&fair_sharing_completion(&flows)),
-            expect_row(&edf_completion(&flows)),
-            expect_row(&d3_completion(&flows, &[1, 0, 2])),
-            expect_row(&d3_completion(&flows, &[0, 1, 2])),
+            expect_row(&fair_sharing_completion(&flows, RATE)),
+            expect_row(&edf_completion(&flows, RATE)),
+            expect_row(&d3_completion(&flows, &[1, 0, 2], RATE)),
+            expect_row(&d3_completion(&flows, &[0, 1, 2], RATE)),
         ];
         let table = fig1();
         assert_eq!(table.rows.len(), expected.len());

@@ -6,10 +6,10 @@
 //! * 3d — mean FCT (normalized to optimal) vs number of deadline-unconstrained flows;
 //! * 3e — mean FCT (normalized to optimal) vs mean flow size (3 flows).
 
-use pdq_flowsim::{optimal_application_throughput, optimal_mean_fct, Job};
-use pdq_netsim::FlowSpec;
-use pdq_scenario::{Scenario, TopologySpec, WorkloadSpec};
-use pdq_topology::single::default_paper_tree;
+use pdq_flowsim::{max_on_time, sjf_completion, FluidFlow};
+use pdq_netsim::Fcts;
+use pdq_scenario::{lower_to_fluid, Scenario, TopologySpec, WorkloadSpec};
+use pdq_topology::{single::default_paper_tree, Topology};
 use pdq_workloads::{DeadlineDist, SizeDist};
 
 use crate::common::{
@@ -22,14 +22,16 @@ use crate::common::{
 /// the flow sets the scenario runs see (same workload spec, same seeds).
 const OPTIMAL: &str = "optimal";
 
-fn aggregation_jobs(flows: &[FlowSpec]) -> Vec<Job> {
-    flows
-        .iter()
-        .map(|f| Job {
-            size_bytes: f.size_bytes,
-            deadline_secs: f.deadline.map(|d| d.as_secs_f64()),
-        })
-        .collect()
+/// One seed's aggregation flows, lowered as the fluid backend lowers them, and the
+/// rate of the receiver access link they all share.
+fn single_link(scenario: &Scenario, topo: &Topology, seed: u64) -> (Vec<FluidFlow>, f64) {
+    let flows = scenario.workload.generate(topo, seed);
+    let access = topo.net.outgoing(flows[0].dst)[0];
+    let rate_bps = topo.net.link(topo.net.reverse(access)).rate_bps;
+    (
+        lower_to_fluid(&flows).into_iter().map(|(_, f)| f).collect(),
+        rate_bps,
+    )
 }
 
 /// The Figure 3 scenario family: `n` query-aggregation flows on the paper tree.
@@ -61,8 +63,11 @@ fn app_throughput_table(scale: Scale, name: &str, title: &str, header: &str, row
         let base = aggregation_scenario(name, *n, sizes, &DeadlineDist::paper_default());
         let at = seed_mean(&scale.seeds(), |s| match p {
             OPTIMAL => {
-                let jobs = aggregation_jobs(&base.workload.generate(&topo, s));
-                optimal_application_throughput(&jobs, 1e9).unwrap_or(1.0)
+                let (flows, rate_bps) = single_link(&base, &topo, s);
+                match flows.iter().filter(|f| f.deadline.is_some()).count() {
+                    0 => 1.0,
+                    n => max_on_time(&flows, rate_bps) as f64 / n as f64,
+                }
             }
             _ => app_throughput(&base.clone().protocol(p).seed(s)),
         });
@@ -84,8 +89,9 @@ fn normalized_fct_table(scale: Scale, title: &str, header: &str, rows: Rows) -> 
                 let scenario = aggregation_scenario("fig3-fct", *n, sizes, &DeadlineDist::None)
                     .protocol(p)
                     .seed(s);
-                let flows = scenario.workload.generate(&topo, s);
-                mean_fct(&scenario) / optimal_mean_fct(&aggregation_jobs(&flows), 1e9).max(1e-9)
+                let (flows, rate_bps) = single_link(&scenario, &topo, s);
+                let sjf: Fcts = sjf_completion(&flows, rate_bps).into_iter().collect();
+                mean_fct(&scenario) / sjf.mean().unwrap_or(0.0).max(1e-9)
             }))
         },
     )

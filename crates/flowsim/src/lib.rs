@@ -2,10 +2,10 @@
 //!
 //! Flow-level and fluid models for the PDQ (SIGCOMM 2012) reproduction:
 //!
-//! * [`fluid`] — the §2.1 motivating example (Figure 1): fair sharing vs SJF/EDF vs D3
-//!   on a single bottleneck under a fluid traffic model;
-//! * [`optimal`] — the centralized reference schedulers used as the "Optimal" curve in
-//!   Figure 3: EDF + Moore–Hodgson for deadline flows, SJF for mean completion time;
+//! * [`fluid`] — the single-bottleneck model, in bytes at a stated link rate: the
+//!   §2.1 motivating example (Figure 1: fair sharing vs SJF/EDF vs D3) and Figure 3's
+//!   "Optimal" curve (EDF + Moore–Hodgson for deadline flows, SJF for mean
+//!   completion time), under one deadline rule;
 //! * [`level`] — the flow-level simulator of §5.5: equilibrium rate allocations for
 //!   PDQ (criticality waterfilling), RCP (max-min fair sharing) and D3 (arrival-order
 //!   reservation), recomputed on a 1 ms time scale with flow-initialization latency and
@@ -16,13 +16,10 @@
 
 pub mod fluid;
 pub mod level;
-pub mod optimal;
 
 pub use fluid::{
-    coflow_cct_lower_bounds, d3_completion, deadlines_met, edf_completion, fair_sharing_completion,
-    figure1_flows, run_fluid, sjf_completion, FluidFlow, FluidFlowRecord, FluidModel, FluidResults,
+    coflow_cct_lower_bounds, d3_completion, edf_completion, fair_sharing_completion, figure1_flows,
+    max_on_time, run_fluid, sjf_completion, FluidFlow, FluidFlowRecord, FluidModel, FluidResults,
+    DEADLINE_SLACK_SECS, FLUID_RATE_BPS,
 };
 pub use level::{run_flow_level, FlowLevelConfig, FlowLevelRecord, FlowLevelResults, FlowProtocol};
-pub use optimal::{
-    fair_sharing_mean_fct, max_on_time_jobs, optimal_application_throughput, optimal_mean_fct, Job,
-};

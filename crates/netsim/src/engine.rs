@@ -1155,12 +1155,6 @@ impl EngineCore {
                     });
             }
         }
-        // Pending-event depth of this core's queue (per shard in a partitioned run) —
-        // the scheduler's working-set size over time.
-        self.traces.event_queue_depth.push(Sample {
-            at: self.now,
-            value: self.events.len() as f64,
-        });
         self.last_sample_at = self.now;
         if interval > SimTime::ZERO {
             self.events

@@ -56,10 +56,6 @@ pub struct Traces {
     pub link_queue_bytes: HashMap<LinkId, Vec<Sample>>,
     /// Per-flow goodput (bits/s of acked payload) over each sampling interval.
     pub flow_goodput: HashMap<FlowId, Vec<Sample>>,
-    /// Pending-event depth of the scheduler at each sample time. In a partitioned
-    /// run every shard samples its own queue, so same-instant samples (one per
-    /// shard, in shard order) coexist in the merged series.
-    pub event_queue_depth: Vec<Sample>,
 }
 
 /// Everything a simulation run produces.

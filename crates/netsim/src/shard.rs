@@ -601,8 +601,7 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
 ///   transmit-done event would have completed by then is credited;
 /// * flow records are built in place from the cores' slot slabs, in id order, each
 ///   flow's records on several cores folded into one (see `flow_records`);
-/// * traces are a disjoint union (each series is sampled by exactly one shard), except
-///   the per-core queue depth, which is interleaved by time;
+/// * traces are a disjoint union (each series is sampled by exactly one shard);
 /// * the end time is the instant the last flow settled when the run stopped because
 ///   all flows finished, the latest core clock otherwise.
 fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
@@ -667,13 +666,7 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         traces.link_utilization.extend(core_traces.link_utilization);
         traces.link_queue_bytes.extend(core_traces.link_queue_bytes);
         traces.flow_goodput.extend(core_traces.flow_goodput);
-        traces
-            .event_queue_depth
-            .extend(core_traces.event_queue_depth);
     }
-    // Stable sort: same-instant samples keep shard order (cores are iterated in shard
-    // order above), so the merged series is deterministic.
-    traces.event_queue_depth.sort_by_key(|s| s.at);
 
     // A run that stops because every flow finished ends at the instant of the final
     // settling event: the last finish, or the arrival of an unroutable flow if that

@@ -31,7 +31,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::comparator::Discipline;
-use crate::params::PdqParams;
+use crate::params::{PdqParams, DEFAULT_RTT};
 use crate::receiver::PdqReceiver;
 use crate::sender::{PdqSender, SenderStatus};
 
@@ -39,6 +39,8 @@ use crate::sender::{PdqSender, SenderStatus};
 const SUBFLOW_ID_BASE: u64 = 1 << 48;
 /// Maximum number of subflows per flow.
 const MAX_SUBFLOWS: usize = 16;
+/// M-PDQ re-balancing period in RTTs.
+const REBALANCE_INTERVAL_RTTS: f64 = 2.0;
 
 /// Derive the globally unique flow id of subflow `k` of `parent`.
 pub fn subflow_id(parent: FlowId, k: usize) -> FlowId {
@@ -172,7 +174,7 @@ impl PdqHostAgent {
         // Periodic M-PDQ re-balancing.
         let interval = flow
             .base_rtt
-            .mul_f64(self.params.rebalance_interval_rtts)
+            .mul_f64(REBALANCE_INTERVAL_RTTS)
             .max(SimTime::from_micros(100));
         ctx.set_timer_after(flow.spec.id, TimerKind::Rebalance, interval, 0);
     }
@@ -244,10 +246,9 @@ impl PdqHostAgent {
         }
         self.check_parent_completion(parent, ctx);
         if self.children.contains_key(&parent) {
-            let interval = SimTime::from_secs_f64(
-                self.params.rebalance_interval_rtts * self.params.default_rtt.as_secs_f64(),
-            )
-            .max(SimTime::from_micros(100));
+            let interval =
+                SimTime::from_secs_f64(REBALANCE_INTERVAL_RTTS * DEFAULT_RTT.as_secs_f64())
+                    .max(SimTime::from_micros(100));
             ctx.set_timer_after(parent, TimerKind::Rebalance, interval, 0);
         }
     }

@@ -2,6 +2,9 @@
 
 use pdq_netsim::SimTime;
 
+/// Fallback RTT used before any measurement exists (data-center scale, ~150 µs).
+pub(crate) const DEFAULT_RTT: SimTime = SimTime::from_micros(150);
+
 /// Which optional PDQ mechanisms are enabled. The paper evaluates four variants
 /// (Figure 3): `Basic`, `ES` (Early Start), `ES+ET` (plus Early Termination) and
 /// `Full` (plus Suppressed Probing).
@@ -46,28 +49,14 @@ pub struct PdqParams {
     /// Dampening window: after accepting a non-sending flow, a switch pauses further
     /// non-sending flows for this long (§3.3.2 "Dampening").
     pub damping: SimTime,
-    /// Rate-controller update period, in multiples of the average RTT (§3.3.3 uses 2).
-    pub rate_controller_interval_rtts: f64,
-    /// Fallback RTT used before any measurement exists (data-center scale, ~150 µs).
-    pub default_rtt: SimTime,
-    /// Fraction of the link rate given to PDQ traffic (`r_PDQ`); 1.0 when PDQ is the
-    /// only protocol on the network.
-    pub r_pdq_fraction: f64,
     /// Hard upper bound `M` on the number of flows a switch stores per link; beyond it
     /// the least-critical flows fall back to RCP-style fair sharing (§3.3.1).
     pub max_switch_flows: usize,
-    /// The switch keeps the `list_factor × κ` most critical flows (the paper stores 2κ).
-    pub list_factor: usize,
     /// Never trim the flow list below this many entries (keeps enough state to unpause
     /// promptly even when κ is tiny).
     pub min_list_size: usize,
     /// Sender retransmission timeout floor.
     pub min_rto: SimTime,
-    /// Upper bound on the sender's pacing gap. A switch can grant an arbitrarily small
-    /// sliver of bandwidth (e.g. the RCP fallback share); without a cap the pacing
-    /// timer of such a flow could be parked tens of milliseconds in the future and the
-    /// flow would be unable to react to newly freed capacity.
-    pub max_pace_gap: SimTime,
     /// A switch pauses a flow outright instead of granting it less than this fraction
     /// of the link rate. Transient slivers of leftover bandwidth (caused by the rate
     /// controller wobbling around the committed allocations) otherwise leak to paused
@@ -76,8 +65,6 @@ pub struct PdqParams {
     /// How many bytes an M-PDQ flow is split into per subflow boundary / how many
     /// subflows a multipath sender creates (1 = plain single-path PDQ).
     pub subflows: usize,
-    /// M-PDQ re-balancing period in RTTs.
-    pub rebalance_interval_rtts: f64,
     /// Coflow-aware criticality: a sender whose flow carries a
     /// [`pdq_netsim::CoflowTag`] advertises its *group's* bottleneck transmission
     /// time (never less than its own) and inherits the group deadline, so switches
@@ -104,17 +91,11 @@ impl Default for PdqParams {
             // meant to close), short enough not to leave the link idle between
             // consecutive sub-RTT flows (Figure 7).
             damping: SimTime::from_micros(150),
-            rate_controller_interval_rtts: 2.0,
-            default_rtt: SimTime::from_micros(150),
-            r_pdq_fraction: 1.0,
             max_switch_flows: 10_000,
-            list_factor: 2,
             min_list_size: 8,
             min_rto: SimTime::from_millis(2),
-            max_pace_gap: SimTime::from_millis(20),
             min_accept_fraction: 0.01,
             subflows: 1,
-            rebalance_interval_rtts: 2.0,
             coflow_aware: false,
             pacer: None,
         }
@@ -174,8 +155,6 @@ mod tests {
         let p = PdqParams::default();
         assert_eq!(p.early_start_k, 2.0);
         assert_eq!(p.probing_x, 0.2);
-        assert_eq!(p.rate_controller_interval_rtts, 2.0);
-        assert_eq!(p.list_factor, 2);
         assert!(p.early_start && p.early_termination && p.suppressed_probing);
     }
 

@@ -14,7 +14,13 @@ use pdq_netsim::{
 };
 
 use crate::comparator::Discipline;
-use crate::params::PdqParams;
+use crate::params::{PdqParams, DEFAULT_RTT};
+
+/// Upper bound on the pacing gap. A switch can grant an arbitrarily small sliver of
+/// bandwidth (e.g. the RCP fallback share); without a cap the pacing timer of such a
+/// flow could be parked tens of milliseconds in the future and the flow would be
+/// unable to react to newly freed capacity.
+const MAX_PACE_GAP: SimTime = SimTime::from_millis(20);
 
 /// Why the sender stopped serving the flow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -110,7 +116,7 @@ impl PdqSender {
         assigned_bytes: u64,
         random_crit: f64,
     ) -> Self {
-        let rtt = flow.base_rtt.max(params.default_rtt).as_secs_f64();
+        let rtt = flow.base_rtt.max(DEFAULT_RTT).as_secs_f64();
         let max_rate = flow.bottleneck_rate_bps.min(flow.nic_rate_bps);
         // Coflow-aware criticality: a tagged flow inherits its group's deadline and
         // bottleneck transmission time. Both come from the static CoflowTag, so no
@@ -481,7 +487,7 @@ impl PdqSender {
             return now;
         };
         let wire_bits = pdq_netsim::MTU_BYTES as f64 * 8.0;
-        let gap_secs = (wire_bits / self.rate).min(self.params.max_pace_gap.as_secs_f64());
+        let gap_secs = (wire_bits / self.rate).min(MAX_PACE_GAP.as_secs_f64());
         last + SimTime::from_secs_f64(gap_secs)
     }
 

@@ -10,7 +10,12 @@
 use pdq_netsim::{FlowId, FlowSet, Link, LinkController, LinkId, Packet, PacketKind, SimTime};
 
 use crate::comparator::Criticality;
-use crate::params::PdqParams;
+use crate::params::{PdqParams, DEFAULT_RTT};
+
+/// Rate-controller update period, in multiples of the average RTT (§3.3.3 uses 2).
+const RATE_CONTROLLER_INTERVAL_RTTS: f64 = 2.0;
+/// The switch keeps the `LIST_FACTOR × κ` most critical flows (the paper stores 2κ).
+const LIST_FACTOR: usize = 2;
 
 /// Per-flow state kept by the switch (the `<R_i, P_i, D_i, T_i, RTT_i>` tuple of §3.3.1).
 #[derive(Clone, Debug)]
@@ -50,7 +55,7 @@ impl PdqSwitchController {
     /// Create a controller with the given parameters. The link identity and rate are
     /// learned in [`LinkController::init`].
     pub fn new(params: PdqParams) -> Self {
-        let rtt = params.default_rtt.as_secs_f64();
+        let rtt = DEFAULT_RTT.as_secs_f64();
         PdqSwitchController {
             params,
             my_id: LinkId(u32::MAX),
@@ -90,9 +95,9 @@ impl PdqSwitchController {
         self.flows.iter().filter(|e| e.rate > 0.0).count().max(1)
     }
 
-    /// The maximum list size: `list_factor × κ`, at least `min_list_size`, at most `M`.
+    /// The maximum list size: `LIST_FACTOR × κ`, at least `min_list_size`, at most `M`.
     fn list_limit(&self) -> usize {
-        (self.params.list_factor * self.kappa())
+        (LIST_FACTOR * self.kappa())
             .max(self.params.min_list_size)
             .min(self.params.max_switch_flows)
     }
@@ -153,7 +158,7 @@ impl PdqSwitchController {
         // Two (average) RTTs, clamped to a sane data-center range: transient queueing
         // can inflate sender RTT reports, and an unbounded interval would leave a
         // depressed budget C in place long after the queue has drained.
-        let secs = (self.params.rate_controller_interval_rtts * self.rtt_avg).clamp(50e-6, 1e-3);
+        let secs = (RATE_CONTROLLER_INTERVAL_RTTS * self.rtt_avg).clamp(50e-6, 1e-3);
         SimTime::from_secs_f64(secs)
     }
 
@@ -180,7 +185,7 @@ impl PdqSwitchController {
         let rtt = if h.rtt > 0.0 {
             h.rtt
         } else {
-            self.params.default_rtt.as_secs_f64()
+            DEFAULT_RTT.as_secs_f64()
         };
 
         // Locate or admit the flow in the list.
@@ -300,7 +305,8 @@ impl PdqSwitchController {
 impl LinkController for PdqSwitchController {
     fn init(&mut self, now: SimTime, link: &Link) -> Option<SimTime> {
         self.my_id = link.id;
-        self.r_pdq = link.rate_bps * self.params.r_pdq_fraction;
+        // All of the link: PDQ is the only protocol on the network (`r_PDQ`, §3.3.3).
+        self.r_pdq = link.rate_bps;
         self.c_rate = self.r_pdq;
         Some(now + self.rate_controller_interval())
     }

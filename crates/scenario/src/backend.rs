@@ -21,8 +21,8 @@ pub enum SimBackend {
     /// protocols with a flow-level model support it (see
     /// [`crate::ProtocolInstaller::flow_config`]).
     Flow,
-    /// The §2.1 fluid model (Figure 1): an idealized unit-rate bottleneck where
-    /// protocols reduce to fair sharing, SJF/EDF or D3's first-come-first-reserve.
+    /// The §2.1 fluid model (Figure 1): one idealized bottleneck, scheduled at
+    /// [`pdq_flowsim::FLUID_RATE_BPS`] (one byte per second), where protocols reduce to fair sharing, SJF/EDF or D3's first-come-first-reserve.
     /// Only protocols with a fluid idealization support it (see
     /// [`crate::ProtocolInstaller::fluid_model`]).
     Fluid,

@@ -255,7 +255,7 @@ impl Scenario {
     /// The packet backend installs the protocol's agents/controllers on the
     /// discrete-event engine; the flow backend lowers the scenario into a
     /// [`pdq_flowsim::FlowLevelConfig`] via [`ProtocolInstaller::flow_config`]; the
-    /// fluid backend lowers it onto the §2.1 unit-rate bottleneck via
+    /// fluid backend lowers it onto the §2.1 single bottleneck via
     /// [`ProtocolInstaller::fluid_model`] (see [`lower_to_fluid`]). Either lowering
     /// fails with [`ScenarioError::Backend`] for protocols without that model, and the
     /// fluid one with [`ScenarioError::Spec`] when the flows do not all share one
@@ -436,8 +436,9 @@ impl Scenario {
     }
 }
 
-/// Lower a generated flow list onto the §2.1 fluid model's single unit-rate
-/// bottleneck: one size unit per byte, deadlines in seconds, in arrival order.
+/// Lower a generated flow list onto the §2.1 fluid model's single bottleneck:
+/// sizes in bytes, deadlines in seconds, in arrival order. [`pdq_flowsim::run_fluid`]
+/// schedules them at [`pdq_flowsim::FLUID_RATE_BPS`], one byte per second.
 ///
 /// The fluid model assumes every flow is present from time zero, so arrival times
 /// do not shift completions — they (tie-broken by flow id) only fix the order the

@@ -161,7 +161,8 @@ pub struct RunSummary {
 /// field keeps that backend's definition:
 /// * `fct_secs`: packet and flow-level FCTs are whole nanoseconds; fluid FCTs are
 ///   the model's unrounded seconds.
-/// * `deadline_met`: fluid completions meet a deadline within 1e-6 s.
+/// * `deadline_met`: fluid completions meet a deadline within
+///   [`pdq_flowsim::DEADLINE_SLACK_SECS`] (1e-6 s).
 /// * `arrival`: fluid flows all start at time zero.
 /// * `term`: only the packet engine records when a flow was terminated; 0 elsewhere.
 /// * `bytes`: the packet engine counts distinct payload bytes acknowledged; the

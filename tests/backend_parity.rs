@@ -19,7 +19,10 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use pdq_flowsim::{run_fluid, FluidFlow, FluidModel};
+use pdq_flowsim::{
+    d3_completion, edf_completion, fair_sharing_completion, max_on_time, run_fluid, sjf_completion,
+    FluidFlow, FluidFlowRecord, FluidModel, FLUID_RATE_BPS,
+};
 use pdq_netsim::{FlowSpec, NodeId, SimTime};
 use pdq_repro::scenario::{
     BackendResults, ProtocolRegistry, RunSummary, Scenario, SimBackend, TopologySpec, WorkloadSpec,
@@ -266,6 +269,50 @@ proptest! {
                 r.flows.iter().filter(|f| f.met_deadline()).count()
             };
             prop_assert_eq!(met(&base), met(&perm));
+        }
+    }
+
+    /// Optimal bounds every schedule: at the fluid backend's rate and at 1 Gbps, the
+    /// Moore–Hodgson count is at least the number of deadlines fair sharing, SJF, EDF
+    /// and D3 (input order) each meet on the same flows, judged by `met_deadline`.
+    /// Sizes are whole units of link time and deadlines sit within 2 µs of a whole
+    /// unit, where completions land, so the deadline rule decides the count. The
+    /// jitter is whole nanoseconds plus a half: no deadline ties a completion.
+    #[test]
+    fn optimal_meets_at_least_the_deadlines_of_every_schedule(
+        draws in prop::collection::vec((1u32..=8, 0u32..=24, -2_000i32..=2_000), 1..=8),
+    ) {
+        for (rate_bps, unit_secs) in [(FLUID_RATE_BPS, 1.0), (1e9, 1e-4)] {
+            let flows: Vec<FluidFlow> = draws
+                .iter()
+                .map(|&(units, deadline_units, jitter_ns)| FluidFlow {
+                    size: f64::from(units) * unit_secs * rate_bps / 8.0,
+                    deadline: (deadline_units > 0).then(|| {
+                        f64::from(deadline_units) * unit_secs + (f64::from(jitter_ns) + 0.5) * 1e-9
+                    }),
+                })
+                .collect();
+            let optimal = max_on_time(&flows, rate_bps);
+            let order: Vec<usize> = (0..flows.len()).collect();
+            for (schedule, completion) in [
+                ("fair sharing", fair_sharing_completion(&flows, rate_bps)),
+                ("SJF", sjf_completion(&flows, rate_bps)),
+                ("EDF", edf_completion(&flows, rate_bps)),
+                ("D3", d3_completion(&flows, &order, rate_bps)),
+            ] {
+                let met = flows
+                    .iter()
+                    .zip(completion)
+                    .filter(|&(&flow, c)| {
+                        let completion = (!c.is_nan()).then_some(c);
+                        FluidFlowRecord { id: 0, flow, completion }.met_deadline()
+                    })
+                    .count();
+                prop_assert!(
+                    met <= optimal,
+                    "{schedule} meets {met} deadlines, Optimal {optimal}, at {rate_bps} bps: {flows:?}"
+                );
+            }
         }
     }
 }

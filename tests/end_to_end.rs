@@ -5,7 +5,7 @@
 use pdq::{install_pdq, Discipline, PdqInstaller, PdqParams, PdqVariant};
 use pdq_baselines::{install_rcp, install_tcp, RcpParams, TcpInstaller, TcpParams};
 use pdq_experiments::common::run_packet_level;
-use pdq_flowsim::{optimal_mean_fct, Job};
+use pdq_flowsim::{sjf_completion, FluidFlow};
 use pdq_netsim::{FlowId, FlowSpec, SimConfig, SimTime, Simulator, TraceConfig};
 use pdq_topology::{single::default_paper_tree, single_bottleneck};
 use pdq_workloads::{query_aggregation_flows, DeadlineDist, SizeDist};
@@ -61,14 +61,14 @@ fn pdq_beats_fair_sharing_on_mean_fct() {
         "PDQ mean FCT {pdq_fct} should beat RCP {rcp_fct}"
     );
     // And PDQ stays within a small factor of the SJF lower bound.
-    let jobs: Vec<Job> = sizes
+    let flows: Vec<FluidFlow> = sizes
         .iter()
-        .map(|&s| Job {
-            size_bytes: s,
-            deadline_secs: None,
+        .map(|&s| FluidFlow {
+            size: s as f64,
+            deadline: None,
         })
         .collect();
-    let lower = optimal_mean_fct(&jobs, 1e9);
+    let lower = sjf_completion(&flows, 1e9).iter().sum::<f64>() / flows.len() as f64;
     assert!(pdq_fct < 4.0 * lower, "PDQ {pdq_fct} vs optimal {lower}");
 }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use pdq::{install_pdq, Discipline, PdqParams};
-use pdq_flowsim::{max_on_time_jobs, optimal_mean_fct, Job};
+use pdq_flowsim::{fair_sharing_completion, max_on_time, sjf_completion, FluidFlow};
 use pdq_netsim::{FlowOutcome, FlowSpec, SimConfig, SimTime, Simulator};
 use pdq_topology::single_bottleneck;
 
@@ -73,11 +73,11 @@ proptest! {
         jobs in prop::collection::vec((10_000u64..500_000, 0.005f64..0.2), 1..10),
         slack in 1.0f64..3.0,
     ) {
-        let tight: Vec<Job> = jobs.iter().map(|&(s, d)| Job { size_bytes: s, deadline_secs: Some(d) }).collect();
-        let loose: Vec<Job> = jobs.iter().map(|&(s, d)| Job { size_bytes: s, deadline_secs: Some(d * slack) }).collect();
+        let tight: Vec<FluidFlow> = jobs.iter().map(|&(s, d)| FluidFlow { size: s as f64, deadline: Some(d) }).collect();
+        let loose: Vec<FluidFlow> = jobs.iter().map(|&(s, d)| FluidFlow { size: s as f64, deadline: Some(d * slack) }).collect();
         let rate = 1e9;
-        let a = max_on_time_jobs(&tight, rate);
-        let b = max_on_time_jobs(&loose, rate);
+        let a = max_on_time(&tight, rate);
+        let b = max_on_time(&loose, rate);
         prop_assert!(a <= jobs.len());
         prop_assert!(b >= a, "relaxing deadlines reduced on-time jobs: {a} -> {b}");
     }
@@ -87,9 +87,10 @@ proptest! {
     fn sjf_lower_bounds_fair_sharing(
         sizes in prop::collection::vec(1_000u64..1_000_000, 1..12),
     ) {
-        let jobs: Vec<Job> = sizes.iter().map(|&s| Job { size_bytes: s, deadline_secs: None }).collect();
-        let sjf = optimal_mean_fct(&jobs, 1e9);
-        let fair = pdq_flowsim::fair_sharing_mean_fct(&jobs, 1e9);
+        let flows: Vec<FluidFlow> = sizes.iter().map(|&s| FluidFlow { size: s as f64, deadline: None }).collect();
+        let mean = |c: Vec<f64>| c.iter().sum::<f64>() / c.len() as f64;
+        let sjf = mean(sjf_completion(&flows, 1e9));
+        let fair = mean(fair_sharing_completion(&flows, 1e9));
         prop_assert!(sjf <= fair + 1e-12, "sjf {sjf} > fair {fair}");
     }
 }
