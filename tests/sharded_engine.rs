@@ -261,7 +261,8 @@ fn digest(fingerprint: &str) -> String {
 /// there) and the engine-scale fat-tree. A change to any sender's timers or to the
 /// engine's timer path that alters a single event's order shows up here. The
 /// committed flow-level and fluid specs pin the other two backends' fingerprint rows
-/// (the shard count does not apply to them).
+/// (the shard count does not apply to them); the flow-level spec also runs
+/// `pdq(es)` and `d3(noquench)`, the arms without Early Termination or quenching.
 #[test]
 fn protocol_fingerprints_are_pinned() {
     let spec = |text: &str, protocol: &str| {
@@ -286,6 +287,16 @@ fn protocol_fingerprints_are_pinned() {
             "fig8a_flow d3",
             spec(flow, "d3"),
             "1b9151436f272baad3db7c1fb4160b4d",
+        ),
+        (
+            "fig8a_flow pdq(es)",
+            spec(flow, "pdq(es)"),
+            "aa497fb38397d218d3d160a764969ad4",
+        ),
+        (
+            "fig8a_flow d3(noquench)",
+            spec(flow, "d3(noquench)"),
+            "5f225d65c06777cc4af5320108edb326",
         ),
         (
             "fig1_fluid tcp",
