@@ -1,13 +1,13 @@
 //! TCP, RCP and D3 as pluggable protocols: thin [`pdq_scenario::ProtocolInstaller`]
-//! wrappers over [`crate::install_tcp`] / [`crate::install_rcp`] /
-//! [`crate::install_d3`], and [`register_baselines`] adding the `tcp`, `rcp` and `d3`
-//! families to a [`pdq_scenario::ProtocolRegistry`].
+//! wrappers that install what [`crate::install_tcp`] / [`crate::install_rcp`] /
+//! [`crate::install_d3`] install (optionally paced), and [`register_baselines`] adding
+//! the `tcp`, `rcp` and `d3` families to a [`pdq_scenario::ProtocolRegistry`].
 //!
 //! All three families take no arguments except `d3(noquench)`, which disables D3's
 //! quenching of hopeless deadline flows.
 //!
 //! `rcp` and `d3` support all three simulation backends — on `backend = flow`
-//! scenarios they lower to the §5.5 flow-level models (max-min fair sharing and
+//! scenarios they run [`RcpFlowModel`] and [`D3FlowModel`] (max-min fair sharing and
 //! first-come-first-reserve; `d3(noquench)` disables flow-level quenching too).
 //! `tcp` has no flow-level model, but all three families carry a §2.1 fluid
 //! idealization for `backend = fluid` scenarios: `tcp` and `rcp` are fair sharing
@@ -16,13 +16,14 @@
 
 use std::sync::Arc;
 
-use pdq_flowsim::{FlowLevelConfig, FlowProtocol, FluidModel};
+use pdq_flowsim::{FlowLevelConfig, FluidModel};
 use pdq_netsim::{PacerConfig, Simulator};
 use pdq_scenario::{InstallerHandle, ProtocolInstaller, ProtocolRegistry, SimBackend};
 
+use crate::flow_model::{D3FlowModel, RcpFlowModel};
 use crate::{
-    install_d3, install_rcp, install_tcp, D3Params, D3SwitchController, RateHostAgent, RateMode,
-    RcpParams, RcpSwitchController, TcpParams,
+    install_tcp, D3Params, D3SwitchController, RateHostAgent, RateMode, RcpParams,
+    RcpSwitchController, TcpParams,
 };
 
 /// Installs TCP Reno with the paper's small minimum RTO on every host.
@@ -77,18 +78,9 @@ impl ProtocolInstaller for RcpInstaller {
     }
 
     fn install(&self, sim: &mut Simulator) {
-        match self.pacer {
-            None => install_rcp(sim, &self.params),
-            Some(config) => {
-                sim.install_agents(move |_, _| {
-                    Box::new(RateHostAgent::new(RateMode::Rcp).with_pacer(config))
-                });
-                let p = self.params.clone();
-                sim.install_switch_controllers(move |_, _| {
-                    Box::new(RcpSwitchController::new(p.clone()))
-                });
-            }
-        }
+        install_rate_hosts(sim, RateMode::Rcp, self.pacer);
+        let p = self.params.clone();
+        sim.install_switch_controllers(move |_, _| Box::new(RcpSwitchController::new(p.clone())));
     }
 
     fn with_pacing(&self, config: PacerConfig) -> Option<InstallerHandle> {
@@ -98,7 +90,7 @@ impl ProtocolInstaller for RcpInstaller {
     }
 
     fn flow_config(&self) -> Option<FlowLevelConfig> {
-        Some(FlowLevelConfig::for_protocol(FlowProtocol::Rcp))
+        Some(FlowLevelConfig::new(RcpFlowModel))
     }
 
     fn fluid_model(&self) -> Option<FluidModel> {
@@ -147,19 +139,10 @@ impl ProtocolInstaller for D3Installer {
     }
 
     fn install(&self, sim: &mut Simulator) {
-        match self.pacer {
-            None => install_d3(sim, &self.params, self.quenching),
-            Some(config) => {
-                let quenching = self.quenching;
-                sim.install_agents(move |_, _| {
-                    Box::new(RateHostAgent::new(RateMode::D3 { quenching }).with_pacer(config))
-                });
-                let p = self.params.clone();
-                sim.install_switch_controllers(move |_, _| {
-                    Box::new(D3SwitchController::new(p.clone()))
-                });
-            }
-        }
+        let quenching = self.quenching;
+        install_rate_hosts(sim, RateMode::D3 { quenching }, self.pacer);
+        let p = self.params.clone();
+        sim.install_switch_controllers(move |_, _| Box::new(D3SwitchController::new(p.clone())));
     }
 
     fn with_pacing(&self, config: PacerConfig) -> Option<InstallerHandle> {
@@ -169,10 +152,9 @@ impl ProtocolInstaller for D3Installer {
     }
 
     fn flow_config(&self) -> Option<FlowLevelConfig> {
-        Some(FlowLevelConfig {
-            early_termination: self.quenching,
-            ..FlowLevelConfig::for_protocol(FlowProtocol::D3)
-        })
+        Some(FlowLevelConfig::new(D3FlowModel {
+            quenching: self.quenching,
+        }))
     }
 
     fn fluid_model(&self) -> Option<FluidModel> {
@@ -180,6 +162,17 @@ impl ProtocolInstaller for D3Installer {
         // back to the leftover share — so both variants idealize the same way.
         Some(FluidModel::D3)
     }
+}
+
+/// A [`RateHostAgent`] speaking `mode` on every host, paced by `pacer` if given.
+fn install_rate_hosts(sim: &mut Simulator, mode: RateMode, pacer: Option<PacerConfig>) {
+    sim.install_agents(move |_, _| {
+        let agent = RateHostAgent::new(mode);
+        Box::new(match pacer {
+            Some(config) => agent.with_pacer(config),
+            None => agent,
+        })
+    });
 }
 
 /// Register the `tcp`, `rcp` and `d3` protocol families.
@@ -226,19 +219,27 @@ mod tests {
         assert!(reg.resolve("tcp(reno)").is_err());
     }
 
+    /// Whether `spec`'s flow-level model terminates a flow that cannot meet its
+    /// deadline: 1 MB (over 8 ms at 1 Gbps) due at 2 ms. Otherwise it completes.
+    fn terminates_a_hopeless_flow(reg: &ProtocolRegistry, spec: &str) -> bool {
+        let topo = pdq_topology::single_bottleneck(1, Default::default());
+        let flow = pdq_netsim::FlowSpec::new(1, topo.hosts[0], topo.hosts[1], 1_000_000)
+            .with_deadline(pdq_netsim::SimTime::from_millis(2));
+        let cfg = reg.resolve(spec).unwrap().flow_config().expect(spec);
+        let record = &pdq_flowsim::run_flow_level(&topo, &[flow], &cfg, 1).flows[0];
+        assert_ne!(record.terminated, record.completed_at.is_some(), "{spec}");
+        record.terminated
+    }
+
     #[test]
     fn rcp_and_d3_have_flow_models_tcp_does_not() {
         let mut reg = ProtocolRegistry::new();
         register_baselines(&mut reg);
 
-        let rcp = reg.resolve("rcp").unwrap().flow_config().unwrap();
-        assert_eq!(rcp.protocol, FlowProtocol::Rcp);
-
-        let d3 = reg.resolve("d3").unwrap().flow_config().unwrap();
-        assert_eq!(d3.protocol, FlowProtocol::D3);
-        assert!(d3.early_termination);
-        let noquench = reg.resolve("d3(noquench)").unwrap().flow_config().unwrap();
-        assert!(!noquench.early_termination);
+        // D3 quenches at the flow level unless told not to; RCP never gives up.
+        for (spec, quenches) in [("d3", true), ("d3(noquench)", false), ("rcp", false)] {
+            assert_eq!(terminates_a_hopeless_flow(&reg, spec), quenches, "{spec}");
+        }
 
         let tcp = reg.resolve("tcp").unwrap();
         assert!(tcp.flow_config().is_none());

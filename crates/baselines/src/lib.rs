@@ -10,12 +10,14 @@
 //!   non-negative fair-share fix and quenching described in the paper — [`d3`].
 //!
 //! [`install_tcp`], [`install_rcp`] and [`install_d3`] wire a whole simulator in one
-//! call, mirroring [`pdq::install_pdq`](https://docs.rs/pdq).
+//! call, mirroring [`pdq::install_pdq`](https://docs.rs/pdq). [`flow_model`] holds
+//! RCP's and D3's §5.5 flow-level models.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod d3;
+pub mod flow_model;
 pub mod install;
 pub mod rate_host;
 pub mod rcp;
@@ -23,6 +25,7 @@ pub mod receiver;
 pub mod tcp;
 
 pub use d3::{D3Params, D3SwitchController};
+pub use flow_model::{D3FlowModel, RcpFlowModel};
 pub use install::{register_baselines, D3Installer, RcpInstaller, TcpInstaller};
 pub use rate_host::{RateHostAgent, RateMode, RateSender, RateSenderStatus};
 pub use rcp::{RcpParams, RcpSwitchController};

@@ -325,21 +325,24 @@ impl RateSender {
 
     /// D3 quenching: a deadline flow whose deadline has passed stops wasting bandwidth.
     fn check_quenching(&mut self, ctx: &mut Ctx) -> bool {
-        let RateMode::D3 { quenching: true } = self.mode else {
+        let now = ctx.now();
+        if self.mode != (RateMode::D3 { quenching: true })
+            || self.acked >= self.size
+            || !self.deadline.is_some_and(|dl| quenched(now, dl))
+        {
             return false;
-        };
-        let Some(dl) = self.deadline else {
-            return false;
-        };
-        if ctx.now() > dl && self.acked < self.size {
-            self.status = RateSenderStatus::Terminated;
-            let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, ctx.now());
-            ctx.send(term);
-            ctx.flow_terminated(self.flow);
-            return true;
         }
-        false
+        self.status = RateSenderStatus::Terminated;
+        let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, now);
+        ctx.send(term);
+        ctx.flow_terminated(self.flow);
+        true
     }
+}
+
+/// D3 quenching: a deadline flow gives up once its deadline has passed.
+pub(crate) fn quenched(now: SimTime, deadline: SimTime) -> bool {
+    now > deadline
 }
 
 /// The host agent for RCP / D3: one [`RateSender`] per originating flow while it is

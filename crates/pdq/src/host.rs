@@ -3,9 +3,11 @@
 //! A [`PdqHostAgent`] owns the sender state machines of the flows originating at its
 //! host and the receiver state machines of the flows terminating there. When
 //! configured with more than one subflow it becomes an **M-PDQ** sender: incoming
-//! flows are split into subflows (each routed independently, so flow-level ECMP spreads
-//! them over distinct paths), and a periodic re-balancer moves unsent bytes from paused
-//! subflows to the sending subflow with the least remaining work.
+//! flows are split into subflows, each routed as a flow of its own: the router draws an
+//! independent random shortest path per subflow, so flow-level ECMP spreads them over
+//! the available paths but nothing keeps two subflows off the same one. A periodic
+//! re-balancer moves unsent bytes from paused subflows to the sending subflow with the
+//! least remaining work.
 //!
 //! The agent holds state for what is live. A sender that leaves
 //! [`SenderStatus::Active`] ignores every later packet and timer, so the agent drops

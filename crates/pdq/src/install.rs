@@ -12,19 +12,20 @@
 //! * `mpdq(<k>)` — Multipath PDQ with `k` subflows.
 //!
 //! The `pdq` family supports all three simulation backends: on `backend = flow`
-//! scenarios it lowers to the §5.5 flow-level model (criticality waterfilling,
-//! Early Termination iff the variant has ET, aging iff the discipline is
-//! `aging=<alpha>`), and on `backend = fluid` scenarios perfect-information
-//! single-path PDQ idealizes to the §2.1 serial SJF/EDF schedule. `mpdq` and the
-//! imperfect-information disciplines are packet-level only on the fluid backend
-//! (and, aging aside, on the flow backend too).
+//! scenarios it runs [`PdqFlowModel`] (criticality waterfilling, Early Termination
+//! iff the variant has ET, aging iff the discipline is `aging=<alpha>`), and on
+//! `backend = fluid` scenarios perfect-information single-path PDQ idealizes to the
+//! §2.1 serial SJF/EDF schedule. `mpdq` and the imperfect-information disciplines
+//! are packet-level only on the fluid backend (and, aging aside, on the flow backend
+//! too).
 
 use std::sync::Arc;
 
-use pdq_flowsim::{FlowLevelConfig, FlowProtocol, FluidModel};
+use pdq_flowsim::{FlowLevelConfig, FluidModel};
 use pdq_scenario::{InstallerHandle, ProtocolInstaller, ProtocolRegistry, SimBackend};
 
 use crate::comparator::Discipline;
+use crate::flow_model::PdqFlowModel;
 use crate::install_pdq;
 use crate::params::{PdqParams, PdqVariant};
 
@@ -133,24 +134,21 @@ impl ProtocolInstaller for PdqInstaller {
     }
 
     fn flow_config(&self) -> Option<FlowLevelConfig> {
-        // The flow-level model covers single-path PDQ with perfect flow
-        // information (optionally aged); M-PDQ striping and the imperfect
-        // information disciplines exist only in the packet-level engine.
-        // Coflow-aware criticality is a packet-level mechanism: the flow-level
-        // waterfilling model has no notion of group-bottleneck advertisement.
+        // Single-path PDQ with perfect flow information, optionally aged: M-PDQ
+        // striping, the imperfect-information disciplines and coflow-aware
+        // criticality exist only in the packet-level engine.
         if self.params.subflows > 1 || self.params.coflow_aware {
             return None;
         }
-        let aging_alpha = match self.discipline {
+        let aging = match self.discipline {
             Discipline::Exact => None,
             Discipline::Aging { alpha } => Some(alpha),
             Discipline::RandomCriticality | Discipline::EstimatedSize { .. } => return None,
         };
-        Some(FlowLevelConfig {
+        Some(FlowLevelConfig::new(PdqFlowModel {
+            aging,
             early_termination: self.params.early_termination,
-            aging_alpha,
-            ..FlowLevelConfig::for_protocol(FlowProtocol::Pdq)
-        })
+        }))
     }
 
     fn fluid_model(&self) -> Option<FluidModel> {
@@ -354,29 +352,33 @@ mod tests {
             .contains(&"cpdq".to_string()));
     }
 
+    /// Whether `spec`'s flow-level model terminates a flow that cannot meet its
+    /// deadline: 1 MB (over 8 ms at 1 Gbps) due at 2 ms. Otherwise it completes.
+    fn terminates_a_hopeless_flow(reg: &ProtocolRegistry, spec: &str) -> bool {
+        let topo = pdq_topology::single_bottleneck(1, Default::default());
+        let flow = pdq_netsim::FlowSpec::new(1, topo.hosts[0], topo.hosts[1], 1_000_000)
+            .with_deadline(pdq_netsim::SimTime::from_millis(2));
+        let cfg = reg.resolve(spec).unwrap().flow_config().expect(spec);
+        let record = &pdq_flowsim::run_flow_level(&topo, &[flow], &cfg, 1).flows[0];
+        assert_ne!(record.terminated, record.completed_at.is_some(), "{spec}");
+        record.terminated
+    }
+
     #[test]
     fn flow_level_lowering_matches_the_variant() {
         let reg = &mut ProtocolRegistry::new();
         register_pdq(reg);
 
-        // pdq(full) lowers to the exact config the figures historically built.
-        let full = reg.resolve("pdq(full)").unwrap().flow_config().unwrap();
-        assert_eq!(full.protocol, FlowProtocol::Pdq);
-        assert!(full.early_termination);
-        assert_eq!(full.aging_alpha, None);
-
-        // Variants without ET disable flow-level early termination too.
-        let basic = reg.resolve("pdq(basic)").unwrap().flow_config().unwrap();
-        assert!(!basic.early_termination);
-
-        // The aging discipline becomes the flow-level aging rate.
-        let aged = reg
-            .resolve("pdq(full;aging=4)")
-            .unwrap()
-            .flow_config()
-            .unwrap();
-        assert_eq!(aged.aging_alpha, Some(4.0));
-        assert!(aged.early_termination);
+        // Early Termination at the flow level iff the variant has it.
+        for (spec, et) in [
+            ("pdq(full)", true),
+            ("pdq(es+et)", true),
+            ("pdq(full;aging=4)", true),
+            ("pdq(es)", false),
+            ("pdq(basic)", false),
+        ] {
+            assert_eq!(terminates_a_hopeless_flow(reg, spec), et, "{spec}");
+        }
 
         // M-PDQ and the imperfect-information disciplines are packet-only.
         for spec in ["mpdq(3)", "pdq(full;random)", "pdq(full;estimate=50000)"] {

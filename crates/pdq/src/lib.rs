@@ -21,7 +21,7 @@
 //!   controller;
 //! * [`comparator`] — the EDF-then-SJF criticality order plus the alternative sender
 //!   disciplines evaluated in the paper (random criticality, flow-size estimation,
-//!   aging to prevent starvation);
+//!   aging to prevent starvation), which [`flow_model`] runs at the §5.5 flow level;
 //! * [`host::PdqHostAgent`] — the per-host agent wiring senders and receivers
 //!   together, including **Multipath PDQ** (flow striping over ECMP subflows with
 //!   periodic re-balancing).
@@ -53,6 +53,7 @@
 #![forbid(unsafe_code)]
 
 pub mod comparator;
+pub mod flow_model;
 pub mod host;
 pub mod install;
 pub mod params;
@@ -61,6 +62,7 @@ pub mod sender;
 pub mod switch;
 
 pub use comparator::{Criticality, Discipline};
+pub use flow_model::PdqFlowModel;
 pub use host::{subflow_id, PdqHostAgent};
 pub use install::{register_pdq, PdqInstaller};
 pub use params::{PdqParams, PdqVariant};

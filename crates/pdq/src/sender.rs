@@ -557,10 +557,8 @@ impl PdqSender {
         let now = ctx.now();
         let t_s = SimTime::from_secs_f64(self.remaining_bytes() as f64 * 8.0 / self.max_rate);
         let rtt = SimTime::from_secs_f64(self.rtt);
-        let cond_past = now > deadline;
-        let cond_too_slow = now + t_s > deadline;
-        let cond_paused_and_close = self.rate <= 0.0 && now + rtt > deadline;
-        if cond_past || cond_too_slow || cond_paused_and_close {
+        let paused_and_close = self.rate <= 0.0 && now + rtt > deadline;
+        if early_terminate(now, deadline, t_s) || paused_and_close {
             self.status = SenderStatus::Terminated;
             let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, now);
             ctx.send(term);
@@ -569,6 +567,14 @@ impl PdqSender {
         }
         false
     }
+}
+
+/// Early Termination (§3.1): a deadline flow gives up when its deadline has passed
+/// or when even `time_to_finish`, its remaining transmission time at the maximal
+/// rate, would end past it. The packet sender also gives up on a paused flow less
+/// than one RTT before its deadline; the flow-level model has no RTT.
+pub(crate) fn early_terminate(now: SimTime, deadline: SimTime, time_to_finish: SimTime) -> bool {
+    now > deadline || now + time_to_finish > deadline
 }
 
 #[cfg(test)]

@@ -25,11 +25,13 @@
 //! discrete-event engine, the default), `flow` (the §5.5 flow-level model for
 //! large-scale runs) or `fluid` (the §2.1 idealized single-bottleneck model behind
 //! Figure 1). Protocols advertise which backends they support —
-//! [`ProtocolInstaller::flow_config`] lowers a scheme to a
-//! [`pdq_flowsim::FlowLevelConfig`] and [`ProtocolInstaller::fluid_model`] names
-//! its [`pdq_flowsim::FluidModel`] idealization (fair sharing, SJF/EDF, or D3's
-//! first-come-first-reserve); schemes without the model cleanly reject
-//! `backend = flow` / `backend = fluid` scenarios.
+//! [`ProtocolInstaller::flow_config`] supplies the scheme's own
+//! [`pdq_flowsim::FlowModel`] (PDQ's lives in the `pdq` crate, RCP's and D3's in
+//! `pdq-baselines`, each next to the packet-level rules it shares) and
+//! [`ProtocolInstaller::fluid_model`] names its [`pdq_flowsim::FluidModel`]
+//! idealization (fair sharing, SJF/EDF, or D3's first-come-first-reserve);
+//! schemes without the model cleanly reject `backend = flow` / `backend = fluid`
+//! scenarios.
 //!
 //! [`Sweep`] fans a scenario grid across worker threads with deterministic,
 //! thread-count-independent results; [`GridBuilder`] expands the cartesian product

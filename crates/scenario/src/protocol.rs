@@ -39,10 +39,12 @@ pub trait ProtocolInstaller: Send + Sync {
     /// Install the scheme's host agents and switch controllers on `sim`.
     fn install(&self, sim: &mut Simulator);
 
-    /// The flow-level model this scheme lowers to, for `backend = flow` scenarios.
-    /// `None` (the default) means the scheme has no flow-level model and a flow
-    /// scenario fails with [`crate::ScenarioError::Backend`]. The returned config's
-    /// `max_time` is overridden by the scenario's `stop_at`.
+    /// The scheme's §5.5 flow-level model, for `backend = flow` scenarios: a
+    /// [`FlowLevelConfig`] holding the scheme's own [`pdq_flowsim::FlowModel`] (its
+    /// rate allocation and termination rule; the loop in [`pdq_flowsim::level`]
+    /// knows no protocol). `None` (the default) means the scheme has no flow-level
+    /// model and a flow scenario fails with [`crate::ScenarioError::Backend`]. The
+    /// returned config's `max_time` is overridden by the scenario's `stop_at`.
     fn flow_config(&self) -> Option<FlowLevelConfig> {
         None
     }
@@ -275,6 +277,8 @@ impl fmt::Debug for ProtocolRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdq_flowsim::{max_min_fair, ActiveFlow, FlowModel};
+    use pdq_netsim::SimTime;
 
     struct Nop(String);
     impl ProtocolInstaller for Nop {
@@ -323,6 +327,15 @@ mod tests {
         assert_eq!(format!("{}", &*handle), "TCP");
     }
 
+    /// A trivial flow-level model: max-min fair sharing, nobody gives up.
+    #[derive(Debug)]
+    struct FairShare;
+    impl FlowModel for FairShare {
+        fn allocate(&self, flows: &[ActiveFlow], residual: &[f64], _now: SimTime) -> Vec<f64> {
+            max_min_fair(flows, residual)
+        }
+    }
+
     struct Flowy;
     impl ProtocolInstaller for Flowy {
         fn name(&self) -> String {
@@ -333,7 +346,7 @@ mod tests {
         }
         fn install(&self, _sim: &mut Simulator) {}
         fn flow_config(&self) -> Option<FlowLevelConfig> {
-            Some(FlowLevelConfig::default())
+            Some(FlowLevelConfig::new(FairShare))
         }
         fn fluid_model(&self) -> Option<FluidModel> {
             Some(FluidModel::FairSharing)

@@ -253,8 +253,8 @@ impl Scenario {
     /// workload, resolve the protocol, run the simulation, and summarize.
     ///
     /// The packet backend installs the protocol's agents/controllers on the
-    /// discrete-event engine; the flow backend lowers the scenario into a
-    /// [`pdq_flowsim::FlowLevelConfig`] via [`ProtocolInstaller::flow_config`]; the
+    /// discrete-event engine; the flow backend runs the flow-level loop with the
+    /// protocol's model from [`ProtocolInstaller::flow_config`]; the
     /// fluid backend lowers it onto the §2.1 single bottleneck via
     /// [`ProtocolInstaller::fluid_model`] (see [`lower_to_fluid`]). Either lowering
     /// fails with [`ScenarioError::Backend`] for protocols without that model, and the

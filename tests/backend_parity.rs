@@ -5,8 +5,9 @@
 //! models against packet simulations.
 //!
 //! What must agree on a single bottleneck:
-//! * fair-sharing completion *order* (fluid `FairSharing` vs flow-level RCP),
-//! * SJF completion *order* (fluid `SjfEdf` vs flow-level PDQ),
+//! * fair-sharing completion *order* (fluid `FairSharing` vs flow-level RCP) and
+//!   SJF completion *order* (fluid `SjfEdf` vs flow-level PDQ), on random sets of
+//!   2–8 flows with distinct sizes (property tests),
 //! * the *set* of flows that miss agreeable deadlines (all three backends, for
 //!   PDQ, RCP and D3 alike),
 //! * and fluid completions themselves must be invariant to input permutation for
@@ -115,56 +116,97 @@ fn jumbled_sizes() -> Vec<FlowSpec> {
     ]
 }
 
-#[test]
-fn fluid_fair_sharing_order_matches_the_flow_backends_fair_share_order() {
-    let reg = registry();
-    // RCP is max-min fair sharing at the flow level and processor sharing in the
-    // fluid model: under either, smaller flows finish strictly earlier.
-    let fluid = bottleneck_scenario("fair-fluid", jumbled_sizes(), SimBackend::Fluid)
-        .protocol("rcp")
-        .run(&reg)
-        .unwrap();
-    let flow_level = bottleneck_scenario("fair-flow", jumbled_sizes(), SimBackend::Flow)
-        .protocol("rcp")
-        .run(&reg)
-        .unwrap();
-    assert_eq!(fluid.backend, SimBackend::Fluid);
-    assert_eq!(flow_level.backend, SimBackend::Flow);
-    assert_eq!(completion_order(&fluid), vec![2, 4, 1, 3]);
-    assert_eq!(
-        completion_order(&fluid),
-        completion_order(&flow_level),
-        "fluid fair sharing and flow-level RCP disagree on completion order"
-    );
-    // Both models complete every flow.
-    assert_eq!(fluid.completed, 4);
-    assert_eq!(flow_level.completed, 4);
+/// `n` deadline-free flows with distinct sizes, multiples of 10 kB up to 2 MB, drawn
+/// in a seeded random order so that id order says nothing about size order.
+fn distinct_sizes(n: usize, seed: u64) -> Vec<FlowSpec> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut sizes: Vec<u64> = Vec::with_capacity(n);
+    while sizes.len() < n {
+        let size = rng.gen_range(1u64..=200) * 10_000;
+        if !sizes.contains(&size) {
+            sizes.push(size);
+        }
+    }
+    sizes
+        .into_iter()
+        .enumerate()
+        .map(|(i, size)| flow(i as u64 + 1, n, size))
+        .collect()
 }
 
-#[test]
-fn fluid_sjf_order_matches_pdqs_flow_level_order() {
-    let reg = registry();
-    // Deadline-free PDQ serves in SJF order both as the fluid serial schedule and
-    // as flow-level criticality waterfilling.
-    let fluid = bottleneck_scenario("sjf-fluid", jumbled_sizes(), SimBackend::Fluid)
-        .protocol("pdq(full)")
-        .run(&reg)
-        .unwrap();
-    let flow_level = bottleneck_scenario("sjf-flow", jumbled_sizes(), SimBackend::Flow)
-        .protocol("pdq(full)")
-        .run(&reg)
-        .unwrap();
-    assert_eq!(completion_order(&fluid), vec![2, 4, 1, 3]);
-    assert_eq!(
-        completion_order(&fluid),
-        completion_order(&flow_level),
-        "fluid SJF and flow-level PDQ disagree on completion order"
-    );
-    // Serial service: each fluid completion is the running sum of sizes (in
-    // fluid units = bytes, at one unit per second).
-    let records = fluid.fluid();
-    assert_eq!(records.flow(2).unwrap().completion, Some(40_000.0));
-    assert_eq!(records.flow(3).unwrap().completion, Some(520_000.0));
+/// Flow ids from the smallest flow to the largest.
+fn ids_by_size(flows: &[FlowSpec]) -> Vec<u64> {
+    let mut by_size: Vec<&FlowSpec> = flows.iter().collect();
+    by_size.sort_by_key(|f| f.size_bytes);
+    by_size.iter().map(|f| f.id.value()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// RCP is max-min fair sharing at the flow level and processor sharing in the
+    /// fluid model: under either, smaller flows finish strictly earlier.
+    #[test]
+    fn fluid_fair_sharing_order_matches_the_flow_backends_fair_share_order(
+        n in 2usize..=8,
+        seed in 0u64..1_000_000,
+    ) {
+        let reg = registry();
+        let flows = distinct_sizes(n, seed);
+        let fluid = bottleneck_scenario("fair-fluid", flows.clone(), SimBackend::Fluid)
+            .protocol("rcp")
+            .run(&reg)
+            .unwrap();
+        let flow_level = bottleneck_scenario("fair-flow", flows.clone(), SimBackend::Flow)
+            .protocol("rcp")
+            .run(&reg)
+            .unwrap();
+        prop_assert_eq!(fluid.backend, SimBackend::Fluid);
+        prop_assert_eq!(flow_level.backend, SimBackend::Flow);
+        prop_assert_eq!(completion_order(&fluid), ids_by_size(&flows));
+        prop_assert_eq!(
+            completion_order(&fluid),
+            completion_order(&flow_level),
+            "fluid fair sharing and flow-level RCP disagree on completion order"
+        );
+        // Both models complete every flow.
+        prop_assert_eq!(fluid.completed, n);
+        prop_assert_eq!(flow_level.completed, n);
+    }
+
+    /// Deadline-free PDQ serves in SJF order both as the fluid serial schedule and
+    /// as flow-level criticality waterfilling.
+    #[test]
+    fn fluid_sjf_order_matches_pdqs_flow_level_order(
+        n in 2usize..=8,
+        seed in 0u64..1_000_000,
+    ) {
+        let reg = registry();
+        let flows = distinct_sizes(n, seed);
+        let fluid = bottleneck_scenario("sjf-fluid", flows.clone(), SimBackend::Fluid)
+            .protocol("pdq(full)")
+            .run(&reg)
+            .unwrap();
+        let flow_level = bottleneck_scenario("sjf-flow", flows.clone(), SimBackend::Flow)
+            .protocol("pdq(full)")
+            .run(&reg)
+            .unwrap();
+        let order = ids_by_size(&flows);
+        prop_assert_eq!(&completion_order(&fluid), &order);
+        prop_assert_eq!(
+            completion_order(&fluid),
+            completion_order(&flow_level),
+            "fluid SJF and flow-level PDQ disagree on completion order"
+        );
+        // Serial service: each fluid completion is the running sum of sizes (in
+        // seconds at one byte per second).
+        let records = fluid.fluid();
+        let mut served = 0.0;
+        for id in order {
+            served += flows[id as usize - 1].size_bytes as f64;
+            prop_assert_eq!(records.flow(id).unwrap().completion, Some(served));
+        }
+    }
 }
 
 /// Flows whose deadlines are agreeable in every backend's time scale: three with
