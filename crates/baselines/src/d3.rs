@@ -165,9 +165,9 @@ impl LinkController for D3SwitchController {
         match packet.kind {
             PacketKind::Term => self.release(packet.flow),
             k if k.carries_forward_header() => {
-                let grant = self.allocate(packet.flow, packet.sched.d3_desired, now);
-                if packet.sched.d3_allocated > grant {
-                    packet.sched.d3_allocated = grant;
+                let grant = self.allocate(packet.flow, packet.sched.desired_rate(), now);
+                if packet.sched.granted_rate() > grant {
+                    packet.sched.set_granted_rate(grant);
                 }
             }
             _ => {}
@@ -226,8 +226,8 @@ mod tests {
         let mut p = Packet::data(FlowId(flow), NodeId(1), NodeId(0), 0, 1000);
         p.sched = SchedulingHeader::new(1e9);
         p.sched.rtt = 150e-6;
-        p.sched.d3_desired = desired;
-        p.sched.d3_allocated = f64::INFINITY;
+        p.sched.set_desired_rate(desired);
+        p.sched.set_granted_rate(f64::INFINITY);
         p
     }
 
@@ -236,8 +236,11 @@ mod tests {
         let (net, l, mut ctl) = setup();
         let mut p = request(1, 3e8);
         ctl.on_forward(&mut p, SimTime::ZERO, net.link(l));
-        assert!(p.sched.d3_allocated >= 3e8, "desired rate must be reserved");
-        assert!(p.sched.d3_allocated <= 1e9 + 1.0);
+        assert!(
+            p.sched.granted_rate() >= 3e8,
+            "desired rate must be reserved"
+        );
+        assert!(p.sched.granted_rate() <= 1e9 + 1.0);
     }
 
     #[test]
@@ -246,15 +249,15 @@ mod tests {
         // Flow 1 (far deadline, huge demand) grabs most of the link first.
         let mut p1 = request(1, 9e8);
         ctl.on_forward(&mut p1, SimTime::ZERO, net.link(l));
-        assert!(p1.sched.d3_allocated >= 9e8);
+        assert!(p1.sched.granted_rate() >= 9e8);
         // Flow 2 arrives later wanting 5e8: the link cannot reserve it any more, even
         // though flow 2 might have the tighter deadline.
         let mut p2 = request(2, 5e8);
         ctl.on_forward(&mut p2, SimTime::from_micros(10), net.link(l));
         assert!(
-            p2.sched.d3_allocated < 5e8,
+            p2.sched.granted_rate() < 5e8,
             "later flow cannot reserve its desired rate: got {}",
-            p2.sched.d3_allocated
+            p2.sched.granted_rate()
         );
     }
 
@@ -274,9 +277,13 @@ mod tests {
             let mut p3 = request(3, 0.0);
             ctl.on_forward(&mut p3, t, net.link(l));
             if round == 1 {
-                assert!(p1.sched.d3_allocated >= 6e8, "{}", p1.sched.d3_allocated);
-                assert!(p2.sched.d3_allocated > 0.0);
-                assert!(p3.sched.d3_allocated > 0.0);
+                assert!(
+                    p1.sched.granted_rate() >= 6e8,
+                    "{}",
+                    p1.sched.granted_rate()
+                );
+                assert!(p2.sched.granted_rate() > 0.0);
+                assert!(p3.sched.granted_rate() > 0.0);
             }
         }
         let total = ctl.allocated();
@@ -294,7 +301,7 @@ mod tests {
         // A later flow can now reserve the full link.
         let mut p2 = request(2, 8e8);
         ctl.on_forward(&mut p2, SimTime::ZERO, net.link(l));
-        assert!(p2.sched.d3_allocated >= 8e8);
+        assert!(p2.sched.granted_rate() >= 8e8);
     }
 
     #[test]
@@ -303,7 +310,7 @@ mod tests {
         for f in 1..=5u64 {
             let mut p = request(f, 4e8);
             ctl.on_forward(&mut p, SimTime::ZERO, net.link(l));
-            assert!(p.sched.d3_allocated >= 0.0);
+            assert!(p.sched.granted_rate() >= 0.0);
         }
         assert!(ctl.allocated() <= 1e9 + 1.0);
     }

@@ -1,8 +1,8 @@
 //! Sender and host agent shared by the explicit-rate baselines (RCP and D3).
 //!
 //! Both protocols pace data at a rate granted by the switches through the scheduling
-//! header; they differ only in which header fields carry the grant and in what the
-//! sender requests (D3 deadline flows ask for `remaining_size / time_to_deadline`).
+//! header's granted-rate word; they differ only in what the switches grant and in what
+//! the sender requests (D3 deadline flows ask for `remaining_size / time_to_deadline`).
 
 use pdq_netsim::{
     Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
@@ -14,9 +14,9 @@ use crate::receiver::EchoReceiver;
 /// Which explicit-rate protocol a sender speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RateMode {
-    /// RCP with exact flow counting: the granted rate arrives in `rcp_rate`.
+    /// RCP with exact flow counting: switches grant their fair share.
     Rcp,
-    /// D3: the granted rate arrives in `d3_allocated`; deadline flows request
+    /// D3: switches grant first-come-first-reserve allocations; deadline flows request
     /// `remaining / time_to_deadline` and are quenched when the deadline has passed.
     D3 {
         /// Enable the quenching (early termination) of flows whose deadline passed.
@@ -143,15 +143,13 @@ impl RateSender {
             Packet::control(kind, self.flow, self.src, self.dst)
         };
         p.kind = kind;
-        p.reverse = false;
         p.sent_at = now;
         p.sched.rate = self.max_rate;
-        p.sched.deadline = self.deadline;
         p.sched.rtt = self.rtt;
-        p.sched.rcp_rate = f64::INFINITY;
-        p.sched.d3_allocated = f64::INFINITY;
-        p.sched.d3_desired = self.desired_rate(now);
-        p.sched.d3_previous = self.previous_alloc;
+        p.sched.set_deadline(self.deadline);
+        p.sched.set_desired_rate(self.desired_rate(now));
+        p.sched.set_previous_rate(self.previous_alloc);
+        p.sched.set_granted_rate(f64::INFINITY);
         p
     }
 
@@ -195,11 +193,7 @@ impl RateSender {
                         self.dup_acks = 0;
                     }
                 }
-                // Extract the granted rate for this protocol.
-                let grant = match self.mode {
-                    RateMode::Rcp => pkt.sched.rcp_rate,
-                    RateMode::D3 { .. } => pkt.sched.d3_allocated,
-                };
+                let grant = pkt.sched.granted_rate();
                 self.granted = if grant.is_finite() {
                     grant
                 } else {
@@ -277,7 +271,7 @@ impl RateSender {
         }
         let payload = (self.size - self.next_seq).min(MSS_BYTES as u64) as u32;
         let pkt = self.forward_packet(PacketKind::Data, self.next_seq, payload, ctx.now());
-        let wire_bits = pkt.wire_size as f64 * 8.0;
+        let wire_bits = pkt.wire_size() as f64 * 8.0;
         ctx.send(pkt);
         self.next_seq += payload as u64;
         let gap = SimTime::from_secs_f64(wire_bits / self.rate);
@@ -294,7 +288,7 @@ impl RateSender {
         while self.next_seq < self.size {
             let payload = (self.size - self.next_seq).min(MSS_BYTES as u64) as u32;
             let pkt = self.forward_packet(PacketKind::Data, self.next_seq, payload, ctx.now());
-            let wire = pkt.wire_size as u64;
+            let wire = pkt.wire_size() as u64;
             let pacer = self.pacer.as_mut().expect("checked above");
             if !pacer.try_send(ctx.now(), wire) {
                 let wait = pacer.next_ready(ctx.now(), wire) - ctx.now();
@@ -405,7 +399,7 @@ impl HostAgent for RateHostAgent {
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        if packet.reverse {
+        if packet.reverse() {
             self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
         } else {
             let receiver = match self.receivers.entry(packet.flow) {
@@ -447,17 +441,16 @@ mod tests {
         (m, fi)
     }
 
-    fn synack(rcp: f64, d3: f64, now: SimTime) -> Packet {
+    fn synack(granted: f64, now: SimTime) -> Packet {
         let mut p = Packet::control(PacketKind::SynAck, FlowId(1), NodeId(0), NodeId(2));
         p.sched = SchedulingHeader::new(1e9);
-        p.sched.rcp_rate = rcp;
-        p.sched.d3_allocated = d3;
+        p.sched.set_granted_rate(granted);
         p.sent_at = now.saturating_sub(SimTime::from_micros(150));
         p
     }
 
     #[test]
-    fn rcp_sender_uses_rcp_rate_field() {
+    fn rcp_sender_uses_the_granted_rate() {
         let (map, fi) = info(100_000, None);
         let mut s = RateSender::new(RateMode::Rcp, &fi, SimTime::from_millis(2));
         let now = SimTime::from_micros(200);
@@ -465,12 +458,44 @@ mod tests {
         s.start(&mut ctx);
         ctx.take_actions();
         let mut ctx = Ctx::new(now, &map);
-        s.on_packet(&synack(5e8, 1e3, now), &mut ctx);
+        s.on_packet(&synack(5e8, now), &mut ctx);
         assert!((s.rate() - 5e8).abs() < 1.0);
         let actions = ctx.take_actions();
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::Send(p) if p.kind == PacketKind::Data)));
+    }
+
+    /// The first forward packet in either mode carries every word the rate
+    /// switches read, written from the sender's own state: the grant starts at
+    /// infinity (switches only lower it), the desired rate is D3's request (zero
+    /// under RCP), and the previous allocation is the sender's (none yet).
+    #[test]
+    fn first_packet_writes_every_word_rate_switches_read() {
+        let deadline = SimTime::from_millis(10);
+        let now = SimTime::from_micros(200);
+        for mode in [RateMode::Rcp, RateMode::D3 { quenching: true }] {
+            let (map, fi) = info(500_000, Some(deadline));
+            let mut s = RateSender::new(mode, &fi, SimTime::from_millis(2));
+            let syn = run(now, &map, |ctx| s.start(ctx))
+                .into_iter()
+                .find_map(|a| match a {
+                    Action::Send(p) => Some(p),
+                    _ => None,
+                })
+                .expect("the SYN");
+            assert_eq!(syn.kind, PacketKind::Syn);
+            let h = syn.sched;
+            assert_eq!((h.rate, h.rtt), (s.max_rate, s.rtt), "{mode:?}");
+            assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
+            assert_eq!(h.granted_rate(), f64::INFINITY, "{mode:?}");
+            assert_eq!(h.previous_rate(), 0.0, "{mode:?}");
+            let desired = match mode {
+                RateMode::Rcp => 0.0,
+                RateMode::D3 { .. } => 500_000.0 * 8.0 / (deadline - now).as_secs_f64(),
+            };
+            assert_eq!(h.desired_rate(), desired, "{mode:?}");
+        }
     }
 
     #[test]
@@ -490,13 +515,13 @@ mod tests {
         let syn_desired = actions
             .iter()
             .find_map(|a| match a {
-                Action::Send(p) if p.kind == PacketKind::Syn => Some(p.sched.d3_desired),
+                Action::Send(p) if p.kind == PacketKind::Syn => Some(p.sched.desired_rate()),
                 _ => None,
             })
             .unwrap();
         assert!(syn_desired > 3.5e8 && syn_desired < 4.5e8, "{syn_desired}");
         let mut ctx = Ctx::new(now, &map);
-        s.on_packet(&synack(1e3, 2e8, now), &mut ctx);
+        s.on_packet(&synack(2e8, now), &mut ctx);
         assert!((s.rate() - 2e8).abs() < 1.0);
     }
 
@@ -516,7 +541,7 @@ mod tests {
         // First feedback arrives after the deadline has already passed.
         let late = SimTime::from_millis(2);
         let mut ctx = Ctx::new(late, &map);
-        s.on_packet(&synack(1e3, 1e8, late), &mut ctx);
+        s.on_packet(&synack(1e8, late), &mut ctx);
         assert_eq!(s.status(), RateSenderStatus::Terminated);
         let actions = ctx.take_actions();
         assert!(actions
@@ -534,7 +559,7 @@ mod tests {
         s.start(&mut ctx);
         ctx.take_actions();
         let mut ctx = Ctx::new(late, &map);
-        s.on_packet(&synack(1e8, 1e3, late), &mut ctx);
+        s.on_packet(&synack(1e8, late), &mut ctx);
         assert_eq!(s.status(), RateSenderStatus::Active);
     }
 
@@ -551,7 +576,7 @@ mod tests {
         s.start(&mut ctx);
         ctx.take_actions();
         let mut ctx = Ctx::new(now, &map);
-        s.on_packet(&synack(5e8, 1e3, now), &mut ctx);
+        s.on_packet(&synack(5e8, now), &mut ctx);
         let actions = ctx.take_actions();
         // The legacy gap schedule sends exactly one packet per grant; the token
         // bucket drains its two-MTU burst allowance, then arms a single pacing
@@ -589,7 +614,7 @@ mod tests {
 
     /// An ACK of `n` bytes carrying grants for both protocols.
     fn ack(n: u64, now: SimTime) -> Packet {
-        let mut p = synack(5e8, 5e8, now);
+        let mut p = synack(5e8, now);
         p.kind = PacketKind::Ack;
         p.ack = n;
         p
@@ -614,7 +639,7 @@ mod tests {
         let mut agent = RateHostAgent::new(RateMode::Rcp);
         run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
         let t0 = SimTime::from_micros(200);
-        run(t0, &map, |ctx| agent.on_packet(synack(5e8, 1e3, t0), ctx));
+        run(t0, &map, |ctx| agent.on_packet(synack(5e8, t0), ctx));
         assert_eq!(agent.senders.len(), 1);
         let t1 = t0 + SimTime::from_micros(300);
         let done = run(t1, &map, |ctx| agent.on_packet(ack(2_000, t1), ctx));
@@ -632,9 +657,7 @@ mod tests {
         run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
         // The first feedback arrives after the deadline has passed.
         let late = SimTime::from_millis(2);
-        let quenched = run(late, &map, |ctx| {
-            agent.on_packet(synack(1e3, 1e8, late), ctx)
-        });
+        let quenched = run(late, &map, |ctx| agent.on_packet(synack(1e8, late), ctx));
         assert!(quenched
             .iter()
             .any(|a| matches!(a, Action::FlowTerminated(f) if *f == FlowId(1))));
@@ -662,10 +685,10 @@ mod tests {
         s.start(&mut ctx);
         ctx.take_actions();
         let mut ctx = Ctx::new(now, &map);
-        s.on_packet(&synack(0.0, 0.0, now), &mut ctx);
+        s.on_packet(&synack(0.0, now), &mut ctx);
         assert!(s.rate() > 0.0, "rate floor keeps the flow alive");
         let mut ctx = Ctx::new(now, &map);
-        s.on_packet(&synack(5e12, 0.0, now), &mut ctx);
+        s.on_packet(&synack(5e12, now), &mut ctx);
         assert!(s.rate() <= 1e9 + 1.0, "never exceed the path rate");
         let _ = ctx.take_actions();
     }

@@ -98,8 +98,8 @@ impl LinkController for RcpSwitchController {
                     let q = 0;
                     self.recompute(q);
                 }
-                if packet.sched.rcp_rate > self.fair_rate {
-                    packet.sched.rcp_rate = self.fair_rate;
+                if packet.sched.granted_rate() > self.fair_rate {
+                    packet.sched.set_granted_rate(self.fair_rate);
                 }
             }
             _ => {}
@@ -142,6 +142,7 @@ mod tests {
         let mut p = Packet::data(FlowId(flow), NodeId(1), NodeId(0), 0, 1000);
         p.sched = SchedulingHeader::new(1e9);
         p.sched.rtt = 150e-6;
+        p.sched.set_granted_rate(f64::INFINITY);
         p
     }
 
@@ -151,20 +152,20 @@ mod tests {
         let mut p1 = data(1);
         ctl.on_forward(&mut p1, SimTime::ZERO, net.link(l));
         assert!(
-            (p1.sched.rcp_rate - 1e9).abs() < 1.0,
+            (p1.sched.granted_rate() - 1e9).abs() < 1.0,
             "one flow gets the full rate"
         );
         let mut p2 = data(2);
         ctl.on_forward(&mut p2, SimTime::ZERO, net.link(l));
         assert!(
-            (p2.sched.rcp_rate - 5e8).abs() < 1.0,
+            (p2.sched.granted_rate() - 5e8).abs() < 1.0,
             "two flows split the link"
         );
         assert_eq!(ctl.flow_count(), 2);
         // A third flow: each gets a third.
         let mut p3 = data(3);
         ctl.on_forward(&mut p3, SimTime::ZERO, net.link(l));
-        assert!((p3.sched.rcp_rate - 1e9 / 3.0).abs() < 1.0);
+        assert!((p3.sched.granted_rate() - 1e9 / 3.0).abs() < 1.0);
     }
 
     #[test]
@@ -198,9 +199,9 @@ mod tests {
         let mut p1 = data(1);
         ctl.on_forward(&mut p1, SimTime::ZERO, net.link(l));
         let mut p2 = data(2);
-        p2.sched.rcp_rate = 1e8; // a slower upstream link already capped it
+        p2.sched.set_granted_rate(1e8); // a slower upstream link already capped it
         ctl.on_forward(&mut p2, SimTime::ZERO, net.link(l));
-        assert!((p2.sched.rcp_rate - 1e8).abs() < 1.0);
+        assert!((p2.sched.granted_rate() - 1e8).abs() < 1.0);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl TcpSender {
         while self.next_seq < self.size && self.in_flight() < window {
             let pkt = self.data_packet(self.next_seq, ctx.now());
             if let Some(p) = &mut self.pacer {
-                let wire = pkt.wire_size as u64;
+                let wire = pkt.wire_size() as u64;
                 if !p.try_send(ctx.now(), wire) {
                     // Out of tokens: arm a pacing timer for the instant the
                     // deficit clears and resume the drain there.
@@ -338,7 +338,7 @@ impl HostAgent for TcpHostAgent {
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        if packet.reverse {
+        if packet.reverse() {
             self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
         } else {
             let receiver = match self.receivers.entry(packet.flow) {
@@ -362,7 +362,7 @@ impl HostAgent for TcpHostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowSpec};
+    use pdq_netsim::{Action, FlowSpec, SchedulingHeader};
 
     fn info(size: u64) -> (FlowMap<FlowInfo>, FlowInfo) {
         let fi = FlowInfo {
@@ -394,6 +394,27 @@ mod tests {
             .iter()
             .filter(|a| matches!(a, Action::Send(p) if p.kind == PacketKind::Data))
             .count()
+    }
+
+    /// TCP's links run no controller (`install_tcp` installs host agents only), so
+    /// its first forward packet leaves the header as built: there is no word for a
+    /// controller to read.
+    #[test]
+    fn first_packet_leaves_the_header_untouched() {
+        let (map, fi) = info(100_000);
+        let mut s = TcpSender::new(TcpParams::default(), &fi);
+        let mut ctx = Ctx::new(SimTime::from_micros(200), &map);
+        s.start(&mut ctx);
+        let syn = ctx
+            .take_actions()
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Send(p) => Some(p),
+                _ => None,
+            })
+            .expect("the SYN");
+        assert_eq!(syn.kind, PacketKind::Syn);
+        assert_eq!(syn.sched, SchedulingHeader::default());
     }
 
     #[test]

@@ -49,7 +49,11 @@
 //! network (or is taken over from another shard) the engine stamps the flow's slot,
 //! its arena offset and its link count into it and writes it into a recycled pool
 //! slot, where it stays until it is delivered, dropped or moved (by value) into the
-//! outbox for another shard.
+//! outbox for another shard. A slot is an `Option<Packet>` of 120 bytes (the kind's
+//! niche holds the `None`): 56 of scheduling header, 32 of flow id, byte offsets and
+//! send time, 28 of endpoints, payload and the engine's `u32` stamp and hop index,
+//! 1 of kind and 3 of padding. The wire size and the direction are derived from the
+//! payload and the kind, not stored.
 //! Each hop then knows it has arrived when `hop == nlinks` — which is why a routed path
 //! must be simple; one that revisits a node is refused like no path at all — or finds
 //! its next link at `routes[route + hop]` (`routes[route + nlinks + hop]` for an ACK),
@@ -173,7 +177,7 @@ pub(crate) fn packet_tie(p: &Packet) -> u64 {
     };
     crate::event::mix(
         p.seq ^ p.ack.rotate_left(17),
-        (kind_rank << 1) | p.reverse as u64,
+        (kind_rank << 1) | p.reverse() as u64,
     )
 }
 
@@ -413,9 +417,13 @@ impl FlowTable {
     /// still at the destination host).
     #[inline]
     pub(crate) fn hop_links(&self, packet: &Packet) -> (LinkId, Option<LinkId>) {
-        let (route, nlinks, hop) = (packet.route as usize, packet.nlinks as usize, packet.hop);
+        let (route, nlinks, hop) = (
+            packet.route as usize,
+            packet.nlinks as usize,
+            packet.hop as usize,
+        );
         debug_assert!(hop < nlinks, "hop {hop} beyond a {nlinks}-link path");
-        if packet.reverse {
+        if packet.reverse() {
             let ctl = (hop >= 1).then(|| self.routes[route + nlinks - hop]);
             (self.routes[route + nlinks + hop], ctl)
         } else {
@@ -917,10 +925,10 @@ impl EngineCore {
         };
         // The path is simple, so the packet is at its far endpoint exactly when it has
         // crossed every link.
-        let delivered = packet.hop == packet.nlinks as usize;
+        let delivered = packet.hop == packet.nlinks;
         debug_assert_eq!(
             delivered,
-            node == if packet.reverse {
+            node == if packet.reverse() {
                 packet.src
             } else {
                 packet.dst
@@ -940,7 +948,7 @@ impl EngineCore {
 
     /// Deliver a packet to the host agent at `node`.
     fn deliver_packet(&mut self, node: NodeId, packet: Packet) {
-        if !packet.reverse && packet.kind == PacketKind::Data {
+        if packet.kind == PacketKind::Data {
             let state = &mut self.flows.slots[packet.flow_slot as usize];
             state.raw_bytes_delivered += packet.payload as u64;
         }
@@ -986,7 +994,7 @@ impl EngineCore {
         if let Some(cl) = controller_link {
             if let Some(ctl) = self.controllers[cl.index()].as_mut() {
                 let link = self.network.link_mut(cl);
-                if packet.reverse {
+                if packet.reverse() {
                     link.settle(key);
                     ctl.on_reverse(packet, self.now, link);
                 } else {
@@ -1014,7 +1022,7 @@ impl EngineCore {
         let depart = if lost {
             None
         } else {
-            link.accept(key, packet.wire_size)
+            link.accept(key, packet.wire_size())
         };
         let Some(depart) = depart else {
             self.flows.slots[packet.flow_slot as usize].drops += 1;
@@ -1897,8 +1905,8 @@ pub(crate) mod tests {
                     let mut p = Packet::control(kind, FlowId(7), src, dst);
                     core.flows.stamp(slot, &mut p);
                     for (hop, &links) in want.iter().enumerate() {
-                        p.hop = hop;
-                        proptest::prop_assert!(p.hop != p.nlinks as usize, "early delivery");
+                        p.hop = hop as u32;
+                        proptest::prop_assert!(p.hop != p.nlinks, "early delivery");
                         proptest::prop_assert_eq!(core.flows.hop_links(&p), links);
                         // Crossing the link leads to the far endpoint at the last hop only.
                         let at_end = net.link(links.0).dst == end;

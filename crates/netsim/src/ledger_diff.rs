@@ -105,7 +105,7 @@ impl Scripted {
             _ => Packet::data(flow.id, flow.src, flow.dst, 0, MSS_BYTES),
         };
         p.seq = *seq;
-        let wire = p.wire_size;
+        let wire = p.wire_size();
         ctx.send(p);
         wire
     }
@@ -133,7 +133,7 @@ impl HostAgent for Scripted {
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        let at_src = packet.reverse;
+        let at_src = packet.reverse();
         self.log.lock().unwrap().push(Obs {
             at: ctx.now(),
             what: "delivered",
@@ -301,7 +301,7 @@ impl Reference {
         self.ties[0] += (self.departed_at[i] == Some(self.now)) as u32;
         self.ties[1] += self.on_wire[i].is_some_and(|(_, due)| due == self.now) as u32;
         let link = self.net.link_mut(l);
-        let wire = packet.wire_size as u64;
+        let wire = packet.wire_size() as u64;
         if link.queue_bytes + wire > link.queue_capacity_bytes {
             link.stats.tail_drops += 1;
             return false;
@@ -327,7 +327,7 @@ impl Reference {
     fn transmit_done(&mut self, l: LinkId) {
         let i = l.index();
         let mut packet = self.queues[i].pop_front().expect("one event per packet");
-        let wire = packet.wire_size as u64;
+        let wire = packet.wire_size() as u64;
         let link = self.net.link_mut(l);
         link.queue_bytes -= wire;
         link.stats.bytes_transmitted += wire;
@@ -340,7 +340,7 @@ impl Reference {
             link.dst,
         );
         self.departed_at[i] = Some(self.now);
-        if let Some(next) = self.queues[i].front().map(|next| next.wire_size as u64) {
+        if let Some(next) = self.queues[i].front().map(|next| next.wire_size() as u64) {
             self.start_serializing(l, next);
         }
         packet.hop += 1;
@@ -361,8 +361,8 @@ impl Reference {
     /// Controller, then the link: `EngineCore::forward_packet` without loss.
     fn forward(&mut self, mut packet: Packet) {
         let links = &self.paths[&packet.flow];
-        let (n, hop) = (links.len(), packet.hop);
-        let (next, controlled) = if !packet.reverse {
+        let (n, hop) = (links.len(), packet.hop as usize);
+        let (next, controlled) = if !packet.reverse() {
             (links[hop], Some(links[hop]))
         } else {
             let controlled = (hop >= 1).then(|| links[n - hop]);
@@ -370,7 +370,7 @@ impl Reference {
         };
         if let Some(cl) = controlled {
             if let Some(ctl) = self.controllers[cl.index()].as_mut() {
-                if packet.reverse {
+                if packet.reverse() {
                     ctl.on_reverse(&mut packet, self.now, self.net.link(cl));
                 } else {
                     ctl.on_forward(&mut packet, self.now, self.net.link(cl));
@@ -464,7 +464,7 @@ impl Reference {
                 EventKind::PacketAtNode { node, packet, .. } => {
                     let packet = self.in_flight[packet.0 as usize].take().expect("in flight");
                     let spec = &self.flows[&packet.flow].spec;
-                    let end = if packet.reverse { spec.src } else { spec.dst };
+                    let end = if packet.reverse() { spec.src } else { spec.dst };
                     if node == end {
                         self.with_agent(node, |agent, ctx| agent.on_packet(packet, ctx));
                     } else {

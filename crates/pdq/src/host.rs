@@ -266,7 +266,7 @@ impl HostAgent for PdqHostAgent {
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        if packet.reverse {
+        if packet.reverse() {
             // We are the flow's source: feed the sender.
             self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
         } else {
@@ -579,7 +579,7 @@ mod tests {
             let actions = run(SimTime::ZERO, flows, |ctx| agent.on_packet(packet, ctx));
             for a in &actions {
                 if let Action::Send(echo) = a {
-                    assert!(echo.reverse, "{echo:?}");
+                    assert!(echo.reverse(), "{echo:?}");
                     out.push((echo.kind, echo.ack, agent.active_receivers()));
                 }
             }

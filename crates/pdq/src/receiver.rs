@@ -108,7 +108,7 @@ mod tests {
     fn data(seq: u64, payload: u32) -> Packet {
         let mut p = Packet::data(FlowId(1), NodeId(0), NodeId(1), seq, payload);
         p.sched.rate = 1e9;
-        p.sched.expected_trans_time = 0.5;
+        p.sched.set_expected_trans_time(0.5);
         p
     }
 
@@ -128,14 +128,14 @@ mod tests {
         let mut r = PdqReceiver::new(FlowId(1), 10_000, 1e9, false);
         let mut ctx = Ctx::new(SimTime::ZERO, &map);
         let mut syn = Packet::control(PacketKind::Syn, FlowId(1), NodeId(0), NodeId(1));
-        syn.sched.expected_trans_time = 0.123;
+        syn.sched.set_expected_trans_time(0.123);
         r.on_packet(&syn, &mut ctx);
         let actions = ctx.take_actions();
         let pkts = sent(&actions);
         assert_eq!(pkts.len(), 1);
         assert_eq!(pkts[0].kind, PacketKind::SynAck);
-        assert!(pkts[0].reverse);
-        assert_eq!(pkts[0].sched.expected_trans_time, 0.123);
+        assert!(pkts[0].reverse());
+        assert_eq!(pkts[0].sched.expected_trans_time(), 0.123);
     }
 
     #[test]

@@ -347,14 +347,14 @@ impl PdqSender {
 
     fn apply_feedback(&mut self, pkt: &Packet) {
         let h = &pkt.sched;
-        self.paused_by = h.pause_by;
-        self.rate = if h.pause_by.is_some() {
+        self.paused_by = h.pause_by();
+        self.rate = if self.paused_by.is_some() {
             0.0
         } else {
             h.rate.min(self.max_rate).max(0.0)
         };
-        if h.inter_probe_rtts > 0.0 {
-            self.inter_probe_rtts = h.inter_probe_rtts.max(1.0);
+        if h.inter_probe_rtts() > 0.0 {
+            self.inter_probe_rtts = h.inter_probe_rtts().max(1.0);
         } else {
             self.inter_probe_rtts = 1.0;
         }
@@ -396,14 +396,14 @@ impl PdqSender {
             Packet::control(kind, self.flow, self.src, self.dst)
         };
         p.kind = kind;
-        p.reverse = false;
         p.sent_at = now;
         p.sched.rate = self.max_rate;
-        p.sched.pause_by = self.paused_by;
-        p.sched.deadline = self.deadline;
-        p.sched.expected_trans_time = self.advertised_trans_time(now);
         p.sched.rtt = self.rtt;
-        p.sched.inter_probe_rtts = 0.0;
+        p.sched.set_pause_by(self.paused_by);
+        p.sched.set_deadline(self.deadline);
+        p.sched
+            .set_expected_trans_time(self.advertised_trans_time(now));
+        p.sched.set_inter_probe_rtts(0.0);
         p
     }
 
@@ -651,8 +651,8 @@ mod tests {
             0.0,
         );
         let p = plain.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
-        assert_eq!(p.sched.deadline, Some(SimTime::from_millis(5)));
-        assert_eq!(p.sched.expected_trans_time, 10_000.0 * 8.0 / GBPS);
+        assert_eq!(p.sched.deadline(), Some(SimTime::from_millis(5)));
+        assert_eq!(p.sched.expected_trans_time(), 10_000.0 * 8.0 / GBPS);
 
         // Coflow-aware senders inherit the group deadline and advertise the group
         // bottleneck's transmission time: the whole coflow shares one criticality.
@@ -664,8 +664,8 @@ mod tests {
             0.0,
         );
         let p = aware.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
-        assert_eq!(p.sched.deadline, Some(SimTime::from_millis(9)));
-        assert_eq!(p.sched.expected_trans_time, 1_000_000.0 * 8.0 / GBPS);
+        assert_eq!(p.sched.deadline(), Some(SimTime::from_millis(9)));
+        assert_eq!(p.sched.expected_trans_time(), 1_000_000.0 * 8.0 / GBPS);
 
         // Untagged flows under coflow-aware params behave exactly as plain PDQ.
         let untagged = PdqSender::new(
@@ -676,8 +676,41 @@ mod tests {
             0.0,
         );
         let p = untagged.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
-        assert_eq!(p.sched.deadline, Some(SimTime::from_millis(5)));
-        assert_eq!(p.sched.expected_trans_time, 10_000.0 * 8.0 / GBPS);
+        assert_eq!(p.sched.deadline(), Some(SimTime::from_millis(5)));
+        assert_eq!(p.sched.expected_trans_time(), 10_000.0 * 8.0 / GBPS);
+    }
+
+    /// The first forward packet carries every field a PDQ switch reads, written from
+    /// the sender's own state: no switch depends on `SchedulingHeader::new`'s
+    /// defaults.
+    #[test]
+    fn first_packet_writes_every_word_pdq_switches_read() {
+        let deadline = SimTime::from_millis(5);
+        let (map, mut s) = sender(100_000, Some(deadline));
+        let mut ctx = Ctx::new(SimTime::ZERO, &map);
+        s.start(&mut ctx);
+        let syn = ctx
+            .take_actions()
+            .into_iter()
+            .find_map(|a| match a {
+                Action::Send(p) => Some(p),
+                _ => None,
+            })
+            .expect("the SYN");
+        assert_eq!(syn.kind, PacketKind::Syn);
+        let h = syn.sched;
+        assert_eq!((h.rate, h.rtt), (s.max_rate, s.rtt));
+        assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
+        assert_eq!(
+            h.expected_trans_time(),
+            s.advertised_trans_time(SimTime::ZERO)
+        );
+        assert!((h.expected_trans_time() - 100_000.0 * 8.0 / GBPS).abs() < 1e-15);
+        assert_eq!(
+            h.inter_probe_rtts(),
+            0.0,
+            "I_H starts at zero: switches raise it"
+        );
     }
 
     #[test]
@@ -689,8 +722,8 @@ mod tests {
         assert_eq!(sent_kinds(&actions), vec![PacketKind::Syn]);
         if let Action::Send(p) = &actions[0] {
             assert_eq!(p.sched.rate, GBPS);
-            assert!((p.sched.expected_trans_time - 0.0008).abs() < 1e-9);
-            assert!(p.sched.deadline.is_none());
+            assert!((p.sched.expected_trans_time() - 0.0008).abs() < 1e-9);
+            assert!(p.sched.deadline().is_none());
         }
         // RTO timer armed.
         assert!(actions.iter().any(|a| matches!(
@@ -734,7 +767,7 @@ mod tests {
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         let mut synack = synack_with_rate(0.0, now);
-        synack.sched.pause_by = Some(LinkId(5));
+        synack.sched.set_pause_by(Some(LinkId(5)));
         s.on_packet(&synack, &mut ctx);
         let actions = ctx.take_actions();
         assert!(
@@ -758,7 +791,7 @@ mod tests {
         let actions2 = ctx2.take_actions();
         assert_eq!(sent_kinds(&actions2), vec![PacketKind::Probe]);
         if let Action::Send(p) = &actions2[0] {
-            assert_eq!(p.sched.pause_by, Some(LinkId(5)));
+            assert_eq!(p.sched.pause_by(), Some(LinkId(5)));
         }
     }
 
@@ -768,8 +801,8 @@ mod tests {
         let now = SimTime::from_millis(1);
         let mut ctx = Ctx::new(now, &map);
         let mut synack = synack_with_rate(0.0, now);
-        synack.sched.pause_by = Some(LinkId(5));
-        synack.sched.inter_probe_rtts = 4.0;
+        synack.sched.set_pause_by(Some(LinkId(5)));
+        synack.sched.set_inter_probe_rtts(4.0);
         s.on_packet(&synack, &mut ctx);
         let actions = ctx.take_actions();
         let at = actions

@@ -147,10 +147,10 @@ impl PdqSwitchController {
             let fair = self.rcp_fallback_rate();
             h.rate = h.rate.min(fair);
             if h.rate <= 0.0 {
-                h.pause_by = Some(self.my_id);
+                h.set_pause_by(Some(self.my_id));
             }
         } else {
-            h.pause_by = Some(self.my_id);
+            h.set_pause_by(Some(self.my_id));
         }
     }
 
@@ -174,14 +174,14 @@ impl PdqSwitchController {
         }
 
         // "if P_H = other switch then remove the flow and return".
-        if let Some(p) = h.pause_by {
+        if let Some(p) = h.pause_by() {
             if p != self.my_id {
                 self.remove_flow(flow);
                 return;
             }
         }
 
-        let crit = Criticality::new(h.deadline, h.expected_trans_time, flow);
+        let crit = Criticality::new(h.deadline(), h.expected_trans_time(), flow);
         let rtt = if h.rtt > 0.0 {
             h.rtt
         } else {
@@ -265,17 +265,17 @@ impl PdqSwitchController {
             if dampened || more_critical_waiting {
                 // Dampening: the switch very recently accepted another non-sending
                 // flow; pause this one for now.
-                h.pause_by = Some(self.my_id);
+                h.set_pause_by(Some(self.my_id));
                 self.flows[idx].paused_by = Some(self.my_id);
             } else {
-                h.pause_by = None;
+                h.set_pause_by(None);
                 h.rate = w;
                 if not_sending {
                     self.last_nonsending_accept = Some((flow, now, crit));
                 }
             }
         } else {
-            h.pause_by = Some(self.my_id);
+            h.set_pause_by(Some(self.my_id));
             self.flows[idx].paused_by = Some(self.my_id);
         }
     }
@@ -284,18 +284,18 @@ impl PdqSwitchController {
     fn algorithm_receive_ack(&mut self, pkt: &mut Packet) {
         let flow = pkt.flow;
         let h = &mut pkt.sched;
-        if let Some(p) = h.pause_by {
+        if let Some(p) = h.pause_by() {
             if p != self.my_id {
                 self.remove_flow(flow);
             }
         }
-        if h.pause_by.is_some() {
+        if h.pause_by().is_some() {
             h.rate = 0.0;
         }
         if let Some(i) = self.position(flow) {
-            self.flows[i].paused_by = h.pause_by;
+            self.flows[i].paused_by = h.pause_by();
             if self.params.suppressed_probing {
-                h.inter_probe_rtts = h.inter_probe_rtts.max(self.params.probing_x * i as f64);
+                h.set_inter_probe_rtts(h.inter_probe_rtts().max(self.params.probing_x * i as f64));
             }
             self.flows[i].rate = h.rate;
         }
@@ -371,8 +371,8 @@ mod tests {
     fn fwd_packet(flow: u64, deadline: Option<SimTime>, t: f64, rtt: f64) -> Packet {
         let mut p = Packet::control(PacketKind::Syn, FlowId(flow), NodeId(1), NodeId(0));
         p.sched = SchedulingHeader::new(GBPS);
-        p.sched.deadline = deadline;
-        p.sched.expected_trans_time = t;
+        p.sched.set_deadline(deadline);
+        p.sched.set_expected_trans_time(t);
         p.sched.rtt = rtt;
         p
     }
@@ -386,7 +386,7 @@ mod tests {
         let (net, l, mut ctl) = controller(PdqParams::full());
         let mut p = fwd_packet(1, None, 0.001, 150e-6);
         ctl.on_forward(&mut p, SimTime::ZERO, net.link(l));
-        assert_eq!(p.sched.pause_by, None);
+        assert_eq!(p.sched.pause_by(), None);
         assert!((p.sched.rate - GBPS).abs() < 1.0);
         assert_eq!(ctl.tracked_flows(), 1);
     }
@@ -403,7 +403,7 @@ mod tests {
         // Flow 2 (less critical) now finds no available bandwidth.
         let mut p2 = fwd_packet(2, None, 0.010, 150e-6);
         ctl.on_forward(&mut p2, t0 + SimTime::from_millis(1), net.link(l));
-        assert_eq!(p2.sched.pause_by, Some(l));
+        assert_eq!(p2.sched.pause_by(), Some(l));
         assert_eq!(p2.sched.rate, GBPS); // rate untouched on the pause branch...
         let mut a2 = ack_of(&p2);
         ctl.on_reverse(&mut a2, t0, net.link(l));
@@ -428,7 +428,7 @@ mod tests {
         let later = t0 + SimTime::from_millis(1);
         let mut p2 = fwd_packet(2, None, 0.001, 150e-6);
         ctl.on_forward(&mut p2, later, net.link(l));
-        assert_eq!(p2.sched.pause_by, None, "short flow must be accepted");
+        assert_eq!(p2.sched.pause_by(), None, "short flow must be accepted");
         // The long flow's next data packet now sees zero available bandwidth once the
         // short flow's rate is committed.
         let mut a2 = ack_of(&p2);
@@ -436,7 +436,7 @@ mod tests {
         let mut p1b = fwd_packet(1, None, 0.010, 150e-6);
         p1b.kind = PacketKind::Data;
         ctl.on_forward(&mut p1b, later + SimTime::from_micros(10), net.link(l));
-        assert_eq!(p1b.sched.pause_by, Some(l), "long flow must be preempted");
+        assert_eq!(p1b.sched.pause_by(), Some(l), "long flow must be preempted");
     }
 
     #[test]
@@ -451,7 +451,8 @@ mod tests {
         let mut p2 = fwd_packet(2, Some(SimTime::from_millis(30)), 0.005, 150e-6);
         ctl.on_forward(&mut p2, later, net.link(l));
         assert_eq!(
-            p2.sched.pause_by, None,
+            p2.sched.pause_by(),
+            None,
             "EDF: deadline flow outranks SJF tie-break"
         );
     }
@@ -473,7 +474,8 @@ mod tests {
         let mut p2 = fwd_packet(2, None, 0.010, rtt);
         ctl.on_forward(&mut p2, t0 + SimTime::from_micros(10), net.link(l));
         assert_eq!(
-            p2.sched.pause_by, None,
+            p2.sched.pause_by(),
+            None,
             "Early Start should admit the next flow"
         );
         assert!(p2.sched.rate > 0.0);
@@ -493,7 +495,7 @@ mod tests {
         let mut p2 = fwd_packet(2, None, 0.010, rtt);
         ctl.on_forward(&mut p2, t0 + SimTime::from_micros(10), net.link(l));
         assert_eq!(
-            p2.sched.pause_by,
+            p2.sched.pause_by(),
             Some(l),
             "PDQ(Basic) must not early-start"
         );
@@ -505,13 +507,13 @@ mod tests {
         let t0 = SimTime::ZERO;
         let mut p1 = fwd_packet(1, None, 0.005, 150e-6);
         ctl.on_forward(&mut p1, t0, net.link(l));
-        assert_eq!(p1.sched.pause_by, None);
+        assert_eq!(p1.sched.pause_by(), None);
         // Second flow arrives 10 µs later — within the dampening window. Even though
         // flow 1's rate is not yet committed (so Availbw still looks free), dampening
         // pauses it.
         let mut p2 = fwd_packet(2, None, 0.006, 150e-6);
         ctl.on_forward(&mut p2, t0 + SimTime::from_micros(10), net.link(l));
-        assert_eq!(p2.sched.pause_by, Some(l));
+        assert_eq!(p2.sched.pause_by(), Some(l));
     }
 
     #[test]
@@ -530,13 +532,13 @@ mod tests {
         ctl.on_forward(&mut p3, t0 + SimTime::from_millis(1), net.link(l));
         let mut a3 = ack_of(&p3);
         ctl.on_reverse(&mut a3, t0 + SimTime::from_millis(1), net.link(l));
-        assert!(a3.sched.inter_probe_rtts >= 0.4 - 1e-9);
+        assert!(a3.sched.inter_probe_rtts() >= 0.4 - 1e-9);
         // The most critical flow keeps whatever the sender asked for (zero here).
         let mut p1 = fwd_packet(1, None, 0.001, 150e-6);
         ctl.on_forward(&mut p1, t0 + SimTime::from_millis(1), net.link(l));
         let mut a1 = ack_of(&p1);
         ctl.on_reverse(&mut a1, t0 + SimTime::from_millis(1), net.link(l));
-        assert_eq!(a1.sched.inter_probe_rtts, 0.0);
+        assert_eq!(a1.sched.inter_probe_rtts(), 0.0);
     }
 
     #[test]
@@ -558,11 +560,11 @@ mod tests {
         assert_eq!(ctl.tracked_flows(), 1);
         // The same flow shows up paused by a different switch.
         let mut p2 = fwd_packet(9, None, 0.001, 150e-6);
-        p2.sched.pause_by = Some(LinkId(999));
+        p2.sched.set_pause_by(Some(LinkId(999)));
         ctl.on_forward(&mut p2, SimTime::ZERO, net.link(l));
         assert_eq!(ctl.tracked_flows(), 0);
         // And its header must not be modified by this switch.
-        assert_eq!(p2.sched.pause_by, Some(LinkId(999)));
+        assert_eq!(p2.sched.pause_by(), Some(LinkId(999)));
     }
 
     #[test]
@@ -586,7 +588,7 @@ mod tests {
         let mut p3 = fwd_packet(3, None, 0.005, 150e-6);
         ctl.on_forward(&mut p3, t0 + SimTime::from_millis(1), net.link(l));
         assert_eq!(ctl.tracked_flows(), 2);
-        assert_eq!(p3.sched.pause_by, Some(l));
+        assert_eq!(p3.sched.pause_by(), Some(l));
     }
 
     #[test]
@@ -623,7 +625,7 @@ mod tests {
         let t1 = t0 + SimTime::from_millis(1);
         let mut p2 = fwd_packet(2, None, 0.010, 150e-6);
         ctl.on_forward(&mut p2, t1, net.link(l));
-        assert_eq!(p2.sched.pause_by, Some(l));
+        assert_eq!(p2.sched.pause_by(), Some(l));
         let mut a2 = ack_of(&p2);
         ctl.on_reverse(&mut a2, t1, net.link(l));
         assert_eq!(a2.sched.rate, 0.0);
@@ -632,7 +634,7 @@ mod tests {
         let t2 = t1 + SimTime::from_millis(1);
         let mut probe = fwd_packet(2, None, 0.010, 150e-6);
         ctl.on_forward(&mut probe, t2, net.link(l));
-        assert_eq!(probe.sched.pause_by, Some(l), "probe must stay paused");
+        assert_eq!(probe.sched.pause_by(), Some(l), "probe must stay paused");
         let mut pa = ack_of(&probe);
         ctl.on_reverse(&mut pa, t2, net.link(l));
 
@@ -646,7 +648,7 @@ mod tests {
         let t3 = t2 + SimTime::from_millis(1);
         let mut resume = fwd_packet(2, None, 0.010, 150e-6);
         ctl.on_forward(&mut resume, t3, net.link(l));
-        assert_eq!(resume.sched.pause_by, None, "flow must resume after TERM");
+        assert_eq!(resume.sched.pause_by(), None, "flow must resume after TERM");
         assert!((resume.sched.rate - GBPS).abs() < 1.0);
         let mut ra = ack_of(&resume);
         ctl.on_reverse(&mut ra, t3, net.link(l));
@@ -661,7 +663,7 @@ mod tests {
         let mut p = fwd_packet(1, None, 0.001, 150e-6);
         p.sched.rate = 3e8; // someone upstream capped the flow at 300 Mbps
         ctl.on_forward(&mut p, SimTime::ZERO, net.link(l));
-        assert_eq!(p.sched.pause_by, None);
+        assert_eq!(p.sched.pause_by(), None);
         assert!(p.sched.rate <= 3e8 + 1.0);
     }
 }

@@ -188,7 +188,7 @@ fn switch_flow_state_stays_bounded() {
     for f in 0..200u64 {
         let mut p = Packet::control(PacketKind::Syn, pdq_netsim::FlowId(f), NodeId(1), NodeId(0));
         p.sched = SchedulingHeader::new(1e9);
-        p.sched.expected_trans_time = 0.001 + f as f64 * 1e-6;
+        p.sched.set_expected_trans_time(0.001 + f as f64 * 1e-6);
         p.sched.rtt = 150e-6;
         ctl.on_forward(&mut p, SimTime::from_micros(f), net.link(l));
         let mut ack = p.make_echo(PacketKind::Ack, 0);

@@ -47,9 +47,17 @@
 //! built in place in the slot slab's buffer, so nothing it allocates is larger than
 //! that slab: 168 000 B, 1 000 slots of 168 B (346 128 B when the records went into a
 //! hash map allocated after the run). The overloaded run's largest allocation is the
-//! packet pool growing in `PacketPool::park` (327 680 B), so the bound does not apply
-//! to it. The event queue's largest allocation there was a 4 096-event level-1 slot
+//! packet pool growing in `PacketPool::park` (327 680 B then), so the slab bound does
+//! not apply to it. The event queue's largest allocation there was a 4 096-event level-1 slot
 //! buffer (262 144 B) before chunks; now it is a 32 KiB page of the chunk pool.
+//!
+//! Since a packet costs 120 bytes instead of 160 — a 56-byte scheduling header whose
+//! family fields share three words, no stored wire size or direction, a `u32` hop
+//! index — the overloaded run peaks at 2 105 287 B (2 187 367 B with the packet back
+//! at 160 B) and the steady run at 852 679 B (873 319 B). The overloaded run's largest
+//! allocation, the pool growing to 2 048 slots, went from 327 680 B to 245 760 B, so
+//! the gate now bounds it too. The overloaded bound sits between the run and the
+//! 160-byte packet; the steady bound stays.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -132,11 +140,19 @@ fn peak_live(scenario: &Scenario) -> (RunSummary, u64, usize) {
 /// `pdq-netsim`'s `flow_state_stays_small`; 168 bytes now).
 const SLOT_BYTES_CAP: usize = 200;
 
+/// The most a packet's pool slot may take (`size_of::<Packet>()`, pinned by
+/// `pdq-netsim`'s `packet_and_header_stay_small`).
+const PACKET_BYTES_CAP: usize = 120;
+
+/// Pool slots the overloaded run grows to: its high water of 1 902 packets in flight,
+/// rounded up to the `Vec`'s doubling.
+const OVERLOADED_POOL_SLOTS: usize = 2_048;
+
 // One test in this binary: the counters are process-wide.
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
     for (case, spread_us, bound) in [
-        ("overloaded", 1_000, 2_300_000),
+        ("overloaded", 1_000, 2_150_000),
         ("steady", 66_000, 940_000),
     ] {
         let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
@@ -144,8 +160,9 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         let live = engine.live_flows_high_water;
         eprintln!(
             "{case}: peak live {peak} B, largest allocation {largest} B; {} events, \
-             {} pending at most in {} queue chunks, {live} flows live at most",
-            queue.pops, queue.peak_pending, queue.peak_chunks
+             {} pending at most in {} queue chunks, {} packets in flight at most, \
+             {live} flows live at most",
+            queue.pops, queue.peak_pending, queue.peak_chunks, engine.pool_high_water
         );
         assert_eq!(run.completed, run.flows, "{case}: every flow completes");
         let regime = match case {
@@ -161,13 +178,15 @@ fn pdq_runs_hold_memory_for_what_is_live() {
             "{case}: peak live heap of the run was {peak} bytes (bound {bound})"
         );
         // The records are built in the slot slab's own buffer: nothing the run
-        // allocates is larger than the slab.
-        if case == "steady" {
-            let slab = FLOWS * SLOT_BYTES_CAP;
-            assert!(
-                largest <= slab,
-                "{case}: a {largest}-byte allocation, larger than the slot slab ({slab} B)"
-            );
-        }
+        // allocates is larger than the slab. Under overload the packet pool is the
+        // largest allocation.
+        let (what, cap) = match case {
+            "overloaded" => ("packet pool", OVERLOADED_POOL_SLOTS * PACKET_BYTES_CAP),
+            _ => ("slot slab", FLOWS * SLOT_BYTES_CAP),
+        };
+        assert!(
+            largest <= cap,
+            "{case}: a {largest}-byte allocation, larger than the {what} ({cap} B)"
+        );
     }
 }
