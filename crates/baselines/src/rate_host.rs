@@ -49,7 +49,6 @@ pub struct RateSender {
 
     rate: f64,
     granted: f64,
-    previous_alloc: f64,
     rtt: f64,
     next_seq: u64,
     acked: u64,
@@ -82,7 +81,6 @@ impl RateSender {
             min_rto,
             rate: 0.0,
             granted: 0.0,
-            previous_alloc: 0.0,
             rtt: flow.base_rtt.as_secs_f64(),
             next_seq: 0,
             acked: 0,
@@ -148,7 +146,6 @@ impl RateSender {
         p.sched.rtt = self.rtt;
         p.sched.set_deadline(self.deadline);
         p.sched.set_desired_rate(self.desired_rate(now));
-        p.sched.set_previous_rate(self.previous_alloc);
         p.sched.set_granted_rate(f64::INFINITY);
         p
     }
@@ -199,7 +196,6 @@ impl RateSender {
                 } else {
                     self.max_rate
                 };
-                self.previous_alloc = self.granted;
                 self.rate = self
                     .granted
                     .min(self.max_rate)
@@ -468,8 +464,8 @@ mod tests {
 
     /// The first forward packet in either mode carries every word the rate
     /// switches read, written from the sender's own state: the grant starts at
-    /// infinity (switches only lower it), the desired rate is D3's request (zero
-    /// under RCP), and the previous allocation is the sender's (none yet).
+    /// infinity (switches only lower it) and the desired rate is D3's request (zero
+    /// under RCP).
     #[test]
     fn first_packet_writes_every_word_rate_switches_read() {
         let deadline = SimTime::from_millis(10);
@@ -489,7 +485,6 @@ mod tests {
             assert_eq!((h.rate, h.rtt), (s.max_rate, s.rtt), "{mode:?}");
             assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
             assert_eq!(h.granted_rate(), f64::INFINITY, "{mode:?}");
-            assert_eq!(h.previous_rate(), 0.0, "{mode:?}");
             let desired = match mode {
                 RateMode::Rcp => 0.0,
                 RateMode::D3 { .. } => 500_000.0 * 8.0 / (deadline - now).as_secs_f64(),

@@ -15,8 +15,9 @@
 //!
 //! There is one driver, [`Simulator::run_sharded`] (see the `shard` module for the
 //! window loop and the determinism model): it partitions the state across N
-//! cooperating `EngineCore`s synchronized by conservative lookahead, and
-//! [`Simulator::run`] is its N = 1 case — one core, one window, the caller's thread.
+//! cooperating `EngineCore`s synchronized by conservative lookahead — shard 0 on the
+//! caller's thread, the others on a thread each — and [`Simulator::run`] is its N = 1
+//! case: one core, one window, the caller's thread.
 //! Either way a run is fully deterministic for a fixed seed.
 //!
 //! # Hot-path layout (id slabs, route arena, pooled packets, ledger links)
@@ -541,12 +542,13 @@ impl std::fmt::Display for EngineStats {
 /// event queue, the RNG stream, the metrics accumulators and the live network queues.
 ///
 /// A one-shard run drives the core the [`Simulator`] was built on; an N-shard run
-/// deals its agents, controllers and injected flows out to one core per shard, each
-/// with an `outbox` of boundary messages exchanged at conservative-lookahead barriers.
-/// Every core routes a flow when it arrives and registers it with the other shards on
-/// its path.
+/// keeps that core as shard 0 and deals the agents, controllers and injected flows of
+/// the other shards out to one new core each, every core with an `outbox` of boundary
+/// messages exchanged at conservative-lookahead barriers. Every core routes a flow
+/// when it arrives and registers it with the other shards on its path.
 ///
-/// The cores of a run sit side by side in one `Vec`, each driven by its own thread.
+/// The cores of a run sit side by side in one `Vec`, shard 0 driven by the caller's
+/// thread and each other core by a thread of its own.
 /// The alignment keeps one core's per-event fields (`key`, `stats`, `msg_seq`, the
 /// event queue's counters) off the cache line — and the adjacent prefetched one —
 /// that its neighbour's `config` and `network` headers are read from on every event;

@@ -20,8 +20,12 @@
 //!   | word | PDQ | RCP and D3 (the rate hosts) |
 //!   |---|---|---|
 //!   | 0 | `T_H`, [`expected_trans_time`](SchedulingHeader::expected_trans_time) | [`desired_rate`](SchedulingHeader::desired_rate) |
-//!   | 1 | `I_H`, [`inter_probe_rtts`](SchedulingHeader::inter_probe_rtts) | [`previous_rate`](SchedulingHeader::previous_rate) |
+//!   | 1 | `I_H`, [`inter_probe_rtts`](SchedulingHeader::inter_probe_rtts) | — |
 //!   | 2 | — | [`granted_rate`](SchedulingHeader::granted_rate) |
+//!
+//! D3's "previous allocation" travels in no word: every D3 switch keeps the grant it
+//! made to each flow itself, which on a multi-hop path is the only place each
+//! switch's own grant can live (one scalar could carry one switch's at most).
 //!
 //! Sharing a word between families is safe because a run speaks one protocol: each
 //! installer puts one controller type on every switch link and one host agent on
@@ -97,8 +101,8 @@ const NOT_PAUSED: LinkId = LinkId(u32::MAX);
 
 /// Family word 0: PDQ's `T_H`, the rate hosts' desired rate.
 const WORD_TRANS_OR_DESIRED: usize = 0;
-/// Family word 1: PDQ's `I_H`, the rate hosts' previous allocation.
-const WORD_PROBE_OR_PREVIOUS: usize = 1;
+/// Family word 1: PDQ's `I_H`.
+const WORD_PROBE: usize = 1;
 /// Family word 2: the rate hosts' granted rate (RCP's fair share, D3's allocation).
 const WORD_GRANTED: usize = 2;
 
@@ -171,12 +175,12 @@ impl SchedulingHeader {
 
     /// PDQ `I_H`: inter-probing time in units of RTTs (reverse-path reuse of `T_H`).
     pub fn inter_probe_rtts(&self) -> f64 {
-        self.words[WORD_PROBE_OR_PREVIOUS]
+        self.words[WORD_PROBE]
     }
 
     /// Set PDQ's `I_H`.
     pub fn set_inter_probe_rtts(&mut self, rtts: f64) {
-        self.words[WORD_PROBE_OR_PREVIOUS] = rtts;
+        self.words[WORD_PROBE] = rtts;
     }
 
     /// Rate hosts: the rate the sender desires for the next interval (bits/s; D3's
@@ -188,17 +192,6 @@ impl SchedulingHeader {
     /// Set the rate hosts' desired rate.
     pub fn set_desired_rate(&mut self, bps: f64) {
         self.words[WORD_TRANS_OR_DESIRED] = bps;
-    }
-
-    /// Rate hosts: the rate allocated in the previous interval, returned to the
-    /// switches (bits/s).
-    pub fn previous_rate(&self) -> f64 {
-        self.words[WORD_PROBE_OR_PREVIOUS]
-    }
-
-    /// Set the rate hosts' previous allocation.
-    pub fn set_previous_rate(&mut self, bps: f64) {
-        self.words[WORD_PROBE_OR_PREVIOUS] = bps;
     }
 
     /// Rate hosts: the grant accumulated along the forward path (bits/s) — RCP's
@@ -456,11 +449,8 @@ mod tests {
             prop_assert_eq!(sched.deadline(), deadline);
             prop_assert_eq!(sched.pause_by(), pause);
             prop_assert_eq!(sched.granted_rate(), granted);
-            // The rate hosts' words are PDQ's, read under their own names.
-            prop_assert_eq!(
-                (sched.desired_rate(), sched.previous_rate()),
-                (sched.expected_trans_time(), sched.inter_probe_rtts())
-            );
+            // The rate hosts' desired rate is PDQ's `T_H` word, read under its own name.
+            prop_assert_eq!(sched.desired_rate(), sched.expected_trans_time());
             let mut forward = if payload > 0 { data } else { control };
             forward.sched = sched;
             forward.sent_at = SimTime(seq);

@@ -28,10 +28,16 @@
 //! travel by value in per-shard mailboxes that keep their capacity from window to
 //! window, so the exchange allocates nothing in steady state.
 //!
-//! One shard is the same loop with nothing to wait for: it runs on the caller's thread
-//! (only two or more shards get a thread each), a one-party barrier returns at once, no
-//! link crosses a boundary so `L` is unbounded and the whole run is one window, and
-//! there are no peers to exchange with. [`Simulator::run`] is exactly that.
+//! Shard 0 runs on the caller's thread and every other shard on a scoped thread of its
+//! own, so a two-shard run starts one thread. One shard is the same loop with nothing
+//! to wait for: no thread is started, a one-party barrier returns at once, no link
+//! crosses a boundary so `L` is unbounded and the whole run is one window, and there
+//! are no peers to exchange with. [`Simulator::run`] is exactly that.
+//!
+//! No stage of a sharded run copies the flow table: the simulator's own core stays
+//! shard 0 and keeps its slot slab, minus the flows homed elsewhere (`deal`), and the
+//! merge builds the records in place from the home slots, with each replica folded in
+//! from a small summary (`flow_records`).
 //!
 //! # Determinism
 //!
@@ -273,55 +279,68 @@ impl EngineCore {
 }
 
 impl EngineCore {
-    /// Deal this not-yet-started core out to one core per shard: every agent to the
-    /// shard owning its host, every controller to the shard owning its link's source,
-    /// every injected flow to the shard owning its source.
-    fn deal<F>(self, assignment: &ShardAssignment, mut make_router: F) -> Vec<EngineCore>
+    /// Deal this not-yet-started core out to one core per shard. It stays shard 0 and
+    /// keeps what that shard owns; shards 1..N are built for the rest: every agent
+    /// goes to the shard owning its host, every controller to the shard owning its
+    /// link's source, every injected flow to the shard owning its source. The flows
+    /// homed elsewhere are moved out of this core's slot slab, which keeps its buffer,
+    /// so no stage of the deal holds a second copy of the flow table.
+    fn deal<F>(mut self, assignment: &ShardAssignment, mut make_router: F) -> Vec<EngineCore>
     where
         F: FnMut(u32) -> Box<dyn Router + Send>,
     {
-        let shard_of = &assignment.shard_of;
-        let mut cores: Vec<EngineCore> = (0..assignment.shards)
-            .map(|s| {
-                // Its own router, one outbox per shard.
-                let mut core = EngineCore::new(self.network.clone(), self.config.clone());
-                core.router = make_router(s);
-                core.shard = s;
-                core.shard_of = shard_of.clone();
-                core.outbox = (0..assignment.shards).map(|_| Vec::new()).collect();
-                core
-            })
-            .collect();
-        for (idx, agent) in self.agents.into_iter().enumerate() {
-            cores[shard_of[idx] as usize].agents[idx] = agent;
-        }
-        for (idx, ctl) in self.controllers.into_iter().enumerate() {
-            let src = self.network.link(LinkId(idx as u32)).src;
-            cores[shard_of[src.index()] as usize].controllers[idx] = ctl;
-        }
         assert!(
             self.events.is_empty(),
             "run_sharded: events scheduled before the run"
         );
+        let shard_of = &assignment.shard_of;
+        let outbox = || (0..assignment.shards).map(|_| Vec::new()).collect();
+        // Its own router, one outbox per shard.
+        self.router = make_router(0);
+        self.shard_of = shard_of.clone();
+        self.outbox = outbox();
+        let mut peers: Vec<EngineCore> = (1..assignment.shards)
+            .map(|s| {
+                let mut core = EngineCore::new(self.network.clone(), self.config.clone());
+                core.router = make_router(s);
+                core.shard = s;
+                core.shard_of = shard_of.clone();
+                core.outbox = outbox();
+                core
+            })
+            .collect();
+        // Shard `s > 0` is `peers[s - 1]`.
+        for (idx, agent) in self.agents.iter_mut().enumerate() {
+            if let Some(peer) = (shard_of[idx] as usize).checked_sub(1) {
+                peers[peer].agents[idx] = agent.take();
+            }
+        }
+        for (idx, ctl) in self.controllers.iter_mut().enumerate() {
+            let src = self.network.link(LinkId(idx as u32)).src;
+            if let Some(peer) = (shard_of[src.index()] as usize).checked_sub(1) {
+                peers[peer].controllers[idx] = ctl.take();
+            }
+        }
         let home = |state: &FlowState| shard_of[state.info.spec.src.index()] as usize;
-        let mut counts = vec![0; cores.len()];
+        let mut counts = vec![0; assignment.shards as usize];
         for state in &self.flows.slots {
             counts[home(state)] += 1;
         }
-        for (core, n) in cores.iter_mut().zip(counts) {
-            core.flows.slots.reserve_exact(n);
+        for (peer, &n) in peers.iter_mut().zip(&counts[1..]) {
+            peer.flows.slots.reserve_exact(n);
         }
-        for state in self.flows.slots {
-            cores[home(&state)].add_flow(state.info.spec);
+        for state in self.flows.slots.extract_if(.., |state| home(state) != 0) {
+            peers[home(&state) - 1].add_flow(state.info.spec);
         }
-        cores
+        self.pending_arrivals = self.flows.slots.len();
+        std::iter::once(self).chain(peers).collect()
     }
 }
 
 impl Simulator {
     /// Run the simulation partitioned across `assignment.shards()` cores synchronized
-    /// by conservative lookahead: one OS thread per shard, or — one shard — inline on
-    /// the caller's thread.
+    /// by conservative lookahead: shard 0 on the caller's thread, every other shard on
+    /// an OS thread of its own (one shard starts none).
     ///
     /// With two or more shards `make_router` builds each shard's router, which routes
     /// every flow whose source the shard owns. A one-shard assignment never calls it:
@@ -570,8 +589,8 @@ impl Rendezvous {
     }
 }
 
-/// Drive the cores to completion — a lone core on the caller's thread, two or more on
-/// a scoped thread each.
+/// Drive the cores to completion: shard 0 on the caller's thread, every other shard on
+/// a scoped thread of its own (a lone core starts none).
 fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
     let n = cores.len();
     let sync = Rendezvous {
@@ -582,15 +601,14 @@ fn run_barrier_loop(cores: &mut [EngineCore], lookahead: SimTime) {
         failed: AtomicBool::new(false),
         look_ns: lookahead.as_nanos(),
     };
-    match cores {
-        [lone] => sync.drive(0, lone),
-        _ => std::thread::scope(|scope| {
-            for (i, core) in cores.iter_mut().enumerate() {
-                let sync = &sync;
-                scope.spawn(move || sync.drive(i, core));
-            }
-        }),
-    }
+    let (first, peers) = cores.split_first_mut().expect("at least one shard");
+    std::thread::scope(|scope| {
+        for (i, core) in peers.iter_mut().enumerate() {
+            let sync = &sync;
+            scope.spawn(move || sync.drive(i + 1, core));
+        }
+        sync.drive(0, first);
+    });
 }
 
 /// Fold the cores' state into one [`SimResults`], deterministically, moving records
@@ -698,46 +716,77 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
     }
 }
 
+/// What a replica — a flow's slot on a core other than its home — adds to the flow's
+/// record.
+struct ReplicaFold {
+    id: FlowId,
+    drops: u64,
+    raw_bytes_delivered: u64,
+    stage: Stage,
+    finish: Option<Finish>,
+}
+
 /// The records of the flows that arrived, in ascending id order, built in place from
-/// the cores' slot slabs: a lone core's own slab, or one buffer reserved once for
-/// several cores' slots (a [`FlowRecord`] fits in a [`FlowState`]). Sorted by id, a
-/// flow's slots on several cores are adjacent and fold into one by a rule that does
-/// not depend on their order: drops summed, the most bytes delivered (on one core
-/// only), failed if failed on any core, and the earliest finish.
+/// the cores' slot slabs with no copy of the flow table.
+///
+/// Each core's replicas are folded into small summaries and dropped, leaving only
+/// home slots. Those are appended to the slab with the most capacity (with several
+/// cores, shard 0's: it held every injected flow), sorted by id, and each summary is
+/// applied to its flow's home slot by binary search, by a rule that does not depend on
+/// the order of the cores: drops summed, the most bytes delivered (on one core only),
+/// the greatest stage (failed if failed anywhere), and the earliest finish. The
+/// records are then built in that same buffer (a [`FlowRecord`] fits in a
+/// [`FlowState`]). A lone core has no replicas, so its own slab is the buffer.
 fn flow_records(mut slabs: Vec<Vec<FlowState>>) -> Vec<FlowRecord> {
-    // Every flow that arrived has exactly one home slot, on the shard that saw it
-    // arrive; a flow whose arrival never came (the run stopped first) has no record.
-    let homes = slabs
-        .iter()
-        .flatten()
-        .filter(|s| s.home && s.stage != Stage::Pending)
-        .count();
-    let mut slots = if slabs.len() == 1 {
-        slabs.swap_remove(0)
-    } else {
-        let mut slots = Vec::with_capacity(slabs.iter().map(Vec::len).sum());
-        slabs.into_iter().for_each(|slab| slots.extend(slab));
-        slots
-    };
+    let replicas = slabs.iter().flatten().filter(|s| !s.home).count();
+    let mut folds = Vec::with_capacity(replicas);
+    for slab in &mut slabs {
+        // Every flow that arrived has exactly one home slot, on the shard that saw it
+        // arrive; a flow whose arrival never came (the run stopped first) has no
+        // record.
+        slab.retain(|s| {
+            if !s.home {
+                folds.push(ReplicaFold {
+                    id: s.info.spec.id,
+                    drops: s.drops,
+                    raw_bytes_delivered: s.raw_bytes_delivered,
+                    stage: s.stage,
+                    finish: s.finish,
+                });
+            }
+            s.home && s.stage != Stage::Pending
+        });
+    }
+    let widest = (0..slabs.len())
+        .max_by_key(|&i| slabs[i].capacity())
+        .expect("at least one core");
+    let mut slots = slabs.swap_remove(widest);
+    for mut slab in slabs {
+        slots.append(&mut slab);
+    }
     slots.sort_unstable_by_key(|s| s.info.spec.id);
-    slots.dedup_by(|replica, slot| {
-        if replica.info.spec.id != slot.info.spec.id {
-            return false;
+    assert!(
+        slots
+            .windows(2)
+            .all(|w| w[0].info.spec.id != w[1].info.spec.id),
+        "duplicate flow id homed on two shards"
+    );
+    for fold in folds {
+        let at = slots
+            .binary_search_by_key(&fold.id, |s| s.info.spec.id)
+            .expect("a replica's flow arrived at its home");
+        let slot = &mut slots[at];
+        slot.drops += fold.drops;
+        slot.raw_bytes_delivered = slot.raw_bytes_delivered.max(fold.raw_bytes_delivered);
+        slot.stage = slot.stage.max(fold.stage);
+        if fold.finish.is_some_and(|f| f.beats(slot.finish)) {
+            slot.finish = fold.finish;
         }
-        slot.drops += replica.drops;
-        slot.raw_bytes_delivered = slot.raw_bytes_delivered.max(replica.raw_bytes_delivered);
-        slot.stage = slot.stage.max(replica.stage);
-        if replica.finish.is_some_and(|f| f.beats(slot.finish)) {
-            slot.finish = replica.finish;
-        }
-        true
-    });
-    let flows: Vec<FlowRecord> = slots
+    }
+    slots
         .into_iter()
         .filter_map(FlowState::into_record)
-        .collect();
-    assert_eq!(flows.len(), homes, "duplicate flow id homed on two shards");
-    flows
+        .collect()
 }
 
 #[cfg(test)]
@@ -1050,6 +1099,60 @@ mod tests {
     #[should_panic]
     fn duplicate_flow_ids_across_shards_rejected() {
         run_split_with_id_one_twice([(0, 2), (2, 1)]);
+    }
+
+    /// A blast agent that panics on the first packet delivered to it.
+    struct PanicOnPacket(BlastAgent);
+    impl crate::agent::HostAgent for PanicOnPacket {
+        fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut crate::agent::Ctx) {
+            self.0.on_flow_arrival(flow, ctx);
+        }
+        fn on_packet(&mut self, _: Packet, _: &mut crate::agent::Ctx) {
+            panic!("the agent fails on its first packet");
+        }
+        fn on_timer(
+            &mut self,
+            flow: FlowId,
+            kind: crate::event::TimerKind,
+            token: u64,
+            ctx: &mut crate::agent::Ctx,
+        ) {
+            self.0.on_timer(flow, kind, token, ctx);
+        }
+    }
+
+    /// Flow 1 from h0 (shard 0) to h2 (shard 1), split in two, with the agent at
+    /// `hosts[host]` panicking on its first packet (h0's is an ACK, h2's data).
+    fn run_split_panicking_at(host: usize) {
+        let net = dumbbell();
+        let hosts = net.hosts();
+        let failing = hosts[host];
+        let mut sim = Simulator::new(net, SimConfig::default());
+        sim.install_agents(|_, h| -> Box<dyn crate::agent::HostAgent + Send> {
+            if h == failing {
+                Box::new(PanicOnPacket(BlastAgent::new()))
+            } else {
+                Box::new(BlastAgent::new())
+            }
+        });
+        sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 60_000));
+        let _ = run_split(sim);
+    }
+
+    /// Shard 0 runs on the caller's thread: the panic unwinds out of the run itself,
+    /// once `Bail` has released shard 1 from the barrier and its thread has ended.
+    #[test]
+    #[should_panic(expected = "fails on its first packet")]
+    fn a_panic_on_shard_0_reaches_the_caller() {
+        run_split_panicking_at(0);
+    }
+
+    /// A panic on shard 1's thread: `Bail` releases shard 0 from the barrier, and the
+    /// scope re-raises the panic on the caller's thread once shard 0 has left the loop.
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panic_on_shard_1_reaches_the_caller() {
+        run_split_panicking_at(2);
     }
 
     /// No party leaves a generation early: each bumps a shared counter before the first

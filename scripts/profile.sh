@@ -13,8 +13,9 @@
 #    inlined functions. A later plain `cargo build --release` rebuilds them.
 # 2. Compiles scripts/profile/sampler.c into a temporary directory and runs CMD
 #    with it preloaded: every 50 us of wall-clock time it records where the main
-#    thread is (see sampler.c). Give CMD as the binary itself, not `cargo run`,
-#    which would be sampled too.
+#    thread is (see sampler.c): the whole engine of a one-shard run, shard 0 of a
+#    sharded one. Give CMD as the binary itself, not `cargo run`, which would be
+#    sampled too.
 # 3. Folds the samples of the process that took the most: addr2line -i -f -C maps
 #    each program counter to its chain of inlined frames. A sample belongs to the
 #    innermost frame in this repository's sources: its function, and its layer,

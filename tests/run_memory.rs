@@ -58,6 +58,16 @@
 //! allocation, the pool growing to 2 048 slots, went from 327 680 B to 245 760 B, so
 //! the gate now bounds it too. The overloaded bound sits between the run and the
 //! 160-byte packet; the steady bound stays.
+//!
+//! The steady run is also run on two engine shards, which must reproduce the
+//! one-shard fingerprint. The shard driver deals the flows out of the injected slot
+//! slab in place (it stays shard 0's) and merges in place (replica slots folded into
+//! small summaries, the home slots appended to the roomiest slab, the records built in
+//! that buffer), so its largest allocation is the injected slab: 168 000 B (281 400 B,
+//! all 1 675 slots of both cores, when the merge gathered every core's slots into a
+//! fresh buffer). Its peak live heap hardly moved, 1 207 627 → 1 206 507 B: what the
+//! in-place deal and merge save is the allocator's footprint (fewer large blocks, one
+//! worker thread and arena fewer), which this live-byte count does not see.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -140,6 +150,9 @@ fn peak_live(scenario: &Scenario) -> (RunSummary, u64, usize) {
 /// `pdq-netsim`'s `flow_state_stays_small`; 168 bytes now).
 const SLOT_BYTES_CAP: usize = 200;
 
+/// `size_of::<FlowState>()` now: what the injected slot slab costs per flow.
+const SLOT_BYTES: usize = 168;
+
 /// The most a packet's pool slot may take (`size_of::<Packet>()`, pinned by
 /// `pdq-netsim`'s `packet_and_header_stay_small`).
 const PACKET_BYTES_CAP: usize = 120;
@@ -151,11 +164,15 @@ const OVERLOADED_POOL_SLOTS: usize = 2_048;
 // One test in this binary: the counters are process-wide.
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
+    let mut steady_fingerprint = String::new();
     for (case, spread_us, bound) in [
         ("overloaded", 1_000, 2_150_000),
         ("steady", 66_000, 940_000),
     ] {
         let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
+        if case == "steady" {
+            steady_fingerprint = run.fingerprint();
+        }
         let (queue, engine) = (run.packet().queue, run.packet().engine);
         let live = engine.live_flows_high_water;
         eprintln!(
@@ -189,4 +206,21 @@ fn pdq_runs_hold_memory_for_what_is_live() {
             "{case}: a {largest}-byte allocation, larger than the {what} ({cap} B)"
         );
     }
+
+    // The steady run on two shards: the deal and the merge work in place, so no stage
+    // of it allocates more at once than the injected slot slab.
+    let (run, peak, largest) =
+        peak_live(&engine_scale(SimTime::from_micros(66_000)).engine_threads(2));
+    eprintln!("steady, two shards: peak live {peak} B, largest allocation {largest} B");
+    assert_eq!(
+        run.fingerprint(),
+        steady_fingerprint,
+        "two shards must reproduce the one-shard run"
+    );
+    let cap = FLOWS * SLOT_BYTES;
+    assert!(
+        largest <= cap,
+        "steady, two shards: a {largest}-byte allocation, larger than the injected \
+         slot slab ({cap} B)"
+    );
 }
