@@ -68,7 +68,10 @@
 //! event popping at that instant, hence the same place in the event order. Before the
 //! engine reads a link (tail-drop check, controller callback, trace sample, final
 //! results) it settles it against the key of the event being dispatched — once per
-//! link per event.
+//! link per event. The ledgers of all links of a core share one slab in its
+//! [`Network`]: a queued packet holds one 24-byte entry, retired entries are reused
+//! by the next packet accepted on any link, and the slab is as long as the most
+//! departures queued at once on the core ([`EngineStats::ledger_high_water`]).
 //!
 //! # Agent actions take effect where the agent is
 //!
@@ -506,6 +509,9 @@ pub struct EngineStats {
     /// Most packets inside the network at once (per shard; the sum is an upper bound
     /// on the global peak).
     pub pool_high_water: u64,
+    /// Most departures queued at once on all links of a core — the length of its
+    /// ledger slab (per shard; the sum is an upper bound on the global peak).
+    pub ledger_high_water: u64,
     /// Most flows unfinished at once, counted where each is homed (per shard; the sum
     /// is an upper bound on the global peak). The size of the per-flow working set:
     /// what separates an overloaded run from a steady one at the same event count.
@@ -524,13 +530,15 @@ impl std::fmt::Display for EngineStats {
         write!(
             f,
             "arrivals={} packets={} timers_fired={} ticks={} samples={} \
-             pool_high_water={} live_flows_high_water={} windows={} messages_in={}",
+             pool_high_water={} ledger_high_water={} live_flows_high_water={} windows={} \
+             messages_in={}",
             self.arrivals,
             self.packets,
             self.timers_fired,
             self.ticks,
             self.samples,
             self.pool_high_water,
+            self.ledger_high_water,
             self.live_flows_high_water,
             self.windows,
             self.messages_in
@@ -989,18 +997,17 @@ impl EngineCore {
         };
         let (next_link, controller_link) = self.flows.hop_links(packet);
         debug_assert_eq!(self.network.link(next_link).src, node, "hop mismatch");
-        self.network.link_mut(next_link).settle(key);
+        self.network.settle(next_link, key);
 
         // Run the link controller (switch scheduling logic) on the settled link: the
         // one just settled for a forward packet, another for a reverse one.
         if let Some(cl) = controller_link {
             if let Some(ctl) = self.controllers[cl.index()].as_mut() {
-                let link = self.network.link_mut(cl);
                 if packet.reverse() {
-                    link.settle(key);
-                    ctl.on_reverse(packet, self.now, link);
+                    self.network.settle(cl, key);
+                    ctl.on_reverse(packet, self.now, self.network.link(cl));
                 } else {
-                    ctl.on_forward(packet, self.now, link);
+                    ctl.on_forward(packet, self.now, self.network.link(cl));
                 }
             }
         }
@@ -1024,13 +1031,14 @@ impl EngineCore {
         let depart = if lost {
             None
         } else {
-            link.accept(key, packet.wire_size())
+            self.network.accept(next_link, key, packet.wire_size())
         };
         let Some(depart) = depart else {
             self.flows.slots[packet.flow_slot as usize].drops += 1;
             self.pool.take(slot);
             return;
         };
+        let link = self.network.link(next_link);
         let arrive_at = depart + link.prop_delay + self.config.processing_delay;
         let dst = link.dst;
         packet.hop += 1;
@@ -1081,9 +1089,8 @@ impl EngineCore {
             let Some(ctl) = controllers[link_id.index()].as_mut() else {
                 return;
             };
-            let link = network.link_mut(link_id);
-            link.settle(self.key);
-            ctl.on_tick(self.now, link)
+            network.settle(link_id, self.key);
+            ctl.on_tick(self.now, network.link(link_id))
         };
         if let Some(t) = next {
             assert!(t > self.now, "controller tick must advance time");
@@ -1105,8 +1112,8 @@ impl EngineCore {
             if !self.is_local(self.network.link(l).src) {
                 continue;
             }
-            let link = self.network.link_mut(l);
-            link.settle(self.key);
+            self.network.settle(l, self.key);
+            let link = self.network.link(l);
             let prev = self.link_bytes_at_last_sample[l.index()];
             let delta = link.stats.bytes_transmitted - prev;
             self.link_bytes_at_last_sample[l.index()] = link.stats.bytes_transmitted;

@@ -15,11 +15,19 @@
 //! one small ledger entry per accepted packet — when its serialization starts and
 //! ends, and its wire size — and the engine schedules the packet's arrival at the
 //! next node right away. Occupancy and counters stay exact because the engine
-//! *settles* a link before looking at it: every entry whose virtual
-//! [`EventKind::TransmitDone`](crate::event::EventKind::TransmitDone) event — the one
-//! an explicit link server would have scheduled — orders before the event being
-//! dispatched is retired, bytes and busy time credited, exactly as if that event had
-//! popped.
+//! *settles* a link (`Network::settle`) before looking at it: every entry whose
+//! virtual [`EventKind::TransmitDone`](crate::event::EventKind::TransmitDone) event —
+//! the one an explicit link server would have scheduled — orders before the event
+//! being dispatched is retired, bytes and busy time credited, exactly as if that event
+//! had popped.
+//!
+//! The entries of all links live in one slab per [`Network`], hence one per engine
+//! core: each link's FIFO is a chain through it (the link holds only its head and
+//! tail indices), and a retired entry is reused by the next packet accepted on any
+//! link. A queued packet costs one 24-byte entry, and the
+//! slab is as long as the most departures queued at once on the core
+//! ([`Network::ledger_high_water`]) — not, as with a buffer per link, the sum of each
+//! link's own peak, which grows with links × history.
 //!
 //! # Random loss
 //!
@@ -81,7 +89,8 @@ pub struct LinkStats {
     pub max_queue_bytes: u64,
 }
 
-/// One accepted packet in a link's ledger.
+/// One accepted packet in a link's ledger: an entry of its core's [`LedgerSlab`],
+/// chained to the link's next accepted packet.
 #[derive(Clone, Copy, Debug)]
 struct Departure {
     /// When the packet's last bit leaves the link.
@@ -92,6 +101,62 @@ struct Departure {
     start: SimTime,
     /// Wire bytes.
     wire: u32,
+    /// The slab index of the link's next accepted packet ([`NIL`] for the last one),
+    /// or of the next free entry once this one is retired.
+    next: u32,
+}
+
+/// The end of a ledger chain or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// Every link's departure ledger on one core: FIFOs chained through one slab, so a
+/// queued packet costs one 24-byte entry wherever it is queued and the slab is as
+/// long as the most departures queued at once, not the sum of each link's own peak.
+/// A retired entry goes onto a LIFO free list, threaded through `next`, and the next
+/// accept reuses it.
+#[derive(Clone, Debug)]
+struct LedgerSlab {
+    entries: Vec<Departure>,
+    /// Head of the free list.
+    free: u32,
+}
+
+impl Default for LedgerSlab {
+    fn default() -> Self {
+        LedgerSlab {
+            entries: Vec::new(),
+            free: NIL,
+        }
+    }
+}
+
+impl LedgerSlab {
+    /// Store `d` in a free entry, or a new one when none is free.
+    fn alloc(&mut self, d: Departure) -> u32 {
+        if self.free == NIL {
+            self.entries.push(d);
+            return (self.entries.len() - 1) as u32;
+        }
+        let i = self.free;
+        self.free = self.entries[i as usize].next;
+        self.entries[i as usize] = d;
+        i
+    }
+
+    /// Put entry `i` on the free list.
+    fn release(&mut self, i: u32) {
+        self.entries[i as usize].next = self.free;
+        self.free = i;
+    }
+
+    /// The chain starting at `head`, oldest first.
+    fn chain(&self, head: u32) -> impl Iterator<Item = (u32, &Departure)> {
+        std::iter::successors((head != NIL).then_some(head), |&i| {
+            let next = self.entries[i as usize].next;
+            (next != NIL).then_some(next)
+        })
+        .map(|i| (i, &self.entries[i as usize]))
+    }
 }
 
 /// A unidirectional link with its egress FIFO tail-drop queue.
@@ -120,8 +185,10 @@ pub struct Link {
     /// in the FIFO *and* the one on the wire, which counts until its last bit has
     /// left. See [`Link::queue_bytes`].
     pub queue_bytes: u64,
-    /// The FIFO, oldest first: one entry per packet counted in `queue_bytes`.
-    ledger: VecDeque<Departure>,
+    /// The FIFO in the core's [`LedgerSlab`], oldest first: one entry per packet
+    /// counted in `queue_bytes`. [`NIL`] when empty; `tail` is then stale.
+    head: u32,
+    tail: u32,
     /// `(wire size, serialization time)` of the last control-size packet accepted and
     /// of the last packet of any other size (`(0, ZERO)` is exact before the first).
     tx_memo: [(u32, SimTime); 2],
@@ -147,63 +214,6 @@ impl Link {
         self.queue_bytes
     }
 
-    /// Retire every departure whose virtual transmit-done event orders before `bound`
-    /// (the key of the event being dispatched, or the point a finished run stopped
-    /// at), crediting its bytes and serialization time to the counters.
-    pub(crate) fn settle(&mut self, bound: EventKey) {
-        while let Some(d) = self.ledger.front() {
-            if EventKey::transmit_done(d.depart, d.start, self.id) >= bound {
-                break;
-            }
-            self.queue_bytes -= d.wire as u64;
-            self.stats.bytes_transmitted += d.wire as u64;
-            self.stats.packets_transmitted += 1;
-            self.stats.busy_time += d.depart - d.start;
-            self.ledger.pop_front();
-        }
-        self.debug_check();
-    }
-
-    /// Offer a packet of `wire` bytes to the link during the event with key `now`,
-    /// which the caller has [settled](Link::settle) the link against — the engine
-    /// settles each link an event touches once, for the controller callback and this
-    /// alike. Returns when the packet's last bit leaves — it starts serializing at
-    /// once on an idle link, behind the last accepted packet otherwise — or `None`,
-    /// counting a tail drop, if the queue has no room for it.
-    pub(crate) fn accept(&mut self, now: EventKey, wire: u32) -> Option<SimTime> {
-        debug_assert!(
-            self.ledger
-                .front()
-                .is_none_or(|d| EventKey::transmit_done(d.depart, d.start, self.id) >= now),
-            "{:?}: accept on a link not settled against {now:?}",
-            self.id
-        );
-        if self.queue_bytes + wire as u64 > self.queue_capacity_bytes {
-            self.stats.tail_drops += 1;
-            return None;
-        }
-        // A departure that `settle` left behind has not happened yet in event order,
-        // even if its time is `now.at`: the link is still busy with it.
-        let start = self.ledger.back().map_or(now.at, |d| d.depart);
-        let tx = self.memoised_transmission_time(wire);
-        let depart = start + tx;
-        debug_assert!(
-            start >= now.at && (depart > start || tx == SimTime::ZERO),
-            "{:?}: departure {depart:?} does not follow {start:?} at {:?}",
-            self.id,
-            now.at
-        );
-        self.ledger.push_back(Departure {
-            depart,
-            start,
-            wire,
-        });
-        self.queue_bytes += wire as u64;
-        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
-        self.debug_check();
-        Some(depart)
-    }
-
     /// [`Link::transmission_time`] of a `wire`-byte packet, remembered for the last
     /// control-size packet and the last packet of any other size: nearly every packet
     /// is an ACK/probe or a full MTU, and the exact value costs an `f64` divide and a
@@ -222,15 +232,29 @@ impl Link {
         memo.1
     }
 
-    /// Debug builds: the ledger accounts for exactly the queued bytes, within capacity.
-    fn debug_check(&self) {
-        debug_assert_eq!(
-            self.queue_bytes,
-            self.ledger.iter().map(|d| d.wire as u64).sum::<u64>(),
+    /// Debug builds: the ledger chain accounts for exactly the queued bytes, within
+    /// capacity, and ends at `tail`.
+    fn debug_check(&self, slab: &LedgerSlab) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let (mut bytes, mut last) = (0, NIL);
+        for (i, d) in slab.chain(self.head) {
+            bytes += d.wire as u64;
+            last = i;
+        }
+        assert_eq!(
+            self.queue_bytes, bytes,
             "{:?}: queue_bytes out of step with the ledger",
             self.id
         );
-        debug_assert!(
+        assert!(
+            self.head == NIL || last == self.tail,
+            "{:?}: the ledger chain ends at {last}, not at its tail {}",
+            self.id,
+            self.tail
+        );
+        assert!(
             self.queue_bytes <= self.queue_capacity_bytes,
             "{:?}: {} bytes queued, capacity {}",
             self.id,
@@ -273,6 +297,8 @@ pub struct Network {
     pub links: Vec<Link>,
     /// Outgoing links of each node.
     adjacency: Vec<Vec<LinkId>>,
+    /// Every link's departure ledger.
+    ledgers: LedgerSlab,
 }
 
 impl Network {
@@ -326,7 +352,8 @@ impl Network {
                 loss_rate: params.loss_rate,
                 reverse,
                 queue_bytes: 0,
-                ledger: VecDeque::new(),
+                head: NIL,
+                tail: NIL,
                 tx_memo: [(0, SimTime::ZERO); 2],
                 stats: LinkStats::default(),
             });
@@ -430,11 +457,92 @@ impl Network {
         Some(crate::flow::FlowPath::new(nodes, links))
     }
 
+    /// Retire every departure of `link` whose virtual transmit-done event orders
+    /// before `bound` (the key of the event being dispatched, or the point a finished
+    /// run stopped at), crediting its bytes and serialization time to the counters.
+    pub(crate) fn settle(&mut self, link: LinkId, bound: EventKey) {
+        let (l, slab) = (&mut self.links[link.index()], &mut self.ledgers);
+        while l.head != NIL {
+            let d = slab.entries[l.head as usize];
+            if EventKey::transmit_done(d.depart, d.start, l.id) >= bound {
+                break;
+            }
+            l.queue_bytes -= d.wire as u64;
+            l.stats.bytes_transmitted += d.wire as u64;
+            l.stats.packets_transmitted += 1;
+            l.stats.busy_time += d.depart - d.start;
+            slab.release(l.head);
+            l.head = d.next;
+        }
+        l.debug_check(slab);
+    }
+
+    /// Offer a packet of `wire` bytes to `link` during the event with key `now`,
+    /// which the caller has [settled](Network::settle) the link against — the engine
+    /// settles each link an event touches once, for the controller callback and this
+    /// alike. Returns when the packet's last bit leaves — it starts serializing at
+    /// once on an idle link, behind the last accepted packet otherwise — or `None`,
+    /// counting a tail drop, if the queue has no room for it.
+    pub(crate) fn accept(&mut self, link: LinkId, now: EventKey, wire: u32) -> Option<SimTime> {
+        let (l, slab) = (&mut self.links[link.index()], &mut self.ledgers);
+        debug_assert!(
+            l.head == NIL || {
+                let d = &slab.entries[l.head as usize];
+                EventKey::transmit_done(d.depart, d.start, l.id) >= now
+            },
+            "{:?}: accept on a link not settled against {now:?}",
+            l.id
+        );
+        if l.queue_bytes + wire as u64 > l.queue_capacity_bytes {
+            l.stats.tail_drops += 1;
+            return None;
+        }
+        // A departure that `settle` left behind has not happened yet in event order,
+        // even if its time is `now.at`: the link is still busy with it.
+        let start = if l.head == NIL {
+            now.at
+        } else {
+            slab.entries[l.tail as usize].depart
+        };
+        let tx = l.memoised_transmission_time(wire);
+        let depart = start + tx;
+        debug_assert!(
+            start >= now.at && (depart > start || tx == SimTime::ZERO),
+            "{:?}: departure {depart:?} does not follow {start:?} at {:?}",
+            l.id,
+            now.at
+        );
+        let i = slab.alloc(Departure {
+            depart,
+            start,
+            wire,
+            next: NIL,
+        });
+        if l.head == NIL {
+            l.head = i;
+        } else {
+            slab.entries[l.tail as usize].next = i;
+        }
+        l.tail = i;
+        l.queue_bytes += wire as u64;
+        l.stats.max_queue_bytes = l.stats.max_queue_bytes.max(l.queue_bytes);
+        l.debug_check(slab);
+        Some(depart)
+    }
+
+    /// The most departures queued at once on all links together since the last
+    /// [`Network::reset_runtime_state`]: the length of the ledger slab.
+    pub fn ledger_high_water(&self) -> u64 {
+        self.ledgers.entries.len() as u64
+    }
+
     /// Reset all runtime link state (queues, counters) so the same topology can be
     /// reused for another simulation run.
     pub fn reset_runtime_state(&mut self) {
+        self.ledgers.entries.clear();
+        self.ledgers.free = NIL;
         for l in &mut self.links {
-            l.ledger.clear();
+            (l.head, l.tail) = (NIL, NIL);
             l.tx_memo = [(0, SimTime::ZERO); 2];
             l.queue_bytes = 0;
             l.stats = LinkStats::default();
@@ -447,9 +555,9 @@ mod tests {
     use super::*;
 
     /// What the engine does per hop: settle the link against the event, then offer.
-    fn offer(link: &mut Link, now: EventKey, wire: u32) -> Option<SimTime> {
-        link.settle(now);
-        link.accept(now, wire)
+    fn offer(net: &mut Network, link: LinkId, now: EventKey, wire: u32) -> Option<SimTime> {
+        net.settle(link, now);
+        net.accept(link, now, wire)
     }
 
     fn line_network() -> (Network, Vec<NodeId>) {
@@ -528,32 +636,36 @@ mod tests {
     #[test]
     fn reset_clears_runtime_state() {
         let (mut net, _) = line_network();
-        let link = net.link_mut(LinkId(0));
-        assert!(offer(link, EventKey::start_of(SimTime::ZERO), 1500).is_some());
-        link.stats.tail_drops = 3;
+        let l0 = LinkId(0);
+        assert!(offer(&mut net, l0, EventKey::start_of(SimTime::ZERO), 1500).is_some());
+        net.link_mut(l0).stats.tail_drops = 3;
         net.reset_runtime_state();
-        let link = net.link_mut(LinkId(0));
+        let link = net.link(l0);
         assert_eq!(link.queue_bytes, 0);
-        assert!(link.ledger.is_empty());
+        assert_eq!(link.head, NIL);
         assert_eq!(link.stats.tail_drops, 0);
+        assert_eq!(net.ledger_high_water(), 0);
         // Idle again: the next packet starts serializing the moment it is accepted.
         let at = SimTime::from_micros(1);
         let tx = link.transmission_time(1500);
-        assert_eq!(offer(link, EventKey::start_of(at), 1500), Some(at + tx));
+        assert_eq!(
+            offer(&mut net, l0, EventKey::start_of(at), 1500),
+            Some(at + tx)
+        );
     }
 
     /// The memo returns what `transmission_time` returns, whatever sizes alternate.
     #[test]
     fn memoised_serialization_times_are_the_exact_ones() {
         let (mut net, _) = line_network();
-        let link = net.link_mut(LinkId(0));
-        link.queue_capacity_bytes = u64::MAX;
+        let l0 = LinkId(0);
+        net.link_mut(l0).queue_capacity_bytes = u64::MAX;
         let mut start = SimTime::ZERO;
         for wire in [56, 1500, 1500, 56, 700, 56, 1500, 700, 701, 56, 0] {
-            let depart = offer(link, EventKey::start_of(SimTime::ZERO), wire).unwrap();
+            let depart = offer(&mut net, l0, EventKey::start_of(SimTime::ZERO), wire).unwrap();
             assert_eq!(
                 depart - start,
-                link.transmission_time(wire as u64),
+                net.link(l0).transmission_time(wire as u64),
                 "{wire}"
             );
             start = depart;
@@ -563,12 +675,18 @@ mod tests {
     #[test]
     fn ledger_retires_departures_in_event_key_order() {
         let (mut net, _) = line_network();
-        let link = net.link_mut(LinkId(0));
+        let l0 = LinkId(0);
         let us = SimTime::from_micros;
         // Two back-to-back MTUs accepted at t = 0: departures at 12 and 24 µs.
-        assert_eq!(offer(link, EventKey::start_of(us(0)), 1500), Some(us(12)));
-        assert_eq!(offer(link, EventKey::start_of(us(0)), 1500), Some(us(24)));
-        assert_eq!(link.queue_bytes(), 3000);
+        assert_eq!(
+            offer(&mut net, l0, EventKey::start_of(us(0)), 1500),
+            Some(us(12))
+        );
+        assert_eq!(
+            offer(&mut net, l0, EventKey::start_of(us(0)), 1500),
+            Some(us(24))
+        );
+        assert_eq!(net.link(l0).queue_bytes(), 3000);
         // A packet arrival (class 1) at the instant of the first departure still
         // sees it queued; a timer (class 3) created no earlier than it sees it gone.
         let at_12 = |class, created| EventKey {
@@ -576,10 +694,10 @@ mod tests {
             created,
             ..EventKey::start_of(us(12))
         };
-        link.settle(at_12(1, us(0)));
-        assert_eq!(link.queue_bytes(), 3000);
-        link.settle(at_12(3, us(0)));
-        assert_eq!(link.queue_bytes(), 1500);
+        net.settle(l0, at_12(1, us(0)));
+        assert_eq!(net.link(l0).queue_bytes(), 3000);
+        net.settle(l0, at_12(3, us(0)));
+        assert_eq!(net.link(l0).queue_bytes(), 1500);
         // The second departure was "scheduled" at 12 µs: an event at 24 µs created
         // before that goes first whatever its class.
         let at_24 = |class, created| EventKey {
@@ -587,16 +705,167 @@ mod tests {
             created,
             ..EventKey::start_of(us(24))
         };
-        link.settle(at_24(3, us(11)));
-        assert_eq!(link.queue_bytes(), 1500);
+        net.settle(l0, at_24(3, us(11)));
+        assert_eq!(net.link(l0).queue_bytes(), 1500);
         // Still busy at the very instant its last departure is due: the next packet
         // queues behind it.
-        assert_eq!(offer(link, at_24(3, us(11)), 1500), Some(us(36)));
-        link.settle(EventKey::start_of(SimTime::MAX));
+        assert_eq!(offer(&mut net, l0, at_24(3, us(11)), 1500), Some(us(36)));
+        net.settle(l0, EventKey::start_of(SimTime::MAX));
+        let link = net.link(l0);
         assert_eq!(link.queue_bytes(), 0);
         assert_eq!(link.stats.packets_transmitted, 3);
         assert_eq!(link.stats.bytes_transmitted, 4500);
         assert_eq!(link.stats.busy_time, us(36));
         assert_eq!(link.stats.max_queue_bytes, 3000);
+    }
+
+    #[test]
+    fn departures_and_links_stay_small() {
+        assert_eq!(std::mem::size_of::<Departure>(), 24);
+        assert!(
+            std::mem::size_of::<Link>() <= 144,
+            "{}",
+            std::mem::size_of::<Link>()
+        );
+    }
+
+    /// A link's ledger as it was before the shared slab — a buffer of its own — the
+    /// model the slab answers to.
+    struct ModelLink {
+        id: LinkId,
+        capacity: u64,
+        rate_bps: f64,
+        /// `(depart, start, wire)`, oldest first.
+        ledger: VecDeque<(SimTime, SimTime, u32)>,
+        queue_bytes: u64,
+        stats: LinkStats,
+    }
+
+    impl ModelLink {
+        fn settle(&mut self, bound: EventKey) {
+            while let Some(&(depart, start, wire)) = self.ledger.front() {
+                if EventKey::transmit_done(depart, start, self.id) >= bound {
+                    break;
+                }
+                self.queue_bytes -= wire as u64;
+                self.stats.bytes_transmitted += wire as u64;
+                self.stats.packets_transmitted += 1;
+                self.stats.busy_time += depart - start;
+                self.ledger.pop_front();
+            }
+        }
+
+        fn accept(&mut self, now: EventKey, wire: u32) -> Option<SimTime> {
+            if self.queue_bytes + wire as u64 > self.capacity {
+                self.stats.tail_drops += 1;
+                return None;
+            }
+            let start = self.ledger.back().map_or(now.at, |d| d.0);
+            let depart = start + SimTime::transmission_time(wire as u64, self.rate_bps);
+            self.ledger.push_back((depart, start, wire));
+            self.queue_bytes += wire as u64;
+            self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
+            Some(depart)
+        }
+    }
+
+    fn stats_row(s: &LinkStats) -> (u64, u64, u64, u64, SimTime, u64) {
+        (
+            s.bytes_transmitted,
+            s.packets_transmitted,
+            s.tail_drops,
+            s.random_drops,
+            s.busy_time,
+            s.max_queue_bytes,
+        )
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random interleaved settles and accepts on four links of one network, at
+        /// event keys in dispatch order on a grid every serialization time is a
+        /// multiple of (so arrivals land on departures), with now and then a reset:
+        /// the shared slab gives the same departures, tail drops, occupancy and
+        /// counters as a buffer per link, and is never longer than the most
+        /// departures queued at once.
+        #[test]
+        fn shared_slab_matches_a_ledger_per_link(
+            ops in prop::collection::vec(((0u64..3_000, 0u64..3, 0u8..4), (0usize..4, 0u8..16)), 1..200),
+        ) {
+            let (mut net, _) = line_network();
+            net.links.truncate(4);
+            let capacities = [4_000, 6_000, 3_000, u64::MAX];
+            let rates = [1e9, 1e9, 10e9, 1e9];
+            let mut model: Vec<ModelLink> = (0..4)
+                .map(|i| {
+                    let link = net.link_mut(LinkId(i as u32));
+                    (link.queue_capacity_bytes, link.rate_bps) = (capacities[i], rates[i]);
+                    ModelLink {
+                        id: link.id,
+                        capacity: capacities[i],
+                        rate_bps: rates[i],
+                        ledger: VecDeque::new(),
+                        queue_bytes: 0,
+                        stats: LinkStats::default(),
+                    }
+                })
+                .collect();
+            // Dispatch order: `(at, created, class)` never goes back.
+            let mut ops: Vec<_> = ops
+                .into_iter()
+                .map(|((at, back, class), op)| {
+                    let at = 32 * at;
+                    ((at, at.saturating_sub(back * 448), class), op)
+                })
+                .collect();
+            ops.sort_by_key(|&(key, _)| key);
+            let mut peak = 0;
+            for ((at, created, class), (l, op)) in ops {
+                let key = EventKey {
+                    at: SimTime::from_nanos(at),
+                    created: SimTime::from_nanos(created),
+                    class,
+                    ..EventKey::start_of(SimTime::ZERO)
+                };
+                let id = LinkId(l as u32);
+                match op {
+                    0..=9 => {
+                        let wire = [56, 1500, 500, 1000, 56][op as usize % 5];
+                        model[l].settle(key);
+                        prop_assert_eq!(offer(&mut net, id, key, wire), model[l].accept(key, wire));
+                    }
+                    10..=14 => {
+                        net.settle(id, key);
+                        model[l].settle(key);
+                    }
+                    _ => {
+                        net.reset_runtime_state();
+                        for m in &mut model {
+                            m.ledger.clear();
+                            (m.queue_bytes, m.stats) = (0, LinkStats::default());
+                        }
+                        peak = 0;
+                    }
+                }
+                peak = peak.max(model.iter().map(|m| m.ledger.len() as u64).sum::<u64>());
+                for m in &model {
+                    let link = net.link(m.id);
+                    prop_assert_eq!(link.queue_bytes(), m.queue_bytes);
+                    prop_assert_eq!(stats_row(&link.stats), stats_row(&m.stats));
+                }
+                prop_assert_eq!(net.ledger_high_water(), peak);
+            }
+            // Drained, every entry is back on the free list.
+            for m in &mut model {
+                net.settle(m.id, EventKey::start_of(SimTime::MAX));
+                m.settle(EventKey::start_of(SimTime::MAX));
+                prop_assert_eq!(stats_row(&net.link(m.id).stats), stats_row(&m.stats));
+                prop_assert_eq!(net.link(m.id).queue_bytes(), 0);
+            }
+            prop_assert_eq!(net.ledgers.chain(net.ledgers.free).count() as u64, peak);
+        }
     }
 }

@@ -630,9 +630,8 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
             .iter()
             .all(|c| c.unfinished_flows + c.pending_arrivals == 0);
     for core in &mut cores {
-        let bound = core.key;
-        for link in &mut core.network.links {
-            link.settle(bound);
+        for l in 0..core.network.link_count() {
+            core.network.settle(LinkId(l as u32), core.key);
         }
     }
     let link_stats: Vec<_> = cores[0]
@@ -659,6 +658,7 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         engine.samples += e.samples;
         // Like `peak_pending`: per-shard peaks, summed to an upper bound.
         engine.pool_high_water += core.pool.high_water();
+        engine.ledger_high_water += core.network.ledger_high_water();
         engine.live_flows_high_water += e.live_flows_high_water;
         // Every worker opens the same windows (one decision from one snapshot), so the
         // run's count is any core's, not a sum.
