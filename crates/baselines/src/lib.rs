@@ -9,6 +9,10 @@
 //! * **D3**, the deadline-aware "first-come first-reserve" protocol, with the
 //!   non-negative fair-share fix and quenching described in the paper — [`d3`].
 //!
+//! Every agent here stands on PDQ's transport layer, [`pdq_netsim::transport`]: its
+//! receiver, sender status and endpoint map, and for RCP and D3 ([`rate_host`]) its
+//! go-back-N reliability too. TCP keeps its own Reno window and RTO backoff.
+//!
 //! [`install_tcp`], [`install_rcp`] and [`install_d3`] wire a whole simulator in one
 //! call, mirroring [`pdq::install_pdq`](https://docs.rs/pdq). [`flow_model`] holds
 //! RCP's and D3's §5.5 flow-level models.
@@ -21,16 +25,14 @@ pub mod flow_model;
 pub mod install;
 pub mod rate_host;
 pub mod rcp;
-pub mod receiver;
 pub mod tcp;
 
 pub use d3::{D3Params, D3SwitchController};
 pub use flow_model::{D3FlowModel, RcpFlowModel};
 pub use install::{register_baselines, D3Installer, RcpInstaller, TcpInstaller};
-pub use rate_host::{RateHostAgent, RateMode, RateSender, RateSenderStatus};
+pub use rate_host::{RateHostAgent, RateMode, RateSender};
 pub use rcp::{RcpParams, RcpSwitchController};
-pub use receiver::EchoReceiver;
-pub use tcp::{TcpHostAgent, TcpParams, TcpSender, TcpStatus};
+pub use tcp::{TcpHostAgent, TcpParams, TcpSender};
 
 use pdq_netsim::Simulator;
 

@@ -3,13 +3,14 @@
 //! Both protocols pace data at a rate granted by the switches through the scheduling
 //! header's granted-rate word; they differ only in what the switches grant and in what
 //! the sender requests (D3 deadline flows ask for `remaining_size / time_to_deadline`).
+//! Reliability is PDQ's: the shared [`GoBackN`]. The host holds its senders and
+//! receivers in an [`Endpoints`], as a PDQ host does: a sender while it is active, a
+//! receiver until it has echoed its flow's TERM.
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
-    RestartTimer, SimTime, TimerKind, MSS_BYTES,
+    Ctx, Endpoints, FlowId, FlowInfo, FlowSender, GoBackN, HostAgent, NodeId, Pacer, PacerConfig,
+    Packet, PacketKind, SenderStatus, SimTime, TimerKind, MSS_BYTES,
 };
-
-use crate::receiver::EchoReceiver;
 
 /// Which explicit-rate protocol a sender speaks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -24,17 +25,6 @@ pub enum RateMode {
     },
 }
 
-/// Sender status.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RateSenderStatus {
-    /// Still transferring.
-    Active,
-    /// All bytes acknowledged.
-    Finished,
-    /// Quenched (D3 only).
-    Terminated,
-}
-
 /// A rate-paced sender for RCP / D3.
 #[derive(Debug)]
 pub struct RateSender {
@@ -45,23 +35,15 @@ pub struct RateSender {
     size: u64,
     deadline: Option<SimTime>,
     max_rate: f64,
-    min_rto: SimTime,
 
     rate: f64,
-    granted: f64,
-    rtt: f64,
-    next_seq: u64,
-    acked: u64,
-    dup_acks: u32,
-    /// No further fast retransmit until the cumulative ACK passes this point.
-    recover: u64,
-    syn_acked: bool,
-    status: RateSenderStatus,
+    /// The send and ACK points, the smoothed RTT and the retransmission timeout,
+    /// restarted on every ACK of new data.
+    gbn: GoBackN,
+    status: SenderStatus,
 
     pacing_token: u64,
     pacing_armed: bool,
-    /// The retransmission timeout, restarted on every ACK of new data.
-    rto: RestartTimer,
     /// RFC 9002-style token bucket replacing the one-packet-per-gap schedule
     /// when enabled (see [`RateSender::with_pacer`]).
     pacer: Option<Pacer>,
@@ -69,7 +51,7 @@ pub struct RateSender {
 
 impl RateSender {
     /// Create a sender for `flow`.
-    pub fn new(mode: RateMode, flow: &FlowInfo, min_rto: SimTime) -> Self {
+    pub fn new(mode: RateMode, flow: &FlowInfo) -> Self {
         RateSender {
             mode,
             flow: flow.spec.id,
@@ -78,19 +60,11 @@ impl RateSender {
             size: flow.spec.size_bytes,
             deadline: flow.spec.deadline,
             max_rate: flow.bottleneck_rate_bps.min(flow.nic_rate_bps),
-            min_rto,
             rate: 0.0,
-            granted: 0.0,
-            rtt: flow.base_rtt.as_secs_f64(),
-            next_seq: 0,
-            acked: 0,
-            dup_acks: 0,
-            recover: 0,
-            syn_acked: false,
-            status: RateSenderStatus::Active,
+            gbn: GoBackN::new(flow.base_rtt.as_secs_f64()),
+            status: SenderStatus::Active,
             pacing_token: 0,
             pacing_armed: false,
-            rto: RestartTimer::new(),
             pacer: None,
         }
     }
@@ -104,11 +78,6 @@ impl RateSender {
         self
     }
 
-    /// Current status.
-    pub fn status(&self) -> RateSenderStatus {
-        self.status
-    }
-
     /// Currently granted rate in bits/s.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -117,7 +86,7 @@ impl RateSender {
     /// The minimum rate any flow is allowed to trickle at (one packet per RTT), which
     /// is D3's "base rate" and also keeps RCP flows alive under extreme load.
     fn floor_rate(&self) -> f64 {
-        (MSS_BYTES as f64 * 8.0) / self.rtt.max(1e-6)
+        (MSS_BYTES as f64 * 8.0) / self.gbn.srtt().max(1e-6)
     }
 
     fn desired_rate(&self, now: SimTime) -> f64 {
@@ -125,7 +94,7 @@ impl RateSender {
             RateMode::Rcp => 0.0,
             RateMode::D3 { .. } => match self.deadline {
                 Some(dl) if dl > now => {
-                    let remaining = (self.size - self.acked) as f64 * 8.0;
+                    let remaining = (self.size - self.gbn.acked()) as f64 * 8.0;
                     let time_left = (dl - now).as_secs_f64();
                     (remaining / time_left).min(self.max_rate)
                 }
@@ -143,83 +112,135 @@ impl RateSender {
         p.kind = kind;
         p.sent_at = now;
         p.sched.rate = self.max_rate;
-        p.sched.rtt = self.rtt;
+        p.sched.rtt = self.gbn.srtt();
         p.sched.set_deadline(self.deadline);
         p.sched.set_desired_rate(self.desired_rate(now));
         p.sched.set_granted_rate(f64::INFINITY);
         p
     }
 
-    /// Start the flow: send SYN.
-    pub fn start(&mut self, ctx: &mut Ctx) {
+    fn send_paced(&mut self, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active || !self.gbn.syn_acked() {
+            return;
+        }
+        if self.gbn.next_seq >= self.size {
+            return; // waiting for ACKs; RTO covers loss
+        }
+        if self.rate <= 0.0 {
+            return;
+        }
+        if self.pacer.is_some() {
+            return self.send_bucketed(ctx);
+        }
+        let seq = self.gbn.next_seq;
+        let payload = (self.size - seq).min(MSS_BYTES as u64) as u32;
+        let pkt = self.forward_packet(PacketKind::Data, seq, payload, ctx.now());
+        let wire_bits = pkt.wire_size() as f64 * 8.0;
+        ctx.send(pkt);
+        self.gbn.next_seq += payload as u64;
+        let gap = SimTime::from_secs_f64(wire_bits / self.rate);
+        self.pacing_token += 1;
+        self.pacing_armed = true;
+        ctx.set_timer_after(self.flow, TimerKind::Pacing, gap, self.pacing_token);
+    }
+
+    /// The token-bucket variant of [`RateSender::send_paced`]: drain while tokens
+    /// last, then arm one pacing timer for the instant the deficit clears.
+    fn send_bucketed(&mut self, ctx: &mut Ctx) {
+        let pacer = self.pacer.as_mut().expect("checked by caller");
+        pacer.set_rate_bps(ctx.now(), self.rate);
+        while self.gbn.next_seq < self.size {
+            let seq = self.gbn.next_seq;
+            let payload = (self.size - seq).min(MSS_BYTES as u64) as u32;
+            let pkt = self.forward_packet(PacketKind::Data, seq, payload, ctx.now());
+            let wire = pkt.wire_size() as u64;
+            let pacer = self.pacer.as_mut().expect("checked above");
+            if !pacer.try_send(ctx.now(), wire) {
+                let wait = pacer.next_ready(ctx.now(), wire) - ctx.now();
+                self.pacing_token += 1;
+                self.pacing_armed = true;
+                ctx.set_timer_after(self.flow, TimerKind::Pacing, wait, self.pacing_token);
+                return;
+            }
+            ctx.send(pkt);
+            self.gbn.next_seq += payload as u64;
+        }
+    }
+
+    fn finish(&mut self, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active {
+            return;
+        }
+        self.status = SenderStatus::Finished;
+        let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, ctx.now());
+        ctx.send(term);
+        ctx.flow_completed(self.flow);
+    }
+
+    /// D3 quenching: a deadline flow whose deadline has passed stops wasting bandwidth.
+    fn check_quenching(&mut self, ctx: &mut Ctx) -> bool {
+        let now = ctx.now();
+        if self.mode != (RateMode::D3 { quenching: true })
+            || self.gbn.acked() >= self.size
+            || !self.deadline.is_some_and(|dl| quenched(now, dl))
+        {
+            return false;
+        }
+        self.status = SenderStatus::Terminated;
+        let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, now);
+        ctx.send(term);
+        ctx.flow_terminated(self.flow);
+        true
+    }
+}
+
+impl FlowSender for RateSender {
+    fn status(&self) -> SenderStatus {
+        self.status
+    }
+
+    fn start(&mut self, ctx: &mut Ctx) {
         if self.size == 0 {
             self.finish(ctx);
             return;
         }
         let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
         ctx.send(syn);
-        self.arm_rto(ctx);
+        self.gbn.arm_rto(self.flow, ctx);
     }
 
-    /// Handle a reverse packet (SYN-ACK / ACK).
-    pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
-        if self.status != RateSenderStatus::Active {
+    fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active
+            || !matches!(pkt.kind, PacketKind::SynAck | PacketKind::Ack)
+        {
             return;
         }
-        match pkt.kind {
-            PacketKind::SynAck | PacketKind::Ack => {
-                if pkt.sent_at > SimTime::ZERO && ctx.now() > pkt.sent_at {
-                    let sample = (ctx.now() - pkt.sent_at).as_secs_f64();
-                    self.rtt = 0.875 * self.rtt + 0.125 * sample;
-                }
-                if pkt.kind == PacketKind::SynAck {
-                    self.syn_acked = true;
-                    self.arm_rto(ctx);
-                }
-                if pkt.ack > self.acked {
-                    self.acked = pkt.ack;
-                    self.dup_acks = 0;
-                    // Progress: restart the retransmission timer.
-                    self.arm_rto(ctx);
-                } else if pkt.ack == self.acked && self.acked < self.next_seq {
-                    self.dup_acks += 1;
-                    // One fast retransmit per window (see PdqSender for the rationale).
-                    if self.dup_acks >= 3 && self.acked >= self.recover {
-                        self.recover = self.next_seq;
-                        self.next_seq = self.acked;
-                        self.dup_acks = 0;
-                    }
-                }
-                let grant = pkt.sched.granted_rate();
-                self.granted = if grant.is_finite() {
-                    grant
-                } else {
-                    self.max_rate
-                };
-                self.rate = self
-                    .granted
-                    .min(self.max_rate)
-                    .max(self.floor_rate())
-                    .min(self.max_rate);
+        self.gbn.on_ack(self.flow, pkt, ctx);
+        let grant = pkt.sched.granted_rate();
+        let granted = if grant.is_finite() {
+            grant
+        } else {
+            self.max_rate
+        };
+        self.rate = granted
+            .min(self.max_rate)
+            .max(self.floor_rate())
+            .min(self.max_rate);
 
-                if self.acked >= self.size && self.syn_acked {
-                    self.finish(ctx);
-                    return;
-                }
-                if self.check_quenching(ctx) {
-                    return;
-                }
-                if !self.pacing_armed {
-                    self.send_paced(ctx);
-                }
-            }
-            _ => {}
+        if self.gbn.acked() >= self.size && self.gbn.syn_acked() {
+            self.finish(ctx);
+            return;
+        }
+        if self.check_quenching(ctx) {
+            return;
+        }
+        if !self.pacing_armed {
+            self.send_paced(ctx);
         }
     }
 
-    /// Handle a timer for this flow.
-    pub fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        if self.status != RateSenderStatus::Active {
+    fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active {
             return;
         }
         match kind {
@@ -234,99 +255,22 @@ impl RateSender {
                 self.send_paced(ctx);
             }
             TimerKind::Rto => {
-                if !self.rto.fire(self.flow, kind, token, ctx) {
+                if !self.gbn.fire_rto(self.flow, token, ctx) {
                     return;
                 }
-                if !self.syn_acked {
+                if !self.gbn.syn_acked() {
                     let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
                     ctx.send(syn);
-                } else if self.acked < self.size {
-                    self.next_seq = self.acked;
+                } else if self.gbn.acked() < self.size {
+                    self.gbn.next_seq = self.gbn.acked();
                     if !self.pacing_armed {
                         self.send_paced(ctx);
                     }
                 }
-                self.arm_rto(ctx);
+                self.gbn.arm_rto(self.flow, ctx);
             }
             _ => {}
         }
-    }
-
-    fn send_paced(&mut self, ctx: &mut Ctx) {
-        if self.status != RateSenderStatus::Active || !self.syn_acked {
-            return;
-        }
-        if self.next_seq >= self.size {
-            return; // waiting for ACKs; RTO covers loss
-        }
-        if self.rate <= 0.0 {
-            return;
-        }
-        if self.pacer.is_some() {
-            return self.send_bucketed(ctx);
-        }
-        let payload = (self.size - self.next_seq).min(MSS_BYTES as u64) as u32;
-        let pkt = self.forward_packet(PacketKind::Data, self.next_seq, payload, ctx.now());
-        let wire_bits = pkt.wire_size() as f64 * 8.0;
-        ctx.send(pkt);
-        self.next_seq += payload as u64;
-        let gap = SimTime::from_secs_f64(wire_bits / self.rate);
-        self.pacing_token += 1;
-        self.pacing_armed = true;
-        ctx.set_timer_after(self.flow, TimerKind::Pacing, gap, self.pacing_token);
-    }
-
-    /// The token-bucket variant of [`RateSender::send_paced`]: drain while tokens
-    /// last, then arm one pacing timer for the instant the deficit clears.
-    fn send_bucketed(&mut self, ctx: &mut Ctx) {
-        let pacer = self.pacer.as_mut().expect("checked by caller");
-        pacer.set_rate_bps(ctx.now(), self.rate);
-        while self.next_seq < self.size {
-            let payload = (self.size - self.next_seq).min(MSS_BYTES as u64) as u32;
-            let pkt = self.forward_packet(PacketKind::Data, self.next_seq, payload, ctx.now());
-            let wire = pkt.wire_size() as u64;
-            let pacer = self.pacer.as_mut().expect("checked above");
-            if !pacer.try_send(ctx.now(), wire) {
-                let wait = pacer.next_ready(ctx.now(), wire) - ctx.now();
-                self.pacing_token += 1;
-                self.pacing_armed = true;
-                ctx.set_timer_after(self.flow, TimerKind::Pacing, wait, self.pacing_token);
-                return;
-            }
-            ctx.send(pkt);
-            self.next_seq += payload as u64;
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut Ctx) {
-        let rto = SimTime::from_secs_f64(3.0 * self.rtt).max(self.min_rto);
-        self.rto.arm_after(self.flow, TimerKind::Rto, rto, ctx);
-    }
-
-    fn finish(&mut self, ctx: &mut Ctx) {
-        if self.status != RateSenderStatus::Active {
-            return;
-        }
-        self.status = RateSenderStatus::Finished;
-        let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, ctx.now());
-        ctx.send(term);
-        ctx.flow_completed(self.flow);
-    }
-
-    /// D3 quenching: a deadline flow whose deadline has passed stops wasting bandwidth.
-    fn check_quenching(&mut self, ctx: &mut Ctx) -> bool {
-        let now = ctx.now();
-        if self.mode != (RateMode::D3 { quenching: true })
-            || self.acked >= self.size
-            || !self.deadline.is_some_and(|dl| quenched(now, dl))
-        {
-            return false;
-        }
-        self.status = RateSenderStatus::Terminated;
-        let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, now);
-        ctx.send(term);
-        ctx.flow_terminated(self.flow);
-        true
     }
 }
 
@@ -336,14 +280,11 @@ pub(crate) fn quenched(now: SimTime, deadline: SimTime) -> bool {
 }
 
 /// The host agent for RCP / D3: one [`RateSender`] per originating flow while it is
-/// active, one [`EchoReceiver`] per terminating flow. A finished or quenched sender
-/// ignores every later packet and timer, so the agent drops it at once.
+/// active, one receiver per terminating flow until it has echoed the TERM.
 pub struct RateHostAgent {
     mode: RateMode,
-    min_rto: SimTime,
     pacer: Option<PacerConfig>,
-    senders: FlowMap<RateSender>,
-    receivers: FlowMap<EchoReceiver>,
+    endpoints: Endpoints<RateSender>,
 }
 
 impl RateHostAgent {
@@ -351,10 +292,8 @@ impl RateHostAgent {
     pub fn new(mode: RateMode) -> Self {
         RateHostAgent {
             mode,
-            min_rto: SimTime::from_millis(2),
             pacer: None,
-            senders: FlowMap::default(),
-            receivers: FlowMap::default(),
+            endpoints: Endpoints::default(),
         }
     }
 
@@ -364,62 +303,30 @@ impl RateHostAgent {
         self.pacer = Some(config);
         self
     }
-
-    /// Hand `flow`'s sender (if it is still held) to `event`; drop it once it has
-    /// finished or been quenched.
-    fn drive_sender(
-        &mut self,
-        flow: FlowId,
-        ctx: &mut Ctx,
-        event: impl FnOnce(&mut RateSender, &mut Ctx),
-    ) {
-        if let Some(s) = self.senders.get_mut(&flow) {
-            event(s, ctx);
-            if s.status() != RateSenderStatus::Active {
-                self.senders.remove(&flow);
-            }
-        }
-    }
 }
 
 impl HostAgent for RateHostAgent {
     fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
-        let mut s = RateSender::new(self.mode, flow, self.min_rto);
+        let mut s = RateSender::new(self.mode, flow);
         if let Some(config) = self.pacer {
             s = s.with_pacer(config);
         }
-        s.start(ctx);
-        if s.status() == RateSenderStatus::Active {
-            self.senders.insert(flow.spec.id, s);
-        }
+        self.endpoints.start(flow.spec.id, s, ctx);
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        if packet.reverse() {
-            self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
-        } else {
-            let receiver = match self.receivers.entry(packet.flow) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let Some(info) = ctx.flow(packet.flow) else {
-                        return;
-                    };
-                    e.insert(EchoReceiver::new(packet.flow, info.spec.size_bytes))
-                }
-            };
-            receiver.on_packet(&packet, ctx);
-        }
+        self.endpoints.on_packet(&packet, ctx);
     }
 
     fn on_timer(&mut self, flow: FlowId, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        self.drive_sender(flow, ctx, |s, ctx| s.on_timer(kind, token, ctx));
+        self.endpoints.on_timer(flow, kind, token, ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowSpec, SchedulingHeader};
+    use pdq_netsim::{Action, FlowMap, FlowSpec, SchedulingHeader};
 
     fn info(size: u64, deadline: Option<SimTime>) -> (FlowMap<FlowInfo>, FlowInfo) {
         let mut spec = FlowSpec::new(1, NodeId(0), NodeId(2), size);
@@ -448,7 +355,7 @@ mod tests {
     #[test]
     fn rcp_sender_uses_the_granted_rate() {
         let (map, fi) = info(100_000, None);
-        let mut s = RateSender::new(RateMode::Rcp, &fi, SimTime::from_millis(2));
+        let mut s = RateSender::new(RateMode::Rcp, &fi);
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         s.start(&mut ctx);
@@ -472,7 +379,7 @@ mod tests {
         let now = SimTime::from_micros(200);
         for mode in [RateMode::Rcp, RateMode::D3 { quenching: true }] {
             let (map, fi) = info(500_000, Some(deadline));
-            let mut s = RateSender::new(mode, &fi, SimTime::from_millis(2));
+            let mut s = RateSender::new(mode, &fi);
             let syn = run(now, &map, |ctx| s.start(ctx))
                 .into_iter()
                 .find_map(|a| match a {
@@ -482,7 +389,7 @@ mod tests {
                 .expect("the SYN");
             assert_eq!(syn.kind, PacketKind::Syn);
             let h = syn.sched;
-            assert_eq!((h.rate, h.rtt), (s.max_rate, s.rtt), "{mode:?}");
+            assert_eq!((h.rate, h.rtt), (s.max_rate, s.gbn.srtt()), "{mode:?}");
             assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
             assert_eq!(h.granted_rate(), f64::INFINITY, "{mode:?}");
             let desired = match mode {
@@ -497,11 +404,7 @@ mod tests {
     fn d3_sender_uses_allocation_and_requests_desired_rate() {
         let deadline = Some(SimTime::from_millis(10));
         let (map, fi) = info(500_000, deadline);
-        let mut s = RateSender::new(
-            RateMode::D3 { quenching: true },
-            &fi,
-            SimTime::from_millis(2),
-        );
+        let mut s = RateSender::new(RateMode::D3 { quenching: true }, &fi);
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         s.start(&mut ctx);
@@ -524,11 +427,7 @@ mod tests {
     fn d3_quenches_after_deadline() {
         let deadline = Some(SimTime::from_millis(1));
         let (map, fi) = info(500_000, deadline);
-        let mut s = RateSender::new(
-            RateMode::D3 { quenching: true },
-            &fi,
-            SimTime::from_millis(2),
-        );
+        let mut s = RateSender::new(RateMode::D3 { quenching: true }, &fi);
         let start = SimTime::from_micros(200);
         let mut ctx = Ctx::new(start, &map);
         s.start(&mut ctx);
@@ -537,7 +436,7 @@ mod tests {
         let late = SimTime::from_millis(2);
         let mut ctx = Ctx::new(late, &map);
         s.on_packet(&synack(1e8, late), &mut ctx);
-        assert_eq!(s.status(), RateSenderStatus::Terminated);
+        assert_eq!(s.status(), SenderStatus::Terminated);
         let actions = ctx.take_actions();
         assert!(actions
             .iter()
@@ -548,24 +447,23 @@ mod tests {
     fn rcp_without_quenching_keeps_going_past_deadline() {
         let deadline = Some(SimTime::from_millis(1));
         let (map, fi) = info(500_000, deadline);
-        let mut s = RateSender::new(RateMode::Rcp, &fi, SimTime::from_millis(2));
+        let mut s = RateSender::new(RateMode::Rcp, &fi);
         let late = SimTime::from_millis(2);
         let mut ctx = Ctx::new(late, &map);
         s.start(&mut ctx);
         ctx.take_actions();
         let mut ctx = Ctx::new(late, &map);
         s.on_packet(&synack(1e8, late), &mut ctx);
-        assert_eq!(s.status(), RateSenderStatus::Active);
+        assert_eq!(s.status(), SenderStatus::Active);
     }
 
     #[test]
     fn token_bucket_pacer_bursts_then_arms_one_timer() {
         let (map, fi) = info(100_000, None);
-        let mut s =
-            RateSender::new(RateMode::Rcp, &fi, SimTime::from_millis(2)).with_pacer(PacerConfig {
-                gain: 1.0,
-                burst_bytes: 2 * pdq_netsim::MTU_BYTES as u64,
-            });
+        let mut s = RateSender::new(RateMode::Rcp, &fi).with_pacer(PacerConfig {
+            gain: 1.0,
+            burst_bytes: 2 * pdq_netsim::MTU_BYTES as u64,
+        });
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         s.start(&mut ctx);
@@ -635,13 +533,13 @@ mod tests {
         run(SimTime::ZERO, &map, |ctx| agent.on_flow_arrival(&fi, ctx));
         let t0 = SimTime::from_micros(200);
         run(t0, &map, |ctx| agent.on_packet(synack(5e8, t0), ctx));
-        assert_eq!(agent.senders.len(), 1);
+        assert_eq!(agent.endpoints.senders.len(), 1);
         let t1 = t0 + SimTime::from_micros(300);
         let done = run(t1, &map, |ctx| agent.on_packet(ack(2_000, t1), ctx));
         assert!(done
             .iter()
             .any(|a| matches!(a, Action::FlowCompleted(f) if *f == FlowId(1))));
-        assert!(agent.senders.is_empty());
+        assert_eq!(agent.endpoints.senders.len(), 0);
         assert_ignored_after_retirement(&mut agent, &map);
     }
 
@@ -656,7 +554,7 @@ mod tests {
         assert!(quenched
             .iter()
             .any(|a| matches!(a, Action::FlowTerminated(f) if *f == FlowId(1))));
-        assert!(agent.senders.is_empty());
+        assert_eq!(agent.endpoints.senders.len(), 0);
         assert_ignored_after_retirement(&mut agent, &map);
     }
 
@@ -668,13 +566,54 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::FlowCompleted(_))));
-        assert!(agent.senders.is_empty());
+        assert_eq!(agent.endpoints.senders.len(), 0);
+    }
+
+    /// The destination's side: a receiver is created on the flow's first packet and,
+    /// once it has echoed the TERM, dropped — under RCP and D3 alike.
+    #[test]
+    fn the_term_echo_retires_the_receiver() {
+        use PacketKind::{Ack, Data, Syn, SynAck, Term, TermAck};
+        let (map, _) = info(3_000, None);
+        let forward = |kind, seq, payload| match kind {
+            Data => Packet::data(FlowId(1), NodeId(0), NodeId(2), seq, payload),
+            _ => Packet::control(kind, FlowId(1), NodeId(0), NodeId(2)),
+        };
+        for mode in [RateMode::Rcp, RateMode::D3 { quenching: true }] {
+            let mut agent = RateHostAgent::new(mode);
+            let mut got = Vec::new();
+            for packet in [
+                forward(Syn, 0, 0),
+                forward(Data, 0, 1_500),
+                forward(Data, 1_500, 1_500),
+                forward(Term, 3_000, 0),
+            ] {
+                for a in run(SimTime::ZERO, &map, |ctx| agent.on_packet(packet, ctx)) {
+                    if let Action::Send(echo) = a {
+                        got.push((echo.kind, echo.ack, agent.endpoints.receivers.len()));
+                    }
+                }
+            }
+            let want = [
+                (SynAck, 0, 1),
+                (Ack, 1_500, 1),
+                (Ack, 3_000, 1),
+                (TermAck, 3_000, 0),
+            ];
+            assert_eq!(got, want, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn rate_senders_stay_slim() {
+        let size = std::mem::size_of::<RateSender>();
+        assert!(size <= 200, "RateSender grew to {size} bytes");
     }
 
     #[test]
     fn granted_rate_never_below_floor_or_above_max() {
         let (map, fi) = info(100_000, None);
-        let mut s = RateSender::new(RateMode::Rcp, &fi, SimTime::from_millis(2));
+        let mut s = RateSender::new(RateMode::Rcp, &fi);
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         s.start(&mut ctx);

@@ -6,11 +6,9 @@
 //! the PDQ paper's TCP baseline). Switches need no controller: plain FIFO tail-drop.
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, FlowMap, HostAgent, NodeId, Pacer, PacerConfig, Packet, PacketKind,
-    RestartTimer, SimTime, TimerKind, MSS_BYTES,
+    Ctx, Endpoints, FlowId, FlowInfo, FlowSender, HostAgent, NodeId, Pacer, PacerConfig, Packet,
+    PacketKind, RestartTimer, SenderStatus, SimTime, TimerKind, MSS_BYTES,
 };
-
-use crate::receiver::EchoReceiver;
 
 /// TCP Reno parameters.
 #[derive(Clone, Debug)]
@@ -46,15 +44,6 @@ enum CcState {
     FastRecovery,
 }
 
-/// Sender status.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TcpStatus {
-    /// Still transferring.
-    Active,
-    /// Finished.
-    Finished,
-}
-
 /// A TCP Reno sender for one flow.
 #[derive(Debug)]
 pub struct TcpSender {
@@ -74,7 +63,8 @@ pub struct TcpSender {
     rtt: f64,
     rttvar: f64,
     syn_acked: bool,
-    status: TcpStatus,
+    /// Never [`SenderStatus::Terminated`]: TCP does not give up on a flow.
+    status: SenderStatus,
     /// The retransmission timeout, restarted on every ACK of new data.
     rto_timer: RestartTimer,
     rto_backoff: u32,
@@ -104,16 +94,11 @@ impl TcpSender {
             rtt,
             rttvar: rtt / 2.0,
             syn_acked: false,
-            status: TcpStatus::Active,
+            status: SenderStatus::Active,
             rto_timer: RestartTimer::new(),
             rto_backoff: 0,
             pace_token: 0,
         }
-    }
-
-    /// Current status.
-    pub fn status(&self) -> TcpStatus {
-        self.status
     }
 
     /// Congestion window in bytes (tests / diagnostics).
@@ -142,21 +127,8 @@ impl TcpSender {
         p
     }
 
-    /// Start the flow: send the SYN.
-    pub fn start(&mut self, ctx: &mut Ctx) {
-        if self.size == 0 {
-            self.status = TcpStatus::Finished;
-            ctx.flow_completed(self.flow);
-            return;
-        }
-        let mut syn = Packet::control(PacketKind::Syn, self.flow, self.src, self.dst);
-        syn.sent_at = ctx.now();
-        ctx.send(syn);
-        self.arm_rto(ctx);
-    }
-
     fn send_window(&mut self, ctx: &mut Ctx) {
-        if self.status != TcpStatus::Active || !self.syn_acked {
+        if self.status != SenderStatus::Active || !self.syn_acked {
             return;
         }
         let window = self.cwnd.min(self.params.max_window_bytes as f64) as u64;
@@ -183,9 +155,40 @@ impl TcpSender {
         }
     }
 
-    /// Handle a reverse packet (SYN-ACK / ACK).
-    pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
-        if self.status != TcpStatus::Active {
+    fn take_rtt_sample(&mut self, pkt: &Packet, now: SimTime) {
+        if pkt.sent_at > SimTime::ZERO && now > pkt.sent_at {
+            let sample = (now - pkt.sent_at).as_secs_f64();
+            self.rttvar = 0.75 * self.rttvar + 0.25 * (sample - self.rtt).abs();
+            self.rtt = 0.875 * self.rtt + 0.125 * sample;
+        }
+    }
+
+    fn arm_rto(&mut self, ctx: &mut Ctx) {
+        let rto = self.rto();
+        self.rto_timer
+            .arm_after(self.flow, TimerKind::Rto, rto, ctx);
+    }
+}
+
+impl FlowSender for TcpSender {
+    fn status(&self) -> SenderStatus {
+        self.status
+    }
+
+    fn start(&mut self, ctx: &mut Ctx) {
+        if self.size == 0 {
+            self.status = SenderStatus::Finished;
+            ctx.flow_completed(self.flow);
+            return;
+        }
+        let mut syn = Packet::control(PacketKind::Syn, self.flow, self.src, self.dst);
+        syn.sent_at = ctx.now();
+        ctx.send(syn);
+        self.arm_rto(ctx);
+    }
+
+    fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active {
             return;
         }
         match pkt.kind {
@@ -221,7 +224,7 @@ impl TcpSender {
                     }
                     self.cwnd = self.cwnd.min(self.params.max_window_bytes as f64);
                     if self.acked >= self.size {
-                        self.status = TcpStatus::Finished;
+                        self.status = SenderStatus::Finished;
                         ctx.flow_completed(self.flow);
                         return;
                     }
@@ -247,9 +250,9 @@ impl TcpSender {
         }
     }
 
-    /// Handle a timer (RTO, plus pacing when enabled).
-    pub fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        if self.status != TcpStatus::Active {
+    /// The RTO, plus pacing when enabled.
+    fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active {
             return;
         }
         if kind == TimerKind::Pacing {
@@ -277,29 +280,14 @@ impl TcpSender {
         }
         self.arm_rto(ctx);
     }
-
-    fn take_rtt_sample(&mut self, pkt: &Packet, now: SimTime) {
-        if pkt.sent_at > SimTime::ZERO && now > pkt.sent_at {
-            let sample = (now - pkt.sent_at).as_secs_f64();
-            self.rttvar = 0.75 * self.rttvar + 0.25 * (sample - self.rtt).abs();
-            self.rtt = 0.875 * self.rtt + 0.125 * sample;
-        }
-    }
-
-    fn arm_rto(&mut self, ctx: &mut Ctx) {
-        let rto = self.rto();
-        self.rto_timer
-            .arm_after(self.flow, TimerKind::Rto, rto, ctx);
-    }
 }
 
 /// The per-host TCP agent: one [`TcpSender`] per originating flow while it is
-/// active, one [`EchoReceiver`] per terminating flow. A finished sender ignores every
-/// later packet and timer, so the agent drops it at once.
+/// active, one receiver per terminating flow. TCP sends no TERM, so a receiver stays
+/// for the whole run.
 pub struct TcpHostAgent {
     params: TcpParams,
-    senders: FlowMap<TcpSender>,
-    receivers: FlowMap<EchoReceiver>,
+    endpoints: Endpoints<TcpSender>,
 }
 
 impl TcpHostAgent {
@@ -307,62 +295,30 @@ impl TcpHostAgent {
     pub fn new(params: TcpParams) -> Self {
         TcpHostAgent {
             params,
-            senders: FlowMap::default(),
-            receivers: FlowMap::default(),
-        }
-    }
-
-    /// Hand `flow`'s sender (if it is still held) to `event`; drop it once finished.
-    fn drive_sender(
-        &mut self,
-        flow: FlowId,
-        ctx: &mut Ctx,
-        event: impl FnOnce(&mut TcpSender, &mut Ctx),
-    ) {
-        if let Some(s) = self.senders.get_mut(&flow) {
-            event(s, ctx);
-            if s.status() != TcpStatus::Active {
-                self.senders.remove(&flow);
-            }
+            endpoints: Endpoints::default(),
         }
     }
 }
 
 impl HostAgent for TcpHostAgent {
     fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
-        let mut s = TcpSender::new(self.params.clone(), flow);
-        s.start(ctx);
-        if s.status() == TcpStatus::Active {
-            self.senders.insert(flow.spec.id, s);
-        }
+        let s = TcpSender::new(self.params.clone(), flow);
+        self.endpoints.start(flow.spec.id, s, ctx);
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        if packet.reverse() {
-            self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
-        } else {
-            let receiver = match self.receivers.entry(packet.flow) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let Some(info) = ctx.flow(packet.flow) else {
-                        return;
-                    };
-                    e.insert(EchoReceiver::new(packet.flow, info.spec.size_bytes))
-                }
-            };
-            receiver.on_packet(&packet, ctx);
-        }
+        self.endpoints.on_packet(&packet, ctx);
     }
 
     fn on_timer(&mut self, flow: FlowId, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        self.drive_sender(flow, ctx, |s, ctx| s.on_timer(kind, token, ctx));
+        self.endpoints.on_timer(flow, kind, token, ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowSpec, SchedulingHeader};
+    use pdq_netsim::{Action, FlowMap, FlowSpec, SchedulingHeader};
 
     fn info(size: u64) -> (FlowMap<FlowInfo>, FlowInfo) {
         let fi = FlowInfo {
@@ -499,7 +455,7 @@ mod tests {
         ctx.take_actions();
         let mut ctx = Ctx::new(t0 + SimTime::from_micros(400), &map);
         s.on_packet(&ack(2 * MSS_BYTES as u64, ctx.now()), &mut ctx);
-        assert_eq!(s.status(), TcpStatus::Finished);
+        assert_eq!(s.status(), SenderStatus::Finished);
         assert!(ctx
             .take_actions()
             .iter()
@@ -570,7 +526,7 @@ mod tests {
             agent.on_packet(ack(2 * MSS_BYTES as u64, t1), ctx)
         });
         assert!(done.iter().any(|a| matches!(a, Action::FlowCompleted(_))));
-        assert!(agent.senders.is_empty());
+        assert_eq!(agent.endpoints.senders.len(), 0);
         // A late ACK and any stale timer find no sender — exactly what the finished
         // sender answered: nothing.
         let late = t1 + SimTime::from_millis(10);
@@ -595,7 +551,32 @@ mod tests {
         assert!(actions
             .iter()
             .any(|a| matches!(a, Action::FlowCompleted(_))));
-        assert!(agent.senders.is_empty());
+        assert_eq!(agent.endpoints.senders.len(), 0);
+    }
+
+    /// TCP sends no TERM, so its receivers stay after the flow completes.
+    #[test]
+    fn receivers_stay_after_the_flow_completes() {
+        let (map, _) = info(2 * MSS_BYTES as u64);
+        let mut agent = TcpHostAgent::new(TcpParams::default());
+        let mss = MSS_BYTES;
+        let syn = Packet::control(PacketKind::Syn, FlowId(1), NodeId(0), NodeId(2));
+        let data = |seq| Packet::data(FlowId(1), NodeId(0), NodeId(2), seq, mss);
+        let mut completed = false;
+        for packet in [syn, data(0), data(mss as u64)] {
+            let actions = run(SimTime::ZERO, &map, |ctx| agent.on_packet(packet, ctx));
+            completed |= actions
+                .iter()
+                .any(|a| matches!(a, Action::FlowCompleted(_)));
+            assert_eq!(agent.endpoints.receivers.len(), 1);
+        }
+        assert!(completed);
+    }
+
+    #[test]
+    fn tcp_senders_stay_slim() {
+        let size = std::mem::size_of::<TcpSender>();
+        assert!(size <= 240, "TcpSender grew to {size} bytes");
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //!   (defaults match the paper's setup: 1 Gbps, 4 MB buffers, 11/0.1/25 µs
 //!   transmission/propagation/processing per hop).
 //! * **Transport agents** — per-host protocol endpoints implementing the
-//!   [`HostAgent`] trait (PDQ, TCP, RCP, D3 senders/receivers live in the `pdq` and
-//!   `pdq-baselines` crates).
+//!   [`HostAgent`] trait (PDQ, TCP, RCP, D3 senders live in the `pdq` and
+//!   `pdq-baselines` crates). What they share is in [`transport`]: the one
+//!   [`Receiver`], [`SenderStatus`], a host's [`Endpoints`] and the [`GoBackN`]
+//!   reliability of the rate-paced senders.
 //! * **Switch controllers** — per-egress-link scheduling logic implementing
 //!   [`LinkController`]; this is where PDQ's flow controller / rate controller and the
 //!   RCP / D3 rate allocators plug in.
@@ -85,6 +87,7 @@ pub mod packet;
 pub mod shard;
 pub mod time;
 pub mod timer;
+pub mod transport;
 
 #[cfg(test)]
 mod ledger_diff;
@@ -108,3 +111,4 @@ pub use packet::{
 pub use shard::ShardAssignment;
 pub use time::SimTime;
 pub use timer::RestartTimer;
+pub use transport::{Endpoints, FlowSender, GoBackN, Receiver, SenderStatus};

@@ -9,33 +9,28 @@
 //! re-balancer moves unsent bytes from paused subflows to the sending subflow with the
 //! least remaining work.
 //!
-//! The agent holds state for what is live. A sender that leaves
-//! [`SenderStatus::Active`] ignores every later packet and timer, so the agent drops
-//! it at once — the host-side counterpart of the TERM that lets switches drop the
-//! flow. An M-PDQ subflow's sender is the exception: its parent's completion check and
-//! the re-balancer read it, so it stays until the parent reports, and then the parent's
-//! whole M-PDQ bookkeeping goes with it.
-//!
-//! A receiver goes when it has echoed its flow's TERM. A sender sends the TERM last,
-//! once, and every packet of a flow takes the same FIFO path, so nothing of the flow
-//! reaches the receiver after it — a packet that did would re-create the receiver with
-//! fresh state and echo a cumulative ACK of 0. (A lost TERM leaves its receiver in
-//! place, which is harmless.) M-PDQ subflow receivers stay for the whole run: the
+//! The agent holds state for what is live, in an [`Endpoints`]: a sender until it
+//! leaves [`SenderStatus::Active`] — the host-side counterpart of the TERM that lets
+//! switches drop the flow — and a receiver until it has echoed its flow's TERM. An
+//! M-PDQ subflow is the exception on both sides. Its sender stays in the endpoints
+//! when it finishes, because its parent's completion check and the re-balancer read
+//! it; it stays until the parent reports, and then the parent's whole M-PDQ
+//! bookkeeping goes with it. Its receiver stays for the whole run: the
 //! re-balancer can hand a finished subflow more bytes, and its sender then sends again
 //! after its TERM.
 
 use std::sync::Arc;
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, FlowMap, FlowSpec, HostAgent, Packet, PacketKind, SimTime, TimerKind,
+    Ctx, Endpoints, FlowId, FlowInfo, FlowMap, FlowSender, FlowSpec, HostAgent, Packet,
+    SenderStatus, SimTime, TimerKind,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::comparator::Discipline;
 use crate::params::{PdqParams, DEFAULT_RTT};
-use crate::receiver::PdqReceiver;
-use crate::sender::{PdqSender, SenderStatus};
+use crate::sender::PdqSender;
 
 /// Base offset for generated subflow ids; parents must use ids below this.
 const SUBFLOW_ID_BASE: u64 = 1 << 48;
@@ -63,9 +58,9 @@ pub struct PdqHostAgent {
     params: Arc<PdqParams>,
     discipline: Discipline,
     rng: SmallRng,
-    /// Live senders, plus finished M-PDQ subflows whose parent has not reported yet.
-    senders: FlowMap<PdqSender>,
-    receivers: FlowMap<PdqReceiver>,
+    /// Live senders, plus finished M-PDQ subflows whose parent has not reported yet;
+    /// live receivers.
+    endpoints: Endpoints<PdqSender>,
     /// Parent flow id -> its subflow ids, for flows originating at this host whose
     /// completion is not yet reported.
     children: FlowMap<Vec<FlowId>>,
@@ -81,8 +76,7 @@ impl PdqHostAgent {
             params: Arc::new(params),
             discipline,
             rng: SmallRng::seed_from_u64(seed),
-            senders: FlowMap::default(),
-            receivers: FlowMap::default(),
+            endpoints: Endpoints::default(),
             children: FlowMap::default(),
             parent_of: FlowMap::default(),
         }
@@ -92,55 +86,31 @@ impl PdqHostAgent {
     /// plus the finished subflows of M-PDQ parents that have not reported yet. A
     /// single-path sender is dropped as soon as it finishes or terminates.
     pub fn active_senders(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Number of receiver state machines held (diagnostics / tests): one per flow
-    /// terminating here that has sent something and not yet its TERM, plus every M-PDQ
-    /// subflow that has reached this host.
-    pub fn active_receivers(&self) -> usize {
-        self.receivers.len()
+        self.endpoints.senders.len()
     }
 
     fn start_sender(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
         let random_crit = Discipline::draw_random_criticality(&mut self.rng);
-        let mut sender = PdqSender::new(
+        let sender = PdqSender::new(
             Arc::clone(&self.params),
             self.discipline.clone(),
             flow,
             flow.spec.size_bytes,
             random_crit,
         );
-        sender.start(ctx);
         if let Some(parent) = flow.spec.parent {
             self.parent_of.insert(flow.spec.id, parent);
-        } else if sender.status() != SenderStatus::Active {
-            // Finished inside `start` (nothing to send): there is nothing to keep.
-            return;
         }
-        self.senders.insert(flow.spec.id, sender);
+        if self.endpoints.start(flow.spec.id, sender, ctx) {
+            self.sender_ended(flow.spec.id, ctx);
+        }
     }
 
-    /// Hand `flow`'s sender (if it is still held) to `event`, then drop it if it left
-    /// `Active` — or, for an M-PDQ subflow, check whether its parent is done.
-    fn drive_sender(
-        &mut self,
-        flow: FlowId,
-        ctx: &mut Ctx,
-        event: impl FnOnce(&mut PdqSender, &mut Ctx),
-    ) {
-        let Some(sender) = self.senders.get_mut(&flow) else {
-            return;
-        };
-        event(sender, ctx);
-        if sender.status() == SenderStatus::Active {
-            return;
-        }
-        match self.parent_of.get(&flow).copied() {
-            Some(parent) => self.check_parent_completion(parent, ctx),
-            None => {
-                self.senders.remove(&flow);
-            }
+    /// `flow`'s sender has just left `Active`: if it serves an M-PDQ subflow, its
+    /// parent may be done.
+    fn sender_ended(&mut self, flow: FlowId, ctx: &mut Ctx) {
+        if let Some(&parent) = self.parent_of.get(&flow) {
+            self.check_parent_completion(parent, ctx);
         }
     }
 
@@ -189,7 +159,7 @@ impl PdqHostAgent {
         };
         let mut any_terminated = false;
         for k in kids {
-            match self.senders.get(k).map(|s| s.status()) {
+            match self.endpoints.senders.get(k).map(|s| s.status()) {
                 Some(SenderStatus::Finished) => {}
                 Some(SenderStatus::Terminated) => any_terminated = true,
                 _ => return,
@@ -201,7 +171,7 @@ impl PdqHostAgent {
             ctx.flow_completed(parent);
         }
         for k in self.children.remove(&parent).into_iter().flatten() {
-            self.senders.remove(&k);
+            self.endpoints.senders.remove(&k);
             self.parent_of.remove(&k);
         }
     }
@@ -216,14 +186,16 @@ impl PdqHostAgent {
         let target = kids
             .iter()
             .filter(|k| {
-                self.senders
-                    .get(k)
+                self.endpoints
+                    .senders
+                    .get(*k)
                     .map(|s| s.status() == SenderStatus::Active && !s.is_paused())
                     .unwrap_or(false)
             })
             .min_by_key(|k| {
-                self.senders
-                    .get(k)
+                self.endpoints
+                    .senders
+                    .get(*k)
                     .map(|s| s.remaining_bytes())
                     .unwrap_or(u64::MAX)
             })
@@ -234,14 +206,14 @@ impl PdqHostAgent {
                 if *k == target {
                     continue;
                 }
-                if let Some(s) = self.senders.get_mut(k) {
+                if let Some(s) = self.endpoints.senders.get_mut(k) {
                     if s.status() == SenderStatus::Active && s.is_paused() {
                         pool += s.shed_unsent_bytes();
                     }
                 }
             }
             if pool > 0 {
-                if let Some(s) = self.senders.get_mut(&target) {
+                if let Some(s) = self.endpoints.senders.get_mut(&target) {
                     s.add_bytes(pool);
                 }
             }
@@ -266,31 +238,8 @@ impl HostAgent for PdqHostAgent {
     }
 
     fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
-        if packet.reverse() {
-            // We are the flow's source: feed the sender.
-            self.drive_sender(packet.flow, ctx, |s, ctx| s.on_packet(&packet, ctx));
-        } else {
-            // We are the flow's destination: feed (or create) the receiver.
-            let receiver = match self.receivers.entry(packet.flow) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let Some(info) = ctx.flow(packet.flow) else {
-                        return;
-                    };
-                    e.insert(PdqReceiver::new(
-                        packet.flow,
-                        info.spec.size_bytes,
-                        info.bottleneck_rate_bps,
-                        info.spec.parent.is_some(),
-                    ))
-                }
-            };
-            receiver.on_packet(&packet, ctx);
-            if packet.kind == PacketKind::Term && !receiver.is_subflow() {
-                // Its sender sent the TERM last and the path is FIFO: nothing of this
-                // flow arrives after it.
-                self.receivers.remove(&packet.flow);
-            }
+        if self.endpoints.on_packet(&packet, ctx) {
+            self.sender_ended(packet.flow, ctx);
         }
     }
 
@@ -299,7 +248,9 @@ impl HostAgent for PdqHostAgent {
             self.rebalance(flow, ctx);
             return;
         }
-        self.drive_sender(flow, ctx, |s, ctx| s.on_timer(kind, token, ctx));
+        if self.endpoints.on_timer(flow, kind, token, ctx) {
+            self.sender_ended(flow, ctx);
+        }
     }
 }
 
@@ -543,6 +494,11 @@ mod tests {
         );
         // The finished subflow stays: the parent's completion check reads it.
         assert_eq!(agent.active_senders(), 2);
+        // A late ACK reaches the finished subflow's sender, which ignores it and stays.
+        let t = SimTime::from_micros(600);
+        let late = feedback(PacketKind::Ack, subs[0].spec.id, 1, GBPS, t);
+        assert!(run(t, &flows, |ctx| agent.on_packet(late, ctx)).is_empty());
+        assert_eq!(agent.active_senders(), 2);
         let last = finish(&mut agent, &subs[1], 400);
         assert!(parent_done(&last), "{last:?}");
         assert_eq!(agent.active_senders(), 0);
@@ -580,7 +536,7 @@ mod tests {
             for a in &actions {
                 if let Action::Send(echo) = a {
                     assert!(echo.reverse(), "{echo:?}");
-                    out.push((echo.kind, echo.ack, agent.active_receivers()));
+                    out.push((echo.kind, echo.ack, agent.endpoints.receivers.len()));
                 }
             }
         }
@@ -612,7 +568,7 @@ mod tests {
             (TermAck, 3_000, 0),
         ];
         assert_eq!(got, want);
-        assert_eq!(agent.active_receivers(), 0);
+        assert_eq!(agent.endpoints.receivers.len(), 0);
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! The crate implements every mechanism described in §3 and §6 of the paper:
 //!
-//! * [`sender::PdqSender`] — rate-paced sending, probing while paused, retransmission,
-//!   Early Termination of hopeless deadline flows;
-//! * [`receiver::PdqReceiver`] — scheduling-header echo and receiver rate capping;
+//! * [`sender::PdqSender`] — rate-paced sending, probing while paused, Early
+//!   Termination of hopeless deadline flows, and retransmission through the shared
+//!   [`pdq_netsim::GoBackN`];
+//! * the receiver is the one every protocol shares, [`pdq_netsim::Receiver`]: it
+//!   echoes the scheduling header and caps the echoed rate at what it can absorb;
 //! * [`switch::PdqSwitchController`] — the per-egress-link flow controller
 //!   (Algorithms 1–3: flow list of the most critical `2κ` flows, pause/accept
 //!   consensus, Early Start, Dampening, Suppressed Probing) and the aggregate rate
@@ -22,9 +24,9 @@
 //! * [`comparator`] — the EDF-then-SJF criticality order plus the alternative sender
 //!   disciplines evaluated in the paper (random criticality, flow-size estimation,
 //!   aging to prevent starvation), which [`flow_model`] runs at the §5.5 flow level;
-//! * [`host::PdqHostAgent`] — the per-host agent wiring senders and receivers
-//!   together, including **Multipath PDQ** (flow striping over ECMP subflows with
-//!   periodic re-balancing).
+//! * [`host::PdqHostAgent`] — the per-host agent holding its senders and receivers
+//!   in a [`pdq_netsim::Endpoints`], including **Multipath PDQ** (flow striping over
+//!   ECMP subflows with periodic re-balancing).
 //!
 //! ## Quick start
 //!
@@ -57,7 +59,6 @@ pub mod flow_model;
 pub mod host;
 pub mod install;
 pub mod params;
-pub mod receiver;
 pub mod sender;
 pub mod switch;
 
@@ -66,8 +67,7 @@ pub use flow_model::PdqFlowModel;
 pub use host::{subflow_id, PdqHostAgent};
 pub use install::{register_pdq, PdqInstaller};
 pub use params::{PdqParams, PdqVariant};
-pub use receiver::PdqReceiver;
-pub use sender::{PdqSender, SenderStatus};
+pub use sender::PdqSender;
 pub use switch::PdqSwitchController;
 
 use pdq_netsim::Simulator;

@@ -55,8 +55,6 @@ pub struct PdqParams {
     /// Never trim the flow list below this many entries (keeps enough state to unpause
     /// promptly even when κ is tiny).
     pub min_list_size: usize,
-    /// Sender retransmission timeout floor.
-    pub min_rto: SimTime,
     /// A switch pauses a flow outright instead of granting it less than this fraction
     /// of the link rate. Transient slivers of leftover bandwidth (caused by the rate
     /// controller wobbling around the committed allocations) otherwise leak to paused
@@ -93,7 +91,6 @@ impl Default for PdqParams {
             damping: SimTime::from_micros(150),
             max_switch_flows: 10_000,
             min_list_size: 8,
-            min_rto: SimTime::from_millis(2),
             min_accept_fraction: 0.01,
             subflows: 1,
             coflow_aware: false,

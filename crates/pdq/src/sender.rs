@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, LinkId, Pacer, Packet, PacketKind, RestartTimer, SimTime, TimerKind,
-    BASE_HEADER_BYTES, MSS_BYTES, SCHED_HEADER_BYTES,
+    Ctx, FlowId, FlowInfo, FlowSender, GoBackN, LinkId, Pacer, Packet, PacketKind, SenderStatus,
+    SimTime, TimerKind, BASE_HEADER_BYTES, MSS_BYTES, SCHED_HEADER_BYTES,
 };
 
 use crate::comparator::Discipline;
@@ -21,17 +21,6 @@ use crate::params::{PdqParams, DEFAULT_RTT};
 /// flow could be parked tens of milliseconds in the future and the flow would be
 /// unable to react to newly freed capacity.
 const MAX_PACE_GAP: SimTime = SimTime::from_millis(20);
-
-/// Why the sender stopped serving the flow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SenderStatus {
-    /// Still transferring.
-    Active,
-    /// All assigned bytes acknowledged.
-    Finished,
-    /// Gave up via Early Termination.
-    Terminated,
-}
 
 /// Per-flow PDQ sender state machine.
 ///
@@ -60,22 +49,14 @@ pub struct PdqSender {
     paused_by: Option<LinkId>,
     /// `I_S`: inter-probe interval in RTTs (>= 1).
     inter_probe_rtts: f64,
-    /// `RTT_S`: smoothed RTT estimate, seconds.
-    rtt: f64,
 
     // --- transfer progress ---
-    /// Next new byte to send.
-    next_seq: u64,
-    /// Highest cumulative acknowledgment received.
-    acked: u64,
+    /// The send and ACK points, `RTT_S` (the smoothed RTT) and the retransmission
+    /// timeout, restarted on every ACK of new data.
+    gbn: GoBackN,
     /// Total payload bytes handed to the network (including retransmissions); feeds the
     /// flow-size-estimation discipline.
     sent_bytes: u64,
-    /// Duplicate-ACK counter for fast retransmit.
-    dup_acks: u32,
-    /// Fast-retransmit recovery point: no further fast retransmit until `acked` passes
-    /// this sequence (prevents duplicate-ACK storms from re-triggering rewinds).
-    recover: u64,
     /// Fixed random criticality (only used by [`Discipline::RandomCriticality`]).
     random_crit: f64,
     /// Coflow criticality floor (seconds): the group bottleneck's transmission time,
@@ -85,8 +66,6 @@ pub struct PdqSender {
     /// nearly done to the switches (Early Start keeps working). 0 for untagged flows
     /// or when [`PdqParams::coflow_aware`] is off.
     group_trans_floor: f64,
-    /// True once the SYN-ACK has been received.
-    syn_acked: bool,
 
     status: SenderStatus,
 
@@ -97,10 +76,9 @@ pub struct PdqSender {
     pacing_at: SimTime,
     probe_token: u64,
     probe_armed: bool,
-    /// The retransmission timeout, restarted on every ACK of new data.
-    rto: RestartTimer,
-    /// When the last data packet was handed to the network (pacing reference point).
-    last_data_send: Option<SimTime>,
+    /// When the last data packet was handed to the network (pacing reference point);
+    /// `SimTime::MAX` when there is none to pace from.
+    last_data_send: SimTime,
     /// RFC 9002-style token bucket replacing the gap schedule when
     /// [`PdqParams::pacer`] is set.
     pacer: Option<Pacer>,
@@ -142,29 +120,18 @@ impl PdqSender {
             rate: 0.0,
             paused_by: None,
             inter_probe_rtts: 1.0,
-            rtt,
-            next_seq: 0,
-            acked: 0,
+            gbn: GoBackN::new(rtt),
             sent_bytes: 0,
-            dup_acks: 0,
-            recover: 0,
             random_crit,
             group_trans_floor,
-            syn_acked: false,
             status: SenderStatus::Active,
             pacing_token: 0,
             pacing_armed: false,
             pacing_at: SimTime::ZERO,
             probe_token: 0,
             probe_armed: false,
-            rto: RestartTimer::new(),
-            last_data_send: None,
+            last_data_send: SimTime::MAX,
         }
-    }
-
-    /// Current status.
-    pub fn status(&self) -> SenderStatus {
-        self.status
     }
 
     /// Granted rate in bits/s (0 while paused).
@@ -179,7 +146,7 @@ impl PdqSender {
 
     /// Bytes not yet acknowledged.
     pub fn remaining_bytes(&self) -> u64 {
-        self.assigned_bytes.saturating_sub(self.acked)
+        self.assigned_bytes.saturating_sub(self.gbn.acked())
     }
 
     /// Bytes this sender is responsible for.
@@ -187,16 +154,11 @@ impl PdqSender {
         self.assigned_bytes
     }
 
-    /// Bytes already handed to the network (new data only, not retransmissions).
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Shrink the assignment to what has already been handed to the network and return
     /// how many bytes were given up (M-PDQ re-balancing takes load away from paused
     /// subflows).
     pub fn shed_unsent_bytes(&mut self) -> u64 {
-        let floor = self.next_seq.max(self.acked);
+        let floor = self.gbn.next_seq.max(self.gbn.acked());
         let shed = self.assigned_bytes.saturating_sub(floor);
         self.assigned_bytes = floor;
         shed
@@ -211,18 +173,22 @@ impl PdqSender {
             self.status = SenderStatus::Active;
         }
     }
+}
 
-    // ------------------------------------------------------------------ protocol
+impl FlowSender for PdqSender {
+    fn status(&self) -> SenderStatus {
+        self.status
+    }
 
     /// Start the flow: send the SYN and arm the retransmission timer.
-    pub fn start(&mut self, ctx: &mut Ctx) {
+    fn start(&mut self, ctx: &mut Ctx) {
         if self.assigned_bytes == 0 {
             self.finish(ctx);
             return;
         }
         let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
         ctx.send(syn);
-        self.arm_rto(ctx);
+        self.gbn.arm_rto(self.flow, ctx);
         if let Some(dl) = self.deadline {
             // Wake up at the deadline so Early Termination fires even if no feedback
             // ever arrives.
@@ -230,40 +196,25 @@ impl PdqSender {
         }
     }
 
-    /// Handle a reverse-direction packet (SYN-ACK, ACK or TERM-ACK).
-    pub fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active {
+    fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
+        if self.status != SenderStatus::Active
+            || !matches!(pkt.kind, PacketKind::SynAck | PacketKind::Ack)
+        {
             return;
         }
-        match pkt.kind {
-            PacketKind::SynAck | PacketKind::Ack => {
-                self.take_rtt_sample(pkt, ctx.now());
-                if pkt.kind == PacketKind::SynAck {
-                    self.syn_acked = true;
-                    // The handshake completed: push the retransmission timer out.
-                    self.arm_rto(ctx);
-                }
-                if self.process_ack_number(pkt.ack) {
-                    // Progress was made: the retransmission timer restarts from now.
-                    self.arm_rto(ctx);
-                }
-                self.apply_feedback(pkt);
-                if self.acked >= self.assigned_bytes && self.syn_acked {
-                    self.finish(ctx);
-                    return;
-                }
-                if self.check_early_termination(ctx) {
-                    return;
-                }
-                self.reschedule(ctx);
-            }
-            PacketKind::TermAck => {}
-            _ => {}
+        self.gbn.on_ack(self.flow, pkt, ctx);
+        self.apply_feedback(pkt);
+        if self.gbn.acked() >= self.assigned_bytes && self.gbn.syn_acked() {
+            self.finish(ctx);
+            return;
         }
+        if self.check_early_termination(ctx) {
+            return;
+        }
+        self.reschedule(ctx);
     }
 
-    /// Handle a timer owned by this flow.
-    pub fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
+    fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
         if self.status != SenderStatus::Active {
             return;
         }
@@ -296,23 +247,23 @@ impl PdqSender {
                 self.reschedule(ctx);
             }
             TimerKind::Rto => {
-                if !self.rto.fire(self.flow, kind, token, ctx) {
+                if !self.gbn.fire_rto(self.flow, token, ctx) {
                     return;
                 }
                 if self.check_early_termination(ctx) {
                     return;
                 }
-                if !self.syn_acked {
+                if !self.gbn.syn_acked() {
                     let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
                     ctx.send(syn);
-                } else if self.acked < self.assigned_bytes {
+                } else if self.gbn.acked() < self.assigned_bytes {
                     // Go-back-N: rewind to the last acknowledged byte and allow an
                     // immediate retransmission regardless of the old pacing schedule.
-                    self.next_seq = self.acked;
-                    self.last_data_send = None;
+                    self.gbn.next_seq = self.gbn.acked();
+                    self.last_data_send = SimTime::MAX;
                     self.reschedule(ctx);
                 }
-                self.arm_rto(ctx);
+                self.gbn.arm_rto(self.flow, ctx);
             }
             TimerKind::Custom(0) => {
                 // Deadline wake-up.
@@ -321,30 +272,9 @@ impl PdqSender {
             _ => {}
         }
     }
+}
 
-    // ------------------------------------------------------------------ internals
-
-    /// Process the cumulative ACK number. Returns true if it acknowledged new data.
-    fn process_ack_number(&mut self, ack: u64) -> bool {
-        if ack > self.acked {
-            self.acked = ack;
-            self.dup_acks = 0;
-            return true;
-        }
-        if ack == self.acked && self.acked < self.next_seq {
-            self.dup_acks += 1;
-            // Fast retransmit: rewind to the missing byte, but only once per window
-            // (until the cumulative ACK passes the recovery point) — otherwise the
-            // ACKs of our own retransmissions would re-trigger rewinds forever.
-            if self.dup_acks >= 3 && self.acked >= self.recover {
-                self.recover = self.next_seq;
-                self.next_seq = self.acked;
-                self.dup_acks = 0;
-            }
-        }
-        false
-    }
-
+impl PdqSender {
     fn apply_feedback(&mut self, pkt: &Packet) {
         let h = &pkt.sched;
         self.paused_by = h.pause_by();
@@ -357,13 +287,6 @@ impl PdqSender {
             self.inter_probe_rtts = h.inter_probe_rtts().max(1.0);
         } else {
             self.inter_probe_rtts = 1.0;
-        }
-    }
-
-    fn take_rtt_sample(&mut self, pkt: &Packet, now: SimTime) {
-        if pkt.sent_at > SimTime::ZERO && now > pkt.sent_at {
-            let sample = (now - pkt.sent_at).as_secs_f64();
-            self.rtt = 0.875 * self.rtt + 0.125 * sample;
         }
     }
 
@@ -398,7 +321,7 @@ impl PdqSender {
         p.kind = kind;
         p.sent_at = now;
         p.sched.rate = self.max_rate;
-        p.sched.rtt = self.rtt;
+        p.sched.rtt = self.gbn.srtt();
         p.sched.set_pause_by(self.paused_by);
         p.sched.set_deadline(self.deadline);
         p.sched
@@ -420,7 +343,7 @@ impl PdqSender {
             return;
         }
         if self.rate > 0.0 {
-            if self.next_seq < self.assigned_bytes {
+            if self.gbn.next_seq < self.assigned_bytes {
                 if self.pacer.is_some() {
                     self.drain_bucket(ctx);
                 } else {
@@ -428,7 +351,7 @@ impl PdqSender {
                     let due = self.next_send_due(now);
                     if due <= now {
                         self.transmit_data(ctx);
-                        if self.next_seq < self.assigned_bytes {
+                        if self.gbn.next_seq < self.assigned_bytes {
                             let next = self.next_send_due(ctx.now());
                             self.arm_pacing(next, ctx);
                         }
@@ -456,8 +379,8 @@ impl PdqSender {
             .as_mut()
             .expect("checked by caller")
             .set_rate_bps(now, rate);
-        while self.next_seq < self.assigned_bytes {
-            let payload = (self.assigned_bytes - self.next_seq).min(MSS_BYTES as u64) as u32;
+        while self.gbn.next_seq < self.assigned_bytes {
+            let payload = (self.assigned_bytes - self.gbn.next_seq).min(MSS_BYTES as u64) as u32;
             let wire = (payload + BASE_HEADER_BYTES + SCHED_HEADER_BYTES) as u64;
             let pacer = self.pacer.as_mut().expect("checked above");
             if !pacer.try_send(now, wire) {
@@ -483,9 +406,10 @@ impl PdqSender {
 
     /// When the pacing schedule next allows a data transmission.
     fn next_send_due(&self, now: SimTime) -> SimTime {
-        let Some(last) = self.last_data_send else {
+        let last = self.last_data_send;
+        if last == SimTime::MAX {
             return now;
-        };
+        }
         let wire_bits = pdq_netsim::MTU_BYTES as f64 * 8.0;
         let gap_secs = (wire_bits / self.rate).min(MAX_PACE_GAP.as_secs_f64());
         last + SimTime::from_secs_f64(gap_secs)
@@ -495,16 +419,17 @@ impl PdqSender {
     fn transmit_data(&mut self, ctx: &mut Ctx) {
         if self.status != SenderStatus::Active
             || self.rate <= 0.0
-            || self.next_seq >= self.assigned_bytes
+            || self.gbn.next_seq >= self.assigned_bytes
         {
             return;
         }
-        let payload = (self.assigned_bytes - self.next_seq).min(MSS_BYTES as u64) as u32;
-        let pkt = self.forward_packet(PacketKind::Data, self.next_seq, payload, ctx.now());
+        let seq = self.gbn.next_seq;
+        let payload = (self.assigned_bytes - seq).min(MSS_BYTES as u64) as u32;
+        let pkt = self.forward_packet(PacketKind::Data, seq, payload, ctx.now());
         ctx.send(pkt);
-        self.next_seq += payload as u64;
+        self.gbn.next_seq += payload as u64;
         self.sent_bytes += payload as u64;
-        self.last_data_send = Some(ctx.now());
+        self.last_data_send = ctx.now();
     }
 
     fn arm_pacing(&mut self, at: SimTime, ctx: &mut Ctx) {
@@ -519,7 +444,7 @@ impl PdqSender {
         // Probe every I_S RTTs, but never let a transiently inflated RTT estimate delay
         // the next probe by more than a couple of milliseconds: a paused flow's probes
         // are its only way to learn that capacity has freed up.
-        SimTime::from_secs_f64(self.inter_probe_rtts.max(1.0) * self.rtt)
+        SimTime::from_secs_f64(self.inter_probe_rtts.max(1.0) * self.gbn.srtt())
             .min(SimTime::from_millis(2))
             .max(SimTime::from_micros(50))
     }
@@ -531,17 +456,12 @@ impl PdqSender {
         ctx.set_timer_after(self.flow, TimerKind::Probe, gap, self.probe_token);
     }
 
-    fn arm_rto(&mut self, ctx: &mut Ctx) {
-        let rto = SimTime::from_secs_f64(3.0 * self.rtt).max(self.params.min_rto);
-        self.rto.arm_after(self.flow, TimerKind::Rto, rto, ctx);
-    }
-
     fn finish(&mut self, ctx: &mut Ctx) {
         if self.status != SenderStatus::Active {
             return;
         }
         self.status = SenderStatus::Finished;
-        let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, ctx.now());
+        let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, ctx.now());
         ctx.send(term);
         ctx.flow_completed(self.flow);
     }
@@ -556,11 +476,11 @@ impl PdqSender {
         };
         let now = ctx.now();
         let t_s = SimTime::from_secs_f64(self.remaining_bytes() as f64 * 8.0 / self.max_rate);
-        let rtt = SimTime::from_secs_f64(self.rtt);
+        let rtt = SimTime::from_secs_f64(self.gbn.srtt());
         let paused_and_close = self.rate <= 0.0 && now + rtt > deadline;
         if early_terminate(now, deadline, t_s) || paused_and_close {
             self.status = SenderStatus::Terminated;
-            let term = self.forward_packet(PacketKind::Term, self.next_seq, 0, now);
+            let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, now);
             ctx.send(term);
             ctx.flow_terminated(self.flow);
             return true;
@@ -699,7 +619,7 @@ mod tests {
             .expect("the SYN");
         assert_eq!(syn.kind, PacketKind::Syn);
         let h = syn.sched;
-        assert_eq!((h.rate, h.rtt), (s.max_rate, s.rtt));
+        assert_eq!((h.rate, h.rtt), (s.max_rate, s.gbn.srtt()));
         assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
         assert_eq!(
             h.expected_trans_time(),
@@ -890,12 +810,12 @@ mod tests {
             let token = s.pacing_token;
             s.on_timer(TimerKind::Pacing, token, &mut c);
         }
-        let sent_before = s.next_seq();
+        let sent_before = s.gbn.next_seq;
         assert!(sent_before > 4 * 1444);
         // RTO fires with nothing acknowledged: the sender rewinds to the last cumulative
         // ACK and immediately retransmits the first unacknowledged packet.
         let mut c = Ctx::new(t + SimTime::from_millis(10), &map);
-        let token = s.rto.token();
+        let token = s.gbn.rto_token();
         s.on_timer(TimerKind::Rto, token, &mut c);
         let actions = c.take_actions();
         let retransmitted = actions.iter().find_map(|a| match a {
@@ -908,7 +828,7 @@ mod tests {
             "go-back-N retransmits from the last ACK"
         );
         assert!(
-            s.next_seq() < sent_before,
+            s.gbn.next_seq < sent_before,
             "the send position rewinds (then advances past the retransmission)"
         );
     }
@@ -920,10 +840,10 @@ mod tests {
         let mut ctx = Ctx::new(now, &map);
         s.on_packet(&synack_with_rate(GBPS, now), &mut ctx);
         ctx.take_actions();
-        let seq_before = s.next_seq();
+        let seq_before = s.gbn.next_seq;
         let mut c = Ctx::new(now + SimTime::from_micros(12), &map);
         s.on_timer(TimerKind::Pacing, 999_999, &mut c); // bogus token
-        assert_eq!(s.next_seq(), seq_before);
+        assert_eq!(s.gbn.next_seq, seq_before);
         assert!(c.take_actions().is_empty());
     }
 
@@ -944,7 +864,7 @@ mod tests {
         // An overloaded host keeps thousands of senders live and touches one per
         // packet; the parameters are shared, never copied into each sender, and the
         // restartable RTO stores neither its flow nor its kind.
-        let timer = std::mem::size_of::<RestartTimer>();
+        let timer = std::mem::size_of::<pdq_netsim::RestartTimer>();
         assert!(timer <= 40, "RestartTimer grew to {timer} bytes");
         let size = std::mem::size_of::<PdqSender>();
         assert!(size <= 296, "PdqSender grew to {size} bytes");
