@@ -6,8 +6,8 @@
 //! the PDQ paper's TCP baseline). Switches need no controller: plain FIFO tail-drop.
 
 use pdq_netsim::{
-    Ctx, Endpoints, FlowId, FlowInfo, FlowSender, HostAgent, NodeId, Pacer, PacerConfig, Packet,
-    PacketKind, RestartTimer, SenderStatus, SimTime, TimerKind, MSS_BYTES,
+    Ctx, Endpoints, FlowId, FlowInfo, FlowSender, GoBackN, HostAgent, NodeId, Pacer, PacerConfig,
+    Packet, PacketKind, RestartTimer, SenderStatus, SimTime, TimerKind, MSS_BYTES,
 };
 
 /// TCP Reno parameters.
@@ -15,9 +15,6 @@ use pdq_netsim::{
 pub struct TcpParams {
     /// Initial congestion window, in segments.
     pub initial_window_segments: u32,
-    /// Minimum retransmission timeout. Data-center TCP deployments shrink this to a few
-    /// milliseconds (or less) to recover quickly from incast losses.
-    pub min_rto: SimTime,
     /// Receive/congestion window cap, in bytes.
     pub max_window_bytes: u64,
     /// RFC 9002 §7.7 sender pacing: spread the window at `gain · cwnd / srtt`
@@ -30,7 +27,6 @@ impl Default for TcpParams {
     fn default() -> Self {
         TcpParams {
             initial_window_segments: 2,
-            min_rto: SimTime::from_millis(2),
             max_window_bytes: 1 << 20,
             pacer: None,
         }
@@ -114,10 +110,13 @@ impl TcpSender {
         self.next_seq.saturating_sub(self.acked)
     }
 
+    /// `srtt + 4·rttvar`, backed off, never under the one floor every protocol's
+    /// retransmission timeout shares: data-center TCP shrinks it to a few milliseconds
+    /// to recover quickly from incast losses.
     fn rto(&self) -> SimTime {
         let base = self.rtt + 4.0 * self.rttvar;
         let backoff = 1u64 << self.rto_backoff.min(6);
-        SimTime::from_secs_f64(base * backoff as f64).max(self.params.min_rto)
+        SimTime::from_secs_f64(base * backoff as f64).max(GoBackN::MIN_RTO)
     }
 
     fn data_packet(&self, seq: u64, now: SimTime) -> Packet {
@@ -583,6 +582,6 @@ mod tests {
     fn min_rto_is_respected() {
         let (_, fi) = info(1_000_000);
         let s = TcpSender::new(TcpParams::default(), &fi);
-        assert!(s.rto() >= SimTime::from_millis(2));
+        assert!(s.rto() >= GoBackN::MIN_RTO);
     }
 }

@@ -20,7 +20,7 @@
 //! case: one core, one window, the caller's thread.
 //! Either way a run is fully deterministic for a fixed seed.
 //!
-//! # Hot-path layout (id slabs, route arena, pooled packets, ledger links)
+//! # Hot-path layout (id slabs, route arena, in-flight slab, ledger links)
 //!
 //! All engine state is held in dense, id-indexed slabs rather than hash maps:
 //!
@@ -45,25 +45,27 @@
 //!   sequential by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids,
 //!   workload-chosen ids), which is exactly what the index absorbs.
 //!
-//! The *per-hop* path reads hop state only: the popped event, the pooled packet, one
-//! run of the route arena, the link controller and the link. When a packet enters the
-//! network (or is taken over from another shard) the engine stamps the flow's slot,
-//! its arena offset and its link count into it and writes it into a recycled pool
-//! slot, where it stays until it is delivered, dropped or moved (by value) into the
-//! outbox for another shard. A slot is an `Option<Packet>` of 120 bytes (the kind's
-//! niche holds the `None`): 56 of scheduling header, 32 of flow id, byte offsets and
-//! send time, 28 of endpoints, payload and the engine's `u32` stamp and hop index,
-//! 1 of kind and 3 of padding. The wire size and the direction are derived from the
-//! payload and the kind, not stored.
+//! The *per-hop* path reads hop state only: the popped event, the packet, one run of
+//! the route arena, the link controller and the link. When a packet enters the network
+//! (or is taken over from another shard) the engine stamps the flow's slot, its arena
+//! offset and its link count into it and writes it into a recycled slot of the core's
+//! **in-flight slab**, where it stays until it is delivered, dropped or moved (by
+//! value) into the outbox for another shard. A slot is 144 bytes: an `Option<Packet>`
+//! of 120 (the kind's niche holds the `None`: 56 of scheduling header, 32 of flow id,
+//! byte offsets and send time, 28 of endpoints, payload and the engine's `u32` stamp
+//! and hop index, 1 of kind and 3 of padding; the wire size and the direction are
+//! derived from the payload and the kind, not stored), then the link the packet is
+//! crossing, the next slot on that link's arrival FIFO, its departure time and its
+//! arrival's sequence number. The slab grows 256 slots at a time and never moves one.
 //! Each hop then knows it has arrived when `hop == nlinks` — which is why a routed path
 //! must be simple; one that revisits a node is refused like no path at all — or finds
 //! its next link at `routes[route + hop]` (`routes[route + nlinks + hop]` for an ACK),
-//! lets the link controller rewrite the pooled packet in place, and re-schedules the
-//! same `u32` slot: no hash, no allocation, no packet copy, no per-flow state.
+//! lets the link controller rewrite the packet in place, and sends the same `u32` slot
+//! on: no hash, no allocation, no packet copy, no per-flow state.
 //!
 //! A hop is **one event**. A link is a departure ledger (see the `network` module):
 //! accepting a packet fixes when its last bit leaves, so its arrival at the next node
-//! is scheduled at once, stamped as created at the departure — the same
+//! is known at once, stamped as created at the departure — the same
 //! `(at, created, class, flow, subkey)` key it would have got from a transmit-done
 //! event popping at that instant, hence the same place in the event order. Before the
 //! engine reads a link (tail-drop check, controller callback, trace sample, final
@@ -72,6 +74,21 @@
 //! [`Network`]: a queued packet holds one 24-byte entry, retired entries are reused
 //! by the next packet accepted on any link, and the slab is as long as the most
 //! departures queued at once on the core ([`EngineStats::ledger_high_water`]).
+//!
+//! A link is also a **delay line**: a fixed latency after a FIFO, so its packets
+//! arrive in the order it accepted them. Each link keeps an arrival FIFO of its
+//! packets in flight, chained through their in-flight slots, and only the FIFO's head
+//! has its `PacketAtNode` in the event queue. The arrival takes its sequence number
+//! when the link accepts the packet ([`EventQueue::reserve_seq`]), and dispatching the
+//! head queues the next packet's arrival under its reserved number, so every arrival
+//! pops with exactly the key `(at, created, class, flow, subkey, seq)` it had when
+//! every packet in flight was an event of its own. A packet joins the FIFO only if it
+//! left strictly after the FIFO's tail; one that left at the same instant (a 56-byte
+//! packet serialized in 0 ns on a link of terabits) would arrive at the same instant,
+//! where the event order is decided by content, not by the link's order, so its
+//! arrival is queued on its own. A packet taken over from another shard joins the
+//! receiving core's FIFO of the cut link it crossed. On the high-BDP WAN a packet in
+//! flight thus costs its 144-byte slot and no 64-byte event.
 //!
 //! # Agent actions take effect where the agent is
 //!
@@ -165,7 +182,7 @@ pub(crate) fn link_loss_rng(seed: u64, link: LinkId) -> SmallRng {
 
 /// Content tie-break subkey for a packet's `PacketAtNode` event, derived from the
 /// packet's simulation-visible identity (kind, byte offsets, direction) — never from
-/// the engine-local pool slot. The owning flow id is carried separately in the event
+/// the engine-local in-flight slot. The owning flow id is carried separately in the event
 /// as the primary key. Every engine computes the same key for the same packet
 /// regardless of which shard forwarded it, which is what keeps the event order
 /// identical at every shard count.
@@ -444,49 +461,176 @@ impl FlowLookup for FlowTable {
     }
 }
 
-/// Recycled storage for every packet inside the network: written once when the
-/// packet is sent (or ingested from another shard), read and rewritten in place at
-/// each hop, vacated when it is delivered, dropped or handed to another shard. Slots
-/// are reused in LIFO order, so in steady state a packet's life allocates nothing.
-#[derive(Default)]
+/// The end of an arrival FIFO or of the in-flight slab's free list.
+const NIL: u32 = u32::MAX;
+
+/// Slots per page of the in-flight slab (a power of two): 36 KiB of 144-byte slots.
+const SLAB_PAGE: usize = 256;
+
+/// A slot of the in-flight slab: a packet inside the network, and its place on the
+/// arrival FIFO of the link it is crossing.
+#[derive(Clone)]
+pub(crate) struct InFlight {
+    /// The packet; `None` while the slot is free.
+    packet: Option<Packet>,
+    /// The link it is crossing.
+    link: LinkId,
+    /// The next packet on that link's arrival FIFO, or the next free slot.
+    next: u32,
+    /// When its last bit left the link: its arrival's creation stamp.
+    depart: SimTime,
+    /// The sequence number its arrival reserved when the link accepted it.
+    seq: u64,
+}
+
+const VACANT: InFlight = InFlight {
+    packet: None,
+    link: LinkId(NIL),
+    next: NIL,
+    depart: SimTime::ZERO,
+    seq: 0,
+};
+
+/// A link's packets in flight, oldest first: slots chained through
+/// [`InFlight::next`]. The head's arrival is queued; the others wait here.
+#[derive(Clone, Copy)]
+struct Arrivals {
+    head: u32,
+    tail: u32,
+}
+
+/// Where every packet inside the network waits: written once when the packet is sent
+/// (or ingested from another shard), read and rewritten in place at each hop, vacated
+/// when it is delivered, dropped or handed to another shard. The slab grows a
+/// fixed-size page at a time and never moves a slot; vacated slots go onto a LIFO free
+/// list threaded through [`InFlight::next`], so in steady state a packet's life
+/// allocates nothing.
+///
+/// The slots also hold every link's arrival FIFO (see the module docs): a link
+/// delivers its packets in the order it accepted them, so only the head's arrival is
+/// in the event queue, and the others wait on the FIFO with the departure time and
+/// sequence number their arrivals will be queued with.
 pub(crate) struct PacketPool {
-    slots: Vec<Option<Packet>>,
-    free: Vec<u32>,
+    pages: Vec<Box<[InFlight; SLAB_PAGE]>>,
+    /// Slots handed out so far: the most packets that were inside the network at once.
+    len: u32,
+    /// Head of the free list.
+    free: u32,
+    /// Per link, indexed by [`LinkId`]: its arrival FIFO.
+    fifos: Vec<Arrivals>,
 }
 
 impl PacketPool {
-    pub(crate) fn park(&mut self, packet: Packet) -> PacketSlot {
-        if let Some(i) = self.free.pop() {
-            self.slots[i as usize] = Some(packet);
-            PacketSlot(i)
-        } else {
-            self.slots.push(Some(packet));
-            PacketSlot((self.slots.len() - 1) as u32)
+    fn new(links: usize) -> Self {
+        let empty = Arrivals {
+            head: NIL,
+            tail: NIL,
+        };
+        PacketPool {
+            pages: Vec::new(),
+            len: 0,
+            free: NIL,
+            fifos: vec![empty; links],
         }
     }
 
+    fn slot(&self, slot: u32) -> &InFlight {
+        &self.pages[slot as usize / SLAB_PAGE][slot as usize % SLAB_PAGE]
+    }
+
+    fn slot_mut(&mut self, slot: u32) -> &mut InFlight {
+        &mut self.pages[slot as usize / SLAB_PAGE][slot as usize % SLAB_PAGE]
+    }
+
+    pub(crate) fn park(&mut self, packet: Packet) -> PacketSlot {
+        let i = if self.free != NIL {
+            let i = self.free;
+            self.free = self.slot(i).next;
+            i
+        } else {
+            if self.len as usize == self.pages.len() * SLAB_PAGE {
+                self.add_page();
+            }
+            self.len += 1;
+            self.len - 1
+        };
+        self.slot_mut(i).packet = Some(packet);
+        PacketSlot(i)
+    }
+
+    #[cold]
+    fn add_page(&mut self) {
+        let page: Box<[InFlight]> = std::iter::repeat_n(VACANT, SLAB_PAGE).collect();
+        self.pages
+            .push(page.try_into().unwrap_or_else(|_| unreachable!("one page")));
+    }
+
     fn get_mut(&mut self, slot: PacketSlot) -> Option<&mut Packet> {
-        self.slots.get_mut(slot.0 as usize)?.as_mut()
+        self.slot_mut(slot.0).packet.as_mut()
     }
 
     /// Vacate `slot`, returning the packet it held.
     fn take(&mut self, slot: PacketSlot) -> Option<Packet> {
-        let p = self.slots.get_mut(slot.0 as usize)?.take();
+        let free = self.free;
+        let s = self.slot_mut(slot.0);
+        let p = s.packet.take();
         if p.is_some() {
-            self.free.push(slot.0);
+            s.next = free;
+            self.free = slot.0;
         }
         p
     }
 
-    /// Slots ever allocated: the most packets that were inside the network at once.
+    /// The packet in `slot` left `link` at `depart`, and its arrival took sequence
+    /// number `seq`: chain it behind the link's packets in flight if it left strictly
+    /// after the last of them. Returns true if its arrival is to be queued now — as the
+    /// FIFO's new head, or, when it left at the same instant as the tail (a packet
+    /// serialized in 0 ns), on its own: same-instant arrivals are ordered by content,
+    /// not by the order the link took them.
+    fn depart(&mut self, link: LinkId, slot: PacketSlot, depart: SimTime, seq: u64) -> bool {
+        let s = self.slot_mut(slot.0);
+        (s.link, s.next, s.depart, s.seq) = (link, NIL, depart, seq);
+        let fifo = self.fifos[link.index()];
+        if fifo.head == NIL {
+            self.fifos[link.index()] = Arrivals {
+                head: slot.0,
+                tail: slot.0,
+            };
+            return true;
+        }
+        if depart <= self.slot(fifo.tail).depart {
+            return true;
+        }
+        self.slot_mut(fifo.tail).next = slot.0;
+        self.fifos[link.index()].tail = slot.0;
+        false
+    }
+
+    /// The packet in `slot` has arrived. If it was the head of its link's FIFO, the
+    /// next packet there becomes the head: returns it, for its arrival to be queued.
+    fn arrived(&mut self, slot: PacketSlot) -> Option<PacketSlot> {
+        let (link, next) = (self.slot(slot.0).link, self.slot(slot.0).next);
+        let fifo = &mut self.fifos[link.index()];
+        if fifo.head != slot.0 {
+            return None;
+        }
+        fifo.head = next;
+        (fifo.head != NIL).then_some(PacketSlot(fifo.head))
+    }
+
+    /// Slots handed out so far: the most packets that were inside the network at once.
     pub(crate) fn high_water(&self) -> u64 {
-        self.slots.len() as u64
+        self.len as u64
     }
 
     /// Packets currently held.
     #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
+        let free = std::iter::successors((self.free != NIL).then_some(self.free), |&i| {
+            let next = self.slot(i).next;
+            (next != NIL).then_some(next)
+        });
+        self.len as usize - free.count()
     }
 }
 
@@ -636,7 +780,7 @@ impl EngineCore {
             stats: EngineStats::default(),
             flows: FlowTable::default(),
             injected: 0,
-            pool: PacketPool::default(),
+            pool: PacketPool::new(n_links),
             unfinished_flows: 0,
             pending_arrivals: 0,
             traces: Traces::default(),
@@ -929,6 +1073,9 @@ impl EngineCore {
     }
 
     fn handle_packet_at_node(&mut self, node: NodeId, slot: PacketSlot) {
+        if let Some(next) = self.pool.arrived(slot) {
+            self.queue_arrival(next);
+        }
         let Some(packet) = self.pool.get_mut(slot) else {
             // Pool slot already vacated (should not happen); silently discard.
             return;
@@ -979,17 +1126,18 @@ impl EngineCore {
         self.apply_actions(node, actions);
     }
 
-    /// Put the pooled packet `slot` on its next link from `node`: run the link
-    /// controller, apply random loss and tail drop, and — the link being a departure
-    /// ledger — schedule its arrival at the far end straight away, created at the
-    /// instant its last bit leaves the link. The packet stays in its pool slot; every
-    /// path that does not re-schedule it (drop, hand-off to another shard) vacates the
-    /// slot.
+    /// Put the packet in `slot` on its next link from `node`: run the link controller,
+    /// apply random loss and tail drop, and — the link being a departure ledger — know
+    /// at once when its last bit leaves, which is its arrival's creation stamp. The
+    /// arrival takes its sequence number now; the packet joins the link's arrival FIFO
+    /// and its arrival is queued when it becomes the FIFO's head (see the module docs).
+    /// The packet stays in its slot; every path that does not send it on (drop,
+    /// hand-off to another shard) vacates the slot.
     ///
     /// This is the hottest function in the simulator. It reads hop state only — the
-    /// pooled packet, one run of the route arena, the controller and the link — and
-    /// never the flow slabs (but to count a drop); it performs no heap allocation, no
-    /// hash lookup and no packet copy, and settles each link it touches exactly once.
+    /// packet, one run of the route arena, the controller and the link — and never the
+    /// flow slabs (but to count a drop); it performs no heap allocation, no hash lookup
+    /// and no packet copy, and settles each link it touches exactly once.
     fn forward_packet(&mut self, node: NodeId, slot: PacketSlot) {
         let key = self.key;
         let Some(packet) = self.pool.get_mut(slot) else {
@@ -1038,27 +1186,53 @@ impl EngineCore {
             self.pool.take(slot);
             return;
         };
-        let link = self.network.link(next_link);
-        let arrive_at = depart + link.prop_delay + self.config.processing_delay;
-        let dst = link.dst;
         packet.hop += 1;
-        let (flow, tie) = (packet.flow, packet_tie(packet));
+        let dst = self.network.link(next_link).dst;
         if self.is_local(dst) {
-            // What a transmit-done event popping at `depart` would have scheduled.
-            let kind = EventKind::PacketAtNode {
-                node: dst,
-                packet: slot,
-                flow,
-                tie,
-            };
-            self.events.schedule_created(arrive_at, depart, kind);
+            let seq = self.events.reserve_seq();
+            self.arrive(next_link, slot, depart, seq);
         } else {
             // Boundary crossing: the conservative lookahead window is sized so that
-            // `arrive_at` is at or past the receiver's next barrier.
+            // the arrival is at or past the receiver's next barrier.
             let to = self.shard_of[dst.index()];
+            let arrive_at = self.arrival_time(next_link, depart);
             let packet = self.pool.take(slot).expect("peeked above");
-            self.push_msg(to, arrive_at, depart, MsgBody::Packet { node: dst, packet });
+            let body = MsgBody::Packet {
+                link: next_link,
+                packet,
+            };
+            self.push_msg(to, arrive_at, depart, body);
         }
+    }
+
+    /// When a packet whose last bit left `link` at `depart` is at the far end.
+    pub(crate) fn arrival_time(&self, link: LinkId, depart: SimTime) -> SimTime {
+        depart + self.network.link(link).prop_delay + self.config.processing_delay
+    }
+
+    /// The packet in `slot` left `link` at `depart`, its arrival numbered `seq`: put it
+    /// on the link's arrival FIFO, and queue its arrival if it is the FIFO's head or
+    /// bypasses the FIFO.
+    pub(crate) fn arrive(&mut self, link: LinkId, slot: PacketSlot, depart: SimTime, seq: u64) {
+        if self.pool.depart(link, slot, depart, seq) {
+            self.queue_arrival(slot);
+        }
+    }
+
+    /// Queue the arrival of the packet in `slot` under the key it took when its link
+    /// accepted it: what a transmit-done event popping at its departure would have
+    /// scheduled.
+    fn queue_arrival(&mut self, slot: PacketSlot) {
+        let s = self.pool.slot(slot.0);
+        let packet = s.packet.as_ref().expect("a packet in flight");
+        let kind = EventKind::PacketAtNode {
+            node: self.network.link(s.link).dst,
+            packet: slot,
+            flow: packet.flow,
+            tie: packet_tie(packet),
+        };
+        let at = self.arrival_time(s.link, s.depart);
+        self.events.schedule_reserved(at, s.depart, s.seq, kind);
     }
 
     fn handle_timer(&mut self, node: NodeId, flow: FlowId, kind: TimerKind, token: u64) {

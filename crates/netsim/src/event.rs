@@ -15,10 +15,11 @@
 //!
 //! # Structure: fine wheel, coarse wheel, far-future heap
 //!
-//! The queue is the hottest data structure in the simulator: every packet hop pushes
-//! and pops one [`Event`], the packet's arrival at the next node (a link's FIFO
-//! server needs no event of its own — see the departure ledger in the `network`
-//! module). Time is cut into fixed-width **fine buckets**; the engine sets the width
+//! The queue is the hottest data structure in the simulator: every packet hop pops
+//! one [`Event`], the packet's arrival at the next node (a link's FIFO server needs no
+//! event of its own — see the departure ledger in the `network` module — and of the
+//! packets in flight on one link only the earliest has its arrival queued; see
+//! *Reserved sequence numbers*). Time is cut into fixed-width **fine buckets**; the engine sets the width
 //! to the smallest serialization time in the topology (a control packet on the
 //! fastest link — 448 ns at 1 Gbit/s), because that is the spacing at which a busy
 //! link releases packets. Three tiers hold the pending events:
@@ -81,15 +82,26 @@
 //! record and shard-count-invariance fingerprint is independent of the layout.
 //! `tests/event_queue_prop.rs` pins this differentially against a reference heap.
 //!
+//! # Reserved sequence numbers
+//!
+//! An event may also take its sequence number now and enter the queue later
+//! ([`EventQueue::reserve_seq`], then [`EventQueue::schedule_reserved`]). Keyed by
+//! that number, it pops exactly where it would have popped had it been scheduled when
+//! the number was taken, as long as it enters the queue before anything that orders
+//! after it pops. The engine relies on this for a link's packets in flight: they arrive
+//! in the order the link accepted them, so each takes its number when the link
+//! accepts it, but only the earliest waits in the queue, and the next one enters the
+//! queue when the one before it is dispatched (see the `engine` module).
+//!
 //! # Why events are small
 //!
 //! [`EventKind`] never carries a large payload: a flow arrival names the flow's slot
 //! in the engine's flow slab, where its spec lives, and a packet lives in the engine's
-//! recycled packet pool from the moment it is sent until it is delivered or dropped,
+//! recycled in-flight slab from the moment it is sent until it is delivered or dropped,
 //! referenced by a [`PacketSlot`] (no allocation and no copy per *hop*). This keeps
 //! `size_of::<Event>()` at 64 bytes, so bucket sorts and in-run insertions move little
-//! memory — and a packet waiting in a link's queue costs one such event, not a queue
-//! entry holding the packet.
+//! memory — and a packet in flight costs no event at all unless it is the next to
+//! arrive from its link.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -113,9 +125,9 @@ pub enum TimerKind {
     Custom(u8),
 }
 
-/// A handle to a packet in the engine's packet pool, where it stays from the moment
-/// it is sent until it is delivered, dropped or handed to another shard. Pool slots
-/// are recycled, so packet hops allocate nothing in steady state; the slot is only
+/// A handle to a packet in the engine's in-flight slab, where it stays from the moment
+/// it is sent until it is delivered, dropped or handed to another shard. Slots are
+/// recycled, so packet hops allocate nothing in steady state; the slot is only
 /// meaningful to the engine that issued it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PacketSlot(pub u32);
@@ -138,15 +150,14 @@ pub enum EventKind {
     PacketAtNode {
         /// Node the packet is at.
         node: NodeId,
-        /// Where the packet is parked in the engine's packet pool.
+        /// Where the packet waits in the engine's in-flight slab.
         packet: PacketSlot,
         /// Flow the packet belongs to — the primary same-instant ordering key, so
         /// that ordering is preserved under monotone flow-id relabelings.
         flow: FlowId,
         /// Content-derived subkey (see `engine::packet_tie`) separating
-        /// same-flow packets: pool slots are engine-local and
-        /// insertion-order-dependent, so the key is computed from the packet itself
-        /// before it is parked.
+        /// same-flow packets: in-flight slots are engine-local and
+        /// insertion-order-dependent, so the key is computed from the packet itself.
         tie: u64,
     },
     /// The packet being serialized on `link` has been fully transmitted. The engine
@@ -221,7 +232,7 @@ impl EventKind {
 
     /// Content-derived subkey separating same-owner events, built only from
     /// id-invariant packet/timer content. Like [`EventKind::owner`] it never depends
-    /// on engine-internal state such as pool slots or insertion counters — the
+    /// on engine-internal state such as in-flight slots or insertion counters — the
     /// property the partitioned engine's determinism rests on.
     fn subkey(&self) -> u64 {
         match self {
@@ -366,11 +377,14 @@ impl Ord for Event {
 /// too fine to batch anything) are visible from a run's summary without a profiler.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Events scheduled.
+    /// Events that entered the queue. An event scheduled under a reserved sequence
+    /// number counts when it enters, so one never queued is not counted (the engine's
+    /// packets still in flight behind a link's first when a run ends).
     pub pushes: u64,
     /// Events popped.
     pub pops: u64,
-    /// Maximum number of simultaneously pending events.
+    /// Maximum number of simultaneously pending events (a link's packets in flight
+    /// count once, for the first of them).
     pub peak_pending: u64,
     /// Events that left the far-future heap for the wheel (each does so exactly once,
     /// when its level-1 slot opens). Level-1 → level-0 cascades are not counted.
@@ -731,8 +745,27 @@ impl EventQueue {
     /// partitioned engine uses this to ingest cross-shard events with the sender's
     /// send time, so the merged order matches what a single queue would have produced.
     pub fn schedule_created(&mut self, at: SimTime, created: SimTime, kind: EventKind) {
-        let seq = self.next_seq;
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, created, seq, kind);
+    }
+
+    /// Take the sequence number the next scheduled event would get, for an event that
+    /// enters the queue later through [`EventQueue::schedule_reserved`].
+    pub fn reserve_seq(&mut self) -> u64 {
         self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    /// Schedule `kind` to fire at `at`, created at `created`, under a sequence number
+    /// taken earlier from [`EventQueue::reserve_seq`]. It pops where it would have
+    /// popped had it been scheduled when the number was taken, provided nothing that
+    /// orders after it has popped in between (see the module docs). Counted as a push
+    /// now, when it enters the queue.
+    pub fn schedule_reserved(&mut self, at: SimTime, created: SimTime, seq: u64, kind: EventKind) {
+        debug_assert!(
+            seq < self.next_seq,
+            "sequence number {seq} was never reserved"
+        );
         self.stats.pushes += 1;
         self.insert(Event::new(at, created, seq, kind));
         self.len += 1;
@@ -1027,6 +1060,16 @@ mod tests {
             "Event grew to {} bytes",
             std::mem::size_of::<Event>()
         );
+    }
+
+    /// A packet in flight costs its slot of the engine's in-flight slab and, unless it
+    /// is the next to arrive from its link, no event: a 120-byte packet plus its place
+    /// on the link's arrival FIFO (link, next slot, departure, reserved sequence
+    /// number), 144 bytes where it was 120 + 64 with an event per packet.
+    #[test]
+    fn in_flight_slots_stay_small() {
+        let size = std::mem::size_of::<crate::engine::InFlight>();
+        assert!(size <= 144, "an in-flight slot grew to {size} bytes");
     }
 
     #[test]

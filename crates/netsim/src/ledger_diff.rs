@@ -13,6 +13,12 @@
 //! control packets from flow arrivals, packet deliveries and timers, timers armed for
 //! the exact instants the sender's own burst leaves its NIC, controller ticks on the
 //! serialization-time grid, and hard stops on that grid too.
+//!
+//! Three variants of the line aim at the links' arrival FIFOs, which queue the arrival
+//! of only the earliest packet in flight on a link ([`Case`]): a 10 ms hop with dozens
+//! of packets in flight on it, two links into one switch whose arrivals coincide to
+//! the nanosecond, and a 2 Tbit/s link on which a control packet serializes in 0 ns,
+//! so that packets leave it at the same instant and must bypass its FIFO.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -162,8 +168,25 @@ impl HostAgent for Scripted {
     }
 }
 
-/// `h0 — s0 — h1`, every queue 4 000 bytes: two MTUs and a few control packets.
-fn line() -> (Network, [NodeId; 2]) {
+/// The network a comparison runs on. Every one is `h0 — s0 — h1` with 4 000-byte
+/// queues (two MTUs and a few control packets) and 1 Gbit/s links, but for what the
+/// variant names.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Case {
+    /// The plain line.
+    Line,
+    /// `s0 — h1` is a 10 ms hop: dozens of packets in flight on it at once.
+    LongHop,
+    /// A third host `h2 — s0`, with flows from `h0` and `h2` to `h1` arriving on one
+    /// grid: arrivals at `s0` from its two access links coincide.
+    TwoIntoOne,
+    /// `h0 — s0` runs at 2 Tbit/s: a control packet serializes in 0 ns, so packets
+    /// leave the link at the same instant.
+    Fast,
+}
+
+/// The network of `case` and its hosts: `h0`, `h1`, then `h2` if it has one.
+fn network(case: Case) -> (Network, Vec<NodeId>) {
     let mut net = Network::new();
     let h0 = net.add_host("h0");
     let s0 = net.add_switch("s0");
@@ -172,9 +195,29 @@ fn line() -> (Network, [NodeId; 2]) {
         queue_capacity_bytes: 4_000,
         ..LinkParams::default()
     };
-    net.add_duplex_link(h0, s0, small);
-    net.add_duplex_link(s0, h1, small);
-    (net, [h0, h1])
+    let access = match case {
+        Case::Fast => LinkParams {
+            rate_bps: 2e12,
+            ..small
+        },
+        _ => small,
+    };
+    let far = match case {
+        Case::LongHop => LinkParams {
+            prop_delay: SimTime::from_millis(10),
+            ..small
+        },
+        _ => small,
+    };
+    net.add_duplex_link(h0, s0, access);
+    net.add_duplex_link(s0, h1, far);
+    let mut hosts = vec![h0, h1];
+    if case == Case::TwoIntoOne {
+        let h2 = net.add_host("h2");
+        net.add_duplex_link(h2, s0, small);
+        hosts.push(h2);
+    }
+    (net, hosts)
 }
 
 /// `n` MTU serialization times on the line. One is the controllers' tick period;
@@ -185,13 +228,21 @@ fn mtu_times(n: u64) -> SimTime {
 }
 
 /// The scenario of `seed`: five flows in both directions arriving within 80 µs, some
-/// on the serialization-time grid.
-fn flows(seed: u64, hosts: [NodeId; 2]) -> Vec<FlowSpec> {
+/// on the serialization-time grid. With a third host, the flows towards `h1` come
+/// from `h0` and `h2` in turn, and all of them arrive on the grid.
+fn flows(seed: u64, hosts: &[NodeId]) -> Vec<FlowSpec> {
     let mut rng = SmallRng::seed_from_u64(seed);
+    let two_into_one = hosts.len() == 3;
     (1..=5u64)
         .map(|id| {
-            let (src, dst) = if id % 3 == 0 { (1, 0) } else { (0, 1) };
-            let arrival = if rng.gen::<bool>() {
+            let (src, dst) = match id {
+                _ if id % 3 == 0 => (1, 0),
+                _ if two_into_one && id % 2 == 0 => (2, 1),
+                _ => (0, 1),
+            };
+            let arrival = if two_into_one {
+                mtu_times(rng.gen_range(0..3))
+            } else if rng.gen::<bool>() {
                 mtu_times(rng.gen_range(0..6))
             } else {
                 SimTime::from_nanos(rng.gen_range(0..80_000))
@@ -238,15 +289,15 @@ fn stats_row(s: &LinkStats) -> [u64; 6] {
     ]
 }
 
-fn run_engine(seed: u64, config: SimConfig) -> Outcome {
+fn run_engine(case: Case, seed: u64, config: SimConfig) -> Outcome {
     let log = Log::default();
-    let (net, hosts) = line();
+    let (net, hosts) = network(case);
     let mut sim = Simulator::new(net, config);
-    for h in hosts {
+    for &h in &hosts {
         sim.set_agent(h, agent(seed, h, &log));
     }
     sim.install_controllers(|_, _| Some(recorder(&log)));
-    sim.add_flows(flows(seed, hosts));
+    sim.add_flows(flows(seed, &hosts));
     let res = sim.run();
     let flows = res
         .flows
@@ -273,8 +324,11 @@ struct Reference {
     on_wire: Vec<Option<(SimTime, SimTime)>>,
     events: EventQueue,
     now: SimTime,
-    /// Packets between nodes, indexed by the `PacketSlot` their event carries.
-    in_flight: Vec<Option<Packet>>,
+    /// Packets between nodes, and the link each crossed, indexed by the `PacketSlot`
+    /// their event carries.
+    in_flight: Vec<Option<(Packet, LinkId)>>,
+    /// Per link: its packets in flight.
+    flying: Vec<usize>,
     agents: Vec<Option<Box<dyn HostAgent + Send>>>,
     controllers: Vec<Option<Box<dyn LinkController + Send>>>,
     /// The injected flows, indexed by the slot their arrival event carries.
@@ -288,9 +342,35 @@ struct Reference {
     live: usize,
     /// Per link: when its last departure completed.
     departed_at: Vec<Option<SimTime>>,
+    /// Per `(node, instant)`: the link of the first packet arriving there then.
+    arrivals: HashMap<(NodeId, SimTime), LinkId>,
+    seen: Seen,
+}
+
+/// What a scenario exercised, counted by the reference engine.
+#[derive(Clone, Copy, Debug, Default)]
+struct Seen {
     /// Enqueue attempts at the very instant of a departure that (0) had already
     /// completed, (1) was still to come in event order.
     ties: [u32; 2],
+    /// Packets arriving at a node at the same instant as one from another link.
+    coinciding: u32,
+    /// Departures from a link at the same instant as its previous one.
+    same_instant: u32,
+    /// The most packets that had left one link and not yet arrived, at once.
+    window: usize,
+    /// Tail drops.
+    tail_drops: u64,
+}
+
+impl Seen {
+    fn add(&mut self, other: Seen) {
+        self.ties = [self.ties[0] + other.ties[0], self.ties[1] + other.ties[1]];
+        self.coinciding += other.coinciding;
+        self.same_instant += other.same_instant;
+        self.window = self.window.max(other.window);
+        self.tail_drops += other.tail_drops;
+    }
 }
 
 impl Reference {
@@ -298,8 +378,8 @@ impl Reference {
     /// start serializing it if the link is idle.
     fn enqueue(&mut self, l: LinkId, packet: Packet) -> bool {
         let i = l.index();
-        self.ties[0] += (self.departed_at[i] == Some(self.now)) as u32;
-        self.ties[1] += self.on_wire[i].is_some_and(|(_, due)| due == self.now) as u32;
+        self.seen.ties[0] += (self.departed_at[i] == Some(self.now)) as u32;
+        self.seen.ties[1] += self.on_wire[i].is_some_and(|(_, due)| due == self.now) as u32;
         let link = self.net.link_mut(l);
         let wire = packet.wire_size() as u64;
         if link.queue_bytes + wire > link.queue_capacity_bytes {
@@ -339,13 +419,18 @@ impl Reference {
             self.now + link.prop_delay + self.config.processing_delay,
             link.dst,
         );
-        self.departed_at[i] = Some(self.now);
+        let again = self.departed_at[i].replace(self.now) == Some(self.now);
+        self.seen.same_instant += again as u32;
         if let Some(next) = self.queues[i].front().map(|next| next.wire_size() as u64) {
             self.start_serializing(l, next);
         }
+        let first = *self.arrivals.entry((node, arrive_at)).or_insert(l);
+        self.seen.coinciding += (first != l) as u32;
         packet.hop += 1;
         let (flow, tie) = (packet.flow, packet_tie(&packet));
-        self.in_flight.push(Some(packet));
+        self.in_flight.push(Some((packet, l)));
+        self.flying[i] += 1;
+        self.seen.window = self.seen.window.max(self.flying[i]);
         let packet = PacketSlot(self.in_flight.len() as u32 - 1);
         self.events.schedule(
             arrive_at,
@@ -429,7 +514,7 @@ impl Reference {
         self.apply(node, actions);
     }
 
-    fn run(mut self) -> (Outcome, [u32; 2]) {
+    fn run(mut self) -> (Outcome, Seen) {
         for i in 0..self.controllers.len() {
             let link = LinkId(i as u32);
             let ctl = self.controllers[i]
@@ -462,7 +547,9 @@ impl Reference {
                     self.with_agent(src, |agent, ctx| agent.on_flow_arrival(&info, ctx));
                 }
                 EventKind::PacketAtNode { node, packet, .. } => {
-                    let packet = self.in_flight[packet.0 as usize].take().expect("in flight");
+                    let slot = &mut self.in_flight[packet.0 as usize];
+                    let (packet, crossed) = slot.take().expect("in flight");
+                    self.flying[crossed.index()] -= 1;
                     let spec = &self.flows[&packet.flow].spec;
                     let end = if packet.reverse() { spec.src } else { spec.dst };
                     if node == end {
@@ -496,25 +583,26 @@ impl Reference {
             .map(|(&id, &(drops, done))| (id, drops, done))
             .collect();
         flows.sort_unstable();
-        let links = self.net.links.iter().map(|l| stats_row(&l.stats)).collect();
+        let links: Vec<_> = self.net.links.iter().map(|l| stats_row(&l.stats)).collect();
+        self.seen.tail_drops = links.iter().map(|l| l[2]).sum();
         let log = self.log.lock().unwrap().clone();
-        (Outcome { log, links, flows }, self.ties)
+        (Outcome { log, links, flows }, self.seen)
     }
 }
 
-fn run_reference(seed: u64, config: SimConfig) -> (Outcome, [u32; 2]) {
+fn run_reference(case: Case, seed: u64, config: SimConfig) -> (Outcome, Seen) {
     let log = Log::default();
-    let (net, hosts) = line();
+    let (net, hosts) = network(case);
     let (n_nodes, n_links) = (net.node_count(), net.link_count());
     let mut events = EventQueue::new();
-    let specs = flows(seed, hosts);
+    let specs = flows(seed, &hosts);
     let live = specs.len();
     for (slot, spec) in specs.iter().enumerate() {
         let (flow, slot) = (spec.id, slot as u32);
         events.schedule(spec.arrival, EventKind::FlowArrival { flow, slot });
     }
     let mut agents: Vec<_> = (0..n_nodes).map(|_| None).collect();
-    for h in hosts {
+    for &h in &hosts {
         agents[h.index()] = Some(agent(seed, h, &log));
     }
     let reference = Reference {
@@ -525,6 +613,7 @@ fn run_reference(seed: u64, config: SimConfig) -> (Outcome, [u32; 2]) {
         events,
         now: SimTime::ZERO,
         in_flight: Vec::new(),
+        flying: vec![0; n_links],
         agents,
         controllers: (0..n_links).map(|_| Some(recorder(&log))).collect(),
         specs,
@@ -533,51 +622,108 @@ fn run_reference(seed: u64, config: SimConfig) -> (Outcome, [u32; 2]) {
         records: HashMap::new(),
         live,
         departed_at: vec![None; n_links],
-        ties: [0; 2],
+        arrivals: HashMap::new(),
+        seen: Seen::default(),
         log,
     };
     reference.run()
 }
 
-/// Compare the two engines on 40 scenarios, and check that between them the
-/// scenarios exercised what the test is for: tail drops, and enqueues at the very
-/// instant of a departure, on both sides of it in event order.
-fn compare(configs: impl Fn(u64) -> SimConfig) {
-    let (mut ties, mut tail_drops) = ([0; 2], 0);
+/// Compare the two engines on the 40 scenarios of `case`, returning what they
+/// exercised between them.
+fn compare(case: Case, configs: impl Fn(u64) -> SimConfig) -> Seen {
+    let mut seen = Seen::default();
     for seed in 1..=40 {
         let config = configs(seed);
-        let (want, t) = run_reference(seed, config.clone());
-        let got = run_engine(seed, config.clone());
+        let (want, s) = run_reference(case, seed, config.clone());
+        let got = run_engine(case, seed, config.clone());
         for (i, (g, w)) in got.log.iter().zip(&want.log).enumerate() {
-            assert_eq!(g, w, "seed {seed}, observation {i} (stop {config:?})");
+            assert_eq!(
+                g, w,
+                "{case:?} seed {seed}, observation {i} (stop {config:?})"
+            );
         }
-        assert_eq!(got.log.len(), want.log.len(), "seed {seed}: log length");
-        assert_eq!(got.links, want.links, "seed {seed}: final LinkStats");
-        assert_eq!(got.flows, want.flows, "seed {seed}: flow records");
-        tail_drops += want.links.iter().map(|l| l[2]).sum::<u64>();
-        ties = [ties[0] + t[0], ties[1] + t[1]];
+        assert_eq!(
+            got.log.len(),
+            want.log.len(),
+            "{case:?} seed {seed}: log length"
+        );
+        assert_eq!(
+            got.links, want.links,
+            "{case:?} seed {seed}: final LinkStats"
+        );
+        assert_eq!(got.flows, want.flows, "{case:?} seed {seed}: flow records");
+        seen.add(s);
     }
+    seen
+}
+
+/// The line's scenarios must land on its tie rules: tail drops, and enqueues at the
+/// very instant of a departure, on both sides of it in event order.
+fn check_ties(seen: Seen) {
     assert!(
-        ties[0] > 20 && ties[1] > 20 && tail_drops > 100,
-        "the scenarios miss the point: {ties:?} ties, {tail_drops} tail drops"
+        seen.ties[0] > 20 && seen.ties[1] > 20 && seen.tail_drops > 100,
+        "the scenarios miss the point: {seen:?}"
     );
 }
 
 #[test]
 fn ledger_matches_explicit_fifo_server_until_the_flows_are_done() {
-    compare(|_| SimConfig {
+    check_ties(compare(Case::Line, |_| SimConfig {
         max_sim_time: SimTime::from_millis(10),
         ..SimConfig::default()
-    });
+    }));
 }
 
 #[test]
 fn ledger_matches_explicit_fifo_server_at_a_hard_stop() {
     // Stops on the serialization-time grid, 5 to 20 MTU times in: mid-traffic, and
     // often at the instant of a departure.
-    compare(|seed| SimConfig {
+    check_ties(compare(Case::Line, |seed| SimConfig {
         max_sim_time: mtu_times(5 + seed % 16),
         stop_when_flows_done: false,
         ..SimConfig::default()
+    }));
+}
+
+/// Dozens of packets in flight on one link, all but the first waiting on its arrival
+/// FIFO, and hard stops on the serialization grid 10 ms in: while the first of them
+/// arrive, and before the rest have.
+#[test]
+fn arrival_fifos_match_explicit_fifo_server_on_a_long_hop() {
+    let seen = compare(Case::LongHop, |seed| SimConfig {
+        max_sim_time: SimTime::from_millis(10) + mtu_times(5 + 3 * (seed % 16)),
+        stop_when_flows_done: false,
+        ..SimConfig::default()
     });
+    assert!(seen.window >= 40, "no window of dozens in flight: {seen:?}");
+}
+
+/// Packets from two links reaching one switch at the same nanosecond: each link's FIFO
+/// queues its own head, and the queue orders the two by content.
+#[test]
+fn arrival_fifos_match_explicit_fifo_server_on_coinciding_arrivals() {
+    let seen = compare(Case::TwoIntoOne, |_| SimConfig {
+        max_sim_time: SimTime::from_millis(10),
+        ..SimConfig::default()
+    });
+    assert!(
+        seen.coinciding > 20,
+        "too few coinciding arrivals: {seen:?}"
+    );
+}
+
+/// Control packets leave a 2 Tbit/s link at the very instant of the packet before
+/// them: their arrivals coincide too, the queue orders them by content rather than by
+/// the order the link took them, and so they must bypass the FIFO.
+#[test]
+fn arrival_fifos_match_explicit_fifo_server_on_same_instant_departures() {
+    let seen = compare(Case::Fast, |_| SimConfig {
+        max_sim_time: SimTime::from_millis(10),
+        ..SimConfig::default()
+    });
+    assert!(
+        seen.same_instant > 20,
+        "too few same-instant departures: {seen:?}"
+    );
 }

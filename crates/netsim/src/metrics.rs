@@ -71,7 +71,7 @@ pub struct SimResults {
     /// Event-scheduler telemetry (summed across shards in a partitioned run; the
     /// peak is the sum of per-shard peaks, an upper bound on the global peak).
     pub queue: QueueStats,
-    /// What the popped events were, by class, and the packet pool's high-water mark
+    /// What the popped events were, by class, and the in-flight slab's high-water mark
     /// (summed across shards like `queue`). Telemetry: never part of a fingerprint or
     /// a cache record.
     pub engine: EngineStats,

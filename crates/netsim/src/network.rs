@@ -7,19 +7,25 @@
 //! (default 0.1 µs). A per-hop processing delay (default 25 µs) is charged when a
 //! packet is received by a node.
 //!
-//! # Links are departure ledgers
+//! # Links are departure ledgers plus arrival FIFOs
 //!
 //! A FIFO server needs no event of its own: packet *k* leaves at
 //! `max(arrival_k, departure_{k-1}) + tx_k`, known the moment the packet is accepted.
 //! So a [`Link`] stores no packets and runs no transmit-completion events. It keeps
 //! one small ledger entry per accepted packet — when its serialization starts and
-//! ends, and its wire size — and the engine schedules the packet's arrival at the
-//! next node right away. Occupancy and counters stay exact because the engine
-//! *settles* a link (`Network::settle`) before looking at it: every entry whose
-//! virtual [`EventKind::TransmitDone`](crate::event::EventKind::TransmitDone) event —
-//! the one an explicit link server would have scheduled — orders before the event
-//! being dispatched is retired, bytes and busy time credited, exactly as if that event
-//! had popped.
+//! ends, and its wire size — and the packet's arrival at the next node is known right
+//! away. Occupancy and counters stay exact because the engine *settles* a link
+//! (`Network::settle`) before looking at it: every entry whose virtual
+//! [`EventKind::TransmitDone`](crate::event::EventKind::TransmitDone) event — the one
+//! an explicit link server would have scheduled — orders before the event being
+//! dispatched is retired, bytes and busy time credited, exactly as if that event had
+//! popped.
+//!
+//! Past its FIFO a link is a delay line: its packets arrive in the order it accepted
+//! them, a fixed latency after they leave. So the engine keeps each link's packets in
+//! flight on an arrival FIFO of its own, threaded through their slots in the engine's
+//! in-flight slab, and only the first of them has its arrival in the event queue (see
+//! the `engine` module).
 //!
 //! The entries of all links live in one slab per [`Network`], hence one per engine
 //! core: each link's FIFO is a chain through it (the link holds only its head and

@@ -8,7 +8,7 @@
 //!
 //! # Layout
 //!
-//! Every packet inside the network holds one engine pool slot, so the simulator keeps
+//! Every packet inside the network holds one engine in-flight slot, so the simulator keeps
 //! [`Packet`] at 120 bytes and its [`SchedulingHeader`] at 56:
 //!
 //! * **common to every family** — `R_H` ([`SchedulingHeader::rate`]) and `RTT_H`
@@ -326,7 +326,8 @@ mod tests {
         assert_eq!(CONTROL_PACKET_BYTES, 56);
     }
 
-    /// Every packet in flight holds a pool slot of this size, and each hop pulls it
+    /// Every packet in flight holds an in-flight slot of this size (plus 24 bytes of
+    /// arrival-FIFO place; see `in_flight_slots_stay_small`), and each hop pulls it
     /// into cache: 120 bytes with a 56-byte header (160 and 88 with a field per
     /// family's variable, a stored wire size and direction, and a `usize` hop).
     #[test]

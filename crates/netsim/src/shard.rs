@@ -70,7 +70,6 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::agent::FlowInfo;
 use crate::engine::{EngineCore, Finish, FlowState, Router, Simulator, Stage};
-use crate::event::EventKind;
 use crate::flow::FlowRecord;
 use crate::ids::{FlowId, LinkId, NodeId};
 use crate::metrics::SimResults;
@@ -181,10 +180,10 @@ pub(crate) enum MsgBody {
         /// True for completion, false for early termination.
         completed: bool,
     },
-    /// A packet that crossed the shard boundary, to be delivered at `node` at `at`.
+    /// A packet that crossed the shard boundary, arriving at `link`'s far end at `at`.
     Packet {
-        /// The node the packet arrives at.
-        node: NodeId,
+        /// The cut link it crossed: it joins that link's arrival FIFO on this core.
+        link: LinkId,
         /// The packet itself (its flow slot and route are re-stamped by the receiver).
         packet: Packet,
     },
@@ -239,7 +238,7 @@ impl EngineCore {
                         self.unfinished_flows = self.unfinished_flows.saturating_sub(1);
                     }
                 }
-                MsgBody::Packet { node, mut packet } => {
+                MsgBody::Packet { link, mut packet } => {
                     let Some(slot) = self.flows.slot_of(packet.flow) else {
                         // Unknown flow: its registration was lost (cannot happen —
                         // registrations sort first). Drop rather than corrupt.
@@ -259,19 +258,10 @@ impl EngineCore {
                     // Slots and arena offsets are this core's own: the sender's stamp
                     // means nothing here.
                     self.flows.stamp(slot, &mut packet);
-                    let flow = packet.flow;
-                    let tie = crate::engine::packet_tie(&packet);
+                    debug_assert_eq!(msg.at, self.arrival_time(link, msg.sent));
                     let parked = self.pool.park(packet);
-                    self.events.schedule_created(
-                        msg.at,
-                        msg.sent,
-                        EventKind::PacketAtNode {
-                            node,
-                            packet: parked,
-                            flow,
-                            tie,
-                        },
-                    );
+                    let seq = self.events.reserve_seq();
+                    self.arrive(link, parked, msg.sent, seq);
                 }
             }
         }

@@ -227,7 +227,7 @@ pub struct GoBackN {
 }
 
 impl GoBackN {
-    /// The RTO floor.
+    /// The RTO floor, and TCP's (`pdq_baselines::tcp`), which has a Reno RTO of its own.
     pub const MIN_RTO: SimTime = SimTime::from_millis(2);
 
     /// Nothing sent yet; the RTT estimate starts at `srtt` seconds.

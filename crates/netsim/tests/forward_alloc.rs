@@ -3,11 +3,13 @@
 //! The engine's contract (ISSUE 2 tentpole): forwarding a packet hop by hop performs
 //! **zero heap allocations per hop** in steady state — a hop finds its link through
 //! the route stamped into the packet (the route arena grows when a flow arrives, never
-//! when a packet moves), packets live in a recycled pool from send to delivery, an
-//! accepted packet's ledger entry reuses one retired from any link of the core's
-//! shared ledger slab (which grows only when more departures are queued at once than
-//! ever before), and event buckets only reallocate on (amortized, logarithmic)
-//! capacity growth.
+//! when a packet moves), packets live in recycled slots of the in-flight slab from send
+//! to delivery (it grows a fixed page at a time, only when more packets are in flight
+//! than ever before, and a packet waiting on its link's arrival FIFO is chained
+//! through its slot), an accepted packet's ledger entry reuses one retired from any
+//! link of the core's shared ledger slab (which grows only when more departures are
+//! queued at once than ever before), and event buckets only reallocate on (amortized,
+//! logarithmic) capacity growth.
 //!
 //! The test pins that property with a counting global allocator: running the same
 //! fixed workload over a *longer* path multiplies the number of per-hop operations
@@ -145,7 +147,7 @@ fn allocs_for(switches: usize, packets: u64, split: bool) -> u64 {
 /// `10 extra hops × 200 packets × 2 directions = 4000` hop traversals (each a
 /// ledger entry on the link and a PacketAtNode event). If any of those allocated
 /// even once per hop, the allocation delta would be ≥ 4000; container capacity growth
-/// (event buckets, the ledger slab, packet pool — all amortized) stays orders of
+/// (event buckets, the ledger slab, the in-flight slab — all amortized) stays orders of
 /// magnitude below that.
 #[test]
 fn forwarding_does_not_allocate_per_hop() {

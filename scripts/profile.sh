@@ -24,11 +24,16 @@
 #    such as a sort it did not inline) or the shared library it fell in (libc.so.6).
 #    There is no call stack: time in a function counts where its code is, not to
 #    its caller.
+# 4. Folds the same samples by line: the innermost `file:line` in this repository's
+#    sources (relative to its root), or for a sample with no frame here the
+#    innermost line of Rust's standard library or the shared library it fell in. A
+#    function that inlines a std call (`Option::as_mut` on a cold slot) shows the
+#    line that made the call.
 #
 # Needs gcc and binutils (addr2line, readelf). Prints every layer, then the top 25
-# functions, with their share of the samples.
+# functions and the 20 hottest lines, with their share of the samples.
 set -euo pipefail
-[ $# -ge 1 ] || { sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+[ $# -ge 1 ] || { sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 root=$(cd "$(dirname "$0")/.." && pwd)
 
 CARGO_PROFILE_RELEASE_DEBUG=line-tables-only \
@@ -120,31 +125,38 @@ awk -v root="$root/" '
         sub(/^0x[0-9a-f]+: /, "", text); sub(/^ *\(inlined by\) /, "", text)
         sub(/ \(discriminator [0-9]+\)$/, "", text)
         fn = text; sub(/ at [^ ]*$/, "", fn)
-        src = text; sub(/^.* at /, "", src); sub(/:[0-9?]*$/, "", src)
+        loc = text; sub(/^.* at /, "", loc)
+        src = loc; sub(/:[0-9?]*$/, "", src)
         # No line table (a shared library without debug info): the name is only the
         # nearest exported symbol, so the sample goes to the library.
-        if (!(key in innermost)) { innermost[key] = src ~ /^\?\?/ ? "" : fn; std[key] = src ~ /\/rustc\// }
+        if (!(key in innermost)) {
+            innermost[key] = src ~ /^\?\?/ ? "" : fn; std[key] = src ~ /\/rustc\//
+            stdline[key] = loc; sub(/^\/rustc\/[^\/]*\//, "", stdline[key])
+        }
         if (key in ours) next
         if (index(src, root) == 1) layer[key] = module(substr(src, length(root) + 1))
         else if (named(fn) != "") layer[key] = named(fn)
         else next
         ours[key] = fn " (" layer[key] ")"
+        line[key] = loc; sub(/^\/rustc\/[^\/]*\//, "", line[key])
+        if (index(loc, root) == 1) line[key] = substr(loc, length(root) + 1)
         next
     }
     {
-        if ($2 == "-") { L = "[unmapped]"; F = L }
+        if ($2 == "-") { L = "[unmapped]"; F = L; W = L }
         else {
             key = $2 " " address[$2 " " $3]
             lib = $2; sub(/.*\//, "", lib)
-            if (key in ours) { L = layer[key]; F = ours[key] }
-            else if (std[key]) { L = "std"; F = innermost[key] }
-            else { L = lib; F = innermost[key] != "" ? innermost[key] : lib }
+            if (key in ours) { L = layer[key]; F = ours[key]; W = line[key] }
+            else if (std[key]) { L = "std"; F = innermost[key]; W = stdline[key] }
+            else { L = lib; F = innermost[key] != "" ? innermost[key] : lib; W = F }
         }
-        layers[L] += $1; functions[F] += $1
+        layers[L] += $1; functions[F] += $1; lines[W] += $1
     }
     END {
         for (L in layers) print layers[L] "\t" L > (dir "/layers")
         for (F in functions) print functions[F] "\t" F > (dir "/functions")
+        for (W in lines) print lines[W] "\t" W > (dir "/lines")
     }
 ' dir="$work" "$work/addresses" "$work/frames" "$work/offsets"
 
@@ -156,3 +168,5 @@ printf '%6s %8s  %s\n' share samples layer
 share 1000000 < "$work/layers"
 printf '\n%6s %8s  %s\n' share samples function
 share 25 < "$work/functions"
+printf '\n%6s %8s  %s\n' share samples line
+share 20 < "$work/lines"

@@ -4,8 +4,9 @@
 //! This is the property the partitioned engine's shard-count invariance rests on:
 //! the scheduler may restructure *how* events are stored (two wheel levels, lazy
 //! sorts, cascades, heap spills), but the popped order — including same-instant ties broken by
-//! `(created, class, content, seq)` and events ingested with explicit
-//! `schedule_created` stamps — must stay bit-identical to a total-order heap.
+//! `(created, class, content, seq)`, events ingested with explicit
+//! `schedule_created` stamps and events that enter the queue after the sequence number
+//! they carry was reserved — must stay bit-identical to a total-order heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -45,6 +46,13 @@ impl RefQueue {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(Reverse(Event::new(at, created, seq, kind)));
+    }
+
+    /// An event under the next sequence number, returned: the calendar queue takes
+    /// the same number now and the event later.
+    fn schedule_reserving(&mut self, at: SimTime, created: SimTime, kind: EventKind) -> u64 {
+        self.schedule_created(at, created, kind);
+        self.next_seq - 1
     }
 
     fn pop(&mut self) -> Option<Event> {
@@ -92,6 +100,29 @@ fn kind_for(sel: u64, a: u64) -> EventKind {
     }
 }
 
+/// An event whose sequence number the calendar queue has reserved but which has not
+/// entered it yet: `(at, created, seq, kind)`.
+type Deferred = (SimTime, SimTime, u64, EventKind);
+
+/// Let into `cal` every deferred event that could be the reference's next pop — the
+/// ones at the earliest pending instant — so each enters the queue before anything
+/// that orders after it pops, the way a link's next packet in flight enters when the
+/// one before it is dispatched. They enter out of sequence-number order.
+fn admit(cal: &mut EventQueue, reference: &RefQueue, deferred: &mut Vec<Deferred>) {
+    let Some(Reverse(next)) = reference.heap.peek() else {
+        return;
+    };
+    let mut i = 0;
+    while i < deferred.len() {
+        if deferred[i].0 <= next.at {
+            let (at, created, seq, kind) = deferred.swap_remove(i);
+            cal.schedule_reserved(at, created, seq, kind);
+        } else {
+            i += 1;
+        }
+    }
+}
+
 /// Full observable identity of a popped event. `Event`'s `PartialEq` compares the
 /// ordering key; the debug string additionally pins every payload field.
 fn ident(e: &Event) -> (u64, u64, u64, String) {
@@ -108,10 +139,11 @@ proptest! {
 
     /// Random interleavings of pushes (relative and absolute coarse-grained times —
     /// lots of exact ties — one in eight of them up to 64 ms further out), explicit
-    /// `schedule_created` stamps, single pops and batched window drains, across
-    /// log-uniform bucket widths from 1 ns to 2 ms: at the narrow end a schedule
-    /// crosses many level-1 slots and its far pushes start in the heap, at the wide
-    /// end one bucket holds everything. Both queues must agree op by op.
+    /// `schedule_created` stamps, sequence numbers reserved for events that enter the
+    /// queue only when they could pop next, single pops and batched window drains,
+    /// across log-uniform bucket widths from 1 ns to 2 ms: at the narrow end a
+    /// schedule crosses many level-1 slots and its far pushes start in the heap, at
+    /// the wide end one bucket holds everything. Both queues must agree op by op.
     #[test]
     fn calendar_queue_matches_reference_heap(
         ops in prop::collection::vec((0u8..10, 0u64..4_800, 0u64..12, 0u64..5), 1..300),
@@ -121,6 +153,7 @@ proptest! {
         let width = (1u64 << width_log2) + width_frac % (1u64 << width_log2);
         let mut cal = EventQueue::with_bucket_width(SimTime::from_nanos(width));
         let mut reference = RefQueue::new();
+        let mut deferred: Vec<Deferred> = Vec::new();
         for &(op, a, sel, c) in &ops {
             let far = if a / 600 == 0 { (a % 9) * 8_000_000 } else { 0 };
             let a = a % 600;
@@ -140,18 +173,28 @@ proptest! {
                         SimTime::from_nanos((a % 120) * 3_000 + far)
                     };
                     let kind = kind_for(sel, a);
-                    if c == 0 {
-                        cal.schedule(at, kind.clone());
-                        reference.schedule(at, kind);
-                    } else {
-                        // Explicit creation stamp, possibly before `now` — the
-                        // cross-shard ingestion path.
-                        let created = at.saturating_sub(SimTime::from_nanos(c * 1_000));
-                        cal.schedule_created(at, created, kind.clone());
-                        reference.schedule_created(at, created, kind);
+                    // Explicit creation stamp, possibly before `now` — the
+                    // cross-shard ingestion path and a link's departures.
+                    let created = at.saturating_sub(SimTime::from_nanos(c * 1_000));
+                    match c {
+                        0 => {
+                            cal.schedule(at, kind.clone());
+                            reference.schedule(at, kind);
+                        }
+                        4 => {
+                            let seq = cal.reserve_seq();
+                            let want = reference.schedule_reserving(at, created, kind.clone());
+                            prop_assert_eq!(seq, want);
+                            deferred.push((at, created, seq, kind));
+                        }
+                        _ => {
+                            cal.schedule_created(at, created, kind.clone());
+                            reference.schedule_created(at, created, kind);
+                        }
                     }
                 }
                 7 => {
+                    admit(&mut cal, &reference, &mut deferred);
                     let got = cal.pop();
                     let want = reference.pop();
                     prop_assert_eq!(
@@ -171,6 +214,7 @@ proptest! {
                         reference.now.as_nanos() + (a % 50) * 1_700 + 1,
                     );
                     loop {
+                        admit(&mut cal, &reference, &mut deferred);
                         let got = cal.pop_window(until);
                         let want = reference.pop_window(until);
                         prop_assert_eq!(
@@ -183,10 +227,11 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(cal.len(), reference.heap.len());
+            prop_assert_eq!(cal.len() + deferred.len(), reference.heap.len());
         }
         // Drain to empty: the tails must match event for event.
         loop {
+            admit(&mut cal, &reference, &mut deferred);
             let got = cal.pop();
             let want = reference.pop();
             prop_assert_eq!(got.as_ref().map(ident), want.as_ref().map(ident));
@@ -194,7 +239,7 @@ proptest! {
                 break;
             }
         }
-        prop_assert!(cal.is_empty());
+        prop_assert!(cal.is_empty() && deferred.is_empty());
         let stats = cal.stats();
         prop_assert_eq!(stats.pushes, stats.pops);
     }

@@ -5,12 +5,15 @@
 //! 1 000 flows, run twice:
 //!
 //! * **overloaded** — every arrival squeezed into 1 ms: nearly every flow is
-//!   unfinished at once, most of them paused and probing, and thousands of events are
-//!   pending; the burst frees far more event-queue chunks than the queue keeps once
-//!   it drains, so the rule that hands them back is in play;
+//!   unfinished at once, most of them paused and probing, with about two thousand
+//!   packets in flight; the burst frees far more event-queue chunks than the queue
+//!   keeps once it drains, so the rule that hands them back is in play;
 //! * **steady** — arrivals spread over 66 ms (the spec's own arrival rate): a few
 //!   dozen flows are live at any time while the finished ones pile up, so a host that
 //!   kept its finished senders would hold memory for all of them.
+//!
+//! A third case, the committed paced WAN spec, holds thousands of packets in flight on
+//! long links (see the last paragraph).
 //!
 //! The gate bounds the peak live heap of the whole scenario run (topology, workload,
 //! engine, agents, results) with a live-byte-counting global allocator and no wall
@@ -75,7 +78,25 @@
 //! to that link's own peak and never shrinks — the overloaded run peaks at
 //! 2 002 959 B (2 105 327 B with a buffer per link), the steady run at 774 215 B
 //! (852 679 B) and the two-shard steady run at 1 128 811 B (1 206 507 B). All three
-//! bounds sit between the two, so a buffer per link fails each of them.
+//! bounds sat between the two, so a buffer per link failed each of them.
+//!
+//! Since a link's packets in flight wait on its arrival FIFO, threaded through their
+//! slots of a paged in-flight slab, and only the earliest of them has its arrival
+//! queued — instead of one pending event per packet and a pool whose `Vec` grew by
+//! doubling in `PacketPool::park` — the overloaded run peaks at 1 872 423 B with 2 085 events
+//! pending (1 985 543 B and 3 813 before), the steady run at 681 247 B (770 495 B) and
+//! the two-shard steady run at 1 069 347 B (1 124 323 B). The overloaded run's
+//! regime check reads live flows and packets in flight (1 902), not pending events,
+//! and its largest allocation is now the slot slab, as in the steady run (the pool's
+//! doubled buffer was 245 760 B before). The three bounds moved down by the same
+//! amounts, so that each keeps the margin the buffer-per-link mutation had over it
+//! (estimated from the deltas above, not re-measured on this change).
+//!
+//! The committed paced WAN spec (`specs/wan_quick.scn`: 60 ms paths, up to 2 188
+//! packets in flight) is the high-BDP case: its run peaks at 484 374 B with 90 events
+//! pending, against 825 974 B with an event per packet in flight and the doubling pool
+//! (2 228 pending; a 491 520-byte pool buffer). Its bound sits between the two, and no
+//! allocation of the run may exceed a page of the in-flight slab (36 864 B).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
@@ -161,21 +182,25 @@ const SLOT_BYTES_CAP: usize = 200;
 /// `size_of::<FlowState>()` now: what the injected slot slab costs per flow.
 const SLOT_BYTES: usize = 168;
 
-/// The most a packet's pool slot may take (`size_of::<Packet>()`, pinned by
-/// `pdq-netsim`'s `packet_and_header_stay_small`).
-const PACKET_BYTES_CAP: usize = 120;
+/// A page of the in-flight slab: 256 slots of at most 144 bytes (pinned by
+/// `pdq-netsim`'s `in_flight_slots_stay_small`).
+const IN_FLIGHT_PAGE_BYTES: usize = 256 * 144;
 
-/// Pool slots the overloaded run grows to: its high water of 1 902 packets in flight,
-/// rounded up to the `Vec`'s doubling.
-const OVERLOADED_POOL_SLOTS: usize = 2_048;
+/// The committed paced WAN spec: PDQ(Full), 48 flows over 60 ms inter-datacenter paths.
+fn wan_quick() -> Scenario {
+    let scenario =
+        Scenario::from_spec(include_str!("../specs/wan_quick.scn")).expect("committed spec parses");
+    assert_eq!(scenario.seed, 1, "the gate was measured at seed 1");
+    scenario
+}
 
 // One test in this binary: the counters are process-wide.
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
     let mut steady_fingerprint = String::new();
     for (case, spread_us, bound) in [
-        ("overloaded", 1_000, 2_055_000),
-        ("steady", 66_000, 815_000),
+        ("overloaded", 1_000, 1_925_000),
+        ("steady", 66_000, 720_000),
     ] {
         let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         if case == "steady" {
@@ -191,7 +216,7 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         );
         assert_eq!(run.completed, run.flows, "{case}: every flow completes");
         let regime = match case {
-            "overloaded" => live > 900 && queue.peak_pending > 3_000,
+            "overloaded" => live > 900 && engine.pool_high_water > 1_500,
             _ => live < 50,
         };
         assert!(
@@ -202,16 +227,13 @@ fn pdq_runs_hold_memory_for_what_is_live() {
             peak < bound,
             "{case}: peak live heap of the run was {peak} bytes (bound {bound})"
         );
-        // The records are built in the slot slab's own buffer: nothing the run
-        // allocates is larger than the slab. Under overload the packet pool is the
-        // largest allocation.
-        let (what, cap) = match case {
-            "overloaded" => ("packet pool", OVERLOADED_POOL_SLOTS * PACKET_BYTES_CAP),
-            _ => ("slot slab", FLOWS * SLOT_BYTES_CAP),
-        };
+        // The records are built in the slot slab's own buffer, and the in-flight slab
+        // grows a page at a time: nothing the run allocates is larger than the slot
+        // slab.
+        let cap = FLOWS * SLOT_BYTES_CAP;
         assert!(
             largest <= cap,
-            "{case}: a {largest}-byte allocation, larger than the {what} ({cap} B)"
+            "{case}: a {largest}-byte allocation, larger than the slot slab ({cap} B)"
         );
     }
 
@@ -225,7 +247,7 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         steady_fingerprint,
         "two shards must reproduce the one-shard run"
     );
-    let bound = 1_167_000;
+    let bound = 1_110_000;
     assert!(
         peak < bound,
         "steady, two shards: peak live heap of the run was {peak} bytes (bound {bound})"
@@ -235,5 +257,31 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         largest <= cap,
         "steady, two shards: a {largest}-byte allocation, larger than the injected \
          slot slab ({cap} B)"
+    );
+
+    // The high-BDP case: thousands of packets in flight on 60 ms paths. Each costs a
+    // slot of the in-flight slab and, unless it is the next to arrive from its link,
+    // no event.
+    let (run, peak, largest) = peak_live(&wan_quick());
+    let (queue, engine) = (run.packet().queue, run.packet().engine);
+    eprintln!(
+        "wan: peak live {peak} B, largest allocation {largest} B; {} pending at most in \
+         {} queue chunks, {} packets in flight at most",
+        queue.peak_pending, queue.peak_chunks, engine.pool_high_water
+    );
+    assert_eq!(run.completed, run.flows, "wan: every flow completes");
+    assert!(
+        engine.pool_high_water > 2_000,
+        "wan: not the run this gate was sized for: {queue:?} {engine:?}"
+    );
+    let bound = 560_000;
+    assert!(
+        peak < bound,
+        "wan: peak live heap of the run was {peak} bytes (bound {bound})"
+    );
+    assert!(
+        largest <= IN_FLIGHT_PAGE_BYTES,
+        "wan: a {largest}-byte allocation, larger than a page of the in-flight slab \
+         ({IN_FLIGHT_PAGE_BYTES} B)"
     );
 }
