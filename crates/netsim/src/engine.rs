@@ -1187,10 +1187,10 @@ impl EngineCore {
             return;
         };
         packet.hop += 1;
+        let (flow, tie) = (packet.flow, packet_tie(packet));
         let dst = self.network.link(next_link).dst;
         if self.is_local(dst) {
-            let seq = self.events.reserve_seq();
-            self.arrive(next_link, slot, depart, seq);
+            self.arrive(next_link, slot, depart, flow, tie);
         } else {
             // Boundary crossing: the conservative lookahead window is sized so that
             // the arrival is at or past the receiver's next barrier.
@@ -1210,18 +1210,34 @@ impl EngineCore {
         depart + self.network.link(link).prop_delay + self.config.processing_delay
     }
 
-    /// The packet in `slot` left `link` at `depart`, its arrival numbered `seq`: put it
-    /// on the link's arrival FIFO, and queue its arrival if it is the FIFO's head or
-    /// bypasses the FIFO.
-    pub(crate) fn arrive(&mut self, link: LinkId, slot: PacketSlot, depart: SimTime, seq: u64) {
+    /// The packet in `slot`, of `flow` and with content subkey `tie`, left `link` at
+    /// `depart`: number its arrival now, put it on the link's arrival FIFO, and queue
+    /// the arrival at once if it is the FIFO's head or bypasses the FIFO.
+    pub(crate) fn arrive(
+        &mut self,
+        link: LinkId,
+        slot: PacketSlot,
+        depart: SimTime,
+        flow: FlowId,
+        tie: u64,
+    ) {
+        let seq = self.events.reserve_seq();
         if self.pool.depart(link, slot, depart, seq) {
-            self.queue_arrival(slot);
+            let node = self.network.link(link).dst;
+            let kind = EventKind::PacketAtNode {
+                node,
+                packet: slot,
+                flow,
+                tie,
+            };
+            let at = self.arrival_time(link, depart);
+            self.events.schedule_reserved(at, depart, seq, kind);
         }
     }
 
-    /// Queue the arrival of the packet in `slot` under the key it took when its link
-    /// accepted it: what a transmit-done event popping at its departure would have
-    /// scheduled.
+    /// Queue the arrival of the packet in `slot`, the new head of its link's FIFO,
+    /// under the key it took when the link accepted it: what a transmit-done event
+    /// popping at its departure would have scheduled.
     fn queue_arrival(&mut self, slot: PacketSlot) {
         let s = self.pool.slot(slot.0);
         let packet = s.packet.as_ref().expect("a packet in flight");

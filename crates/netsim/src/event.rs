@@ -19,10 +19,10 @@
 //! one [`Event`], the packet's arrival at the next node (a link's FIFO server needs no
 //! event of its own — see the departure ledger in the `network` module — and of the
 //! packets in flight on one link only the earliest has its arrival queued; see
-//! *Reserved sequence numbers*). Time is cut into fixed-width **fine buckets**; the engine sets the width
-//! to the smallest serialization time in the topology (a control packet on the
-//! fastest link — 448 ns at 1 Gbit/s), because that is the spacing at which a busy
-//! link releases packets. Three tiers hold the pending events:
+//! *Reserved sequence numbers*). Time is cut into fixed-width **fine buckets**; the
+//! engine sets the width to the smallest serialization time in the topology (a control
+//! packet on the fastest link — 448 ns at 1 Gbit/s), because that is the spacing at
+//! which a busy link releases packets. Three tiers hold the pending events:
 //!
 //! * **Level 0 — the fine wheel.** `WHEEL_SLOTS` fine buckets covering exactly the
 //!   level-1 slot the clock is in. A push adds to the bucket's unsorted chain of

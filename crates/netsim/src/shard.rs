@@ -259,9 +259,9 @@ impl EngineCore {
                     // means nothing here.
                     self.flows.stamp(slot, &mut packet);
                     debug_assert_eq!(msg.at, self.arrival_time(link, msg.sent));
+                    let (flow, tie) = (packet.flow, crate::engine::packet_tie(&packet));
                     let parked = self.pool.park(packet);
-                    let seq = self.events.reserve_seq();
-                    self.arrive(link, parked, msg.sent, seq);
+                    self.arrive(link, parked, msg.sent, flow, tie);
                 }
             }
         }
