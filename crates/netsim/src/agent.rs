@@ -26,10 +26,12 @@ use crate::time::SimTime;
 /// chose.
 ///
 /// The path itself is not here. The engine keeps a flow's links in one place, its
-/// route arena, from the arrival to the end of the run; no agent needs them, and
-/// re-routing a flow means injecting a new flow (e.g. an M-PDQ subflow). The engine
-/// holds one `FlowInfo` per flow, in the flow's slot, so [`Ctx::flow`] hands out a
-/// reference, never a copy.
+/// route arena, from the arrival until nothing of the finished flow is left in the
+/// network; no agent needs them, and re-routing a flow means injecting a new flow
+/// (e.g. an M-PDQ subflow). The engine holds one `FlowInfo` per flow, in the flow's
+/// slot, so [`Ctx::flow`] hands out a reference, never a copy. [`Ctx::flow`] finds a
+/// flow while it can still have a packet or a timer: in every callback for the flow,
+/// and no longer once it has been retired.
 #[derive(Clone, Debug)]
 pub struct FlowInfo {
     /// The flow specification (size, deadline, endpoints, arrival time).

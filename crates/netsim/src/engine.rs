@@ -28,21 +28,26 @@
 //! * **controllers** — `Vec<Option<Box<dyn LinkController + Send>>>` indexed by
 //!   [`LinkId`];
 //! * **flows** — a `FlowTable`: two parallel slabs indexed by a per-core flow slot.
-//!   The *hot* one (`FlowHot`, 8 bytes a flow: its route offset and link count) is
-//!   all that sending a packet reads, and stays cache-resident with thousands of
-//!   flows live; the *cold* one (`FlowState`:
+//!   The *hot* one (`FlowHot`, 12 bytes a flow: its route offset, its link count and
+//!   what of it the core still holds) is all that sending a packet reads, and stays
+//!   cache-resident with thousands of flows live; the *cold* one (`FlowState`:
 //!   the flow's [`FlowInfo`] — the one copy of its spec — its accounting and trace
 //!   accumulator; the [`FlowRecord`] is assembled from it at the merge) is read when a
 //!   flow arrives or finishes, when an agent asks for its `FlowInfo`, and to count a
 //!   drop or delivered bytes. A flow holds its slot from injection to the merge; the
 //!   flows injected before the run are ordered by arrival and fed to the event queue
-//!   one at a time. Beside the slabs a flat **route arena** holds every routed flow's
+//!   one at a time. Beside the slabs a flat **route arena** holds each routed flow's
 //!   forward links — the only copy of its path — followed by the links its ACKs take,
 //!   and a `FlowId -> slot` index
 //!   ([`FlowMap`]: one multiply-xorshift round, not SipHash) is consulted only at the
-//!   per-packet boundaries (a packet sent, a flow finished, a shard's message);
-//!   timers never read it. [`NodeId`]/[`LinkId`] are
-//!   sequential by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids,
+//!   per-packet boundaries (a packet sent, a timer set, a flow finished, a shard's
+//!   message); a timer that fires carries its flow's slot. Both hold only the flows
+//!   that can still have a packet on the core: a flow enters the index when it
+//!   arrives, is spawned or is registered, and once it is finished and nothing of it
+//!   is left — no packet in flight, no timer pending, on this core or any other — it
+//!   is *retired*: its index entry goes and its arena run is reused by the next flow
+//!   routed over as many links (see `EngineCore::try_retire`). [`NodeId`]/[`LinkId`]
+//!   are sequential by construction; [`FlowId`]s may be sparse (M-PDQ subflow ids,
 //!   workload-chosen ids), which is exactly what the index absorbs.
 //!
 //! The *per-hop* path reads hop state only: the popped event, the packet, one run of
@@ -285,6 +290,12 @@ pub(crate) struct FlowState {
     pub(crate) finish: Option<Finish>,
     /// `raw_bytes_delivered` at the previous trace sample (goodput time series).
     pub(crate) bytes_at_last_sample: u64,
+    /// On the home slot of a finished flow with replicas: the replies still awaited
+    /// to the poll asking every core on its path whether it holds anything of the
+    /// flow (0 while no poll is out; see `EngineCore::try_retire`).
+    pub(crate) awaited: u32,
+    /// True while every reply to that poll said the core held nothing.
+    pub(crate) all_idle: bool,
 }
 
 impl FlowState {
@@ -308,6 +319,8 @@ impl FlowState {
             drops: 0,
             finish: None,
             bytes_at_last_sample: 0,
+            awaited: 0,
+            all_idle: false,
         }
     }
 
@@ -330,16 +343,21 @@ impl FlowState {
 }
 
 /// The hot half of a flow's engine state: all that sending a packet and taking one
-/// over from another shard need. It lives in a slab of its own so that thousands of
-/// live flows stay cache-resident (8 bytes each against several hundred for a
-/// [`FlowState`]).
+/// over from another shard need, and what tells the core when it may let the flow's
+/// route go. It lives in a slab of its own so that thousands of live flows stay
+/// cache-resident (12 bytes each against several hundred for a [`FlowState`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlowHot {
     /// Where the flow's links start in [`FlowTable::routes`].
     pub(crate) route: u32,
-    /// Links on the flow's path; 0 for a flow not routed — not yet arrived, or not
-    /// placed by the router — which sends no packet.
+    /// Links on the flow's path; 0 for a flow not routed — not yet arrived, not placed
+    /// by the router, or retired — which sends no packet.
     pub(crate) nlinks: u32,
+    /// What of the flow this core still holds: its packets inside this core's
+    /// network, its timers pending here, and the agent callback running for it (its
+    /// arrival, one of its packets or one of its timers). Until it is 0 an agent here
+    /// may still send on the flow or look it up.
+    pub(crate) refs: u32,
 }
 
 /// Per-flow state in dense slabs — hot and cold halves side by side, indexed by the
@@ -348,21 +366,32 @@ pub(crate) struct FlowHot {
 /// A flow has one slot per core that knows it, from the moment it is injected (or
 /// spawned, or registered by the shard it is homed on) until the results are merged;
 /// slots are never reused within a run, so a slot is a stable dense id for the flow
-/// *on this core*. The flows injected before the run take the first slots, in the
-/// order their arrivals pop (`(arrival, id)`), so the next arrival is always the next
-/// slot. The index is consulted once per packet an agent sends and per finish;
-/// per-hop code needs neither the index nor the slabs, only the route stamp in the
-/// packet.
+/// *on this core*, and a home slot becomes the flow's record in place. The flows
+/// injected before the run take the first slots, in the order their arrivals pop
+/// (`(arrival, id)`), so the next arrival is always the next slot.
+///
+/// The index and the route arena hold only the flows that can still have a packet on
+/// this core: a flow enters the index when it arrives, is spawned or is registered,
+/// and its links enter the arena when it is routed. Once it is finished and nothing of
+/// it is left (see [`FlowHot::refs`] and `EngineCore::try_retire`), the flow is
+/// *retired*: its index entry goes, and its arena run goes onto a free list of runs of
+/// its length, for the next flow routed over as many links. The index is consulted
+/// once per packet an agent sends, per timer it sets and per finish; per-hop code
+/// needs neither the index nor the slabs, only the route stamp in the packet.
 ///
 /// `routes` holds, for each routed flow, its `n` forward links followed by the `n`
 /// links its ACKs take (`network.reverse(links[n-1-h])` at reverse hop `h`), so a hop
-/// in either direction is one index into one contiguous run of link ids. A flow's
-/// links are laid out when it is routed, so the arena is in arrival order.
+/// in either direction is one index into one contiguous run of link ids.
 #[derive(Default)]
 pub(crate) struct FlowTable {
     pub(crate) hot: Vec<FlowHot>,
     pub(crate) slots: Vec<FlowState>,
     pub(crate) routes: Vec<LinkId>,
+    /// Per path length: the offsets of released runs of `routes`.
+    free_runs: Vec<Vec<u32>>,
+    /// Entries of `routes` held by routed flows, now and at most.
+    routes_in_use: u64,
+    routes_high_water: u64,
     index: FlowMap<u32>,
 }
 
@@ -375,44 +404,81 @@ impl FlowTable {
         self.index.get(&id).copied()
     }
 
-    /// Add a flow, unrouted: it sends nothing until [`FlowTable::set_route`] gives it
-    /// links.
+    /// Enter the flow in `slot` into the index.
+    ///
+    /// # Panics
+    /// If a flow with its id is indexed already.
+    pub(crate) fn index(&mut self, slot: u32) {
+        let id = self.slots[slot as usize].info.spec.id;
+        let fresh = self.index.insert(id, slot).is_none();
+        assert!(fresh, "duplicate flow id {id:?}");
+    }
+
+    /// Add a flow, indexed but unrouted: it sends nothing until
+    /// [`FlowTable::set_route`] gives it links.
     pub(crate) fn push(&mut self, state: FlowState) -> u32 {
         let slot = self.slots.len() as u32;
-        self.index.insert(state.info.spec.id, slot);
         self.hot.push(FlowHot::default());
         self.slots.push(state);
+        self.index(slot);
         slot
     }
 
-    /// Order the flows added before the run (their hot halves and index entries not
-    /// yet built) by `(arrival, id)`, the order their arrivals pop, and index them.
-    ///
-    /// # Panics
-    /// If two of them share an id.
+    /// Order the flows added before the run (their hot halves not yet built) by
+    /// `(arrival, id)`, the order their arrivals pop. Each enters the index when it
+    /// arrives.
     pub(crate) fn order_injected(&mut self) {
         debug_assert!(self.hot.is_empty() && self.index.is_empty());
         self.slots
             .sort_unstable_by_key(|s| (s.info.spec.arrival, s.info.spec.id));
-        self.hot.reserve_exact(self.slots.len());
-        self.index.reserve(self.slots.len());
-        for (slot, state) in self.slots.iter().enumerate() {
-            let spec = &state.info.spec;
-            let fresh = self.index.insert(spec.id, slot as u32).is_none();
-            assert!(fresh, "duplicate flow id {:?}", spec.id);
-            self.hot.push(FlowHot::default());
-        }
+        self.hot = vec![FlowHot::default(); self.slots.len()];
     }
 
     /// Give the flow in `slot` its path: lay `links` and the links its ACKs take out
-    /// in the route arena.
+    /// in the route arena, in a released run of the same length if there is one.
     pub(crate) fn set_route(&mut self, slot: u32, network: &Network, links: &[LinkId]) {
+        let n = links.len();
+        let run = match self.free_runs.get_mut(n).and_then(Vec::pop) {
+            Some(run) => run as usize,
+            None => {
+                let run = self.routes.len();
+                self.routes.resize(run + 2 * n, LinkId(NIL));
+                run
+            }
+        };
+        let (forward, reverse) = self.routes[run..][..2 * n].split_at_mut(n);
+        forward.copy_from_slice(links);
+        for (r, &l) in reverse.iter_mut().zip(links.iter().rev()) {
+            *r = network.reverse(l);
+        }
         let hot = &mut self.hot[slot as usize];
-        hot.route = u32::try_from(self.routes.len()).expect("route arena exceeds u32 offsets");
-        hot.nlinks = links.len() as u32;
-        self.routes.extend_from_slice(links);
-        self.routes
-            .extend(links.iter().rev().map(|&l| network.reverse(l)));
+        hot.route = u32::try_from(run).expect("route arena exceeds u32 offsets");
+        hot.nlinks = n as u32;
+        self.routes_in_use += 2 * n as u64;
+        self.routes_high_water = self.routes_high_water.max(self.routes_in_use);
+    }
+
+    /// Retire the flow in `slot`: drop its index entry and release its arena run.
+    pub(crate) fn retire(&mut self, slot: u32) {
+        let id = self.slots[slot as usize].info.spec.id;
+        let removed = self.index.remove(&id);
+        debug_assert_eq!(removed, Some(slot), "{id:?} retired twice");
+        let hot = &mut self.hot[slot as usize];
+        debug_assert_eq!(hot.refs, 0, "{id:?} retired while still held");
+        let n = std::mem::take(&mut hot.nlinks) as usize;
+        if n == 0 {
+            return;
+        }
+        if self.free_runs.len() <= n {
+            self.free_runs.resize_with(n + 1, Vec::new);
+        }
+        self.free_runs[n].push(hot.route);
+        self.routes_in_use -= 2 * n as u64;
+    }
+
+    /// The most route-arena entries routed flows held at once.
+    pub(crate) fn route_high_water(&self) -> u64 {
+        self.routes_high_water
     }
 
     /// The forward links of the flow in `slot` (none for an unrouted flow).
@@ -421,15 +487,27 @@ impl FlowTable {
         &self.routes[hot.route as usize..][..hot.nlinks as usize]
     }
 
-    /// Stamp `packet` with the flow's slot and route on this core; returns the hot
-    /// state it stamped from.
+    /// Stamp `packet` with the flow's slot and route on this core, and count it as
+    /// held; returns the hot state it stamped from. A flow not routed here stamps
+    /// `nlinks == 0` and is not held.
     #[inline]
-    pub(crate) fn stamp(&self, slot: u32, packet: &mut Packet) -> FlowHot {
-        let hot = self.hot[slot as usize];
+    pub(crate) fn stamp(&mut self, slot: u32, packet: &mut Packet) -> FlowHot {
+        let hot = &mut self.hot[slot as usize];
         packet.flow_slot = slot;
         packet.route = hot.route;
         packet.nlinks = hot.nlinks;
-        hot
+        if hot.nlinks > 0 {
+            hot.refs += 1;
+        }
+        *hot
+    }
+
+    /// True if `packet`'s stamp still names its flow's route on this core: what every
+    /// packet inside the network must satisfy, since a flow's run is released only
+    /// once none of its packets is left here.
+    pub(crate) fn holds_route_of(&self, packet: &Packet) -> bool {
+        let hot = self.hot[packet.flow_slot as usize];
+        hot.nlinks == packet.nlinks && hot.route == packet.route && hot.refs > 0
     }
 
     /// The link a stamped packet takes at its current hop, and the forward link whose
@@ -444,6 +522,11 @@ impl FlowTable {
             packet.hop as usize,
         );
         debug_assert!(hop < nlinks, "hop {hop} beyond a {nlinks}-link path");
+        debug_assert!(
+            self.holds_route_of(packet),
+            "{:?} forwarded on a released route",
+            packet.flow
+        );
         if packet.reverse() {
             let ctl = (hop >= 1).then(|| self.routes[route + nlinks - hop]);
             (self.routes[route + nlinks + hop], ctl)
@@ -660,11 +743,16 @@ pub struct EngineStats {
     /// is an upper bound on the global peak). The size of the per-flow working set:
     /// what separates an overloaded run from a steady one at the same event count.
     pub live_flows_high_water: u64,
+    /// Most route-arena entries in use at once on a core: two per link of every flow
+    /// routed there and not yet retired (per shard; the sum is an upper bound on the
+    /// global peak).
+    pub route_high_water: u64,
     /// Lookahead windows the run processed: 1 on a lone core (one unbounded window),
     /// at most `end_time / lookahead` plus one or two on shards. Every shard opens the
     /// same windows, so this one counter is merged as the common count, not summed.
     pub windows: u64,
-    /// Boundary messages ingested from other shards (0 on a lone core).
+    /// Boundary messages ingested from other shards (0 on a lone core; a home's poll
+    /// of itself is not counted).
     pub messages_in: u64,
 }
 
@@ -674,8 +762,8 @@ impl std::fmt::Display for EngineStats {
         write!(
             f,
             "arrivals={} packets={} timers_fired={} ticks={} samples={} \
-             pool_high_water={} ledger_high_water={} live_flows_high_water={} windows={} \
-             messages_in={}",
+             pool_high_water={} ledger_high_water={} live_flows_high_water={} \
+             route_high_water={} windows={} messages_in={}",
             self.arrivals,
             self.packets,
             self.timers_fired,
@@ -684,6 +772,7 @@ impl std::fmt::Display for EngineStats {
             self.pool_high_water,
             self.ledger_high_water,
             self.live_flows_high_water,
+            self.route_high_water,
             self.windows,
             self.messages_in
         )
@@ -725,6 +814,9 @@ pub(crate) struct EngineCore {
     pub(crate) flows: FlowTable,
     /// Flows injected before the run: slots `0..injected`, in arrival order.
     injected: usize,
+    /// M-PDQ subflows homed here that are finished and hold nothing, waiting for their
+    /// parent to retire: until it reports, its host may hand them more bytes.
+    orphans: Vec<u32>,
     pub(crate) pool: PacketPool,
     pub(crate) unfinished_flows: usize,
     pub(crate) pending_arrivals: usize,
@@ -780,6 +872,7 @@ impl EngineCore {
             stats: EngineStats::default(),
             flows: FlowTable::default(),
             injected: 0,
+            orphans: Vec::new(),
             pool: PacketPool::new(n_links),
             unfinished_flows: 0,
             pending_arrivals: 0,
@@ -802,12 +895,12 @@ impl EngineCore {
         self.shard_of.is_empty() || self.shard_of[node.index()] == self.shard
     }
 
-    /// Queue `body` for `to_shard`, taking effect at `at`, created at `sent`.
-    fn push_msg(&mut self, to_shard: u32, at: SimTime, sent: SimTime, body: MsgBody) {
+    /// Queue `body` for `to_shard`, created at `sent` (see [`ShardMsg::sent`] for when
+    /// it takes effect).
+    pub(crate) fn push_msg(&mut self, to_shard: u32, sent: SimTime, body: MsgBody) {
         let seq = self.msg_seq;
         self.msg_seq += 1;
         self.outbox[to_shard as usize].push(ShardMsg {
-            at,
             sent,
             src_shard: self.shard,
             seq,
@@ -824,12 +917,10 @@ impl EngineCore {
 
     /// Add a flow an agent spawned at run time (arriving no earlier than now), with an
     /// arrival event of its own.
+    ///
+    /// # Panics
+    /// If a flow with its id is indexed on this core.
     fn spawn_flow(&mut self, spec: FlowSpec) {
-        assert!(
-            !self.flows.contains(spec.id),
-            "duplicate flow id {:?}",
-            spec.id
-        );
         self.pending_arrivals += 1;
         let arrival = spec.arrival.max(self.now);
         let (flow, spec) = (spec.id, FlowSpec { arrival, ..spec });
@@ -955,11 +1046,12 @@ impl EngineCore {
             EventKind::Timer {
                 node,
                 flow,
+                slot,
                 kind,
                 token,
             } => {
                 self.stats.timers_fired += 1;
-                self.handle_timer(node, flow, kind, token)
+                self.handle_timer(node, flow, slot, kind, token)
             }
             EventKind::ControllerTick { link } => {
                 self.stats.ticks += 1;
@@ -976,12 +1068,14 @@ impl EngineCore {
 
     /// Route the flow arriving in `slot`, make it visible to every shard its path
     /// touches, and hand it to its source agent. The path goes into the route arena
-    /// and is dropped.
+    /// and is dropped. An injected flow enters the index here; a spawned one did when
+    /// it was spawned.
     fn handle_flow_arrival(&mut self, slot: u32) {
         self.pending_arrivals -= 1;
         let s = slot as usize;
         if s < self.injected {
             self.feed_arrival(s + 1);
+            self.flows.index(slot);
         }
         let path = {
             let Self {
@@ -1004,8 +1098,9 @@ impl EngineCore {
         // has not placed the flow.
         let Some(path) = path.filter(|p| is_simple(&p.nodes)) else {
             // Disconnected src/dst pair: record the flow as failed instead of
-            // aborting the whole run. It never reaches an agent.
+            // aborting the whole run. It never reaches an agent, so nothing looks it up.
             self.flows.slots[s].stage = Stage::Failed;
+            self.flows.retire(slot);
             return;
         };
         let state = &mut self.flows.slots[s];
@@ -1027,6 +1122,9 @@ impl EngineCore {
             .stats
             .live_flows_high_water
             .max(self.unfinished_flows as u64);
+        // The callback holds the flow: a flow finished inside it is retired only once
+        // all of its actions have taken effect.
+        self.flows.hot[s].refs += 1;
         let actions = {
             let Self {
                 agents,
@@ -1043,16 +1141,34 @@ impl EngineCore {
             ctx.take_actions()
         };
         self.apply_actions(src, actions);
+        self.unhold(slot);
     }
 
     /// Send a registration for the routed flow in `slot` — its info and its links — to
     /// every other shard on its path.
     fn broadcast_registration(&mut self, slot: u32) {
-        if self.shard_of.is_empty() {
+        let replicas = self.replica_shards(slot);
+        if replicas.is_empty() {
             return;
         }
-        let links = self.flows.links(slot);
-        let mut shards: Vec<u32> = links
+        let links: Box<[LinkId]> = self.flows.links(slot).into();
+        let info = self.flows.slots[slot as usize].info.clone();
+        let now = self.now;
+        for s in replicas {
+            let (info, links) = (Box::new(info.clone()), links.clone());
+            self.push_msg(s, now, MsgBody::Register { info, links });
+        }
+    }
+
+    /// The other shards the routed flow in `slot` has a node on, ascending: where
+    /// it is registered (none on a lone core).
+    pub(crate) fn replica_shards(&self, slot: u32) -> Vec<u32> {
+        if self.shard_of.is_empty() {
+            return Vec::new();
+        }
+        let mut shards: Vec<u32> = self
+            .flows
+            .links(slot)
             .iter()
             .flat_map(|&l| {
                 let link = self.network.link(l);
@@ -1063,13 +1179,7 @@ impl EngineCore {
             .collect();
         shards.sort_unstable();
         shards.dedup();
-        let links: Box<[LinkId]> = links.into();
-        let info = self.flows.slots[slot as usize].info.clone();
-        let now = self.now;
-        for s in shards {
-            let (info, links) = (Box::new(info.clone()), links.clone());
-            self.push_msg(s, now, now, MsgBody::Register { info, links });
-        }
+        shards
     }
 
     fn handle_packet_at_node(&mut self, node: NodeId, slot: PacketSlot) {
@@ -1103,10 +1213,17 @@ impl EngineCore {
         }
     }
 
-    /// Deliver a packet to the host agent at `node`.
+    /// Deliver a packet to the host agent at `node`. The packet holds its flow until
+    /// the agent's actions have taken effect.
     fn deliver_packet(&mut self, node: NodeId, packet: Packet) {
+        debug_assert!(
+            self.flows.holds_route_of(&packet),
+            "{:?} delivered on a released route",
+            packet.flow
+        );
+        let slot = packet.flow_slot;
         if packet.kind == PacketKind::Data {
-            let state = &mut self.flows.slots[packet.flow_slot as usize];
+            let state = &mut self.flows.slots[slot as usize];
             state.raw_bytes_delivered += packet.payload as u64;
         }
         let actions = {
@@ -1116,14 +1233,16 @@ impl EngineCore {
                 actions,
                 ..
             } = self;
-            let Some(agent) = agents[node.index()].as_mut() else {
-                return;
-            };
-            let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
-            agent.on_packet(packet, &mut ctx);
-            ctx.take_actions()
+            agents[node.index()].as_mut().map(|agent| {
+                let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
+                agent.on_packet(packet, &mut ctx);
+                ctx.take_actions()
+            })
         };
-        self.apply_actions(node, actions);
+        if let Some(actions) = actions {
+            self.apply_actions(node, actions);
+        }
+        self.unhold(slot);
     }
 
     /// Put the packet in `slot` on its next link from `node`: run the link controller,
@@ -1182,8 +1301,10 @@ impl EngineCore {
             self.network.accept(next_link, key, packet.wire_size())
         };
         let Some(depart) = depart else {
-            self.flows.slots[packet.flow_slot as usize].drops += 1;
+            let flow_slot = packet.flow_slot;
+            self.flows.slots[flow_slot as usize].drops += 1;
             self.pool.take(slot);
+            self.unhold(flow_slot);
             return;
         };
         packet.hop += 1;
@@ -1195,13 +1316,14 @@ impl EngineCore {
             // Boundary crossing: the conservative lookahead window is sized so that
             // the arrival is at or past the receiver's next barrier.
             let to = self.shard_of[dst.index()];
-            let arrive_at = self.arrival_time(next_link, depart);
             let packet = self.pool.take(slot).expect("peeked above");
+            let flow_slot = packet.flow_slot;
             let body = MsgBody::Packet {
                 link: next_link,
                 packet,
             };
-            self.push_msg(to, arrive_at, depart, body);
+            self.push_msg(to, depart, body);
+            self.unhold(flow_slot);
         }
     }
 
@@ -1251,7 +1373,10 @@ impl EngineCore {
         self.events.schedule_reserved(at, s.depart, s.seq, kind);
     }
 
-    fn handle_timer(&mut self, node: NodeId, flow: FlowId, kind: TimerKind, token: u64) {
+    /// Fire a timer of `flow` at the agent at `node`. A timer set while its flow was
+    /// indexed here holds the flow's `slot` until the agent's actions have taken
+    /// effect; one set for a flow id not indexed here has `slot == NIL`.
+    fn handle_timer(&mut self, node: NodeId, flow: FlowId, slot: u32, kind: TimerKind, token: u64) {
         let actions = {
             let Self {
                 agents,
@@ -1259,14 +1384,18 @@ impl EngineCore {
                 actions,
                 ..
             } = self;
-            let Some(agent) = agents[node.index()].as_mut() else {
-                return;
-            };
-            let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
-            agent.on_timer(flow, kind, token, &mut ctx);
-            ctx.take_actions()
+            agents[node.index()].as_mut().map(|agent| {
+                let mut ctx = Ctx::with_buffer(self.now, flows, std::mem::take(actions));
+                agent.on_timer(flow, kind, token, &mut ctx);
+                ctx.take_actions()
+            })
         };
-        self.apply_actions(node, actions);
+        if let Some(actions) = actions {
+            self.apply_actions(node, actions);
+        }
+        if slot != NIL {
+            self.unhold(slot);
+        }
     }
 
     fn handle_controller_tick(&mut self, link_id: LinkId) {
@@ -1384,6 +1513,7 @@ impl EngineCore {
                     let Some(slot) = self.flows.slot_of(packet.flow) else {
                         continue;
                     };
+                    // A stamped packet holds its flow until it leaves this core.
                     if self.flows.stamp(slot, &mut packet).nlinks == 0 {
                         continue;
                     }
@@ -1402,9 +1532,15 @@ impl EngineCore {
                         "{flow:?}: a timer armed at {created:?} set at {:?}",
                         self.now
                     );
+                    // A pending timer holds its flow: when it fires, the agent may send.
+                    let slot = self.flows.slot_of(flow).unwrap_or(NIL);
+                    if slot != NIL {
+                        self.flows.hot[slot as usize].refs += 1;
+                    }
                     let timer = EventKind::Timer {
                         node,
                         flow,
+                        slot,
                         kind,
                         token,
                     };
@@ -1427,8 +1563,9 @@ impl EngineCore {
     }
 
     /// Record a flow completion/termination (first action wins) and settle the
-    /// liveness accounting: the home shard decrements its unfinished count directly,
-    /// a replica notifies the home shard instead.
+    /// liveness accounting: the home shard decrements its unfinished count directly
+    /// (and retires the flow if nothing of it is left), a replica notifies the home
+    /// shard instead.
     fn finish_flow(&mut self, flow: FlowId, completed: bool) {
         let Some(slot) = self.flows.slot_of(flow) else {
             return;
@@ -1446,10 +1583,89 @@ impl EngineCore {
         };
         if home {
             self.unfinished_flows = self.unfinished_flows.saturating_sub(1);
+            self.try_retire(slot);
         } else {
             let to = self.shard_of[src.index()];
-            let at = self.now;
-            self.push_msg(to, at, at, MsgBody::Finished { flow, completed });
+            let now = self.now;
+            self.push_msg(to, now, MsgBody::Finished { flow, completed });
+        }
+    }
+
+    // ------------------------------------------------------------------ retirement
+
+    /// Let go of one hold on the flow in `slot` (a packet that left this core, a timer
+    /// or callback that ended); the last one may retire the flow.
+    #[inline]
+    pub(crate) fn unhold(&mut self, slot: u32) {
+        let refs = &mut self.flows.hot[slot as usize].refs;
+        *refs -= 1;
+        if *refs == 0 {
+            self.try_retire(slot);
+        }
+    }
+
+    /// Retire the flow homed in `slot` if it can never have a packet again: it is
+    /// finished, and nothing of it is left — no packet in flight, no pending timer, no
+    /// running callback — here or on any other core. A flow that sends again after it
+    /// finished is an M-PDQ subflow: its host may hand it more bytes until the parent
+    /// reports, so it waits for its parent to retire.
+    ///
+    /// On a lone core, and for a flow whose path stays on its home core, "here" is
+    /// all there is. A flow with replicas is polled instead: every core on its path,
+    /// the home included, is asked at one barrier whether it holds anything of the
+    /// flow, and answers after ingesting that barrier's packets. Messages cross only at
+    /// barriers, so the answers describe one instant with nothing in transit; if none
+    /// holds anything then, nothing of the flow is left anywhere, and the home retires
+    /// it and tells the replicas to. Otherwise the home polls again once it holds
+    /// nothing itself.
+    pub(crate) fn try_retire(&mut self, slot: u32) {
+        let state = &self.flows.slots[slot as usize];
+        if !state.home
+            || state.finish.is_none()
+            || state.awaited > 0
+            || self.flows.hot[slot as usize].refs > 0
+        {
+            return;
+        }
+        if state
+            .info
+            .spec
+            .parent
+            .is_some_and(|p| self.flows.contains(p))
+        {
+            if !self.orphans.contains(&slot) {
+                self.orphans.push(slot);
+            }
+            return;
+        }
+        let parties = self.replica_shards(slot);
+        if parties.is_empty() {
+            return self.retire(slot);
+        }
+        let state = &mut self.flows.slots[slot as usize];
+        let flow = state.info.spec.id;
+        state.awaited = parties.len() as u32 + 1;
+        state.all_idle = true;
+        let now = self.now;
+        for s in parties.into_iter().chain([self.shard]) {
+            self.push_msg(s, now, MsgBody::Poll { flow });
+        }
+    }
+
+    /// Retire the flow in `slot` on this core, and any subflow that waited for it.
+    pub(crate) fn retire(&mut self, slot: u32) {
+        self.flows.retire(slot);
+        if self.orphans.is_empty() {
+            return;
+        }
+        let id = self.flows.slots[slot as usize].info.spec.id;
+        let slots = &self.flows.slots;
+        let kids: Vec<u32> = self
+            .orphans
+            .extract_if(.., |&mut o| slots[o as usize].info.spec.parent == Some(id))
+            .collect();
+        for kid in kids {
+            self.try_retire(kid);
         }
     }
 }
@@ -1961,11 +2177,11 @@ pub(crate) mod tests {
         let _ = sim.run();
     }
 
-    /// The hot slab is a route offset and a link count, 8 bytes a flow: 5 000 live
-    /// flows take 40 kB of it.
+    /// The hot slab is a route offset, a link count and a hold count, 12 bytes a
+    /// flow: 5 000 live flows take 60 kB of it.
     #[test]
     fn hot_flow_state_stays_small() {
-        assert_eq!(std::mem::size_of::<FlowHot>(), 8);
+        assert_eq!(std::mem::size_of::<FlowHot>(), 12);
     }
 
     /// Every flow of a run holds a cold slot from injection to the merge, finished or
@@ -2084,7 +2300,6 @@ pub(crate) mod tests {
             routed(&mut replica, FlowSpec::new(8, dst, src, 10_000), &back);
             let info = Box::new(home.flows.slots[0].info.clone());
             replica.ingest(&mut vec![ShardMsg {
-                at: SimTime::ZERO,
                 sent: SimTime::ZERO,
                 src_shard: 0,
                 seq: 0,
@@ -2095,7 +2310,7 @@ pub(crate) mod tests {
                 replica.flows.slot_of(FlowId(7))
             );
 
-            for core in [&home, &replica] {
+            for core in [&mut home, &mut replica] {
                 let slot = core.flows.slot_of(FlowId(7)).unwrap();
                 for (kind, want, end) in [
                     (PacketKind::Data, &forward, dst),
@@ -2298,5 +2513,211 @@ pub(crate) mod tests {
     #[should_panic(expected = "with another source")]
     fn spawning_a_flow_elsewhere_panics() {
         where_probe_run(true);
+    }
+
+    /// A transport that leaves packets of its flow in the network after the flow
+    /// finishes, and logs every packet delivered with the instant:
+    ///
+    /// * the sender sends the flow's data `copies` times over, back to back — a
+    ///   go-back-N sender resending what the receiver already has — so duplicate ACKs
+    ///   trail the completion;
+    /// * with `term`, the sender answers the ACK of the last byte with a TERM, which
+    ///   the receiver echoes: PDQ's TERM and its echo are in flight after the finish;
+    /// * the receiver ACKs every data packet with its cumulative in-order count and
+    ///   reports the flow complete on its last byte.
+    struct LateAgent {
+        copies: u32,
+        term: bool,
+        received: FlowMap<u64>,
+        termed: FlowMap<()>,
+        log: std::sync::Arc<std::sync::Mutex<Vec<(PacketKind, SimTime)>>>,
+    }
+
+    impl HostAgent for LateAgent {
+        fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
+            let spec = &flow.spec;
+            for _ in 0..self.copies {
+                let mut offset = 0;
+                while offset < spec.size_bytes {
+                    let payload =
+                        (spec.size_bytes - offset).min(crate::packet::MSS_BYTES as u64) as u32;
+                    ctx.send(Packet::data(spec.id, spec.src, spec.dst, offset, payload));
+                    offset += payload as u64;
+                }
+            }
+        }
+
+        fn on_packet(&mut self, packet: Packet, ctx: &mut Ctx) {
+            self.log.lock().unwrap().push((packet.kind, ctx.now()));
+            let size = ctx.flow(packet.flow).expect("a live flow").spec.size_bytes;
+            match packet.kind {
+                PacketKind::Data => {
+                    let received = self.received.entry(packet.flow).or_insert(0);
+                    let complete = *received >= size;
+                    if packet.seq == *received {
+                        *received += packet.payload as u64;
+                    }
+                    ctx.send(packet.make_echo(PacketKind::Ack, *received));
+                    if !complete && *received >= size {
+                        ctx.flow_completed(packet.flow);
+                    }
+                }
+                PacketKind::Ack
+                    if self.term
+                        && packet.ack >= size
+                        && self.termed.insert(packet.flow, ()).is_none() =>
+                {
+                    let term =
+                        Packet::control(PacketKind::Term, packet.flow, packet.src, packet.dst);
+                    ctx.send(term);
+                }
+                PacketKind::Term => ctx.send(packet.make_echo(PacketKind::TermAck, 0)),
+                _ => {}
+            }
+        }
+
+        fn on_timer(&mut self, _: FlowId, _: TimerKind, _: u64, _: &mut Ctx) {}
+    }
+
+    /// One 30 kB flow h0 → h2 across the dumbbell under a [`LateAgent`], run to
+    /// 20 ms on `shards` cores (two: the cut between s0 and s1), with random loss
+    /// `loss` on the link h2 → s1 that every ACK takes first. Returns the packets
+    /// delivered, when the flow completed, and the cores as they ended.
+    fn late_run(
+        shards: u32,
+        copies: u32,
+        term: bool,
+        loss: f64,
+    ) -> (Vec<(PacketKind, SimTime)>, SimTime, Vec<EngineCore>) {
+        let mut net = dumbbell();
+        let hosts = net.hosts();
+        let ack_link = net
+            .links
+            .iter()
+            .find(|l| l.src == hosts[2])
+            .expect("h2's link")
+            .id;
+        net.link_mut(ack_link).loss_rate = loss;
+        let config = SimConfig {
+            stop_when_flows_done: false,
+            max_sim_time: SimTime::from_millis(20),
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(net, config);
+        let log = std::sync::Arc::default();
+        sim.install_agents(|_, _| {
+            Box::new(LateAgent {
+                copies,
+                term,
+                received: FlowMap::default(),
+                termed: FlowMap::default(),
+                log: std::sync::Arc::clone(&log),
+            })
+        });
+        sim.add_flow(FlowSpec::new(1, hosts[0], hosts[2], 30_000));
+        let assignment = match shards {
+            1 => ShardAssignment::single(5),
+            _ => ShardAssignment::new(vec![0, 0, 0, 1, 1], 2, crate::network::DEFAULT_PROP_DELAY),
+        };
+        let cores = sim.run_cores(&assignment, |_| Box::new(ShortestPathRouter));
+        let finish = cores
+            .iter()
+            .flat_map(|c| &c.flows.slots)
+            .find_map(|s| s.finish)
+            .expect("the flow finished");
+        assert!(finish.completed);
+        let log = std::mem::take(&mut *log.lock().unwrap());
+        (log, finish.at, cores)
+    }
+
+    /// After the run, nothing of the flow is held on any core: every packet left, and
+    /// the flow is out of its home's index with its route released. A replica retires
+    /// when the home's notice reaches it, which the end of the run may cut off.
+    fn assert_retired(cores: &[EngineCore], shards: u32) {
+        for core in cores {
+            assert!(
+                core.flows.hot.iter().all(|h| h.refs == 0),
+                "{shards} shard(s)"
+            );
+            assert_eq!(core.pool.live(), 0, "{shards} shard(s)");
+            let notice = cores[0]
+                .outbox
+                .iter()
+                .flatten()
+                .any(|m| matches!(m.body, MsgBody::Retire { flow } if flow == FlowId(1)));
+            if core.shard == 0 || !notice {
+                assert_eq!(core.flows.slot_of(FlowId(1)), None, "{shards} shard(s)");
+                assert!(core.flows.hot.iter().all(|h| h.nlinks == 0));
+            }
+        }
+    }
+
+    /// PDQ's ending: the flow completes when its last byte reaches the receiver, with
+    /// that byte's ACK, then the sender's TERM and the receiver's echo still to cross
+    /// the network. The flow keeps its route until the echo is delivered, on one core
+    /// and on two.
+    #[test]
+    fn a_flow_keeps_its_route_for_its_term_and_echo() {
+        for shards in [1, 2] {
+            let (log, finished, cores) = late_run(shards, 1, true, 0.0);
+            let late: Vec<PacketKind> = log
+                .iter()
+                .filter(|&&(_, at)| at > finished)
+                .map(|&(kind, _)| kind)
+                .collect();
+            // The last byte's ACK and those ahead of it, then the TERM and its echo.
+            let (acks, end) = late.split_at(late.len() - 2);
+            assert!(!acks.is_empty(), "{shards} shard(s): {late:?}");
+            assert!(acks.iter().all(|&k| k == PacketKind::Ack), "{late:?}");
+            assert_eq!(end, [PacketKind::Term, PacketKind::TermAck], "{late:?}");
+            assert_retired(&cores, shards);
+        }
+    }
+
+    /// A TCP-like ending: the data went out twice, so the receiver completes with the
+    /// second copy and its duplicate ACKs still to come. Each is forwarded and
+    /// delivered after the finish, on one core and on two.
+    #[test]
+    fn a_flow_keeps_its_route_for_its_duplicate_acks() {
+        for shards in [1, 2] {
+            let (log, finished, cores) = late_run(shards, 2, false, 0.0);
+            let late = |kind| {
+                log.iter()
+                    .filter(|&&(k, at)| k == kind && at > finished)
+                    .count()
+            };
+            // 30 kB in 1 460-byte packets: 21 duplicates, each ACKed, behind the ACKs
+            // of the first copy still on their way.
+            assert_eq!(late(PacketKind::Data), 21, "{shards} shard(s)");
+            assert!(late(PacketKind::Ack) > 21, "{shards} shard(s)");
+            assert_retired(&cores, shards);
+        }
+    }
+
+    /// Packets lost after the finish: the duplicate ACKs cross a link that drops half
+    /// of what it carries. A lost packet lets go of its flow like a delivered one, so
+    /// the flow retires once the last ACK is delivered or lost, on one core and on
+    /// two.
+    #[test]
+    fn a_packet_lost_after_the_finish_lets_go_of_its_flow() {
+        for shards in [1, 2] {
+            let (log, finished, cores) = late_run(shards, 2, false, 0.5);
+            let late = |kind| {
+                log.iter()
+                    .filter(|&&(k, at)| k == kind && at > finished)
+                    .count()
+            };
+            let lost: u64 = cores
+                .iter()
+                .flat_map(|c| &c.network.links)
+                .map(|l| l.stats.random_drops)
+                .sum();
+            assert_eq!(late(PacketKind::Data), 21, "{shards} shard(s)");
+            assert!(
+                late(PacketKind::Ack) < 21 && lost > 0,
+                "{shards} shard(s): no late ACK was lost"
+            );
+            assert_retired(&cores, shards);
+        }
     }
 }

@@ -175,6 +175,10 @@ pub enum EventKind {
         node: NodeId,
         /// Flow the timer belongs to.
         flow: FlowId,
+        /// Where the engine keeps the flow's state, or `u32::MAX` if the flow was not
+        /// known there when the timer was set. Like a [`PacketSlot`], meaningful only
+        /// to the engine that issued it, and no part of the event's order.
+        slot: u32,
         /// Timer class.
         kind: TimerKind,
         /// Opaque token chosen by the agent (used to ignore stale timers).
@@ -979,6 +983,7 @@ mod tests {
         EventKind::Timer {
             node: NodeId(0),
             flow: FlowId(token),
+            slot: u32::MAX,
             kind: TimerKind::Rto,
             token,
         }

@@ -485,6 +485,7 @@ impl Reference {
                     let timer = EventKind::Timer {
                         node,
                         flow,
+                        slot: u32::MAX,
                         kind,
                         token,
                     };
@@ -564,6 +565,7 @@ impl Reference {
                     flow,
                     kind,
                     token,
+                    ..
                 } => self.with_agent(node, |agent, ctx| agent.on_timer(flow, kind, token, ctx)),
                 EventKind::ControllerTick { link } => {
                     let ctl = self.controllers[link.index()].as_mut().expect("recorded");

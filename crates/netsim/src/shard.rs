@@ -143,13 +143,11 @@ impl ShardAssignment {
 
 /// A boundary-crossing message exchanged between shards at window barriers.
 pub(crate) struct ShardMsg {
-    /// Simulated time the message takes effect (a packet's arrival at the far end of
-    /// its cut link, the instant of a registration or finish).
-    pub(crate) at: SimTime,
     /// Simulated time on the sending shard when the message was created (for a
     /// packet: its departure from the cut link). An ingested packet carries this as
     /// its creation stamp so the receiving queue orders it exactly as a single global
-    /// queue would have.
+    /// queue would have. When the message takes effect is derived from it: see
+    /// [`EngineCore::msg_at`].
     pub(crate) sent: SimTime,
     /// Sending shard (ingest tie-break).
     pub(crate) src_shard: u32,
@@ -180,36 +178,69 @@ pub(crate) enum MsgBody {
         /// True for completion, false for early termination.
         completed: bool,
     },
-    /// A packet that crossed the shard boundary, arriving at `link`'s far end at `at`.
+    /// A packet that crossed the shard boundary, arriving at `link`'s far end a
+    /// propagation and processing delay after it left.
     Packet {
         /// The cut link it crossed: it joins that link's arrival FIFO on this core.
         link: LinkId,
         /// The packet itself (its flow slot and route are re-stamped by the receiver).
         packet: Packet,
     },
+    /// From a finished flow's home to every core on its path, itself included: does
+    /// this core hold anything of the flow (see `EngineCore::try_retire`)?
+    Poll {
+        /// The flow asked about.
+        flow: FlowId,
+    },
+    /// The answer to a [`MsgBody::Poll`], as of the barrier it was ingested at.
+    Idle {
+        /// The flow asked about.
+        flow: FlowId,
+        /// True if the core held no packet, timer or callback of the flow.
+        idle: bool,
+    },
+    /// From a flow's home to its replicas: nothing of the flow is left anywhere, so
+    /// drop its index entry and release its route.
+    Retire {
+        /// The retired flow.
+        flow: FlowId,
+    },
 }
 
 impl MsgBody {
     /// Ingest-order class: registrations must precede any use of the flow; finishes
-    /// touch records before packets are scheduled.
+    /// touch records before packets are scheduled; a poll is answered, and a flow
+    /// retired, only once the barrier's packets are in.
     fn rank(&self) -> u8 {
         match self {
             MsgBody::Register { .. } => 0,
             MsgBody::Finished { .. } => 1,
             MsgBody::Packet { .. } => 2,
+            MsgBody::Poll { .. } | MsgBody::Idle { .. } | MsgBody::Retire { .. } => 3,
         }
     }
 }
 
 impl EngineCore {
+    /// When `msg` takes effect here: a packet's arrival at the far end of its cut
+    /// link, the instant any other message was sent.
+    fn msg_at(&self, msg: &ShardMsg) -> SimTime {
+        match &msg.body {
+            MsgBody::Packet { link, .. } => self.arrival_time(*link, msg.sent),
+            _ => msg.sent,
+        }
+    }
+
     /// Apply a barrier's worth of boundary messages, in the canonical order, leaving
     /// `msgs` empty with its capacity intact for the next window.
     pub(crate) fn ingest(&mut self, msgs: &mut Vec<ShardMsg>) {
-        self.stats.messages_in += msgs.len() as u64;
+        let shard = self.shard;
+        self.stats.messages_in += msgs.iter().filter(|m| m.src_shard != shard).count() as u64;
         // `(src_shard, seq)` is unique, so the unstable sort (no scratch buffer) gives
         // the one canonical order.
-        msgs.sort_unstable_by_key(|m| (m.body.rank(), m.at, m.src_shard, m.seq));
+        msgs.sort_unstable_by_key(|m| (m.body.rank(), self.msg_at(m), m.src_shard, m.seq));
         for msg in msgs.drain(..) {
+            let at = self.msg_at(&msg);
             match msg.body {
                 MsgBody::Register { info, links } => {
                     // A flow is registered once, by its one home shard.
@@ -227,15 +258,13 @@ impl EngineCore {
                     };
                     let state = &mut self.flows.slots[slot as usize];
                     let was_live = state.finish.is_none();
-                    let finish = Finish {
-                        at: msg.at,
-                        completed,
-                    };
+                    let finish = Finish { at, completed };
                     if finish.beats(state.finish) {
                         state.finish = Some(finish);
                     }
                     if was_live && state.home {
                         self.unfinished_flows = self.unfinished_flows.saturating_sub(1);
+                        self.try_retire(slot);
                     }
                 }
                 MsgBody::Packet { link, mut packet } => {
@@ -248,20 +277,59 @@ impl EngineCore {
                     // window end, which this shard has not reached: the lookahead
                     // guarantees it.
                     assert!(
-                        msg.at >= self.now,
+                        at >= self.now,
                         "broken lookahead: {:?} arrives at {:?}, shard {} is at {:?}",
                         packet.flow,
-                        msg.at,
+                        at,
                         self.shard,
                         self.now
                     );
                     // Slots and arena offsets are this core's own: the sender's stamp
-                    // means nothing here.
+                    // means nothing here. The packet holds its flow until it leaves.
                     self.flows.stamp(slot, &mut packet);
-                    debug_assert_eq!(msg.at, self.arrival_time(link, msg.sent));
                     let (flow, tie) = (packet.flow, crate::engine::packet_tie(&packet));
                     let parked = self.pool.park(packet);
                     self.arrive(link, parked, msg.sent, flow, tie);
+                }
+                MsgBody::Poll { flow } => {
+                    let Some(slot) = self.flows.slot_of(flow) else {
+                        debug_assert!(false, "{flow:?} polled after it was retired");
+                        continue;
+                    };
+                    let idle = self.flows.hot[slot as usize].refs == 0;
+                    let now = self.now;
+                    self.push_msg(msg.src_shard, now, MsgBody::Idle { flow, idle });
+                }
+                MsgBody::Idle { flow, idle } => {
+                    let Some(slot) = self.flows.slot_of(flow) else {
+                        debug_assert!(false, "{flow:?} answered after it was retired");
+                        continue;
+                    };
+                    let state = &mut self.flows.slots[slot as usize];
+                    state.awaited -= 1;
+                    state.all_idle &= idle;
+                    if state.awaited > 0 {
+                        continue;
+                    }
+                    if !state.all_idle {
+                        // Something of the flow was left somewhere: poll again once
+                        // this core holds nothing of it.
+                        self.try_retire(slot);
+                        continue;
+                    }
+                    let replicas = self.replica_shards(slot);
+                    self.retire(slot);
+                    let now = self.now;
+                    for s in replicas {
+                        self.push_msg(s, now, MsgBody::Retire { flow });
+                    }
+                }
+                MsgBody::Retire { flow } => {
+                    let Some(slot) = self.flows.slot_of(flow) else {
+                        debug_assert!(false, "{flow:?} retired twice");
+                        continue;
+                    };
+                    self.retire(slot);
                 }
             }
         }
@@ -348,7 +416,11 @@ impl Simulator {
     }
 
     /// [`Simulator::run_sharded`] up to the merge: the cores as the run left them.
-    fn run_cores<F>(self, assignment: &ShardAssignment, make_router: F) -> Vec<EngineCore>
+    pub(crate) fn run_cores<F>(
+        self,
+        assignment: &ShardAssignment,
+        make_router: F,
+    ) -> Vec<EngineCore>
     where
         F: FnMut(u32) -> Box<dyn Router + Send>,
     {
@@ -650,6 +722,7 @@ fn merge_results(mut cores: Vec<EngineCore>) -> SimResults {
         engine.pool_high_water += core.pool.high_water();
         engine.ledger_high_water += core.network.ledger_high_water();
         engine.live_flows_high_water += e.live_flows_high_water;
+        engine.route_high_water += core.flows.route_high_water();
         // Every worker opens the same windows (one decision from one snapshot), so the
         // run's count is any core's, not a sum.
         engine.windows = engine.windows.max(e.windows);
@@ -759,7 +832,7 @@ fn flow_records(mut slabs: Vec<Vec<FlowState>>) -> Vec<FlowRecord> {
         slots
             .windows(2)
             .all(|w| w[0].info.spec.id != w[1].info.spec.id),
-        "duplicate flow id homed on two shards"
+        "duplicate flow id: two flows with one id arrived"
     );
     for fold in folds {
         let at = slots
@@ -1033,7 +1106,14 @@ mod tests {
         let cores = build().run_cores(&dumbbell_assignment(), |_| {
             Box::new(crate::engine::ShortestPathRouter)
         });
-        let slots = |id| [0, 1].map(|c: usize| cores[c].flows.slot_of(FlowId(id)).unwrap());
+        let slots = |id| {
+            [0, 1].map(|c: usize| {
+                let slab = &cores[c].flows.slots;
+                slab.iter()
+                    .position(|s| s.info.spec.id == FlowId(id))
+                    .unwrap()
+            })
+        };
         assert_eq!(
             slots(1),
             [0, 1],

@@ -78,6 +78,7 @@ fn probe(token: u64) -> EventKind {
     EventKind::Timer {
         node: NodeId((token % 16) as u32),
         flow: FlowId(token),
+        slot: u32::MAX,
         kind: TimerKind::Probe,
         token,
     }

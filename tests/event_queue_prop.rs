@@ -75,12 +75,14 @@ fn kind_for(sel: u64, a: u64) -> EventKind {
         0 => EventKind::Timer {
             node: NodeId((a % 3) as u32),
             flow: FlowId(a % 7),
+            slot: u32::MAX,
             kind: TimerKind::Rto,
             token: a,
         },
         1 => EventKind::Timer {
             node: NodeId((a % 3) as u32),
             flow: FlowId(a % 5),
+            slot: u32::MAX,
             kind: TimerKind::Pacing,
             token: a / 2,
         },

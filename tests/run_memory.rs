@@ -92,6 +92,22 @@
 //! amounts, so that each keeps the margin the buffer-per-link mutation had over it
 //! (estimated from the deltas above, not re-measured on this change).
 //!
+//! Since a finished flow gives back its route and its index entry once nothing of it
+//! is left — the route arena and the `FlowId -> slot` index hold the flows that can
+//! still have a packet on a core, not every flow the run routed — the steady run peaks
+//! at 607 079 B (681 247 B before) and the two-shard steady run at about 920 600 B
+//! (1 069 347 B; a few dozen bytes apart from run to run with the shard threads'
+//! timing). The same figures hold in a release build, before and after. The two
+//! bounds moved down to sit between the two. The overloaded run, where nearly every
+//! flow is live at once, peaks at 1 877 111 B (1 872 423 B): a flow's hot state
+//! grew by its 4-byte hold count.
+//!
+//! That is the unit of account: the steady spec at four times the flows and the same
+//! arrival rate (4 000 flows over 264 ms) holds at most as many route-arena entries at
+//! once as at 1 000 flows, 660, with at most 36 or 37 flows live. The gate bounds both
+//! by the live flows. The arena used to hold every flow the run routed: 10 928
+//! entries at 1 000 flows, 43 932 at 4 000.
+//!
 //! The committed paced WAN spec (`specs/wan_quick.scn`: 60 ms paths, up to 2 188
 //! packets in flight) is the high-BDP case: its run peaks at 484 374 B with 90 events
 //! pending, against 825 974 B with an event per packet in flight and the doubling pool
@@ -148,6 +164,11 @@ const FLOWS: usize = 1_000;
 
 /// The committed quick engine-scale spec with [`FLOWS`] flows arriving over `spread`.
 fn engine_scale(spread: SimTime) -> Scenario {
+    engine_scale_flows(FLOWS, spread)
+}
+
+/// The committed quick engine-scale spec with `n` flows arriving over `spread`.
+fn engine_scale_flows(n: usize, spread: SimTime) -> Scenario {
     let mut scenario = Scenario::from_spec(include_str!("../specs/engine_scale_quick.scn"))
         .expect("committed spec parses");
     assert_eq!(scenario.seed, 1, "the gate was measured at seed 1");
@@ -159,7 +180,7 @@ fn engine_scale(spread: SimTime) -> Scenario {
     else {
         panic!("the quick engine-scale spec is a random-pairs workload");
     };
-    (*flows, *arrivals) = (FLOWS, spread);
+    (*flows, *arrivals) = (n, spread);
     scenario
 }
 
@@ -182,6 +203,11 @@ const SLOT_BYTES_CAP: usize = 200;
 /// `size_of::<FlowState>()` now: what the injected slot slab costs per flow.
 const SLOT_BYTES: usize = 168;
 
+/// Route-arena entries a live flow may account for: two per link of the longest
+/// path of the spec's k = 4 fat-tree (6 links), for up to twice the flows live at
+/// once — a finished flow keeps its route until its last packet and timer are gone.
+const ROUTE_ENTRIES_PER_LIVE_FLOW: u64 = 2 * 6 * 2;
+
 /// A page of the in-flight slab: 256 slots of at most 144 bytes (pinned by
 /// `pdq-netsim`'s `in_flight_slots_stay_small`).
 const IN_FLIGHT_PAGE_BYTES: usize = 256 * 144;
@@ -198,13 +224,16 @@ fn wan_quick() -> Scenario {
 #[test]
 fn pdq_runs_hold_memory_for_what_is_live() {
     let mut steady_fingerprint = String::new();
+    let mut steady_routes = (0, 0);
     for (case, spread_us, bound) in [
         ("overloaded", 1_000, 1_925_000),
-        ("steady", 66_000, 720_000),
+        ("steady", 66_000, 645_000),
     ] {
         let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         if case == "steady" {
             steady_fingerprint = run.fingerprint();
+            let engine = run.packet().engine;
+            steady_routes = (engine.route_high_water, engine.live_flows_high_water);
         }
         let (queue, engine) = (run.packet().queue, run.packet().engine);
         let live = engine.live_flows_high_water;
@@ -247,7 +276,7 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         steady_fingerprint,
         "two shards must reproduce the one-shard run"
     );
-    let bound = 1_110_000;
+    let bound = 995_000;
     assert!(
         peak < bound,
         "steady, two shards: peak live heap of the run was {peak} bytes (bound {bound})"
@@ -258,6 +287,22 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         "steady, two shards: a {largest}-byte allocation, larger than the injected \
          slot slab ({cap} B)"
     );
+
+    // The unit of account: four times the flows at the same arrival rate.
+    let flows4 = engine_scale_flows(4 * FLOWS, SimTime::from_micros(4 * 66_000));
+    let run = flows4.run(registry()).unwrap_or_else(|e| panic!("{e}"));
+    let engine = run.packet().engine;
+    assert_eq!(run.completed, run.flows, "steady x4: every flow completes");
+    let fourfold = (engine.route_high_water, engine.live_flows_high_water);
+    for (flows, (routes, live)) in [(FLOWS, steady_routes), (4 * FLOWS, fourfold)] {
+        eprintln!("steady, {flows} flows: route arena at most {routes} entries, {live} flows live");
+        let bound = ROUTE_ENTRIES_PER_LIVE_FLOW * live;
+        assert!(
+            routes <= bound,
+            "steady, {flows} flows: the route arena held {routes} entries at once, more \
+             than {ROUTE_ENTRIES_PER_LIVE_FLOW} per live flow ({bound})"
+        );
+    }
 
     // The high-BDP case: thousands of packets in flight on 60 ms paths. Each costs a
     // slot of the in-flight slab and, unless it is the next to arrive from its link,

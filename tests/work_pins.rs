@@ -42,6 +42,7 @@ fn counters(shards: u32, e: EngineStats, q: QueueStats) -> Vec<(&'static str, u6
         ("pool_high_water", e.pool_high_water),
         ("ledger_high_water", e.ledger_high_water),
         ("live_flows_high_water", e.live_flows_high_water),
+        ("route_high_water", e.route_high_water),
         ("windows", e.windows),
         ("messages_in", e.messages_in),
         ("pushes", q.pushes),
