@@ -1140,7 +1140,8 @@ impl EngineCore {
             agent.on_flow_arrival(info, &mut ctx);
             ctx.take_actions()
         };
-        self.apply_actions(src, actions);
+        let flow = self.flows.slots[s].info.spec.id;
+        self.apply_actions(src, actions, (flow, slot));
         self.unhold(slot);
     }
 
@@ -1221,7 +1222,7 @@ impl EngineCore {
             "{:?} delivered on a released route",
             packet.flow
         );
-        let slot = packet.flow_slot;
+        let (flow, slot) = (packet.flow, packet.flow_slot);
         if packet.kind == PacketKind::Data {
             let state = &mut self.flows.slots[slot as usize];
             state.raw_bytes_delivered += packet.payload as u64;
@@ -1240,7 +1241,7 @@ impl EngineCore {
             })
         };
         if let Some(actions) = actions {
-            self.apply_actions(node, actions);
+            self.apply_actions(node, actions, (flow, slot));
         }
         self.unhold(slot);
     }
@@ -1391,7 +1392,7 @@ impl EngineCore {
             })
         };
         if let Some(actions) = actions {
-            self.apply_actions(node, actions);
+            self.apply_actions(node, actions, (flow, slot));
         }
         if slot != NIL {
             self.unhold(slot);
@@ -1501,16 +1502,23 @@ impl EngineCore {
     // ------------------------------------------------------------------ actions
 
     /// Apply the actions of the agent at `node`, where they all take effect (see the
-    /// module docs).
-    fn apply_actions(&mut self, node: NodeId, mut actions: Vec<Action>) {
+    /// module docs). `held` is the flow whose callback issued them and its slot here
+    /// (`NIL` if it has none): held through its callback, it is indexed, so its own
+    /// packets and timers find their slot without a hash.
+    fn apply_actions(&mut self, node: NodeId, mut actions: Vec<Action>, held: (FlowId, u32)) {
+        let slot_of = |flows: &FlowTable, flow: FlowId| match held {
+            (id, slot) if id == flow && slot != NIL => Some(slot),
+            _ => flows.slot_of(flow),
+        };
         for a in actions.drain(..) {
             match a {
                 Action::Send(mut packet) => {
-                    // This is the one place a packet's flow id is hashed; every hop after
-                    // this uses the route stamped here. A packet sent from the wrong end
-                    // of its flow trips `forward_packet`'s hop check in debug builds.
+                    // This is the one place a packet's flow id is looked up; every hop
+                    // after this uses the route stamped here. A packet sent from the
+                    // wrong end of its flow trips `forward_packet`'s hop check in debug
+                    // builds.
                     packet.hop = 0;
-                    let Some(slot) = self.flows.slot_of(packet.flow) else {
+                    let Some(slot) = slot_of(&self.flows, packet.flow) else {
                         continue;
                     };
                     // A stamped packet holds its flow until it leaves this core.
@@ -1533,7 +1541,7 @@ impl EngineCore {
                         self.now
                     );
                     // A pending timer holds its flow: when it fires, the agent may send.
-                    let slot = self.flows.slot_of(flow).unwrap_or(NIL);
+                    let slot = slot_of(&self.flows, flow).unwrap_or(NIL);
                     if slot != NIL {
                         self.flows.hot[slot as usize].refs += 1;
                     }
