@@ -1148,39 +1148,27 @@ impl EngineCore {
     /// Send a registration for the routed flow in `slot` — its info and its links — to
     /// every other shard on its path.
     fn broadcast_registration(&mut self, slot: u32) {
-        let replicas = self.replica_shards(slot);
-        if replicas.is_empty() {
-            return;
-        }
-        let links: Box<[LinkId]> = self.flows.links(slot).into();
-        let info = self.flows.slots[slot as usize].info.clone();
         let now = self.now;
-        for s in replicas {
-            let (info, links) = (Box::new(info.clone()), links.clone());
-            self.push_msg(s, now, MsgBody::Register { info, links });
+        for s in 0..self.outbox.len() as u32 {
+            if self.is_replica(slot, s) {
+                let info = Box::new(self.flows.slots[slot as usize].info.clone());
+                let links = self.flows.links(slot).into();
+                self.push_msg(s, now, MsgBody::Register { info, links });
+            }
         }
     }
 
-    /// The other shards the routed flow in `slot` has a node on, ascending: where
-    /// it is registered (none on a lone core).
-    pub(crate) fn replica_shards(&self, slot: u32) -> Vec<u32> {
-        if self.shard_of.is_empty() {
-            return Vec::new();
-        }
-        let mut shards: Vec<u32> = self
-            .flows
-            .links(slot)
-            .iter()
-            .flat_map(|&l| {
+    /// True if `shard` holds a replica of the routed flow in `slot`: it is another
+    /// shard with a node on the flow's path. A lone core has no outbox, so it names no
+    /// shard to ask about.
+    pub(crate) fn is_replica(&self, slot: u32, shard: u32) -> bool {
+        shard != self.shard
+            && self.flows.links(slot).iter().any(|&l| {
                 let link = self.network.link(l);
                 [link.src, link.dst]
+                    .iter()
+                    .any(|n| self.shard_of[n.index()] == shard)
             })
-            .map(|n| self.shard_of[n.index()])
-            .filter(|&s| s != self.shard)
-            .collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
     }
 
     fn handle_packet_at_node(&mut self, node: NodeId, slot: PacketSlot) {
@@ -1646,18 +1634,20 @@ impl EngineCore {
             }
             return;
         }
-        let parties = self.replica_shards(slot);
-        if parties.is_empty() {
+        let (flow, now) = (state.info.spec.id, self.now);
+        let mut replicas = 0;
+        for s in 0..self.outbox.len() as u32 {
+            if self.is_replica(slot, s) {
+                self.push_msg(s, now, MsgBody::Poll { flow });
+                replicas += 1;
+            }
+        }
+        if replicas == 0 {
             return self.retire(slot);
         }
+        self.push_msg(self.shard, now, MsgBody::Poll { flow });
         let state = &mut self.flows.slots[slot as usize];
-        let flow = state.info.spec.id;
-        state.awaited = parties.len() as u32 + 1;
-        state.all_idle = true;
-        let now = self.now;
-        for s in parties.into_iter().chain([self.shard]) {
-            self.push_msg(s, now, MsgBody::Poll { flow });
-        }
+        (state.awaited, state.all_idle) = (replicas + 1, true);
     }
 
     /// Retire the flow in `slot` on this core, and any subflow that waited for it.

@@ -16,7 +16,8 @@
 //!    the link (no earlier than `t`) `+ prop + processing ≥ T + L`, i.e. strictly after
 //!    the window — so no shard can ever receive an event for a time it has already
 //!    passed;
-//! 3. boundary messages (packets, flow registrations, completion notices) are
+//! 3. boundary messages (packets, flow registrations, completion notices and the
+//!    polls that retire a finished flow, see `EngineCore::try_retire`) are
 //!    exchanged, ingested in a deterministic order, and the next window begins.
 //!
 //! Steps 1 and 3 each end at a rendezvous of all shards. A fat-tree cut has a 25 µs
@@ -51,8 +52,9 @@
 //!   every shard count (see [`crate::network#random-loss`]).
 //! * An agent's actions take effect at its own node (see the `engine` module), so
 //!   nothing an agent does crosses a boundary: the messages are packets that crossed
-//!   a cut link, flow registrations and finish notices. Every crossing packet arrives
-//!   at or after the end of the window it was sent in, which ingest asserts.
+//!   a cut link, flow registrations, finish notices and retirement polls, none of
+//!   which changes what is simulated. Every crossing packet arrives at or after the
+//!   end of the window it was sent in, which ingest asserts.
 //! * Boundary messages are ingested sorted by `(message class, time, source shard,
 //!   sequence)`, and results are merged in shard order, so an N-shard run is
 //!   bit-reproducible for a fixed seed and shard count.
@@ -317,12 +319,13 @@ impl EngineCore {
                         self.try_retire(slot);
                         continue;
                     }
-                    let replicas = self.replica_shards(slot);
-                    self.retire(slot);
                     let now = self.now;
-                    for s in replicas {
-                        self.push_msg(s, now, MsgBody::Retire { flow });
+                    for s in 0..self.outbox.len() as u32 {
+                        if self.is_replica(slot, s) {
+                            self.push_msg(s, now, MsgBody::Retire { flow });
+                        }
                     }
+                    self.retire(slot);
                 }
                 MsgBody::Retire { flow } => {
                     let Some(slot) = self.flows.slot_of(flow) else {
