@@ -257,8 +257,9 @@ fn digest(fingerprint: &str) -> String {
 }
 
 /// Every protocol family's exact behaviour, pinned by digest at one and two shards:
-/// the lossy paced WAN under each sender (TCP, RCP, D3 and PDQ retransmit on timeouts
-/// there) and the engine-scale fat-tree. A change to any sender's timers or to the
+/// the committed lossy paced WAN spec under each sender (TCP, RCP, D3 and PDQ
+/// retransmit on timeouts there), the committed deadline coflow spec under the
+/// rate-paced senders and the engine-scale fat-tree. A change to any sender's timers or to the
 /// engine's timer path that alters a single event's order shows up here. The
 /// committed flow-level and fluid specs pin the other two backends' fingerprint rows
 /// (the shard count does not apply to them); the flow-level spec also runs
@@ -272,6 +273,7 @@ fn protocol_fingerprints_are_pinned() {
     };
     let flow = include_str!("../specs/fig8a_flow.scn");
     let fluid = include_str!("../specs/fig1_fluid.scn");
+    let wan = include_str!("../specs/wan_quick.scn");
     let cases = [
         (
             "fig8a_flow pdq(full)",
@@ -314,23 +316,23 @@ fn protocol_fingerprints_are_pinned() {
             "2bb5ee4a2a23a578b23ad50ad962854b",
         ),
         (
-            "wan tcp",
-            wan_scenario(Scale::Quick, "tcp", true),
+            "wan_quick tcp",
+            spec(wan, "tcp"),
             "7d769a5c1ea358d4ef932656c64bea12",
         ),
         (
-            "wan rcp",
-            wan_scenario(Scale::Quick, "rcp", true),
+            "wan_quick rcp",
+            spec(wan, "rcp"),
             "f1dffb6e0d602b80de33a2529ae221b0",
         ),
         (
-            "wan d3",
-            wan_scenario(Scale::Quick, "d3", true),
+            "wan_quick d3",
+            spec(wan, "d3"),
             "37b1a56c90f3e728c09b496aee9f145e",
         ),
         (
-            "wan pdq(full)",
-            wan_scenario(Scale::Quick, "pdq(full)", true),
+            "wan_quick pdq(full)",
+            spec(wan, "pdq(full)"),
             "184cff3f8c8070c41da2a02afc8fec92",
         ),
         (
@@ -343,6 +345,32 @@ fn protocol_fingerprints_are_pinned() {
         for shards in [1, 2] {
             let got = digest(&fingerprint_at(&scenario, shards));
             assert_eq!(got, expected, "{name} at {shards} shard(s)");
+        }
+    }
+
+    // The deadline coflow tree under the rate-paced senders: their unpaced gap
+    // schedules, Early Termination and D3's quench (the paced WAN above runs the
+    // token-bucket drain). A run marked `gives_up` must end a flow early, so both of
+    // a sender's end paths stay exercised.
+    let coflow = include_str!("../specs/coflow_quick.scn");
+    let packet_cases = [
+        ("rcp", false, "f0387b318415167c7606cdf97c53cdaf"),
+        ("d3", true, "b3f94fd37ec7034cbdd2b6e94683f579"),
+        ("d3(noquench)", false, "f75199abb41f3e969dcd4c588edfdb95"),
+        ("pdq(full)", true, "bcffce8a6f0e130e2de59faf57a2a509"),
+        ("pdq(es)", false, "9bf95e22d7d14d8a1f83c46c2290b023"),
+    ];
+    for (protocol, gives_up, expected) in packet_cases {
+        for shards in [1, 2] {
+            let run = spec(coflow, protocol)
+                .engine_threads(shards)
+                .run(registry());
+            let run = run.unwrap_or_else(|e| panic!("{protocol}: {e}"));
+            let context = format!("coflow_quick {protocol} at {shards} shard(s)");
+            let flows = &run.packet().flows;
+            let ended_early = flows.iter().any(|r| r.terminated_at.is_some());
+            assert_eq!(ended_early, gives_up, "{context}: a flow ended early");
+            assert_eq!(digest(&run.fingerprint()), expected, "{context}");
         }
     }
 }
