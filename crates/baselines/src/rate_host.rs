@@ -3,13 +3,14 @@
 //! Both protocols pace data at a rate granted by the switches through the scheduling
 //! header's granted-rate word; they differ only in what the switches grant and in what
 //! the sender requests (D3 deadline flows ask for `remaining_size / time_to_deadline`).
-//! Reliability is PDQ's: the shared [`GoBackN`]. The host holds its senders and
-//! receivers in an [`Endpoints`], as a PDQ host does: a sender while it is active, a
-//! receiver until it has echoed its flow's TERM.
+//! The sender is PDQ's [`PacedCore`] — its reliability, header half, drain and TERM —
+//! plus the mode's header words, the rate floor and the one-packet-per-gap schedule.
+//! The host holds its senders and receivers in an [`Endpoints`], as a PDQ host does: a
+//! sender while it is active, a receiver until it has echoed its flow's TERM.
 
 use pdq_netsim::{
-    Ctx, Endpoints, FlowId, FlowInfo, FlowSender, GoBackN, HostAgent, NodeId, Pacer, PacerConfig,
-    Packet, PacketKind, SenderStatus, SimTime, TimerKind, MSS_BYTES,
+    Ctx, Endpoints, FlowId, FlowInfo, FlowSender, HostAgent, PacedCore, PacedFamily, PacerConfig,
+    Packet, SchedulingHeader, SenderStatus, SimTime, TimerKind, MSS_BYTES,
 };
 
 /// Which explicit-rate protocol a sender speaks.
@@ -28,44 +29,17 @@ pub enum RateMode {
 /// A rate-paced sender for RCP / D3.
 #[derive(Debug)]
 pub struct RateSender {
+    core: PacedCore,
     mode: RateMode,
-    flow: FlowId,
-    src: NodeId,
-    dst: NodeId,
-    size: u64,
-    deadline: Option<SimTime>,
-    max_rate: f64,
-
-    rate: f64,
-    /// The send and ACK points, the smoothed RTT and the retransmission timeout,
-    /// restarted on every ACK of new data.
-    gbn: GoBackN,
-    status: SenderStatus,
-
-    pacing_token: u64,
-    pacing_armed: bool,
-    /// RFC 9002-style token bucket replacing the one-packet-per-gap schedule
-    /// when enabled (see [`RateSender::with_pacer`]).
-    pacer: Option<Pacer>,
 }
 
 impl RateSender {
     /// Create a sender for `flow`.
     pub fn new(mode: RateMode, flow: &FlowInfo) -> Self {
+        let (size, deadline) = (flow.spec.size_bytes, flow.spec.deadline);
         RateSender {
+            core: PacedCore::new(flow, size, deadline, flow.base_rtt.as_secs_f64()),
             mode,
-            flow: flow.spec.id,
-            src: flow.spec.src,
-            dst: flow.spec.dst,
-            size: flow.spec.size_bytes,
-            deadline: flow.spec.deadline,
-            max_rate: flow.bottleneck_rate_bps.min(flow.nic_rate_bps),
-            rate: 0.0,
-            gbn: GoBackN::new(flow.base_rtt.as_secs_f64()),
-            status: SenderStatus::Active,
-            pacing_token: 0,
-            pacing_armed: false,
-            pacer: None,
         }
     }
 
@@ -74,200 +48,113 @@ impl RateSender {
     /// bursts are allowed (better WAN pipe utilization), and a mid-gap rate
     /// change re-prices the remaining wait instead of honoring the stale gap.
     pub fn with_pacer(mut self, config: PacerConfig) -> Self {
-        self.pacer = Some(Pacer::new(config));
+        self.core = self.core.with_pacer(config);
         self
     }
 
     /// Currently granted rate in bits/s.
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.core.rate
     }
 
-    /// The minimum rate any flow is allowed to trickle at (one packet per RTT), which
-    /// is D3's "base rate" and also keeps RCP flows alive under extreme load.
-    fn floor_rate(&self) -> f64 {
-        (MSS_BYTES as f64 * 8.0) / self.gbn.srtt().max(1e-6)
-    }
-
-    fn desired_rate(&self, now: SimTime) -> f64 {
-        match self.mode {
-            RateMode::Rcp => 0.0,
-            RateMode::D3 { .. } => match self.deadline {
-                Some(dl) if dl > now => {
-                    let remaining = (self.size - self.gbn.acked()) as f64 * 8.0;
-                    let time_left = (dl - now).as_secs_f64();
-                    (remaining / time_left).min(self.max_rate)
-                }
-                _ => 0.0,
-            },
-        }
-    }
-
-    fn forward_packet(&self, kind: PacketKind, seq: u64, payload: u32, now: SimTime) -> Packet {
-        let mut p = if payload > 0 {
-            Packet::data(self.flow, self.src, self.dst, seq, payload)
-        } else {
-            Packet::control(kind, self.flow, self.src, self.dst)
-        };
-        p.kind = kind;
-        p.sent_at = now;
-        p.sched.rate = self.max_rate;
-        p.sched.rtt = self.gbn.srtt();
-        p.sched.set_deadline(self.deadline);
-        p.sched.set_desired_rate(self.desired_rate(now));
-        p.sched.set_granted_rate(f64::INFINITY);
-        p
-    }
-
+    /// Send data if the handshake is done and data is left: through the bucket, or
+    /// by the RCP/D3 gap rule — one packet, then a pacing timer `wire_size()·8/rate`
+    /// later, uncapped, armed once per send.
     fn send_paced(&mut self, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active || !self.gbn.syn_acked() {
-            return;
+        let core = &mut self.core;
+        if !core.gbn.syn_acked() || core.gbn.next_seq >= core.limit || core.rate <= 0.0 {
+            return; // waiting for the handshake or for ACKs; the RTO covers loss
         }
-        if self.gbn.next_seq >= self.size {
-            return; // waiting for ACKs; RTO covers loss
+        if core.paced() {
+            return core.drain(&mut self.mode, ctx);
         }
-        if self.rate <= 0.0 {
-            return;
-        }
-        if self.pacer.is_some() {
-            return self.send_bucketed(ctx);
-        }
-        let seq = self.gbn.next_seq;
-        let payload = (self.size - seq).min(MSS_BYTES as u64) as u32;
-        let pkt = self.forward_packet(PacketKind::Data, seq, payload, ctx.now());
-        let wire_bits = pkt.wire_size() as f64 * 8.0;
-        ctx.send(pkt);
-        self.gbn.next_seq += payload as u64;
-        let gap = SimTime::from_secs_f64(wire_bits / self.rate);
-        self.pacing_token += 1;
-        self.pacing_armed = true;
-        ctx.set_timer_after(self.flow, TimerKind::Pacing, gap, self.pacing_token);
+        let wire_bits = core.transmit(&mut self.mode, ctx) as f64 * 8.0;
+        let gap = SimTime::from_secs_f64(wire_bits / core.rate);
+        core.arm_pacing(ctx.now() + gap, ctx);
     }
 
-    /// The token-bucket variant of [`RateSender::send_paced`]: drain while tokens
-    /// last, then arm one pacing timer for the instant the deficit clears.
-    fn send_bucketed(&mut self, ctx: &mut Ctx) {
-        let pacer = self.pacer.as_mut().expect("checked by caller");
-        pacer.set_rate_bps(ctx.now(), self.rate);
-        while self.gbn.next_seq < self.size {
-            let seq = self.gbn.next_seq;
-            let payload = (self.size - seq).min(MSS_BYTES as u64) as u32;
-            let pkt = self.forward_packet(PacketKind::Data, seq, payload, ctx.now());
-            let wire = pkt.wire_size() as u64;
-            let pacer = self.pacer.as_mut().expect("checked above");
-            if !pacer.try_send(ctx.now(), wire) {
-                let wait = pacer.next_ready(ctx.now(), wire) - ctx.now();
-                self.pacing_token += 1;
-                self.pacing_armed = true;
-                ctx.set_timer_after(self.flow, TimerKind::Pacing, wait, self.pacing_token);
-                return;
-            }
-            ctx.send(pkt);
-            self.gbn.next_seq += payload as u64;
-        }
-    }
-
-    fn finish(&mut self, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active {
-            return;
-        }
-        self.status = SenderStatus::Finished;
-        let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, ctx.now());
-        ctx.send(term);
-        ctx.flow_completed(self.flow);
-    }
-
-    /// D3 quenching: a deadline flow whose deadline has passed stops wasting bandwidth.
+    /// D3 quenching, its give-up rule: a deadline flow whose deadline has passed stops
+    /// wasting bandwidth.
     fn check_quenching(&mut self, ctx: &mut Ctx) -> bool {
         let now = ctx.now();
         if self.mode != (RateMode::D3 { quenching: true })
-            || self.gbn.acked() >= self.size
-            || !self.deadline.is_some_and(|dl| quenched(now, dl))
+            || self.core.remaining_bytes() == 0
+            || !self.core.deadline().is_some_and(|dl| quenched(now, dl))
         {
             return false;
         }
-        self.status = SenderStatus::Terminated;
-        let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, now);
-        ctx.send(term);
-        ctx.flow_terminated(self.flow);
+        self.core.end(&self.mode, SenderStatus::Terminated, ctx);
         true
+    }
+}
+
+impl PacedFamily for RateMode {
+    /// The request: D3 deadline flows ask for `remaining / time_to_deadline` (RCP asks
+    /// for nothing); the grant starts at infinity, and switches only lower it.
+    fn stamp(&self, core: &PacedCore, now: SimTime, header: &mut SchedulingHeader) {
+        let desired = match (self, core.deadline()) {
+            (RateMode::D3 { .. }, Some(dl)) if dl > now => {
+                let remaining = core.remaining_bytes() as f64 * 8.0;
+                let time_left = (dl - now).as_secs_f64();
+                (remaining / time_left).min(core.max_rate)
+            }
+            _ => 0.0,
+        };
+        header.set_desired_rate(desired);
+        header.set_granted_rate(f64::INFINITY);
+    }
+
+    /// The grant, never above `R_max` and never below the rate floor: one packet per
+    /// RTT, which is D3's "base rate" and also keeps RCP flows alive under extreme
+    /// load.
+    fn feedback(&mut self, core: &mut PacedCore, pkt: &Packet) {
+        let grant = pkt.sched.granted_rate();
+        let max_rate = core.max_rate;
+        let granted = if grant.is_finite() { grant } else { max_rate };
+        let floor = (MSS_BYTES as f64 * 8.0) / core.gbn.srtt().max(1e-6);
+        core.rate = granted.min(max_rate).max(floor).min(max_rate);
     }
 }
 
 impl FlowSender for RateSender {
     fn status(&self) -> SenderStatus {
-        self.status
+        self.core.status()
     }
 
     fn start(&mut self, ctx: &mut Ctx) {
-        if self.size == 0 {
-            self.finish(ctx);
-            return;
-        }
-        let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
-        ctx.send(syn);
-        self.gbn.arm_rto(self.flow, ctx);
+        self.core.start(&self.mode, ctx);
     }
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active
-            || !matches!(pkt.kind, PacketKind::SynAck | PacketKind::Ack)
+        if self.core.on_ack(&mut self.mode, pkt, ctx)
+            && !self.check_quenching(ctx)
+            && !self.core.pacing_armed()
         {
-            return;
-        }
-        self.gbn.on_ack(self.flow, pkt, ctx);
-        let grant = pkt.sched.granted_rate();
-        let granted = if grant.is_finite() {
-            grant
-        } else {
-            self.max_rate
-        };
-        self.rate = granted
-            .min(self.max_rate)
-            .max(self.floor_rate())
-            .min(self.max_rate);
-
-        if self.gbn.acked() >= self.size && self.gbn.syn_acked() {
-            self.finish(ctx);
-            return;
-        }
-        if self.check_quenching(ctx) {
-            return;
-        }
-        if !self.pacing_armed {
+            // The RCP/D3 rule: send (or drain) only while no pacing timer is armed.
             self.send_paced(ctx);
         }
     }
 
     fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active {
+        if self.core.status() != SenderStatus::Active {
             return;
         }
         match kind {
             TimerKind::Pacing => {
-                if token != self.pacing_token {
-                    return;
-                }
-                self.pacing_armed = false;
-                if self.check_quenching(ctx) {
+                if !self.core.pacing_fired(token) || self.check_quenching(ctx) {
                     return;
                 }
                 self.send_paced(ctx);
             }
             TimerKind::Rto => {
-                if !self.gbn.fire_rto(self.flow, token, ctx) {
+                // The RCP/D3 rule: an RTO goes back without testing for a quench.
+                if !self.core.gbn.fire_rto(self.core.flow, token, ctx) {
                     return;
                 }
-                if !self.gbn.syn_acked() {
-                    let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
-                    ctx.send(syn);
-                } else if self.gbn.acked() < self.size {
-                    self.gbn.next_seq = self.gbn.acked();
-                    if !self.pacing_armed {
-                        self.send_paced(ctx);
-                    }
+                if self.core.go_back(&self.mode, ctx) && !self.core.pacing_armed() {
+                    self.send_paced(ctx);
                 }
-                self.gbn.arm_rto(self.flow, ctx);
+                self.core.gbn.arm_rto(self.core.flow, ctx);
             }
             _ => {}
         }
@@ -326,7 +213,7 @@ impl HostAgent for RateHostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowMap, FlowSpec, SchedulingHeader};
+    use pdq_netsim::{Action, FlowMap, FlowSpec, NodeId, PacketKind};
 
     fn info(size: u64, deadline: Option<SimTime>) -> (FlowMap<FlowInfo>, FlowInfo) {
         let mut spec = FlowSpec::new(1, NodeId(0), NodeId(2), size);
@@ -389,7 +276,11 @@ mod tests {
                 .expect("the SYN");
             assert_eq!(syn.kind, PacketKind::Syn);
             let h = syn.sched;
-            assert_eq!((h.rate, h.rtt), (s.max_rate, s.gbn.srtt()), "{mode:?}");
+            assert_eq!(
+                (h.rate, h.rtt),
+                (s.core.max_rate, s.core.gbn.srtt()),
+                "{mode:?}"
+            );
             assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
             assert_eq!(h.granted_rate(), f64::INFINITY, "{mode:?}");
             let desired = match mode {

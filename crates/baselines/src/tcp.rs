@@ -142,7 +142,9 @@ impl TcpSender {
                 let wire = pkt.wire_size() as u64;
                 if !p.try_send(ctx.now(), wire) {
                     // Out of tokens: arm a pacing timer for the instant the
-                    // deficit clears and resume the drain there.
+                    // deficit clears and resume the drain there. TCP's own rule,
+                    // not the rate-paced senders' drain: it re-arms on every
+                    // blocked call, so the bucket refills at the instants it did.
                     let wait = p.next_ready(ctx.now(), wire) - ctx.now();
                     self.pace_token += 1;
                     ctx.set_timer_after(self.flow, TimerKind::Pacing, wait, self.pace_token);

@@ -814,9 +814,6 @@ pub(crate) struct EngineCore {
     pub(crate) flows: FlowTable,
     /// Flows injected before the run: slots `0..injected`, in arrival order.
     injected: usize,
-    /// M-PDQ subflows homed here that are finished and hold nothing, waiting for their
-    /// parent to retire: until it reports, its host may hand them more bytes.
-    orphans: Vec<u32>,
     pub(crate) pool: PacketPool,
     pub(crate) unfinished_flows: usize,
     pub(crate) pending_arrivals: usize,
@@ -872,7 +869,6 @@ impl EngineCore {
             stats: EngineStats::default(),
             flows: FlowTable::default(),
             injected: 0,
-            orphans: Vec::new(),
             pool: PacketPool::new(n_links),
             unfinished_flows: 0,
             pending_arrivals: 0,
@@ -1602,9 +1598,7 @@ impl EngineCore {
 
     /// Retire the flow homed in `slot` if it can never have a packet again: it is
     /// finished, and nothing of it is left — no packet in flight, no pending timer, no
-    /// running callback — here or on any other core. A flow that sends again after it
-    /// finished is an M-PDQ subflow: its host may hand it more bytes until the parent
-    /// reports, so it waits for its parent to retire.
+    /// running callback — here or on any other core.
     ///
     /// On a lone core, and for a flow whose path stays on its home core, "here" is
     /// all there is. A flow with replicas is polled instead: every core on its path,
@@ -1623,17 +1617,6 @@ impl EngineCore {
         {
             return;
         }
-        if state
-            .info
-            .spec
-            .parent
-            .is_some_and(|p| self.flows.contains(p))
-        {
-            if !self.orphans.contains(&slot) {
-                self.orphans.push(slot);
-            }
-            return;
-        }
         let (flow, now) = (state.info.spec.id, self.now);
         let mut replicas = 0;
         for s in 0..self.outbox.len() as u32 {
@@ -1643,28 +1626,11 @@ impl EngineCore {
             }
         }
         if replicas == 0 {
-            return self.retire(slot);
+            return self.flows.retire(slot);
         }
         self.push_msg(self.shard, now, MsgBody::Poll { flow });
         let state = &mut self.flows.slots[slot as usize];
         (state.awaited, state.all_idle) = (replicas + 1, true);
-    }
-
-    /// Retire the flow in `slot` on this core, and any subflow that waited for it.
-    pub(crate) fn retire(&mut self, slot: u32) {
-        self.flows.retire(slot);
-        if self.orphans.is_empty() {
-            return;
-        }
-        let id = self.flows.slots[slot as usize].info.spec.id;
-        let slots = &self.flows.slots;
-        let kids: Vec<u32> = self
-            .orphans
-            .extract_if(.., |&mut o| slots[o as usize].info.spec.parent == Some(id))
-            .collect();
-        for kid in kids {
-            self.try_retire(kid);
-        }
     }
 }
 

@@ -111,4 +111,6 @@ pub use packet::{
 pub use shard::ShardAssignment;
 pub use time::SimTime;
 pub use timer::RestartTimer;
-pub use transport::{Endpoints, FlowSender, GoBackN, Receiver, SenderStatus};
+pub use transport::{
+    Endpoints, FlowSender, GoBackN, PacedCore, PacedFamily, Receiver, SenderStatus,
+};

@@ -21,10 +21,10 @@
 //!   timer for it (with the usual token freshness guard).
 //!
 //! Window-based senders (TCP) call [`Pacer::set_window`] whenever `cwnd` or the
-//! smoothed RTT moves; rate-based senders (PDQ, RCP, D3) call
-//! [`Pacer::set_rate_bps`] with their granted rate. Both may change mid-flight:
-//! accrued tokens are settled at the old rate first, so a rate change never
-//! retroactively re-prices elapsed time.
+//! smoothed RTT moves; the rate-based senders (PDQ, RCP, D3) share one drain,
+//! [`crate::PacedCore::drain`], which calls [`Pacer::set_rate_bps`] with the granted
+//! rate. Both may change mid-flight: accrued tokens are settled at the old rate
+//! first, so a rate change never retroactively re-prices elapsed time.
 //!
 //! The pacer is pure integer/float arithmetic over [`SimTime`] instants — no
 //! randomness, no wall clock — so paced runs stay bit-reproducible and

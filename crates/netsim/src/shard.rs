@@ -325,14 +325,14 @@ impl EngineCore {
                             self.push_msg(s, now, MsgBody::Retire { flow });
                         }
                     }
-                    self.retire(slot);
+                    self.flows.retire(slot);
                 }
                 MsgBody::Retire { flow } => {
                     let Some(slot) = self.flows.slot_of(flow) else {
                         debug_assert!(false, "{flow:?} retired twice");
                         continue;
                     };
-                    self.retire(slot);
+                    self.flows.retire(slot);
                 }
             }
         }

@@ -6,14 +6,19 @@
 //! * [`SenderStatus`] and [`FlowSender`] — what a per-flow sender tells its host;
 //! * [`Endpoints`] — a host's senders and receivers;
 //! * [`GoBackN`] — the reliability of the rate-paced senders (PDQ, RCP, D3). TCP keeps
-//!   its own Reno window and RTO backoff.
+//!   its own Reno window and RTO backoff;
+//! * [`PacedCore`] — the sender core those three families embed: the header half they
+//!   share, the start, the ACK prefix, the one token-bucket drain and the TERM. Each
+//!   family keeps its own header words, unpaced gap schedule and give-up rule, and
+//!   hands them to the core as a [`PacedFamily`].
 
 use std::collections::hash_map::Entry;
 
-use crate::agent::Ctx;
+use crate::agent::{Ctx, FlowInfo};
 use crate::event::TimerKind;
-use crate::ids::{FlowId, FlowMap};
-use crate::packet::{Packet, PacketKind};
+use crate::ids::{FlowId, FlowMap, NodeId};
+use crate::pacer::{Pacer, PacerConfig};
+use crate::packet::{Packet, PacketKind, SchedulingHeader, CONTROL_PACKET_BYTES, MSS_BYTES};
 use crate::time::SimTime;
 use crate::timer::RestartTimer;
 
@@ -113,9 +118,8 @@ pub trait FlowSender {
 /// flow's first packet, caps every echoed rate at the flow's bottleneck, and is dropped
 /// once it has echoed the flow's TERM: a sender sends the TERM last, once, and every
 /// packet of a flow takes the same FIFO path, so nothing of the flow arrives after it
-/// (a lost TERM leaves its receiver in place, which is harmless). An M-PDQ subflow's
-/// receiver stays, since the re-balancer can hand its sender more bytes after the TERM;
-/// so does every TCP receiver, as TCP sends no TERM.
+/// (a lost TERM leaves its receiver in place, which is harmless). Every TCP receiver
+/// stays, as TCP sends no TERM.
 pub struct Endpoints<S> {
     /// The senders held, by flow.
     pub senders: FlowMap<S>,
@@ -161,7 +165,7 @@ impl<S: FlowSender> Endpoints<S> {
             }
         };
         receiver.on_packet(packet, ctx);
-        if packet.kind == PacketKind::Term && !receiver.is_subflow {
+        if packet.kind == PacketKind::Term {
             self.receivers.remove(&packet.flow);
         }
         false
@@ -300,6 +304,241 @@ impl GoBackN {
     /// the sender should act on it (see [`RestartTimer::fire`]).
     pub fn fire_rto(&mut self, flow: FlowId, token: u64, ctx: &mut Ctx) -> bool {
         self.rto.fire(flow, TimerKind::Rto, token, ctx)
+    }
+}
+
+/// What a rate-paced family adds to its [`PacedCore`]: its words of the forward
+/// header, how it reads the switches' feedback, and what it notes per data packet.
+pub trait PacedFamily {
+    /// Write this family's words into a forward header built at `now`.
+    fn stamp(&self, core: &PacedCore, now: SimTime, header: &mut SchedulingHeader);
+    /// Set [`PacedCore::rate`] from a SYN-ACK's or ACK's feedback (after go-back-N).
+    fn feedback(&mut self, core: &mut PacedCore, pkt: &Packet);
+    /// A data packet of `payload` bytes has just been sent at `now`.
+    fn on_sent(&mut self, _payload: u32, _now: SimTime) {}
+}
+
+/// The sender core the rate-paced families (PDQ, RCP, D3) embed: the flow's
+/// endpoints and deadline, `R_max` and the granted rate, [`GoBackN`], the status, the
+/// pacing timer and the optional token bucket; the core's half of every forward
+/// header, the start, the ACK prefix, the one token-bucket drain and the TERM. What
+/// is a family's own stays in the family, which hands itself to the core's methods as
+/// a [`PacedFamily`].
+#[derive(Debug)]
+pub struct PacedCore {
+    /// The flow served.
+    pub flow: FlowId,
+    src: NodeId,
+    dst: NodeId,
+    /// The deadline when `has_deadline`: an `Option<SimTime>` split so that its flag
+    /// packs beside the node ids (the senders' size pins).
+    deadline: SimTime,
+    has_deadline: bool,
+    /// Bytes to deliver: the flow's size, or an M-PDQ subflow's share.
+    pub limit: u64,
+    /// `R_max`: min(sender NIC rate, path bottleneck), bits/s.
+    pub max_rate: f64,
+    /// The granted sending rate, bits/s (0 while paused).
+    pub rate: f64,
+    /// The send and ACK points, the smoothed RTT and the retransmission timeout.
+    pub gbn: GoBackN,
+    status: SenderStatus,
+    /// Token of the latest pacing timer: a `u32` packs beside the node ids, and a flow
+    /// would have to arm 2³² pacing timers to wrap it.
+    pacing_token: u32,
+    /// When the armed pacing timer is due; [`SimTime::MAX`] while none is armed.
+    pacing_at: SimTime,
+    pacer: Option<Pacer>,
+}
+
+impl PacedCore {
+    /// A core for `flow`, responsible for `limit` bytes of it under `deadline`, with
+    /// its RTT estimate starting at `srtt` seconds.
+    pub fn new(flow: &FlowInfo, limit: u64, deadline: Option<SimTime>, srtt: f64) -> Self {
+        PacedCore {
+            flow: flow.spec.id,
+            src: flow.spec.src,
+            dst: flow.spec.dst,
+            deadline: deadline.unwrap_or(SimTime::MAX),
+            has_deadline: deadline.is_some(),
+            limit,
+            max_rate: flow.bottleneck_rate_bps.min(flow.nic_rate_bps),
+            rate: 0.0,
+            gbn: GoBackN::new(srtt),
+            status: SenderStatus::Active,
+            pacing_token: 0,
+            pacing_at: SimTime::MAX,
+            pacer: None,
+        }
+    }
+
+    /// Pace data through an RFC 9002-style token bucket instead of a gap schedule.
+    pub fn with_pacer(mut self, config: PacerConfig) -> Self {
+        self.pacer = Some(Pacer::new(config));
+        self
+    }
+
+    /// The deadline the sender works to, if any.
+    pub fn deadline(&self) -> Option<SimTime> {
+        self.has_deadline.then_some(self.deadline)
+    }
+
+    /// Current status.
+    pub fn status(&self) -> SenderStatus {
+        self.status
+    }
+
+    /// True when a token bucket paces the data.
+    pub fn paced(&self) -> bool {
+        self.pacer.is_some()
+    }
+
+    /// True while a pacing timer is armed.
+    pub fn pacing_armed(&self) -> bool {
+        self.pacing_at != SimTime::MAX
+    }
+
+    /// Bytes not yet acknowledged.
+    pub fn remaining_bytes(&self) -> u64 {
+        self.limit.saturating_sub(self.gbn.acked())
+    }
+
+    /// A forward packet of `kind` (a data packet carries the next bytes from the send
+    /// point): the core's half of its header — `R_max`, the smoothed RTT, the deadline
+    /// and `sent_at` — then `family`'s.
+    pub fn packet<F: PacedFamily>(&self, family: &F, kind: PacketKind, now: SimTime) -> Packet {
+        let (flow, src, dst) = (self.flow, self.src, self.dst);
+        let mut p = match kind {
+            PacketKind::Data => {
+                Packet::data(flow, src, dst, self.gbn.next_seq, self.next_payload())
+            }
+            _ => Packet::control(kind, flow, src, dst),
+        };
+        p.sent_at = now;
+        p.sched.rate = self.max_rate;
+        p.sched.rtt = self.gbn.srtt();
+        p.sched.set_deadline(self.deadline());
+        family.stamp(self, now, &mut p.sched);
+        p
+    }
+
+    /// Start the flow: send the SYN and arm the RTO, or end at once when there is
+    /// nothing to send. True if the SYN went out.
+    pub fn start<F: PacedFamily>(&mut self, family: &F, ctx: &mut Ctx) -> bool {
+        if self.limit == 0 {
+            self.end(family, SenderStatus::Finished, ctx);
+            return false;
+        }
+        ctx.send(self.packet(family, PacketKind::Syn, ctx.now()));
+        self.gbn.arm_rto(self.flow, ctx);
+        true
+    }
+
+    /// The ACK prefix: an active sender takes a SYN-ACK or ACK into go-back-N, then
+    /// `family` takes its feedback, and the flow completes once every byte is
+    /// acknowledged. True if the sender goes on: it took the packet and is active.
+    pub fn on_ack<F: PacedFamily>(&mut self, family: &mut F, pkt: &Packet, ctx: &mut Ctx) -> bool {
+        if self.status != SenderStatus::Active
+            || !matches!(pkt.kind, PacketKind::SynAck | PacketKind::Ack)
+        {
+            return false;
+        }
+        self.gbn.on_ack(self.flow, pkt, ctx);
+        family.feedback(self, pkt);
+        if self.gbn.acked() >= self.limit && self.gbn.syn_acked() {
+            self.end(family, SenderStatus::Finished, ctx);
+            return false;
+        }
+        true
+    }
+
+    /// Send the next data packet now. Returns its wire size.
+    pub fn transmit<F: PacedFamily>(&mut self, family: &mut F, ctx: &mut Ctx) -> u32 {
+        let pkt = self.packet(family, PacketKind::Data, ctx.now());
+        let (payload, wire) = (pkt.payload, pkt.wire_size());
+        ctx.send(pkt);
+        self.gbn.next_seq += payload as u64;
+        family.on_sent(payload, ctx.now());
+        wire
+    }
+
+    /// The token-bucket drain: send data while the bucket, refilled at the granted
+    /// rate, holds the next packet's wire size; then arm a pacing timer for the instant
+    /// its deficit clears, unless one is armed for an earlier instant.
+    pub fn drain<F: PacedFamily>(&mut self, family: &mut F, ctx: &mut Ctx) {
+        let (now, rate) = (ctx.now(), self.rate);
+        self.pacer.as_mut().expect("paced").set_rate_bps(now, rate);
+        while self.gbn.next_seq < self.limit {
+            let wire = (self.next_payload() + CONTROL_PACKET_BYTES) as u64;
+            let pacer = self.pacer.as_mut().expect("paced");
+            if !pacer.try_send(now, wire) {
+                let at = pacer.next_ready(now, wire);
+                return self.pace_by(at, ctx);
+            }
+            self.transmit(family, ctx);
+        }
+    }
+
+    /// Arm the pacing timer for `at`, superseding any armed one.
+    pub fn arm_pacing(&mut self, at: SimTime, ctx: &mut Ctx) {
+        self.pacing_token = self.pacing_token.wrapping_add(1);
+        self.pacing_at = at;
+        let token = u64::from(self.pacing_token);
+        ctx.set_timer_at(self.flow, TimerKind::Pacing, at, token);
+    }
+
+    /// Arm the pacing timer for `at` unless one is armed for no later instant.
+    pub fn pace_by(&mut self, at: SimTime, ctx: &mut Ctx) {
+        if !self.pacing_armed() || at < self.pacing_at {
+            self.arm_pacing(at, ctx);
+        }
+    }
+
+    /// A pacing timer fired with `token`: true, and no timer is armed any more, if it
+    /// is the armed one; a superseded one acts on nothing.
+    pub fn pacing_fired(&mut self, token: u64) -> bool {
+        let live = token == u64::from(self.pacing_token);
+        if live {
+            self.pacing_at = SimTime::MAX;
+        }
+        live
+    }
+
+    /// Go back after an RTO: resend the SYN while the handshake is not done, else
+    /// rewind the send point to the ACK point. True if it rewound.
+    pub fn go_back<F: PacedFamily>(&mut self, family: &F, ctx: &mut Ctx) -> bool {
+        if !self.gbn.syn_acked() {
+            ctx.send(self.packet(family, PacketKind::Syn, ctx.now()));
+            return false;
+        }
+        let rewind = self.gbn.acked() < self.limit;
+        if rewind {
+            self.gbn.next_seq = self.gbn.acked();
+        }
+        rewind
+    }
+
+    /// End the flow with `status`: [`SenderStatus::Finished`] once every byte is
+    /// acknowledged, [`SenderStatus::Terminated`] when the family gives up. The TERM
+    /// lets the switches drop the flow at once.
+    pub fn end<F: PacedFamily>(&mut self, family: &F, status: SenderStatus, ctx: &mut Ctx) {
+        debug_assert_eq!(
+            self.status,
+            SenderStatus::Active,
+            "{:?} ended twice",
+            self.flow
+        );
+        self.status = status;
+        ctx.send(self.packet(family, PacketKind::Term, ctx.now()));
+        match status {
+            SenderStatus::Finished => ctx.flow_completed(self.flow),
+            _ => ctx.flow_terminated(self.flow),
+        }
+    }
+
+    /// The payload of the next data packet.
+    fn next_payload(&self) -> u32 {
+        (self.limit - self.gbn.next_seq).min(MSS_BYTES as u64) as u32
     }
 }
 

@@ -12,12 +12,11 @@
 //! The agent holds state for what is live, in an [`Endpoints`]: a sender until it
 //! leaves [`SenderStatus::Active`] — the host-side counterpart of the TERM that lets
 //! switches drop the flow — and a receiver until it has echoed its flow's TERM. An
-//! M-PDQ subflow is the exception on both sides. Its sender stays in the endpoints
-//! when it finishes, because its parent's completion check and the re-balancer read
-//! it; it stays until the parent reports, and then the parent's whole M-PDQ
-//! bookkeeping goes with it. Its receiver stays for the whole run: the
-//! re-balancer can hand a finished subflow more bytes, and its sender then sends again
-//! after its TERM.
+//! M-PDQ subflow's sender is the one exception: it stays in the endpoints when it
+//! finishes, because its parent's completion check reads it, until the parent
+//! reports; then the parent's whole M-PDQ bookkeeping goes with it. The re-balancer
+//! only hands bytes to an active subflow, so a finished one never sends again, and its
+//! receiver goes with its TERM like any other.
 
 use std::sync::Arc;
 
@@ -608,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn multipath_subflow_receivers_outlive_their_term() {
+    fn a_subflow_receiver_retires_on_its_term() {
         use PacketKind::{Ack, Data, Term, TermAck};
         let mut params = PdqParams::full();
         params.subflows = 2;
@@ -618,14 +617,67 @@ mod tests {
         let got = echoes(
             &mut agent,
             &flows,
-            [
-                forward(Data, sub, 0, 1_500),
-                forward(Term, sub, 1_500, 0),
-                // The re-balancer handed the finished subflow more bytes.
-                forward(Data, sub, 1_500, 1_500),
-            ],
+            [forward(Data, sub, 0, 1_500), forward(Term, sub, 1_500, 0)],
         );
-        assert_eq!(got, [(Ack, 1_500, 1), (TermAck, 1_500, 1), (Ack, 3_000, 1)]);
+        // The subflow's sender reports it, not the receiver; the TERM retires the
+        // receiver, as it does any flow's.
+        assert_eq!(got, [(Ack, 1_500, 1), (TermAck, 1_500, 0)]);
+    }
+
+    /// A re-balance of three subflows — one finished, one paused, one sending — moves
+    /// the paused one's unsent bytes to the sending one only: the finished one is no
+    /// target and stays finished.
+    #[test]
+    fn a_rebalance_feeds_only_the_sending_subflow() {
+        let mut params = PdqParams::full();
+        params.subflows = 3;
+        let mut agent = PdqHostAgent::new(params, Discipline::Exact, 1);
+        let parent = info(1, 30_000, None);
+        let split = run(SimTime::ZERO, &FlowMap::default(), |ctx| {
+            agent.on_flow_arrival(&parent, ctx)
+        });
+        let subs: Vec<FlowInfo> = split
+            .iter()
+            .filter_map(|a| match a {
+                Action::SpawnFlow(s) => Some(info(s.id.value(), s.size_bytes, s.parent)),
+                _ => None,
+            })
+            .collect();
+        let flows = flows_of(&subs);
+        for sub in &subs {
+            run(SimTime::ZERO, &flows, |ctx| agent.on_flow_arrival(sub, ctx));
+        }
+        let [done, paused, sending] = [0, 1, 2].map(|k| subs[k].spec.id);
+        let t = SimTime::from_micros(200);
+        let grant = |agent: &mut PdqHostAgent, id, rate| {
+            let synack = feedback(PacketKind::SynAck, id, 0, rate, t);
+            run(t, &flows, |ctx| agent.on_packet(synack, ctx));
+        };
+        grant(&mut agent, done, GBPS);
+        grant(&mut agent, sending, GBPS);
+        let mut pause = feedback(PacketKind::SynAck, paused, 0, 0.0, t);
+        pause.sched.set_pause_by(Some(pdq_netsim::LinkId(5)));
+        run(t, &flows, |ctx| agent.on_packet(pause, ctx));
+        let t = SimTime::from_micros(500);
+        let ack = feedback(PacketKind::Ack, done, 10_000, GBPS, t);
+        run(t, &flows, |ctx| agent.on_packet(ack, ctx));
+
+        fn sender(agent: &PdqHostAgent, id: FlowId) -> &PdqSender {
+            &agent.endpoints.senders[&id]
+        }
+        assert_eq!(sender(&agent, done).status(), SenderStatus::Finished);
+        assert!(sender(&agent, paused).is_paused());
+        let before = [done, paused, sending].map(|id| sender(&agent, id).assigned_bytes());
+        assert_eq!(before, [10_000; 3]);
+        let t = SimTime::from_millis(1);
+        run(t, &flows, |ctx| {
+            agent.on_timer(FlowId(1), TimerKind::Rebalance, 0, ctx)
+        });
+        // Nothing of the paused subflow was sent: all of it moves.
+        let after = [done, paused, sending].map(|id| sender(&agent, id).assigned_bytes());
+        assert_eq!(after, [10_000, 0, 20_000]);
+        assert_eq!(sender(&agent, done).status(), SenderStatus::Finished);
+        assert_eq!(sender(&agent, sending).status(), SenderStatus::Active);
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //! packets at the rate granted by the switches, falls back to periodic probing while
 //! paused, retransmits after timeouts, applies Early Termination to deadline flows that
 //! can no longer make it, and finishes with a TERM packet so switches can drop the
-//! flow's state immediately.
+//! flow's state immediately. The SYN, the ACK prefix, the token-bucket drain and the
+//! TERM are the [`PacedCore`]'s, shared with the RCP and D3 senders.
 
 use std::sync::Arc;
 
 use pdq_netsim::{
-    Ctx, FlowId, FlowInfo, FlowSender, GoBackN, LinkId, Pacer, Packet, PacketKind, SenderStatus,
-    SimTime, TimerKind, BASE_HEADER_BYTES, MSS_BYTES, SCHED_HEADER_BYTES,
+    Ctx, FlowInfo, FlowSender, LinkId, PacedCore, PacedFamily, Packet, PacketKind,
+    SchedulingHeader, SenderStatus, SimTime, TimerKind,
 };
 
 use crate::comparator::Discipline;
@@ -28,32 +29,27 @@ const MAX_PACE_GAP: SimTime = SimTime::from_millis(20);
 /// [`Arc`], so a sender carries its own flow's state and nothing per host.
 #[derive(Debug)]
 pub struct PdqSender {
+    /// The flow, `R_S` (the granted rate), the deadline, go-back-N with `RTT_S`, the
+    /// pacing timer and the optional token bucket. Its `limit` is the bytes this sender
+    /// is responsible for (M-PDQ re-balancing moves it between subflows).
+    core: PacedCore,
+    /// What PDQ writes into its headers and reads from the switches' feedback.
+    pdq: PdqState,
     params: Arc<PdqParams>,
+    probe_token: u64,
+    probe_armed: bool,
+}
+
+/// PDQ's own per-flow state (§3.1): `P_S`, `I_S` and what the advertised `T_S` is
+/// computed from.
+#[derive(Debug)]
+struct PdqState {
     discipline: Discipline,
-
-    flow: FlowId,
-    src: pdq_netsim::NodeId,
-    dst: pdq_netsim::NodeId,
     arrival: SimTime,
-    deadline: Option<SimTime>,
-    /// Bytes this sender is responsible for (mutable: M-PDQ re-balancing shifts load
-    /// between subflows).
-    assigned_bytes: u64,
-    /// `R_max`: min(sender NIC rate, path bottleneck, receiver rate), bits/s.
-    max_rate: f64,
-
-    // --- paper state variables (§3.1) ---
-    /// `R_S`: current granted sending rate, bits/s.
-    rate: f64,
     /// `P_S`: the switch link that paused the flow, if any.
     paused_by: Option<LinkId>,
     /// `I_S`: inter-probe interval in RTTs (>= 1).
     inter_probe_rtts: f64,
-
-    // --- transfer progress ---
-    /// The send and ACK points, `RTT_S` (the smoothed RTT) and the retransmission
-    /// timeout, restarted on every ACK of new data.
-    gbn: GoBackN,
     /// Total payload bytes handed to the network (including retransmissions); feeds the
     /// flow-size-estimation discipline.
     sent_bytes: u64,
@@ -66,22 +62,9 @@ pub struct PdqSender {
     /// nearly done to the switches (Early Start keeps working). 0 for untagged flows
     /// or when [`PdqParams::coflow_aware`] is off.
     group_trans_floor: f64,
-
-    status: SenderStatus,
-
-    // --- timer bookkeeping (tokens invalidate stale timers) ---
-    pacing_token: u64,
-    pacing_armed: bool,
-    /// When the armed pacing timer is due (only meaningful while `pacing_armed`).
-    pacing_at: SimTime,
-    probe_token: u64,
-    probe_armed: bool,
-    /// When the last data packet was handed to the network (pacing reference point);
-    /// `SimTime::MAX` when there is none to pace from.
+    /// When the last data packet was handed to the network (the gap schedule's
+    /// reference point); `SimTime::MAX` when there is none to pace from.
     last_data_send: SimTime,
-    /// RFC 9002-style token bucket replacing the gap schedule when
-    /// [`PdqParams::pacer`] is set.
-    pacer: Option<Pacer>,
 }
 
 impl PdqSender {
@@ -106,125 +89,95 @@ impl PdqSender {
             ),
             _ => (flow.spec.deadline, 0.0),
         };
+        let mut core = PacedCore::new(flow, assigned_bytes, deadline, rtt);
+        if let Some(config) = params.pacer {
+            core = core.with_pacer(config);
+        }
         PdqSender {
-            pacer: params.pacer.map(Pacer::new),
+            core,
+            pdq: PdqState {
+                discipline,
+                arrival: flow.spec.arrival,
+                paused_by: None,
+                inter_probe_rtts: 1.0,
+                sent_bytes: 0,
+                random_crit,
+                group_trans_floor,
+                last_data_send: SimTime::MAX,
+            },
             params,
-            discipline,
-            flow: flow.spec.id,
-            src: flow.spec.src,
-            dst: flow.spec.dst,
-            arrival: flow.spec.arrival,
-            deadline,
-            assigned_bytes,
-            max_rate,
-            rate: 0.0,
-            paused_by: None,
-            inter_probe_rtts: 1.0,
-            gbn: GoBackN::new(rtt),
-            sent_bytes: 0,
-            random_crit,
-            group_trans_floor,
-            status: SenderStatus::Active,
-            pacing_token: 0,
-            pacing_armed: false,
-            pacing_at: SimTime::ZERO,
             probe_token: 0,
             probe_armed: false,
-            last_data_send: SimTime::MAX,
         }
     }
 
     /// Granted rate in bits/s (0 while paused).
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.core.rate
     }
 
     /// True while the switches have this flow paused.
     pub fn is_paused(&self) -> bool {
-        self.rate <= 0.0
+        self.core.rate <= 0.0
     }
 
     /// Bytes not yet acknowledged.
     pub fn remaining_bytes(&self) -> u64 {
-        self.assigned_bytes.saturating_sub(self.gbn.acked())
+        self.core.remaining_bytes()
     }
 
     /// Bytes this sender is responsible for.
     pub fn assigned_bytes(&self) -> u64 {
-        self.assigned_bytes
+        self.core.limit
     }
 
     /// Shrink the assignment to what has already been handed to the network and return
     /// how many bytes were given up (M-PDQ re-balancing takes load away from paused
     /// subflows).
     pub fn shed_unsent_bytes(&mut self) -> u64 {
-        let floor = self.gbn.next_seq.max(self.gbn.acked());
-        let shed = self.assigned_bytes.saturating_sub(floor);
-        self.assigned_bytes = floor;
+        let floor = self.core.gbn.next_seq.max(self.core.gbn.acked());
+        let shed = self.core.limit.saturating_sub(floor);
+        self.core.limit = floor;
         shed
     }
 
     /// Grow the assignment by `extra` bytes (M-PDQ re-balancing adds load to the least
-    /// loaded sending subflow).
+    /// loaded sending subflow, which is always an active one).
     pub fn add_bytes(&mut self, extra: u64) {
-        self.assigned_bytes += extra;
-        if self.status == SenderStatus::Finished && extra > 0 {
-            // More work arrived after we thought we were done.
-            self.status = SenderStatus::Active;
-        }
+        self.core.limit += extra;
     }
 }
 
 impl FlowSender for PdqSender {
     fn status(&self) -> SenderStatus {
-        self.status
+        self.core.status()
     }
 
     /// Start the flow: send the SYN and arm the retransmission timer.
     fn start(&mut self, ctx: &mut Ctx) {
-        if self.assigned_bytes == 0 {
-            self.finish(ctx);
+        if !self.core.start(&self.pdq, ctx) {
             return;
         }
-        let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
-        ctx.send(syn);
-        self.gbn.arm_rto(self.flow, ctx);
-        if let Some(dl) = self.deadline {
+        if let Some(dl) = self.core.deadline() {
             // Wake up at the deadline so Early Termination fires even if no feedback
             // ever arrives.
-            ctx.set_timer_at(self.flow, TimerKind::Custom(0), dl, 0);
+            ctx.set_timer_at(self.core.flow, TimerKind::Custom(0), dl, 0);
         }
     }
 
     fn on_packet(&mut self, pkt: &Packet, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active
-            || !matches!(pkt.kind, PacketKind::SynAck | PacketKind::Ack)
-        {
-            return;
+        if self.core.on_ack(&mut self.pdq, pkt, ctx) && !self.check_early_termination(ctx) {
+            self.reschedule(ctx);
         }
-        self.gbn.on_ack(self.flow, pkt, ctx);
-        self.apply_feedback(pkt);
-        if self.gbn.acked() >= self.assigned_bytes && self.gbn.syn_acked() {
-            self.finish(ctx);
-            return;
-        }
-        if self.check_early_termination(ctx) {
-            return;
-        }
-        self.reschedule(ctx);
     }
 
     fn on_timer(&mut self, kind: TimerKind, token: u64, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active {
+        if self.core.status() != SenderStatus::Active {
             return;
         }
         match kind {
             TimerKind::Pacing => {
-                if token != self.pacing_token {
-                    return;
-                }
-                self.pacing_armed = false;
-                if self.check_early_termination(ctx) {
+                if !self.core.pacing_fired(token) || self.check_early_termination(ctx) {
                     return;
                 }
                 self.reschedule(ctx);
@@ -237,33 +190,28 @@ impl FlowSender for PdqSender {
                 if self.check_early_termination(ctx) {
                     return;
                 }
-                if self.rate <= 0.0 || self.needs_probing() {
+                if self.core.rate <= 0.0 || self.needs_probing() {
                     // Either paused, or sending so slowly that data packets alone would
                     // not fetch timely feedback: keep the probe loop alive.
-                    let probe = self.forward_packet(PacketKind::Probe, 0, 0, ctx.now());
+                    let probe = self.core.packet(&self.pdq, PacketKind::Probe, ctx.now());
                     ctx.send(probe);
                     self.arm_probe(ctx);
                 }
                 self.reschedule(ctx);
             }
             TimerKind::Rto => {
-                if !self.gbn.fire_rto(self.flow, token, ctx) {
+                // PDQ's rule: an RTO tests Early Termination before it goes back.
+                if !self.core.gbn.fire_rto(self.core.flow, token, ctx)
+                    || self.check_early_termination(ctx)
+                {
                     return;
                 }
-                if self.check_early_termination(ctx) {
-                    return;
-                }
-                if !self.gbn.syn_acked() {
-                    let syn = self.forward_packet(PacketKind::Syn, 0, 0, ctx.now());
-                    ctx.send(syn);
-                } else if self.gbn.acked() < self.assigned_bytes {
-                    // Go-back-N: rewind to the last acknowledged byte and allow an
-                    // immediate retransmission regardless of the old pacing schedule.
-                    self.gbn.next_seq = self.gbn.acked();
-                    self.last_data_send = SimTime::MAX;
+                if self.core.go_back(&self.pdq, ctx) {
+                    // Retransmit at once, whatever the old gap schedule said.
+                    self.pdq.last_data_send = SimTime::MAX;
                     self.reschedule(ctx);
                 }
-                self.gbn.arm_rto(self.flow, ctx);
+                self.core.gbn.arm_rto(self.core.flow, ctx);
             }
             TimerKind::Custom(0) => {
                 // Deadline wake-up.
@@ -274,91 +222,73 @@ impl FlowSender for PdqSender {
     }
 }
 
-impl PdqSender {
-    fn apply_feedback(&mut self, pkt: &Packet) {
-        let h = &pkt.sched;
-        self.paused_by = h.pause_by();
-        self.rate = if self.paused_by.is_some() {
-            0.0
-        } else {
-            h.rate.min(self.max_rate).max(0.0)
-        };
-        if h.inter_probe_rtts() > 0.0 {
-            self.inter_probe_rtts = h.inter_probe_rtts().max(1.0);
-        } else {
-            self.inter_probe_rtts = 1.0;
-        }
+impl PacedFamily for PdqState {
+    fn stamp(&self, core: &PacedCore, now: SimTime, header: &mut SchedulingHeader) {
+        header.set_pause_by(self.paused_by);
+        header.set_expected_trans_time(self.advertised_trans_time(core, now));
+        header.set_inter_probe_rtts(0.0);
     }
 
+    fn feedback(&mut self, core: &mut PacedCore, pkt: &Packet) {
+        let h = &pkt.sched;
+        self.paused_by = h.pause_by();
+        core.rate = if self.paused_by.is_some() {
+            0.0
+        } else {
+            h.rate.min(core.max_rate).max(0.0)
+        };
+        self.inter_probe_rtts = h.inter_probe_rtts().max(1.0);
+    }
+
+    fn on_sent(&mut self, payload: u32, now: SimTime) {
+        self.sent_bytes += payload as u64;
+        self.last_data_send = now;
+    }
+}
+
+impl PdqState {
     /// `T_S`: the expected remaining transmission time the sender advertises.
-    fn advertised_trans_time(&self, now: SimTime) -> f64 {
+    fn advertised_trans_time(&self, core: &PacedCore, now: SimTime) -> f64 {
         // The coflow floor drains with the member's own progress: at flow start it is
         // the full group-bottleneck time (smallest-bottleneck-first across coflows),
         // and it shrinks linearly toward 0 as the member completes, so switches still
         // see a nearly-done flow as nearly done.
-        let remaining_frac = if self.assigned_bytes > 0 {
-            self.remaining_bytes() as f64 / self.assigned_bytes as f64
+        let remaining = core.remaining_bytes();
+        let remaining_frac = if core.limit > 0 {
+            remaining as f64 / core.limit as f64
         } else {
             0.0
         };
         self.discipline
             .advertised_trans_time(
-                self.remaining_bytes(),
+                remaining,
                 self.sent_bytes,
-                self.max_rate,
+                core.max_rate,
                 now.saturating_sub(self.arrival),
                 self.random_crit,
             )
             .max(self.group_trans_floor * remaining_frac)
     }
+}
 
-    fn forward_packet(&self, kind: PacketKind, seq: u64, payload: u32, now: SimTime) -> Packet {
-        let mut p = if payload > 0 {
-            Packet::data(self.flow, self.src, self.dst, seq, payload)
-        } else {
-            Packet::control(kind, self.flow, self.src, self.dst)
-        };
-        p.kind = kind;
-        p.sent_at = now;
-        p.sched.rate = self.max_rate;
-        p.sched.rtt = self.gbn.srtt();
-        p.sched.set_pause_by(self.paused_by);
-        p.sched.set_deadline(self.deadline);
-        p.sched
-            .set_expected_trans_time(self.advertised_trans_time(now));
-        p.sched.set_inter_probe_rtts(0.0);
-        p
-    }
-
+impl PdqSender {
     /// Recompute what the sender should be waiting for and (re)arm the right timer.
     ///
-    /// Called after every packet or timer event. The invariant it maintains:
+    /// Called after every packet or timer event that leaves the sender active. The
+    /// invariant it maintains:
     /// * a flow with a positive rate and unsent data either transmits now (if its pacing
     ///   gap has elapsed) or has a pacing timer armed no later than its next send time;
     /// * a paused flow always has a probe timer armed;
     /// * a flow whose granted rate is too small to produce one packet per probe interval
     ///   additionally keeps probing, so it still learns promptly when capacity frees up.
     fn reschedule(&mut self, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active {
-            return;
-        }
-        if self.rate > 0.0 {
-            if self.gbn.next_seq < self.assigned_bytes {
-                if self.pacer.is_some() {
-                    self.drain_bucket(ctx);
+        if self.core.rate > 0.0 {
+            if self.core.gbn.next_seq < self.core.limit {
+                if self.core.paced() {
+                    // PDQ's rule: the bucket drains on every reschedule.
+                    self.core.drain(&mut self.pdq, ctx);
                 } else {
-                    let now = ctx.now();
-                    let due = self.next_send_due(now);
-                    if due <= now {
-                        self.transmit_data(ctx);
-                        if self.gbn.next_seq < self.assigned_bytes {
-                            let next = self.next_send_due(ctx.now());
-                            self.arm_pacing(next, ctx);
-                        }
-                    } else if !self.pacing_armed || due < self.pacing_at {
-                        // The granted rate increased: pull the pacing timer forward.
-                        self.arm_pacing(due, ctx);
-                    }
+                    self.send_by_gap(ctx);
                 }
             }
             if self.needs_probing() && !self.probe_armed {
@@ -369,74 +299,41 @@ impl PdqSender {
         }
     }
 
-    /// The token-bucket counterpart of the gap schedule: drain packets while
-    /// tokens last at the granted rate, then arm one pacing timer for the
-    /// instant the next packet's deficit clears.
-    fn drain_bucket(&mut self, ctx: &mut Ctx) {
+    /// PDQ's unpaced gap rule: packets `MTU·8/rate` apart from the last send, capped at
+    /// [`MAX_PACE_GAP`], and every feedback pulls the pacing timer forward.
+    fn send_by_gap(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
-        let rate = self.rate;
-        self.pacer
-            .as_mut()
-            .expect("checked by caller")
-            .set_rate_bps(now, rate);
-        while self.gbn.next_seq < self.assigned_bytes {
-            let payload = (self.assigned_bytes - self.gbn.next_seq).min(MSS_BYTES as u64) as u32;
-            let wire = (payload + BASE_HEADER_BYTES + SCHED_HEADER_BYTES) as u64;
-            let pacer = self.pacer.as_mut().expect("checked above");
-            if !pacer.try_send(now, wire) {
-                let at = pacer.next_ready(now, wire);
-                if !self.pacing_armed || at < self.pacing_at {
-                    self.arm_pacing(at, ctx);
-                }
-                return;
-            }
-            self.transmit_data(ctx);
+        let due = self.next_send_due(now);
+        if due > now {
+            // The granted rate increased: pull the pacing timer forward.
+            return self.core.pace_by(due, ctx);
+        }
+        self.core.transmit(&mut self.pdq, ctx);
+        if self.core.gbn.next_seq < self.core.limit {
+            let next = self.next_send_due(ctx.now());
+            self.core.arm_pacing(next, ctx);
         }
     }
 
     /// True when the granted rate is so small that data packets alone would not carry
     /// scheduling feedback back at least once per probe interval.
     fn needs_probing(&self) -> bool {
-        if self.rate <= 0.0 {
+        if self.core.rate <= 0.0 {
             return true;
         }
         let wire_bits = pdq_netsim::MTU_BYTES as f64 * 8.0;
-        wire_bits / self.rate > self.probe_gap().as_secs_f64()
+        wire_bits / self.core.rate > self.probe_gap().as_secs_f64()
     }
 
-    /// When the pacing schedule next allows a data transmission.
+    /// When the gap schedule next allows a data transmission.
     fn next_send_due(&self, now: SimTime) -> SimTime {
-        let last = self.last_data_send;
+        let last = self.pdq.last_data_send;
         if last == SimTime::MAX {
             return now;
         }
         let wire_bits = pdq_netsim::MTU_BYTES as f64 * 8.0;
-        let gap_secs = (wire_bits / self.rate).min(MAX_PACE_GAP.as_secs_f64());
+        let gap_secs = (wire_bits / self.core.rate).min(MAX_PACE_GAP.as_secs_f64());
         last + SimTime::from_secs_f64(gap_secs)
-    }
-
-    /// Send one data packet now and record it as the new pacing reference point.
-    fn transmit_data(&mut self, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active
-            || self.rate <= 0.0
-            || self.gbn.next_seq >= self.assigned_bytes
-        {
-            return;
-        }
-        let seq = self.gbn.next_seq;
-        let payload = (self.assigned_bytes - seq).min(MSS_BYTES as u64) as u32;
-        let pkt = self.forward_packet(PacketKind::Data, seq, payload, ctx.now());
-        ctx.send(pkt);
-        self.gbn.next_seq += payload as u64;
-        self.sent_bytes += payload as u64;
-        self.last_data_send = ctx.now();
-    }
-
-    fn arm_pacing(&mut self, at: SimTime, ctx: &mut Ctx) {
-        self.pacing_token += 1;
-        self.pacing_armed = true;
-        self.pacing_at = at;
-        ctx.set_timer_at(self.flow, TimerKind::Pacing, at, self.pacing_token);
     }
 
     /// The interval between probes of a paused (or starved) flow.
@@ -444,7 +341,7 @@ impl PdqSender {
         // Probe every I_S RTTs, but never let a transiently inflated RTT estimate delay
         // the next probe by more than a couple of milliseconds: a paused flow's probes
         // are its only way to learn that capacity has freed up.
-        SimTime::from_secs_f64(self.inter_probe_rtts.max(1.0) * self.gbn.srtt())
+        SimTime::from_secs_f64(self.pdq.inter_probe_rtts.max(1.0) * self.core.gbn.srtt())
             .min(SimTime::from_millis(2))
             .max(SimTime::from_micros(50))
     }
@@ -453,39 +350,28 @@ impl PdqSender {
         let gap = self.probe_gap();
         self.probe_token += 1;
         self.probe_armed = true;
-        ctx.set_timer_after(self.flow, TimerKind::Probe, gap, self.probe_token);
+        ctx.set_timer_after(self.core.flow, TimerKind::Probe, gap, self.probe_token);
     }
 
-    fn finish(&mut self, ctx: &mut Ctx) {
-        if self.status != SenderStatus::Active {
-            return;
-        }
-        self.status = SenderStatus::Finished;
-        let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, ctx.now());
-        ctx.send(term);
-        ctx.flow_completed(self.flow);
-    }
-
-    /// Early Termination (§3.1). Returns true if the flow was terminated.
+    /// Early Termination (§3.1), PDQ's give-up rule. Returns true if the flow was
+    /// terminated.
     fn check_early_termination(&mut self, ctx: &mut Ctx) -> bool {
-        if !self.params.early_termination || self.status != SenderStatus::Active {
+        if !self.params.early_termination {
             return false;
         }
-        let Some(deadline) = self.deadline else {
+        let Some(deadline) = self.core.deadline() else {
             return false;
         };
         let now = ctx.now();
-        let t_s = SimTime::from_secs_f64(self.remaining_bytes() as f64 * 8.0 / self.max_rate);
-        let rtt = SimTime::from_secs_f64(self.gbn.srtt());
-        let paused_and_close = self.rate <= 0.0 && now + rtt > deadline;
-        if early_terminate(now, deadline, t_s) || paused_and_close {
-            self.status = SenderStatus::Terminated;
-            let term = self.forward_packet(PacketKind::Term, self.gbn.next_seq, 0, now);
-            ctx.send(term);
-            ctx.flow_terminated(self.flow);
-            return true;
+        let remaining = self.core.remaining_bytes();
+        let t_s = SimTime::from_secs_f64(remaining as f64 * 8.0 / self.core.max_rate);
+        let rtt = SimTime::from_secs_f64(self.core.gbn.srtt());
+        let paused_and_close = self.core.rate <= 0.0 && now + rtt > deadline;
+        if !early_terminate(now, deadline, t_s) && !paused_and_close {
+            return false;
         }
-        false
+        self.core.end(&self.pdq, SenderStatus::Terminated, ctx);
+        true
     }
 }
 
@@ -500,7 +386,7 @@ pub(crate) fn early_terminate(now: SimTime, deadline: SimTime, time_to_finish: S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, FlowSpec, NodeId, SchedulingHeader};
+    use pdq_netsim::{Action, FlowId, FlowSpec, NodeId};
     use std::collections::HashMap;
 
     const GBPS: f64 = 1e9;
@@ -570,7 +456,9 @@ mod tests {
             10_000,
             0.0,
         );
-        let p = plain.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
+        let p = plain
+            .core
+            .packet(&plain.pdq, PacketKind::Syn, SimTime::ZERO);
         assert_eq!(p.sched.deadline(), Some(SimTime::from_millis(5)));
         assert_eq!(p.sched.expected_trans_time(), 10_000.0 * 8.0 / GBPS);
 
@@ -583,7 +471,9 @@ mod tests {
             10_000,
             0.0,
         );
-        let p = aware.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
+        let p = aware
+            .core
+            .packet(&aware.pdq, PacketKind::Syn, SimTime::ZERO);
         assert_eq!(p.sched.deadline(), Some(SimTime::from_millis(9)));
         assert_eq!(p.sched.expected_trans_time(), 1_000_000.0 * 8.0 / GBPS);
 
@@ -595,7 +485,9 @@ mod tests {
             10_000,
             0.0,
         );
-        let p = untagged.forward_packet(PacketKind::Syn, 0, 0, SimTime::ZERO);
+        let p = untagged
+            .core
+            .packet(&untagged.pdq, PacketKind::Syn, SimTime::ZERO);
         assert_eq!(p.sched.deadline(), Some(SimTime::from_millis(5)));
         assert_eq!(p.sched.expected_trans_time(), 10_000.0 * 8.0 / GBPS);
     }
@@ -619,11 +511,11 @@ mod tests {
             .expect("the SYN");
         assert_eq!(syn.kind, PacketKind::Syn);
         let h = syn.sched;
-        assert_eq!((h.rate, h.rtt), (s.max_rate, s.gbn.srtt()));
+        assert_eq!((h.rate, h.rtt), (s.core.max_rate, s.core.gbn.srtt()));
         assert_eq!((h.deadline(), h.pause_by()), (Some(deadline), None));
         assert_eq!(
             h.expected_trans_time(),
-            s.advertised_trans_time(SimTime::ZERO)
+            s.pdq.advertised_trans_time(&s.core, SimTime::ZERO)
         );
         assert!((h.expected_trans_time() - 100_000.0 * 8.0 / GBPS).abs() < 1e-15);
         assert_eq!(
@@ -801,21 +693,29 @@ mod tests {
         let now = SimTime::from_micros(200);
         let mut ctx = Ctx::new(now, &map);
         s.on_packet(&synack_with_rate(GBPS, now), &mut ctx);
-        ctx.take_actions();
+        let mut actions = ctx.take_actions();
         // Pump the pacing loop a few times so several packets are "in flight".
         let mut t = now;
         for _ in 0..5 {
             t += SimTime::from_micros(12);
             let mut c = Ctx::new(t, &map);
-            let token = s.pacing_token;
-            s.on_timer(TimerKind::Pacing, token, &mut c);
+            let token = actions.iter().rev().find_map(|a| match a {
+                Action::SetTimer {
+                    kind: TimerKind::Pacing,
+                    token,
+                    ..
+                } => Some(*token),
+                _ => None,
+            });
+            s.on_timer(TimerKind::Pacing, token.expect("a pacing timer"), &mut c);
+            actions = c.take_actions();
         }
-        let sent_before = s.gbn.next_seq;
+        let sent_before = s.core.gbn.next_seq;
         assert!(sent_before > 4 * 1444);
         // RTO fires with nothing acknowledged: the sender rewinds to the last cumulative
         // ACK and immediately retransmits the first unacknowledged packet.
         let mut c = Ctx::new(t + SimTime::from_millis(10), &map);
-        let token = s.gbn.rto_token();
+        let token = s.core.gbn.rto_token();
         s.on_timer(TimerKind::Rto, token, &mut c);
         let actions = c.take_actions();
         let retransmitted = actions.iter().find_map(|a| match a {
@@ -828,7 +728,7 @@ mod tests {
             "go-back-N retransmits from the last ACK"
         );
         assert!(
-            s.gbn.next_seq < sent_before,
+            s.core.gbn.next_seq < sent_before,
             "the send position rewinds (then advances past the retransmission)"
         );
     }
@@ -840,10 +740,10 @@ mod tests {
         let mut ctx = Ctx::new(now, &map);
         s.on_packet(&synack_with_rate(GBPS, now), &mut ctx);
         ctx.take_actions();
-        let seq_before = s.gbn.next_seq;
+        let seq_before = s.core.gbn.next_seq;
         let mut c = Ctx::new(now + SimTime::from_micros(12), &map);
         s.on_timer(TimerKind::Pacing, 999_999, &mut c); // bogus token
-        assert_eq!(s.gbn.next_seq, seq_before);
+        assert_eq!(s.core.gbn.next_seq, seq_before);
         assert!(c.take_actions().is_empty());
     }
 
