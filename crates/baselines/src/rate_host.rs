@@ -36,7 +36,7 @@ pub struct RateSender {
 impl RateSender {
     /// Create a sender for `flow`.
     pub fn new(mode: RateMode, flow: &FlowInfo) -> Self {
-        let (size, deadline) = (flow.spec.size_bytes, flow.spec.deadline);
+        let (size, deadline) = (flow.spec.size_bytes, flow.spec.deadline());
         RateSender {
             core: PacedCore::new(flow, size, deadline, flow.base_rtt.as_secs_f64()),
             mode,

@@ -42,7 +42,7 @@ pub fn per_flow_outcomes(n_flows: usize, seed: u64) -> Vec<Table> {
             ],
         );
         for r in res.packet().top_level_flows() {
-            let deadline = r.spec.deadline;
+            let deadline = r.spec.deadline();
             let done = r.completed_at.or(r.terminated_at);
             let outcome = match (r.completed_at, r.terminated_at) {
                 (Some(_), _) => {

@@ -162,7 +162,7 @@ pub fn run_flow_level(
             path: links,
             remaining_bits: spec.size_bytes as f64 * 8.0,
             arrival: spec.arrival,
-            deadline: spec.deadline,
+            deadline: spec.deadline(),
             order,
         };
         pending.push((spec.arrival + INIT_DELAY, flow));
@@ -170,7 +170,7 @@ pub fn run_flow_level(
             id: spec.id,
             size_bytes: spec.size_bytes,
             arrival: spec.arrival,
-            deadline: spec.deadline,
+            deadline: spec.deadline(),
             completed_at: None,
             terminated: false,
         });

@@ -30,12 +30,16 @@
 //! * **flows** — a `FlowTable`: two parallel slabs indexed by a per-core flow slot.
 //!   The *hot* one (`FlowHot`, 12 bytes a flow: its route offset, its link count and
 //!   what of it the core still holds) is all that sending a packet reads, and stays
-//!   cache-resident with thousands of flows live; the *cold* one (`FlowState`:
-//!   the flow's [`FlowInfo`] — the one copy of its spec — its accounting and trace
-//!   accumulator; the [`FlowRecord`] is assembled from it at the merge) is read when a
-//!   flow arrives or finishes, when an agent asks for its `FlowInfo`, and to count a
-//!   drop or delivered bytes. A flow holds its slot from injection to the merge; the
-//!   flows injected before the run are ordered by arrival and fed to the event queue
+//!   cache-resident with thousands of flows live; the *cold* one (`FlowState`, 120
+//!   bytes: the flow's 80-byte [`FlowInfo`] — the engine's one copy of its 56-byte
+//!   spec, whose deadline, parent and coflow tag are stored without `Option` tags
+//!   (see the `flow` module) — and its accounting; the [`FlowRecord`] is built in
+//!   its place at the merge) is read when a flow arrives or finishes, when an agent
+//!   asks for its `FlowInfo`, and to count a drop or delivered bytes. What only the
+//!   goodput trace sampler reads, a flow's delivered bytes at the previous sample,
+//!   is in the sampler's own per-slot store, empty unless flows are traced. A flow
+//!   holds its slot from injection to the merge; the flows injected before the run
+//!   are ordered by arrival and fed to the event queue
 //!   one at a time. Beside the slabs a flat **route arena** holds each routed flow's
 //!   forward links — the only copy of its path — followed by the links its ACKs take,
 //!   and a `FlowId -> slot` index
@@ -288,8 +292,6 @@ pub(crate) struct FlowState {
     /// [`FlowRecord::drops`] on this core.
     pub(crate) drops: u64,
     pub(crate) finish: Option<Finish>,
-    /// `raw_bytes_delivered` at the previous trace sample (goodput time series).
-    pub(crate) bytes_at_last_sample: u64,
     /// On the home slot of a finished flow with replicas: the replies still awaited
     /// to the poll asking every core on its path whether it holds anything of the
     /// flow (0 while no poll is out; see `EngineCore::try_retire`).
@@ -318,7 +320,6 @@ impl FlowState {
             raw_bytes_delivered: 0,
             drops: 0,
             finish: None,
-            bytes_at_last_sample: 0,
             awaited: 0,
             all_idle: false,
         }
@@ -345,7 +346,7 @@ impl FlowState {
 /// The hot half of a flow's engine state: all that sending a packet and taking one
 /// over from another shard need, and what tells the core when it may let the flow's
 /// route go. It lives in a slab of its own so that thousands of live flows stay
-/// cache-resident (12 bytes each against several hundred for a [`FlowState`]).
+/// cache-resident (12 bytes each against 120 for a [`FlowState`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FlowHot {
     /// Where the flow's links start in [`FlowTable::routes`].
@@ -820,6 +821,10 @@ pub(crate) struct EngineCore {
     pub(crate) traces: Traces,
     /// `bytes_transmitted` at the previous trace sample, indexed by [`LinkId`].
     pub(crate) link_bytes_at_last_sample: Vec<u64>,
+    /// A flow's `raw_bytes_delivered` at the previous goodput sample, indexed by its
+    /// slot: the sampler's own store, empty unless flows are traced (slots are never
+    /// reused within a run, and one not yet in it had delivered nothing).
+    flow_bytes_at_last_sample: Vec<u64>,
     /// Time of the previous trace sample (guards rate computations against a
     /// zero-length sampling window).
     pub(crate) last_sample_at: SimTime,
@@ -874,6 +879,7 @@ impl EngineCore {
             pending_arrivals: 0,
             traces: Traces::default(),
             link_bytes_at_last_sample: vec![0; n_links],
+            flow_bytes_at_last_sample: Vec::new(),
             last_sample_at: SimTime::ZERO,
             shard: 0,
             shard_of: Arc::from([] as [u32; 0]),
@@ -919,7 +925,7 @@ impl EngineCore {
     fn spawn_flow(&mut self, spec: FlowSpec) {
         self.pending_arrivals += 1;
         let arrival = spec.arrival.max(self.now);
-        let (flow, spec) = (spec.id, FlowSpec { arrival, ..spec });
+        let (flow, spec) = (spec.id, spec.with_arrival(arrival));
         let slot = self.flows.push(FlowState::pending(spec));
         self.events
             .schedule(arrival, EventKind::FlowArrival { flow, slot });
@@ -1449,9 +1455,11 @@ impl EngineCore {
                 flows,
                 traces,
                 shard_of,
+                flow_bytes_at_last_sample: last,
                 ..
             } = self;
-            for state in &mut flows.slots {
+            last.resize(flows.slots.len(), 0);
+            for (state, last) in flows.slots.iter().zip(last) {
                 let spec = &state.info.spec;
                 // Goodput accumulates where the data is delivered: the shard owning
                 // the flow's destination samples it (every shard in a 1-shard run). A
@@ -1459,8 +1467,8 @@ impl EngineCore {
                 if state.stage == Stage::Pending || sharded && shard_of[spec.dst.index()] != shard {
                     continue;
                 }
-                let delta = state.raw_bytes_delivered - state.bytes_at_last_sample;
-                state.bytes_at_last_sample = state.raw_bytes_delivered;
+                let delta = state.raw_bytes_delivered - *last;
+                *last = state.raw_bytes_delivered;
                 let rate = if elapsed_s > 0.0 {
                     delta as f64 * 8.0 / elapsed_s
                 } else {
@@ -2149,15 +2157,21 @@ pub(crate) mod tests {
     }
 
     /// Every flow of a run holds a cold slot from injection to the merge, finished or
-    /// not: with the spec kept once (in its `FlowInfo`) and the record assembled at
-    /// the merge, a slot is at most 200 bytes (304 with a spec in both an info and a
-    /// record). A record fits in the slot it is built from (160 bytes in 168), so a
-    /// lone core's records reuse its slot slab's buffer.
+    /// not, and the workload list holds its spec once more. With the spec's optional
+    /// fields stored without `Option` tags and the coflow tag behind a shared pointer,
+    /// a spec is 56 bytes (96 before), a `FlowInfo` 80 (120) and a slot 120 (168; 128
+    /// with the goodput sampler's last reading still in it). A record fits in the
+    /// slot it is built from (120 bytes in 120), so a lone core's records reuse its
+    /// slot slab's buffer.
     #[test]
     fn flow_state_stays_small() {
         use std::mem::{align_of, size_of};
+        let spec = size_of::<FlowSpec>();
+        assert!(spec <= 56, "FlowSpec is {spec} bytes");
+        let info = size_of::<FlowInfo>();
+        assert!(info <= 80, "FlowInfo is {info} bytes");
         let size = size_of::<FlowState>();
-        assert!(size <= 200, "FlowState is {size} bytes");
+        assert!(size <= 120, "FlowState is {size} bytes");
         let record = size_of::<FlowRecord>();
         assert!(
             record <= size,

@@ -1,7 +1,37 @@
 //! Flow descriptions, paths and per-flow accounting.
+//!
+//! # A compact spec
+//!
+//! A run holds one [`FlowSpec`] per flow in its workload list and one more in the
+//! flow's engine slot (inside its [`FlowInfo`](crate::FlowInfo), where the
+//! [`FlowRecord`] is later built in place), so every byte of it is paid twice per
+//! flow. The three optional fields are therefore stored without an `Option` tag:
+//!
+//! * the deadline as a [`SimTime`], [`SimTime::MAX`] standing for "no deadline" —
+//!   the encoding the scheduling header uses for `D_H`, so a deadline that never
+//!   comes reads back as none in both places;
+//! * the M-PDQ parent as a [`FlowId`], `FlowId(u64::MAX)` standing for "not a
+//!   subflow" (subflow ids encode parents below 2⁴⁴, so no subflow names it);
+//! * the coflow tag as an `Option<Arc<CoflowTag>>`, one allocation shared by every
+//!   member of a coflow and a null pointer for a flow in none.
+//!
+//! That is 56 bytes a spec (96 with `Option`s and an inline tag). The fields are
+//! private behind [`FlowSpec::deadline`], [`FlowSpec::parent`] and
+//! [`FlowSpec::coflow`], and set through the `with_*` builders.
+
+use std::sync::Arc;
 
 use crate::ids::{CoflowId, FlowId, LinkId, NodeId};
+use crate::packet::NO_DEADLINE;
 use crate::time::SimTime;
+
+/// The `parent` of a flow that is not an M-PDQ subflow.
+const NO_PARENT: FlowId = FlowId(u64::MAX);
+
+/// The latest deadline a spec can carry: [`SimTime::MAX`] reads as no deadline, so a
+/// generator whose `arrival + relative deadline` saturates stops one nanosecond
+/// short of it, keeping a deadline no run reaches.
+pub const LATEST_DEADLINE: SimTime = SimTime(u64::MAX - 1);
 
 /// Coflow membership stamped onto a [`FlowSpec`] at workload-generation time.
 ///
@@ -9,8 +39,8 @@ use crate::time::SimTime;
 /// identity, the size of the group's largest member (its bottleneck), and the group's
 /// collective deadline. Because it is immutable data on the spec — not shared mutable
 /// state — schedulers that read it stay deterministic under the partitioned engine at
-/// every shard count.
-#[derive(Clone, Copy, Debug, PartialEq)]
+/// every shard count. The members of a coflow share one `Arc` of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CoflowTag {
     /// The coflow this flow belongs to.
     pub id: CoflowId,
@@ -25,7 +55,9 @@ pub struct CoflowTag {
 ///
 /// The experiment driver creates `FlowSpec`s (from a workload generator) and injects
 /// them into the simulator as flow-arrival events; the source host's transport agent
-/// is then responsible for delivering `size_bytes` bytes to the destination.
+/// is then responsible for delivering `size_bytes` bytes to the destination. The
+/// optional fields are read through [`FlowSpec::deadline`], [`FlowSpec::parent`] and
+/// [`FlowSpec::coflow`] (see the module docs for their encoding).
 #[derive(Clone, Debug, PartialEq)]
 pub struct FlowSpec {
     /// Unique flow identifier.
@@ -36,15 +68,14 @@ pub struct FlowSpec {
     pub dst: NodeId,
     /// Application bytes to transfer.
     pub size_bytes: u64,
-    /// Optional absolute deadline by which the transfer should complete.
-    pub deadline: Option<SimTime>,
     /// Time at which the flow arrives at the sender.
     pub arrival: SimTime,
-    /// For M-PDQ subflows: the parent flow this subflow belongs to.
-    pub parent: Option<FlowId>,
-    /// Coflow membership, if this flow is part of a group with collective
-    /// completion semantics.
-    pub coflow: Option<CoflowTag>,
+    /// The absolute deadline, or [`NO_DEADLINE`].
+    deadline: SimTime,
+    /// For M-PDQ subflows the parent flow, or [`NO_PARENT`].
+    parent: FlowId,
+    /// Coflow membership, shared by the coflow's members.
+    coflow: Option<Arc<CoflowTag>>,
 }
 
 impl FlowSpec {
@@ -55,16 +86,34 @@ impl FlowSpec {
             src,
             dst,
             size_bytes,
-            deadline: None,
             arrival: SimTime::ZERO,
-            parent: None,
+            deadline: NO_DEADLINE,
+            parent: NO_PARENT,
             coflow: None,
         }
     }
 
-    /// Set the deadline (absolute time) and return the modified spec.
+    /// The absolute deadline by which the transfer should complete, if any.
+    pub fn deadline(&self) -> Option<SimTime> {
+        (self.deadline != NO_DEADLINE).then_some(self.deadline)
+    }
+
+    /// For an M-PDQ subflow, the flow it was split from.
+    pub fn parent(&self) -> Option<FlowId> {
+        (self.parent != NO_PARENT).then_some(self.parent)
+    }
+
+    /// Coflow membership, if this flow is part of a group with collective
+    /// completion semantics.
+    pub fn coflow(&self) -> Option<&CoflowTag> {
+        self.coflow.as_deref()
+    }
+
+    /// Set the deadline (absolute time) and return the modified spec. A deadline of
+    /// [`SimTime::MAX`] — one that never comes — reads back as none, as in the
+    /// scheduling header.
     pub fn with_deadline(mut self, deadline: SimTime) -> Self {
-        self.deadline = Some(deadline);
+        self.deadline = deadline;
         self
     }
 
@@ -74,9 +123,20 @@ impl FlowSpec {
         self
     }
 
-    /// Tag this flow as a member of a coflow and return the modified spec.
-    pub fn with_coflow(mut self, tag: CoflowTag) -> Self {
-        self.coflow = Some(tag);
+    /// Mark this flow as an M-PDQ subflow of `parent` and return the modified spec.
+    ///
+    /// # Panics
+    /// If `parent` is `FlowId(u64::MAX)`, the id that stands for "no parent".
+    pub fn with_parent(mut self, parent: FlowId) -> Self {
+        assert_ne!(parent, NO_PARENT, "flow id {} is reserved", u64::MAX);
+        self.parent = parent;
+        self
+    }
+
+    /// Tag this flow as a member of a coflow and return the modified spec. Pass the
+    /// coflow's one `Arc` to share the tag among its members.
+    pub fn with_coflow(mut self, tag: impl Into<Arc<CoflowTag>>) -> Self {
+        self.coflow = Some(tag.into());
         self
     }
 }
@@ -192,7 +252,7 @@ impl FlowRecord {
     /// meeting the deadline when they complete (matching the paper's Application
     /// Throughput metric, which is only applied to deadline-constrained flows anyway).
     pub fn met_deadline(&self) -> bool {
-        match (self.completed_at, self.spec.deadline) {
+        match (self.completed_at, self.spec.deadline()) {
             (Some(done), Some(dl)) => done <= dl,
             (Some(_), None) => true,
             _ => false,
@@ -214,9 +274,53 @@ mod tests {
     fn spec_builders() {
         let s = spec();
         assert_eq!(s.size_bytes, 10_000);
-        assert_eq!(s.deadline, Some(SimTime::from_millis(20)));
+        assert_eq!(s.deadline(), Some(SimTime::from_millis(20)));
         assert_eq!(s.arrival, SimTime::from_millis(1));
-        assert!(s.parent.is_none());
+        assert!(s.parent().is_none());
+        assert!(s.coflow().is_none());
+    }
+
+    /// The accessors give back every value the builders can set, up to the edges of
+    /// the encodings; only the sentinels themselves read back as none.
+    #[test]
+    fn accessors_round_trip_edge_values() {
+        let base = FlowSpec::new(1, NodeId(0), NodeId(1), 1);
+        assert_eq!(base.deadline(), None);
+        for t in [
+            SimTime::ZERO,
+            SimTime(1),
+            SimTime(u64::MAX - 2),
+            LATEST_DEADLINE,
+        ] {
+            assert_eq!(base.clone().with_deadline(t).deadline(), Some(t));
+        }
+        assert_eq!(base.clone().with_deadline(SimTime::MAX).deadline(), None);
+        for id in [0, 1, (1 << 44) - 1, u64::MAX - 1] {
+            assert_eq!(
+                base.clone().with_parent(FlowId(id)).parent(),
+                Some(FlowId(id))
+            );
+        }
+        let tag = Arc::new(CoflowTag {
+            id: CoflowId(u64::MAX),
+            bottleneck_bytes: u64::MAX,
+            deadline: Some(SimTime::MAX),
+        });
+        let a = base.clone().with_coflow(Arc::clone(&tag));
+        let b = base.clone().with_coflow(*tag);
+        assert_eq!(a.coflow(), Some(&*tag));
+        assert_eq!(a, b, "specs compare their tags by value");
+        assert!(
+            std::ptr::eq(a.coflow().unwrap(), &*tag),
+            "the tag is shared"
+        );
+        assert!(!std::ptr::eq(b.coflow().unwrap(), &*tag));
+    }
+
+    #[test]
+    #[should_panic(expected = "reserved")]
+    fn the_no_parent_id_cannot_be_a_parent() {
+        let _ = FlowSpec::new(1, NodeId(0), NodeId(1), 1).with_parent(FlowId(u64::MAX));
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub use agent::{Action, Ctx, FlowInfo, HostAgent};
 pub use controller::{LinkController, NullController};
 pub use engine::{EngineStats, Router, ShortestPathRouter, SimConfig, Simulator};
 pub use event::{EventKind, EventQueue, QueueStats, TimerKind};
-pub use flow::{CoflowTag, FlowOutcome, FlowPath, FlowRecord, FlowSpec};
+pub use flow::{CoflowTag, FlowOutcome, FlowPath, FlowRecord, FlowSpec, LATEST_DEADLINE};
 pub use ids::{CoflowId, FlowId, FlowMap, FlowSet, LinkId, NodeId};
 pub use metrics::{Fcts, Sample, SimResults, TraceConfig, Traces};
 pub use network::{

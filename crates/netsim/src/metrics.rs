@@ -86,7 +86,7 @@ impl SimResults {
     /// All flow records in id order, excluding M-PDQ subflows (records whose spec has
     /// a parent).
     pub fn top_level_flows(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.flows.iter().filter(|r| r.spec.parent.is_none())
+        self.flows.iter().filter(|r| r.spec.parent().is_none())
     }
 
     /// Record of a single flow (a binary search); `None` if it never arrived.
@@ -144,7 +144,7 @@ impl SimResults {
         let mut total = 0usize;
         let mut met = 0usize;
         for r in self.top_level_flows() {
-            if r.spec.deadline.is_some() {
+            if r.spec.deadline().is_some() {
                 total += 1;
                 if r.met_deadline() {
                     met += 1;
@@ -303,10 +303,9 @@ mod tests {
 
     #[test]
     fn subflows_are_excluded_from_summaries() {
-        let mut parent = record(1, 1000, None, Some(10));
-        parent.spec.parent = None;
+        let parent = record(1, 1000, None, Some(10));
         let mut sub = record(2, 500, None, Some(5));
-        sub.spec.parent = Some(FlowId(1));
+        sub.spec = sub.spec.with_parent(FlowId(1));
         let res = results_with(vec![parent, sub]);
         assert_eq!(res.completed_count(), 1);
     }

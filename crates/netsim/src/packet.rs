@@ -94,8 +94,9 @@ impl PacketKind {
 /// unique per switch output port.
 pub type PauseBy = LinkId;
 
-/// `D_H` of a header that carries no deadline.
-const NO_DEADLINE: SimTime = SimTime::MAX;
+/// `D_H` of a header that carries no deadline, and the deadline of a `FlowSpec` that
+/// has none.
+pub(crate) const NO_DEADLINE: SimTime = SimTime::MAX;
 /// `P_H` of a header no switch has paused.
 const NOT_PAUSED: LinkId = LinkId(u32::MAX);
 

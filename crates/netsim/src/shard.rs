@@ -382,14 +382,15 @@ impl EngineCore {
                 peers[peer].controllers[idx] = ctl.take();
             }
         }
+        // A core holds a slot for each of its home flows and at most one replica of
+        // every other flow: reserved once, its slab never doubles while replicas
+        // register, and the capacity no flow reaches is never touched, so never
+        // resident. (Shard 0's slab held every injected flow already.)
+        let injected = self.flows.slots.len();
+        for peer in &mut peers {
+            peer.flows.slots.reserve_exact(injected);
+        }
         let home = |state: &FlowState| shard_of[state.info.spec.src.index()] as usize;
-        let mut counts = vec![0; assignment.shards as usize];
-        for state in &self.flows.slots {
-            counts[home(state)] += 1;
-        }
-        for (peer, &n) in peers.iter_mut().zip(&counts[1..]) {
-            peer.flows.slots.reserve_exact(n);
-        }
         for state in self.flows.slots.extract_if(.., |state| home(state) != 0) {
             peers[home(&state) - 1].add_flow(state.info.spec);
         }
@@ -797,7 +798,8 @@ struct ReplicaFold {
 ///
 /// Each core's replicas are folded into small summaries and dropped, leaving only
 /// home slots. Those are appended to the slab with the most capacity (with several
-/// cores, shard 0's: it held every injected flow), sorted by id, and each summary is
+/// cores, each has room for every injected flow: shard 0's held them all, and the
+/// others reserved as much in the deal), sorted by id, and each summary is
 /// applied to its flow's home slot by binary search, by a rule that does not depend on
 /// the order of the cores: drops summed, the most bytes delivered (on one core only),
 /// the greatest stage (failed if failed anywhere), and the earliest finish. The
@@ -1362,8 +1364,7 @@ mod tests {
             if packet.kind == PacketKind::Ack && !self.spawned {
                 self.spawned = true;
                 let parent = ctx.flow(packet.flow).unwrap().spec.clone();
-                let mut sub = FlowSpec::new(900, parent.src, parent.dst, 40_000);
-                sub.parent = Some(parent.id);
+                let sub = FlowSpec::new(900, parent.src, parent.dst, 40_000).with_parent(parent.id);
                 ctx.spawn_flow(sub);
             }
             self.inner.on_packet(packet, ctx);

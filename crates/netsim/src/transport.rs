@@ -161,7 +161,7 @@ impl<S: FlowSender> Endpoints<S> {
                     return false;
                 };
                 let (size, max_rate) = (info.spec.size_bytes, info.bottleneck_rate_bps);
-                e.insert(Receiver::new(size, max_rate, info.spec.parent.is_some()))
+                e.insert(Receiver::new(size, max_rate, info.spec.parent().is_some()))
             }
         };
         receiver.on_packet(packet, ctx);
@@ -199,7 +199,7 @@ impl<S: FlowSender> Endpoints<S> {
 /// True if `flow` is an M-PDQ subflow.
 fn is_subflow(flow: FlowId, ctx: &Ctx) -> bool {
     ctx.flow(flow)
-        .is_some_and(|info| info.spec.parent.is_some())
+        .is_some_and(|info| info.spec.parent().is_some())
 }
 
 /// Go-back-N reliability for a rate-paced sender: the send and ACK points, the

@@ -21,8 +21,8 @@
 use std::sync::Arc;
 
 use pdq_netsim::{
-    Ctx, Endpoints, FlowId, FlowInfo, FlowMap, FlowSender, FlowSpec, HostAgent, Packet,
-    SenderStatus, SimTime, TimerKind,
+    Ctx, Endpoints, FlowId, FlowInfo, FlowMap, FlowSender, HostAgent, Packet, SenderStatus,
+    SimTime, TimerKind,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -97,7 +97,7 @@ impl PdqHostAgent {
             flow.spec.size_bytes,
             random_crit,
         );
-        if let Some(parent) = flow.spec.parent {
+        if let Some(parent) = flow.spec.parent() {
             self.parent_of.insert(flow.spec.id, parent);
         }
         if self.endpoints.start(flow.spec.id, sender, ctx) {
@@ -124,20 +124,12 @@ impl PdqHostAgent {
                 share += size - base * n as u64; // remainder to the first subflow
             }
             let id = subflow_id(flow.spec.id, k);
-            let mut spec = FlowSpec {
-                id,
-                src: flow.spec.src,
-                dst: flow.spec.dst,
-                size_bytes: share,
-                deadline: flow.spec.deadline,
-                arrival: ctx.now(),
-                parent: Some(flow.spec.id),
-                coflow: flow.spec.coflow,
-            };
+            // The parent's endpoints, deadline and (shared) coflow tag.
+            let mut spec = flow.spec.clone().with_parent(flow.spec.id);
+            spec.id = id;
             // Avoid zero-byte subflows when the flow is tiny.
-            if spec.size_bytes == 0 {
-                spec.size_bytes = 1;
-            }
+            spec.size_bytes = share.max(1);
+            spec.arrival = ctx.now();
             ids.push(id);
             ctx.spawn_flow(spec);
         }
@@ -229,7 +221,7 @@ impl PdqHostAgent {
 
 impl HostAgent for PdqHostAgent {
     fn on_flow_arrival(&mut self, flow: &FlowInfo, ctx: &mut Ctx) {
-        if self.params.subflows > 1 && flow.spec.parent.is_none() {
+        if self.params.subflows > 1 && flow.spec.parent().is_none() {
             self.split_into_subflows(flow, ctx);
         } else {
             self.start_sender(flow, ctx);
@@ -256,19 +248,14 @@ impl HostAgent for PdqHostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdq_netsim::{Action, NodeId, PacketKind, SchedulingHeader};
+    use pdq_netsim::{Action, FlowSpec, NodeId, PacketKind, SchedulingHeader};
 
     fn info(id: u64, size: u64, parent: Option<FlowId>) -> FlowInfo {
+        let spec = FlowSpec::new(id, NodeId(0), NodeId(2), size);
         FlowInfo {
-            spec: FlowSpec {
-                id: FlowId(id),
-                src: NodeId(0),
-                dst: NodeId(2),
-                size_bytes: size,
-                deadline: None,
-                arrival: SimTime::ZERO,
-                parent,
-                coflow: None,
+            spec: match parent {
+                Some(parent) => spec.with_parent(parent),
+                None => spec,
             },
             bottleneck_rate_bps: 1e9,
             nic_rate_bps: 1e9,
@@ -318,7 +305,7 @@ mod tests {
         assert_eq!(spawned.len(), 4);
         let total: u64 = spawned.iter().map(|s| s.size_bytes).sum();
         assert_eq!(total, 100_000);
-        assert!(spawned.iter().all(|s| s.parent == Some(FlowId(1))));
+        assert!(spawned.iter().all(|s| s.parent() == Some(FlowId(1))));
         // No sender for the parent itself; a re-balance timer is armed.
         assert_eq!(agent.active_senders(), 0);
         assert!(actions.iter().any(|a| matches!(
@@ -422,7 +409,7 @@ mod tests {
         // 10 MB due in 1 ms cannot make it at 1 Gbit/s: the first grant terminates it.
         let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 1);
         let mut flow = info(1, 10_000_000, None);
-        flow.spec.deadline = Some(SimTime::from_millis(1));
+        flow.spec = flow.spec.with_deadline(SimTime::from_millis(1));
         let flows = flows_of([&flow]);
         run(SimTime::ZERO, &flows, |ctx| {
             agent.on_flow_arrival(&flow, ctx)
@@ -464,7 +451,7 @@ mod tests {
         let subs: Vec<FlowInfo> = split
             .iter()
             .filter_map(|a| match a {
-                Action::SpawnFlow(s) => Some(info(s.id.value(), s.size_bytes, s.parent)),
+                Action::SpawnFlow(s) => Some(info(s.id.value(), s.size_bytes, s.parent())),
                 _ => None,
             })
             .collect();
@@ -575,7 +562,7 @@ mod tests {
         use PacketKind::{Ack, Data, Probe, Syn, SynAck, Term, TermAck};
         let mut agent = PdqHostAgent::new(PdqParams::full(), Discipline::Exact, 2);
         let mut flow = info(1, 10_000_000, None);
-        flow.spec.deadline = Some(SimTime::from_millis(1));
+        flow.spec = flow.spec.with_deadline(SimTime::from_millis(1));
         let flows = flows_of([&flow, &info(2, 3_000, None)]);
         let (f, other) = (FlowId(1), FlowId(2));
         let got = echoes(
@@ -639,7 +626,7 @@ mod tests {
         let subs: Vec<FlowInfo> = split
             .iter()
             .filter_map(|a| match a {
-                Action::SpawnFlow(s) => Some(info(s.id.value(), s.size_bytes, s.parent)),
+                Action::SpawnFlow(s) => Some(info(s.id.value(), s.size_bytes, s.parent())),
                 _ => None,
             })
             .collect();

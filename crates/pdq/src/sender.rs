@@ -82,12 +82,13 @@ impl PdqSender {
         // Coflow-aware criticality: a tagged flow inherits its group's deadline and
         // bottleneck transmission time. Both come from the static CoflowTag, so no
         // cross-flow (or cross-shard) state is consulted at schedule time.
-        let (deadline, group_trans_floor) = match flow.spec.coflow.filter(|_| params.coflow_aware) {
+        let tag = flow.spec.coflow().filter(|_| params.coflow_aware);
+        let (deadline, group_trans_floor) = match tag {
             Some(tag) if max_rate > 0.0 => (
-                tag.deadline.or(flow.spec.deadline),
+                tag.deadline.or(flow.spec.deadline()),
                 tag.bottleneck_bytes as f64 * 8.0 / max_rate,
             ),
-            _ => (flow.spec.deadline, 0.0),
+            _ => (flow.spec.deadline(), 0.0),
         };
         let mut core = PacedCore::new(flow, assigned_bytes, deadline, rtt);
         if let Some(config) = params.pacer {

@@ -455,7 +455,7 @@ pub fn lower_to_fluid(flows: &[FlowSpec]) -> Vec<(u64, FluidFlow)> {
                 f.id.value(),
                 FluidFlow {
                     size: f.size_bytes as f64,
-                    deadline: f.deadline.map(|d| d.as_secs_f64()),
+                    deadline: f.deadline().map(|d| d.as_secs_f64()),
                 },
             )
         })

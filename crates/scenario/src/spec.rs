@@ -6,9 +6,11 @@
 //! reproduces the experiment harness' historical RNG draw order exactly, so a spec
 //! plus a seed pins down the flow set byte for byte.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::{Range, RangeBounds, RangeInclusive};
 use std::str::FromStr;
+use std::sync::Arc;
 
 use pdq_netsim::{CoflowId, CoflowTag, FlowSpec, LinkParams, NodeId, NodeKind, SimTime};
 use pdq_topology::{
@@ -393,7 +395,7 @@ impl WorkloadSpec {
                     .map(|(i, (src, dst))| {
                         let mut spec =
                             FlowSpec::new(i as u64 + 1, src, dst, sizes.sample(&mut rng).max(1));
-                        if let Some(d) = deadlines.sample(&mut rng) {
+                        if let Some(d) = deadlines.sample_after(SimTime::ZERO, &mut rng) {
                             spec = spec.with_deadline(d);
                         }
                         spec
@@ -725,11 +727,11 @@ impl WorkloadSpec {
                 sizes: r.required("workload.sizes")?,
                 deadlines: r.required("workload.deadlines")?,
             },
-            "manual" => WorkloadSpec::Manual(
+            "manual" => WorkloadSpec::Manual(share_coflow_tags(
                 r.all("flow")
                     .map(|f| f.parse().map(|FlowLine(spec)| spec))
                     .collect::<Result<_, _>>()?,
-            ),
+            )),
             other => return Err(kind.error(format!("unrecognized workload kind {other:?}"))),
         })
     }
@@ -747,6 +749,29 @@ fn arg<T: FromStr + PartialOrd>(v: &str, ok: impl RangeBounds<T>, want: &str) ->
 const NUMBER: RangeInclusive<f64> = f64::NEG_INFINITY..=f64::INFINITY;
 const POSITIVE: Range<f64> = f64::MIN_POSITIVE..f64::INFINITY;
 
+/// Give the members of each coflow of a manual workload one shared tag, as the
+/// coflow generator does: each `flow` line parses into a tag of its own.
+fn share_coflow_tags(flows: Vec<FlowSpec>) -> Vec<FlowSpec> {
+    let mut tags: HashSet<Arc<CoflowTag>> = HashSet::new();
+    flows
+        .into_iter()
+        .map(|spec| match spec.coflow() {
+            Some(tag) => {
+                let shared = match tags.get(tag) {
+                    Some(shared) => Arc::clone(shared),
+                    None => {
+                        let shared = Arc::new(*tag);
+                        tags.insert(Arc::clone(&shared));
+                        shared
+                    }
+                };
+                spec.with_coflow(shared)
+            }
+            None => spec,
+        })
+        .collect()
+}
+
 /// One flow of a manual workload as the value of a `flow` line:
 /// `id src dst bytes arrival_ns deadline_ns|- [coflow_id:bottleneck_bytes:deadline_ns|-]`.
 struct FlowLine(FlowSpec);
@@ -760,11 +785,11 @@ impl fmt::Display for FlowLine {
         write!(
             f,
             "{id} {src} {dst} {bytes} {arrival} {}",
-            nanos(s.deadline)
+            nanos(s.deadline())
         )?;
         // The coflow tag is a 7th field written only when present, so untagged
         // flow lines stay byte-identical to older specs.
-        if let Some(t) = s.coflow {
+        if let Some(t) = s.coflow() {
             let (id, bottleneck) = (t.id.value(), t.bottleneck_bytes);
             write!(f, " {id}:{bottleneck}:{}", nanos(t.deadline))?;
         }
@@ -793,19 +818,31 @@ impl FromStr for FlowLine {
             field(bytes)?,
         )
         .with_arrival(SimTime::from_nanos(field(arrival)?));
-        spec.deadline = nanos(deadline)?;
-        spec.coflow = match *tag {
-            [] => None,
+        match nanos(deadline)? {
+            // `SimTime::MAX` is how a spec stores "no deadline", which is written `-`.
+            Some(SimTime::MAX) => {
+                return Err(format!(
+                    "deadline {} ns is reserved for no deadline; write -",
+                    u64::MAX
+                ))
+            }
+            Some(d) => spec = spec.with_deadline(d),
+            None => {}
+        }
+        match *tag {
+            [] => {}
             [tag] => match tag.split(':').collect::<Vec<_>>()[..] {
-                [id, bottleneck, deadline] => Some(CoflowTag {
-                    id: CoflowId(field(id)?),
-                    bottleneck_bytes: field(bottleneck)?,
-                    deadline: nanos(deadline)?,
-                }),
+                [id, bottleneck, deadline] => {
+                    spec = spec.with_coflow(CoflowTag {
+                        id: CoflowId(field(id)?),
+                        bottleneck_bytes: field(bottleneck)?,
+                        deadline: nanos(deadline)?,
+                    })
+                }
                 _ => return Err(WANT.into()),
             },
             _ => return Err(WANT.into()),
-        };
+        }
         Ok(FlowLine(spec))
     }
 }
@@ -1041,9 +1078,28 @@ mod tests {
             "1 0 5 100 0 - 9:60000",
             "1 0 5 100 0 - 9:1:2 x",
             "1 0 5 -1 0 -",
+            // The spec's "no deadline" sentinel, written `-`.
+            "1 0 5 100 0 18446744073709551615",
         ] {
             assert!(bad.parse::<FlowLine>().is_err(), "{bad}");
         }
+    }
+
+    /// The members of a coflow of a manual workload share one tag, as the coflow
+    /// generator's members do; flows of other coflows keep their own.
+    #[test]
+    fn manual_coflow_members_share_one_tag() {
+        let text = "# h\nworkload = manual\n\
+                    flow = 1 0 5 100 0 - 9:200:-\n\
+                    flow = 2 1 5 200 0 - 7:200:-\n\
+                    flow = 3 2 5 200 0 - 9:200:-\n";
+        let w = WorkloadSpec::from_keys(&kv::Reader::new(text, &["flow"]).unwrap()).unwrap();
+        let WorkloadSpec::Manual(flows) = w else {
+            panic!("a manual workload");
+        };
+        let tag = |i: usize| flows[i].coflow().expect("tagged");
+        assert!(std::ptr::eq(tag(0), tag(2)));
+        assert!(!std::ptr::eq(tag(0), tag(1)));
     }
 
     #[test]
@@ -1066,9 +1122,9 @@ mod tests {
         let flows = w.generate(&topo, 5);
         assert_eq!(flows.len(), 18);
         assert_eq!(flows[0].id.value(), 1, "flow ids start at 1");
-        assert!(flows.iter().all(|f| f.coflow.is_some()));
+        assert!(flows.iter().all(|f| f.coflow().is_some()));
         assert_eq!(
-            flows[0].coflow.unwrap().id,
+            flows[0].coflow().unwrap().id,
             CoflowId(1),
             "coflow ids start at 1"
         );

@@ -192,7 +192,7 @@ impl BackendResults {
                 id: r.spec.id.value(),
                 outcome: r.outcome(),
                 fct_secs: r.fct().map(SimTime::as_secs_f64),
-                deadline_met: r.spec.deadline.map(|_| r.met_deadline()),
+                deadline_met: r.spec.deadline().map(|_| r.met_deadline()),
                 arrival: r.spec.arrival,
                 done: r.completed_at.map(SimTime::as_nanos),
                 term: r.terminated_at.map_or(0, SimTime::as_nanos),
@@ -340,7 +340,7 @@ impl RunSummary {
         // Each coflow's group deadline and member ids.
         let mut groups: BTreeMap<u64, (Option<SimTime>, Vec<u64>)> = BTreeMap::new();
         for s in specs {
-            if let Some(tag) = s.coflow {
+            if let Some(tag) = s.coflow() {
                 let group = groups
                     .entry(tag.id.value())
                     .or_insert((tag.deadline, Vec::new()));
@@ -678,10 +678,7 @@ mod tests {
         records[2].failed = true;
         records[3].bytes_acked = 50;
         // An M-PDQ subflow of flow 1: accounted to its parent, never counted itself.
-        let mut sub = FlowRecord::new(FlowSpec {
-            parent: Some(FlowId(1)),
-            ..spec(5, 500).with_deadline(ms(1))
-        });
+        let mut sub = FlowRecord::new(spec(5, 500).with_deadline(ms(1)).with_parent(FlowId(1)));
         sub.completed_at = Some(ms(4));
         sub.bytes_acked = 500;
         records.push(sub);

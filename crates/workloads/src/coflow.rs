@@ -14,6 +14,8 @@
 //! membership rides on the emitted [`FlowSpec`]s, so no shared mutable state is
 //! needed at schedule time and partitioned-engine determinism is preserved.
 
+use std::sync::Arc;
+
 use pdq_netsim::{CoflowId, CoflowTag, FlowSpec, NodeId, SimTime};
 use pdq_topology::Topology;
 use rand::rngs::SmallRng;
@@ -48,19 +50,19 @@ impl Coflow {
         members: Vec<FlowSpec>,
     ) -> Self {
         let bottleneck_bytes = members.iter().map(|m| m.size_bytes).max().unwrap_or(0);
-        let tag = CoflowTag {
+        let tag = Arc::new(CoflowTag {
             id,
             bottleneck_bytes,
             deadline,
-        };
+        });
         let members = members
             .into_iter()
             .map(|mut m| {
                 m.arrival = arrival;
-                if m.deadline.is_none() {
-                    m.deadline = deadline;
+                if let Some(d) = deadline.filter(|_| m.deadline().is_none()) {
+                    m = m.with_deadline(d);
                 }
-                m.with_coflow(tag)
+                m.with_coflow(Arc::clone(&tag))
             })
             .collect();
         Coflow {
@@ -144,7 +146,7 @@ pub fn coflow_set(
                 spec
             })
             .collect();
-        let deadline = cfg.deadlines.sample(rng).map(|d| arrival + d);
+        let deadline = cfg.deadlines.sample_after(arrival, rng);
         coflows.push(Coflow::new(
             CoflowId(first_coflow_id + k as u64),
             arrival,
@@ -192,12 +194,18 @@ mod tests {
             let bottleneck = c.bottleneck_bytes();
             assert!(c.members.iter().any(|m| m.size_bytes == bottleneck));
             for m in &c.members {
-                let tag = m.coflow.expect("member is tagged");
+                let tag = m.coflow().expect("member is tagged");
+                let first = c.members[0].coflow();
+                assert!(std::ptr::eq(tag, first.unwrap()), "members share one tag");
                 assert_eq!(tag.id, c.id);
                 assert_eq!(tag.bottleneck_bytes, bottleneck);
                 assert_eq!(tag.deadline, c.deadline);
                 assert_eq!(m.arrival, c.arrival);
-                assert_eq!(m.deadline, c.deadline, "members inherit the group deadline");
+                assert_eq!(
+                    m.deadline(),
+                    c.deadline,
+                    "members inherit the group deadline"
+                );
                 assert_ne!(m.src, m.dst);
             }
             // Aggregation: all members converge on one reducer from distinct senders.

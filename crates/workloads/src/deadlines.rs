@@ -7,7 +7,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use pdq_netsim::SimTime;
+use pdq_netsim::{SimTime, LATEST_DEADLINE};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -57,6 +57,13 @@ impl DeadlineDist {
             }
         }
     }
+
+    /// Draw the absolute deadline of a flow arriving at `arrival`; `None` when the
+    /// distribution is [`DeadlineDist::None`]. A sum that saturates stops at
+    /// [`LATEST_DEADLINE`]: [`SimTime::MAX`] would read back as no deadline.
+    pub fn sample_after(&self, arrival: SimTime, rng: &mut SmallRng) -> Option<SimTime> {
+        self.sample(rng).map(|d| (arrival + d).min(LATEST_DEADLINE))
+    }
 }
 
 /// Canonical one-token spec form, parseable back via [`FromStr`]: `none`,
@@ -105,6 +112,21 @@ impl FromStr for DeadlineDist {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+
+    /// An absolute deadline is the arrival plus the draw, stopping one nanosecond
+    /// short of `SimTime::MAX`, which a spec reads as no deadline.
+    #[test]
+    fn absolute_deadlines_never_reach_the_no_deadline_sentinel() {
+        let mut rng = SmallRng::seed_from_u64(1);
+        let ms = SimTime::from_millis;
+        let after = |d: DeadlineDist, rng: &mut SmallRng| d.sample_after(ms(1), rng);
+        assert_eq!(after(DeadlineDist::Fixed(ms(2)), &mut rng), Some(ms(3)));
+        assert_eq!(
+            after(DeadlineDist::Fixed(SimTime::MAX), &mut rng),
+            Some(LATEST_DEADLINE)
+        );
+        assert_eq!(after(DeadlineDist::None, &mut rng), None);
+    }
 
     #[test]
     fn spec_round_trip() {

@@ -153,13 +153,13 @@ pub fn poisson_flows(
         let size = cfg.sizes.sample(rng);
         let arrival = SimTime::from_secs_f64(t);
         let deadline = if size <= cfg.short_flow_threshold_bytes {
-            cfg.short_deadlines.sample(rng)
+            cfg.short_deadlines.sample_after(arrival, rng)
         } else {
             None
         };
         let mut spec = FlowSpec::new(id, src, dst, size).with_arrival(arrival);
         if let Some(d) = deadline {
-            spec = spec.with_deadline(arrival + d);
+            spec = spec.with_deadline(d);
         }
         flows.push(spec);
         id += 1;
@@ -178,8 +178,8 @@ fn make_flow(
 ) -> FlowSpec {
     let size = sizes.sample(rng).max(1);
     let mut spec = FlowSpec::new(id, src, dst, size).with_arrival(arrival);
-    if let Some(d) = deadlines.sample(rng) {
-        spec = spec.with_deadline(arrival + d);
+    if let Some(d) = deadlines.sample_after(arrival, rng) {
+        spec = spec.with_deadline(d);
     }
     spec
 }
@@ -213,7 +213,7 @@ mod tests {
         let mut per_sender: HashMap<NodeId, usize> = HashMap::new();
         for f in &flows {
             assert_eq!(f.dst, receiver);
-            assert!(f.deadline.is_some());
+            assert!(f.deadline().is_some());
             *per_sender.entry(f.src).or_default() += 1;
         }
         // 25 flows over 11 senders: each sender has 2 or 3.
@@ -235,7 +235,7 @@ mod tests {
         };
         let flows = pattern_flows(&t, &cfg, 100, &mut rng);
         assert_eq!(flows.len(), 12 * 3);
-        assert!(flows.iter().all(|f| f.deadline.is_none()));
+        assert!(flows.iter().all(|f| f.deadline().is_none()));
         assert!(flows.iter().all(|f| f.arrival == SimTime::ZERO));
         assert_eq!(flows[0].id.value(), 100);
     }
@@ -261,10 +261,10 @@ mod tests {
             last = f.arrival;
             assert!(f.arrival < SimTime::from_millis(100));
             if f.size_bytes <= 40_000 {
-                assert!(f.deadline.is_some());
-                assert!(f.deadline.unwrap() > f.arrival);
+                assert!(f.deadline().is_some());
+                assert!(f.deadline().unwrap() > f.arrival);
             } else {
-                assert!(f.deadline.is_none());
+                assert!(f.deadline().is_none());
             }
             assert_ne!(f.src, f.dst);
         }
@@ -314,7 +314,7 @@ mod tests {
                         f.dst.0,
                         f.size_bytes,
                         f.arrival.as_nanos(),
-                        f.deadline.map(|d| d.as_nanos()),
+                        f.deadline().map(|d| d.as_nanos()),
                     )
                 })
                 .collect()

@@ -86,7 +86,7 @@ fn missed_deadlines(summary: &RunSummary) -> BTreeSet<u64> {
     match &summary.results {
         BackendResults::Packet(r) => r
             .top_level_flows()
-            .filter(|r| r.spec.deadline.is_some() && !r.met_deadline())
+            .filter(|r| r.spec.deadline().is_some() && !r.met_deadline())
             .map(|r| r.spec.id.value())
             .collect(),
         BackendResults::Flow(r) => r

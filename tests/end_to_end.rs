@@ -139,7 +139,11 @@ fn multipath_pdq_completes_parents_and_subflows() {
     // Two parent flows completed...
     assert_eq!(res.completed_count(), 2);
     // ...and the subflows exist as their own records with a parent pointer.
-    let subflow_records = res.flows.iter().filter(|r| r.spec.parent.is_some()).count();
+    let subflow_records = res
+        .flows
+        .iter()
+        .filter(|r| r.spec.parent().is_some())
+        .count();
     assert_eq!(subflow_records, 6);
 }
 

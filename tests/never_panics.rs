@@ -16,7 +16,7 @@ use std::fmt::{Debug, Display};
 use std::str::FromStr;
 use std::sync::OnceLock;
 
-use pdq_netsim::{FlowSpec, NodeId, SimTime};
+use pdq_netsim::{FlowSpec, NodeId, SimTime, LATEST_DEADLINE};
 use pdq_repro::scenario::{
     ProtocolRegistry, ResultCache, RunSummary, Scenario, ScenarioError, SimBackend, TopologySpec,
     WorkloadSpec,
@@ -225,6 +225,59 @@ fn fluid_runs_without_one_receiver_are_spec_errors() {
         matches!(&err, ScenarioError::Spec(m) if m.contains("one bottleneck shared by every flow")),
         "{err}"
     );
+}
+
+/// A flow spec stores "no deadline" as a deadline of `SimTime::MAX`, so no spec may
+/// name that instant: a manual `flow` line carrying it is a spec error (the line
+/// writes `-` for none), and a deadline distribution whose sum with the arrival
+/// saturates gives the latest deadline a spec can carry, never the sentinel. Both
+/// run on every backend without a panic.
+#[test]
+fn the_no_deadline_sentinel_is_refused_or_never_drawn() {
+    let flow = FlowSpec::new(1, NodeId(1), NodeId(4), 5_000).with_deadline(LATEST_DEADLINE);
+    let text = Scenario::new("sentinel")
+        .topology(TopologySpec::SingleBottleneck {
+            senders: 3,
+            access_loss: 0.0,
+        })
+        .workload(WorkloadSpec::Manual(vec![flow]))
+        .to_spec();
+    let latest_ns = LATEST_DEADLINE.as_nanos().to_string();
+    assert!(
+        text.contains(&format!("flow = 1 1 4 5000 0 {latest_ns}\n")),
+        "{text}"
+    );
+    check(&text);
+    let err = Scenario::from_spec(&text.replace(&latest_ns, &u64::MAX.to_string())).unwrap_err();
+    assert!(
+        matches!(&err, ScenarioError::Spec(m) if m.contains("reserved for no deadline")),
+        "{err}"
+    );
+
+    // The fig8a pattern workload and the coflow workload, whose members inherit
+    // their group's deadline.
+    for spec in [SPECS[3], SPECS[0]] {
+        let line = spec.lines().find(|l| l.starts_with("workload.deadlines"));
+        let fixed_max = format!("workload.deadlines = fixed:{}", u64::MAX);
+        let text = spec.replace(line.unwrap(), &fixed_max);
+        let scenario = Scenario::from_spec(&text).unwrap();
+        let topo = scenario.topology.build();
+        let flows = scenario.workload.generate(&topo, scenario.seed);
+        assert!(!flows.is_empty());
+        for f in &flows {
+            assert_eq!(f.deadline(), Some(LATEST_DEADLINE), "{f:?}");
+            if let Some(tag) = f.coflow() {
+                assert_eq!(tag.deadline, Some(LATEST_DEADLINE));
+            }
+        }
+        for backend in SimBackend::all() {
+            let scenario = scenario
+                .clone()
+                .backend(backend)
+                .stop_at(SimTime::from_millis(5));
+            let _ = scenario.run(pdq_experiments::common::registry());
+        }
+    }
 }
 
 proptest! {

@@ -108,6 +108,25 @@
 //! by the live flows. The arena used to hold every flow the run routed: 10 928
 //! entries at 1 000 flows, 43 932 at 4 000.
 //!
+//! Since a flow spec is 56 bytes instead of 96 — its deadline and M-PDQ parent
+//! stored with sentinels instead of `Option` tags, its coflow tag behind one pointer
+//! shared by the coflow's members — and the goodput sampler keeps its last reading
+//! per flow in a store of its own (only when flows are traced), a flow's slot is
+//! 120 bytes instead of 168, and each flow costs 88 bytes less: 40 in the workload's
+//! spec list, 48 in its slot. At seed 1 the overloaded run peaks at 1 775 287 B
+//! (1 863 287 B before), the steady run at 518 055 B (606 055 B) and the two-shard
+//! steady run at 784 515 B (919 547 B; its peers now reserve a slot for every flow
+//! up front instead of doubling a slab sized for their home flows, 168 000 B then).
+//! The three bounds sit between the two, so the 96-byte spec and 168-byte slot fail
+//! each of them. The largest allocation of the steady runs is the slot slab,
+//! 120 000 B (168 000 B).
+//!
+//! That makes the per-flow cost a pinned unit of account too: the steady spec at
+//! four times the flows grows the peak by at most a spec, a slot and a hot entry a
+//! flow (56 + 120 + 12 B) plus 24 B of slack for the summary's per-flow vectors,
+//! which grow by doubling. Measured: 205.3 B a flow (1 133 895 B at 4 000 flows
+//! against 518 055 B at 1 000), 293.3 B before (1 485 895 B against 606 055 B).
+//!
 //! The committed paced WAN spec (`specs/wan_quick.scn`: 60 ms paths, up to 2 188
 //! packets in flight) is the high-BDP case: its run peaks at 484 374 B with 90 events
 //! pending, against 825 974 B with an event per packet in flight and the doubling pool
@@ -115,10 +134,11 @@
 //! allocation of the run may exceed a page of the in-flight slab (36 864 B).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 use pdq_experiments::common::registry;
-use pdq_netsim::SimTime;
+use pdq_netsim::{FlowSpec, SimTime};
 use pdq_scenario::{RunSummary, Scenario, WorkloadSpec};
 
 struct LiveBytes;
@@ -196,12 +216,17 @@ fn peak_live(scenario: &Scenario) -> (RunSummary, u64, usize) {
     (run, peak, LARGEST.load(Ordering::Relaxed))
 }
 
-/// The most a flow's engine slot may take (`size_of::<FlowState>()`, pinned by
-/// `pdq-netsim`'s `flow_state_stays_small`; 168 bytes now).
-const SLOT_BYTES_CAP: usize = 200;
+/// The most a flow's engine slot may take: `size_of::<FlowState>()`, pinned by
+/// `pdq-netsim`'s `flow_state_stays_small` (120 bytes now). What the injected slot
+/// slab costs per flow.
+const SLOT_BYTES: usize = 120;
 
-/// `size_of::<FlowState>()` now: what the injected slot slab costs per flow.
-const SLOT_BYTES: usize = 168;
+/// `size_of::<FlowHot>()`, pinned by `pdq-netsim`'s `hot_flow_state_stays_small`.
+const HOT_BYTES: usize = 12;
+
+/// What the peak may grow by per added flow beyond its spec, slot and hot entry:
+/// the summary's per-flow vectors, which grow by doubling (17.3 B a flow measured).
+const PER_FLOW_SLACK: usize = 24;
 
 /// Route-arena entries a live flow may account for: two per link of the longest
 /// path of the spec's k = 4 fat-tree (6 links), for up to twice the flows live at
@@ -225,13 +250,15 @@ fn wan_quick() -> Scenario {
 fn pdq_runs_hold_memory_for_what_is_live() {
     let mut steady_fingerprint = String::new();
     let mut steady_routes = (0, 0);
+    let mut steady_peak = 0;
     for (case, spread_us, bound) in [
-        ("overloaded", 1_000, 1_925_000),
-        ("steady", 66_000, 645_000),
+        ("overloaded", 1_000, 1_820_000),
+        ("steady", 66_000, 560_000),
     ] {
         let (run, peak, largest) = peak_live(&engine_scale(SimTime::from_micros(spread_us)));
         if case == "steady" {
             steady_fingerprint = run.fingerprint();
+            steady_peak = peak;
             let engine = run.packet().engine;
             steady_routes = (engine.route_high_water, engine.live_flows_high_water);
         }
@@ -259,7 +286,7 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         // The records are built in the slot slab's own buffer, and the in-flight slab
         // grows a page at a time: nothing the run allocates is larger than the slot
         // slab.
-        let cap = FLOWS * SLOT_BYTES_CAP;
+        let cap = FLOWS * SLOT_BYTES;
         assert!(
             largest <= cap,
             "{case}: a {largest}-byte allocation, larger than the slot slab ({cap} B)"
@@ -276,7 +303,7 @@ fn pdq_runs_hold_memory_for_what_is_live() {
         steady_fingerprint,
         "two shards must reproduce the one-shard run"
     );
-    let bound = 995_000;
+    let bound = 850_000;
     assert!(
         peak < bound,
         "steady, two shards: peak live heap of the run was {peak} bytes (bound {bound})"
@@ -290,9 +317,17 @@ fn pdq_runs_hold_memory_for_what_is_live() {
 
     // The unit of account: four times the flows at the same arrival rate.
     let flows4 = engine_scale_flows(4 * FLOWS, SimTime::from_micros(4 * 66_000));
-    let run = flows4.run(registry()).unwrap_or_else(|e| panic!("{e}"));
+    let (run, peak4, _) = peak_live(&flows4);
     let engine = run.packet().engine;
     assert_eq!(run.completed, run.flows, "steady x4: every flow completes");
+    let per_flow = (peak4 - steady_peak) as f64 / (3 * FLOWS) as f64;
+    let unit = size_of::<FlowSpec>() + SLOT_BYTES + HOT_BYTES + PER_FLOW_SLACK;
+    eprintln!("steady x4: peak live {peak4} B, {per_flow:.1} B more per added flow");
+    assert!(
+        per_flow <= unit as f64,
+        "steady x4: the peak grew by {per_flow:.1} B per added flow, more than a spec, \
+         a slot and a hot entry plus {PER_FLOW_SLACK} B ({unit} B)"
+    );
     let fourfold = (engine.route_high_water, engine.live_flows_high_water);
     for (flows, (routes, live)) in [(FLOWS, steady_routes), (4 * FLOWS, fourfold)] {
         eprintln!("steady, {flows} flows: route arena at most {routes} entries, {live} flows live");
